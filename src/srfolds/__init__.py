@@ -25,9 +25,9 @@ from .singularity import (ConjugateRecord, FoldWitness, SingularityClass,
                           StructureAdapter, classify, fold_witness,
                           regularity_isomorphism_check, scan_ray,
                           second_order_transversality)
-from .sl2 import (Sl2Covector, Sl2Matrix, sc_functions, sl2_adapter,
-                  sl2_chart, sl2_conj_f, sl2_conj_grad, sl2_exp,
-                  sl2_frame_images, sl2_jacobi, sl2_kernel)
+from .sl2 import (Sl2Covector, Sl2Matrix, sl2_adapter, sl2_chart, sl2_conj_f,
+                  sl2_conj_grad, sl2_exp, sl2_frame_images, sl2_jacobi,
+                  sl2_kernel)
 from .state import GeodesicState, JacobiCoords
 from .su2 import (Su2Covector, Su2JacobiCoeffs, Su2Point, su2_adapter,
                   su2_chart, su2_conj_f, su2_conj_grad, su2_conj_matrix,
@@ -50,7 +50,7 @@ __all__ = [
     "grushin_jacobi", "grushin_jacobi_coefficients", "grushin_kernel",
     "integrate", "jacobi_ratios", "pi_alpha", "propagate_linear_jacobi",
     "quad", "rank_nullspace", "regularity_isomorphism_check", "run_selftest",
-    "sc_functions", "sc_pair", "scan_ray", "second_order_transversality",
+    "sc_pair", "scan_ray", "second_order_transversality",
     "sin_cos_alpha", "sl2_adapter", "sl2_chart", "sl2_conj_f", "sl2_conj_grad",
     "sl2_exp", "sl2_frame_images", "sl2_jacobi", "sl2_kernel", "su2_adapter",
     "su2_chart", "su2_conj_f", "su2_conj_grad", "su2_conj_matrix", "su2_exp",

@@ -9,21 +9,16 @@ Subcommands:
 Structures are selected with --structure {grushin, su2, sl2}; coordinate lists
 are comma-separated (grushin uses 2 fiber coordinates, the groups use 3 and
 are always based at the identity). Output is text, CSV, or JSON; every float
-is printed with 12 significant digits so runs diff cleanly. Scans over several
---direction flags can be parallelized by setting SRFOLDS_THREADS; results are
-merged back in input order, so the output is identical at any thread count.
-Exit codes: 0 success, 1 computation failure (or self-test failure), 2 usage
-error.
+is printed with 12 significant digits so runs diff cleanly. Exit codes:
+0 success, 1 computation failure (or self-test failure), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -171,16 +166,8 @@ def cmd_conj_scan(args) -> int:
     else:
         adapter = sl2_adapter()
 
-    def scan(direction: list[float]):
-        return scan_ray(adapter, direction, args.s_max,
-                        scan_points=args.scan_points, root_tol=args.root_tol)
-
-    threads = max(1, int(os.environ.get("SRFOLDS_THREADS", "1")))
-    if threads > 1 and len(directions) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_records = list(pool.map(scan, directions))
-    else:
-        all_records = [scan(d) for d in directions]
+    all_records = [scan_ray(adapter, d, args.s_max, scan_points=args.scan_points,
+                            root_tol=args.root_tol) for d in directions]
 
     config = {"command": "conj-scan", "structure": args.structure,
               "directions": directions, "s_max": args.s_max,

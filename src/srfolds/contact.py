@@ -1,0 +1,226 @@
+"""The left-invariant contact structure shared by SU(2) and SL(2).
+
+Both groups are based at the identity, with a rank-two distribution spanned by
+X1, X2 and transverse X0. For a covector u0 X1 + v0 X2 + w0 X0, with horizontal
+energy h2 = u0^2 + v0^2, every formula here depends on the group only through
+the sign eps in the curvature scalar r = w0^2 + eps h2:
+
+    group   eps   r                    momentum rotates   conjugate covectors
+    SU(2)   +1    |(u0, v0, w0)|^2     with w0            every r > 0
+    SL(2)   -1    w0^2 - h2            against w0         only r > 0
+
+The conjugate covectors at time one are the zeros of the stratum functions
+
+    f0 = sqrt(r) cos(sqrt(r)/2) - 2 sin(sqrt(r)/2)      (the C0 stratum)
+    f1 = sin(sqrt(r)/2)                                  (the C1 stratum)
+
+whose hyperbolic continuations, strictly positive, are reported for r <= 0.
+With P = sqrt(r) cos(sqrt(r)/2) the kernel of the differential is spanned by
+(-v0 P, u0 P, -4 eps sin(sqrt(r)/2)), and a stratum function F of r has the
+gradient (dF/dr) 2 (eps u0, eps v0, w0). Frame Jacobi fields solve the system
+of scfun.propagate_linear_jacobi with curvature entry r, and the vertical frame
+direction lands at the time-one endpoint g as
+
+    f_c = -eps (h2 g X0 - w0 (u1 g X1 + v1 g X2)) / sqrt(h2).
+
+Each group's representation (matrices, exponential, charts) lives in su2.py
+and sl2.py.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .errors import DegenerateCovector, InvalidInput, NotConjugate
+from .numeric import rank_nullspace
+from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
+from .singularity import StructureAdapter
+from .state import JacobiCoords
+
+# C0 covectors with w0 = 0 fall outside the proven dense subset; excluded
+_VERTICAL_EXCLUSION_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ContactCovector:
+    """Initial covector u0 X1 + v0 X2 + w0 X0 at the identity."""
+
+    u0: float
+    v0: float
+    w0: float
+
+    def __post_init__(self) -> None:
+        for name in ("u0", "v0", "w0"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidInput(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
+
+
+def cov_triple(cov) -> tuple[float, float, float]:
+    """(u0, v0, w0) of a ContactCovector or of any finite 3-sequence."""
+    if isinstance(cov, ContactCovector):
+        return cov.u0, cov.v0, cov.w0
+    u0, v0, w0 = (float(c) for c in cov)
+    if not all(math.isfinite(c) for c in (u0, v0, w0)):
+        raise InvalidInput(f"covector components must be finite, got {cov!r}")
+    return u0, v0, w0
+
+
+def curvature(eps: int, u0: float, v0: float, w0: float) -> float:
+    """r = w0^2 + eps (u0^2 + v0^2)."""
+    return w0 * w0 + eps * (u0 * u0 + v0 * v0)
+
+
+@dataclass(frozen=True)
+class ContactGroup:
+    """One group's sign and representation, plugged into the shared formulas.
+
+    exp(cov, t) returns the endpoint (with a .matrix() method) and the momentum
+    (u, v, w)(t); basis holds the matrices (X0, X1, X2); push(point, tangent)
+    gives the chart components of a tangent matrix at point, in the chart the
+    group selects there.
+    """
+
+    name: str
+    eps: int
+    exp: Callable
+    basis: tuple[np.ndarray, np.ndarray, np.ndarray]
+    push: Callable[..., np.ndarray]
+
+    def conj_f(self, cov) -> tuple[float, float, float]:
+        """(r, f0, f1); conjugate iff r > 0 and f0 f1 = 0.
+
+        For r <= 0 the returned f-values are the strictly positive hyperbolic
+        continuations (diagnostics only; such covectors are never conjugate).
+        """
+        u0, v0, w0 = cov_triple(cov)
+        if u0 * u0 + v0 * v0 == 0.0:
+            raise DegenerateCovector("conjugacy functions undefined at H = 0")
+        r = curvature(self.eps, u0, v0, w0)
+        if r > 0.0:
+            root = math.sqrt(r)
+            half = root / 2.0
+            return (r, root * math.cos(half) - 2.0 * math.sin(half), math.sin(half))
+        sigma = math.sqrt(-r)
+        half = sigma / 2.0
+        return (r, sigma * math.cosh(half) - 2.0 * math.sinh(half), math.sinh(half))
+
+    def strata(self, cov) -> tuple[float, float]:
+        """Stratum functions (f0, f1); the covector is conjugate iff f0 f1 = 0."""
+        _, f0, f1 = self.conj_f(cov)
+        return f0, f1
+
+    def kernel(self, cov, tol: float = 1e-8) -> np.ndarray:
+        """Unit kernel vector of the time-one differential at a conjugate covector."""
+        u0, v0, w0 = cov_triple(cov)
+        r, f0, f1 = self.conj_f((u0, v0, w0))
+        if r <= 0.0:
+            raise NotConjugate(f"covectors with r = {r:.6g} <= 0 are never conjugate")
+        root = math.sqrt(r)
+        scale = max(1.0, root)
+        if min(abs(f0), abs(f1)) > tol * scale:
+            raise NotConjugate(
+                f"covector is not conjugate: |f0| = {abs(f0):.3e}, |f1| = {abs(f1):.3e}")
+        half = root / 2.0
+        planar = root * math.cos(half)
+        kern = np.array([-v0 * planar, u0 * planar, -4.0 * self.eps * math.sin(half)])
+        return kern / np.linalg.norm(kern)
+
+    def conj_grad(self, cov) -> tuple[np.ndarray, np.ndarray]:
+        """Analytic gradients (df0, df1) of the stratum functions (needs r > 0)."""
+        u0, v0, w0 = cov_triple(cov)
+        if u0 * u0 + v0 * v0 == 0.0:
+            raise DegenerateCovector("conjugacy gradients undefined at H = 0")
+        r = curvature(self.eps, u0, v0, w0)
+        if r <= 0.0:
+            raise DegenerateCovector(
+                f"stratum gradients only defined on r > 0, got r = {r:.6g}")
+        root = math.sqrt(r)
+        half = root / 2.0
+        # half of dr/d(u0, v0, w0); the factor 2 is folded into the coefficients
+        direction = np.array([self.eps * u0, self.eps * v0, w0])
+        df0 = -0.5 * math.sin(half) * direction
+        df1 = (math.cos(half) / (2.0 * root)) * direction
+        return df0, df1
+
+    def jacobi(self, cov, init: JacobiCoords, t: float) -> JacobiCoords:
+        """Frame Jacobi data (p_a, p_b, p_c, x_a, x_b, x_c)(t) in closed form.
+
+        Valid for every sign of r; the r -> 0 limits are series-stabilized.
+        """
+        r = curvature(self.eps, *cov_triple(cov))
+        if len(init.p) != 3:
+            raise InvalidInput("group Jacobi data has three momentum components")
+        p, x = propagate_linear_jacobi(r, init.p, init.x, float(t))
+        return JacobiCoords(p=tuple(p), x=tuple(x))
+
+    def frame_images(self, cov) -> np.ndarray:
+        """Chart images of the canonical frame directions at the time-one endpoint."""
+        u0, v0, w0 = cov_triple(cov)
+        h2 = u0 * u0 + v0 * v0
+        if h2 == 0.0:
+            raise DegenerateCovector("canonical frame undefined at H = 0")
+        point, momentum = self.exp((u0, v0, w0), 1.0)
+        u1, v1 = momentum[0], momentum[1]
+        g = point.matrix()
+        g_x0, g_x1, g_x2 = (g @ x for x in self.basis)
+        sq = math.sqrt(h2)
+        f_a = (u1 * g_x2 - v1 * g_x1) / sq
+        f_b = (u1 * g_x1 + v1 * g_x2) / sq
+        f_c = -self.eps * (h2 * g_x0 - w0 * (u1 * g_x1 + v1 * g_x2)) / sq
+        return np.column_stack([self.push(point, f) for f in (f_a, f_b, f_c)])
+
+    def adapter(self, exp_chart: Callable[..., np.ndarray]) -> StructureAdapter:
+        """Plug the group into the generic conjugate-locus scanner."""
+
+        def conj_grad(cov, stratum: str) -> np.ndarray:
+            df0, df1 = self.conj_grad(cov)
+            return df0 if stratum == "C0" else df1
+
+        def ray_gate(direction: np.ndarray) -> bool:
+            du, dv, dw = (float(c) for c in direction)
+            if du * du + dv * dv == 0.0:
+                return False
+            return curvature(self.eps, du, dv, dw) > 0.0
+
+        def undetermined(cov, stratum: str) -> bool:
+            # the tangential/fold theory for C0 is only established off w0 = 0;
+            # r > 0 keeps |w0| > 0 on SL(2), so this only ever fires on SU(2)
+            if stratum != "C0":
+                return False
+            u0, v0, w0 = cov_triple(cov)
+            return abs(w0) <= _VERTICAL_EXCLUSION_TOL * math.sqrt(
+                u0 * u0 + v0 * v0 + w0 * w0)
+
+        def kernel_jacobi_p0(cov) -> np.ndarray:
+            r = curvature(self.eps, *cov_triple(cov))
+            if r <= 0.0:
+                raise NotConjugate(f"covectors with r = {r:.6g} <= 0 are never conjugate")
+            result = rank_nullspace(vertical_to_endpoint_matrix(r))
+            if not result.nullspace_basis:
+                raise NotConjugate("conjugate matrix has trivial nullspace")
+            return result.nullspace_basis[0]
+
+        def jacobi_p_end(cov, p0) -> np.ndarray:
+            coords = self.jacobi(cov, JacobiCoords(p=tuple(p0), x=(0.0, 0.0, 0.0)), 1.0)
+            return np.asarray(coords.p, dtype=float)
+
+        return StructureAdapter(
+            name=self.name,
+            fiber_dim=3,
+            exp_chart=exp_chart,
+            conj_f=self.strata,
+            conj_grad=conj_grad,
+            kernel=self.kernel,
+            stratum_names=("C0", "C1"),
+            ray_gate=ray_gate,
+            undetermined=undetermined,
+            kernel_jacobi_p0=kernel_jacobi_p0,
+            jacobi_p_end=jacobi_p_end,
+            frame_images=self.frame_images,
+        )

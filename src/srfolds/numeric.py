@@ -92,27 +92,22 @@ def quad(f: Callable[[float], float], a: float, b: float,
 
 @dataclass(frozen=True)
 class RootHit:
-    """One root (or near-tangency) of a scalar function on a scan interval.
-
-    bracketed is True for a sign-change root polished by Brent's method; False for
-    an interior dip of |g| below tolerance that never changes sign (an even-order
-    contact the caller may want to inspect separately).
-    """
+    """One sign-change root of a scalar function on a scan interval."""
 
     value: float
     residual: float
-    bracketed: bool
 
 
 def find_roots(g: Callable[[float], float], lo: float, hi: float,
                scan_points: int = DEFAULT_SCAN_POINTS,
                tol: float = DEFAULT_ROOT_TOL) -> list[RootHit]:
-    """All roots of g on [lo, hi]: uniform scan, then Brent polish on each bracket.
+    """All sign-change roots of g on [lo, hi]: uniform scan, then Brent polish.
 
     Every accepted root satisfies |g(r)| <= tol * scale, where scale is the largest
     |g| seen on the scan grid; a sign change across a pole fails that gate and is
-    dropped. Even-order contacts (|g| dips below tol * scale without a sign change)
-    are reported with bracketed=False. Hits are deduplicated and sorted ascending.
+    dropped. A grid node where g is exactly zero is a root only when the nearest
+    nonzero grid values on either side differ in sign, so a zero at an endpoint
+    or a touching zero is not reported. Hits are deduplicated and sorted ascending.
     """
     if not (hi > lo):
         raise InvalidInput(f"empty scan interval [{lo}, {hi}]")
@@ -125,9 +120,11 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
     scale = max(1.0, float(np.max(np.abs(gs))))
     hits: list[RootHit] = []
 
-    for i, x in enumerate(xs):
-        if gs[i] == 0.0:
-            hits.append(RootHit(float(x), 0.0, True))
+    nonzero = np.flatnonzero(gs)
+    for i in np.flatnonzero(gs == 0.0):
+        k = int(np.searchsorted(nonzero, i))
+        if 0 < k < nonzero.size and np.sign(gs[nonzero[k - 1]]) != np.sign(gs[nonzero[k]]):
+            hits.append(RootHit(float(xs[i]), 0.0))
     # residual gate: a sign change across a pole (tan-style) converges to the
     # discontinuity, where |g| stays huge; genuine roots polish to ~|g'| * xtol
     residual_cap = tol * scale
@@ -138,18 +135,7 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
             r = _sopt.brentq(g, xs[i], xs[i + 1], xtol=tol * 1e-2, rtol=1e-15)
             residual = abs(g(r))
             if residual <= residual_cap:
-                hits.append(RootHit(float(r), residual, True))
-
-    # interior |g| minima below tolerance that never cross zero
-    for i in range(1, len(xs) - 1):
-        a_, m_, b_ = abs(gs[i - 1]), abs(gs[i]), abs(gs[i + 1])
-        if m_ <= a_ and m_ <= b_ and m_ < tol * scale and gs[i] != 0.0:
-            if np.sign(gs[i - 1]) == np.sign(gs[i]) == np.sign(gs[i + 1]):
-                res = _sopt.minimize_scalar(lambda x: abs(g(x)),
-                                            bounds=(xs[i - 1], xs[i + 1]),
-                                            method="bounded",
-                                            options={"xatol": tol * 1e-2})
-                hits.append(RootHit(float(res.x), float(res.fun), False))
+                hits.append(RootHit(float(r), residual))
 
     hits.sort(key=lambda h: h.value)
     merged: list[RootHit] = []

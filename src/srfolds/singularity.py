@@ -167,8 +167,6 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
         def g(s: float, _i: int = idx) -> float:
             return float(adapter.conj_f(s * d)[_i])
         for hit in find_roots(g, lo, s_max, scan_points=scan_points, tol=root_tol):
-            if not hit.bracketed:
-                continue
             records.append(_build_record(
                 adapter, d, hit.value, stratum,
                 pairing_tol=pairing_tol, second_order_tol=second_order_tol,

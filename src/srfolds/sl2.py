@@ -2,11 +2,8 @@
 
 Group elements are real 2x2 matrices of determinant one. The distribution is
 spanned by X1 = diag(1/2, -1/2) and X2 = offdiag(1/2, 1/2), with the rotation
-generator X0 transverse. The curvature-like scalar of a covector (u0, v0, w0) is
-
-    r = w0^2 - (u0^2 + v0^2),
-
-and the unit-time geodesic factors as the product
+generator X0 transverse. With the curvature scalar r = w0^2 - (u0^2 + v0^2) of
+a covector (u0, v0, w0), the unit-time geodesic factors as the product
 exp(t (u0 X1 + v0 X2 - w0 X0)) exp(t w0 X0), which evaluates through the
 oscillator kernels s_r, c_r at t/2 (trigonometric for r > 0, hyperbolic for
 r < 0, polynomial at r = 0). The horizontal momentum rotates the opposite way
@@ -14,18 +11,10 @@ from the SU(2) case: u(t) = u0 cos(w0 t) + v0 sin(w0 t),
 v(t) = v0 cos(w0 t) - u0 sin(w0 t); as there, the matrix-ODE oracle
 g' = g (u X1 + v X2) arbitrates the sign conventions.
 
-Covectors with r <= 0 are never conjugate. For r > 0 the conjugate covectors at
-time one split into the same two strata as the compact case with sqrt(r) in
-place of the covector norm:
-
-    f0 = sqrt(r) cos(sqrt(r)/2) - 2 sin(sqrt(r)/2)     (C0)
-    f1 = sin(sqrt(r)/2)                                 (C1)
-
-with kernel sqrt(r) cos(sqrt(r)/2) (-v0, u0, 0) + 4 sin(sqrt(r)/2) (0, 0, 1).
-For r <= 0, sl2_conj_f reports the hyperbolic continuations of f0, f1 as
-diagnostic sentinels (both strictly positive for r < 0); scanning and kernel
-queries gate r <= 0 out before ever consulting them, so the sentinels carry no
-decision weight.
+This is the eps = -1 case of contact.py: covectors with r <= 0 are never
+conjugate, and for r > 0 the strata are those of the compact case with sqrt(r)
+in place of the covector norm. The kernel's vertical term +4 sin(sqrt(r)/2)
+has the opposite sign from the compact case, as finite differences confirm.
 """
 
 from __future__ import annotations
@@ -35,16 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import rank_nullspace
-from .scfun import propagate_linear_jacobi, sc_pair, vertical_to_endpoint_matrix
+from .contact import ContactCovector, ContactGroup, cov_triple, curvature
+from .errors import InvalidInput
+from .scfun import sc_pair
 from .singularity import StructureAdapter
-from .state import JacobiCoords
 
 X0 = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
 X1 = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
 X2 = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
 
+# sign of the horizontal energy in the curvature scalar r (see contact.py)
+_EPS = -1
 # chart selector threshold on the leading matrix entry
 _CHART_M11_MIN = 1e-3
 
@@ -70,53 +60,19 @@ class Sl2Matrix:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
 
-@dataclass(frozen=True)
-class Sl2Covector:
+class Sl2Covector(ContactCovector):
     """Initial covector u0 X1 + v0 X2 + w0 X0 at the identity."""
-
-    u0: float
-    v0: float
-    w0: float
-
-    def __post_init__(self) -> None:
-        for name in ("u0", "v0", "w0"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidInput(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
 
     @property
     def r(self) -> float:
-        return self.w0 ** 2 - (self.u0 ** 2 + self.v0 ** 2)
-
-
-def _cov_triple(cov) -> tuple[float, float, float]:
-    if isinstance(cov, Sl2Covector):
-        return cov.u0, cov.v0, cov.w0
-    u0, v0, w0 = (float(c) for c in cov)
-    if not all(math.isfinite(c) for c in (u0, v0, w0)):
-        raise InvalidInput(f"covector components must be finite, got {cov!r}")
-    return u0, v0, w0
-
-
-def _r_of(u0: float, v0: float, w0: float) -> float:
-    return w0 * w0 - (u0 * u0 + v0 * v0)
-
-
-def sc_functions(a: float, t: float) -> tuple[float, float]:
-    """(s_a(t), c_a(t)): solutions of f'' = -a f through (0, 1) and (1, 0).
-
-    Trigonometric for a > 0, hyperbolic for a < 0, and a polynomial series in
-    the band |a| t^2 < 1e-6 so both outputs are smooth across a = 0.
-    """
-    return sc_pair(float(a), float(t))
+        return curvature(_EPS, self.u0, self.v0, self.w0)
 
 
 def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
-    u0, v0, w0 = _cov_triple(cov)
+    u0, v0, w0 = cov_triple(cov)
     t = float(t)
-    r = _r_of(u0, v0, w0)
+    r = curvature(_EPS, u0, v0, w0)
     s, c = sc_pair(r, t / 2.0)
     cos_t, sin_t = math.cos(w0 * t / 2.0), math.sin(w0 * t / 2.0)
     m11 = (c + s * u0) * cos_t + s * (v0 + w0) * sin_t
@@ -126,71 +82,6 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     u1 = u0 * math.cos(w0 * t) + v0 * math.sin(w0 * t)
     v1 = v0 * math.cos(w0 * t) - u0 * math.sin(w0 * t)
     return Sl2Matrix(m11, m12, m21, m22), np.array([u1, v1, w0])
-
-
-def sl2_jacobi(cov, init: JacobiCoords, t: float) -> JacobiCoords:
-    """Frame Jacobi data (p_a, p_b, p_c, x_a, x_b, x_c)(t) in closed form.
-
-    Valid for every sign of r; the r -> 0 limits are series-stabilized.
-    """
-    u0, v0, w0 = _cov_triple(cov)
-    if len(init.p) != 3:
-        raise InvalidInput("group Jacobi data has three momentum components")
-    p, x = propagate_linear_jacobi(_r_of(u0, v0, w0), init.p, init.x, float(t))
-    return JacobiCoords(p=tuple(p), x=tuple(x))
-
-
-def sl2_conj_f(cov) -> tuple[float, float, float]:
-    """(r, f0, f1); conjugate iff r > 0 and f0 f1 = 0.
-
-    For r <= 0 the returned f-values are the strictly positive hyperbolic
-    continuations (diagnostics only; such covectors are never conjugate).
-    """
-    u0, v0, w0 = _cov_triple(cov)
-    if u0 * u0 + v0 * v0 == 0.0:
-        raise DegenerateCovector("conjugacy functions undefined at H = 0")
-    r = _r_of(u0, v0, w0)
-    if r > 0.0:
-        root = math.sqrt(r)
-        half = root / 2.0
-        return (r, root * math.cos(half) - 2.0 * math.sin(half), math.sin(half))
-    sigma = math.sqrt(-r)
-    half = sigma / 2.0
-    return (r, sigma * math.cosh(half) - 2.0 * math.sinh(half), math.sinh(half))
-
-
-def sl2_kernel(cov, tol: float = 1e-8) -> np.ndarray:
-    """Unit kernel vector of the time-one differential at a conjugate covector."""
-    u0, v0, w0 = _cov_triple(cov)
-    r, f0, f1 = sl2_conj_f((u0, v0, w0))
-    if r <= 0.0:
-        raise NotConjugate(f"covectors with r = {r:.6g} <= 0 are never conjugate")
-    root = math.sqrt(r)
-    scale = max(1.0, root)
-    if min(abs(f0), abs(f1)) > tol * scale:
-        raise NotConjugate(
-            f"covector is not conjugate: |f0| = {abs(f0):.3e}, |f1| = {abs(f1):.3e}")
-    half = root / 2.0
-    planar = root * math.cos(half)
-    kern = np.array([-v0 * planar, u0 * planar, 4.0 * math.sin(half)])
-    return kern / np.linalg.norm(kern)
-
-
-def sl2_conj_grad(cov) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients (df0, df1) of the stratum functions (needs r > 0)."""
-    u0, v0, w0 = _cov_triple(cov)
-    if u0 * u0 + v0 * v0 == 0.0:
-        raise DegenerateCovector("conjugacy gradients undefined at H = 0")
-    r = _r_of(u0, v0, w0)
-    if r <= 0.0:
-        raise DegenerateCovector(
-            f"stratum gradients only defined on r > 0, got r = {r:.6g}")
-    root = math.sqrt(r)
-    half = root / 2.0
-    direction = np.array([u0, v0, -w0])
-    df0 = 0.5 * math.sin(half) * direction
-    df1 = (-math.cos(half) / (2.0 * root)) * direction
-    return df0, df1
 
 
 def _chart_uses_m11(matrix: Sl2Matrix) -> bool:
@@ -212,77 +103,23 @@ def sl2_chart(cov, center=None) -> np.ndarray:
     return np.array([matrix.m12, matrix.m21, matrix.m22])
 
 
-def _push(use11: bool, tangent: np.ndarray) -> np.ndarray:
-    if use11:
+def _push(matrix: Sl2Matrix, tangent: np.ndarray) -> np.ndarray:
+    """Chart components at matrix of a tangent matrix (charts are linear in entries)."""
+    if _chart_uses_m11(matrix):
         return np.array([tangent[0, 0], tangent[0, 1], tangent[1, 0]])
     return np.array([tangent[0, 1], tangent[1, 0], tangent[1, 1]])
 
 
-def sl2_frame_images(cov) -> np.ndarray:
-    """Chart images of the canonical frame directions at the time-one endpoint."""
-    u0, v0, w0 = _cov_triple(cov)
-    h2 = u0 * u0 + v0 * v0
-    if h2 == 0.0:
-        raise DegenerateCovector("canonical frame undefined at H = 0")
-    point, momentum = sl2_exp((u0, v0, w0), 1.0)
-    u1, v1 = momentum[0], momentum[1]
-    g = point.matrix()
-    sq = math.sqrt(h2)
-    f_a = (u1 * (g @ X2) - v1 * (g @ X1)) / sq
-    f_b = (u1 * (g @ X1) + v1 * (g @ X2)) / sq
-    f_c = (h2 * (g @ X0) - w0 * (u1 * (g @ X1) + v1 * (g @ X2))) / sq
-    use11 = _chart_uses_m11(point)
-    return np.column_stack([_push(use11, f_a), _push(use11, f_b),
-                            _push(use11, f_c)])
+_GROUP = ContactGroup(name="sl2", eps=_EPS, exp=sl2_exp, basis=(X0, X1, X2), push=_push)
+sl2_jacobi = _GROUP.jacobi
+sl2_conj_f = _GROUP.conj_f
+sl2_kernel = _GROUP.kernel
+sl2_conj_grad = _GROUP.conj_grad
+sl2_frame_images = _GROUP.frame_images
 
 
 def sl2_adapter() -> StructureAdapter:
     """Plug the group into the generic conjugate-locus scanner."""
-
-    def exp_chart(cov, center=None) -> np.ndarray:
-        return sl2_chart(cov, center)
-
-    def conj_f(cov) -> tuple[float, float]:
-        _, f0, f1 = sl2_conj_f(cov)
-        return (f0, f1)
-
-    def conj_grad(cov, stratum: str) -> np.ndarray:
-        df0, df1 = sl2_conj_grad(cov)
-        return df0 if stratum == "C0" else df1
-
-    def kernel(cov) -> np.ndarray:
-        return sl2_kernel(cov)
-
-    def ray_gate(direction: np.ndarray) -> bool:
-        du, dv, dw = (float(c) for c in direction)
-        if du * du + dv * dv == 0.0:
-            return False
-        return _r_of(du, dv, dw) > 0.0
-
-    def kernel_jacobi_p0(cov) -> np.ndarray:
-        u0, v0, w0 = _cov_triple(cov)
-        r = _r_of(u0, v0, w0)
-        if r <= 0.0:
-            raise NotConjugate(f"covectors with r = {r:.6g} <= 0 are never conjugate")
-        result = rank_nullspace(vertical_to_endpoint_matrix(r))
-        if not result.nullspace_basis:
-            raise NotConjugate("conjugate matrix has trivial nullspace")
-        return result.nullspace_basis[0]
-
-    def jacobi_p_end(cov, p0) -> np.ndarray:
-        coords = sl2_jacobi(cov, JacobiCoords(p=tuple(p0), x=(0.0, 0.0, 0.0)), 1.0)
-        return np.asarray(coords.p, dtype=float)
-
-    return StructureAdapter(
-        name="sl2",
-        fiber_dim=3,
-        exp_chart=exp_chart,
-        conj_f=conj_f,
-        conj_grad=conj_grad,
-        kernel=kernel,
-        stratum_names=("C0", "C1"),
-        ray_gate=ray_gate,
-        kernel_jacobi_p0=kernel_jacobi_p0,
-        jacobi_p_end=jacobi_p_end,
-        frame_images=sl2_frame_images,
-    )
+    # sl2_chart is looked up per call, so rebinding the module name (as the
+    # span tracer in perfbench/ does) also reaches adapters already built
+    return _GROUP.adapter(lambda cov, center=None: sl2_chart(cov, center))

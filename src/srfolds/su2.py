@@ -14,19 +14,11 @@ u(t) = u0 cos(w0 t) - v0 sin(w0 t), v(t) = v0 cos(w0 t) + u0 sin(w0 t). (Some
 references print an extra w0 factor on those sine terms; the matrix-ODE oracle
 g' = g (u X1 + v X2) rules it out, and that reconciliation is what ships here.)
 
-Conjugate covectors at time one split into two strata by which function
-vanishes:
-
-    f0(rho) = rho cos(rho/2) - 2 sin(rho/2)      (the C0 stratum)
-    f1(rho) = sin(rho/2)                          (the C1 stratum)
-
-All conjugate covectors have order one. The kernel of the differential is
-spanned by rho cos(rho/2) (-v0, u0, 0) - 4 sin(rho/2) (0, 0, 1); the sign of
-the vertical term differs from the display some references carry, and is again
-arbitrated by finite differences (the other sign is not annihilated). Jacobi
-fields in the canonical frame along the geodesic satisfy a constant-coefficient
-linear system with curvature entry rho^2, shared with the other group structure
-through the oscillator kernels.
+This is the eps = +1 case of contact.py: r = rho^2, the conjugate strata are
+the zeros of f0 = rho cos(rho/2) - 2 sin(rho/2) and f1 = sin(rho/2), and every
+conjugate covector has order one. The kernel's vertical term -4 sin(rho/2)
+has the opposite sign from the display some references carry; finite
+differences arbitrate it (the other sign is not annihilated).
 """
 
 from __future__ import annotations
@@ -36,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import rank_nullspace
-from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
+from .contact import ContactCovector, ContactGroup, cov_triple, curvature
+from .errors import DegenerateCovector, InvalidInput
+from .scfun import vertical_to_endpoint_matrix
 from .singularity import StructureAdapter
 from .state import JacobiCoords
 
@@ -46,8 +38,8 @@ X0 = 0.5 * np.array([[1j, 0.0], [0.0, -1j]])
 X1 = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 X2 = 0.5 * np.array([[0.0, 1j], [1j, 0.0]])
 
-# C0 covectors with w0 = 0 fall outside the proven dense subset; excluded
-_VERTICAL_EXCLUSION_TOL = 1e-12
+# sign of the horizontal energy in the curvature scalar r (see contact.py)
+_EPS = 1
 
 
 @dataclass(frozen=True)
@@ -79,20 +71,8 @@ class Su2Point:
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
 
-@dataclass(frozen=True)
-class Su2Covector:
+class Su2Covector(ContactCovector):
     """Initial covector u0 X1 + v0 X2 + w0 X0 at the identity."""
-
-    u0: float
-    v0: float
-    w0: float
-
-    def __post_init__(self) -> None:
-        for name in ("u0", "v0", "w0"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidInput(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
 
     @property
     def rho(self) -> float:
@@ -106,18 +86,9 @@ class Su2JacobiCoeffs:
     r_coeff: float
 
 
-def _cov_triple(cov) -> tuple[float, float, float]:
-    if isinstance(cov, Su2Covector):
-        return cov.u0, cov.v0, cov.w0
-    u0, v0, w0 = (float(c) for c in cov)
-    if not all(math.isfinite(c) for c in (u0, v0, w0)):
-        raise InvalidInput(f"covector components must be finite, got {cov!r}")
-    return u0, v0, w0
-
-
 def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
-    u0, v0, w0 = _cov_triple(cov)
+    u0, v0, w0 = cov_triple(cov)
     t = float(t)
     rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
     if rho == 0.0:
@@ -134,20 +105,14 @@ def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
 
 def su2_jacobi_coeffs(cov) -> Su2JacobiCoeffs:
     """Constant curvature entry rho^2 of the frame Jacobi system."""
-    u0, v0, w0 = _cov_triple(cov)
-    return Su2JacobiCoeffs(r_coeff=u0 * u0 + v0 * v0 + w0 * w0)
+    return Su2JacobiCoeffs(r_coeff=curvature(_EPS, *cov_triple(cov)))
 
 
 def su2_jacobi(cov, init: JacobiCoords, t: float) -> JacobiCoords:
     """Frame Jacobi data (p_a, p_b, p_c, x_a, x_b, x_c)(t) in closed form."""
-    u0, v0, w0 = _cov_triple(cov)
-    rho_sq = u0 * u0 + v0 * v0 + w0 * w0
-    if rho_sq == 0.0:
+    if curvature(_EPS, *cov_triple(cov)) == 0.0:
         raise DegenerateCovector("Jacobi frame undefined at the zero covector")
-    if len(init.p) != 3:
-        raise InvalidInput("group Jacobi data has three momentum components")
-    p, x = propagate_linear_jacobi(rho_sq, init.p, init.x, float(t))
-    return JacobiCoords(p=tuple(p), x=tuple(x))
+    return _GROUP.jacobi(cov, init, t)
 
 
 def su2_conj_matrix(r: float) -> np.ndarray:
@@ -163,44 +128,6 @@ def su2_conj_matrix(r: float) -> np.ndarray:
         raise DegenerateCovector(
             "conjugate matrix requested at rho = 0 (limit matrix is invertible)")
     return vertical_to_endpoint_matrix(r * r)
-
-
-def su2_conj_f(cov) -> tuple[float, float]:
-    """Stratum functions (f0, f1); the covector is conjugate iff f0 f1 = 0."""
-    u0, v0, w0 = _cov_triple(cov)
-    if u0 * u0 + v0 * v0 == 0.0:
-        raise DegenerateCovector("conjugacy functions undefined at H = 0")
-    rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
-    half = rho / 2.0
-    return (rho * math.cos(half) - 2.0 * math.sin(half), math.sin(half))
-
-
-def su2_kernel(cov, tol: float = 1e-8) -> np.ndarray:
-    """Unit kernel vector of the time-one differential at a conjugate covector."""
-    u0, v0, w0 = _cov_triple(cov)
-    f0, f1 = su2_conj_f((u0, v0, w0))
-    rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
-    scale = max(1.0, rho)
-    if min(abs(f0), abs(f1)) > tol * scale:
-        raise NotConjugate(
-            f"covector is not conjugate: |f0| = {abs(f0):.3e}, |f1| = {abs(f1):.3e}")
-    half = rho / 2.0
-    planar = rho * math.cos(half)
-    kern = np.array([-v0 * planar, u0 * planar, -4.0 * math.sin(half)])
-    return kern / np.linalg.norm(kern)
-
-
-def su2_conj_grad(cov) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients (df0, df1) of the stratum functions."""
-    u0, v0, w0 = _cov_triple(cov)
-    if u0 * u0 + v0 * v0 == 0.0:
-        raise DegenerateCovector("conjugacy gradients undefined at H = 0")
-    rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
-    half = rho / 2.0
-    direction = np.array([u0, v0, w0])
-    df0 = -0.5 * math.sin(half) * direction
-    df1 = (math.cos(half) / (2.0 * rho)) * direction
-    return df0, df1
 
 
 def _chart_uses_imaginary(point: Su2Point) -> bool:
@@ -222,81 +149,22 @@ def su2_chart(cov, center=None) -> np.ndarray:
     return np.array([first, point.beta_re, point.beta_im])
 
 
-def _push(use_im: bool, tangent: np.ndarray) -> np.ndarray:
-    """Chart components of a tangent matrix (charts are linear in entries)."""
+def _push(point: Su2Point, tangent: np.ndarray) -> np.ndarray:
+    """Chart components at point of a tangent matrix (charts are linear in entries)."""
     a_t, b_t = tangent[0, 0], tangent[0, 1]
-    first = a_t.imag if use_im else a_t.real
+    first = a_t.imag if _chart_uses_imaginary(point) else a_t.real
     return np.array([first, b_t.real, b_t.imag])
 
 
-def su2_frame_images(cov) -> np.ndarray:
-    """Chart images of the canonical frame directions at the time-one endpoint."""
-    u0, v0, w0 = _cov_triple(cov)
-    h2 = u0 * u0 + v0 * v0
-    if h2 == 0.0:
-        raise DegenerateCovector("canonical frame undefined at H = 0")
-    point, momentum = su2_exp((u0, v0, w0), 1.0)
-    u1, v1 = momentum[0], momentum[1]
-    g = point.matrix()
-    sq = math.sqrt(h2)
-    f_a = (u1 * (g @ X2) - v1 * (g @ X1)) / sq
-    f_b = (u1 * (g @ X1) + v1 * (g @ X2)) / sq
-    f_c = (-h2 * (g @ X0) + w0 * (u1 * (g @ X1) + v1 * (g @ X2))) / sq
-    use_im = _chart_uses_imaginary(point)
-    return np.column_stack([_push(use_im, f_a), _push(use_im, f_b),
-                            _push(use_im, f_c)])
+_GROUP = ContactGroup(name="su2", eps=_EPS, exp=su2_exp, basis=(X0, X1, X2), push=_push)
+su2_conj_f = _GROUP.strata
+su2_kernel = _GROUP.kernel
+su2_conj_grad = _GROUP.conj_grad
+su2_frame_images = _GROUP.frame_images
 
 
 def su2_adapter() -> StructureAdapter:
     """Plug the group into the generic conjugate-locus scanner."""
-
-    def exp_chart(cov, center=None) -> np.ndarray:
-        return su2_chart(cov, center)
-
-    def conj_f(cov) -> tuple[float, float]:
-        return su2_conj_f(cov)
-
-    def conj_grad(cov, stratum: str) -> np.ndarray:
-        df0, df1 = su2_conj_grad(cov)
-        return df0 if stratum == "C0" else df1
-
-    def kernel(cov) -> np.ndarray:
-        return su2_kernel(cov)
-
-    def ray_gate(direction: np.ndarray) -> bool:
-        return float(direction[0]) ** 2 + float(direction[1]) ** 2 > 0.0
-
-    def undetermined(cov, stratum: str) -> bool:
-        # the tangential/fold theory for C0 is only established off w0 = 0
-        if stratum != "C0":
-            return False
-        u0, v0, w0 = _cov_triple(cov)
-        return abs(w0) <= _VERTICAL_EXCLUSION_TOL * math.sqrt(
-            u0 * u0 + v0 * v0 + w0 * w0)
-
-    def kernel_jacobi_p0(cov) -> np.ndarray:
-        u0, v0, w0 = _cov_triple(cov)
-        rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
-        result = rank_nullspace(su2_conj_matrix(rho))
-        if not result.nullspace_basis:
-            raise NotConjugate("conjugate matrix has trivial nullspace")
-        return result.nullspace_basis[0]
-
-    def jacobi_p_end(cov, p0) -> np.ndarray:
-        coords = su2_jacobi(cov, JacobiCoords(p=tuple(p0), x=(0.0, 0.0, 0.0)), 1.0)
-        return np.asarray(coords.p, dtype=float)
-
-    return StructureAdapter(
-        name="su2",
-        fiber_dim=3,
-        exp_chart=exp_chart,
-        conj_f=conj_f,
-        conj_grad=conj_grad,
-        kernel=kernel,
-        stratum_names=("C0", "C1"),
-        ray_gate=ray_gate,
-        undetermined=undetermined,
-        kernel_jacobi_p0=kernel_jacobi_p0,
-        jacobi_p_end=jacobi_p_end,
-        frame_images=su2_frame_images,
-    )
+    # su2_chart is looked up per call, so rebinding the module name (as the
+    # span tracer in perfbench/ does) also reaches adapters already built
+    return _GROUP.adapter(lambda cov, center=None: su2_chart(cov, center))

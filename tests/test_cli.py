@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line interface via subprocess.
 
-Every invocation goes through `python -m srfolds.cli` so the tests exercise
+Most invocations go through `python -m srfolds.cli` so the tests exercise
 argument parsing, exit codes, and the printed artifacts exactly as a user
 would see them. Numeric output is cross-checked against the library called
-in-process; determinism is checked byte-for-byte, including across thread
-counts, since scan results are merged back in input order.
+in-process, and determinism is checked byte-for-byte. The SU(2)/SL(2)
+outputs are also compared byte-for-byte with golden files in tests/golden,
+captured before the two group modules were merged into contact.py.
 """
 
 from __future__ import annotations
@@ -15,19 +16,46 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import srfolds
 from srfolds import grushin_exp, sl2_exp, su2_exp
+from srfolds.cli import main
 from srfolds.grushin import GrushinBase
 
 TWO_PI = 6.283185307179586
+GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = str(Path(srfolds.__file__).resolve().parents[1])
+# each case runs in every --format; conj-scan rays cover a tilted SU(2) ray,
+# the SU(2) w0 = 0 ray, two SL(2) rays with r > 0 and an SL(2) ray with r <= 0
+GOLDEN_CASES = {
+    "expmap_su2": ("expmap", "--structure", "su2", "--covector", "1,2,0.5",
+                   "--t", "0.7"),
+    "expmap_sl2_r_positive": ("expmap", "--structure", "sl2",
+                              "--covector", "0.4,-0.3,1.5"),
+    "expmap_sl2_r_negative": ("expmap", "--structure", "sl2",
+                              "--covector", "1,0,0.25", "--t", "1.2"),
+    "scan_su2": ("conj-scan", "--structure", "su2", "--direction", "1,0,0.5",
+                 "--s-max", "20"),
+    "scan_su2_w0_zero": ("conj-scan", "--structure", "su2",
+                         "--direction", "1,1,0", "--s-max", "15"),
+    "scan_sl2": ("conj-scan", "--structure", "sl2", "--direction", "1,0,2",
+                 "--s-max", "14"),
+    "scan_sl2_shallow": ("conj-scan", "--structure", "sl2",
+                         "--direction", "0.3,0,1", "--s-max", "10"),
+    "scan_sl2_r_nonpositive": ("conj-scan", "--structure", "sl2",
+                               "--direction", "1,0,0.5"),
+}
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
+    # the subprocess imports the same srfolds as this process, also from a
+    # checkout that is not installed
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "srfolds.cli", *args],
         capture_output=True, text=True, env=env, timeout=300)
@@ -150,15 +178,6 @@ class TestConjScan:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_thread_count_does_not_change_output(self):
-        args = ("conj-scan", "--structure", "su2",
-                "--direction", "1,0,0.5", "--direction", "0,1,0.25",
-                "--direction", "1,1,0", "--s-max", "15", "--format", "csv")
-        serial = run_cli(*args, env_extra={"SRFOLDS_THREADS": "1"})
-        threaded = run_cli(*args, env_extra={"SRFOLDS_THREADS": "4"})
-        assert serial.returncode == threaded.returncode == 0
-        assert serial.stdout == threaded.stdout
-
     def test_out_flag_writes_file(self, tmp_path):
         out_file = tmp_path / "scan.csv"
         proc = run_cli("conj-scan", "--structure", "sl2",
@@ -169,6 +188,20 @@ class TestConjScan:
         content = out_file.read_text()
         assert content.startswith("s,stratum,order,class")
         assert content.endswith("\n")
+
+
+class TestGolden:
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_group_output_is_byte_identical(self, name, fmt, capsys):
+        assert main([*GOLDEN_CASES[name], "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            # the versions block names the installed library versions
+            payload = json.loads(out)
+            del payload["versions"]
+            out = json.dumps(payload, indent=2) + "\n"
+        assert out == (GOLDEN_DIR / f"{name}.{fmt}").read_text()
 
 
 class TestExitCodes:

@@ -105,15 +105,13 @@ class TestFindRoots:
         hits = find_roots(lambda t: t - 1.0, 0.0, 2.0)
         assert len(hits) == 1
         assert hits[0].value == pytest.approx(1.0, abs=1e-10)
-        assert hits[0].bracketed
 
     def test_tan_fixed_point(self):
         hits = find_roots(lambda t: math.tan(t) - t, 3.0, 6.0)
-        bracketed = [h for h in hits if h.bracketed]
-        assert len(bracketed) == 1
+        assert len(hits) == 1
         oracle = _bisect(lambda t: math.tan(t) - t, 4.4, 4.6)
-        assert abs(bracketed[0].value - oracle) <= 1e-8
-        assert abs(bracketed[0].value - TAN_FIXED_POINT) <= 1e-8
+        assert abs(hits[0].value - oracle) <= 1e-8
+        assert abs(hits[0].value - TAN_FIXED_POINT) <= 1e-8
 
     def test_sine_roots(self):
         hits = find_roots(math.sin, 1.0, 7.0)
@@ -134,8 +132,7 @@ class TestFindRoots:
         def g(t):
             return math.tan(t) - t
 
-        hits = [h for h in find_roots(g, 3.0, 30.0, scan_points=2000)
-                if h.bracketed]
+        hits = find_roots(g, 3.0, 30.0, scan_points=2000)
         # independent oracle: bisection on t*cos(t) - sin(t), pole-free form
         oracle_fn = lambda t: t * math.cos(t) - math.sin(t)
         oracles = [_bisect(oracle_fn, k * math.pi + 0.1, (k + 1) * math.pi - 0.1)
@@ -144,6 +141,17 @@ class TestFindRoots:
         assert len(hits) == len(oracles)
         for hit, oracle in zip(hits, oracles):
             assert abs(hit.value - oracle) <= 1e-8
+
+    @pytest.mark.parametrize("g, expected", [
+        (lambda t: t, []),                    # endpoint zero, no crossing
+        (lambda t: 2.0 - t, []),              # zero at the right endpoint
+        (lambda t: (t - 1.0) ** 2, []),       # interior zero, no crossing
+        (lambda t: t - 1.0, [1.0]),           # interior zero with a crossing
+    ])
+    def test_exact_zero_on_grid_needs_sign_change(self, g, expected):
+        # on the grid 0, 1, 2 each function is exactly zero at a node
+        hits = find_roots(g, 0.0, 2.0, scan_points=3)
+        assert [h.value for h in hits] == expected
 
     def test_input_validation(self):
         with pytest.raises(InvalidInput):

@@ -126,6 +126,17 @@ class TestScanRay:
             [math.pi, 2.0 * math.pi, 3.0 * math.pi], abs=1e-8)
         assert all(rec.order == 1 for rec in records)
 
+    def test_grushin_no_record_at_first_grid_node(self):
+        # conj_f rounds to exactly 0.0 at the first scan node of this ray,
+        # s = 20 * RAY_ORIGIN_OFFSET, without changing sign there; the scan
+        # must give the records the same ray gives when scanned further
+        adapter = grushin_adapter(GrushinBase(3.0, 0.0, 0.0))
+        direction = (math.cos(0.9), math.sin(0.9))
+        short = scan_ray(adapter, direction, 20.0)
+        longer = scan_ray(adapter, direction, 40.0)
+        assert [rec.s for rec in short] == pytest.approx(
+            [rec.s for rec in longer if rec.s <= 20.0], abs=1e-8)
+
     def test_grushin_generic_ray_has_folds(self, grushin_fold_records):
         assert len(grushin_fold_records) == 2
         for rec in grushin_fold_records:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
                      NotConjugate, OdeProblem, Sl2Covector, Sl2Matrix,
-                     fd_jacobian, integrate, sc_functions, sl2_chart,
+                     fd_jacobian, integrate, sc_pair, sl2_chart,
                      sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_frame_images,
                      sl2_jacobi, sl2_kernel, vertical_to_endpoint_matrix)
 from srfolds.sl2 import X1, X2
@@ -64,16 +64,16 @@ def _c0_covector():
 
 class TestScFunctions:
     def test_flat_case_is_polynomial(self):
-        s, c = sc_functions(0.0, 1.7)
+        s, c = sc_pair(0.0, 1.7)
         assert s == 1.7 and c == 1.0
 
     def test_positive_curvature_is_trigonometric(self):
-        s, c = sc_functions(1.0, math.pi / 2.0)
+        s, c = sc_pair(1.0, math.pi / 2.0)
         assert s == pytest.approx(1.0, abs=1e-12)
         assert c == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_curvature_is_hyperbolic(self):
-        s, c = sc_functions(-1.0, 0.5)
+        s, c = sc_pair(-1.0, 0.5)
         assert s == pytest.approx(SINH_HALF, abs=1e-12)
         assert c == pytest.approx(COSH_HALF, abs=1e-12)
 
@@ -81,7 +81,7 @@ class TestScFunctions:
         # the evaluation switches branches around |a| t^2 = 1e-6; the two
         # branches must agree there to well below everything tested downstream
         for a in (9.9e-7, 1.01e-6, -9.9e-7, -1.01e-6):
-            s, c = sc_functions(a, 1.0)
+            s, c = sc_pair(a, 1.0)
             if a > 0:
                 root = math.sqrt(a)
                 exact_s, exact_c = math.sin(root) / root, math.cos(root)
