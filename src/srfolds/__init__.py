@@ -7,7 +7,7 @@ Hamiltonian-flow and finite-difference routes, both in the test suite and in
 the built-in self-test battery (``python -m srfolds.cli selftest``).
 """
 
-from .alphatrig import AlphaTrigTable, alpha_trig_table, arc_alpha, pi_alpha, sin_cos_alpha
+from .alphatrig import arc_alpha, pi_alpha, sin_cos_alpha
 from .errors import (DegenerateCovector, DegenerateMatrix, InvalidInput,
                      NonConvergence, NotConjugate, SrfoldsError, StepFailure,
                      WitnessNotFound)
@@ -37,14 +37,14 @@ from .su2 import (Su2Covector, Su2JacobiCoeffs, Su2Point, su2_adapter,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaTrigTable", "CheckResult", "ConjugateRecord", "DegenerateCovector",
+    "CheckResult", "ConjugateRecord", "DegenerateCovector",
     "DegenerateMatrix", "FoldWitness", "GeodesicState", "GrushinAmplitude",
     "GrushinBase", "GrushinCovector", "GrushinJacobiCoeffs", "InvalidInput",
     "JacobiCoords", "NonConvergence", "NotConjugate", "OdeProblem",
     "RankResult", "RootHit", "SingularityClass", "Sl2Covector", "Sl2Matrix",
     "SrfoldsError", "StepFailure", "StructureAdapter", "Su2Covector",
     "Su2JacobiCoeffs", "Su2Point", "Trajectory", "WitnessNotFound",
-    "alpha_trig_table", "arc_alpha", "classify", "fd_jacobian", "find_roots",
+    "arc_alpha", "classify", "fd_jacobian", "find_roots",
     "fold_witness", "format_report", "grushin_adapter", "grushin_amplitude",
     "grushin_conj_f", "grushin_conj_grad", "grushin_dexp", "grushin_exp",
     "grushin_jacobi", "grushin_jacobi_coefficients", "grushin_kernel",

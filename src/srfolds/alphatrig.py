@@ -5,38 +5,41 @@ sin_alpha is the solution of
     f'' = -alpha |f|^(2(alpha - 1)) f,   f(0) = 0,  f'(0) = 1,
 
 and cos_alpha is its derivative. The pair obeys the energy law
-sin_alpha^(2 alpha) + cos_alpha^2 = 1 and is periodic with period 2 pi_alpha,
-where
+sin_alpha^(2 alpha) + cos_alpha^2 = 1 and is periodic with period 2 pi_alpha.
 
-    pi_alpha = 2 * integral_0^1 (1 - t^(2 alpha))^(-1/2) dt.
+sin_alpha is the generalized sine sin_{p,2} with p = 2 alpha (Edmunds, Gurka
+& Lang, J. Approx. Theory 164 (2012); DLMF 8.17). On the first quarter,
+0 <= t <= q = pi_alpha / 2, the energy law gives dt = ds / sqrt(1 - s^(2 alpha)),
+and the substitution x = s^(2 alpha) turns the arc integral into a regularized
+incomplete beta function. With a = 1 / (2 alpha):
 
-The odd power is always evaluated as |f|^(2(alpha-1)) * f so the field stays
-real and odd for every alpha >= 1. A tempting beta-function closed form for
-the half-period integral is numerically wrong already at alpha = 2 (it gives
-about 2.3963 where the integral and the ODE period agree on about 2.6221), so
-the integral is the only definition used here; tests cross-check it against
-the ODE period and never assert the beta form.
+    pi_alpha = B(a, 1/2) / alpha,        t = q I_x(a, 1/2),   x = sin_alpha(t)^(2 alpha),
+    q - t = q I_{1-x}(1/2, a),           1 - x = cos_alpha(t)^2.
 
-Evaluation strategy: one tight ODE solve per alpha fills a 2048-node
-quarter-period table; queries reduce the argument to the first quarter using
-periodicity and the sign pattern of the pair, interpolate with cubic Hermite
-polynomials (the stored derivative and curvature make these cheap), and then
-re-impose the energy law exactly by recomputing the smaller-magnitude
-component from the larger one. alpha = 1 short-circuits to math.sin/math.cos.
+Evaluation inverts the first form where x <= 1/2 and the second, the
+complementary one, where x > 1/2, so that the smaller of |sin| and |cos| is
+always the component computed directly and keeps full relative precision
+(sin near t = 0, cos near t = q). Other arguments reduce to the first quarter
+by oddness, periodicity and the sign pattern of the pair. alpha = 1
+short-circuits to math.sin/math.cos and math.asin. The integral definition
+of pi_alpha is kept as a quadrature oracle for the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-import numpy as np
+from scipy.special import beta, betainc, betaincinv
 
 from .errors import InvalidInput
-from .numeric import OdeProblem, integrate, quad
+from .numeric import quad
 
-TABLE_SIZE = 2048
+# below this, x = s^(2 alpha) moves s and cos by less than an ulp from the
+# leading terms (t, 1); it also keeps x clear of the underflow at which
+# betaincinv stops resolving it
+_NEGLIGIBLE_X = 2.0 ** -53
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -46,36 +49,28 @@ def _validate_alpha(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class AlphaTrigTable:
-    """Quarter-period sample table for one value of alpha.
-
-    quarter_period_samples holds (t, sin_alpha(t)) pairs on [0, pi_alpha/2],
-    strictly increasing in both columns. cos_values and curvature_values hold
-    the first and second derivative of sin_alpha on the same grid; together
-    they define the cubic Hermite interpolants used for evaluation. Instances
-    are immutable and safe to share across threads.
-    """
+class _AlphaConstants(NamedTuple):
+    """Per-alpha constants of the beta-function closed form."""
 
     alpha: float
-    pi_alpha: float
-    quarter_period_samples: np.ndarray
-    cos_values: np.ndarray
-    curvature_values: np.ndarray
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.quarter_period_samples[:, 0]
-
-    @property
-    def sin_values(self) -> np.ndarray:
-        return self.quarter_period_samples[:, 1]
+    a: float          # 1 / (2 alpha)
+    pi_alpha: float   # half-period
+    quarter: float    # pi_alpha / 2
+    t_mid: float      # phase where sin_alpha^(2 alpha) = cos_alpha^2 = 1/2
 
 
 @lru_cache(maxsize=64)
-def _pi_alpha_cached(alpha: float) -> float:
-    if alpha == 1.0:
-        return math.pi
+def _table_cached(alpha: float) -> _AlphaConstants:
+    a = 0.5 / alpha
+    half = math.pi if alpha == 1.0 else float(beta(a, 0.5)) / alpha
+    quarter = 0.5 * half
+    return _AlphaConstants(alpha=alpha, a=a, pi_alpha=half, quarter=quarter,
+                           t_mid=quarter * float(betainc(a, 0.5, 0.5)))
+
+
+def _pi_alpha_quadrature(alpha: float) -> float:
+    """pi_alpha = 2 * integral_0^1 (1 - t^(2 alpha))^(-1/2) dt, by quadrature."""
+    alpha = _validate_alpha(alpha)
     inv_sqrt_alpha = 1.0 / math.sqrt(alpha)
 
     def integrand(s: float) -> float:
@@ -90,109 +85,31 @@ def _pi_alpha_cached(alpha: float) -> float:
 
 
 def pi_alpha(alpha: float) -> float:
-    """Half-period of the generalized sine; pi when alpha = 1."""
-    return _pi_alpha_cached(_validate_alpha(alpha))
+    """Half-period of the generalized sine, B(1/(2 alpha), 1/2) / alpha; pi when alpha = 1."""
+    return _table_cached(_validate_alpha(alpha)).pi_alpha
 
 
-@lru_cache(maxsize=64)
-def _table_cached(alpha: float) -> AlphaTrigTable:
-    half_period = _pi_alpha_cached(alpha)
-    quarter = half_period / 2.0
-    power = 2.0 * (alpha - 1.0)
-
-    def field(t: float, y: np.ndarray) -> np.ndarray:
-        f, fp = y
-        return np.array([fp, -alpha * abs(f) ** power * f])
-
-    problem = OdeProblem(
-        dimension=2,
-        vector_field=field,
-        initial_state=np.array([0.0, 1.0]),
-        t_span=(0.0, quarter),
-    )
-    trajectory = integrate(problem, rel_tol=1e-13, abs_tol=1e-15)
-    ts = np.linspace(0.0, quarter, TABLE_SIZE)
-    states = np.array([trajectory(t) for t in ts])
-    sins = states[:, 0]
-    coss = states[:, 1]
-    accs = -alpha * np.abs(sins) ** power * sins
-    samples = np.column_stack([ts, sins])
-    samples.setflags(write=False)
-    coss.setflags(write=False)
-    accs.setflags(write=False)
-    return AlphaTrigTable(
-        alpha=alpha,
-        pi_alpha=half_period,
-        quarter_period_samples=samples,
-        cos_values=coss,
-        curvature_values=accs,
-    )
+def _eval_quarter(table: _AlphaConstants, tq: float) -> tuple[float, float]:
+    """(|sin_alpha|, |cos_alpha|) at tq in [0, quarter]."""
+    a, quarter = table.a, table.quarter
+    if tq <= table.t_mid:
+        if tq ** (2.0 * table.alpha) < _NEGLIGIBLE_X:
+            return tq, 1.0
+        x = float(betaincinv(a, 0.5, tq / quarter))
+        return x ** a, math.sqrt(1.0 - x)
+    cos_sq = float(betaincinv(0.5, a, max(quarter - tq, 0.0) / quarter))
+    return (1.0 - cos_sq) ** a, math.sqrt(cos_sq)
 
 
-def alpha_trig_table(alpha: float) -> AlphaTrigTable:
-    """Build (or fetch the cached) quarter-period table for alpha."""
-    return _table_cached(_validate_alpha(alpha))
-
-
-def _hermite(s: float, h: float, y0: float, y1: float, d0: float, d1: float) -> float:
-    """Cubic Hermite value at fraction s of a segment of width h."""
-    w = 1.0 - s
-    return ((1.0 + 2.0 * s) * w * w * y0
-            + s * w * w * h * d0
-            + s * s * (3.0 - 2.0 * s) * y1
-            + s * s * (s - 1.0) * h * d1)
-
-
-SERIES_CUTOFF = 1e-2
-
-
-def _series_quarter(alpha: float, tq: float) -> tuple[float, float]:
-    """Two-correction small-angle series for (sin_alpha, cos_alpha).
-
-    Valid for tq below SERIES_CUTOFF with truncation error O(tq^(6 alpha + 1)).
-    The table interpolant is only absolutely accurate, which is not enough
-    when a large oscillator amplitude multiplies a small angle; the series
-    keeps full relative precision down to tq = 0.
-    """
-    p = tq ** (2.0 * alpha)
-    two_a1 = 2.0 * alpha + 1.0
-    s_c1 = -1.0 / (2.0 * two_a1)
-    s_c2 = (2.0 * alpha - 1.0) / (8.0 * (4.0 * alpha + 1.0) * two_a1)
-    c_c2 = (2.0 * alpha - 1.0) / (8.0 * two_a1)
-    f = tq * (1.0 + p * (s_c1 + s_c2 * p))
-    fp = 1.0 + p * (-0.5 + c_c2 * p)
-    return f, fp
-
-
-def _eval_quarter(table: AlphaTrigTable, tq: float) -> tuple[float, float]:
-    """Raw (|sin|, |cos|) for tq in [0, quarter]: series near 0, else Hermite."""
-    ts = table.grid
-    quarter = ts[-1]
-    if tq <= 0.0:
-        return 0.0, 1.0
-    if tq >= quarter:
-        return 1.0, 0.0
-    if tq < SERIES_CUTOFF:
-        return _series_quarter(table.alpha, tq)
-    step = quarter / (TABLE_SIZE - 1)
-    i = min(int(tq / step), TABLE_SIZE - 2)
-    s = (tq - ts[i]) / step
-    sins, coss, accs = table.sin_values, table.cos_values, table.curvature_values
-    f = _hermite(s, step, sins[i], sins[i + 1], coss[i], coss[i + 1])
-    fp = _hermite(s, step, coss[i], coss[i + 1], accs[i], accs[i + 1])
-    return f, fp
-
-
-def _energy_project(alpha: float, s_raw: float, c_raw: float,
-                    s_sign: float, c_sign: float) -> tuple[float, float]:
-    """Re-impose sin^(2 alpha) + cos^2 = 1, refining the smaller component."""
-    s_abs = min(abs(s_raw), 1.0)
-    c_abs = abs(c_raw)
-    if c_abs >= 0.5:
-        c_abs = math.sqrt(max(1.0 - s_abs ** (2.0 * alpha), 0.0))
-    else:
-        s_abs = max(1.0 - c_abs * c_abs, 0.0) ** (1.0 / (2.0 * alpha))
-    return s_sign * s_abs, c_sign * c_abs
+def _arc_quarter(table: _AlphaConstants, s: float) -> float:
+    """Phase tq in [0, quarter] with sin_alpha(tq) = s, for s in [0, 1]."""
+    x = s ** (2.0 * table.alpha)
+    if x < _NEGLIGIBLE_X:
+        return s
+    if x <= 0.5:
+        return table.quarter * float(betainc(table.a, 0.5, x))
+    cos_sq = -math.expm1(2.0 * table.alpha * math.log(s))
+    return table.quarter * (1.0 - float(betainc(0.5, table.a, cos_sq)))
 
 
 def sin_cos_alpha(alpha: float, t: float) -> tuple[float, float]:
@@ -222,9 +139,8 @@ def sin_cos_alpha(alpha: float, t: float) -> tuple[float, float]:
         tq, s_sign, c_sign = tau - half, -1.0, -1.0
     else:
         tq, s_sign, c_sign = period - tau, -1.0, 1.0
-    s_raw, c_raw = _eval_quarter(table, tq)
-    s_val, c_val = _energy_project(alpha, s_raw, c_raw, s_sign, c_sign)
-    return odd_sign * s_val, c_val
+    s_abs, c_abs = _eval_quarter(table, tq)
+    return odd_sign * s_sign * s_abs, c_sign * c_abs
 
 
 def arc_alpha(alpha: float, s: float, c_sign: float) -> float:
@@ -240,39 +156,9 @@ def arc_alpha(alpha: float, s: float, c_sign: float) -> float:
     else:
         table = _table_cached(alpha)
         half = table.pi_alpha
-        tq = _invert_quarter(table, abs(s))
+        tq = _arc_quarter(table, abs(s))
     if s >= 0.0:
         phi = tq if c_sign >= 0 else half - tq
     else:
         phi = 2.0 * half - tq if c_sign >= 0 else half + tq
     return math.fmod(phi, 2.0 * half)
-
-
-def _invert_quarter(table: AlphaTrigTable, target: float) -> float:
-    """Bisection inverse of the strictly increasing quarter-period table."""
-    ts = table.grid
-    sins = table.sin_values
-    quarter = ts[-1]
-    if target <= 0.0:
-        return 0.0
-    if target >= sins[-1]:
-        return quarter
-    idx = int(np.searchsorted(sins, target))
-    idx = max(1, min(idx, TABLE_SIZE - 1))
-    lo, hi = ts[idx - 1], ts[idx]
-    f_lo = sins[idx - 1] - target
-    # bisect until the bracket cannot shrink; stopping at a fixed absolute
-    # width would leave small roots with a large relative error, which the
-    # oscillator amplitude (of order 1/|v0|) then amplifies downstream
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = _eval_quarter(table, mid)[0] - target
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -214,7 +214,7 @@ def cmd_conj_scan(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = run_selftest(seed=args.seed, tol=args.tol)
+    results = run_selftest(seed=args.seed)
     _emit(format_report(results), args.out)
     return 0 if all(result.passed for result in results) else 1
 
@@ -259,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_conj_scan)
 
     p_self = sub.add_parser("selftest", help="run the verification battery")
-    p_self.add_argument("--tol", type=float, default=None,
-                        help="override every check threshold")
     add_common(p_self)
     p_self.set_defaults(func=cmd_selftest)
 

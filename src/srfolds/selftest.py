@@ -68,7 +68,7 @@ def _check_alpha_arc_roundtrip() -> float:
 
 
 def _check_alpha_period_ode() -> float:
-    """pi_alpha from quadrature vs the quarter-period of the defining ODE."""
+    """pi_alpha from the beta-function closed form vs the quarter-period of the ODE."""
     worst = 0.0
     for alpha in (1.5, 2.0):
         pi_a = pi_alpha(alpha)
@@ -328,8 +328,8 @@ def _check_kernel_annihilation(su2_records: list) -> float:
     return worst
 
 
-def run_selftest(seed: int = 0, tol: float | None = None) -> list[CheckResult]:
-    """Run the full battery; an optional tol overrides every threshold."""
+def run_selftest(seed: int = 0) -> list[CheckResult]:
+    """Run the full battery, each check against its fixed threshold."""
     rng = np.random.default_rng(seed)
     su2_records = _su2_scan_records()
     battery = [
@@ -355,8 +355,6 @@ def run_selftest(seed: int = 0, tol: float | None = None) -> list[CheckResult]:
     ]
     results = []
     for name, threshold, check in battery:
-        if tol is not None:
-            threshold = tol
         try:
             value = float(check())
         except SrfoldsError:

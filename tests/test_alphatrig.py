@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srfolds import (InvalidInput, OdeProblem, alpha_trig_table, arc_alpha,
-                     find_roots, integrate, pi_alpha, sin_cos_alpha)
+from srfolds import (InvalidInput, OdeProblem, arc_alpha, find_roots,
+                     integrate, pi_alpha, sin_cos_alpha)
+from srfolds.alphatrig import _pi_alpha_quadrature
 
 PI_15 = 2.8043642106509084
 PI_2 = 2.6220575542921196
@@ -140,18 +141,39 @@ class TestArcAlpha:
 
 
 class TestAlphaTrigTable:
+    """The per-alpha constants behind the beta-function closed form."""
+
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_monotone_quarter_samples(self, alpha):
-        table = alpha_trig_table(alpha)
-        assert table.pi_alpha == pytest.approx(pi_alpha(alpha), abs=1e-14)
-        ts = table.grid
-        ss = table.sin_values
-        assert np.all(np.diff(ts) > 0.0)
+        quarter = pi_alpha(alpha) / 2.0
+        ts = np.linspace(0.0, quarter, 2049)
+        ss = [sin_cos_alpha(alpha, float(t))[0] for t in ts]
         assert np.all(np.diff(ss) > 0.0)
-        assert ts[0] == 0.0
-        assert abs(ts[-1] - pi_alpha(alpha) / 2.0) <= 1e-12
         assert ss[0] == 0.0
-        assert abs(ss[-1] - 1.0) <= 1e-10
+        assert abs(ss[-1] - 1.0) <= 1e-15
 
     def test_classical_table_value(self):
         assert pi_alpha(1.0) == math.pi
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 7.5])
+    def test_beta_form_matches_quadrature(self, alpha):
+        assert abs(pi_alpha(alpha) - _pi_alpha_quadrature(alpha)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 7.5])
+    def test_arc_of_one_is_exact_quarter(self, alpha):
+        assert arc_alpha(alpha, 1.0, +1.0) == pi_alpha(alpha) / 2.0
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 7.5])
+    @pytest.mark.parametrize("d", [1e-12, 1e-9])
+    def test_cos_relative_precision_at_quarter(self, alpha, d):
+        # cos_alpha(q - dd) = alpha dd (1 + O(dd^2)) next to the quarter period
+        t = pi_alpha(alpha) / 2.0 - d
+        dd = pi_alpha(alpha) / 2.0 - t
+        assert abs(sin_cos_alpha(alpha, t)[1] / (alpha * dd) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 7.5])
+    @pytest.mark.parametrize("t", [1e-30, 1e-12, 1e-8, 1e-5])
+    def test_sin_relative_precision_at_zero(self, alpha, t):
+        # 1e-30 puts sin_alpha^(2 alpha) below the smallest normal double at 7.5
+        assert abs(sin_cos_alpha(alpha, t)[0] / t - 1.0) <= 1e-14
+        assert abs(arc_alpha(alpha, t, +1.0) / t - 1.0) <= 1e-14

@@ -250,7 +250,16 @@ class TestSelftest:
         assert second.returncode == 0
         assert second.stdout == first.stdout
 
-    def test_unreachable_tolerance_fails(self):
-        proc = run_cli("selftest", "--seed", "42", "--tol", "1e-15")
-        assert proc.returncode == 1
-        assert "FAIL" in proc.stdout
+    def test_planted_wrong_closed_form_fails(self, monkeypatch, capsys):
+        true_sin_cos = srfolds.selftest.sin_cos_alpha
+
+        def shifted(alpha, t):
+            s, c = true_sin_cos(alpha, t)
+            return s + 1e-6, c
+
+        monkeypatch.setattr(srfolds.selftest, "sin_cos_alpha", shifted)
+        assert main(["selftest", "--seed", "42"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        identity = [line for line in lines if line.startswith("alpha-trig-identity")]
+        assert identity and identity[0].endswith("FAIL")
+        assert lines[-1] != "16/16 checks passed"

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from srfolds import (DegenerateCovector, GrushinBase, JacobiCoords,
                      NotConjugate, OdeProblem, fd_jacobian, find_roots,
-                     grushin_amplitude, grushin_conj_f, grushin_conj_grad,
-                     grushin_dexp, grushin_exp, grushin_jacobi,
-                     grushin_jacobi_coefficients, grushin_kernel, integrate,
-                     rank_nullspace)
+                     grushin_adapter, grushin_amplitude, grushin_conj_f,
+                     grushin_conj_grad, grushin_dexp, grushin_exp,
+                     grushin_jacobi, grushin_jacobi_coefficients,
+                     grushin_kernel, integrate, rank_nullspace, scan_ray)
 
 TAN_FIXED_POINT = 4.493409457909064
 COS1_MINUS_SIN1 = -0.3011686789397568
@@ -302,3 +302,34 @@ class TestConjugacy:
             grushin_conj_f(base, (0.0, 0.0))
         with pytest.raises(DegenerateCovector):
             grushin_conj_grad(base, (1.0, 0.0))
+
+
+class TestNearVerticalRays:
+    """Rays with u0 ~ 0 from x0 != 0, where x0 / A sits at the top of the quarter period.
+
+    There the phase comes from arc_alpha next to sin_alpha = 1, which must
+    return the quarter period to full precision: a phase a few 1e-8 short
+    of it turns real conjugate points into order-0 records or makes the
+    kernel reject them.
+    """
+
+    @pytest.mark.parametrize("alpha,x0,offset,count", [
+        (3.0, 0.5, None, 3),
+        (4.0, 0.5, None, 1),
+        (3.0, 0.5, 1e-7, 3),
+        (2.5, 0.5, 1e-7, 4),
+        (4.0, 2.0, 1e-3, 103),
+    ])
+    def test_every_conjugate_point_is_kept(self, alpha, x0, offset, count):
+        base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
+        if offset is None:
+            direction = (0.0, 1.0)
+        else:
+            angle = math.pi / 2.0 + offset
+            direction = (math.cos(angle), math.sin(angle))
+        records = scan_ray(grushin_adapter(base), direction, 30.0)
+        assert len(records) == count
+        for rec in records:
+            assert rec.order == 1
+            sv = np.linalg.svd(grushin_dexp(base, rec.covector), compute_uv=False)
+            assert sv[1] / sv[0] <= 1e-9
