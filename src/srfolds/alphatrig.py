@@ -108,7 +108,11 @@ def _arc_quarter(table: _AlphaConstants, s: float) -> float:
         return s
     if x <= 0.5:
         return table.quarter * float(betainc(table.a, 0.5, x))
-    cos_sq = -math.expm1(2.0 * table.alpha * math.log(s))
+    return _arc_cos_quarter(table, -math.expm1(2.0 * table.alpha * math.log(s)))
+
+
+def _arc_cos_quarter(table: _AlphaConstants, cos_sq: float) -> float:
+    """Phase tq in [0, quarter] with cos_alpha(tq)^2 = cos_sq (complementary form)."""
     return table.quarter * (1.0 - float(betainc(0.5, table.a, cos_sq)))
 
 
@@ -162,3 +166,20 @@ def arc_alpha(alpha: float, s: float, c_sign: float) -> float:
     else:
         phi = 2.0 * half - tq if c_sign >= 0 else half + tq
     return math.fmod(phi, 2.0 * half)
+
+
+def arc_cos_alpha(alpha: float, c: float) -> float:
+    """Phase in [0, pi_alpha/2] with cos_alpha = c, for c in [0, 1].
+
+    Well conditioned where c is small, next to the quarter period, where
+    inverting sin_alpha is not; near c = 1 arc_alpha keeps more relative
+    precision in the small phase.
+    """
+    alpha = _validate_alpha(alpha)
+    c = float(c)
+    if not (-1e-12 <= c <= 1.0 + 1e-12):
+        raise InvalidInput(f"c must lie in [0, 1], got {c!r}")
+    c = min(max(c, 0.0), 1.0)
+    if alpha == 1.0:
+        return math.acos(c)
+    return _arc_cos_quarter(_table_cached(alpha), c * c)

@@ -65,8 +65,11 @@ def cov_triple(cov) -> tuple[float, float, float]:
     """(u0, v0, w0) of a ContactCovector or of any finite 3-sequence."""
     if isinstance(cov, ContactCovector):
         return cov.u0, cov.v0, cov.w0
-    u0, v0, w0 = (float(c) for c in cov)
-    if not all(math.isfinite(c) for c in (u0, v0, w0)):
+    # tolist() hands over Python floats, far cheaper to convert
+    # than the numpy scalars its iteration yields
+    values = cov.tolist() if isinstance(cov, np.ndarray) else cov
+    u0, v0, w0 = map(float, values)
+    if not (math.isfinite(u0) and math.isfinite(v0) and math.isfinite(w0)):
         raise InvalidInput(f"covector components must be finite, got {cov!r}")
     return u0, v0, w0
 
@@ -175,7 +178,7 @@ class ContactGroup:
         f_c = -self.eps * (h2 * g_x0 - w0 * (u1 * g_x1 + v1 * g_x2)) / sq
         return np.column_stack([self.push(point, f) for f in (f_a, f_b, f_c)])
 
-    def adapter(self, exp_chart: Callable[..., np.ndarray]) -> StructureAdapter:
+    def adapter(self, chart_at: Callable[..., Callable]) -> StructureAdapter:
         """Plug the group into the generic conjugate-locus scanner."""
 
         def conj_grad(cov, stratum: str) -> np.ndarray:
@@ -213,7 +216,7 @@ class ContactGroup:
         return StructureAdapter(
             name=self.name,
             fiber_dim=3,
-            exp_chart=exp_chart,
+            chart_at=chart_at,
             conj_f=self.strata,
             conj_grad=conj_grad,
             kernel=self.kernel,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphatrig import arc_alpha, pi_alpha, sin_cos_alpha
+from .alphatrig import arc_alpha, arc_cos_alpha, pi_alpha, sin_cos_alpha
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import OdeProblem, integrate
 from .singularity import PAIRING_TOL, StructureAdapter
@@ -98,7 +98,10 @@ class GrushinJacobiCoeffs:
 def _cov_pair(cov) -> tuple[float, float]:
     if isinstance(cov, GrushinCovector):
         return cov.u0, cov.v0
-    u0, v0 = (float(c) for c in cov)
+    # tolist() hands over Python floats, far cheaper to convert
+    # than the numpy scalars its iteration yields
+    values = cov.tolist() if isinstance(cov, np.ndarray) else cov
+    u0, v0 = map(float, values)
     if not (math.isfinite(u0) and math.isfinite(v0)):
         raise InvalidInput(f"covector components must be finite, got {cov!r}")
     return u0, v0
@@ -143,12 +146,22 @@ def _oscillator(base: GrushinBase, u0: float, v0: float,
     phase in [0, 2 pi_alpha) sits next to pi_alpha when u0 v0 < 0, and forming
     it destroys the small effective angle that the amplitude (of order 1/|v0|)
     then amplifies.
+
+    The phase is inverted from the smaller of |sin_alpha| = |x0| / amp and
+    cos_alpha = |u0| / (amp |omega|). Next to the quarter period |x0| / amp
+    sits next to 1, where one rounding of that ratio moves the inverted phase
+    by far more than an ulp; cos_alpha is small there and well conditioned.
     """
     alpha = base.alpha
     amp = (math.sqrt(h2) / abs(v0)) ** (1.0 / alpha)
     omega = v0 * amp ** (alpha - 1.0)
-    ratio = min(max(base.x0 / amp, -1.0), 1.0)
-    phase = math.copysign(arc_alpha(alpha, abs(ratio), 1.0), base.x0)
+    sin_ratio = min(abs(base.x0 / amp), 1.0)
+    cos_ratio = min(abs(u0 / (amp * omega)), 1.0)
+    if cos_ratio < sin_ratio:
+        arc = arc_cos_alpha(alpha, cos_ratio)
+    else:
+        arc = arc_alpha(alpha, sin_ratio, 1.0)
+    phase = math.copysign(arc, base.x0)
     flip = -1.0 if u0 * v0 < 0.0 else 1.0
     return amp, omega, phase, flip
 
@@ -380,13 +393,13 @@ def grushin_kernel(base: GrushinBase, cov, tol: float = 1e-8) -> list[np.ndarray
 def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     """Plug the plane into the generic conjugate-locus scanner.
 
-    The chart is the plane itself, so exp_chart is just the endpoint position;
-    chart selection is trivially center-independent. Records start on the
-    placeholder stratum and are renamed C0/C1 from the kernel pairing, the
-    transversality that defines the strata for this structure.
+    The chart is the plane itself, the endpoint position, so chart_at
+    ignores its center. Records start on the placeholder stratum and are
+    renamed C0/C1 from the kernel pairing, the transversality that defines
+    the strata for this structure.
     """
 
-    def exp_chart(cov, center=None) -> np.ndarray:
+    def endpoint(cov) -> np.ndarray:
         return np.asarray(grushin_exp(base, cov, 1.0).position, dtype=float)
 
     def conj_f(cov) -> tuple[float]:
@@ -421,7 +434,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     return StructureAdapter(
         name="grushin",
         fiber_dim=2,
-        exp_chart=exp_chart,
+        chart_at=lambda center: endpoint,
         conj_f=conj_f,
         conj_grad=conj_grad,
         kernel=kernel,

@@ -166,12 +166,18 @@ def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x: Sequence[float],
 
 @dataclass(frozen=True)
 class RankResult:
-    """SVD-based numeric rank report."""
+    """SVD-based numeric rank report.
+
+    image_complement holds, as columns, the left singular vectors past the
+    numeric rank: an orthonormal basis of the complement of the column space
+    (no columns at full row rank).
+    """
 
     singular_values: np.ndarray
     numeric_rank: int
     nullspace_basis: tuple[np.ndarray, ...]
     tolerance_used: float
+    image_complement: np.ndarray
 
 
 def rank_nullspace(M: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> RankResult:
@@ -183,11 +189,12 @@ def rank_nullspace(M: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -
         raise InvalidInput(f"tol_factor {tol_factor} outside (0, 1)")
     if not np.all(np.isfinite(M)):
         raise DegenerateMatrix("matrix contains non-finite entries")
-    _, s, vh = np.linalg.svd(M)
+    u, s, vh = np.linalg.svd(M)
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateMatrix("zero matrix has no usable rank threshold")
     tol = tol_factor * float(s[0])
     rank = int(np.sum(s > tol))
     basis = tuple(vh[k].copy() for k in range(rank, M.shape[1]))
     return RankResult(singular_values=s, numeric_rank=rank,
-                      nullspace_basis=basis, tolerance_used=tol)
+                      nullspace_basis=basis, tolerance_used=tol,
+                      image_complement=u[:, rank:])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidInput, WitnessNotFound
 from .numeric import (DEFAULT_RANK_TOL_FACTOR, DEFAULT_ROOT_TOL,
-                      DEFAULT_SCAN_POINTS, fd_jacobian, find_roots,
+                      DEFAULT_SCAN_POINTS, RankResult, fd_jacobian, find_roots,
                       rank_nullspace)
 
 # |<grad, kernel>| / (|grad| |kernel|) above this means transversal (fold)
@@ -51,9 +51,11 @@ def _never(cov: np.ndarray, stratum: str) -> bool:
 class StructureAdapter:
     """Hooks a geometric structure into the generic scanner and classifier.
 
-    exp_chart(cov, center=None) maps a fiber covector to chart coordinates of
-    the time-one endpoint; the chart selection must be frozen at `center` (the
-    covector under study) so finite differences never straddle a chart switch.
+    chart_at(center) returns the chart presentation of the fiber exponential
+    near `center` (the covector under study): a function mapping a covector to
+    the chart coordinates, as a float array, of its time-one endpoint. The
+    chart is selected once, when chart_at is called, so finite differences
+    never straddle a chart switch and each evaluation costs one exponential.
     conj_f returns the tuple of stratum function values aligned with
     stratum_names; conj_grad(cov, stratum) the analytic gradient of one of
     them; kernel(cov) a unit kernel vector at a conjugate covector.
@@ -72,7 +74,7 @@ class StructureAdapter:
 
     name: str
     fiber_dim: int
-    exp_chart: Callable[..., np.ndarray]
+    chart_at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     conj_f: Callable[[np.ndarray], tuple]
     conj_grad: Callable[[np.ndarray, str], np.ndarray]
     kernel: Callable[[np.ndarray], np.ndarray]
@@ -86,6 +88,15 @@ class StructureAdapter:
 
 
 @dataclass(frozen=True)
+class _LocalData:
+    """What _build_record computes once at a covector and classify reuses."""
+
+    chart: Callable[[np.ndarray], np.ndarray]
+    rank: RankResult
+    pairing: Optional[float]
+
+
+@dataclass(frozen=True)
 class ConjugateRecord:
     """One conjugate covector found on a ray, with its cross-validated order."""
 
@@ -96,6 +107,10 @@ class ConjugateRecord:
     kernel_basis: tuple[np.ndarray, ...]
     f_values: tuple[float, ...]
     singularity_class: SingularityClass
+    # set by _build_record while it classifies; replace() resets it to None,
+    # so a modified record never reuses data of the one it came from
+    _local: Optional[_LocalData] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,14 +123,10 @@ class FoldWitness:
     separation: float
 
 
-def _chart_at(adapter: StructureAdapter, center: np.ndarray):
-    def chart(cov: np.ndarray) -> np.ndarray:
-        return np.asarray(adapter.exp_chart(cov, center), dtype=float)
-    return chart
-
-
 def _normalized_pairing(adapter: StructureAdapter,
                         record: ConjugateRecord) -> Optional[float]:
+    if record._local is not None:
+        return record._local.pairing
     grad = np.asarray(adapter.conj_grad(record.covector, record.stratum), float)
     kern = np.asarray(record.kernel_basis[0], float)
     denom = float(np.linalg.norm(grad) * np.linalg.norm(kern))
@@ -124,17 +135,14 @@ def _normalized_pairing(adapter: StructureAdapter,
     return float(grad @ kern / denom)
 
 
-def _image_complement(chart, cov: np.ndarray,
-                      rank_tol_factor: float) -> Optional[np.ndarray]:
-    """Orthonormal basis of the complement of Im(d chart) at cov, or None if full rank."""
-    jac = fd_jacobian(chart, cov)
-    u_mat, svals, _ = np.linalg.svd(jac)
-    if svals[0] == 0.0:
-        return u_mat
-    rank = int(np.sum(svals > rank_tol_factor * svals[0]))
-    if rank == jac.shape[0]:
-        return None
-    return u_mat[:, rank:]
+def _local_rank(adapter: StructureAdapter, record: ConjugateRecord,
+                rank_tol_factor: float) -> tuple[Callable, RankResult]:
+    """The chart at the record's covector and the FD rank report of its Jacobian."""
+    if record._local is not None:
+        return record._local.chart, record._local.rank
+    cov = np.asarray(record.covector, dtype=float)
+    chart = adapter.chart_at(cov)
+    return chart, rank_nullspace(fd_jacobian(chart, cov), rank_tol_factor)
 
 
 def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float, *,
@@ -179,7 +187,7 @@ def _build_record(adapter: StructureAdapter, d: np.ndarray, s: float, stratum: s
                   pairing_tol: float, second_order_tol: float,
                   rank_tol_factor: float) -> ConjugateRecord:
     cov = s * d
-    chart = _chart_at(adapter, cov)
+    chart = adapter.chart_at(cov)
     rank_info = rank_nullspace(fd_jacobian(chart, cov), rank_tol_factor)
     order = adapter.fiber_dim - rank_info.numeric_rank
     f_values = tuple(float(v) for v in adapter.conj_f(cov))
@@ -190,13 +198,15 @@ def _build_record(adapter: StructureAdapter, d: np.ndarray, s: float, stratum: s
     record = ConjugateRecord(s=float(s), covector=cov, stratum=stratum, order=order,
                              kernel_basis=kernel_basis, f_values=f_values,
                              singularity_class=SingularityClass.UNDETERMINED)
+    # the pairing feeds both classify and stratum_relabel; the FD rank data
+    # feeds the second-order certificate
+    pairing = _normalized_pairing(adapter, record) if order == 1 else None
+    object.__setattr__(record, "_local", _LocalData(chart, rank_info, pairing))
     cls = classify(adapter, record,
                    pairing_tol=pairing_tol, second_order_tol=second_order_tol,
                    rank_tol_factor=rank_tol_factor)
-    if adapter.stratum_relabel is not None and order == 1:
-        pairing = _normalized_pairing(adapter, record)
-        if pairing is not None:
-            record = replace(record, stratum=adapter.stratum_relabel(cov, pairing))
+    if adapter.stratum_relabel is not None and pairing is not None:
+        record = replace(record, stratum=adapter.stratum_relabel(cov, pairing))
     return replace(record, singularity_class=cls)
 
 
@@ -231,19 +241,21 @@ def classify(adapter: StructureAdapter, record: ConjugateRecord, *,
 def second_order_transversality(adapter: StructureAdapter, record: ConjugateRecord, *,
                                 step: float = 1e-4,
                                 rank_tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> float:
-    """Norm of the mixed radial/kernel second derivative outside Im(d exp_chart).
+    """Norm of the mixed radial/kernel second derivative outside Im(d chart).
 
-    Evaluates d^2/ds dr of (s, r) -> exp_chart((1+s)(cov + r k)) at (0, 0) by a
-    four-point central stencil and projects it onto the orthogonal complement of
-    the image of the differential. Returns 0.0 when the differential has full
-    rank (no complement to project onto).
+    With chart = adapter.chart_at(cov), evaluates d^2/ds dr of
+    (s, r) -> chart((1+s)(cov + r k)) at (0, 0) by a four-point central stencil
+    and projects it onto the orthogonal complement of the image of the
+    differential. Returns 0.0 when the differential has full rank (no
+    complement to project onto). A record being built by scan_ray reuses the
+    FD Jacobian of its rank check.
     """
     if record.order < 1:
         return 0.0
     cov = np.asarray(record.covector, dtype=float)
-    chart = _chart_at(adapter, cov)
-    complement = _image_complement(chart, cov, rank_tol_factor)
-    if complement is None:
+    chart, rank_info = _local_rank(adapter, record, rank_tol_factor)
+    complement = rank_info.image_complement
+    if complement.shape[1] == 0:
         return 0.0
     kern = np.asarray(record.kernel_basis[0], dtype=float)
     kern = kern / np.linalg.norm(kern)
@@ -271,7 +283,7 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
     cov = np.asarray(record.covector, dtype=float)
     kern = np.asarray(record.kernel_basis[0], dtype=float)
     kern = kern / np.linalg.norm(kern)
-    chart = _chart_at(adapter, cov)
+    chart = adapter.chart_at(cov)
     for a in (delta / 2.0, delta / 3.0, delta / 4.0):
         pair = _newton_partner(chart, cov, kern, a)
         if pair is None:
@@ -335,8 +347,8 @@ def regularity_isomorphism_check(adapter: StructureAdapter, record: ConjugateRec
     norm_vec = float(np.linalg.norm(vec))
     if norm_vec == 0.0:
         return False
-    chart = _chart_at(adapter, cov)
-    complement = _image_complement(chart, cov, rank_tol_factor)
-    if complement is None:
+    chart = adapter.chart_at(cov)
+    complement = rank_nullspace(fd_jacobian(chart, cov), rank_tol_factor).image_complement
+    if complement.shape[1] == 0:
         return False
     return bool(np.linalg.norm(complement.T @ vec) > independence_tol * norm_vec)

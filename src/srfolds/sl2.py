@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -88,19 +89,26 @@ def _chart_uses_m11(matrix: Sl2Matrix) -> bool:
     return abs(matrix.m11) >= _CHART_M11_MIN
 
 
+def _chart_at(center) -> Callable[..., np.ndarray]:
+    """The chart selected at the endpoint of center, as a function of the covector."""
+    use11 = _chart_uses_m11(sl2_exp(center, 1.0)[0])
+
+    def chart(cov) -> np.ndarray:
+        matrix, _ = sl2_exp(cov, 1.0)
+        if use11:
+            return np.array([matrix.m11, matrix.m12, matrix.m21])
+        return np.array([matrix.m12, matrix.m21, matrix.m22])
+
+    return chart
+
+
 def sl2_chart(cov, center=None) -> np.ndarray:
     """Chart coordinates of the time-one endpoint, selector frozen at center.
 
     Uses (m11, m12, m21) where m11 is bounded away from zero (determinant one
     recovers m22), otherwise (m12, m21, m22).
     """
-    sel_cov = cov if center is None else center
-    sel_matrix, _ = sl2_exp(sel_cov, 1.0)
-    use11 = _chart_uses_m11(sel_matrix)
-    matrix, _ = sl2_exp(cov, 1.0)
-    if use11:
-        return np.array([matrix.m11, matrix.m12, matrix.m21])
-    return np.array([matrix.m12, matrix.m21, matrix.m22])
+    return _chart_at(cov if center is None else center)(cov)
 
 
 def _push(matrix: Sl2Matrix, tangent: np.ndarray) -> np.ndarray:
@@ -120,6 +128,7 @@ sl2_frame_images = _GROUP.frame_images
 
 def sl2_adapter() -> StructureAdapter:
     """Plug the group into the generic conjugate-locus scanner."""
-    # sl2_chart is looked up per call, so rebinding the module name (as the
-    # span tracer in perfbench/ does) also reaches adapters already built
-    return _GROUP.adapter(lambda cov, center=None: sl2_chart(cov, center))
+    # the chart looks sl2_exp up in the module globals on every call, so
+    # rebinding that name (as the span tracer in perfbench/ does) also reaches
+    # adapters already built; the scan path does not call sl2_chart
+    return _GROUP.adapter(_chart_at)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -134,6 +135,18 @@ def _chart_uses_imaginary(point: Su2Point) -> bool:
     return abs(point.alpha_re) >= abs(point.alpha_im)
 
 
+def _chart_at(center) -> Callable[..., np.ndarray]:
+    """The chart selected at the endpoint of center, as a function of the covector."""
+    use_im = _chart_uses_imaginary(su2_exp(center, 1.0)[0])
+
+    def chart(cov) -> np.ndarray:
+        point, _ = su2_exp(cov, 1.0)
+        first = point.alpha_im if use_im else point.alpha_re
+        return np.array([first, point.beta_re, point.beta_im])
+
+    return chart
+
+
 def su2_chart(cov, center=None) -> np.ndarray:
     """Chart coordinates of the time-one endpoint, selector frozen at center.
 
@@ -141,12 +154,7 @@ def su2_chart(cov, center=None) -> np.ndarray:
     Re alpha; alternate (Re alpha, Re beta, Im beta) otherwise. Freezing the
     selection at `center` keeps finite differences inside a single chart.
     """
-    sel_cov = cov if center is None else center
-    sel_point, _ = su2_exp(sel_cov, 1.0)
-    use_im = _chart_uses_imaginary(sel_point)
-    point, _ = su2_exp(cov, 1.0)
-    first = point.alpha_im if use_im else point.alpha_re
-    return np.array([first, point.beta_re, point.beta_im])
+    return _chart_at(cov if center is None else center)(cov)
 
 
 def _push(point: Su2Point, tangent: np.ndarray) -> np.ndarray:
@@ -165,6 +173,7 @@ su2_frame_images = _GROUP.frame_images
 
 def su2_adapter() -> StructureAdapter:
     """Plug the group into the generic conjugate-locus scanner."""
-    # su2_chart is looked up per call, so rebinding the module name (as the
-    # span tracer in perfbench/ does) also reaches adapters already built
-    return _GROUP.adapter(lambda cov, center=None: su2_chart(cov, center))
+    # the chart looks su2_exp up in the module globals on every call, so
+    # rebinding that name (as the span tracer in perfbench/ does) also reaches
+    # adapters already built; the scan path does not call su2_chart
+    return _GROUP.adapter(_chart_at)

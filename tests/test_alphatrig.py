@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from srfolds import (InvalidInput, OdeProblem, arc_alpha, find_roots,
                      integrate, pi_alpha, sin_cos_alpha)
-from srfolds.alphatrig import _pi_alpha_quadrature
+from srfolds.alphatrig import _pi_alpha_quadrature, arc_cos_alpha
 
 PI_15 = 2.8043642106509084
 PI_2 = 2.6220575542921196
@@ -138,6 +138,38 @@ class TestArcAlpha:
         assert abs(s_back - s) <= 1e-9
         assert c_back * c_sign >= 0.0
         assert 0.0 <= phi < 2.0 * pi_alpha(alpha)
+
+
+class TestArcCosAlpha:
+    """The phase of a given cos_alpha, inverted through the complementary form."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0, 7.5])
+    def test_ends_of_the_quarter(self, alpha):
+        assert arc_cos_alpha(alpha, 0.0) == pi_alpha(alpha) / 2.0
+        assert arc_cos_alpha(alpha, 1.0) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0, 7.5])
+    @pytest.mark.parametrize("c", [1e-12, 1e-7, 0.3, 0.7])
+    def test_roundtrip_through_cos(self, alpha, c):
+        # the phase sits next to the quarter period, so its rounding bounds
+        # the roundtrip in absolute terms
+        s_back, c_back = sin_cos_alpha(alpha, arc_cos_alpha(alpha, c))
+        assert abs(c_back - c) <= 1e-15
+        assert s_back > 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("c", [0.3, 0.7])
+    def test_agrees_with_arc_alpha(self, alpha, c):
+        s = (1.0 - c * c) ** (1.0 / (2.0 * alpha))
+        assert abs(arc_cos_alpha(alpha, c) - arc_alpha(alpha, s, +1.0)) <= 1e-14
+
+    def test_alpha_one_is_acos(self):
+        assert arc_cos_alpha(1.0, 0.25) == math.acos(0.25)
+
+    @pytest.mark.parametrize("c", [-0.1, 1.1, float("nan")])
+    def test_domain_validation(self, c):
+        with pytest.raises(InvalidInput):
+            arc_cos_alpha(2.0, c)
 
 
 class TestAlphaTrigTable:

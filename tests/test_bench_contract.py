@@ -3,14 +3,16 @@
 perfbench/tracer.py wraps names inside srfolds modules (for example
 `srfolds.alphatrig._table_cached`). When the package loses one of them the
 tracer skips it and the metrics that only it feeds are reported as null.
-This test installs the tracer against the package as it is and checks that
-every per-layer metric listed in BENCHMARK.json is measured. It reads
-perfbench/ and BENCHMARK.json and edits neither.
+These tests install the tracer against the package as it is and check that
+every per-layer metric listed in BENCHMARK.json is measured, and that after
+a short traced scan each one the tracer feeds is a finite number that JSON
+carries. They read perfbench/ and BENCHMARK.json and edit neither.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,3 +45,31 @@ def test_every_per_layer_metric_is_measured(bench_modules):
     unmeasured = [metric["name"] for metric in spec["per_layer"]
                   if run.measured_by(metric["name"]) not in (None, *measured)]
     assert unmeasured == []
+
+
+def test_traced_layer_metrics_are_finite_numbers(bench_modules):
+    # a traced run whose per-layer figure is null or NaN does not print a
+    # parseable result line, so every figure the tracer feeds must be a number
+    run, tracer = bench_modules
+    import srfolds
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    t = tracer.Tracer().install()
+    try:
+        srfolds.scan_ray(srfolds.su2_adapter(), (1.0, 0.0, 0.5), 8.0)
+        srfolds.scan_ray(srfolds.grushin_adapter(srfolds.GrushinBase(1.5, 0.5, 0.0)),
+                         (0.4, 1.0), 8.0)
+    finally:
+        t.uninstall()
+    metrics = run.layer_metrics(t, tracer.Tracer(), 2)
+    assert metrics["singularity.scan_ray.calls"] == 2
+    assert metrics["su2.exp.calls"] > 0 and metrics["grushin.exp.calls"] > 0
+    for metric in spec["per_layer"]:
+        name = metric["name"]
+        if run.measured_by(name) is None:
+            # cli.*, selftest.run_s and trace.overhead_frac come from the CLI
+            # runs and the plain pass, not from the tracer
+            continue
+        value = metrics[name]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), name
+        assert math.isfinite(value), name
+    assert json.loads(json.dumps(metrics, allow_nan=False)) == metrics

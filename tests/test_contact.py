@@ -1,0 +1,50 @@
+"""Covector parsing shared by the SU(2) and SL(2) structures (contact.py)."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from srfolds import (InvalidInput, Sl2Covector, Su2Covector, sl2_conj_f,
+                     sl2_exp, su2_conj_f, su2_exp)
+from srfolds.contact import ContactCovector, cov_triple
+
+CONTAINERS = pytest.mark.parametrize("make", [tuple, list, np.array],
+                                     ids=["tuple", "list", "ndarray"])
+
+
+class TestCovTriple:
+    @CONTAINERS
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_component(self, make, bad, slot):
+        values = [1.0, 0.5, 2.0]
+        values[slot] = bad
+        for parse in (cov_triple, lambda c: su2_exp(c, 1.0), lambda c: sl2_exp(c, 1.0),
+                      su2_conj_f, sl2_conj_f):
+            with pytest.raises(InvalidInput, match="finite"):
+                parse(make(values))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("cls", [ContactCovector, Su2Covector, Sl2Covector])
+    def test_non_finite_covector_object(self, cls, bad):
+        with pytest.raises(InvalidInput, match="finite"):
+            cls(1.0, bad, 2.0)
+
+    @CONTAINERS
+    @pytest.mark.parametrize("values", [[], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_wrong_length(self, make, values):
+        for parse in (cov_triple, lambda c: su2_exp(c, 1.0), lambda c: sl2_exp(c, 1.0)):
+            with pytest.raises(ValueError, match="values to unpack"):
+                parse(make(values))
+
+    @pytest.mark.parametrize("cov", [
+        (1, 0.5, 2), [1.0, 0.5, 2.0], np.array([1.0, 0.5, 2.0]),
+        np.array([1.0, 0.5, 2.0], dtype=np.float32), ContactCovector(1.0, 0.5, 2.0),
+        Su2Covector(1.0, 0.5, 2.0), Sl2Covector(1, 0.5, 2)])
+    def test_values_are_python_floats(self, cov):
+        parsed = cov_triple(cov)
+        assert parsed == (1.0, 0.5, 2.0)
+        assert all(type(c) is float for c in parsed)

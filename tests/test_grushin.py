@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srfolds import (DegenerateCovector, GrushinBase, JacobiCoords,
-                     NotConjugate, OdeProblem, fd_jacobian, find_roots,
+from srfolds import (DegenerateCovector, GrushinBase, GrushinCovector,
+                     InvalidInput, JacobiCoords, NotConjugate, OdeProblem,
+                     fd_jacobian, find_roots,
                      grushin_adapter, grushin_amplitude, grushin_conj_f,
                      grushin_conj_grad, grushin_dexp, grushin_exp,
                      grushin_jacobi, grushin_jacobi_coefficients,
@@ -333,3 +334,93 @@ class TestNearVerticalRays:
             assert rec.order == 1
             sv = np.linalg.svd(grushin_dexp(base, rec.covector), compute_uv=False)
             assert sv[1] / sv[0] <= 1e-9
+
+    def test_top_of_the_quarter_ray_matches_ode_oracle(self):
+        # u0 ~ -1e-5 from x0 = 2: x0 / A sits about 1.5e-13 below 1, where
+        # inverting sin_alpha loses the phase to the rounding of that ratio
+        base = GrushinBase(alpha=3.0, x0=2.0, y0=0.0)
+        angle = math.pi / 2.0 + 1e-5
+        direction = (math.cos(angle), math.sin(angle))
+        s_max = 30.0
+        records = scan_ray(grushin_adapter(base), direction, s_max)
+        expected = _conjugate_times_oracle(base, direction, s_max * 1e-4, s_max)
+        assert len(records) == len(expected) == 49
+        for rec, t in zip(records, expected):
+            assert rec.order == 1
+            assert abs(rec.s - t) <= 1e-10 * t
+
+
+def _conjugate_times_oracle(base: GrushinBase, direction, lo: float,
+                            hi: float) -> list[float]:
+    """Conjugate times in [lo, hi] of the unit covector, by integrating the flow.
+
+    Integrates the Hamiltonian system together with its variations in u0 and
+    v0; the times where det d(x, y)/d(u0, v0) changes sign are the conjugate
+    radii s of the ray, since exp(s d) at time one is the geodesic of d at
+    time s.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    a = base.alpha
+    u0, v0 = np.asarray(direction, float) / math.hypot(*direction)
+
+    def field(t, z):
+        x, _, u, v = z[:4]
+        even = abs(x) ** (2.0 * (a - 1.0))
+        out = [u, v * even * x * x, -a * v * v * even * x, 0.0]
+        for k in (4, 8):
+            dx, _, du, dv = z[k:k + 4]
+            out += [du,
+                    dv * even * x * x + 2.0 * a * v * even * x * dx,
+                    -2.0 * a * v * even * x * dv
+                    - a * (2.0 * a - 1.0) * v * v * even * dx,
+                    0.0]
+        return out
+
+    start = [base.x0, base.y0, u0, v0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    sol = solve_ivp(field, (0.0, hi), start, method="DOP853", rtol=1e-12,
+                    atol=1e-12, dense_output=True)
+    assert sol.success
+
+    def det(t: float) -> float:
+        z = sol.sol(t)
+        return float(z[4] * z[9] - z[8] * z[5])
+
+    ts = np.linspace(lo, hi, 20001)
+    z = sol.sol(ts)
+    values = z[4] * z[9] - z[8] * z[5]
+    return [brentq(det, ts[i], ts[i + 1], xtol=1e-14)
+            for i in range(len(ts) - 1) if values[i] * values[i + 1] < 0.0]
+
+
+class TestCovectorParsing:
+    """Malformed covectors raise the same errors from every container."""
+
+    @pytest.mark.parametrize("make", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_component(self, make, bad, slot):
+        values = [0.5, 1.0]
+        values[slot] = bad
+        base = GrushinBase(alpha=1.5, x0=0.5, y0=0.0)
+        with pytest.raises(InvalidInput, match="finite"):
+            grushin_exp(base, make(values), 1.0)
+        with pytest.raises(InvalidInput, match="finite"):
+            GrushinCovector(*values)
+
+    @pytest.mark.parametrize("make", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+    @pytest.mark.parametrize("values", [[], [1.0], [1.0, 2.0, 3.0]])
+    def test_wrong_length(self, make, values):
+        base = GrushinBase(alpha=1.5, x0=0.5, y0=0.0)
+        with pytest.raises(ValueError, match="values to unpack"):
+            grushin_exp(base, make(values), 1.0)
+
+    def test_parsed_values_are_python_floats(self):
+        base = GrushinBase(alpha=1.5, x0=0.5, y0=0.0)
+        for cov in ((0.4, 1), [0.4, 1.0], np.array([0.4, 1.0]), np.array([2, 5]),
+                    GrushinCovector(0.4, 1.0)):
+            _, v = grushin_exp(base, cov, 1.0).momentum
+            assert type(v) is float
+        assert grushin_exp(base, np.array([0.4, 1.0]), 1.0) == grushin_exp(
+            base, GrushinCovector(0.4, 1.0), 1.0)

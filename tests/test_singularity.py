@@ -25,6 +25,8 @@ from srfolds import (ConjugateRecord, FoldWitness, InvalidInput,
                      fd_jacobian, fold_witness, grushin_adapter,
                      regularity_isomorphism_check, scan_ray,
                      second_order_transversality, sl2_adapter, su2_adapter)
+import srfolds.sl2 as sl2_module
+import srfolds.su2 as su2_module
 from srfolds.grushin import GrushinBase
 
 TWO_PI = 6.283185307179586
@@ -153,8 +155,7 @@ class TestScanRay:
 
     def test_kernel_annihilated_by_chart_jacobian(self, su2, su2_records):
         for rec in su2_records:
-            chart = lambda cov: np.asarray(su2.exp_chart(cov, rec.covector))
-            jac = fd_jacobian(chart, rec.covector)
+            jac = fd_jacobian(su2.chart_at(rec.covector), rec.covector)
             sigma_max = np.linalg.svd(jac, compute_uv=False)[0]
             kern = rec.kernel_basis[0]
             residual = np.linalg.norm(jac @ kern) / np.linalg.norm(kern)
@@ -238,6 +239,38 @@ class TestClassify:
             assert classify(scaled, rec) is rec.singularity_class
 
 
+class TestScanCost:
+    """Group exponentials per record on the scan path.
+
+    A record selects its chart with one exponential at its covector and
+    evaluates six more for the central-difference Jacobian, which the rank
+    check and the second-order certificate share. Where the pairing vanishes
+    (here, every record that is not a Fold) the second-order stencil adds
+    four. Selecting the chart on every evaluation, or a second Jacobian,
+    breaks the budget.
+    """
+
+    @pytest.mark.parametrize("module,exp_name,make_adapter,ray,s_max", [
+        (su2_module, "su2_exp", su2_adapter, SU2_RAY, 20.0),
+        (sl2_module, "sl2_exp", sl2_adapter, SL2_RAY, 14.0),
+    ], ids=["su2", "sl2"])
+    def test_exp_calls_per_record(self, monkeypatch, module, exp_name, make_adapter,
+                                  ray, s_max):
+        original = getattr(module, exp_name)
+        calls = [0]
+
+        def counted(cov, t):
+            calls[0] += 1
+            return original(cov, t)
+
+        monkeypatch.setattr(module, exp_name, counted)
+        records = scan_ray(make_adapter(), ray, s_max)
+        assert len(records) >= 2
+        budget = sum(7 if rec.singularity_class is SingularityClass.FOLD else 11
+                     for rec in records)
+        assert calls[0] <= budget
+
+
 class TestSecondOrderTransversality:
     def test_positive_at_su2_tangential_points(self, su2, su2_records):
         for rec in su2_records:
@@ -279,8 +312,9 @@ class TestFoldWitness:
         assert np.linalg.norm(witness.covector_a - cov) <= self.DELTA
         assert np.linalg.norm(witness.covector_b - cov) <= self.DELTA
         # recompute endpoint coincidence directly from the chart
-        pa = np.asarray(adapter.exp_chart(witness.covector_a, cov), float)
-        pb = np.asarray(adapter.exp_chart(witness.covector_b, cov), float)
+        chart = adapter.chart_at(cov)
+        pa = np.asarray(chart(witness.covector_a), float)
+        pb = np.asarray(chart(witness.covector_b), float)
         assert np.linalg.norm(pa - pb) <= 1e-9
 
     def test_su2_fold_witness(self, su2, su2_records):
