@@ -216,6 +216,9 @@ def classify(adapter: StructureAdapter, record: ConjugateRecord, *,
              rank_tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> SingularityClass:
     """Fold / Tangential / Undetermined for an order-one record; NotSingular at order 0.
 
+    Tangential is decided only on three-dimensional fibers: on a planar
+    structure a pairing under the tolerance gives Undetermined.
+
     The decision depends only on directions, not magnitudes: the pairing is
     normalized by |grad| |kernel|, and the second-order certificate is a norm of
     a projection, so rescaling gradient or kernel vectors cannot flip the class.
@@ -231,6 +234,11 @@ def classify(adapter: StructureAdapter, record: ConjugateRecord, *,
         return SingularityClass.UNDETERMINED
     if abs(pairing) > pairing_tol:
         return SingularityClass.FOLD
+    if adapter.fiber_dim == 2:
+        # plane-to-plane maps have folds and cusps (Whitney); the mixed
+        # second derivative certifies the group's tangential form and cannot
+        # tell a cusp, or a fold next to one, from it
+        return SingularityClass.UNDETERMINED
     value = second_order_transversality(adapter, record,
                                         rank_tol_factor=rank_tol_factor)
     if value > second_order_tol:
@@ -272,9 +280,13 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
                  delta: float) -> FoldWitness:
     """Two covectors within delta of the fold whose endpoints coincide to 1e-9.
 
-    Steps +-a along the kernel direction and Newton-corrects the full covector
-    on the far side until both images agree, certifying non-injectivity of the
-    exponential in every neighbourhood of the fold point.
+    Steps +-a along the kernel direction and solves for the full covector on
+    the far side until both images agree, certifying non-injectivity of the
+    exponential in every neighbourhood of the fold point. The solve is
+    quasi-Newton: one FD Jacobian, then Broyden updates (see _newton_partner).
+    Offsets a = delta/2, delta/3, delta/4 are tried in turn; when none meets
+    the gates, WitnessNotFound names the image distance and the separation
+    reached at each.
     """
     if record.singularity_class is not SingularityClass.FOLD:
         raise InvalidInput("fold_witness requires a record classified as Fold")
@@ -284,33 +296,48 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
     kern = np.asarray(record.kernel_basis[0], dtype=float)
     kern = kern / np.linalg.norm(kern)
     chart = adapter.chart_at(cov)
+    margins = []
     for a in (delta / 2.0, delta / 3.0, delta / 4.0):
         pair = _newton_partner(chart, cov, kern, a)
         if pair is None:
+            margins.append(f"a={a:.3g}: solve failed")
             continue
         lam_a, lam_b, dist = pair
         separation = float(np.linalg.norm(lam_a - lam_b))
-        if (dist <= 1e-9 and separation >= delta / 4.0
-                and np.linalg.norm(lam_a - cov) <= delta
-                and np.linalg.norm(lam_b - cov) <= delta):
+        reach = float(max(np.linalg.norm(lam_a - cov), np.linalg.norm(lam_b - cov)))
+        if dist <= 1e-9 and separation >= delta / 4.0 and reach <= delta:
             return FoldWitness(covector_a=lam_a, covector_b=lam_b,
                                image_distance=dist, separation=separation)
+        margins.append(f"a={a:.3g}: image distance {dist:.3g}, "
+                       f"separation {separation:.3g}, reach {reach:.3g}")
     raise WitnessNotFound(
         f"no coincident endpoint pair within delta={delta} of the fold covector; "
-        "the record may be misclassified")
+        "the record may be misclassified (need image distance <= 1e-09, "
+        f"separation >= {delta / 4.0:.3g}, reach <= delta; "
+        + "; ".join(margins) + ")")
 
 
 def _newton_partner(chart, cov: np.ndarray, kern: np.ndarray, a: float):
-    """Newton solve for the partner covector across the fold line, or None."""
+    """Quasi-Newton solve for the partner covector across the fold line, or None.
+
+    Targets the image of cov + a kern from cov - a kern. One FD Jacobian is
+    built, and only if the first residual misses 1e-13; each step then
+    applies Broyden's rank-one secant update J += (dr - J dx) dx^T / (dx.dx)
+    instead of rebuilding it. Steps are clamped to 5a. Returns
+    (lam_a, lam_b, dist) with dist the norm of the last residual.
+    """
     lam_a = cov + a * kern
     target = chart(lam_a)
     lam_b = cov - a * kern
+    residual = chart(lam_b) - target
+    dist = float(np.linalg.norm(residual))
+    jac = None
     for _ in range(50):
-        residual = chart(lam_b) - target
-        if np.linalg.norm(residual) <= 1e-13:
+        if dist <= 1e-13:
             break
         try:
-            jac = fd_jacobian(chart, lam_b, h=1e-7)
+            if jac is None:
+                jac = fd_jacobian(chart, lam_b, h=1e-7)
             step_vec = np.linalg.solve(jac, residual)
         except np.linalg.LinAlgError:
             return None
@@ -320,7 +347,13 @@ def _newton_partner(chart, cov: np.ndarray, kern: np.ndarray, a: float):
         if step_norm > 5.0 * a:
             step_vec *= 5.0 * a / step_norm
         lam_b = lam_b - step_vec
-    dist = float(np.linalg.norm(chart(lam_b) - target))
+        new_residual = chart(lam_b) - target
+        dist = float(np.linalg.norm(new_residual))
+        dx_dx = float(step_vec @ step_vec)
+        if dist > 1e-13 and dx_dx > 0.0:
+            # secant condition J dx = dr with dx = -step_vec
+            jac -= np.outer(new_residual - residual + jac @ step_vec, step_vec) / dx_dx
+        residual = new_residual
     return lam_a, lam_b, dist
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from srfolds import (DegenerateCovector, GrushinBase, GrushinCovector,
                      InvalidInput, JacobiCoords, NotConjugate, OdeProblem,
-                     fd_jacobian, find_roots,
+                     SingularityClass, fd_jacobian, find_roots,
                      grushin_adapter, grushin_amplitude, grushin_conj_f,
                      grushin_conj_grad, grushin_dexp, grushin_exp,
                      grushin_jacobi, grushin_jacobi_coefficients,
@@ -348,6 +348,27 @@ class TestNearVerticalRays:
         for rec, t in zip(records, expected):
             assert rec.order == 1
             assert abs(rec.s - t) <= 1e-10 * t
+
+    @pytest.mark.parametrize("alpha,offset,count,expected", [
+        (3.0, 1e-9, 49, SingularityClass.UNDETERMINED),
+        (3.0, 1e-7, 49, SingularityClass.UNDETERMINED),
+        (3.0, 1e-2, 49, SingularityClass.FOLD),
+        (4.0, 1e-9, 103, SingularityClass.UNDETERMINED),
+        (4.0, 1e-7, 103, SingularityClass.UNDETERMINED),
+        (4.0, 1e-5, 103, SingularityClass.UNDETERMINED),
+        (4.0, 1e-2, 103, SingularityClass.FOLD),
+    ])
+    def test_folds_under_pairing_tolerance_are_not_tangential(self, alpha, offset,
+                                                               count, expected):
+        # every record here is a fold; next to the vertical its pairing falls
+        # under PAIRING_TOL, and the mixed second derivative is no
+        # certificate of the tangential form on the plane
+        base = GrushinBase(alpha=alpha, x0=2.0, y0=0.0)
+        angle = math.pi / 2.0 + offset
+        records = scan_ray(grushin_adapter(base),
+                           (math.cos(angle), math.sin(angle)), 30.0)
+        assert len(records) == count
+        assert all(rec.singularity_class is expected for rec in records)
 
 
 def _conjugate_times_oracle(base: GrushinBase, direction, lo: float,

@@ -15,6 +15,7 @@ tangential points through the mixed second-derivative norm.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -346,8 +347,73 @@ class TestFoldWitness:
         # there, so the two-preimage search must fail rather than fabricate
         d = _unit(SU2_RAY)
         fake = replace(su2_records[1], covector=3.0 * d, s=3.0)
-        with pytest.raises(WitnessNotFound):
+        with pytest.raises(WitnessNotFound) as info:
             fold_witness(su2, fake, self.DELTA)
+        # the message names the margins each offset reached; here every
+        # solve lands back on the first covector
+        message = str(info.value)
+        margins = re.findall(r"a=(\S+): image distance (\S+), separation (\S+), "
+                             r"reach (\S+?)[;)]", message)
+        assert [m[0] for m in margins] == ["0.0005", "0.000333", "0.00025"]
+        for _, dist, separation, reach in margins:
+            assert float(dist) <= 1e-9
+            assert float(separation) < self.DELTA / 4.0
+            assert float(reach) <= self.DELTA
+        assert "separation >= 0.00025" in message
+
+
+class TestWitnessCost:
+    """Chart evaluations per fold witness.
+
+    The partner solve builds one FD Jacobian (six evaluations) and then
+    updates it by Broyden's secant formula, so a witness costs the two
+    starting evaluations, the Jacobian and one evaluation per step. On the
+    long SL(2) ray the FD step is as large as the offset along the kernel; a
+    fresh Jacobian on every step costs about 50 evaluations per witness there,
+    and four of the 77 witnesses fall back past a = delta/2.
+    """
+
+    DELTA = 1e-3
+
+    @staticmethod
+    def _counting(adapter):
+        calls = [0]
+
+        def chart_at(center):
+            chart = adapter.chart_at(center)
+
+            def counted(cov):
+                calls[0] += 1
+                return chart(cov)
+            return counted
+
+        return replace(adapter, chart_at=chart_at), calls
+
+    def _witness_costs(self, adapter, records):
+        counted, calls = self._counting(adapter)
+        costs, offsets = [], []
+        for rec in records:
+            calls[0] = 0
+            witness = fold_witness(counted, rec, self.DELTA)
+            costs.append(calls[0])
+            offsets.append(float(np.linalg.norm(witness.covector_a - rec.covector)))
+        return costs, offsets
+
+    def test_long_sl2_ray(self, sl2):
+        folds = [rec for rec in scan_ray(sl2, SL2_RAY, 4000.0)
+                 if rec.singularity_class is SingularityClass.FOLD and rec.s >= 3000.0]
+        assert len(folds) >= 10
+        costs, offsets = self._witness_costs(sl2, folds)
+        assert sum(costs) / len(costs) <= 14.0
+        # every witness succeeds at the first offset, a = delta / 2
+        assert offsets == pytest.approx([self.DELTA / 2.0] * len(folds), rel=1e-9)
+
+    def test_su2_ray(self, su2, su2_records):
+        folds = [rec for rec in su2_records
+                 if rec.singularity_class is SingularityClass.FOLD]
+        assert len(folds) == 2
+        costs, _ = self._witness_costs(su2, folds)
+        assert max(costs) <= 10
 
 
 class TestRegularityIsomorphism:
