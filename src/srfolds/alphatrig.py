@@ -23,6 +23,14 @@ always the component computed directly and keeps full relative precision
 by oddness, periodicity and the sign pattern of the pair. alpha = 1
 short-circuits to math.sin/math.cos and math.asin. The integral definition
 of pi_alpha is kept as a quadrature oracle for the tests.
+
+The *_array functions evaluate the same formulas over a 1-d array, branch by
+branch on masks, and return bit for bit what the scalar functions return at
+each element. Arithmetic, sqrt and fmod are correctly rounded in numpy as in
+Python, and the betainc/betaincinv ufuncs run the same code on arrays as on
+scalars; numpy's own power, log, expm1, arcsin, arccos, sin and cos can
+differ from the C library by an ulp, so those go through the scalar libm
+element by element (numeric.libm).
 """
 
 from __future__ import annotations
@@ -31,10 +39,11 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
 from scipy.special import beta, betainc, betaincinv
 
 from .errors import InvalidInput
-from .numeric import quad
+from .numeric import libm, quad
 
 # below this, x = s^(2 alpha) moves s and cos by less than an ulp from the
 # leading terms (t, 1); it also keeps x clear of the underflow at which
@@ -101,6 +110,21 @@ def _eval_quarter(table: _AlphaConstants, tq: float) -> tuple[float, float]:
     return (1.0 - cos_sq) ** a, math.sqrt(cos_sq)
 
 
+def _eval_quarter_array(table: _AlphaConstants, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_eval_quarter at each element of tq."""
+    a, quarter = table.a, table.quarter
+    s_abs, c_abs = tq.copy(), np.ones_like(tq)
+    low = np.flatnonzero(tq <= table.t_mid)
+    low = low[libm(pow, tq[low], 2.0 * table.alpha) >= _NEGLIGIBLE_X]
+    x = betaincinv(a, 0.5, tq[low] / quarter)
+    s_abs[low], c_abs[low] = libm(pow, x, a), np.sqrt(1.0 - x)
+    high = np.flatnonzero(~(tq <= table.t_mid))
+    gap = quarter - tq[high]
+    cos_sq = betaincinv(0.5, a, np.where(0.0 > gap, 0.0, gap) / quarter)
+    s_abs[high], c_abs[high] = libm(pow, 1.0 - cos_sq, a), np.sqrt(cos_sq)
+    return s_abs, c_abs
+
+
 def _arc_quarter(table: _AlphaConstants, s: float) -> float:
     """Phase tq in [0, quarter] with sin_alpha(tq) = s, for s in [0, 1]."""
     x = s ** (2.0 * table.alpha)
@@ -114,6 +138,24 @@ def _arc_quarter(table: _AlphaConstants, s: float) -> float:
 def _arc_cos_quarter(table: _AlphaConstants, cos_sq: float) -> float:
     """Phase tq in [0, quarter] with cos_alpha(tq)^2 = cos_sq (complementary form)."""
     return table.quarter * (1.0 - float(betainc(0.5, table.a, cos_sq)))
+
+
+def _arc_quarter_array(table: _AlphaConstants, s: np.ndarray) -> np.ndarray:
+    """_arc_quarter at each element of s."""
+    x = libm(pow, s, 2.0 * table.alpha)
+    tq = s.copy()
+    kept = ~(x < _NEGLIGIBLE_X)
+    mid = np.flatnonzero(kept & (x <= 0.5))
+    tq[mid] = table.quarter * betainc(table.a, 0.5, x[mid])
+    top = np.flatnonzero(kept & ~(x <= 0.5))
+    log_s = libm(math.log, s[top])
+    tq[top] = _arc_cos_quarter_array(table, -libm(math.expm1, 2.0 * table.alpha * log_s))
+    return tq
+
+
+def _arc_cos_quarter_array(table: _AlphaConstants, cos_sq: np.ndarray) -> np.ndarray:
+    """_arc_cos_quarter at each element of cos_sq."""
+    return table.quarter * (1.0 - betainc(0.5, table.a, cos_sq))
 
 
 def sin_cos_alpha(alpha: float, t: float) -> tuple[float, float]:
@@ -183,3 +225,37 @@ def arc_cos_alpha(alpha: float, c: float) -> float:
     if alpha == 1.0:
         return math.acos(c)
     return _arc_cos_quarter(_table_cached(alpha), c * c)
+
+
+def sin_cos_alpha_array(alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin_cos_alpha at each element of a 1-d array of finite t."""
+    alpha = _validate_alpha(alpha)
+    if alpha == 1.0:
+        return libm(math.sin, t), libm(math.cos, t)
+    table = _table_cached(alpha)
+    period = 2.0 * table.pi_alpha
+    half = table.pi_alpha
+    odd_sign = np.where(t < 0.0, -1.0, 1.0)
+    tau = np.fmod(np.where(t < 0.0, -t, t), period)
+    first, second, third = tau < 0.5 * half, tau < half, tau < 1.5 * half
+    tq = np.select([first, second, third], [tau, half - tau, tau - half], period - tau)
+    s_abs, c_abs = _eval_quarter_array(table, tq)
+    s_sign = np.where(second, 1.0, -1.0)
+    c_sign = np.where(first | ~third, 1.0, -1.0)
+    return odd_sign * s_sign * s_abs, c_sign * c_abs
+
+
+def arc_alpha_array(alpha: float, s: np.ndarray) -> np.ndarray:
+    """arc_alpha(alpha, s, 1.0) at each element of a 1-d array of s in [0, 1]."""
+    alpha = _validate_alpha(alpha)
+    if alpha == 1.0:
+        return libm(math.asin, np.abs(s))
+    return _arc_quarter_array(_table_cached(alpha), np.abs(s))
+
+
+def arc_cos_alpha_array(alpha: float, c: np.ndarray) -> np.ndarray:
+    """arc_cos_alpha at each element of a 1-d array of c in [0, 1]."""
+    alpha = _validate_alpha(alpha)
+    if alpha == 1.0:
+        return libm(math.acos, c)
+    return _arc_cos_quarter_array(_table_cached(alpha), c * c)

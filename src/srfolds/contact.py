@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import rank_nullspace
+from .numeric import libm, rank_nullspace
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
 from .singularity import StructureAdapter
 from .state import JacobiCoords
@@ -117,6 +117,29 @@ class ContactGroup:
         """Stratum functions (f0, f1); the covector is conjugate iff f0 f1 = 0."""
         _, f0, f1 = self.conj_f(cov)
         return f0, f1
+
+    def strata_array(self, covs: np.ndarray) -> np.ndarray:
+        """strata at each row (u0, v0, w0) of covs, as a (2, n) array, bit for bit.
+
+        Rows with r > 0 take the trigonometric branch in one array pass. The
+        rest (H = 0, r <= 0, not finite) go to strata itself, so they raise or
+        return exactly what the scalar loop does; on a ray that passes the
+        adapter's ray_gate, r <= 0 only appears by rounding.
+        """
+        u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
+        with np.errstate(all="ignore"):
+            h2 = u0 * u0 + v0 * v0
+            r = w0 * w0 + self.eps * h2
+        live = (h2 != 0.0) & (r > 0.0) & np.isfinite(r)
+        out = np.empty((2, covs.shape[0]))
+        root = np.sqrt(r[live])
+        half = root / 2.0
+        sin_half = libm(math.sin, half)
+        out[0, live] = root * libm(math.cos, half) - 2.0 * sin_half
+        out[1, live] = sin_half
+        for i in np.flatnonzero(~live):
+            out[:, i] = self.strata(covs[i])
+        return out
 
     def kernel(self, cov, tol: float = 1e-8) -> np.ndarray:
         """Unit kernel vector of the time-one differential at a conjugate covector."""
@@ -218,6 +241,7 @@ class ContactGroup:
             fiber_dim=3,
             chart_at=chart_at,
             conj_f=self.strata,
+            conj_f_array=self.strata_array,
             conj_grad=conj_grad,
             kernel=self.kernel,
             stratum_names=("C0", "C1"),

@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphatrig import arc_alpha, arc_cos_alpha, pi_alpha, sin_cos_alpha
+from .alphatrig import (arc_alpha, arc_alpha_array, arc_cos_alpha, arc_cos_alpha_array,
+                        pi_alpha, sin_cos_alpha, sin_cos_alpha_array)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import OdeProblem, integrate
+from .numeric import OdeProblem, integrate, libm
 from .singularity import PAIRING_TOL, StructureAdapter
 from .state import GeodesicState, JacobiCoords
 
@@ -338,6 +339,43 @@ def grushin_conj_f(base: GrushinBase, cov) -> float:
     return u1 * (u0 + base.x0) - u0 * x1
 
 
+def grushin_conj_f_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
+    """grushin_conj_f at each row (u0, v0) of covs, bit for bit, in one array pass.
+
+    Follows the scalar branches node by node: the straight line where the
+    curvature is not resolvable (f is exactly 0 there), and the oscillator,
+    with the phase inverted from the smaller of its sine and cosine ratios.
+    Rows that are not finite or have H = 0 go to grushin_conj_f itself, so
+    the first of them raises what the scalar loop raises there.
+    """
+    u0, v0 = covs[:, 0], covs[:, 1]
+    alpha, x0 = base.alpha, base.x0
+    with np.errstate(all="ignore"):
+        h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
+        f = u0 * (u0 + x0) - u0 * (x0 + u0 * 1.0)
+        osc = np.flatnonzero((h2 != 0.0) & (v0 * v0 != 0.0)
+                             & np.isfinite(np.sqrt(h2) / np.abs(v0)))
+    for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
+        f[i] = grushin_conj_f(base, covs[i])
+    u0, v0, h2 = u0[osc], v0[osc], h2[osc]
+    # _oscillator and grushin_exp at t = 1, term for term
+    amp = libm(pow, np.sqrt(h2) / np.abs(v0), 1.0 / alpha)
+    omega = v0 * libm(pow, amp, alpha - 1.0)
+    sin_ratio = np.minimum(np.abs(x0 / amp), 1.0)
+    cos_ratio = np.minimum(np.abs(u0 / (amp * omega)), 1.0)
+    by_cos = cos_ratio < sin_ratio
+    arc = np.empty_like(amp)
+    arc[by_cos] = arc_cos_alpha_array(alpha, cos_ratio[by_cos])
+    arc[~by_cos] = arc_alpha_array(alpha, sin_ratio[~by_cos])
+    phase = np.copysign(arc, x0)
+    flip = np.where(u0 * v0 < 0.0, -1.0, 1.0)
+    sin_a, cos_a = sin_cos_alpha_array(alpha, phase + flip * omega * 1.0)
+    x1 = amp * sin_a
+    u1 = flip * amp * omega * cos_a
+    f[osc] = u1 * (u0 + x0) - u0 * x1
+    return f
+
+
 def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
     """Analytic gradient (df/du0, df/dv0) of the conjugacy function."""
     u0, v0 = _cov_pair(cov)
@@ -405,6 +443,9 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     def conj_f(cov) -> tuple[float]:
         return (grushin_conj_f(base, cov),)
 
+    def conj_f_array(covs: np.ndarray) -> np.ndarray:
+        return grushin_conj_f_array(base, covs)[np.newaxis]
+
     def conj_grad(cov, stratum: str) -> np.ndarray:
         return grushin_conj_grad(base, cov)
 
@@ -436,6 +477,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         fiber_dim=2,
         chart_at=lambda center: endpoint,
         conj_f=conj_f,
+        conj_f_array=conj_f_array,
         conj_grad=conj_grad,
         kernel=kernel,
         stratum_names=("other",),

@@ -8,8 +8,9 @@ loosens them explicitly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate as _sint
@@ -98,25 +99,58 @@ class RootHit:
     residual: float
 
 
-def find_roots(g: Callable[[float], float], lo: float, hi: float,
-               scan_points: int = DEFAULT_SCAN_POINTS,
-               tol: float = DEFAULT_ROOT_TOL) -> list[RootHit]:
-    """All sign-change roots of g on [lo, hi]: uniform scan, then Brent polish.
+def libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """fn(v, *args) at each element v of a 1-d array, through Python floats.
 
-    Every accepted root satisfies |g(r)| <= tol * scale, where scale is the largest
-    |g| seen on the scan grid; a sign change across a pole fails that gate and is
-    dropped. A grid node where g is exactly zero is a root only when the nearest
-    nonzero grid values on either side differ in sign, so a zero at an endpoint
-    or a touching zero is not reported. Hits are deduplicated and sorted ascending.
+    numpy's own transcendental ufuncs (power, log, expm1, arcsin, sin, ...)
+    may differ from the C library by an ulp; this gives what the scalar code
+    computes, bit for bit.
     """
+    columns = (itertools.repeat(arg, x.size) for arg in args)
+    return np.fromiter(map(fn, x.tolist(), *columns), dtype=float, count=x.size)
+
+
+def scan_nodes(lo: float, hi: float, scan_points: int) -> np.ndarray:
+    """The uniform grid of find_roots: scan_points nodes from lo to hi."""
     if not (hi > lo):
         raise InvalidInput(f"empty scan interval [{lo}, {hi}]")
     if scan_points < 2:
         raise InvalidInput("scan_points must be at least 2")
-    xs = np.linspace(lo, hi, scan_points)
-    gs = np.array([g(x) for x in xs], dtype=float)
-    if not np.all(np.isfinite(gs)):
-        raise NonConvergence("scan produced non-finite values")
+    return np.linspace(lo, hi, scan_points)
+
+
+def find_roots(g: Callable[[float], float], lo: float, hi: float,
+               scan_points: int = DEFAULT_SCAN_POINTS,
+               tol: float = DEFAULT_ROOT_TOL,
+               grid_values: Optional[np.ndarray] = None) -> list[RootHit]:
+    """All sign-change roots of g on [lo, hi]: uniform scan, then Brent polish.
+
+    The scan samples g at scan_nodes(lo, hi, scan_points), one call per node,
+    unless grid_values already holds g at those nodes (a caller that can
+    evaluate g over an array passes it); it must then equal g there bit for
+    bit, since Brent and the residual gate still call g. Every accepted root
+    satisfies |g(r)| <= tol * scale, where scale is the largest |g| seen on
+    the scan grid; a sign change across a pole fails that gate and is
+    dropped. A grid node where g is exactly zero is a root only when the
+    nearest nonzero grid values on either side differ in sign, so a zero at
+    an endpoint or a touching zero is not reported. Hits are deduplicated and
+    sorted ascending. A non-finite grid value raises NonConvergence, which
+    names the first such node.
+    """
+    xs = scan_nodes(lo, hi, scan_points)
+    if grid_values is None:
+        gs = np.array([g(x) for x in xs], dtype=float)
+    else:
+        gs = np.asarray(grid_values, dtype=float)
+        if gs.shape != xs.shape:
+            raise InvalidInput(
+                f"grid_values has shape {gs.shape}, expected ({scan_points},)")
+    bad = np.flatnonzero(~np.isfinite(gs))
+    if bad.size:
+        first = bad[0]
+        raise NonConvergence(
+            f"scan produced {bad.size} non-finite values on [{lo}, {hi}]; "
+            f"first at s = {float(xs[first])!r}: {float(gs[first])!r}")
     scale = max(1.0, float(np.max(np.abs(gs))))
     hits: list[RootHit] = []
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidInput, WitnessNotFound
 from .numeric import (DEFAULT_RANK_TOL_FACTOR, DEFAULT_ROOT_TOL,
                       DEFAULT_SCAN_POINTS, RankResult, fd_jacobian, find_roots,
-                      rank_nullspace)
+                      rank_nullspace, scan_nodes)
 
 # |<grad, kernel>| / (|grad| |kernel|) above this means transversal (fold)
 PAIRING_TOL = 1e-6
@@ -57,8 +57,14 @@ class StructureAdapter:
     chart is selected once, when chart_at is called, so finite differences
     never straddle a chart switch and each evaluation costs one exponential.
     conj_f returns the tuple of stratum function values aligned with
-    stratum_names; conj_grad(cov, stratum) the analytic gradient of one of
-    them; kernel(cov) a unit kernel vector at a conjugate covector.
+    stratum_names; conj_f_array(covs) evaluates them at every row of an
+    (n, fiber_dim) array of covectors in one array call and returns an
+    (n_strata, n) array whose entries equal conj_f's bit for bit (or raises
+    what conj_f raises at the first row where it raises): scan_ray samples its
+    grid with it, and Brent and the residual gate use conj_f, so both must
+    agree for the brackets to hold. conj_grad(cov, stratum) is the analytic
+    gradient of one stratum function; kernel(cov) a unit kernel vector at a
+    conjugate covector.
 
     ray_gate(direction) says whether covectors along the ray can be conjugate
     at all; undetermined(cov, stratum) marks points the classification theory
@@ -76,6 +82,7 @@ class StructureAdapter:
     fiber_dim: int
     chart_at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     conj_f: Callable[[np.ndarray], tuple]
+    conj_f_array: Callable[[np.ndarray], np.ndarray]
     conj_grad: Callable[[np.ndarray, str], np.ndarray]
     kernel: Callable[[np.ndarray], np.ndarray]
     stratum_names: tuple[str, ...]
@@ -153,9 +160,11 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
              rank_tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> list[ConjugateRecord]:
     """Conjugate covectors on the ray {s * direction : 0 < s <= s_max}, classified.
 
-    Roots of each stratum function are located by a scan-and-bracket search;
-    every root is cross-validated by the finite-difference rank of the chart
-    exponential before it becomes a record. Records are sorted by s.
+    Roots of each stratum function are located by a scan-and-bracket search:
+    one conj_f_array call samples every stratum on the scan grid, and Brent
+    polishes each sign change with the scalar conj_f. Every root is
+    cross-validated by the finite-difference rank of the chart exponential
+    before it becomes a record. Records are sorted by s.
     """
     d = np.asarray(direction, dtype=float)
     if d.shape != (adapter.fiber_dim,):
@@ -170,11 +179,13 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     if not adapter.ray_gate(d):
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
+    grid = adapter.conj_f_array(scan_nodes(lo, s_max, scan_points)[:, np.newaxis] * d)
     records: list[ConjugateRecord] = []
     for idx, stratum in enumerate(adapter.stratum_names):
         def g(s: float, _i: int = idx) -> float:
             return float(adapter.conj_f(s * d)[_i])
-        for hit in find_roots(g, lo, s_max, scan_points=scan_points, tol=root_tol):
+        for hit in find_roots(g, lo, s_max, scan_points=scan_points, tol=root_tol,
+                              grid_values=grid[idx]):
             records.append(_build_record(
                 adapter, d, hit.value, stratum,
                 pairing_tol=pairing_tol, second_order_tol=second_order_tol,

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srfolds import (DegenerateMatrix, InvalidInput, OdeProblem, fd_jacobian,
-                     find_roots, integrate, quad, rank_nullspace)
+from srfolds import (DegenerateMatrix, InvalidInput, NonConvergence, OdeProblem,
+                     fd_jacobian, find_roots, integrate, quad, rank_nullspace)
 from srfolds.su2 import su2_conj_matrix
 
 TAN_FIXED_POINT = 4.493409457909064
@@ -158,6 +158,37 @@ class TestFindRoots:
             find_roots(math.sin, 1.0, 1.0)
         with pytest.raises(InvalidInput):
             find_roots(math.sin, 0.0, 1.0, scan_points=1)
+
+    def test_grid_values_replace_the_scan_loop(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return math.sin(t)
+
+        grid = np.array([math.sin(t) for t in np.linspace(1.0, 7.0, 400)])
+        hits = find_roots(g, 1.0, 7.0, grid_values=grid)
+        assert [h.value for h in hits] == [h.value for h in find_roots(math.sin, 1.0, 7.0)]
+        # only Brent and the residual gate call g
+        assert 0 < len(calls) < 40
+
+    @pytest.mark.parametrize("length", [399, 401])
+    def test_grid_values_of_wrong_length_rejected(self, length):
+        with pytest.raises(InvalidInput, match=r"grid_values has shape \(%d,\)" % length):
+            find_roots(math.sin, 1.0, 7.0, grid_values=np.zeros(length))
+
+    @pytest.mark.parametrize("use_grid", [False, True], ids=["scalar", "grid"])
+    def test_non_finite_scan_names_its_nodes(self, use_grid):
+        # nan at the nodes 0, 0.5 and 1 of the grid 0, 0.5, ..., 2
+        def g(t):
+            return math.log(t - 1.25) if t > 1.25 else math.nan
+
+        xs = np.linspace(0.0, 2.0, 5)
+        grid = np.array([g(x) for x in xs]) if use_grid else None
+        with pytest.raises(NonConvergence) as err:
+            find_roots(g, 0.0, 2.0, scan_points=5, grid_values=grid)
+        assert str(err.value) == (
+            "scan produced 3 non-finite values on [0.0, 2.0]; first at s = 0.0: nan")
 
 
 class TestFdJacobian:

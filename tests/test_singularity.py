@@ -26,6 +26,7 @@ from srfolds import (ConjugateRecord, FoldWitness, InvalidInput,
                      fd_jacobian, fold_witness, grushin_adapter,
                      regularity_isomorphism_check, scan_ray,
                      second_order_transversality, sl2_adapter, su2_adapter)
+from srfolds.numeric import DEFAULT_SCAN_POINTS
 import srfolds.sl2 as sl2_module
 import srfolds.su2 as su2_module
 from srfolds.grushin import GrushinBase
@@ -270,6 +271,27 @@ class TestScanCost:
         budget = sum(7 if rec.singularity_class is SingularityClass.FOLD else 11
                      for rec in records)
         assert calls[0] <= budget
+
+    @pytest.mark.parametrize("make_adapter,ray,s_max", [
+        (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
+         (math.cos(0.9), math.sin(0.9)), 20.0),
+        (su2_adapter, SU2_RAY, 20.0),
+        (sl2_adapter, SL2_RAY, 14.0),
+    ], ids=["grushin", "su2", "sl2"])
+    def test_scalar_conj_f_calls_per_record(self, make_adapter, ray, s_max):
+        # the grid is one conj_f_array call; the scalar conj_f serves only
+        # Brent, its residual check and each record's f-values
+        adapter = make_adapter()
+        calls = [0]
+
+        def counted(cov):
+            calls[0] += 1
+            return adapter.conj_f(cov)
+
+        records = scan_ray(replace(adapter, conj_f=counted), ray, s_max)
+        assert len(records) >= 2
+        assert calls[0] <= 16 * len(records)
+        assert calls[0] < DEFAULT_SCAN_POINTS
 
 
 class TestSecondOrderTransversality:
