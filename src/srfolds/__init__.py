@@ -17,9 +17,8 @@ from .grushin import (GrushinAmplitude, GrushinBase, GrushinCovector,
                       grushin_exp, grushin_jacobi, grushin_jacobi_coefficients,
                       grushin_kernel)
 from .numeric import (OdeProblem, RankResult, RootHit, Trajectory, fd_jacobian,
-                      find_roots, integrate, quad, rank_nullspace)
-from .scfun import (jacobi_ratios, propagate_linear_jacobi, sc_pair,
-                    vertical_to_endpoint_matrix)
+                      find_roots, integrate, rank_nullspace)
+from .scfun import propagate_linear_jacobi, sc_pair, vertical_to_endpoint_matrix
 from .selftest import CheckResult, format_report, run_selftest
 from .singularity import (ConjugateRecord, FoldWitness, SingularityClass,
                           StructureAdapter, classify, fold_witness,
@@ -29,9 +28,8 @@ from .sl2 import (Sl2Covector, Sl2Matrix, sl2_adapter, sl2_chart, sl2_conj_f,
                   sl2_conj_grad, sl2_exp, sl2_frame_images, sl2_jacobi,
                   sl2_kernel)
 from .state import GeodesicState, JacobiCoords
-from .su2 import (Su2Covector, Su2JacobiCoeffs, Su2Point, su2_adapter,
-                  su2_chart, su2_conj_f, su2_conj_grad, su2_conj_matrix,
-                  su2_exp, su2_frame_images, su2_jacobi, su2_jacobi_coeffs,
+from .su2 import (Su2Covector, Su2Point, su2_adapter, su2_chart, su2_conj_f,
+                  su2_conj_grad, su2_exp, su2_frame_images, su2_jacobi,
                   su2_kernel)
 
 __version__ = "0.1.0"
@@ -39,21 +37,22 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult", "ConjugateRecord", "DegenerateCovector",
     "DegenerateMatrix", "FoldWitness", "GeodesicState", "GrushinAmplitude",
-    "GrushinBase", "GrushinCovector", "GrushinJacobiCoeffs", "InvalidInput",
-    "JacobiCoords", "NonConvergence", "NotConjugate", "OdeProblem",
-    "RankResult", "RootHit", "SingularityClass", "Sl2Covector", "Sl2Matrix",
-    "SrfoldsError", "StepFailure", "StructureAdapter", "Su2Covector",
-    "Su2JacobiCoeffs", "Su2Point", "Trajectory", "WitnessNotFound",
-    "arc_alpha", "classify", "fd_jacobian", "find_roots",
-    "fold_witness", "format_report", "grushin_adapter", "grushin_amplitude",
-    "grushin_conj_f", "grushin_conj_grad", "grushin_dexp", "grushin_exp",
-    "grushin_jacobi", "grushin_jacobi_coefficients", "grushin_kernel",
-    "integrate", "jacobi_ratios", "pi_alpha", "propagate_linear_jacobi",
-    "quad", "rank_nullspace", "regularity_isomorphism_check", "run_selftest",
-    "sc_pair", "scan_ray", "second_order_transversality",
-    "sin_cos_alpha", "sl2_adapter", "sl2_chart", "sl2_conj_f", "sl2_conj_grad",
-    "sl2_exp", "sl2_frame_images", "sl2_jacobi", "sl2_kernel", "su2_adapter",
-    "su2_chart", "su2_conj_f", "su2_conj_grad", "su2_conj_matrix", "su2_exp",
-    "su2_frame_images", "su2_jacobi", "su2_jacobi_coeffs", "su2_kernel",
+    "GrushinBase", "GrushinCovector", "GrushinJacobiCoeffs",
+    "InvalidInput", "JacobiCoords", "NonConvergence", "NotConjugate",
+    "OdeProblem", "RankResult", "RootHit", "SingularityClass",
+    "Sl2Covector", "Sl2Matrix", "SrfoldsError", "StepFailure",
+    "StructureAdapter", "Su2Covector", "Su2Point", "Trajectory",
+    "WitnessNotFound", "arc_alpha", "classify", "fd_jacobian",
+    "find_roots", "fold_witness", "format_report", "grushin_adapter",
+    "grushin_amplitude", "grushin_conj_f", "grushin_conj_grad",
+    "grushin_dexp", "grushin_exp", "grushin_jacobi",
+    "grushin_jacobi_coefficients", "grushin_kernel", "integrate",
+    "pi_alpha", "propagate_linear_jacobi", "rank_nullspace",
+    "regularity_isomorphism_check", "run_selftest", "sc_pair", "scan_ray",
+    "second_order_transversality", "sin_cos_alpha", "sl2_adapter",
+    "sl2_chart", "sl2_conj_f", "sl2_conj_grad", "sl2_exp",
+    "sl2_frame_images", "sl2_jacobi", "sl2_kernel", "su2_adapter",
+    "su2_chart", "su2_conj_f", "su2_conj_grad", "su2_exp",
+    "su2_frame_images", "su2_jacobi", "su2_kernel",
     "vertical_to_endpoint_matrix",
 ]

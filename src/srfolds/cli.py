@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", default=None, help="write output to FILE")
-        p.add_argument("--seed", type=int, default=0)
 
     def add_structure(p: argparse.ArgumentParser) -> None:
         p.add_argument("--structure", choices=("grushin", "su2", "sl2"),
@@ -260,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run the verification battery")
     add_common(p_self)
+    p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

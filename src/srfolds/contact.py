@@ -43,6 +43,8 @@ from .state import JacobiCoords
 
 # C0 covectors with w0 = 0 fall outside the proven dense subset; excluded
 _VERTICAL_EXCLUSION_TOL = 1e-12
+# relative stratum residual under which kernel() accepts a covector as conjugate
+_KERNEL_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ class ContactGroup:
             out[:, i] = self.strata(covs[i])
         return out
 
-    def kernel(self, cov, tol: float = 1e-8) -> np.ndarray:
+    def kernel(self, cov) -> np.ndarray:
         """Unit kernel vector of the time-one differential at a conjugate covector."""
         u0, v0, w0 = cov_triple(cov)
         r, f0, f1 = self.conj_f((u0, v0, w0))
@@ -149,7 +151,7 @@ class ContactGroup:
             raise NotConjugate(f"covectors with r = {r:.6g} <= 0 are never conjugate")
         root = math.sqrt(r)
         scale = max(1.0, root)
-        if min(abs(f0), abs(f1)) > tol * scale:
+        if min(abs(f0), abs(f1)) > _KERNEL_RESIDUAL_TOL * scale:
             raise NotConjugate(
                 f"covector is not conjugate: |f0| = {abs(f0):.3e}, |f1| = {abs(f1):.3e}")
         half = root / 2.0

@@ -24,7 +24,10 @@ with v0 != 0; they all have order one, with kernel direction
 (v0 |x0|^(2 alpha), -u0) in the (u, v) fiber coordinates. The analytic gradient
 of f drives the fold/tangential split; here the strata are not named by
 separate functions, so records are labeled C0 (transversal) or C1 (tangent)
-after the kernel pairing is known.
+after the kernel pairing is known. The label is the pairing test at
+singularity.PAIRING_TOL and nothing more: a fold whose normalized pairing falls
+under it, as on rays next to u0 = 0, reads C1 and Undetermined, and so does a
+cusp. Telling those apart needs a cusp certificate and a second fold route.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from .state import GeodesicState, JacobiCoords
 
 # relative tolerance deciding the u0 + x0 = 0 branch of the gradient formulas
 _BRANCH_TOL = 1e-12
+# relative residual of f under which grushin_kernel accepts a covector as conjugate
+_KERNEL_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -405,7 +410,7 @@ def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
     return np.array([df_du, df_dv])
 
 
-def grushin_kernel(base: GrushinBase, cov, tol: float = 1e-8) -> list[np.ndarray]:
+def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
     """Unit kernel vector(s) of the endpoint differential at a conjugate covector.
 
     The kernel is always one-dimensional here, spanned by
@@ -421,9 +426,10 @@ def grushin_kernel(base: GrushinBase, cov, tol: float = 1e-8) -> list[np.ndarray
     u1, _ = state.momentum
     f = u1 * (u0 + base.x0) - u0 * x1
     scale = max(1.0, abs(u1) * (abs(u0) + abs(base.x0)) + abs(u0) * abs(x1))
-    if abs(f) > tol * scale:
+    bound = _KERNEL_RESIDUAL_TOL * scale
+    if abs(f) > bound:
         raise NotConjugate(
-            f"covector is not conjugate: |f| = {abs(f):.3e} exceeds {tol * scale:.3e}")
+            f"covector is not conjugate: |f| = {abs(f):.3e} exceeds {bound:.3e}")
     kern = np.array([v0 * _even_power(base.x0, base.alpha), -u0])
     return [kern / np.linalg.norm(kern)]
 

@@ -214,19 +214,17 @@ class RankResult:
     image_complement: np.ndarray
 
 
-def rank_nullspace(M: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> RankResult:
-    """Numeric rank and nullspace of M; threshold is tol_factor * largest singular value."""
+def rank_nullspace(M: np.ndarray) -> RankResult:
+    """Numeric rank and nullspace of M; threshold DEFAULT_RANK_TOL_FACTOR * largest sigma."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise InvalidInput(f"expected a nonempty 2-d matrix, got shape {M.shape}")
-    if not (0.0 < tol_factor < 1.0):
-        raise InvalidInput(f"tol_factor {tol_factor} outside (0, 1)")
     if not np.all(np.isfinite(M)):
         raise DegenerateMatrix("matrix contains non-finite entries")
     u, s, vh = np.linalg.svd(M)
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateMatrix("zero matrix has no usable rank threshold")
-    tol = tol_factor * float(s[0])
+    tol = DEFAULT_RANK_TOL_FACTOR * float(s[0])
     rank = int(np.sum(s > tol))
     basis = tuple(vh[k].copy() for k in range(rank, M.shape[1]))
     return RankResult(singular_values=s, numeric_rank=rank,

@@ -24,14 +24,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, WitnessNotFound
-from .numeric import (DEFAULT_RANK_TOL_FACTOR, DEFAULT_ROOT_TOL,
-                      DEFAULT_SCAN_POINTS, RankResult, fd_jacobian, find_roots,
-                      rank_nullspace, scan_nodes)
+from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, RankResult,
+                      fd_jacobian, find_roots, rank_nullspace, scan_nodes)
 
+# The classification policy is fixed. conj-scan prints PAIRING_TOL and
+# SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
 # |<grad, kernel>| / (|grad| |kernel|) above this means transversal (fold)
 PAIRING_TOL = 1e-6
 # projected mixed second derivative above this certifies the tangential form
 SECOND_ORDER_TOL = 1e-3
+# step of the four-point stencil of the second-order certificate
+SECOND_ORDER_STEP = 1e-4
+# share of the kernel Jacobi momentum outside Im(d exp) that certifies regularity
+INDEPENDENCE_TOL = 1e-3
 # relative offset of the first scan node from the ray origin
 RAY_ORIGIN_OFFSET = 1e-4
 
@@ -95,15 +100,6 @@ class StructureAdapter:
 
 
 @dataclass(frozen=True)
-class _LocalData:
-    """What _build_record computes once at a covector and classify reuses."""
-
-    chart: Callable[[np.ndarray], np.ndarray]
-    rank: RankResult
-    pairing: Optional[float]
-
-
-@dataclass(frozen=True)
 class ConjugateRecord:
     """One conjugate covector found on a ray, with its cross-validated order."""
 
@@ -114,10 +110,6 @@ class ConjugateRecord:
     kernel_basis: tuple[np.ndarray, ...]
     f_values: tuple[float, ...]
     singularity_class: SingularityClass
-    # set by _build_record while it classifies; replace() resets it to None,
-    # so a modified record never reuses data of the one it came from
-    _local: Optional[_LocalData] = field(default=None, init=False, repr=False,
-                                         compare=False)
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,6 @@ class FoldWitness:
 
 def _normalized_pairing(adapter: StructureAdapter,
                         record: ConjugateRecord) -> Optional[float]:
-    if record._local is not None:
-        return record._local.pairing
     grad = np.asarray(adapter.conj_grad(record.covector, record.stratum), float)
     kern = np.asarray(record.kernel_basis[0], float)
     denom = float(np.linalg.norm(grad) * np.linalg.norm(kern))
@@ -142,22 +132,16 @@ def _normalized_pairing(adapter: StructureAdapter,
     return float(grad @ kern / denom)
 
 
-def _local_rank(adapter: StructureAdapter, record: ConjugateRecord,
-                rank_tol_factor: float) -> tuple[Callable, RankResult]:
-    """The chart at the record's covector and the FD rank report of its Jacobian."""
-    if record._local is not None:
-        return record._local.chart, record._local.rank
-    cov = np.asarray(record.covector, dtype=float)
+def _local_rank(adapter: StructureAdapter,
+                cov: np.ndarray) -> tuple[Callable, RankResult]:
+    """The chart at cov and the FD rank report of its Jacobian there."""
     chart = adapter.chart_at(cov)
-    return chart, rank_nullspace(fd_jacobian(chart, cov), rank_tol_factor)
+    return chart, rank_nullspace(fd_jacobian(chart, cov))
 
 
 def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float, *,
              scan_points: int = DEFAULT_SCAN_POINTS,
-             root_tol: float = DEFAULT_ROOT_TOL,
-             pairing_tol: float = PAIRING_TOL,
-             second_order_tol: float = SECOND_ORDER_TOL,
-             rank_tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> list[ConjugateRecord]:
+             root_tol: float = DEFAULT_ROOT_TOL) -> list[ConjugateRecord]:
     """Conjugate covectors on the ray {s * direction : 0 < s <= s_max}, classified.
 
     Roots of each stratum function are located by a scan-and-bracket search:
@@ -186,20 +170,15 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
             return float(adapter.conj_f(s * d)[_i])
         for hit in find_roots(g, lo, s_max, scan_points=scan_points, tol=root_tol,
                               grid_values=grid[idx]):
-            records.append(_build_record(
-                adapter, d, hit.value, stratum,
-                pairing_tol=pairing_tol, second_order_tol=second_order_tol,
-                rank_tol_factor=rank_tol_factor))
+            records.append(_build_record(adapter, d, hit.value, stratum))
     records.sort(key=lambda rec: rec.s)
     return records
 
 
-def _build_record(adapter: StructureAdapter, d: np.ndarray, s: float, stratum: str, *,
-                  pairing_tol: float, second_order_tol: float,
-                  rank_tol_factor: float) -> ConjugateRecord:
+def _build_record(adapter: StructureAdapter, d: np.ndarray, s: float,
+                  stratum: str) -> ConjugateRecord:
     cov = s * d
-    chart = adapter.chart_at(cov)
-    rank_info = rank_nullspace(fd_jacobian(chart, cov), rank_tol_factor)
+    chart, rank_info = _local_rank(adapter, cov)
     order = adapter.fiber_dim - rank_info.numeric_rank
     f_values = tuple(float(v) for v in adapter.conj_f(cov))
     if order == 1:
@@ -209,75 +188,82 @@ def _build_record(adapter: StructureAdapter, d: np.ndarray, s: float, stratum: s
     record = ConjugateRecord(s=float(s), covector=cov, stratum=stratum, order=order,
                              kernel_basis=kernel_basis, f_values=f_values,
                              singularity_class=SingularityClass.UNDETERMINED)
-    # the pairing feeds both classify and stratum_relabel; the FD rank data
-    # feeds the second-order certificate
+    # the pairing feeds both the decision and stratum_relabel; the FD rank
+    # data feeds the second-order certificate
     pairing = _normalized_pairing(adapter, record) if order == 1 else None
-    object.__setattr__(record, "_local", _LocalData(chart, rank_info, pairing))
-    cls = classify(adapter, record,
-                   pairing_tol=pairing_tol, second_order_tol=second_order_tol,
-                   rank_tol_factor=rank_tol_factor)
+    cls = _decide(adapter, record, pairing, chart, rank_info)
     if adapter.stratum_relabel is not None and pairing is not None:
-        record = replace(record, stratum=adapter.stratum_relabel(cov, pairing))
-    return replace(record, singularity_class=cls)
+        stratum = adapter.stratum_relabel(cov, pairing)
+    return replace(record, stratum=stratum, singularity_class=cls)
 
 
-def classify(adapter: StructureAdapter, record: ConjugateRecord, *,
-             pairing_tol: float = PAIRING_TOL,
-             second_order_tol: float = SECOND_ORDER_TOL,
-             rank_tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> SingularityClass:
+def classify(adapter: StructureAdapter, record: ConjugateRecord) -> SingularityClass:
     """Fold / Tangential / Undetermined for an order-one record; NotSingular at order 0.
 
-    Tangential is decided only on three-dimensional fibers: on a planar
-    structure a pairing under the tolerance gives Undetermined.
+    Fold when the normalized pairing exceeds PAIRING_TOL; otherwise, on a
+    three-dimensional fiber, Tangential when the second-order certificate
+    exceeds SECOND_ORDER_TOL. On a planar structure a pairing under the
+    tolerance gives Undetermined.
 
     The decision depends only on directions, not magnitudes: the pairing is
     normalized by |grad| |kernel|, and the second-order certificate is a norm of
     a projection, so rescaling gradient or kernel vectors cannot flip the class.
+    scan_ray reaches the same decision from the data it computed for the record.
     """
+    chart, rank_info = _local_rank(adapter, np.asarray(record.covector, dtype=float))
+    pairing = _normalized_pairing(adapter, record) if record.order == 1 else None
+    return _decide(adapter, record, pairing, chart, rank_info)
+
+
+def _decide(adapter: StructureAdapter, record: ConjugateRecord, pairing: Optional[float],
+            chart: Callable, rank_info: RankResult) -> SingularityClass:
+    """classify's decision, from the record's pairing, chart and FD rank report."""
     if record.order == 0:
         return SingularityClass.NOT_SINGULAR
     if record.order != 1:
         return SingularityClass.UNDETERMINED
     if adapter.undetermined(record.covector, record.stratum):
         return SingularityClass.UNDETERMINED
-    pairing = _normalized_pairing(adapter, record)
     if pairing is None:
         return SingularityClass.UNDETERMINED
-    if abs(pairing) > pairing_tol:
+    if abs(pairing) > PAIRING_TOL:
         return SingularityClass.FOLD
     if adapter.fiber_dim == 2:
         # plane-to-plane maps have folds and cusps (Whitney); the mixed
         # second derivative certifies the group's tangential form and cannot
         # tell a cusp, or a fold next to one, from it
         return SingularityClass.UNDETERMINED
-    value = second_order_transversality(adapter, record,
-                                        rank_tol_factor=rank_tol_factor)
-    if value > second_order_tol:
+    if _second_order(record, chart, rank_info) > SECOND_ORDER_TOL:
         return SingularityClass.TANGENTIAL
     return SingularityClass.UNDETERMINED
 
 
-def second_order_transversality(adapter: StructureAdapter, record: ConjugateRecord, *,
-                                step: float = 1e-4,
-                                rank_tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> float:
+def second_order_transversality(adapter: StructureAdapter,
+                                record: ConjugateRecord) -> float:
     """Norm of the mixed radial/kernel second derivative outside Im(d chart).
 
     With chart = adapter.chart_at(cov), evaluates d^2/ds dr of
     (s, r) -> chart((1+s)(cov + r k)) at (0, 0) by a four-point central stencil
-    and projects it onto the orthogonal complement of the image of the
-    differential. Returns 0.0 when the differential has full rank (no
-    complement to project onto). A record being built by scan_ray reuses the
-    FD Jacobian of its rank check.
+    of step SECOND_ORDER_STEP and projects it onto the orthogonal complement of
+    the image of the differential. Returns 0.0 when the differential has full
+    rank (no complement to project onto).
     """
     if record.order < 1:
         return 0.0
-    cov = np.asarray(record.covector, dtype=float)
-    chart, rank_info = _local_rank(adapter, record, rank_tol_factor)
+    return _second_order(record, *_local_rank(
+        adapter, np.asarray(record.covector, dtype=float)))
+
+
+def _second_order(record: ConjugateRecord, chart: Callable,
+                  rank_info: RankResult) -> float:
+    """The second-order stencil at the record, in its chart and FD rank report."""
     complement = rank_info.image_complement
     if complement.shape[1] == 0:
         return 0.0
+    cov = np.asarray(record.covector, dtype=float)
     kern = np.asarray(record.kernel_basis[0], dtype=float)
     kern = kern / np.linalg.norm(kern)
+    step = SECOND_ORDER_STEP
 
     def endpoint(sgn_s: float, sgn_r: float) -> np.ndarray:
         return chart((1.0 + sgn_s * step) * (cov + sgn_r * step * kern))
@@ -368,15 +354,15 @@ def _newton_partner(chart, cov: np.ndarray, kern: np.ndarray, a: float):
     return lam_a, lam_b, dist
 
 
-def regularity_isomorphism_check(adapter: StructureAdapter, record: ConjugateRecord, *,
-                                 independence_tol: float = 1e-3,
-                                 rank_tol_factor: float = DEFAULT_RANK_TOL_FACTOR) -> bool:
+def regularity_isomorphism_check(adapter: StructureAdapter,
+                                 record: ConjugateRecord) -> bool:
     """True when the kernel Jacobi datum's endpoint momentum escapes Im(d exp).
 
     Takes the vertical Jacobi datum p(0) whose field vanishes at both ends,
     propagates the momentum to t=1 with the structure's closed-form Jacobi
     solution, realizes it in the chart through the endpoint frame images, and
-    tests linear independence from the image of the differential.
+    tests linear independence from the image of the differential: the part
+    outside it must exceed INDEPENDENCE_TOL of the vector's norm.
     """
     if record.order != 1:
         raise InvalidInput("regularity check requires an order-one record")
@@ -391,8 +377,7 @@ def regularity_isomorphism_check(adapter: StructureAdapter, record: ConjugateRec
     norm_vec = float(np.linalg.norm(vec))
     if norm_vec == 0.0:
         return False
-    chart = adapter.chart_at(cov)
-    complement = rank_nullspace(fd_jacobian(chart, cov), rank_tol_factor).image_complement
+    complement = _local_rank(adapter, cov)[1].image_complement
     if complement.shape[1] == 0:
         return False
-    return bool(np.linalg.norm(complement.T @ vec) > independence_tol * norm_vec)
+    return bool(np.linalg.norm(complement.T @ vec) > INDEPENDENCE_TOL * norm_vec)

@@ -64,10 +64,6 @@ class Sl2Matrix:
 class Sl2Covector(ContactCovector):
     """Initial covector u0 X1 + v0 X2 + w0 X0 at the identity."""
 
-    @property
-    def r(self) -> float:
-        return curvature(_EPS, self.u0, self.v0, self.w0)
-
 
 def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""

@@ -31,7 +31,6 @@ import numpy as np
 
 from .contact import ContactCovector, ContactGroup, cov_triple, curvature
 from .errors import DegenerateCovector, InvalidInput
-from .scfun import vertical_to_endpoint_matrix
 from .singularity import StructureAdapter
 from .state import JacobiCoords
 
@@ -75,17 +74,6 @@ class Su2Point:
 class Su2Covector(ContactCovector):
     """Initial covector u0 X1 + v0 X2 + w0 X0 at the identity."""
 
-    @property
-    def rho(self) -> float:
-        return math.sqrt(self.u0 ** 2 + self.v0 ** 2 + self.w0 ** 2)
-
-
-@dataclass(frozen=True)
-class Su2JacobiCoeffs:
-    """Curvature entry of the frame Jacobi system: r_coeff = rho^2 >= 0."""
-
-    r_coeff: float
-
 
 def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
@@ -104,31 +92,11 @@ def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
     return point, np.array([u1, v1, w0])
 
 
-def su2_jacobi_coeffs(cov) -> Su2JacobiCoeffs:
-    """Constant curvature entry rho^2 of the frame Jacobi system."""
-    return Su2JacobiCoeffs(r_coeff=curvature(_EPS, *cov_triple(cov)))
-
-
 def su2_jacobi(cov, init: JacobiCoords, t: float) -> JacobiCoords:
     """Frame Jacobi data (p_a, p_b, p_c, x_a, x_b, x_c)(t) in closed form."""
     if curvature(_EPS, *cov_triple(cov)) == 0.0:
         raise DegenerateCovector("Jacobi frame undefined at the zero covector")
     return _GROUP.jacobi(cov, init, t)
-
-
-def su2_conj_matrix(r: float) -> np.ndarray:
-    """Matrix whose nullspace gives vertical Jacobi data vanishing at both ends.
-
-    r is the covector norm rho; entries are sin(r)/r, (cos r - 1)/r^2 and
-    (sin r - r)/r^3 arranged so that x(1) = M p(0) for x(0) = 0.
-    """
-    r = float(r)
-    if r < 0.0:
-        raise InvalidInput(f"covector norm must be nonnegative, got {r}")
-    if r == 0.0:
-        raise DegenerateCovector(
-            "conjugate matrix requested at rho = 0 (limit matrix is invertible)")
-    return vertical_to_endpoint_matrix(r * r)
 
 
 def _chart_uses_imaginary(point: Su2Point) -> bool:

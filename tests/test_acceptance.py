@@ -24,7 +24,6 @@ from srfolds import (GrushinBase, JacobiCoords, OdeProblem, SingularityClass,
                      second_order_transversality, sin_cos_alpha, sl2_adapter,
                      sl2_conj_f, sl2_exp, sl2_jacobi, su2_adapter, su2_conj_f,
                      su2_exp, su2_jacobi)
-from srfolds.numeric import DEFAULT_RANK_TOL_FACTOR
 from srfolds.sl2 import X1 as SL2_X1
 from srfolds.sl2 import X2 as SL2_X2
 from srfolds.su2 import X1 as SU2_X1
@@ -318,8 +317,7 @@ def test_criterion_05_conjugate_rank_drop(su2, sl2, su2_scans, sl2_scans,
     checks += grushin_pairs
     for adapter, rec in checks:
         chart = adapter.chart_at(rec.covector)
-        info = rank_nullspace(fd_jacobian(chart, rec.covector),
-                              DEFAULT_RANK_TOL_FACTOR)
+        info = rank_nullspace(fd_jacobian(chart, rec.covector))
         assert adapter.fiber_dim - info.numeric_rank == 1
         assert rec.order == 1
 

@@ -231,6 +231,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "usage error" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("expmap", "--structure", "su2", "--covector", "1,0,0.5"),
+        ("conj-scan", "--structure", "su2", "--direction", "1,0,0.5"),
+    ], ids=["expmap", "conj-scan"])
+    def test_seed_is_selftest_only(self, argv, capsys):
+        # only the self-test battery draws random numbers
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_alpha_below_one_is_computation_error(self):
         proc = run_cli("expmap", "--structure", "grushin", "--alpha", "0.5",
                        "--base", "1,0", "--covector", "0,1")

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srfolds import (DegenerateMatrix, InvalidInput, NonConvergence, OdeProblem,
-                     fd_jacobian, find_roots, integrate, quad, rank_nullspace)
-from srfolds.su2 import su2_conj_matrix
+                     fd_jacobian, find_roots, integrate, rank_nullspace,
+                     vertical_to_endpoint_matrix)
+from srfolds.numeric import quad
 
 TAN_FIXED_POINT = 4.493409457909064
 QUARTIC_INTEGRAL = 1.3110287771460598
@@ -234,7 +235,7 @@ class TestRankNullspace:
         assert abs(abs(result.nullspace_basis[0][2]) - 1.0) <= 1e-12
 
     def test_vertical_endpoint_matrix_at_two_pi(self):
-        result = rank_nullspace(su2_conj_matrix(2.0 * math.pi))
+        result = rank_nullspace(vertical_to_endpoint_matrix((2.0 * math.pi) ** 2))
         assert result.numeric_rank == 2
         kernel = result.nullspace_basis[0]
         assert abs(abs(kernel[0]) - 1.0) <= 1e-9

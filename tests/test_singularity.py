@@ -201,9 +201,21 @@ class TestClassify:
         assert sl2_records[0].singularity_class is SingularityClass.TANGENTIAL
         assert sl2_records[1].singularity_class is SingularityClass.FOLD
 
-    def test_classify_matches_scan(self, su2, su2_records):
-        for rec in su2_records:
-            assert classify(su2, rec) is rec.singularity_class
+    @pytest.mark.parametrize("make_adapter,ray,s_max", [
+        (su2_adapter, SU2_RAY, 20.0),
+        (sl2_adapter, SL2_RAY, 14.0),
+        (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
+         (math.cos(0.9), math.sin(0.9)), 20.0),
+        # u0 = 0: every pairing vanishes, so the planar records read Undetermined
+        (lambda: grushin_adapter(GrushinBase(1.0, 0.5, 0.0)), (0.0, 1.0), 20.0),
+    ], ids=["su2", "sl2", "grushin", "grushin-vertical"])
+    def test_classify_matches_scan(self, make_adapter, ray, s_max):
+        # public classify recomputes what scan_ray hands its decision directly
+        adapter = make_adapter()
+        records = scan_ray(adapter, ray, s_max)
+        assert len(records) >= 2
+        for rec in records:
+            assert classify(adapter, rec) is rec.singularity_class
 
     def test_su2_planar_second_stratum_undetermined(self, su2):
         # the fold certificate for the second stratum needs a vertical component

@@ -23,6 +23,7 @@ from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
                      fd_jacobian, integrate, sc_pair, sl2_chart,
                      sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_frame_images,
                      sl2_jacobi, sl2_kernel, vertical_to_endpoint_matrix)
+from srfolds.contact import cov_triple, curvature
 from srfolds.sl2 import X1, X2
 
 TWO_PI = 6.283185307179586
@@ -147,7 +148,8 @@ class TestExp:
             Sl2Covector(1.0, math.inf, 0.0)
 
     def test_covector_curvature_scalar(self):
-        assert Sl2Covector(1.0, 2.0, 3.0).r == pytest.approx(4.0, abs=1e-12)
+        assert curvature(-1, *cov_triple(Sl2Covector(1.0, 2.0, 3.0))) == pytest.approx(
+            4.0, abs=1e-12)
 
 
 class TestJacobi:

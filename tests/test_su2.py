@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
                      NotConjugate, OdeProblem, Su2Covector, Su2Point,
                      fd_jacobian, integrate, rank_nullspace, su2_chart,
-                     su2_conj_f, su2_conj_grad, su2_conj_matrix, su2_exp,
-                     su2_frame_images, su2_jacobi, su2_jacobi_coeffs,
-                     su2_kernel)
+                     su2_conj_f, su2_conj_grad, su2_exp, su2_frame_images,
+                     su2_jacobi, su2_kernel, vertical_to_endpoint_matrix)
+from srfolds.contact import curvature
 from srfolds.su2 import X0, X1, X2
 
 TWO_PI = 6.283185307179586
@@ -139,8 +139,8 @@ class TestJacobi:
             assert np.abs(np.array(out.x) - [0, t, 0]).max() <= 1e-12
 
     def test_coeffs_expose_squared_norm(self):
-        coeffs = su2_jacobi_coeffs((3.0, 4.0, 12.0))
-        assert coeffs.r_coeff == pytest.approx(169.0, abs=1e-12)
+        # the frame Jacobi system's curvature entry is rho^2 on SU(2)
+        assert curvature(1, 3.0, 4.0, 12.0) == pytest.approx(169.0, abs=1e-12)
 
     def test_matches_linear_ode_oracle(self):
         rng = np.random.default_rng(7)
@@ -169,22 +169,18 @@ class TestJacobi:
 
 
 class TestConjMatrix:
+    """vertical_to_endpoint_matrix at r = rho^2, the SU(2) curvature scalar."""
+
     def test_small_radius_approaches_limit_matrix(self):
         limit = np.array([[1.0, 0.0, -0.5],
                           [0.0, 1.0, 0.0],
                           [0.5, 0.0, -1.0 / 6.0]])
-        m = su2_conj_matrix(1e-4)
+        m = vertical_to_endpoint_matrix(1e-4 ** 2)
         assert np.abs(m - limit).max() <= 1e-7
         assert abs(np.linalg.det(m) - 1.0 / 12.0) <= 1e-6
 
-    def test_zero_radius_raises(self):
-        with pytest.raises(DegenerateCovector):
-            su2_conj_matrix(0.0)
-        with pytest.raises(InvalidInput):
-            su2_conj_matrix(-1.0)
-
     def test_full_turn_has_planar_nullspace(self):
-        result = rank_nullspace(su2_conj_matrix(TWO_PI))
+        result = rank_nullspace(vertical_to_endpoint_matrix(TWO_PI ** 2))
         assert result.numeric_rank == 2
         (kernel,) = result.nullspace_basis
         assert abs(abs(kernel[0]) - 1.0) <= 1e-10
@@ -192,7 +188,7 @@ class TestConjMatrix:
         assert abs(kernel[2]) <= 1e-10
 
     def test_half_turn_is_invertible(self):
-        sigma = np.linalg.svd(su2_conj_matrix(math.pi), compute_uv=False)
+        sigma = np.linalg.svd(vertical_to_endpoint_matrix(math.pi ** 2), compute_uv=False)
         assert sigma[-1] > 1e-3 * sigma[0]
 
 
