@@ -24,11 +24,11 @@ from .singularity import (ConjugateRecord, FoldWitness, SingularityClass,
                           StructureAdapter, classify, fold_witness,
                           regularity_isomorphism_check, scan_ray,
                           second_order_transversality)
-from .sl2 import (Sl2Covector, Sl2Matrix, sl2_adapter, sl2_chart, sl2_conj_f,
+from .sl2 import (Sl2Matrix, sl2_adapter, sl2_chart, sl2_conj_f,
                   sl2_conj_grad, sl2_exp, sl2_frame_images, sl2_jacobi,
                   sl2_kernel)
 from .state import GeodesicState, JacobiCoords
-from .su2 import (Su2Covector, Su2Point, su2_adapter, su2_chart, su2_conj_f,
+from .su2 import (Su2Point, su2_adapter, su2_chart, su2_conj_f,
                   su2_conj_grad, su2_exp, su2_frame_images, su2_jacobi,
                   su2_kernel)
 
@@ -40,8 +40,8 @@ __all__ = [
     "GrushinBase", "GrushinCovector", "GrushinJacobiCoeffs",
     "InvalidInput", "JacobiCoords", "NonConvergence", "NotConjugate",
     "OdeProblem", "RankResult", "RootHit", "SingularityClass",
-    "Sl2Covector", "Sl2Matrix", "SrfoldsError", "StepFailure",
-    "StructureAdapter", "Su2Covector", "Su2Point", "Trajectory",
+    "Sl2Matrix", "SrfoldsError", "StepFailure",
+    "StructureAdapter", "Su2Point", "Trajectory",
     "WitnessNotFound", "arc_alpha", "classify", "fd_jacobian",
     "find_roots", "fold_witness", "format_report", "grushin_adapter",
     "grushin_amplitude", "grushin_conj_f", "grushin_conj_grad",

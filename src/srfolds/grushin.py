@@ -40,7 +40,8 @@ import numpy as np
 from .alphatrig import (arc_alpha, arc_alpha_array, arc_cos_alpha, arc_cos_alpha_array,
                         pi_alpha, sin_cos_alpha, sin_cos_alpha_array)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import OdeProblem, integrate, libm
+from .numeric import libm
+from .scfun import sc_pair
 from .singularity import PAIRING_TOL, StructureAdapter
 from .state import GeodesicState, JacobiCoords
 
@@ -125,6 +126,26 @@ def _odd_power(x: float, alpha: float) -> float:
     return abs(x) ** (2.0 * (alpha - 1.0)) * x
 
 
+def _line_integral(x0: float, u0: float, t: float, alpha: float) -> float:
+    """Integral of |x0 + u0 tau|^(2 alpha) over tau in [0, t].
+
+    When the line stays on one side of the axis the antiderivative difference
+    is written as t |x0|^(2 alpha) expm1(n log1p(r)) / (n r), r = u0 t / x0 and
+    n = 2 alpha + 1, which tends to t |x0|^(2 alpha) as u0 -> 0 instead of
+    cancelling; across the axis the two antiderivative terms add.
+    """
+    n = 2.0 * alpha + 1.0
+    step = u0 * t
+    x1 = x0 + step
+    if (x0 > 0.0 and x1 > 0.0) or (x0 < 0.0 and x1 < 0.0):
+        r = step / x0
+        growth = math.expm1(n * math.log1p(r)) / (n * r) if r != 0.0 else 1.0
+        return t * _even_power(x0, alpha) * growth
+    if step == 0.0:
+        return 0.0
+    return (_even_power(x1, alpha) * x1 - _even_power(x0, alpha) * x0) / (n * u0)
+
+
 def _energy(base: GrushinBase, u0: float, v0: float) -> float:
     """2H at the base point."""
     return u0 * u0 + v0 * v0 * _even_power(base.x0, base.alpha)
@@ -207,39 +228,14 @@ def grushin_exp(base: GrushinBase, cov, t: float) -> GeodesicState:
 
 
 def grushin_dexp(base: GrushinBase, cov) -> np.ndarray:
-    """Analytic Jacobian d(x1, y1)/d(u0, v0) of the time-one endpoint map."""
-    u0, v0 = _cov_pair(cov)
-    alpha = base.alpha
-    x0 = base.x0
-    x2a = _even_power(x0, alpha)
-    h2 = u0 * u0 + v0 * v0 * x2a
-    if h2 == 0.0:
-        raise DegenerateCovector("endpoint differential undefined at H = 0")
-    if not _curvature_resolvable(h2, v0):
-        # straight-line branch: y responds to v0 only through the removable limit
-        # dy/dv0 = integral of |x|^(2 alpha) along the line x0 + u0 t
-        x1 = x0 + u0
-        flux = _even_power(x1, alpha) * x1 - _even_power(x0, alpha) * x0
-        dy_dv = flux / ((2.0 * alpha + 1.0) * u0)
-        return np.array([[1.0, 0.0], [0.0, dy_dv]])
-    state = grushin_exp(base, cov, 1.0)
-    x, _ = state.position
-    u, _ = state.momentum
-    u_dot = -alpha * v0 * v0 * _odd_power(x, alpha)
-    a = alpha
-    t = 1.0
-    dx_du = (((a - 1.0) * t * u0 - x0) * u + u0 * x) / (h2 * a)
-    dx_dv = ((t * (a * (h2 - u0 * u0) + u0 * u0) + u0 * x0) * u
-             - u0 * u0 * x) / (h2 * a * v0)
-    du_du = (a * u0 * u + ((a - 1.0) * t * u0 - x0) * u_dot) / (h2 * a)
-    du_dv = (a * (h2 - u0 * u0) * u
-             + (t * (a * (h2 - u0 * u0) + u0 * u0) + u0 * x0) * u_dot) / (a * h2 * v0)
-    residue = t * h2 + u0 * x0 - u * x
-    d_res_du = 2.0 * t * u0 + x0 - du_du * x - u * dx_du
-    d_res_dv = 2.0 * t * v0 * x2a - du_dv * x - u * dx_dv
-    dy_du = d_res_du / (v0 * (a + 1.0))
-    dy_dv = d_res_dv / (v0 * (a + 1.0)) - residue / (v0 * v0 * (a + 1.0))
-    return np.array([[dx_du, dx_dv], [dy_du, dy_dv]])
+    """Analytic Jacobian d(x1, y1)/d(u0, v0) of the time-one endpoint map.
+
+    Column j is the endpoint (x_a, x_b) = (dx, dy) of the Jacobi field that
+    starts at x = 0 with p = e_j, so every branch of grushin_jacobi carries over.
+    """
+    columns = [grushin_jacobi(base, cov, JacobiCoords(p=p0, x=(0.0, 0.0)), 1.0).x
+               for p0 in ((1.0, 0.0), (0.0, 1.0))]
+    return np.array(columns).T
 
 
 def grushin_jacobi_coefficients(base: GrushinBase, cov,
@@ -263,21 +259,29 @@ def grushin_jacobi_coefficients(base: GrushinBase, cov,
 
 def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
                    t: float) -> JacobiCoords:
-    """Jacobi data (p_a, p_b, x_a, x_b)(t) along the geodesic of cov.
+    """Jacobi data (p_a, p_b, x_a, x_b)(t) along the geodesic of cov, any real t.
 
-    Uses the closed-form ansatz whenever v0 != 0 and H != 0; on the degenerate
-    branches it falls back to numeric integration of the linearized system
-    along the explicit geodesic (which needs t >= 0).
+    Where v0 != 0 and H != 0 this is the oscillator ansatz of
+    grushin_jacobi_coefficients. On the degenerate branches the geodesic is
+    the line x0 + u0 t, and every v0 term of the linearized system vanishes
+    or underflows there except the restoring force v0^2 x_a of alpha = 1 (the
+    H = 0 branch at x0 = 0). So (x_a, p_a) is the constant-coefficient
+    oscillator of sc_pair(k, t), with k = v0^2 at alpha = 1 and 0 otherwise,
+    p_b is constant and x_b gains p_b times the integral of |x|^(2 alpha)
+    along the line.
     """
     u0, v0 = _cov_pair(cov)
     t = float(t)
-    h2 = _energy(base, u0, v0)
-    if h2 == 0.0 or not _curvature_resolvable(h2, v0):
-        return _grushin_jacobi_numeric(base, (u0, v0), init, t)
-    a = base.alpha
-    x0 = base.x0
     pa0, pb0 = init.p
     xa0, xb0 = init.x
+    h2 = _energy(base, u0, v0)
+    if h2 == 0.0 or not _curvature_resolvable(h2, v0):
+        k = v0 * v0 if base.alpha == 1.0 else 0.0
+        s, c = sc_pair(k, t)
+        xb = xb0 + pb0 * _line_integral(base.x0, u0, t, base.alpha)
+        return JacobiCoords(p=(pa0 * c - k * xa0 * s, pb0), x=(xa0 * c + pa0 * s, xb))
+    a = base.alpha
+    x0 = base.x0
     coeffs = grushin_jacobi_coefficients(base, cov, init)
     k1, k2, k3 = coeffs.k1, coeffs.k2, coeffs.k3
     state = grushin_exp(base, cov, t)
@@ -291,41 +295,6 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
     xb = (xb0 + (pb0 / v0 + 2.0 * a * k1) * y_flux
           - (k2 / v0) * (u * u - u0 * u0) - k3 * z_flux)
     return JacobiCoords(p=(pa, pb0), x=(xa, xb))
-
-
-def _grushin_jacobi_numeric(base: GrushinBase, cov: tuple[float, float],
-                            init: JacobiCoords, t: float) -> JacobiCoords:
-    """Integrate the linearized system along the explicit degenerate geodesic."""
-    if t < 0.0:
-        raise InvalidInput("numeric Jacobi fallback needs t >= 0")
-    pa0, pb0 = init.p
-    xa0, xb0 = init.x
-    if t == 0.0:
-        return JacobiCoords(p=(pa0, pb0), x=(xa0, xb0))
-    u0, v0 = cov
-    a = base.alpha
-    h2 = _energy(base, u0, v0)
-
-    def x_path(tt: float) -> float:
-        if h2 == 0.0:
-            return base.x0
-        return base.x0 + u0 * tt
-
-    def field(tt: float, y: np.ndarray) -> np.ndarray:
-        pa, pb, xa, xb = y
-        x = x_path(tt)
-        even = abs(x) ** (2.0 * (a - 1.0))
-        odd = _odd_power(x, a)
-        pa_dot = (-2.0 * a * v0 * odd * pb
-                  - a * (2.0 * a - 1.0) * v0 * v0 * even * xa)
-        xb_dot = _even_power(x, a) * pb + 2.0 * a * v0 * odd * xa
-        return np.array([pa_dot, 0.0, pa, xb_dot])
-
-    problem = OdeProblem(dimension=4, vector_field=field,
-                         initial_state=np.array([pa0, pb0, xa0, xb0]),
-                         t_span=(0.0, t))
-    pa, pb, xa, xb = integrate(problem).end
-    return JacobiCoords(p=(pa, pb), x=(xa, xb))
 
 
 def grushin_conj_f(base: GrushinBase, cov) -> float:

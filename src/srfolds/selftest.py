@@ -187,14 +187,21 @@ def _check_grushin_dexp_fd(rng: np.random.Generator) -> float:
 
 
 def _check_grushin_jacobi_closed(rng: np.random.Generator) -> float:
+    """Oscillator ansatz on random covectors, straight-line form on the
+    degenerate ones of the base (v0 = 0, H = 0, v0^2 underflowing)."""
     base = GrushinBase(alpha=2.0, x0=0.4, y0=0.0)
     alpha = base.alpha
-    worst = 0.0
+    cases = []
     for _ in range(5):
         u0, v0 = rng.uniform(-1.5, 1.5, size=2)
         v0 += math.copysign(0.4, v0)
         init = JacobiCoords(p=tuple(rng.uniform(-1.0, 1.0, size=2)),
                             x=tuple(rng.uniform(-1.0, 1.0, size=2)))
+        cases.append(((u0, v0), init))
+    fixed = JacobiCoords(p=(0.4, 0.6), x=(0.2, -0.1))
+    cases += [(cov, fixed) for cov in ((1.2, 0.0), (-0.7, 0.0), (0.0, 0.0), (0.9, 1e-170))]
+    worst = 0.0
+    for (u0, v0), init in cases:
 
         def field(t: float, y: np.ndarray) -> np.ndarray:
             pa, pb, xa, _ = y

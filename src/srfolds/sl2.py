@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contact import ContactCovector, ContactGroup, cov_triple, curvature
+from .contact import ContactGroup, cov_triple, curvature
 from .errors import InvalidInput
 from .scfun import sc_pair
 from .singularity import StructureAdapter
@@ -59,10 +59,6 @@ class Sl2Matrix:
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
-
-class Sl2Covector(ContactCovector):
-    """Initial covector u0 X1 + v0 X2 + w0 X0 at the identity."""
 
 
 def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:

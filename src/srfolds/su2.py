@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contact import ContactCovector, ContactGroup, cov_triple, curvature
+from .contact import ContactGroup, cov_triple, curvature
 from .errors import DegenerateCovector, InvalidInput
 from .singularity import StructureAdapter
 from .state import JacobiCoords
@@ -69,10 +69,6 @@ class Su2Point:
     def matrix(self) -> np.ndarray:
         a, b = self.alpha, self.beta
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
-
-
-class Su2Covector(ContactCovector):
-    """Initial covector u0 X1 + v0 X2 + w0 X0 at the identity."""
 
 
 def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:

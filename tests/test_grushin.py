@@ -20,12 +20,20 @@ from srfolds import (DegenerateCovector, GrushinBase, GrushinCovector,
 TAN_FIXED_POINT = 4.493409457909064
 COS1_MINUS_SIN1 = -0.3011686789397568
 INV_TWO_PI = 0.15915494309189535
+# v0 = 0 lines, the H = 0 covector, v0 whose square underflows, and u0 whose
+# square underflows, which leaves H = 0 at x0 = 0
+DEGENERATE_COVECTORS = [(1.2, 0.0), (-0.7, 0.0), (0.0, 0.0), (1e-13, 0.0), (0.0, 1.3),
+                        (0.9, 1e-170), (1e-170, 1.3)]
 
 
 def _odd_power(x: float, alpha: float) -> float:
     if x == 0.0:
         return 0.0
     return abs(x) ** (2.0 * (alpha - 1.0)) * x
+
+
+def _cov_id(cov) -> str:
+    return f"{cov[0]:g}_{cov[1]:g}"
 
 
 def _jacobi_ode_oracle(base: GrushinBase, cov, init: JacobiCoords,
@@ -171,6 +179,32 @@ class TestDexp:
             np.array([1.0, 0.0]), h=1e-3)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
 
+    @pytest.mark.parametrize("u0", [1e-4, 1e-7, 1e-10, 1e-13])
+    @pytest.mark.parametrize("x0", [1.0, -1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_straight_line_dy_dv_is_the_polynomial_integral(self, alpha, x0, u0):
+        # dy/dv0 on the line x0 + u0 t is the integral of (x0 + u0 t)^(2 alpha)
+        # over [0, 1]; the antiderivative difference over u0 cancels as u0 -> 0
+        n = int(2 * alpha)
+        exact = sum(math.comb(n, k) * x0 ** (n - k) * u0 ** k / (k + 1)
+                    for k in range(n + 1))
+        jac = grushin_dexp(GrushinBase(alpha=alpha, x0=x0, y0=0.0), (u0, 0.0))
+        assert abs(jac[1, 1] - exact) <= 1e-14 * abs(exact)
+        assert (jac[0, 0], jac[0, 1], jac[1, 0]) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_rest_branch_h_zero(self, alpha):
+        # u0 = 0 at x0 = 0: the geodesic rests, and the u0 Jacobi field is the
+        # alpha = 1 oscillator sin(v0 t)/v0 or, for alpha > 1, the free line t
+        base = GrushinBase(alpha=alpha, x0=0.0, y0=0.0)
+        jac = grushin_dexp(base, (0.0, 1.3))
+        dx_du = math.sin(1.3) / 1.3 if alpha == 1.0 else 1.0
+        assert np.max(np.abs(jac - [[dx_du, 0.0], [0.0, 0.0]])) <= 1e-15
+        fd = fd_jacobian(
+            lambda c: np.array(grushin_exp(base, (c[0], c[1]), 1.0).position),
+            np.array([0.0, 1.3]))
+        assert np.max(np.abs(jac - fd)) <= 1e-6
+
 
 class TestJacobi:
     def test_zero_initial_data(self):
@@ -208,12 +242,36 @@ class TestJacobi:
         ref = _jacobi_ode_oracle(base, (u0, v0), init, 1.0)
         assert np.max(np.abs(np.array([*closed.p, *closed.x]) - ref)) <= 1e-8
 
-    def test_degenerate_branch_straight_line(self):
-        base = GrushinBase(alpha=1.0, x0=0.5, y0=0.0)
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.3])
+    @pytest.mark.parametrize("cov", DEGENERATE_COVECTORS, ids=_cov_id)
+    @pytest.mark.parametrize("x0", [0.0, 0.7, -1.2])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    def test_degenerate_branch_straight_line(self, alpha, x0, cov, t):
+        # v0 = 0 lines, H = 0 rest points and v0 whose square underflows take
+        # the straight-line closed form; at x0 != 0 some of these covectors
+        # are oscillatory and check the ansatz instead
+        base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
         init = JacobiCoords(p=(0.4, 0.6), x=(0.2, -0.1))
-        out = grushin_jacobi(base, (1.2, 0.0), init, 1.0)
-        ref = _jacobi_ode_oracle(base, (1.2, 0.0), init, 1.0)
-        assert np.max(np.abs(np.array([*out.p, *out.x]) - ref)) <= 1e-8
+        out = grushin_jacobi(base, cov, init, t)
+        ref = _jacobi_ode_oracle(base, cov, init, t)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(np.array([*out.p, *out.x]) - ref)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("cov", DEGENERATE_COVECTORS + [(0.9, 1.2), (-0.3, 2.0)],
+                             ids=_cov_id)
+    @pytest.mark.parametrize("x0", [0.0, 0.7, -1.2])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    def test_time_reversal(self, alpha, x0, cov):
+        # running the linearized flow back along cov is running it forward
+        # along -cov with the momentum flipped, on every branch
+        base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
+        p, x = (0.4, -0.6), (0.2, 0.3)
+        for t in (0.5, 2.3):
+            back = grushin_jacobi(base, cov, JacobiCoords(p=p, x=x), -t)
+            fwd = grushin_jacobi(base, (-cov[0], -cov[1]),
+                                 JacobiCoords(p=(-p[0], -p[1]), x=x), t)
+            assert back.p == (-fwd.p[0], -fwd.p[1])
+            assert back.x == fwd.x
 
     def test_coefficient_relation(self):
         base = GrushinBase(alpha=1.5, x0=0.6, y0=0.0)

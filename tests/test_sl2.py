@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
-                     NotConjugate, OdeProblem, Sl2Covector, Sl2Matrix,
+                     NotConjugate, OdeProblem, Sl2Matrix,
                      fd_jacobian, integrate, sc_pair, sl2_chart,
                      sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_frame_images,
                      sl2_jacobi, sl2_kernel, vertical_to_endpoint_matrix)
-from srfolds.contact import cov_triple, curvature
+from srfolds.contact import ContactCovector, cov_triple, curvature
 from srfolds.sl2 import X1, X2
 
 TWO_PI = 6.283185307179586
@@ -145,10 +145,10 @@ class TestExp:
         with pytest.raises(InvalidInput):
             Sl2Matrix(1.0, 0.0, 0.0, 2.0)
         with pytest.raises(InvalidInput):
-            Sl2Covector(1.0, math.inf, 0.0)
+            ContactCovector(1.0, math.inf, 0.0)
 
     def test_covector_curvature_scalar(self):
-        assert curvature(-1, *cov_triple(Sl2Covector(1.0, 2.0, 3.0))) == pytest.approx(
+        assert curvature(-1, *cov_triple(ContactCovector(1.0, 2.0, 3.0))) == pytest.approx(
             4.0, abs=1e-12)
 
 

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
-                     NotConjugate, OdeProblem, Su2Covector, Su2Point,
+                     NotConjugate, OdeProblem, Su2Point,
                      fd_jacobian, integrate, rank_nullspace, su2_chart,
                      su2_conj_f, su2_conj_grad, su2_exp, su2_frame_images,
                      su2_jacobi, su2_kernel, vertical_to_endpoint_matrix)
-from srfolds.contact import curvature
+from srfolds.contact import ContactCovector, curvature
 from srfolds.su2 import X0, X1, X2
 
 TWO_PI = 6.283185307179586
@@ -121,7 +121,7 @@ class TestExp:
         with pytest.raises(InvalidInput):
             Su2Point(1.0, 0.0, 0.5, 0.0)
         with pytest.raises(InvalidInput):
-            Su2Covector(math.nan, 0.0, 1.0)
+            ContactCovector(math.nan, 0.0, 1.0)
 
 
 class TestJacobi:
