@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import SrfoldsError
@@ -65,6 +64,8 @@ def _fiber_dim(structure: str) -> int:
 
 
 def _versions() -> dict:
+    import scipy
+
     return {"srfolds": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__, "python": platform.python_version()}
 

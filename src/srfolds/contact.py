@@ -203,7 +203,8 @@ class ContactGroup:
         f_c = -self.eps * (h2 * g_x0 - w0 * (u1 * g_x1 + v1 * g_x2)) / sq
         return np.column_stack([self.push(point, f) for f in (f_a, f_b, f_c)])
 
-    def adapter(self, chart_at: Callable[..., Callable]) -> StructureAdapter:
+    def adapter(self, chart_at: Callable[..., Callable],
+                chart_array: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> StructureAdapter:
         """Plug the group into the generic conjugate-locus scanner."""
 
         def conj_grad(cov, stratum: str) -> np.ndarray:
@@ -242,6 +243,7 @@ class ContactGroup:
             name=self.name,
             fiber_dim=3,
             chart_at=chart_at,
+            chart_array=chart_array,
             conj_f=self.strata,
             conj_f_array=self.strata_array,
             conj_grad=conj_grad,

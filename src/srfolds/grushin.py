@@ -313,26 +313,22 @@ def grushin_conj_f(base: GrushinBase, cov) -> float:
     return u1 * (u0 + base.x0) - u0 * x1
 
 
-def grushin_conj_f_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
-    """grushin_conj_f at each row (u0, v0) of covs, bit for bit, in one array pass.
-
-    Follows the scalar branches node by node: the straight line where the
-    curvature is not resolvable (f is exactly 0 there), and the oscillator,
-    with the phase inverted from the smaller of its sine and cosine ratios.
-    Rows that are not finite or have H = 0 go to grushin_conj_f itself, so
-    the first of them raises what the scalar loop raises there.
-    """
-    u0, v0 = covs[:, 0], covs[:, 1]
-    alpha, x0 = base.alpha, base.x0
+def _oscillator_rows(covs: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """Indices of the rows where grushin_exp takes the oscillator branch."""
+    v0 = covs[:, 1]
     with np.errstate(all="ignore"):
-        h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
-        f = u0 * (u0 + x0) - u0 * (x0 + u0 * 1.0)
-        osc = np.flatnonzero((h2 != 0.0) & (v0 * v0 != 0.0)
-                             & np.isfinite(np.sqrt(h2) / np.abs(v0)))
-    for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
-        f[i] = grushin_conj_f(base, covs[i])
-    u0, v0, h2 = u0[osc], v0[osc], h2[osc]
-    # _oscillator and grushin_exp at t = 1, term for term
+        return np.flatnonzero((h2 != 0.0) & (v0 * v0 != 0.0)
+                              & np.isfinite(np.sqrt(h2) / np.abs(v0)))
+
+
+def _oscillator_endpoint_array(base: GrushinBase, u0: np.ndarray, v0: np.ndarray,
+                               h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x1, u1) of grushin_exp at t = 1 on oscillator rows, bit for bit.
+
+    _oscillator and grushin_exp term for term, with the phase inverted from
+    the smaller of its sine and cosine ratios.
+    """
+    alpha, x0 = base.alpha, base.x0
     amp = libm(pow, np.sqrt(h2) / np.abs(v0), 1.0 / alpha)
     omega = v0 * libm(pow, amp, alpha - 1.0)
     sin_ratio = np.minimum(np.abs(x0 / amp), 1.0)
@@ -344,10 +340,52 @@ def grushin_conj_f_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
     phase = np.copysign(arc, x0)
     flip = np.where(u0 * v0 < 0.0, -1.0, 1.0)
     sin_a, cos_a = sin_cos_alpha_array(alpha, phase + flip * omega * 1.0)
-    x1 = amp * sin_a
-    u1 = flip * amp * omega * cos_a
+    return amp * sin_a, flip * amp * omega * cos_a
+
+
+def grushin_conj_f_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
+    """grushin_conj_f at each row (u0, v0) of covs, bit for bit, in one array pass.
+
+    Follows the scalar branches node by node: the straight line where the
+    curvature is not resolvable (f is exactly 0 there), and the oscillator
+    of _oscillator_endpoint_array. Rows that are not finite or have H = 0 go
+    to grushin_conj_f itself, so the first of them raises what the scalar
+    loop raises there.
+    """
+    u0, v0 = covs[:, 0], covs[:, 1]
+    x0 = base.x0
+    with np.errstate(all="ignore"):
+        h2 = u0 * u0 + v0 * v0 * _even_power(x0, base.alpha)
+        f = u0 * (u0 + x0) - u0 * (x0 + u0 * 1.0)
+    osc = _oscillator_rows(covs, h2)
+    for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
+        f[i] = grushin_conj_f(base, covs[i])
+    u0 = u0[osc]
+    x1, u1 = _oscillator_endpoint_array(base, u0, v0[osc], h2[osc])
     f[osc] = u1 * (u0 + x0) - u0 * x1
     return f
+
+
+def grushin_endpoint_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
+    """grushin_exp(base, cov, 1.0).position at each row of covs, bit for bit.
+
+    The straight line where the curvature is not resolvable and the
+    oscillator of _oscillator_endpoint_array; rows that are not finite or
+    have H = 0 go to grushin_exp itself.
+    """
+    u0, v0 = covs[:, 0], covs[:, 1]
+    alpha, x0 = base.alpha, base.x0
+    with np.errstate(all="ignore"):
+        h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
+        out = np.column_stack([x0 + u0 * 1.0, np.full(u0.shape, base.y0)])
+    osc = _oscillator_rows(covs, h2)
+    for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
+        out[i] = grushin_exp(base, covs[i], 1.0).position
+    u0, v0, h2 = u0[osc], v0[osc], h2[osc]
+    x1, u1 = _oscillator_endpoint_array(base, u0, v0, h2)
+    out[osc, 0] = x1
+    out[osc, 1] = base.y0 + (1.0 * h2 + u0 * x0 - u1 * x1) / (v0 * (alpha + 1.0))
+    return out
 
 
 def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
@@ -406,14 +444,17 @@ def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
 def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     """Plug the plane into the generic conjugate-locus scanner.
 
-    The chart is the plane itself, the endpoint position, so chart_at
-    ignores its center. Records start on the placeholder stratum and are
-    renamed C0/C1 from the kernel pairing, the transversality that defines
-    the strata for this structure.
+    The chart is the plane itself, the endpoint position, so chart_at and
+    chart_array ignore their centers. Records start on the placeholder
+    stratum and are renamed C0/C1 from the kernel pairing, the
+    transversality that defines the strata for this structure.
     """
 
     def endpoint(cov) -> np.ndarray:
         return np.asarray(grushin_exp(base, cov, 1.0).position, dtype=float)
+
+    def chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+        return grushin_endpoint_array(base, points.reshape(-1, 2)).reshape(points.shape)
 
     def conj_f(cov) -> tuple[float]:
         return (grushin_conj_f(base, cov),)
@@ -451,6 +492,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         name="grushin",
         fiber_dim=2,
         chart_at=lambda center: endpoint,
+        chart_array=chart_array,
         conj_f=conj_f,
         conj_f_array=conj_f_array,
         conj_grad=conj_grad,

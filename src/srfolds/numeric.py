@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as _sint
 from scipy import optimize as _sopt
 
 from .errors import DegenerateMatrix, InvalidInput, NonConvergence, StepFailure
@@ -72,9 +71,11 @@ def integrate(problem: OdeProblem,
     for tol in (rel_tol, abs_tol):
         if not (0.0 < tol <= 1e-2):
             raise InvalidInput(f"tolerance {tol} outside (0, 1e-2]")
+    from scipy.integrate import solve_ivp
+
     y0 = np.asarray(problem.initial_state, dtype=float)
-    res = _sint.solve_ivp(problem.vector_field, problem.t_span, y0, method="RK45",
-                          rtol=rel_tol, atol=abs_tol, dense_output=True)
+    res = solve_ivp(problem.vector_field, problem.t_span, y0, method="RK45",
+                    rtol=rel_tol, atol=abs_tol, dense_output=True)
     if not res.success:
         raise StepFailure(f"integration failed on {problem.t_span}: {res.message}")
     return Trajectory(res.sol, tuple(problem.t_span))
@@ -83,7 +84,9 @@ def integrate(problem: OdeProblem,
 def quad(f: Callable[[float], float], a: float, b: float,
          tol: float = DEFAULT_ROOT_TOL) -> float:
     """Adaptive quadrature of f over [a, b]; the error estimate must meet tol."""
-    out = _sint.quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)
+    from scipy.integrate import quad as _quad
+
+    out = _quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3 or abserr > max(tol, tol * abs(value)):
         raise NonConvergence(
@@ -162,14 +165,12 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
     # residual gate: a sign change across a pole (tan-style) converges to the
     # discontinuity, where |g| stays huge; genuine roots polish to ~|g'| * xtol
     residual_cap = tol * scale
-    for i in range(len(xs) - 1):
-        if gs[i] == 0.0 or gs[i + 1] == 0.0:
-            continue
-        if np.sign(gs[i]) != np.sign(gs[i + 1]):
-            r = _sopt.brentq(g, xs[i], xs[i + 1], xtol=tol * 1e-2, rtol=1e-15)
-            residual = abs(g(r))
-            if residual <= residual_cap:
-                hits.append(RootHit(float(r), residual))
+    sign = np.sign(gs)
+    for i in np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0) & (sign[1:] != 0.0)):
+        r = _sopt.brentq(g, xs[i], xs[i + 1], xtol=tol * 1e-2, rtol=1e-15)
+        residual = abs(g(r))
+        if residual <= residual_cap:
+            hits.append(RootHit(float(r), residual))
 
     hits.sort(key=lambda h: h.value)
     merged: list[RootHit] = []
@@ -186,16 +187,36 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
 def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x: Sequence[float],
                 h: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of F at x; step scaled per coordinate."""
+    points, steps = fd_stencil(np.asarray(x, dtype=float), h)
+    values = np.array([np.asarray(F(p), dtype=float) for p in points])
+    # row-major, as callers have always received it: products and solves
+    # with a transposed view may round differently
+    return np.ascontiguousarray(fd_columns(values, steps))
+
+
+def fd_stencil(x: np.ndarray, h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """The points and steps of fd_jacobian around each row of x.
+
+    x has shape (..., k). The steps h_j = h max(1, |x_j|) have the shape of
+    x; the points have shape (..., 2k, k) and run x + h_0 e_0, x - h_0 e_0,
+    x + h_1 e_1, ..., the order in which fd_jacobian calls F.
+    """
     if not (1e-8 <= h <= 1e-3):
         raise InvalidInput(f"step h={h} outside [1e-8, 1e-3]")
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        hj = h * max(1.0, abs(x[j]))
-        xp = x.copy(); xp[j] += hj
-        xm = x.copy(); xm[j] -= hj
-        cols.append((np.asarray(F(xp), dtype=float) - np.asarray(F(xm), dtype=float)) / (2.0 * hj))
-    return np.column_stack(cols)
+    k = x.shape[-1]
+    # fmax, like Python's max(1.0, .), keeps 1.0 where |x_j| is nan
+    steps = h * np.fmax(1.0, np.abs(x))
+    points = np.repeat(x[..., np.newaxis, :], 2 * k, axis=-2)
+    axis = np.arange(k)
+    points[..., 2 * axis, axis] += steps
+    points[..., 2 * axis + 1, axis] -= steps
+    return points, steps
+
+
+def fd_columns(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Jacobians of shape (..., m, k) from F at the fd_stencil points, shape (..., 2k, m)."""
+    return ((values[..., 0::2, :] - values[..., 1::2, :])
+            / (2.0 * steps[..., np.newaxis])).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -214,19 +235,31 @@ class RankResult:
     image_complement: np.ndarray
 
 
-def rank_nullspace(M: np.ndarray) -> RankResult:
-    """Numeric rank and nullspace of M; threshold DEFAULT_RANK_TOL_FACTOR * largest sigma."""
+def rank_nullspace(M: np.ndarray) -> RankResult | list[RankResult]:
+    """Numeric rank and nullspace of M; threshold DEFAULT_RANK_TOL_FACTOR * largest sigma.
+
+    M is one matrix, which gives one RankResult, or a stack of shape (N, m, n),
+    which gives a list of N RankResults from one SVD call over the stack; each
+    equals, bit for bit, what its matrix gives on its own.
+    """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise InvalidInput(f"expected a nonempty 2-d matrix, got shape {M.shape}")
+    if M.ndim not in (2, 3) or M.size == 0:
+        raise InvalidInput(
+            f"expected a nonempty matrix or stack of matrices, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise DegenerateMatrix("matrix contains non-finite entries")
     u, s, vh = np.linalg.svd(M)
-    if s.size == 0 or s[0] == 0.0:
+    if M.ndim == 2:
+        return _rank_result(u, s, vh)
+    return [_rank_result(*usv) for usv in zip(u, s, vh)]
+
+
+def _rank_result(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> RankResult:
+    if s[0] == 0.0:
         raise DegenerateMatrix("zero matrix has no usable rank threshold")
     tol = DEFAULT_RANK_TOL_FACTOR * float(s[0])
     rank = int(np.sum(s > tol))
-    basis = tuple(vh[k].copy() for k in range(rank, M.shape[1]))
+    basis = tuple(vh[k].copy() for k in range(rank, vh.shape[0]))
     return RankResult(singular_values=s, numeric_rank=rank,
                       nullspace_basis=basis, tolerance_used=tol,
                       image_complement=u[:, rank:])

@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, WitnessNotFound
-from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, RankResult,
-                      fd_jacobian, find_roots, rank_nullspace, scan_nodes)
+from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, RankResult, fd_columns,
+                      fd_jacobian, fd_stencil, find_roots, rank_nullspace, scan_nodes)
 
 # The classification policy is fixed. conj-scan prints PAIRING_TOL and
 # SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
@@ -61,6 +61,14 @@ class StructureAdapter:
     the chart coordinates, as a float array, of its time-one endpoint. The
     chart is selected once, when chart_at is called, so finite differences
     never straddle a chart switch and each evaluation costs one exponential.
+    chart_array(centers, points) is the same map over arrays: centers of
+    shape (N, fiber_dim) and points of shape (N, m, fiber_dim) give an array
+    of shape (N, m, chart_dim) whose row [i, j] equals
+    chart_at(centers[i])(points[i, j]) bit for bit (or it raises what that
+    scalar call raises). The record build evaluates every finite-difference
+    and second-order stencil of a ray through it, and classify and the other
+    record checks call the same build, so bitwise agreement is what keeps a
+    record's order, kernel basis and class the same whichever route made it.
     conj_f returns the tuple of stratum function values aligned with
     stratum_names; conj_f_array(covs) evaluates them at every row of an
     (n, fiber_dim) array of covectors in one array call and returns an
@@ -86,6 +94,7 @@ class StructureAdapter:
     name: str
     fiber_dim: int
     chart_at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
+    chart_array: Callable[[np.ndarray, np.ndarray], np.ndarray]
     conj_f: Callable[[np.ndarray], tuple]
     conj_f_array: Callable[[np.ndarray], np.ndarray]
     conj_grad: Callable[[np.ndarray, str], np.ndarray]
@@ -132,11 +141,16 @@ def _normalized_pairing(adapter: StructureAdapter,
     return float(grad @ kern / denom)
 
 
-def _local_rank(adapter: StructureAdapter,
-                cov: np.ndarray) -> tuple[Callable, RankResult]:
-    """The chart at cov and the FD rank report of its Jacobian there."""
-    chart = adapter.chart_at(cov)
-    return chart, rank_nullspace(fd_jacobian(chart, cov))
+def _rank_reports(adapter: StructureAdapter, covs: np.ndarray) -> list[RankResult]:
+    """The FD rank report of the chart Jacobian at each row of covs.
+
+    fd_jacobian's central-difference stencil around every covector goes
+    through one chart_array call, each row in the chart selected at its own
+    covector, and the stacked Jacobians through one rank_nullspace call. Each
+    report equals rank_nullspace(fd_jacobian(adapter.chart_at(cov), cov)).
+    """
+    points, steps = fd_stencil(covs)
+    return rank_nullspace(fd_columns(adapter.chart_array(covs, points), steps))
 
 
 def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float, *,
@@ -148,7 +162,8 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     one conj_f_array call samples every stratum on the scan grid, and Brent
     polishes each sign change with the scalar conj_f. Every root is
     cross-validated by the finite-difference rank of the chart exponential
-    before it becomes a record. Records are sorted by s.
+    before it becomes a record; the records of all strata are built together
+    (_build_records). Records are sorted by s.
     """
     d = np.asarray(direction, dtype=float)
     if d.shape != (adapter.fiber_dim,):
@@ -164,37 +179,49 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
     grid = adapter.conj_f_array(scan_nodes(lo, s_max, scan_points)[:, np.newaxis] * d)
-    records: list[ConjugateRecord] = []
+    hits: list[tuple[float, str]] = []
     for idx, stratum in enumerate(adapter.stratum_names):
         def g(s: float, _i: int = idx) -> float:
             return float(adapter.conj_f(s * d)[_i])
-        for hit in find_roots(g, lo, s_max, scan_points=scan_points, tol=root_tol,
-                              grid_values=grid[idx]):
-            records.append(_build_record(adapter, d, hit.value, stratum))
+        hits += [(hit.value, stratum) for hit in find_roots(
+            g, lo, s_max, scan_points=scan_points, tol=root_tol, grid_values=grid[idx])]
+    records = _build_records(adapter, d, hits) if hits else []
     records.sort(key=lambda rec: rec.s)
     return records
 
 
-def _build_record(adapter: StructureAdapter, d: np.ndarray, s: float,
-                  stratum: str) -> ConjugateRecord:
-    cov = s * d
-    chart, rank_info = _local_rank(adapter, cov)
-    order = adapter.fiber_dim - rank_info.numeric_rank
-    f_values = tuple(float(v) for v in adapter.conj_f(cov))
-    if order == 1:
-        kernel_basis = (np.asarray(adapter.kernel(cov), dtype=float),)
-    else:
-        kernel_basis = tuple(rank_info.nullspace_basis)
-    record = ConjugateRecord(s=float(s), covector=cov, stratum=stratum, order=order,
-                             kernel_basis=kernel_basis, f_values=f_values,
-                             singularity_class=SingularityClass.UNDETERMINED)
-    # the pairing feeds both the decision and stratum_relabel; the FD rank
-    # data feeds the second-order certificate
-    pairing = _normalized_pairing(adapter, record) if order == 1 else None
-    cls = _decide(adapter, record, pairing, chart, rank_info)
-    if adapter.stratum_relabel is not None and pairing is not None:
-        stratum = adapter.stratum_relabel(cov, pairing)
-    return replace(record, stratum=stratum, singularity_class=cls)
+def _build_records(adapter: StructureAdapter, d: np.ndarray,
+                   hits: list[tuple[float, str]]) -> list[ConjugateRecord]:
+    """The records at the radii s (on their strata) of the unit ray d.
+
+    One _rank_reports pass gives every record's order and FD kernel; the
+    analytic f-values, kernel and pairing are scalar calls per record; and
+    _decide certifies the records that need the second-order test together.
+    """
+    covs = [s * d for s, _ in hits]
+    rank_infos = _rank_reports(adapter, np.array(covs))
+    records, pairings = [], []
+    for (s, stratum), cov, rank_info in zip(hits, covs, rank_infos):
+        order = adapter.fiber_dim - rank_info.numeric_rank
+        f_values = tuple(float(v) for v in adapter.conj_f(cov))
+        if order == 1:
+            kernel_basis = (np.asarray(adapter.kernel(cov), dtype=float),)
+        else:
+            kernel_basis = tuple(rank_info.nullspace_basis)
+        record = ConjugateRecord(s=float(s), covector=cov, stratum=stratum, order=order,
+                                 kernel_basis=kernel_basis, f_values=f_values,
+                                 singularity_class=SingularityClass.UNDETERMINED)
+        records.append(record)
+        pairings.append(_normalized_pairing(adapter, record) if order == 1 else None)
+    classes = _decide(adapter, records, pairings, rank_infos)
+    built = []
+    for record, pairing, cls in zip(records, pairings, classes):
+        # the pairing feeds both the decision and stratum_relabel
+        stratum = record.stratum
+        if adapter.stratum_relabel is not None and pairing is not None:
+            stratum = adapter.stratum_relabel(record.covector, pairing)
+        built.append(replace(record, stratum=stratum, singularity_class=cls))
+    return built
 
 
 def classify(adapter: StructureAdapter, record: ConjugateRecord) -> SingularityClass:
@@ -208,16 +235,35 @@ def classify(adapter: StructureAdapter, record: ConjugateRecord) -> SingularityC
     The decision depends only on directions, not magnitudes: the pairing is
     normalized by |grad| |kernel|, and the second-order certificate is a norm of
     a projection, so rescaling gradient or kernel vectors cannot flip the class.
-    scan_ray reaches the same decision from the data it computed for the record.
+    scan_ray reaches the same decision through the same build, over all the
+    records of a ray at once.
     """
-    chart, rank_info = _local_rank(adapter, np.asarray(record.covector, dtype=float))
+    rank_infos = _rank_reports(adapter, np.asarray(record.covector, dtype=float)[np.newaxis])
     pairing = _normalized_pairing(adapter, record) if record.order == 1 else None
-    return _decide(adapter, record, pairing, chart, rank_info)
+    return _decide(adapter, [record], [pairing], rank_infos)[0]
 
 
-def _decide(adapter: StructureAdapter, record: ConjugateRecord, pairing: Optional[float],
-            chart: Callable, rank_info: RankResult) -> SingularityClass:
-    """classify's decision, from the record's pairing, chart and FD rank report."""
+def _decide(adapter: StructureAdapter, records: list[ConjugateRecord],
+            pairings: list[Optional[float]],
+            rank_infos: list[RankResult]) -> list[SingularityClass]:
+    """classify's decision for each record, from its pairing and FD rank report.
+
+    The records the pairing leaves open share one _second_orders call.
+    """
+    classes = [_pairing_class(adapter, rec, pairing)
+               for rec, pairing in zip(records, pairings)]
+    pending = [i for i, cls in enumerate(classes) if cls is None]
+    values = _second_orders(adapter, [records[i] for i in pending],
+                            [rank_infos[i] for i in pending])
+    for i, value in zip(pending, values):
+        classes[i] = (SingularityClass.TANGENTIAL if value > SECOND_ORDER_TOL
+                      else SingularityClass.UNDETERMINED)
+    return classes
+
+
+def _pairing_class(adapter: StructureAdapter, record: ConjugateRecord,
+                   pairing: Optional[float]) -> Optional[SingularityClass]:
+    """The class when the order and the pairing settle it; None when the second order must."""
     if record.order == 0:
         return SingularityClass.NOT_SINGULAR
     if record.order != 1:
@@ -233,9 +279,7 @@ def _decide(adapter: StructureAdapter, record: ConjugateRecord, pairing: Optiona
         # second derivative certifies the group's tangential form and cannot
         # tell a cusp, or a fold next to one, from it
         return SingularityClass.UNDETERMINED
-    if _second_order(record, chart, rank_info) > SECOND_ORDER_TOL:
-        return SingularityClass.TANGENTIAL
-    return SingularityClass.UNDETERMINED
+    return None
 
 
 def second_order_transversality(adapter: StructureAdapter,
@@ -250,27 +294,33 @@ def second_order_transversality(adapter: StructureAdapter,
     """
     if record.order < 1:
         return 0.0
-    return _second_order(record, *_local_rank(
-        adapter, np.asarray(record.covector, dtype=float)))
-
-
-def _second_order(record: ConjugateRecord, chart: Callable,
-                  rank_info: RankResult) -> float:
-    """The second-order stencil at the record, in its chart and FD rank report."""
-    complement = rank_info.image_complement
-    if complement.shape[1] == 0:
-        return 0.0
     cov = np.asarray(record.covector, dtype=float)
-    kern = np.asarray(record.kernel_basis[0], dtype=float)
-    kern = kern / np.linalg.norm(kern)
+    return _second_orders(adapter, [record], _rank_reports(adapter, cov[np.newaxis]))[0]
+
+
+def _second_orders(adapter: StructureAdapter, records: list[ConjugateRecord],
+                   rank_infos: list[RankResult]) -> list[float]:
+    """The second-order value of each record, from its FD rank report.
+
+    The four-point stencils of every record whose differential has an image
+    complement go through one chart_array call; a record without one gets 0.0.
+    """
+    values = [0.0] * len(records)
+    live = [i for i, info in enumerate(rank_infos) if info.image_complement.shape[1]]
+    if not live:
+        return values
+    covs = np.array([np.asarray(records[i].covector, dtype=float) for i in live])
+    kerns = [np.asarray(records[i].kernel_basis[0], dtype=float) for i in live]
+    kerns = np.array([kern / np.linalg.norm(kern) for kern in kerns])
     step = SECOND_ORDER_STEP
-
-    def endpoint(sgn_s: float, sgn_r: float) -> np.ndarray:
-        return chart((1.0 + sgn_s * step) * (cov + sgn_r * step * kern))
-
-    mixed = (endpoint(1, 1) - endpoint(1, -1) - endpoint(-1, 1) + endpoint(-1, -1))
+    points = np.stack([(1.0 + sgn_s * step) * (covs + sgn_r * step * kerns)
+                       for sgn_s, sgn_r in ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=1)
+    ends = adapter.chart_array(covs, points)
+    mixed = ends[:, 0] - ends[:, 1] - ends[:, 2] + ends[:, 3]
     mixed /= 4.0 * step * step
-    return float(np.linalg.norm(complement.T @ mixed))
+    for i, vec in zip(live, mixed):
+        values[i] = float(np.linalg.norm(rank_infos[i].image_complement.T @ vec))
+    return values
 
 
 def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
@@ -377,7 +427,7 @@ def regularity_isomorphism_check(adapter: StructureAdapter,
     norm_vec = float(np.linalg.norm(vec))
     if norm_vec == 0.0:
         return False
-    complement = _local_rank(adapter, cov)[1].image_complement
+    complement = _rank_reports(adapter, cov[np.newaxis])[0].image_complement
     if complement.shape[1] == 0:
         return False
     return bool(np.linalg.norm(complement.T @ vec) > INDEPENDENCE_TOL * norm_vec)

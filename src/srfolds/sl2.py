@@ -27,7 +27,8 @@ import numpy as np
 
 from .contact import ContactGroup, cov_triple, curvature
 from .errors import InvalidInput
-from .scfun import sc_pair
+from .numeric import libm
+from .scfun import sc_pair, sc_pair_array
 from .singularity import StructureAdapter
 
 X0 = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -81,17 +82,54 @@ def _chart_uses_m11(matrix: Sl2Matrix) -> bool:
     return abs(matrix.m11) >= _CHART_M11_MIN
 
 
+def _chart_value(use11: bool, cov) -> np.ndarray:
+    matrix, _ = sl2_exp(cov, 1.0)
+    if use11:
+        return np.array([matrix.m11, matrix.m12, matrix.m21])
+    return np.array([matrix.m12, matrix.m21, matrix.m22])
+
+
 def _chart_at(center) -> Callable[..., np.ndarray]:
     """The chart selected at the endpoint of center, as a function of the covector."""
     use11 = _chart_uses_m11(sl2_exp(center, 1.0)[0])
+    return lambda cov: _chart_value(use11, cov)
 
-    def chart(cov) -> np.ndarray:
-        matrix, _ = sl2_exp(cov, 1.0)
-        if use11:
-            return np.array([matrix.m11, matrix.m12, matrix.m21])
-        return np.array([matrix.m12, matrix.m21, matrix.m22])
 
-    return chart
+def _chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """_chart_at(centers[i])(points[i, j]) for every i, j, bit for bit.
+
+    Each center selects its chart with one scalar sl2_exp. The entries repeat
+    sl2_exp at t = 1 term for term, through scfun.sc_pair_array; rows whose
+    input or curvature is not finite, and rows that fail the Sl2Matrix
+    determinant check, go to the scalar chart, which raises there.
+    """
+    use11 = np.array([_chart_uses_m11(sl2_exp(c, 1.0)[0]) for c in centers])
+    n, m, _ = points.shape
+    flat = points.reshape(n * m, 3)
+    u0, v0, w0 = flat[:, 0], flat[:, 1], flat[:, 2]
+    with np.errstate(all="ignore"):
+        r = curvature(_EPS, u0, v0, w0)
+    live = np.flatnonzero(np.isfinite(flat).all(axis=1) & np.isfinite(r))
+    u0, v0, w0 = u0[live], v0[live], w0[live]
+    s, c = sc_pair_array(r[live], 1.0 / 2.0)
+    half = w0 * 1.0 / 2.0
+    cos_t, sin_t = libm(math.cos, half), libm(math.sin, half)
+    exact = np.zeros(n * m, dtype=bool)
+    with np.errstate(all="ignore"):
+        m11 = (c + s * u0) * cos_t + s * (v0 + w0) * sin_t
+        m12 = -(c + s * u0) * sin_t + s * (v0 + w0) * cos_t
+        m21 = s * (v0 - w0) * cos_t + (c - s * u0) * sin_t
+        m22 = -s * (v0 - w0) * sin_t + (c - s * u0) * cos_t
+        det = m11 * m22 - m12 * m21
+        scale = np.maximum(1.0, np.abs(m11 * m22) + np.abs(m12 * m21))
+        exact[live] = np.isfinite(det) & (np.abs(det - 1.0) <= 1e-9 * scale)
+    out = np.empty((n * m, 3))
+    out[live] = np.where(np.repeat(use11, m)[live, np.newaxis],
+                         np.column_stack([m11, m12, m21]),
+                         np.column_stack([m12, m21, m22]))
+    for row in np.flatnonzero(~exact):
+        out[row] = _chart_value(use11[row // m], flat[row])
+    return out.reshape(n, m, 3)
 
 
 def sl2_chart(cov, center=None) -> np.ndarray:
@@ -123,4 +161,4 @@ def sl2_adapter() -> StructureAdapter:
     # the chart looks sl2_exp up in the module globals on every call, so
     # rebinding that name (as the span tracer in perfbench/ does) also reaches
     # adapters already built; the scan path does not call sl2_chart
-    return _GROUP.adapter(_chart_at)
+    return _GROUP.adapter(_chart_at, _chart_array)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .contact import ContactGroup, cov_triple, curvature
 from .errors import DegenerateCovector, InvalidInput
+from .numeric import libm
 from .singularity import StructureAdapter
 from .state import JacobiCoords
 
@@ -99,16 +100,61 @@ def _chart_uses_imaginary(point: Su2Point) -> bool:
     return abs(point.alpha_re) >= abs(point.alpha_im)
 
 
+def _chart_value(use_im: bool, cov) -> np.ndarray:
+    point, _ = su2_exp(cov, 1.0)
+    first = point.alpha_im if use_im else point.alpha_re
+    return np.array([first, point.beta_re, point.beta_im])
+
+
 def _chart_at(center) -> Callable[..., np.ndarray]:
     """The chart selected at the endpoint of center, as a function of the covector."""
     use_im = _chart_uses_imaginary(su2_exp(center, 1.0)[0])
+    return lambda cov: _chart_value(use_im, cov)
 
-    def chart(cov) -> np.ndarray:
-        point, _ = su2_exp(cov, 1.0)
-        first = point.alpha_im if use_im else point.alpha_re
-        return np.array([first, point.beta_re, point.beta_im])
 
-    return chart
+def _chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """_chart_at(centers[i])(points[i, j]) for every i, j, bit for bit.
+
+    Each center selects its chart with one scalar su2_exp. The endpoints
+    repeat su2_exp at t = 1 in real arithmetic, term for term, including the
+    zero parts that Python's complex product and quotient carry; rows with
+    rho = 0, non-finite rows and rows off the unit-sphere band go to the
+    scalar chart.
+    """
+    use_im = np.array([_chart_uses_imaginary(su2_exp(c, 1.0)[0]) for c in centers])
+    n, m, _ = points.shape
+    flat = points.reshape(n * m, 3)
+    u0, v0, w0 = flat[:, 0], flat[:, 1], flat[:, 2]
+    with np.errstate(all="ignore"):
+        rho = np.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
+    live = np.flatnonzero(np.isfinite(flat).all(axis=1) & np.isfinite(rho) & (rho != 0.0))
+    u0, v0, w0, rho = u0[live], v0[live], w0[live], rho[live]
+    half = w0 * 1.0 / 2.0
+    cos_w, sin_w = libm(math.cos, half), libm(math.sin, half)
+    half = rho * 1.0 / 2.0
+    cos_r, sin_r = libm(math.cos, half), libm(math.sin, half)
+    # alpha = (cos_w - i sin_w) (cos_r + i q)
+    q = (w0 / rho) * sin_r
+    alpha_re = cos_w * cos_r - (-sin_w) * q
+    alpha_im = cos_w * q + (-sin_w) * cos_r
+    # beta = ((u0 + i v0) / rho) sin_r (cos_w + i sin_w), each factor a complex
+    ratio_re, ratio_im = (u0 + v0 * 0.0) / rho, (v0 - u0 * 0.0) / rho
+    scaled_re = ratio_re * sin_r - ratio_im * 0.0
+    scaled_im = ratio_re * 0.0 + ratio_im * sin_r
+    beta_re = scaled_re * cos_w - scaled_im * sin_w
+    beta_im = scaled_re * sin_w + scaled_im * cos_w
+    norm_sq = (alpha_re * alpha_re + alpha_im * alpha_im
+               + beta_re * beta_re + beta_im * beta_im)
+    out = np.empty((n * m, 3))
+    first = np.where(np.repeat(use_im, m)[live], alpha_im, alpha_re)
+    out[live] = np.column_stack([first, beta_re, beta_im])
+    # Su2Point raises off the band |norm_sq - 1| <= 1e-10; inside this narrower
+    # one the scalar cannot, so only the rows outside it need the scalar check
+    exact = np.zeros(n * m, dtype=bool)
+    exact[live] = np.abs(norm_sq - 1.0) <= 1e-11
+    for row in np.flatnonzero(~exact):
+        out[row] = _chart_value(use_im[row // m], flat[row])
+    return out.reshape(n, m, 3)
 
 
 def su2_chart(cov, center=None) -> np.ndarray:
@@ -140,4 +186,4 @@ def su2_adapter() -> StructureAdapter:
     # the chart looks su2_exp up in the module globals on every call, so
     # rebinding that name (as the span tracer in perfbench/ does) also reaches
     # adapters already built; the scan path does not call su2_chart
-    return _GROUP.adapter(_chart_at)
+    return _GROUP.adapter(_chart_at, _chart_array)

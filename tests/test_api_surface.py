@@ -9,6 +9,10 @@ tolerances block. These tests keep it from growing per-call knobs again.
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +42,17 @@ def test_every_exported_name_resolves_once():
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_decision_layer_takes_no_tolerance_or_step(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the ODE solver and quadrature serve only the oracles: numeric imports
+    # scipy.integrate inside integrate and quad, and cli looks the scipy
+    # version up when it prints it
+    env = dict(os.environ)
+    src = str(Path(srfolds.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = "import sys, srfolds, srfolds.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import brentq
+
 from srfolds import (DegenerateMatrix, InvalidInput, NonConvergence, OdeProblem,
-                     fd_jacobian, find_roots, integrate, rank_nullspace,
+                     RootHit, fd_jacobian, find_roots, integrate, rank_nullspace,
                      vertical_to_endpoint_matrix)
-from srfolds.numeric import quad
+from srfolds.numeric import quad, scan_nodes
 
 TAN_FIXED_POINT = 4.493409457909064
 QUARTIC_INTEGRAL = 1.3110287771460598
@@ -190,6 +192,89 @@ class TestFindRoots:
             find_roots(g, 0.0, 2.0, scan_points=5, grid_values=grid)
         assert str(err.value) == (
             "scan produced 3 non-finite values on [0.0, 2.0]; first at s = 0.0: nan")
+
+
+def _loop_find_roots(g, lo, hi, scan_points, tol=1e-10, grid_values=None):
+    """find_roots with its brackets found by a per-interval loop: the oracle.
+
+    Same grid, gates and merge as the library; only the bracket search differs.
+    """
+    xs = scan_nodes(lo, hi, scan_points)
+    gs = (np.array([g(x) for x in xs], dtype=float) if grid_values is None
+          else np.asarray(grid_values, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(gs))))
+    hits = []
+    nonzero = np.flatnonzero(gs)
+    for i in np.flatnonzero(gs == 0.0):
+        k = int(np.searchsorted(nonzero, i))
+        if 0 < k < nonzero.size and np.sign(gs[nonzero[k - 1]]) != np.sign(gs[nonzero[k]]):
+            hits.append(RootHit(float(xs[i]), 0.0))
+    for i in range(len(xs) - 1):
+        if gs[i] == 0.0 or gs[i + 1] == 0.0:
+            continue
+        if np.sign(gs[i]) != np.sign(gs[i + 1]):
+            r = brentq(g, xs[i], xs[i + 1], xtol=tol * 1e-2, rtol=1e-15)
+            residual = abs(g(r))
+            if residual <= tol * scale:
+                hits.append(RootHit(float(r), residual))
+    hits.sort(key=lambda h: h.value)
+    merged = []
+    for h in hits:
+        if merged and abs(h.value - merged[-1].value) < (hi - lo) * 1e-9:
+            if h.residual < merged[-1].residual:
+                merged[-1] = h
+            continue
+        merged.append(h)
+    return merged
+
+
+def _same_as_loop(g, lo, hi, scan_points, grid_values=None):
+    """find_roots and the loop oracle give the same hits from the same calls of g."""
+    calls = {"array": [], "loop": []}
+
+    def recorded(name):
+        def fn(t):
+            calls[name].append(float(t))
+            return g(t)
+        return fn
+
+    hits = find_roots(recorded("array"), lo, hi, scan_points=scan_points,
+                      grid_values=grid_values)
+    oracle = _loop_find_roots(recorded("loop"), lo, hi, scan_points, grid_values=grid_values)
+    assert hits == oracle
+    assert calls["array"] == calls["loop"]
+    return hits
+
+
+class TestFindRootsBrackets:
+    """The array bracket search against the per-interval loop it replaced."""
+
+    @pytest.mark.parametrize("g,lo,hi,n,expected", [
+        # exact zeros at the nodes 1, 2 and 3, each with a sign change
+        (lambda t: (t - 1.0) * (t - 2.0) * (t - 3.0), 0.0, 4.0, 5, 3),
+        # a touching zero at the node 1, a crossing inside (2.25, 2.75)
+        (lambda t: (t - 1.0) ** 2 * (t - 2.6), 0.0, 4.0, 9, 1),
+        # zeros at both endpoints and one crossing inside
+        (lambda t: t * (t - 1.3) * (4.0 - t), 0.0, 4.0, 9, 1),
+        # zero on the nodes 1, 1.5 and 2 between nonzero values of opposite sign
+        (lambda t: min(t - 1.0, 0.0) + max(t - 2.0, 0.0), 0.0, 3.0, 7, 3),
+        # tan-style poles at pi/2 and 3 pi/2 are rejected, the zeros kept
+        (math.tan, 0.5, 6.5, 50, 2),
+        (lambda t: 1.0 / (t - 1.7) - 0.5, 0.0, 4.0, 40, 1),
+    ], ids=["node-zeros", "touching", "endpoints", "zero-run", "tan", "pole"])
+    def test_planted_grids(self, g, lo, hi, n, expected):
+        assert len(_same_as_loop(g, lo, hi, n)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([-2.0, -1.0, -1e-300, 0.0, 0.0, 1e-300, 1.0, 3.0,
+                                     1e300, -1e300]), min_size=2, max_size=40))
+    def test_random_sign_patterns(self, values):
+        # g is the piecewise-linear interpolant of the grid, so it equals the
+        # grid at the nodes; 1e300 entries act as poles for the residual gate
+        grid = np.array(values)
+        xs = scan_nodes(0.0, 1.0, grid.size)
+        _same_as_loop(lambda t: float(np.interp(t, xs, grid)), 0.0, 1.0, grid.size,
+                      grid_values=grid)
 
 
 class TestFdJacobian:

@@ -254,20 +254,22 @@ class TestClassify:
 
 
 class TestScanCost:
-    """Group exponentials per record on the scan path.
+    """Chart evaluations per ray on the scan path.
 
-    A record selects its chart with one exponential at its covector and
-    evaluates six more for the central-difference Jacobian, which the rank
-    check and the second-order certificate share. Where the pairing vanishes
-    (here, every record that is not a Fold) the second-order stencil adds
-    four. Selecting the chart on every evaluation, or a second Jacobian,
-    breaks the budget.
+    The records of a ray are built in array calls: one chart_array call
+    evaluates every record's central-difference stencil, and one more the
+    second-order stencils of the records whose pairing vanishes (here, every
+    record that is not a Fold). Each call selects the chart of each of its
+    centers with one scalar exponential, so a Fold record costs one and any
+    other record at most two; no point of a stencil is a scalar exponential.
+    A per-record stencil, or a third array call, breaks the budget.
     """
 
     @pytest.mark.parametrize("module,exp_name,make_adapter,ray,s_max", [
         (su2_module, "su2_exp", su2_adapter, SU2_RAY, 20.0),
         (sl2_module, "sl2_exp", sl2_adapter, SL2_RAY, 14.0),
-    ], ids=["su2", "sl2"])
+        (su2_module, "su2_exp", su2_adapter, SU2_RAY, 4000.0),
+    ], ids=["su2", "sl2", "su2-long"])
     def test_exp_calls_per_record(self, monkeypatch, module, exp_name, make_adapter,
                                   ray, s_max):
         original = getattr(module, exp_name)
@@ -280,9 +282,40 @@ class TestScanCost:
         monkeypatch.setattr(module, exp_name, counted)
         records = scan_ray(make_adapter(), ray, s_max)
         assert len(records) >= 2
-        budget = sum(7 if rec.singularity_class is SingularityClass.FOLD else 11
+        budget = sum(1 if rec.singularity_class is SingularityClass.FOLD else 2
                      for rec in records)
         assert calls[0] <= budget
+
+    @pytest.mark.parametrize("make_adapter,ray,s_max", [
+        (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
+         (math.cos(0.9), math.sin(0.9)), 20.0),
+        (su2_adapter, SU2_RAY, 20.0),
+        (sl2_adapter, SL2_RAY, 14.0),
+        (sl2_adapter, SL2_RAY, 4000.0),
+    ], ids=["grushin", "su2", "sl2", "sl2-long"])
+    def test_chart_array_calls_per_ray(self, make_adapter, ray, s_max):
+        adapter = make_adapter()
+        calls, rows, scalar = [0], [0], [0]
+
+        def chart_array(centers, points):
+            calls[0] += 1
+            rows[0] += len(centers)
+            return adapter.chart_array(centers, points)
+
+        def chart_at(center):
+            chart = adapter.chart_at(center)
+
+            def counted(cov):
+                scalar[0] += 1
+                return chart(cov)
+            return counted
+
+        records = scan_ray(replace(adapter, chart_array=chart_array, chart_at=chart_at),
+                           ray, s_max)
+        assert len(records) >= 2
+        assert calls[0] <= 2
+        assert rows[0] <= 2 * len(records)
+        assert scalar[0] == 0
 
     @pytest.mark.parametrize("make_adapter,ray,s_max", [
         (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
