@@ -23,14 +23,17 @@ direction lands at the time-one endpoint g as
 
     f_c = -eps (h2 g X0 - w0 (u1 g X1 + v1 g X2)) / sqrt(h2).
 
-Each group's representation (matrices, exponential, charts) lives in su2.py
-and sl2.py.
+The chart is shared too: three of the four real entries of the endpoint
+matrix, picked by the group's selector frozen at a center. Each group's
+representation (basis, point class, exponential, entries, selector) lives in
+su2.py and sl2.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -85,17 +88,60 @@ def curvature(eps: int, u0: float, v0: float, w0: float) -> float:
 class ContactGroup:
     """One group's sign and representation, plugged into the shared formulas.
 
-    exp(cov, t) returns the endpoint (with a .matrix() method) and the momentum
-    (u, v, w)(t); basis holds the matrices (X0, X1, X2); push(point, tangent)
-    gives the chart components of a tangent matrix at point, in the chart the
-    group selects there.
+    exp(cov, t) returns the endpoint and the momentum (u, v, w)(t); the
+    endpoint's matrix() is the group matrix and its entries() the four real
+    entries that matrix_entries gives of that matrix. basis holds the matrices
+    (X0, X1, X2). entries_array(covs) gives the entries of exp(cov, 1.0) at
+    each row of a (k, 3) array, together with a mask of the rows where they
+    equal the scalar ones bit for bit; the other rows are left to the scalar
+    exponential. selects_primary(entries), applied to the endpoint entries at
+    a center, chooses the chart there: the entries indexed by charts[0] if it
+    holds, by charts[1] otherwise. Charts are linear in the entries, so a
+    tangent matrix at the endpoint has the same three entries as its chart
+    components.
     """
 
     name: str
     eps: int
     exp: Callable
     basis: tuple[np.ndarray, np.ndarray, np.ndarray]
-    push: Callable[..., np.ndarray]
+    matrix_entries: Callable[[np.ndarray], np.ndarray]
+    entries_array: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    selects_primary: Callable[[tuple[float, ...]], bool]
+    charts: tuple[tuple[int, int, int], tuple[int, int, int]]
+
+    def _primary_at(self, center) -> bool:
+        return self.selects_primary(self.exp(center, 1.0)[0].entries())
+
+    def chart_at(self, center) -> Callable[..., np.ndarray]:
+        """The chart selected at the endpoint of center, as a function of the covector."""
+        pick = itemgetter(*self.charts[0 if self._primary_at(center) else 1])
+        return lambda cov: np.array(pick(self.exp(cov, 1.0)[0].entries()))
+
+    def chart(self, cov, center=None) -> np.ndarray:
+        """Chart coordinates of the time-one endpoint, selector frozen at center."""
+        return self.chart_at(cov if center is None else center)(cov)
+
+    def chart_array(self, centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """chart_at(centers[i])(points[i, j]) for every i, j, bit for bit.
+
+        Each center selects its chart with one scalar exponential; the entries
+        of every point come from one entries_array call, and the rows it does
+        not mark exact take the scalar exponential's entries. Those rows are
+        evaluated center by center, right after the center's selection, so the
+        first of them that raises is the first that the scalar loop raises at.
+        """
+        n, m, _ = points.shape
+        entries, exact = self.entries_array(points.reshape(n * m, 3))
+        entries, exact = entries.reshape(n, m, 4), exact.reshape(n, m)
+        primary = []
+        for i, complete in enumerate(exact.all(axis=1).tolist()):
+            primary.append(self._primary_at(centers[i]))
+            if not complete:
+                for j in np.flatnonzero(~exact[i]):
+                    entries[i, j] = self.exp(points[i, j], 1.0)[0].entries()
+        return np.where(np.array(primary)[:, np.newaxis, np.newaxis],
+                        entries[..., list(self.charts[0])], entries[..., list(self.charts[1])])
 
     def conj_f(self, cov) -> tuple[float, float, float]:
         """(r, f0, f1); conjugate iff r > 0 and f0 f1 = 0.
@@ -196,15 +242,15 @@ class ContactGroup:
         point, momentum = self.exp((u0, v0, w0), 1.0)
         u1, v1 = momentum[0], momentum[1]
         g = point.matrix()
+        index = list(self.charts[0 if self.selects_primary(point.entries()) else 1])
         g_x0, g_x1, g_x2 = (g @ x for x in self.basis)
         sq = math.sqrt(h2)
         f_a = (u1 * g_x2 - v1 * g_x1) / sq
         f_b = (u1 * g_x1 + v1 * g_x2) / sq
         f_c = -self.eps * (h2 * g_x0 - w0 * (u1 * g_x1 + v1 * g_x2)) / sq
-        return np.column_stack([self.push(point, f) for f in (f_a, f_b, f_c)])
+        return np.column_stack([self.matrix_entries(f)[index] for f in (f_a, f_b, f_c)])
 
-    def adapter(self, chart_at: Callable[..., Callable],
-                chart_array: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> StructureAdapter:
+    def adapter(self) -> StructureAdapter:
         """Plug the group into the generic conjugate-locus scanner."""
 
         def conj_grad(cov, stratum: str) -> np.ndarray:
@@ -242,8 +288,8 @@ class ContactGroup:
         return StructureAdapter(
             name=self.name,
             fiber_dim=3,
-            chart_at=chart_at,
-            chart_array=chart_array,
+            chart_at=self.chart_at,
+            chart_array=self.chart_array,
             conj_f=self.strata,
             conj_f_array=self.strata_array,
             conj_grad=conj_grad,

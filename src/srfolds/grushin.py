@@ -313,22 +313,29 @@ def grushin_conj_f(base: GrushinBase, cov) -> float:
     return u1 * (u0 + base.x0) - u0 * x1
 
 
-def _oscillator_rows(covs: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Indices of the rows where grushin_exp takes the oscillator branch."""
-    v0 = covs[:, 1]
-    with np.errstate(all="ignore"):
-        return np.flatnonzero((h2 != 0.0) & (v0 * v0 != 0.0)
-                              & np.isfinite(np.sqrt(h2) / np.abs(v0)))
+def _endpoint_pass(base: GrushinBase,
+                   covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x1, y1, u1) of grushin_exp(base, cov, 1.0) at each row of covs, bit for bit.
 
-
-def _oscillator_endpoint_array(base: GrushinBase, u0: np.ndarray, v0: np.ndarray,
-                               h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x1, u1) of grushin_exp at t = 1 on oscillator rows, bit for bit.
-
-    _oscillator and grushin_exp term for term, with the phase inverted from
-    the smaller of its sine and cosine ratios.
+    Follows the scalar branches row by row: the straight line where the
+    curvature is not resolvable, and _oscillator and grushin_exp term for
+    term elsewhere, with the phase inverted from the smaller of its sine and
+    cosine ratios. Rows that are not finite or have H = 0 go to grushin_exp
+    itself.
     """
+    u0, v0 = covs[:, 0], covs[:, 1]
     alpha, x0 = base.alpha, base.x0
+    with np.errstate(all="ignore"):
+        h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
+        x1 = x0 + u0 * 1.0
+        osc = np.flatnonzero((h2 != 0.0) & (v0 * v0 != 0.0)
+                             & np.isfinite(np.sqrt(h2) / np.abs(v0)))
+    y1 = np.full(u0.shape, base.y0)
+    u1 = u0.copy()
+    for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
+        state = grushin_exp(base, covs[i], 1.0)
+        (x1[i], y1[i]), u1[i] = state.position, state.momentum[0]
+    u0, v0, h2 = u0[osc], v0[osc], h2[osc]
     amp = libm(pow, np.sqrt(h2) / np.abs(v0), 1.0 / alpha)
     omega = v0 * libm(pow, amp, alpha - 1.0)
     sin_ratio = np.minimum(np.abs(x0 / amp), 1.0)
@@ -340,52 +347,33 @@ def _oscillator_endpoint_array(base: GrushinBase, u0: np.ndarray, v0: np.ndarray
     phase = np.copysign(arc, x0)
     flip = np.where(u0 * v0 < 0.0, -1.0, 1.0)
     sin_a, cos_a = sin_cos_alpha_array(alpha, phase + flip * omega * 1.0)
-    return amp * sin_a, flip * amp * omega * cos_a
+    x = amp * sin_a
+    u = flip * amp * omega * cos_a
+    x1[osc], u1[osc] = x, u
+    y1[osc] = base.y0 + (1.0 * h2 + u0 * x0 - u * x) / (v0 * (alpha + 1.0))
+    return x1, y1, u1
 
 
 def grushin_conj_f_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
     """grushin_conj_f at each row (u0, v0) of covs, bit for bit, in one array pass.
 
-    Follows the scalar branches node by node: the straight line where the
-    curvature is not resolvable (f is exactly 0 there), and the oscillator
-    of _oscillator_endpoint_array. Rows that are not finite or have H = 0 go
-    to grushin_conj_f itself, so the first of them raises what the scalar
-    loop raises there.
+    Rows that are not finite or have H = 0 go to grushin_conj_f first, so the
+    first of them raises what the scalar loop raises there; the endpoints of
+    the rest come from _endpoint_pass.
     """
     u0, v0 = covs[:, 0], covs[:, 1]
-    x0 = base.x0
     with np.errstate(all="ignore"):
-        h2 = u0 * u0 + v0 * v0 * _even_power(x0, base.alpha)
-        f = u0 * (u0 + x0) - u0 * (x0 + u0 * 1.0)
-    osc = _oscillator_rows(covs, h2)
+        h2 = u0 * u0 + v0 * v0 * _even_power(base.x0, base.alpha)
     for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
-        f[i] = grushin_conj_f(base, covs[i])
-    u0 = u0[osc]
-    x1, u1 = _oscillator_endpoint_array(base, u0, v0[osc], h2[osc])
-    f[osc] = u1 * (u0 + x0) - u0 * x1
-    return f
+        grushin_conj_f(base, covs[i])
+    x1, _, u1 = _endpoint_pass(base, covs)
+    return u1 * (u0 + base.x0) - u0 * x1
 
 
 def grushin_endpoint_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
-    """grushin_exp(base, cov, 1.0).position at each row of covs, bit for bit.
-
-    The straight line where the curvature is not resolvable and the
-    oscillator of _oscillator_endpoint_array; rows that are not finite or
-    have H = 0 go to grushin_exp itself.
-    """
-    u0, v0 = covs[:, 0], covs[:, 1]
-    alpha, x0 = base.alpha, base.x0
-    with np.errstate(all="ignore"):
-        h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
-        out = np.column_stack([x0 + u0 * 1.0, np.full(u0.shape, base.y0)])
-    osc = _oscillator_rows(covs, h2)
-    for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
-        out[i] = grushin_exp(base, covs[i], 1.0).position
-    u0, v0, h2 = u0[osc], v0[osc], h2[osc]
-    x1, u1 = _oscillator_endpoint_array(base, u0, v0, h2)
-    out[osc, 0] = x1
-    out[osc, 1] = base.y0 + (1.0 * h2 + u0 * x0 - u1 * x1) / (v0 * (alpha + 1.0))
-    return out
+    """grushin_exp(base, cov, 1.0).position at each row of covs, bit for bit."""
+    x1, y1, _ = _endpoint_pass(base, covs)
+    return np.column_stack([x1, y1])
 
 
 def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:

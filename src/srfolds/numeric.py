@@ -9,6 +9,7 @@ loosens them explicitly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -122,6 +123,12 @@ def scan_nodes(lo: float, hi: float, scan_points: int) -> np.ndarray:
     return np.linspace(lo, hi, scan_points)
 
 
+def check_root_tol(tol: float) -> None:
+    """Raise InvalidInput unless tol is a positive finite root tolerance."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InvalidInput(f"root tolerance must be positive and finite, got {tol}")
+
+
 def find_roots(g: Callable[[float], float], lo: float, hi: float,
                scan_points: int = DEFAULT_SCAN_POINTS,
                tol: float = DEFAULT_ROOT_TOL,
@@ -138,8 +145,10 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
     nearest nonzero grid values on either side differ in sign, so a zero at
     an endpoint or a touching zero is not reported. Hits are deduplicated and
     sorted ascending. A non-finite grid value raises NonConvergence, which
-    names the first such node.
+    names the first such node, and a tol that is not positive and finite
+    raises InvalidInput.
     """
+    check_root_tol(tol)
     xs = scan_nodes(lo, hi, scan_points)
     if grid_values is None:
         gs = np.array([g(x) for x in xs], dtype=float)

@@ -24,8 +24,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInput, WitnessNotFound
-from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, RankResult, fd_columns,
-                      fd_jacobian, fd_stencil, find_roots, rank_nullspace, scan_nodes)
+from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, RankResult, check_root_tol,
+                      fd_columns, fd_jacobian, fd_stencil, find_roots, rank_nullspace,
+                      scan_nodes)
 
 # The classification policy is fixed. conj-scan prints PAIRING_TOL and
 # SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
@@ -85,10 +86,10 @@ class StructureAdapter:
     stratum once the kernel/gradient pairing is known (used when the strata
     are defined by transversality rather than by separate functions).
 
-    kernel_jacobi_p0 / jacobi_p_end / frame_images expose closed-form Jacobi
-    data for regularity_isomorphism_check: the vertical Jacobi datum spanning
-    the kernel, its momentum propagated to t=1, and the chart images of the
-    frame directions at the endpoint.
+    kernel_jacobi_p0 / jacobi_p_end / frame_images, which every structure
+    supplies, expose closed-form Jacobi data for regularity_isomorphism_check:
+    the vertical Jacobi datum spanning the kernel, its momentum propagated to
+    t=1, and the chart images of the frame directions at the endpoint.
     """
 
     name: str
@@ -101,11 +102,11 @@ class StructureAdapter:
     kernel: Callable[[np.ndarray], np.ndarray]
     stratum_names: tuple[str, ...]
     ray_gate: Callable[[np.ndarray], bool]
+    kernel_jacobi_p0: Callable[[np.ndarray], np.ndarray]
+    jacobi_p_end: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    frame_images: Callable[[np.ndarray], np.ndarray]
     undetermined: Callable[[np.ndarray, str], bool] = field(default=_never)
     stratum_relabel: Optional[Callable[[np.ndarray, float], str]] = None
-    kernel_jacobi_p0: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jacobi_p_end: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    frame_images: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,9 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     norm_d = float(np.linalg.norm(d))
     if norm_d == 0.0 or not np.isfinite(norm_d):
         raise InvalidInput("direction must be a nonzero finite vector")
-    if not (s_max > 0.0):
-        raise InvalidInput(f"s_max must be positive, got {s_max}")
+    if not (s_max > 0.0 and np.isfinite(s_max)):
+        raise InvalidInput(f"s_max must be positive and finite, got {s_max}")
+    check_root_tol(root_tol)
     d = d / norm_d
     if not adapter.ray_gate(d):
         return []
@@ -416,10 +418,6 @@ def regularity_isomorphism_check(adapter: StructureAdapter,
     """
     if record.order != 1:
         raise InvalidInput("regularity check requires an order-one record")
-    if (adapter.kernel_jacobi_p0 is None or adapter.jacobi_p_end is None
-            or adapter.frame_images is None):
-        raise InvalidInput(
-            f"structure {adapter.name!r} does not expose Jacobi hooks")
     cov = np.asarray(record.covector, dtype=float)
     p0 = np.asarray(adapter.kernel_jacobi_p0(cov), dtype=float)
     p1 = np.asarray(adapter.jacobi_p_end(cov, p0), dtype=float)

@@ -15,13 +15,15 @@ This is the eps = -1 case of contact.py: covectors with r <= 0 are never
 conjugate, and for r > 0 the strata are those of the compact case with sqrt(r)
 in place of the covector norm. The kernel's vertical term +4 sin(sqrt(r)/2)
 has the opposite sign from the compact case, as finite differences confirm.
+
+The chart (contact.py) reads (m11, m12, m21) where |m11| >= 1e-3 at the
+center, and (m12, m21, m22) otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .contact import ContactGroup, cov_triple, curvature
 from .errors import InvalidInput
 from .numeric import libm
 from .scfun import sc_pair, sc_pair_array
-from .singularity import StructureAdapter
 
 X0 = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
 X1 = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -61,6 +62,10 @@ class Sl2Matrix:
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
+    def entries(self) -> tuple[float, float, float, float]:
+        """_entries(self.matrix()), without building the matrix."""
+        return self.m11, self.m12, self.m21, self.m22
+
 
 def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
@@ -78,43 +83,28 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     return Sl2Matrix(m11, m12, m21, m22), np.array([u1, v1, w0])
 
 
-def _chart_uses_m11(matrix: Sl2Matrix) -> bool:
-    return abs(matrix.m11) >= _CHART_M11_MIN
+def _entries(matrix: np.ndarray) -> np.ndarray:
+    """(m11, m12, m21, m22)."""
+    return np.ravel(matrix)
 
 
-def _chart_value(use11: bool, cov) -> np.ndarray:
-    matrix, _ = sl2_exp(cov, 1.0)
-    if use11:
-        return np.array([matrix.m11, matrix.m12, matrix.m21])
-    return np.array([matrix.m12, matrix.m21, matrix.m22])
+def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_entries of sl2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
-
-def _chart_at(center) -> Callable[..., np.ndarray]:
-    """The chart selected at the endpoint of center, as a function of the covector."""
-    use11 = _chart_uses_m11(sl2_exp(center, 1.0)[0])
-    return lambda cov: _chart_value(use11, cov)
-
-
-def _chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """_chart_at(centers[i])(points[i, j]) for every i, j, bit for bit.
-
-    Each center selects its chart with one scalar sl2_exp. The entries repeat
-    sl2_exp at t = 1 term for term, through scfun.sc_pair_array; rows whose
-    input or curvature is not finite, and rows that fail the Sl2Matrix
-    determinant check, go to the scalar chart, which raises there.
+    Repeats sl2_exp at t = 1 term for term, through scfun.sc_pair_array. Rows
+    whose input or curvature is not finite, and rows that fail the Sl2Matrix
+    determinant check, are not exact.
     """
-    use11 = np.array([_chart_uses_m11(sl2_exp(c, 1.0)[0]) for c in centers])
-    n, m, _ = points.shape
-    flat = points.reshape(n * m, 3)
-    u0, v0, w0 = flat[:, 0], flat[:, 1], flat[:, 2]
+    u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
     with np.errstate(all="ignore"):
         r = curvature(_EPS, u0, v0, w0)
-    live = np.flatnonzero(np.isfinite(flat).all(axis=1) & np.isfinite(r))
+    live = np.flatnonzero(np.isfinite(covs).all(axis=1) & np.isfinite(r))
     u0, v0, w0 = u0[live], v0[live], w0[live]
     s, c = sc_pair_array(r[live], 1.0 / 2.0)
     half = w0 * 1.0 / 2.0
     cos_t, sin_t = libm(math.cos, half), libm(math.sin, half)
-    exact = np.zeros(n * m, dtype=bool)
+    entries = np.zeros((covs.shape[0], 4))
+    exact = np.zeros(covs.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
         m11 = (c + s * u0) * cos_t + s * (v0 + w0) * sin_t
         m12 = -(c + s * u0) * sin_t + s * (v0 + w0) * cos_t
@@ -123,42 +113,25 @@ def _chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
         det = m11 * m22 - m12 * m21
         scale = np.maximum(1.0, np.abs(m11 * m22) + np.abs(m12 * m21))
         exact[live] = np.isfinite(det) & (np.abs(det - 1.0) <= 1e-9 * scale)
-    out = np.empty((n * m, 3))
-    out[live] = np.where(np.repeat(use11, m)[live, np.newaxis],
-                         np.column_stack([m11, m12, m21]),
-                         np.column_stack([m12, m21, m22]))
-    for row in np.flatnonzero(~exact):
-        out[row] = _chart_value(use11[row // m], flat[row])
-    return out.reshape(n, m, 3)
+    entries[live] = np.column_stack([m11, m12, m21, m22])
+    return entries, exact
 
 
-def sl2_chart(cov, center=None) -> np.ndarray:
-    """Chart coordinates of the time-one endpoint, selector frozen at center.
-
-    Uses (m11, m12, m21) where m11 is bounded away from zero (determinant one
-    recovers m22), otherwise (m12, m21, m22).
-    """
-    return _chart_at(cov if center is None else center)(cov)
+def _selects_primary(entries: tuple[float, ...]) -> bool:
+    """The primary chart where m11 is bounded away from zero (determinant one recovers m22)."""
+    return abs(entries[0]) >= _CHART_M11_MIN
 
 
-def _push(matrix: Sl2Matrix, tangent: np.ndarray) -> np.ndarray:
-    """Chart components at matrix of a tangent matrix (charts are linear in entries)."""
-    if _chart_uses_m11(matrix):
-        return np.array([tangent[0, 0], tangent[0, 1], tangent[1, 0]])
-    return np.array([tangent[0, 1], tangent[1, 0], tangent[1, 1]])
-
-
-_GROUP = ContactGroup(name="sl2", eps=_EPS, exp=sl2_exp, basis=(X0, X1, X2), push=_push)
+# exp looks sl2_exp up in the module globals on every call, so rebinding that
+# name (as the span tracer in perfbench/ does) also reaches adapters already built
+_GROUP = ContactGroup(name="sl2", eps=_EPS, exp=lambda cov, t: sl2_exp(cov, t),
+                      basis=(X0, X1, X2), matrix_entries=_entries,
+                      entries_array=_entries_array, selects_primary=_selects_primary,
+                      charts=((0, 1, 2), (1, 2, 3)))
+sl2_chart = _GROUP.chart
 sl2_jacobi = _GROUP.jacobi
 sl2_conj_f = _GROUP.conj_f
 sl2_kernel = _GROUP.kernel
 sl2_conj_grad = _GROUP.conj_grad
 sl2_frame_images = _GROUP.frame_images
-
-
-def sl2_adapter() -> StructureAdapter:
-    """Plug the group into the generic conjugate-locus scanner."""
-    # the chart looks sl2_exp up in the module globals on every call, so
-    # rebinding that name (as the span tracer in perfbench/ does) also reaches
-    # adapters already built; the scan path does not call sl2_chart
-    return _GROUP.adapter(_chart_at, _chart_array)
+sl2_adapter = _GROUP.adapter

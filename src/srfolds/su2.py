@@ -19,20 +19,21 @@ the zeros of f0 = rho cos(rho/2) - 2 sin(rho/2) and f1 = sin(rho/2), and every
 conjugate covector has order one. The kernel's vertical term -4 sin(rho/2)
 has the opposite sign from the display some references carry; finite
 differences arbitrate it (the other sign is not annihilated).
+
+The chart (contact.py) reads (Im alpha, Re beta, Im beta) where Re alpha
+dominates Im alpha at the center, and (Re alpha, Re beta, Im beta) otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .contact import ContactGroup, cov_triple, curvature
 from .errors import DegenerateCovector, InvalidInput
 from .numeric import libm
-from .singularity import StructureAdapter
 from .state import JacobiCoords
 
 X0 = 0.5 * np.array([[1j, 0.0], [0.0, -1j]])
@@ -71,6 +72,10 @@ class Su2Point:
         a, b = self.alpha, self.beta
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
+    def entries(self) -> tuple[float, float, float, float]:
+        """_entries(self.matrix()), without building the matrix."""
+        return self.alpha_re, self.alpha_im, self.beta_re, self.beta_im
+
 
 def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
@@ -96,38 +101,23 @@ def su2_jacobi(cov, init: JacobiCoords, t: float) -> JacobiCoords:
     return _GROUP.jacobi(cov, init, t)
 
 
-def _chart_uses_imaginary(point: Su2Point) -> bool:
-    return abs(point.alpha_re) >= abs(point.alpha_im)
+def _entries(matrix: np.ndarray) -> np.ndarray:
+    """(Re, Im) of the top row's two entries: (Re alpha, Im alpha, Re beta, Im beta)."""
+    a, b = matrix[0]
+    return np.array([a.real, a.imag, b.real, b.imag])
 
 
-def _chart_value(use_im: bool, cov) -> np.ndarray:
-    point, _ = su2_exp(cov, 1.0)
-    first = point.alpha_im if use_im else point.alpha_re
-    return np.array([first, point.beta_re, point.beta_im])
+def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_entries of su2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
-
-def _chart_at(center) -> Callable[..., np.ndarray]:
-    """The chart selected at the endpoint of center, as a function of the covector."""
-    use_im = _chart_uses_imaginary(su2_exp(center, 1.0)[0])
-    return lambda cov: _chart_value(use_im, cov)
-
-
-def _chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """_chart_at(centers[i])(points[i, j]) for every i, j, bit for bit.
-
-    Each center selects its chart with one scalar su2_exp. The endpoints
-    repeat su2_exp at t = 1 in real arithmetic, term for term, including the
-    zero parts that Python's complex product and quotient carry; rows with
-    rho = 0, non-finite rows and rows off the unit-sphere band go to the
-    scalar chart.
+    Repeats su2_exp at t = 1 in real arithmetic, term for term, including the
+    zero parts that Python's complex product and quotient carry. Rows with
+    rho = 0, non-finite rows and rows off the unit-sphere band are not exact.
     """
-    use_im = np.array([_chart_uses_imaginary(su2_exp(c, 1.0)[0]) for c in centers])
-    n, m, _ = points.shape
-    flat = points.reshape(n * m, 3)
-    u0, v0, w0 = flat[:, 0], flat[:, 1], flat[:, 2]
+    u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
     with np.errstate(all="ignore"):
         rho = np.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
-    live = np.flatnonzero(np.isfinite(flat).all(axis=1) & np.isfinite(rho) & (rho != 0.0))
+    live = np.flatnonzero(np.isfinite(covs).all(axis=1) & np.isfinite(rho) & (rho != 0.0))
     u0, v0, w0, rho = u0[live], v0[live], w0[live], rho[live]
     half = w0 * 1.0 / 2.0
     cos_w, sin_w = libm(math.cos, half), libm(math.sin, half)
@@ -145,45 +135,29 @@ def _chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
     beta_im = scaled_re * sin_w + scaled_im * cos_w
     norm_sq = (alpha_re * alpha_re + alpha_im * alpha_im
                + beta_re * beta_re + beta_im * beta_im)
-    out = np.empty((n * m, 3))
-    first = np.where(np.repeat(use_im, m)[live], alpha_im, alpha_re)
-    out[live] = np.column_stack([first, beta_re, beta_im])
+    entries = np.zeros((covs.shape[0], 4))
+    entries[live] = np.column_stack([alpha_re, alpha_im, beta_re, beta_im])
     # Su2Point raises off the band |norm_sq - 1| <= 1e-10; inside this narrower
     # one the scalar cannot, so only the rows outside it need the scalar check
-    exact = np.zeros(n * m, dtype=bool)
+    exact = np.zeros(covs.shape[0], dtype=bool)
     exact[live] = np.abs(norm_sq - 1.0) <= 1e-11
-    for row in np.flatnonzero(~exact):
-        out[row] = _chart_value(use_im[row // m], flat[row])
-    return out.reshape(n, m, 3)
+    return entries, exact
 
 
-def su2_chart(cov, center=None) -> np.ndarray:
-    """Chart coordinates of the time-one endpoint, selector frozen at center.
-
-    Primary chart (Im alpha, Re beta, Im beta) near points with dominant
-    Re alpha; alternate (Re alpha, Re beta, Im beta) otherwise. Freezing the
-    selection at `center` keeps finite differences inside a single chart.
-    """
-    return _chart_at(cov if center is None else center)(cov)
+def _selects_primary(entries: tuple[float, ...]) -> bool:
+    """The primary chart where Re alpha dominates Im alpha."""
+    return abs(entries[0]) >= abs(entries[1])
 
 
-def _push(point: Su2Point, tangent: np.ndarray) -> np.ndarray:
-    """Chart components at point of a tangent matrix (charts are linear in entries)."""
-    a_t, b_t = tangent[0, 0], tangent[0, 1]
-    first = a_t.imag if _chart_uses_imaginary(point) else a_t.real
-    return np.array([first, b_t.real, b_t.imag])
-
-
-_GROUP = ContactGroup(name="su2", eps=_EPS, exp=su2_exp, basis=(X0, X1, X2), push=_push)
+# exp looks su2_exp up in the module globals on every call, so rebinding that
+# name (as the span tracer in perfbench/ does) also reaches adapters already built
+_GROUP = ContactGroup(name="su2", eps=_EPS, exp=lambda cov, t: su2_exp(cov, t),
+                      basis=(X0, X1, X2), matrix_entries=_entries,
+                      entries_array=_entries_array, selects_primary=_selects_primary,
+                      charts=((1, 2, 3), (0, 2, 3)))
+su2_chart = _GROUP.chart
 su2_conj_f = _GROUP.strata
 su2_kernel = _GROUP.kernel
 su2_conj_grad = _GROUP.conj_grad
 su2_frame_images = _GROUP.frame_images
-
-
-def su2_adapter() -> StructureAdapter:
-    """Plug the group into the generic conjugate-locus scanner."""
-    # the chart looks su2_exp up in the module globals on every call, so
-    # rebinding that name (as the span tracer in perfbench/ does) also reaches
-    # adapters already built; the scan path does not call su2_chart
-    return _GROUP.adapter(_chart_at, _chart_array)
+su2_adapter = _GROUP.adapter

@@ -242,6 +242,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ("--direction", "1,0,0.5", "--root-tol", "0"),
+        ("--direction", "1,0,0.5", "--root-tol", "-1"),
+        ("--direction", "1,0,0.5", "--root-tol", "nan"),
+        ("--direction", "1,0,0.5", "--s-max", "inf"),
+        ("--direction", "0,0,1", "--root-tol", "-1"),   # a ray the gate empties
+    ], ids=str)
+    def test_bad_root_tol_or_s_max_is_one_error_line(self, flags):
+        proc = run_cli("conj-scan", "--structure", "su2", *flags)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_alpha_below_one_is_computation_error(self):
         proc = run_cli("expmap", "--structure", "grushin", "--alpha", "0.5",
                        "--base", "1,0", "--covector", "0,1")

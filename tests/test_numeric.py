@@ -162,6 +162,12 @@ class TestFindRoots:
         with pytest.raises(InvalidInput):
             find_roots(math.sin, 0.0, 1.0, scan_points=1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_tol_that_is_not_positive_and_finite(self, tol):
+        # Brent would raise on 0 or -1, and tol = inf would accept any bracket
+        with pytest.raises(InvalidInput, match="root tolerance"):
+            find_roots(math.sin, 1.0, 10.0, tol=tol)
+
     def test_grid_values_replace_the_scan_loop(self):
         calls = []
 

@@ -163,6 +163,12 @@ class TestGroupChartArray:
         points[1, -1] = row
         _assert_chart_array_is_scalar(adapter, centers, points)
 
+    def test_first_raise_is_the_scalar_loops_first(self):
+        # the first center's stencil rows fail the determinant check, and so
+        # does the second center itself; the scalar loop meets the former first
+        centers = [(19.633002959915725, 0.0, 0.0), (21.633002959915725, 0.0, 0.0)]
+        _assert_chart_array_is_scalar(SL2, centers, _near(centers, [(0.0, 0.0, 0.0)]))
+
 
 class TestGrushinChartArray:
     @settings(max_examples=60, deadline=None)

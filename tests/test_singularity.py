@@ -499,8 +499,3 @@ class TestRegularityIsomorphism:
     def test_rejects_higher_order_record(self, su2, su2_records):
         with pytest.raises(InvalidInput):
             regularity_isomorphism_check(su2, replace(su2_records[0], order=2))
-
-    def test_rejects_adapter_without_jacobi_hooks(self, su2, su2_records):
-        stripped = replace(su2, kernel_jacobi_p0=None)
-        with pytest.raises(InvalidInput):
-            regularity_isomorphism_check(stripped, su2_records[0])

@@ -295,6 +295,7 @@ class TestChartAndFrame:
         (0.4, -0.3, 1.5),           # r > 0
         (1.2, 0.5, 0.3),            # r < 0
         _c1_covector(),
+        (1.32, 3.01, -3.35),        # m11 = 7.8e-5 < 1e-3: the alternate chart
     ])
     def test_frame_identity(self, cov):
         u0, v0, w0 = cov

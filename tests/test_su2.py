@@ -317,6 +317,7 @@ class TestChartAndFrame:
         (1.0, 0.0, 0.5),
         (0.7, -1.1, 0.4),
         (TWO_PI, 0.0, 0.0),
+        (-3.87, 2.51, 3.3),         # |Re alpha| < |Im alpha|: the alternate chart
     ])
     def test_frame_identity(self, cov):
         u0, v0, w0 = cov
