@@ -64,26 +64,27 @@ def _near(centers, offsets):
     return np.concatenate([stencil, shifted], axis=1)
 
 
+def _bisect(selector, d, a, b):
+    """Points a * d, b * d within an ulp of each other where selector flips, between a and b."""
+    fa = selector(a * d)
+    while True:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            return a * d, b * d
+        if selector(mid * d) == fa:
+            a = mid
+        else:
+            b = mid
+
+
 def _switch(selector, direction, lo, hi, n=400):
     """Pairs of radii within an ulp of each other where selector(s * d) flips, on [lo, hi]."""
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     grid = np.linspace(lo, hi, n)
     flags = [selector(s * d) for s in grid]
-    pairs = []
-    for a, b, fa, fb in zip(grid, grid[1:], flags, flags[1:]):
-        if fa == fb:
-            continue
-        while True:
-            mid = 0.5 * (a + b)
-            if mid in (a, b):
-                break
-            if selector(mid * d) == fa:
-                a = mid
-            else:
-                b = mid
-        pairs.append((a * d, b * d))
-    return pairs
+    return [_bisect(selector, d, a, b)
+            for a, b, fa, fb in zip(grid, grid[1:], flags, flags[1:]) if fa != fb]
 
 
 finite = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
@@ -122,14 +123,19 @@ class TestGroupChartArray:
         def m11_positive(cov):
             return sl2_exp(cov, 1.0)[0].m11 > 0.0
 
-        # the band |m11| < 1e-3 is narrow: look for it next to each zero of m11
+        # the band |m11| < 1e-3 is narrow, and wider where m11 is flat: walk out
+        # of it from each zero of m11, both ways, with doubling steps
         d = np.asarray(direction) / np.linalg.norm(direction)
         zeros = [float(a @ d) for a, _ in _switch(m11_positive, d, 0.5, 20.0)[:2]]
-        pairs = [pair for s in zeros
-                 for pair in _switch(uses_m11, d, s - 0.05, s + 0.05, n=2000)]
-        assert len(pairs) == 2 * len(zeros)
-        for pair in pairs:
-            _assert_chart_array_is_scalar(SL2, pair, _near(pair, offs))
+        for s in zeros:
+            for sign in (-1.0, 1.0):
+                step = 1e-4
+                while not uses_m11((s + sign * step) * d):
+                    step *= 2.0
+                    assert step < 20.0
+                pair = _bisect(uses_m11, d, s, s + sign * step)
+                assert uses_m11(pair[0]) != uses_m11(pair[1])
+                _assert_chart_array_is_scalar(SL2, pair, _near(pair, offs))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-4e-6, 4e-6),
