@@ -33,6 +33,10 @@ from .sl2 import sl2_adapter, sl2_exp
 from .su2 import su2_adapter, su2_exp
 
 CSV_HEADER = "s,stratum,order,class,k1,k2,k3,f0,f1"
+# the names of a group endpoint's entries(), in their order
+_ENTRY_NAMES = {"su2": ("alpha_re", "alpha_im", "beta_re", "beta_im"),
+                "sl2": ("m11", "m12", "m21", "m22")}
+_GROUP_ADAPTERS = {"su2": su2_adapter, "sl2": sl2_adapter}
 
 
 class _UsageError(Exception):
@@ -104,15 +108,10 @@ def cmd_expmap(args) -> int:
         state = grushin_exp(base, cov, args.t)
         position = dict(zip(("x", "y"), state.position))
         momentum = dict(zip(("u", "v"), state.momentum))
-    elif args.structure == "su2":
-        point, mom = su2_exp(cov, args.t)
-        position = {"alpha_re": point.alpha_re, "alpha_im": point.alpha_im,
-                    "beta_re": point.beta_re, "beta_im": point.beta_im}
-        momentum = dict(zip(("u", "v", "w"), mom))
     else:
-        point, mom = sl2_exp(cov, args.t)
-        position = {"m11": point.m11, "m12": point.m12,
-                    "m21": point.m21, "m22": point.m22}
+        # looked up at call time, so a rebound su2_exp or sl2_exp is the one called
+        point, mom = (su2_exp if args.structure == "su2" else sl2_exp)(cov, args.t)
+        position = dict(zip(_ENTRY_NAMES[args.structure], point.entries()))
         momentum = dict(zip(("u", "v", "w"), mom))
     position = {k: round12(v) for k, v in position.items()}
     momentum = {k: round12(v) for k, v in momentum.items()}
@@ -133,15 +132,11 @@ def cmd_expmap(args) -> int:
     return 0
 
 
-def _record_row(structure: str, rec) -> dict:
+def _record_row(rec) -> dict:
+    """One record's printed fields; the kernel pads to 3 entries and the f-values to 2."""
     kernel = [round12(k) for k in rec.kernel_basis[0]] if rec.kernel_basis else []
-    fs = [round12(f) for f in rec.f_values]
-    if structure == "grushin":
-        k1, k2, k3 = (kernel + [None, None])[:2] + [None]
-        f0, f1 = fs[0], None
-    else:
-        k1, k2, k3 = (kernel + [None, None, None])[:3]
-        f0, f1 = fs[0], fs[1]
+    k1, k2, k3 = (kernel + [None] * 3)[:3]
+    f0, f1 = ([round12(f) for f in rec.f_values] + [None])[:2]
     return {"s": round12(rec.s), "stratum": rec.stratum, "order": rec.order,
             "class": rec.singularity_class.value,
             "k1": k1, "k2": k2, "k3": k3, "f0": f0, "f1": f1,
@@ -160,27 +155,23 @@ def cmd_conj_scan(args) -> int:
     _check_structure_flags(args)
     dim = _fiber_dim(args.structure)
     directions = [_parse_floats(d, "direction", dim) for d in args.direction]
-    if args.structure == "grushin":
-        adapter = grushin_adapter(_grushin_base(args))
-    elif args.structure == "su2":
-        adapter = su2_adapter()
-    else:
-        adapter = sl2_adapter()
-
-    all_records = [scan_ray(adapter, d, args.s_max, scan_points=args.scan_points,
-                            root_tol=args.root_tol) for d in directions]
-
     config = {"command": "conj-scan", "structure": args.structure,
               "directions": directions, "s_max": args.s_max,
               "scan_points": args.scan_points, "root_tol": args.root_tol}
     if args.structure == "grushin":
         base = _grushin_base(args)
         config.update(alpha=args.alpha, base=[base.x0, base.y0])
+        adapter = grushin_adapter(base)
+    else:
+        adapter = _GROUP_ADAPTERS[args.structure]()
+
+    all_records = [scan_ray(adapter, d, args.s_max, scan_points=args.scan_points,
+                            root_tol=args.root_tol) for d in directions]
     tolerances = {"root_tol": args.root_tol, "pairing_tol": PAIRING_TOL,
                   "second_order_tol": SECOND_ORDER_TOL,
                   "rank_tol_factor": DEFAULT_RANK_TOL_FACTOR}
 
-    rows = [[_record_row(args.structure, rec) for rec in records]
+    rows = [[_record_row(rec) for rec in records]
             for records in all_records]
     if args.format == "json":
         results = [{"direction": d, "records": recs}

@@ -272,18 +272,16 @@ class ContactGroup:
             return abs(w0) <= _VERTICAL_EXCLUSION_TOL * math.sqrt(
                 u0 * u0 + v0 * v0 + w0 * w0)
 
-        def kernel_jacobi_p0(cov) -> np.ndarray:
+        def kernel_jacobi_image(cov) -> np.ndarray:
             r = curvature(self.eps, *cov_triple(cov))
             if r <= 0.0:
                 raise NotConjugate(f"covectors with r = {r:.6g} <= 0 are never conjugate")
             result = rank_nullspace(vertical_to_endpoint_matrix(r))
             if not result.nullspace_basis:
                 raise NotConjugate("conjugate matrix has trivial nullspace")
-            return result.nullspace_basis[0]
-
-        def jacobi_p_end(cov, p0) -> np.ndarray:
-            coords = self.jacobi(cov, JacobiCoords(p=tuple(p0), x=(0.0, 0.0, 0.0)), 1.0)
-            return np.asarray(coords.p, dtype=float)
+            init = JacobiCoords(p=tuple(result.nullspace_basis[0]), x=(0.0, 0.0, 0.0))
+            p1 = np.asarray(self.jacobi(cov, init, 1.0).p, dtype=float)
+            return self.frame_images(cov) @ p1
 
         return StructureAdapter(
             name=self.name,
@@ -297,7 +295,5 @@ class ContactGroup:
             stratum_names=("C0", "C1"),
             ray_gate=ray_gate,
             undetermined=undetermined,
-            kernel_jacobi_p0=kernel_jacobi_p0,
-            jacobi_p_end=jacobi_p_end,
-            frame_images=self.frame_images,
+            kernel_jacobi_image=kernel_jacobi_image,
         )

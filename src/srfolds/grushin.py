@@ -23,11 +23,12 @@ Conjugate covectors at time one are the zeros of
 with v0 != 0; they all have order one, with kernel direction
 (v0 |x0|^(2 alpha), -u0) in the (u, v) fiber coordinates. The analytic gradient
 of f drives the fold/tangential split; here the strata are not named by
-separate functions, so records are labeled C0 (transversal) or C1 (tangent)
-after the kernel pairing is known. The label is the pairing test at
-singularity.PAIRING_TOL and nothing more: a fold whose normalized pairing falls
-under it, as on rays next to u0 = 0, reads C1 and Undetermined, and so does a
-cusp. Telling those apart needs a cusp certificate and a second fold route.
+separate functions, so the scanner labels each record C0 (transversal) or C1
+(tangent) once the kernel pairing is known, as it does on every planar
+structure. The label is the scanner's pairing test at singularity.PAIRING_TOL
+and nothing more: a fold whose normalized pairing falls under it, as on rays
+next to u0 = 0, reads C1 and Undetermined, and so does a cusp. Telling those
+apart needs a cusp certificate and a second fold route.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .alphatrig import (arc_alpha, arc_alpha_array, arc_cos_alpha, arc_cos_alpha
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import libm
 from .scfun import sc_pair
-from .singularity import PAIRING_TOL, StructureAdapter
+from .singularity import StructureAdapter
 from .state import GeodesicState, JacobiCoords
 
 # relative tolerance deciding the u0 + x0 = 0 branch of the gradient formulas
@@ -434,8 +435,8 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
 
     The chart is the plane itself, the endpoint position, so chart_at and
     chart_array ignore their centers. Records start on the placeholder
-    stratum and are renamed C0/C1 from the kernel pairing, the
-    transversality that defines the strata for this structure.
+    stratum "other"; the scanner names them C0/C1 from the kernel pairing,
+    the transversality that defines the strata of a planar structure.
     """
 
     def endpoint(cov) -> np.ndarray:
@@ -453,28 +454,16 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     def conj_grad(cov, stratum: str) -> np.ndarray:
         return grushin_conj_grad(base, cov)
 
-    def kernel(cov) -> np.ndarray:
-        return grushin_kernel(base, cov)[0]
-
     def ray_gate(direction: np.ndarray) -> bool:
         du, dv = float(direction[0]), float(direction[1])
         if dv == 0.0:
             return False
         return _energy(base, du, dv) > 0.0
 
-    def stratum_relabel(cov, pairing: float) -> str:
-        return "C0" if abs(pairing) > PAIRING_TOL else "C1"
-
-    def kernel_jacobi_p0(cov) -> np.ndarray:
-        return kernel(cov)
-
-    def jacobi_p_end(cov, p0) -> np.ndarray:
-        coords = grushin_jacobi(base, cov, JacobiCoords(p=tuple(p0), x=(0.0, 0.0)), 1.0)
-        return np.asarray(coords.p, dtype=float)
-
-    def frame_images(cov) -> np.ndarray:
+    def kernel_jacobi_image(cov) -> np.ndarray:
         # fiber perturbations are realized directly in plane coordinates
-        return np.eye(2)
+        init = JacobiCoords(p=tuple(grushin_kernel(base, cov)[0]), x=(0.0, 0.0))
+        return np.asarray(grushin_jacobi(base, cov, init, 1.0).p, dtype=float)
 
     return StructureAdapter(
         name="grushin",
@@ -484,11 +473,8 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         conj_f=conj_f,
         conj_f_array=conj_f_array,
         conj_grad=conj_grad,
-        kernel=kernel,
+        kernel=lambda cov: grushin_kernel(base, cov)[0],
         stratum_names=("other",),
         ray_gate=ray_gate,
-        stratum_relabel=stratum_relabel,
-        kernel_jacobi_p0=kernel_jacobi_p0,
-        jacobi_p_end=jacobi_p_end,
-        frame_images=frame_images,
+        kernel_jacobi_image=kernel_jacobi_image,
     )

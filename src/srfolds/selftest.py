@@ -285,6 +285,10 @@ def _su2_scan_records() -> list:
     return scan_ray(su2_adapter(), (1.0, 0.0, 0.5), 20.0)
 
 
+def _sl2_scan_records() -> list:
+    return scan_ray(sl2_adapter(), (0.3, 0.0, 1.0), 10.0)
+
+
 def _check_su2_scan_radii(records: list) -> float:
     expected = [2.0 * math.pi, 8.986818915818128, 4.0 * math.pi,
                 15.450503673875414, 6.0 * math.pi]
@@ -293,10 +297,9 @@ def _check_su2_scan_radii(records: list) -> float:
     return max(abs(rec.s - e) for rec, e in zip(records, expected))
 
 
-def _check_classification_sample(su2_records: list) -> float:
+def _check_classification_sample(su2_records: list, sl2_records: list) -> float:
     grushin_records = scan_ray(
         grushin_adapter(GrushinBase(alpha=1.0, x0=0.5, y0=0.0)), (1.0, 2.0), 15.0)
-    sl2_records = scan_ray(sl2_adapter(), (0.3, 0.0, 1.0), 10.0)
     mismatches = 0.0
     for records in (su2_records, sl2_records, grushin_records):
         if not records:
@@ -319,8 +322,7 @@ def _check_fold_witness(su2_records: list) -> float:
     return witness.image_distance + max(0.0, 0.25 * delta - witness.separation)
 
 
-def _check_kernel_annihilation(su2_records: list) -> float:
-    sl2_records = scan_ray(sl2_adapter(), (0.3, 0.0, 1.0), 10.0)
+def _check_kernel_annihilation(su2_records: list, sl2_records: list) -> float:
     worst = 0.0
     for adapter, records in ((su2_adapter(), su2_records),
                              (sl2_adapter(), sl2_records)):
@@ -337,7 +339,7 @@ def _check_kernel_annihilation(su2_records: list) -> float:
 def run_selftest(seed: int = 0) -> list[CheckResult]:
     """Run the full battery, each check against its fixed threshold."""
     rng = np.random.default_rng(seed)
-    su2_records = _su2_scan_records()
+    su2_records, sl2_records = _su2_scan_records(), _sl2_scan_records()
     battery = [
         ("alpha-trig-identity", 1e-10, _check_alpha_trig_identity),
         ("alpha-arc-roundtrip", 1e-9, _check_alpha_arc_roundtrip),
@@ -354,10 +356,10 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
         ("root-scan-pole-rejection", 1e-8, _check_root_scan_pole_rejection),
         ("su2-scan-radii", 1e-6, lambda: _check_su2_scan_radii(su2_records)),
         ("classification-sample", 0.0,
-         lambda: _check_classification_sample(su2_records)),
+         lambda: _check_classification_sample(su2_records, sl2_records)),
         ("fold-witness", 1e-9, lambda: _check_fold_witness(su2_records)),
         ("kernel-annihilation", 1e-6,
-         lambda: _check_kernel_annihilation(su2_records)),
+         lambda: _check_kernel_annihilation(su2_records, sl2_records)),
     ]
     results = []
     for name, threshold, check in battery:

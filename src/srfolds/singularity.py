@@ -3,8 +3,8 @@
 A geometric structure plugs in through StructureAdapter: a chart presentation of
 its fiber exponential (endpoint of the unit-time geodesic as a function of the
 initial covector), analytic stratum functions whose zeros along a ray mark the
-conjugate covectors, analytic gradients and kernel vectors, and optional hooks
-into closed-form Jacobi solutions.
+conjugate covectors, analytic gradients and kernel vectors, and a hook into its
+closed-form Jacobi solution.
 
 Classification at an order-one conjugate covector follows the transversality
 dichotomy: when the active stratum's gradient pairs nontrivially with the kernel
@@ -82,14 +82,15 @@ class StructureAdapter:
 
     ray_gate(direction) says whether covectors along the ray can be conjugate
     at all; undetermined(cov, stratum) marks points the classification theory
-    deliberately excludes. stratum_relabel, if given, renames a record's
-    stratum once the kernel/gradient pairing is known (used when the strata
-    are defined by transversality rather than by separate functions).
+    deliberately excludes. A planar structure (fiber_dim == 2) has no
+    separate stratum functions: the scanner names each of its records that
+    has a kernel/gradient pairing C0 (transversal, above PAIRING_TOL) or C1.
 
-    kernel_jacobi_p0 / jacobi_p_end / frame_images, which every structure
-    supplies, expose closed-form Jacobi data for regularity_isomorphism_check:
-    the vertical Jacobi datum spanning the kernel, its momentum propagated to
-    t=1, and the chart images of the frame directions at the endpoint.
+    kernel_jacobi_image(cov) feeds regularity_isomorphism_check from the
+    structure's closed-form Jacobi solution: it takes the vertical Jacobi
+    datum spanning the kernel at a conjugate covector, propagates its
+    momentum to t=1 and returns that momentum's image in the chart at the
+    endpoint.
     """
 
     name: str
@@ -102,11 +103,8 @@ class StructureAdapter:
     kernel: Callable[[np.ndarray], np.ndarray]
     stratum_names: tuple[str, ...]
     ray_gate: Callable[[np.ndarray], bool]
-    kernel_jacobi_p0: Callable[[np.ndarray], np.ndarray]
-    jacobi_p_end: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    frame_images: Callable[[np.ndarray], np.ndarray]
+    kernel_jacobi_image: Callable[[np.ndarray], np.ndarray]
     undetermined: Callable[[np.ndarray, str], bool] = field(default=_never)
-    stratum_relabel: Optional[Callable[[np.ndarray, float], str]] = None
 
 
 @dataclass(frozen=True)
@@ -199,6 +197,7 @@ def _build_records(adapter: StructureAdapter, d: np.ndarray,
     One _rank_reports pass gives every record's order and FD kernel; the
     analytic f-values, kernel and pairing are scalar calls per record; and
     _decide certifies the records that need the second-order test together.
+    A planar record with a pairing is named C0 or C1 by it.
     """
     covs = [s * d for s, _ in hits]
     rank_infos = _rank_reports(adapter, np.array(covs))
@@ -218,10 +217,9 @@ def _build_records(adapter: StructureAdapter, d: np.ndarray,
     classes = _decide(adapter, records, pairings, rank_infos)
     built = []
     for record, pairing, cls in zip(records, pairings, classes):
-        # the pairing feeds both the decision and stratum_relabel
         stratum = record.stratum
-        if adapter.stratum_relabel is not None and pairing is not None:
-            stratum = adapter.stratum_relabel(record.covector, pairing)
+        if adapter.fiber_dim == 2 and pairing is not None:
+            stratum = "C0" if abs(pairing) > PAIRING_TOL else "C1"
         built.append(replace(record, stratum=stratum, singularity_class=cls))
     return built
 
@@ -410,18 +408,15 @@ def regularity_isomorphism_check(adapter: StructureAdapter,
                                  record: ConjugateRecord) -> bool:
     """True when the kernel Jacobi datum's endpoint momentum escapes Im(d exp).
 
-    Takes the vertical Jacobi datum p(0) whose field vanishes at both ends,
-    propagates the momentum to t=1 with the structure's closed-form Jacobi
-    solution, realizes it in the chart through the endpoint frame images, and
-    tests linear independence from the image of the differential: the part
-    outside it must exceed INDEPENDENCE_TOL of the vector's norm.
+    Takes the chart image of the endpoint momentum of the vertical Jacobi
+    datum whose field vanishes at both ends (adapter.kernel_jacobi_image) and
+    tests its linear independence from the image of the differential: the
+    part outside it must exceed INDEPENDENCE_TOL of the vector's norm.
     """
     if record.order != 1:
         raise InvalidInput("regularity check requires an order-one record")
     cov = np.asarray(record.covector, dtype=float)
-    p0 = np.asarray(adapter.kernel_jacobi_p0(cov), dtype=float)
-    p1 = np.asarray(adapter.jacobi_p_end(cov, p0), dtype=float)
-    vec = np.asarray(adapter.frame_images(cov), dtype=float) @ p1
+    vec = np.asarray(adapter.kernel_jacobi_image(cov), dtype=float)
     norm_vec = float(np.linalg.norm(vec))
     if norm_vec == 0.0:
         return False

@@ -6,10 +6,13 @@ generator X0 transverse. With the curvature scalar r = w0^2 - (u0^2 + v0^2) of
 a covector (u0, v0, w0), the unit-time geodesic factors as the product
 exp(t (u0 X1 + v0 X2 - w0 X0)) exp(t w0 X0), which evaluates through the
 oscillator kernels s_r, c_r at t/2 (trigonometric for r > 0, hyperbolic for
-r < 0, polynomial at r = 0). The horizontal momentum rotates the opposite way
-from the SU(2) case: u(t) = u0 cos(w0 t) + v0 sin(w0 t),
-v(t) = v0 cos(w0 t) - u0 sin(w0 t); as there, the matrix-ODE oracle
-g' = g (u X1 + v X2) arbitrates the sign conventions.
+r < 0, polynomial at r = 0). For r < 0 the diagonal entry of the first
+factor that u0 shrinks, c - s u0 or c + s u0, cancels; it comes from det = 1
+as (1 + a12 a21) / a_big instead, with a_big the diagonal entry that u0
+enlarges. The horizontal momentum rotates the opposite way from the SU(2)
+case: u(t) = u0 cos(w0 t) + v0 sin(w0 t), v(t) = v0 cos(w0 t) - u0 sin(w0 t);
+as there, the matrix-ODE oracle g' = g (u X1 + v X2) arbitrates the sign
+conventions.
 
 This is the eps = -1 case of contact.py: covectors with r <= 0 are never
 conjugate, and for r > 0 the strata are those of the compact case with sqrt(r)
@@ -73,11 +76,18 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     t = float(t)
     r = curvature(_EPS, u0, v0, w0)
     s, c = sc_pair(r, t / 2.0)
+    a11, a12, a21, a22 = c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0
+    if r < 0.0:
+        # the diagonal entry that u0 shrinks cancels; det = 1 recovers it
+        if s * u0 >= 0.0:
+            a22 = (1.0 + a12 * a21) / a11
+        else:
+            a11 = (1.0 + a12 * a21) / a22
     cos_t, sin_t = math.cos(w0 * t / 2.0), math.sin(w0 * t / 2.0)
-    m11 = (c + s * u0) * cos_t + s * (v0 + w0) * sin_t
-    m12 = -(c + s * u0) * sin_t + s * (v0 + w0) * cos_t
-    m21 = s * (v0 - w0) * cos_t + (c - s * u0) * sin_t
-    m22 = -s * (v0 - w0) * sin_t + (c - s * u0) * cos_t
+    m11 = a11 * cos_t + a12 * sin_t
+    m12 = -a11 * sin_t + a12 * cos_t
+    m21 = a21 * cos_t + a22 * sin_t
+    m22 = -a21 * sin_t + a22 * cos_t
     u1 = u0 * math.cos(w0 * t) + v0 * math.sin(w0 * t)
     v1 = v0 * math.cos(w0 * t) - u0 * math.sin(w0 * t)
     return Sl2Matrix(m11, m12, m21, m22), np.array([u1, v1, w0])
@@ -91,7 +101,8 @@ def _entries(matrix: np.ndarray) -> np.ndarray:
 def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_entries of sl2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
-    Repeats sl2_exp at t = 1 term for term, through scfun.sc_pair_array. Rows
+    Repeats sl2_exp at t = 1 term for term, through scfun.sc_pair_array,
+    including the diagonal entry recovered from det = 1 where r < 0. Rows
     whose input or curvature is not finite, and rows that fail the Sl2Matrix
     determinant check, are not exact.
     """
@@ -106,10 +117,14 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries = np.zeros((covs.shape[0], 4))
     exact = np.zeros(covs.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        m11 = (c + s * u0) * cos_t + s * (v0 + w0) * sin_t
-        m12 = -(c + s * u0) * sin_t + s * (v0 + w0) * cos_t
-        m21 = s * (v0 - w0) * cos_t + (c - s * u0) * sin_t
-        m22 = -s * (v0 - w0) * sin_t + (c - s * u0) * cos_t
+        a11, a12, a21, a22 = c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0
+        hyper, grows11 = r[live] < 0.0, s * u0 >= 0.0
+        a11, a22 = (np.where(hyper & ~grows11, (1.0 + a12 * a21) / a22, a11),
+                    np.where(hyper & grows11, (1.0 + a12 * a21) / a11, a22))
+        m11 = a11 * cos_t + a12 * sin_t
+        m12 = -a11 * sin_t + a12 * cos_t
+        m21 = a21 * cos_t + a22 * sin_t
+        m22 = -a21 * sin_t + a22 * cos_t
         det = m11 * m22 - m12 * m21
         scale = np.maximum(1.0, np.abs(m11 * m22) + np.abs(m12 * m21))
         exact[live] = np.isfinite(det) & (np.abs(det - 1.0) <= 1e-9 * scale)

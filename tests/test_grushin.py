@@ -16,6 +16,7 @@ from srfolds import (DegenerateCovector, GrushinBase, GrushinCovector,
                      grushin_conj_grad, grushin_dexp, grushin_exp,
                      grushin_jacobi, grushin_jacobi_coefficients,
                      grushin_kernel, integrate, rank_nullspace, scan_ray)
+from srfolds.singularity import PAIRING_TOL, _normalized_pairing
 
 TAN_FIXED_POINT = 4.493409457909064
 COS1_MINUS_SIN1 = -0.3011686789397568
@@ -427,6 +428,27 @@ class TestNearVerticalRays:
                            (math.cos(angle), math.sin(angle)), 30.0)
         assert len(records) == count
         assert all(rec.singularity_class is expected for rec in records)
+
+
+@pytest.mark.parametrize("alpha,x0,offset", [
+    (2.5, 0.5, 0.9 - math.pi / 2.0),  # a generic ray
+    (1.0, 0.5, 0.0),                  # u0 = 0
+    (3.0, 0.5, 1e-7), (2.5, 0.5, 1e-7), (4.0, 2.0, 1e-3),
+    (3.0, 2.0, 1e-9), (3.0, 2.0, 1e-5), (3.0, 2.0, 1e-2),
+    (4.0, 2.0, 1e-9), (4.0, 2.0, 1e-7), (4.0, 2.0, 1e-5), (4.0, 2.0, 1e-2),
+])
+def test_stratum_names_the_pairing(alpha, x0, offset):
+    # the scanner names a planar record by its pairing, nothing else
+    adapter = grushin_adapter(GrushinBase(alpha=alpha, x0=x0, y0=0.0))
+    angle = math.pi / 2.0 + offset
+    records = scan_ray(adapter, (math.cos(angle), math.sin(angle)), 30.0)
+    assert records
+    for rec in records:
+        pairing = _normalized_pairing(adapter, rec) if rec.order == 1 else None
+        if pairing is None:
+            assert rec.stratum == "other"
+        else:
+            assert rec.stratum == ("C0" if abs(pairing) > PAIRING_TOL else "C1")
 
 
 def _conjugate_times_oracle(base: GrushinBase, direction, lo: float,

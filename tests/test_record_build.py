@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from srfolds import (SingularityClass, grushin_adapter, rank_nullspace, scan_ray,
                      second_order_transversality, sl2_adapter, su2_adapter)
+from srfolds.errors import InvalidInput
 from srfolds.grushin import GrushinBase
 from srfolds.numeric import fd_stencil
 from srfolds.singularity import (PAIRING_TOL, SECOND_ORDER_STEP, SECOND_ORDER_TOL,
@@ -170,10 +171,15 @@ class TestGroupChartArray:
         _assert_chart_array_is_scalar(adapter, centers, points)
 
     def test_first_raise_is_the_scalar_loops_first(self):
-        # the first center's stencil rows fail the determinant check, and so
-        # does the second center itself; the scalar loop meets the former first
-        centers = [(19.633002959915725, 0.0, 0.0), (21.633002959915725, 0.0, 0.0)]
-        _assert_chart_array_is_scalar(SL2, centers, _near(centers, [(0.0, 0.0, 0.0)]))
+        # the first center's offset row raises, and so does the second center
+        # itself; the scalar loop meets the former first
+        centers = [(0.0, 100.0, 0.0), (float("nan"), 0.0, 0.0)]
+        for offset, error in (((0.0, 800.0, 0.0), InvalidInput),     # sinh^2 overflows det
+                              ((0.0, 1400.0, 0.0), OverflowError)):  # sinh overflows
+            points = _near(centers, [offset])
+            _assert_chart_array_is_scalar(SL2, centers, points)
+            with pytest.raises(error):
+                SL2.chart_array(np.array(centers), points)
 
 
 class TestGrushinChartArray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,10 +26,13 @@ from srfolds import (ConjugateRecord, FoldWitness, InvalidInput,
                      fd_jacobian, fold_witness, grushin_adapter,
                      regularity_isomorphism_check, scan_ray,
                      second_order_transversality, sl2_adapter, su2_adapter)
-from srfolds.numeric import DEFAULT_SCAN_POINTS
+from srfolds.contact import cov_triple, curvature
+from srfolds.numeric import DEFAULT_SCAN_POINTS, rank_nullspace
 import srfolds.sl2 as sl2_module
 import srfolds.su2 as su2_module
-from srfolds.grushin import GrushinBase
+from srfolds.grushin import GrushinBase, grushin_jacobi, grushin_kernel
+from srfolds.scfun import vertical_to_endpoint_matrix
+from srfolds.state import JacobiCoords
 
 TWO_PI = 6.283185307179586
 C0_RHO_1 = 8.986818915818128
@@ -499,3 +502,58 @@ class TestRegularityIsomorphism:
     def test_rejects_higher_order_record(self, su2, su2_records):
         with pytest.raises(InvalidInput):
             regularity_isomorphism_check(su2, replace(su2_records[0], order=2))
+
+    @staticmethod
+    def _composed_image(structure, cov):
+        """The kernel Jacobi datum, its momentum at t=1 and its chart image, step by step."""
+        if structure == "grushin":
+            base = GrushinBase(1.0, 1.0, 0.0)
+            p0 = np.asarray(grushin_kernel(base, cov)[0], dtype=float)
+            coords = grushin_jacobi(base, cov, JacobiCoords(p=tuple(p0), x=(0.0, 0.0)), 1.0)
+            return np.eye(2) @ np.asarray(coords.p, dtype=float)
+        module = su2_module if structure == "su2" else sl2_module
+        r = curvature(module._EPS, *cov_triple(cov))
+        p0 = rank_nullspace(vertical_to_endpoint_matrix(r)).nullspace_basis[0]
+        init = JacobiCoords(p=tuple(p0), x=(0.0, 0.0, 0.0))
+        p1 = np.asarray(module._GROUP.jacobi(cov, init, 1.0).p, dtype=float)
+        return module._GROUP.frame_images(cov) @ p1
+
+    @pytest.mark.parametrize("structure", ["su2", "sl2", "grushin"])
+    def test_kernel_jacobi_image_is_the_composition(self, structure, request):
+        records = request.getfixturevalue(
+            "grushin_fold_records" if structure == "grushin" else f"{structure}_records")
+        adapter = request.getfixturevalue(structure)
+        assert records and all(rec.order == 1 for rec in records)
+        for rec in records:
+            cov = np.asarray(rec.covector, dtype=float)
+            assert (adapter.kernel_jacobi_image(cov).tobytes()
+                    == self._composed_image(structure, cov).tobytes())
+
+
+class _Counted:
+    """Wraps one adapter hook and counts its calls."""
+
+    def __init__(self, hook):
+        self.hook, self.calls = hook, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.hook(*args)
+
+
+@pytest.mark.parametrize("name,adapter,direction,s_max", [
+    ("su2", su2_adapter(), SU2_RAY, 20.0),
+    ("sl2", sl2_adapter(), SL2_RAY, 14.0),
+    ("grushin", grushin_adapter(GrushinBase(1.0, 1.0, 0.0)), (0.4, 1.0), 10.0),
+], ids=["su2", "sl2", "grushin"])
+def test_every_adapter_hook_is_called(name, adapter, direction, s_max):
+    # a hook nothing calls is one more thing each new structure must write
+    counters = {f.name: _Counted(getattr(adapter, f.name)) for f in fields(adapter)
+                if callable(getattr(adapter, f.name))}
+    counted = replace(adapter, **counters)
+    records = scan_ray(counted, direction, s_max)
+    folds = [rec for rec in records if rec.singularity_class is SingularityClass.FOLD]
+    assert folds
+    fold_witness(counted, folds[0], 1e-3)
+    regularity_isomorphism_check(counted, folds[0])
+    assert {hook: c.calls for hook, c in counters.items() if c.calls == 0} == {}

@@ -24,7 +24,7 @@ from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
                      sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_frame_images,
                      sl2_jacobi, sl2_kernel, vertical_to_endpoint_matrix)
 from srfolds.contact import ContactCovector, cov_triple, curvature
-from srfolds.sl2 import X1, X2
+from srfolds.sl2 import X0, X1, X2
 
 TWO_PI = 6.283185307179586
 C0_RHO_1 = 8.986818915818128       # 2 * first tangent fixed point
@@ -140,6 +140,29 @@ class TestExp:
         assert abs(det - 1.0) <= 1e-9 * scale
         h2 = momentum[0] ** 2 + momentum[1] ** 2
         assert abs(h2 - (u0 * u0 + v0 * v0)) <= 1e-9 * max(1.0, u0 * u0 + v0 * v0)
+
+    def test_long_boosts_keep_unit_determinant(self):
+        # c - s u0 cancels to e^(-u0/2); det = 1 recovers it to full precision
+        for u0 in np.linspace(1.0, 40.0, 391):
+            for sign in (1.0, -1.0):
+                matrix, _ = sl2_exp((sign * u0, 0.0, 0.0), 1.0)
+                small, big = (matrix.m22, matrix.m11) if sign > 0 else (matrix.m11, matrix.m22)
+                assert small == pytest.approx(math.exp(-u0 / 2.0), rel=1e-13)
+                assert big == pytest.approx(math.exp(u0 / 2.0), rel=1e-13)
+
+    def test_hyperbolic_covectors_match_expm_oracle(self):
+        from scipy.linalg import expm
+
+        grid = np.linspace(-40.0, 40.0, 17)
+        covs = [(u0, v0, w0) for u0 in grid for v0 in grid
+                for w0 in (-30.0, -5.0, 0.0, 0.7, 12.0) if w0 * w0 < u0 * u0 + v0 * v0]
+        # u0 < 0 enlarges a22; |r| t^2 / 4 under 1e-6 takes sc_pair's series
+        covs += [(-0.3, 0.2, 0.1), (1e-4, 0.0, 0.0)]
+        for t in (1.0, -0.5):
+            for u0, v0, w0 in covs:
+                want = expm(t * (u0 * X1 + v0 * X2 - w0 * X0)) @ expm(t * w0 * X0)
+                got = sl2_exp((u0, v0, w0), t)[0].matrix()
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_matrix_validation(self):
         with pytest.raises(InvalidInput):
