@@ -24,6 +24,10 @@ by oddness, periodicity and the sign pattern of the pair. alpha = 1
 short-circuits to math.sin/math.cos and math.asin. The integral definition
 of pi_alpha is kept as a quadrature oracle for the tests.
 
+scipy.special is imported on first use: _table_cached loads its beta
+functions when it builds the first table with alpha != 1, and every later
+use reads them through such a table, so alpha = 1 never loads it.
+
 The *_array functions evaluate the same formulas over a 1-d array, branch by
 branch on masks, and return bit for bit what the scalar functions return at
 each element. Arithmetic, sqrt and fmod are correctly rounded in numpy as in
@@ -40,7 +44,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import beta, betainc, betaincinv
 
 from .errors import InvalidInput
 from .numeric import libm, quad
@@ -68,10 +71,21 @@ class _AlphaConstants(NamedTuple):
     t_mid: float      # phase where sin_alpha^(2 alpha) = cos_alpha^2 = 1/2
 
 
+def _import_special() -> None:
+    """Bind scipy.special's beta, betainc and betaincinv as globals of this module."""
+    global beta, betainc, betaincinv
+    from scipy.special import beta, betainc, betaincinv
+
+
 @lru_cache(maxsize=64)
 def _table_cached(alpha: float) -> _AlphaConstants:
     a = 0.5 / alpha
-    half = math.pi if alpha == 1.0 else float(beta(a, 0.5)) / alpha
+    if alpha == 1.0:
+        # sin and cos; the table serves only pi_alpha here
+        return _AlphaConstants(alpha=alpha, a=a, pi_alpha=math.pi, quarter=0.5 * math.pi,
+                               t_mid=0.25 * math.pi)
+    _import_special()
+    half = float(beta(a, 0.5)) / alpha
     quarter = 0.5 * half
     return _AlphaConstants(alpha=alpha, a=a, pi_alpha=half, quarter=quarter,
                            t_mid=quarter * float(betainc(a, 0.5, 0.5)))

@@ -1,9 +1,12 @@
 """Shared numerics: ODE integration, quadrature, root finding, FD Jacobians, rank queries.
 
-Thin, contract-checked wrappers around scipy/numpy. Every closed form in the library
-is cross-checked against routines from this module, so the defaults are tight: the
-integrator runs at rel 1e-10 / abs 1e-12 and root polishing at 1e-10 unless a caller
-loosens them explicitly.
+Contract-checked wrappers around numpy, plus scipy.integrate for the ODE and
+quadrature oracles, which integrate and quad import on first use. Root
+polishing is Brent's method written out here, operation for operation as
+scipy.optimize.brentq, so finding roots loads no scipy module. Every closed
+form in the library is cross-checked against routines from this module, so the
+defaults are tight: the integrator runs at rel 1e-10 / abs 1e-12 and root
+polishing at 1e-10 unless a caller loosens them explicitly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize as _sopt
 
 from .errors import DegenerateMatrix, InvalidInput, NonConvergence, StepFailure
 
@@ -23,6 +25,8 @@ DEFAULT_ABS_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_RANK_TOL_FACTOR = 1e-7
 DEFAULT_SCAN_POINTS = 400
+# Brent steps before a polish gives up (scipy.optimize.brentq's default)
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -138,15 +142,18 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
     The scan samples g at scan_nodes(lo, hi, scan_points), one call per node,
     unless grid_values already holds g at those nodes (a caller that can
     evaluate g over an array passes it); it must then equal g there bit for
-    bit, since Brent and the residual gate still call g. Every accepted root
-    satisfies |g(r)| <= tol * scale, where scale is the largest |g| seen on
-    the scan grid; a sign change across a pole fails that gate and is
-    dropped. A grid node where g is exactly zero is a root only when the
-    nearest nonzero grid values on either side differ in sign, so a zero at
-    an endpoint or a touching zero is not reported. Hits are deduplicated and
-    sorted ascending. A non-finite grid value raises NonConvergence, which
-    names the first such node, and a tol that is not positive and finite
-    raises InvalidInput.
+    bit. Brent takes the values at a bracket's ends from the grid and calls g
+    only inside it, and it returns g at the root, which is the residual.
+    Every accepted root satisfies |g(r)| <= tol * scale, where scale is the
+    largest |g| seen on the scan grid; a sign change across a pole fails that
+    gate and is dropped. A grid node where g is exactly zero is a root only
+    when the nearest nonzero grid values on either side differ in sign, so a
+    zero at an endpoint or a touching zero is not reported. Hits are
+    deduplicated and sorted ascending. A non-finite grid value raises
+    NonConvergence, which names the first such node, and a tol that is not
+    positive and finite raises InvalidInput. A NaN from g inside a bracket,
+    or a bracket that Brent does not close in _BRENT_MAXITER steps, raises
+    NonConvergence too.
     """
     check_root_tol(tol)
     xs = scan_nodes(lo, hi, scan_points)
@@ -176,8 +183,9 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
     residual_cap = tol * scale
     sign = np.sign(gs)
     for i in np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0) & (sign[1:] != 0.0)):
-        r = _sopt.brentq(g, xs[i], xs[i + 1], xtol=tol * 1e-2, rtol=1e-15)
-        residual = abs(g(r))
+        r, value = _brent(g, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]),
+                          xtol=tol * 1e-2, rtol=1e-15)
+        residual = abs(value)
         if residual <= residual_cap:
             hits.append(RootHit(float(r), residual))
 
@@ -191,6 +199,64 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
             continue
         merged.append(h)
     return merged
+
+
+def _brent(g: Callable[[float], float], xa: float, xb: float, fa: float, fb: float,
+           xtol: float, rtol: float) -> tuple[float, float]:
+    """A root of g in [xa, xb] by Brent's method, and g there: (root, g(root)).
+
+    fa = g(xa) and fb = g(xb) are given, of opposite signs, so g is called only
+    inside the bracket. The steps are those of scipy.optimize.brentq (brentq.c;
+    Brent, "Algorithms for Minimization without Derivatives", 1973, ch. 4),
+    operation for operation, so the root is brentq's to the bit. A NaN from g,
+    or no convergence in _BRENT_MAXITER steps, raises NonConvergence.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    if fpre == 0.0:
+        return xpre, fpre
+    if fcur == 0.0:
+        return xcur, fcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        # fpre is never 0 here, and a zero fcur returns below
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # brentq.c gets an infinite or NaN step here, which the
+                # acceptance test below rejects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(g(xcur))
+        if fcur != fcur:
+            raise NonConvergence(
+                f"Brent polish on [{xa!r}, {xb!r}]: g is nan at {xcur!r}")
+    raise NonConvergence(
+        f"Brent polish on [{xa!r}, {xb!r}] did not converge in {_BRENT_MAXITER} steps")
 
 
 def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x: Sequence[float],

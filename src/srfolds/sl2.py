@@ -43,6 +43,9 @@ X2 = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
 _EPS = -1
 # chart selector threshold on the leading matrix entry
 _CHART_M11_MIN = 1e-3
+# below this r, sqrt(-r)/2 > 700 and sinh there is close to overflowing (past
+# 710.48); the array exponential leaves such rows to the scalar one
+_R_HYPER_MIN = -(1400.0 ** 2)
 
 
 @dataclass(frozen=True)
@@ -103,13 +106,15 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Repeats sl2_exp at t = 1 term for term, through scfun.sc_pair_array,
     including the diagonal entry recovered from det = 1 where r < 0. Rows
-    whose input or curvature is not finite, and rows that fail the Sl2Matrix
-    determinant check, are not exact.
+    whose input or curvature is not finite, or whose r is below _R_HYPER_MIN,
+    are not evaluated here, so what sinh raises there the scalar exponential
+    raises, in the scalar loop's order. They and the rows that fail the
+    Sl2Matrix determinant check are not exact.
     """
     u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
     with np.errstate(all="ignore"):
         r = curvature(_EPS, u0, v0, w0)
-    live = np.flatnonzero(np.isfinite(covs).all(axis=1) & np.isfinite(r))
+    live = np.flatnonzero(np.isfinite(covs).all(axis=1) & (r >= _R_HYPER_MIN) & np.isfinite(r))
     u0, v0, w0 = u0[live], v0[live], w0[live]
     s, c = sc_pair_array(r[live], 1.0 / 2.0)
     half = w0 * 1.0 / 2.0

@@ -9,6 +9,7 @@ tolerances block. These tests keep it from growing per-call knobs again.
 from __future__ import annotations
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -44,15 +45,58 @@ def test_decision_layer_takes_no_tolerance_or_step(fn, params):
     assert list(inspect.signature(fn).parameters) == params
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # the ODE solver and quadrature serve only the oracles: numeric imports
-    # scipy.integrate inside integrate and quad, and cli looks the scipy
+# each step runs in one interpreter, in order; after each the probe prints
+# which of the watched scipy modules are loaded
+_SCIPY_PROBE = """
+import contextlib, io, json, runpy, sys
+WATCHED = ("scipy.optimize", "scipy.special", "scipy.integrate")
+
+def report(step):
+    print(json.dumps([step, [m for m in WATCHED if m in sys.modules]]))
+
+import srfolds, srfolds.cli
+report("import")
+from srfolds import (SingularityClass, GrushinBase, fold_witness, grushin_adapter,
+                     scan_ray, sl2_adapter, su2_adapter)
+su2 = scan_ray(su2_adapter(), (1.0, 0.0, 0.5), 20.0)
+sl2 = scan_ray(sl2_adapter(), (1.0, 0.0, 2.0), 30.0)
+fold = next(r for r in su2 if r.singularity_class is SingularityClass.FOLD)
+fold_witness(su2_adapter(), fold, 1e-3)
+assert su2 and sl2
+report("group scans and witness")
+assert scan_ray(grushin_adapter(GrushinBase(1.0, 0.5, 0.0)), (0.4, 1.0), 10.0)
+report("alpha = 1 scan")
+for structure in ("su2", "sl2"):
+    sys.argv = ["srfolds", "expmap", "--structure", structure,
+                "--covector", "1,0.5,2", "--format", "text"]
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            runpy.run_module("srfolds.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as done:
+        assert done.code == 0 and out.getvalue(), (done.code, out.getvalue())
+    report("expmap " + structure)
+assert scan_ray(grushin_adapter(GrushinBase(1.5, 0.5, 0.0)), (0.4, 1.0), 10.0)
+report("alpha = 1.5 scan")
+"""
+
+
+def test_scan_paths_leave_scipy_unloaded():
+    # Brent is written out in numeric, scipy.special serves only alpha != 1,
+    # the ODE solver and quadrature serve only the oracles (numeric imports
+    # scipy.integrate inside integrate and quad), and cli looks the scipy
     # version up when it prints it
     env = dict(os.environ)
     src = str(Path(srfolds.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    probe = "import sys, srfolds, srfolds.cli; print('scipy.integrate' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    result = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
                             text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [
+        ["import", []],
+        ["group scans and witness", []],
+        ["alpha = 1 scan", []],
+        ["expmap su2", []],
+        ["expmap sl2", []],
+        ["alpha = 1.5 scan", ["scipy.special"]],
+    ]

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scipy.optimize import brentq
@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from srfolds import (DegenerateMatrix, InvalidInput, NonConvergence, OdeProblem,
                      RootHit, fd_jacobian, find_roots, integrate, rank_nullspace,
                      vertical_to_endpoint_matrix)
-from srfolds.numeric import quad, scan_nodes
+from srfolds.numeric import _brent, quad, scan_nodes
 
 TAN_FIXED_POINT = 4.493409457909064
 QUARTIC_INTEGRAL = 1.3110287771460598
@@ -178,8 +178,9 @@ class TestFindRoots:
         grid = np.array([math.sin(t) for t in np.linspace(1.0, 7.0, 400)])
         hits = find_roots(g, 1.0, 7.0, grid_values=grid)
         assert [h.value for h in hits] == [h.value for h in find_roots(math.sin, 1.0, 7.0)]
-        # only Brent and the residual gate call g
+        # only Brent calls g, strictly inside the brackets
         assert 0 < len(calls) < 40
+        assert set(calls).isdisjoint(np.linspace(1.0, 7.0, 400).tolist())
 
     @pytest.mark.parametrize("length", [399, 401])
     def test_grid_values_of_wrong_length_rejected(self, length):
@@ -201,12 +202,21 @@ class TestFindRoots:
 
 
 def _loop_find_roots(g, lo, hi, scan_points, tol=1e-10, grid_values=None):
-    """find_roots with its brackets found by a per-interval loop: the oracle.
+    """find_roots with a per-interval bracket loop and scipy's brentq: the oracle.
 
-    Same grid, gates and merge as the library; only the bracket search differs.
+    Same grid, gates and merge as the library. Returns the hits and the calls
+    of g that the library makes: the oracle's calls without brentq's two calls
+    at each bracket's ends and the residual gate's call at each root, which
+    the library reads from the grid and from Brent's last value instead.
     """
+    calls = []
+
+    def recorded(t):
+        calls.append(float(t))
+        return g(t)
+
     xs = scan_nodes(lo, hi, scan_points)
-    gs = (np.array([g(x) for x in xs], dtype=float) if grid_values is None
+    gs = (np.array([recorded(x) for x in xs], dtype=float) if grid_values is None
           else np.asarray(grid_values, dtype=float))
     scale = max(1.0, float(np.max(np.abs(gs))))
     hits = []
@@ -219,7 +229,14 @@ def _loop_find_roots(g, lo, hi, scan_points, tol=1e-10, grid_values=None):
         if gs[i] == 0.0 or gs[i + 1] == 0.0:
             continue
         if np.sign(gs[i]) != np.sign(gs[i + 1]):
-            r = brentq(g, xs[i], xs[i + 1], xtol=tol * 1e-2, rtol=1e-15)
+            polish = []
+
+            def inner(t):
+                polish.append(float(t))
+                return g(t)
+
+            r = brentq(inner, xs[i], xs[i + 1], xtol=tol * 1e-2, rtol=1e-15)
+            calls += polish[2:]
             residual = abs(g(r))
             if residual <= tol * scale:
                 hits.append(RootHit(float(r), residual))
@@ -231,29 +248,102 @@ def _loop_find_roots(g, lo, hi, scan_points, tol=1e-10, grid_values=None):
                 merged[-1] = h
             continue
         merged.append(h)
-    return merged
+    return merged, calls
 
 
 def _same_as_loop(g, lo, hi, scan_points, grid_values=None):
-    """find_roots and the loop oracle give the same hits from the same calls of g."""
-    calls = {"array": [], "loop": []}
+    """find_roots gives the loop oracle's hits, calling g where the oracle says."""
+    calls = []
 
-    def recorded(name):
-        def fn(t):
-            calls[name].append(float(t))
-            return g(t)
-        return fn
+    def recorded(t):
+        calls.append(float(t))
+        return g(t)
 
-    hits = find_roots(recorded("array"), lo, hi, scan_points=scan_points,
-                      grid_values=grid_values)
-    oracle = _loop_find_roots(recorded("loop"), lo, hi, scan_points, grid_values=grid_values)
+    hits = find_roots(recorded, lo, hi, scan_points=scan_points, grid_values=grid_values)
+    oracle, oracle_calls = _loop_find_roots(g, lo, hi, scan_points, grid_values=grid_values)
     assert hits == oracle
-    assert calls["array"] == calls["loop"]
+    assert calls == oracle_calls
     return hits
 
 
+def _family(name, p, q):
+    """A test function with sign changes on [-5, 5], by family and two parameters."""
+    if name == "cubic":
+        return lambda t: (t - p) * (t - q) * (t + 0.5 * p)
+    if name == "quintic":
+        # a root of multiplicity five: Brent creeps, and may miss 100 steps
+        return lambda t: (t - p) ** 5
+    if name == "sin":
+        return lambda t: math.sin((1.0 + abs(q)) * t + p)
+    if name == "tan":
+        # tan-style poles at pi/2 + k pi; a bracket across one changes sign too
+        return lambda t: math.tan(t) - p
+    return lambda t: 1.0 / (t - p) - q if t != p else math.inf
+
+
+def _brentq_outcome(g, a, b, xtol):
+    try:
+        return brentq(g, a, b, xtol=xtol, rtol=1e-15)
+    except RuntimeError:
+        return "no convergence"
+
+
+def _brent_outcome(g, a, b, xtol):
+    try:
+        root, value = _brent(g, a, b, g(a), g(b), xtol=xtol, rtol=1e-15)
+    except NonConvergence as err:
+        assert f"[{a!r}, {b!r}]" in str(err)
+        return "no convergence"
+    assert value == g(root)
+    return root
+
+
+class TestBrent:
+    """_brent repeats scipy.optimize.brentq bit for bit, and returns g at its root."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["cubic", "quintic", "sin", "tan", "pole"]),
+           st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+           st.floats(-5.0, 5.0), st.floats(1e-9, 10.0),
+           st.sampled_from([1e-14, 1e-12, 1e-10, 1e-6, 1e-2]))
+    def test_same_root_as_brentq(self, name, p, q, a, width, xtol):
+        g = _family(name, p, q)
+        b = a + width
+        fa, fb = g(a), g(b)
+        assume(b > a and math.isfinite(fa) and math.isfinite(fb)
+               and fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0))
+        assert _brent_outcome(g, a, b, xtol) == _brentq_outcome(g, a, b, xtol)
+
+    def test_zero_at_an_end_returns_it_without_calling_g(self):
+        def g(t):
+            raise AssertionError("called")
+
+        assert _brent(g, 1.0, 2.0, 0.0, 3.0, 1e-12, 1e-15) == (1.0, 0.0)
+        assert _brent(g, 1.0, 2.0, -3.0, 0.0, 1e-12, 1e-15) == (2.0, 0.0)
+
+    def test_nan_partway_raises_non_convergence(self):
+        def g(t):
+            return math.nan if 0.2 < t < 0.5 else t - 0.3
+
+        with pytest.raises(ValueError):
+            brentq(g, 0.0, 1.0)
+        with pytest.raises(NonConvergence, match=r"\[0\.0, 1\.0\]: g is nan at 0\.3"):
+            _brent(g, 0.0, 1.0, g(0.0), g(1.0), 1e-12, 1e-15)
+        with pytest.raises(NonConvergence, match=r"\[0\.0, 1\.0\]: g is nan"):
+            find_roots(g, 0.0, 1.0, scan_points=2)
+
+    def test_hundred_step_miss_raises_non_convergence(self):
+        def g(t):
+            return (t - 0.3) ** 5
+
+        with pytest.raises(RuntimeError):
+            brentq(g, 0.0, 1.0, xtol=1e-12, rtol=1e-15)
+        with pytest.raises(NonConvergence, match=r"\[0\.0, 1\.0\] did not converge in 100 steps"):
+            _brent(g, 0.0, 1.0, g(0.0), g(1.0), 1e-12, 1e-15)
+
+
 class TestFindRootsBrackets:
-    """The array bracket search against the per-interval loop it replaced."""
+    """The array bracket search and Brent polish against a per-interval brentq loop."""
 
     @pytest.mark.parametrize("g,lo,hi,n,expected", [
         # exact zeros at the nodes 1, 2 and 3, each with a sign change

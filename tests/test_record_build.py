@@ -33,6 +33,7 @@ SU2 = su2_adapter()
 SL2 = sl2_adapter()
 ALPHAS = (1.0, 1.5, 2.0, 3.0, 4.0)
 X0S = (0.0, 0.5, -2.0, 2.0)
+nan = float("nan")
 
 
 def _outcome(call):
@@ -171,11 +172,17 @@ class TestGroupChartArray:
         _assert_chart_array_is_scalar(adapter, centers, points)
 
     def test_first_raise_is_the_scalar_loops_first(self):
-        # the first center's offset row raises, and so does the second center
-        # itself; the scalar loop meets the former first
-        centers = [(0.0, 100.0, 0.0), (float("nan"), 0.0, 0.0)]
-        for offset, error in (((0.0, 800.0, 0.0), InvalidInput),     # sinh^2 overflows det
-                              ((0.0, 1400.0, 0.0), OverflowError)):  # sinh overflows
+        for centers, offset, error in (
+                # the first center's offset row raises, and so does the second
+                # center itself; the scalar loop meets the former first
+                ([(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 800.0, 0.0),  # det overflows
+                 InvalidInput),
+                ([(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 1400.0, 0.0),  # sinh overflows
+                 OverflowError),
+                # the first center raises (det overflows) before a later row's sinh would
+                ([(0.0, 1400.0, 0.0), (nan, 0.0, 0.0)], (0.0, 100.0, 0.0), InvalidInput),
+                # the first center's NaN row raises before the second center's sinh would
+                ([(0.0, 1.0, 2.0), (0.0, 1500.0, 0.0)], (nan, 0.0, 0.0), InvalidInput)):
             points = _near(centers, [offset])
             _assert_chart_array_is_scalar(SL2, centers, points)
             with pytest.raises(error):
