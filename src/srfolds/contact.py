@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import libm, rank_nullspace
+from .numeric import libm, rank_nullspace, row_dots
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
 from .singularity import StructureAdapter
 from .state import JacobiCoords
@@ -166,6 +166,17 @@ class ContactGroup:
         _, f0, f1 = self.conj_f(cov)
         return f0, f1
 
+    def _trig_rows(self, covs: np.ndarray):
+        """The rows of covs with H != 0 and finite r > 0, and there sqrt(r), sin and cos of sqrt(r)/2."""
+        u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
+        with np.errstate(all="ignore"):
+            h2 = u0 * u0 + v0 * v0
+            r = w0 * w0 + self.eps * h2
+        live = (h2 != 0.0) & (r > 0.0) & np.isfinite(r)
+        root = np.sqrt(r[live])
+        half = root / 2.0
+        return live, root, libm(math.sin, half), libm(math.cos, half)
+
     def strata_array(self, covs: np.ndarray) -> np.ndarray:
         """strata at each row (u0, v0, w0) of covs, as a (2, n) array, bit for bit.
 
@@ -174,20 +185,48 @@ class ContactGroup:
         return exactly what the scalar loop does; on a ray that passes the
         adapter's ray_gate, r <= 0 only appears by rounding.
         """
-        u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
-        with np.errstate(all="ignore"):
-            h2 = u0 * u0 + v0 * v0
-            r = w0 * w0 + self.eps * h2
-        live = (h2 != 0.0) & (r > 0.0) & np.isfinite(r)
+        live, root, sin_half, cos_half = self._trig_rows(covs)
         out = np.empty((2, covs.shape[0]))
-        root = np.sqrt(r[live])
-        half = root / 2.0
-        sin_half = libm(math.sin, half)
-        out[0, live] = root * libm(math.cos, half) - 2.0 * sin_half
+        out[0, live] = root * cos_half - 2.0 * sin_half
         out[1, live] = sin_half
         for i in np.flatnonzero(~live):
             out[:, i] = self.strata(covs[i])
         return out
+
+    def record_fields(self, covs: np.ndarray, strata: np.ndarray,
+                      order_one: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(strata, kernel, conj_grad[stratum]) at each row of covs, bit for bit.
+
+        Returns the f-values (n, 2), and on the order_one rows the unit kernels
+        (n, 3) and the gradients (n, 3) of the strata indexed by strata; the
+        other rows of those two are not defined. The rows with r > 0 share one
+        trigonometric pass. The rest, and the order-one rows that kernel would
+        reject as not conjugate, go through strata, kernel and conj_grad in
+        row order, so the first of them that raises is the scalar loop's first.
+        """
+        live, root, sin_half, cos_half = self._trig_rows(covs)
+        n = covs.shape[0]
+        f_values, kernels, grads = np.empty((n, 2)), np.empty((n, 3)), np.empty((n, 3))
+        u0, v0, w0 = covs[live, 0], covs[live, 1], covs[live, 2]
+        f0 = root * cos_half - 2.0 * sin_half
+        f_values[live] = np.column_stack([f0, sin_half])
+        planar = root * cos_half
+        kern = np.column_stack([-v0 * planar, u0 * planar, -4.0 * self.eps * sin_half])
+        with np.errstate(all="ignore"):
+            kernels[live] = kern / np.sqrt(row_dots(kern, kern))[:, np.newaxis]
+        # the factor 2 of dr/d(u0, v0, w0) is folded into the coefficients
+        direction = np.column_stack([self.eps * u0, self.eps * v0, w0])
+        coef = np.where(strata[live] == 0, -0.5 * sin_half, cos_half / (2.0 * root))
+        grads[live] = coef[:, np.newaxis] * direction
+        fallback = ~live
+        fallback[live] = order_one[live] & (np.minimum(np.abs(f0), np.abs(sin_half))
+                                            > _KERNEL_RESIDUAL_TOL * np.maximum(1.0, root))
+        for i in np.flatnonzero(fallback):
+            f_values[i] = self.strata(covs[i])
+            if order_one[i]:
+                kernels[i] = self.kernel(covs[i])
+                grads[i] = self.conj_grad(covs[i])[strata[i]]
+        return f_values, kernels, grads
 
     def kernel(self, cov) -> np.ndarray:
         """Unit kernel vector of the time-one differential at a conjugate covector."""
@@ -253,10 +292,6 @@ class ContactGroup:
     def adapter(self) -> StructureAdapter:
         """Plug the group into the generic conjugate-locus scanner."""
 
-        def conj_grad(cov, stratum: str) -> np.ndarray:
-            df0, df1 = self.conj_grad(cov)
-            return df0 if stratum == "C0" else df1
-
         def ray_gate(direction: np.ndarray) -> bool:
             du, dv, dw = (float(c) for c in direction)
             if du * du + dv * dv == 0.0:
@@ -290,8 +325,7 @@ class ContactGroup:
             chart_array=self.chart_array,
             conj_f=self.strata,
             conj_f_array=self.strata_array,
-            conj_grad=conj_grad,
-            kernel=self.kernel,
+            record_fields=self.record_fields,
             stratum_names=("C0", "C1"),
             ray_gate=ray_gate,
             undetermined=undetermined,

@@ -41,7 +41,7 @@ import numpy as np
 from .alphatrig import (arc_alpha, arc_alpha_array, arc_cos_alpha, arc_cos_alpha_array,
                         pi_alpha, sin_cos_alpha, sin_cos_alpha_array)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import libm
+from .numeric import libm, row_dots
 from .scfun import sc_pair
 from .singularity import StructureAdapter
 from .state import GeodesicState, JacobiCoords
@@ -406,6 +406,65 @@ def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
     return np.array([df_du, df_dv])
 
 
+def _pow_or_inf(x: float, y: float) -> float:
+    """x ** y, or inf where that power raises OverflowError."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
+                          order_one: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grushin_conj_f, grushin_kernel, grushin_conj_grad) at each row of covs, bit for bit.
+
+    Returns the f-values (n, 1), and on the order_one rows the unit kernels
+    (n, 2) and the gradients (n, 2); the other rows of those two are not
+    defined. Every row's endpoint comes from one _endpoint_pass. The rows
+    where one of the scalar functions may raise (not finite, H = 0, and on
+    order-one rows v0 = 0, an f that grushin_kernel rejects or an odd power
+    that overflows) go through them in row order, so the first of them that
+    raises is the scalar loop's first.
+    """
+    u0, v0 = covs[:, 0], covs[:, 1]
+    alpha, x0 = base.alpha, base.x0
+    x2a = _even_power(x0, alpha)
+    n = covs.shape[0]
+    with np.errstate(all="ignore"):
+        h2 = u0 * u0 + v0 * v0 * x2a
+        good = np.isfinite(covs).all(axis=1) & (h2 != 0.0)
+        x1, u1 = np.zeros(n), np.zeros(n)
+        x1[good], _, u1[good] = _endpoint_pass(base, covs[good])
+        edge = u0 + x0
+        f = u1 * edge - u0 * x1
+        scale = np.fmax(1.0, np.abs(u1) * (np.abs(u0) + abs(x0)) + np.abs(u0) * np.abs(x1))
+        kern = np.column_stack([v0 * x2a, -u0])
+        kernels = kern / np.sqrt(row_dots(kern, kern))[:, np.newaxis]
+        odd = np.zeros(n)
+        live = order_one & good & (x1 != 0.0)
+        odd[live] = libm(_pow_or_inf, np.abs(x1[live]), 2.0 * (alpha - 1.0)) * x1[live]
+        u1_dot = -alpha * v0 * v0 * odd
+        a = alpha
+        on_edge = np.abs(edge) <= _BRANCH_TOL * np.maximum(np.maximum(1.0, np.abs(u0)), abs(x0))
+        df_du = np.where(
+            on_edge, u1 * v0 * v0 * x2a / h2,
+            (u1_dot * edge * edge * ((a - 1.0) * u0 - x0)
+             - a * v0 * v0 * x1 * x2a * x0) / (a * edge * h2))
+        df_dv = np.where(
+            on_edge, u1 * v0 * x2a * x0 / h2,
+            (u1_dot * edge * edge * (u0 * u0 + a * v0 * v0 * x2a + u0 * x0)
+             + a * u0 * v0 * v0 * x1 * x2a * x0) / (a * v0 * edge * h2))
+    grads = np.column_stack([df_du, df_dv])
+    fallback = ~good | (order_one & ((v0 == 0.0) | (np.abs(f) > _KERNEL_RESIDUAL_TOL * scale)
+                                     | ~np.isfinite(odd)))
+    for i in np.flatnonzero(fallback):
+        f[i] = grushin_conj_f(base, covs[i])
+        if order_one[i]:
+            kernels[i] = grushin_kernel(base, covs[i])[0]
+            grads[i] = grushin_conj_grad(base, covs[i])
+    return f[:, np.newaxis], kernels, grads
+
+
 def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
     """Unit kernel vector(s) of the endpoint differential at a conjugate covector.
 
@@ -451,8 +510,8 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     def conj_f_array(covs: np.ndarray) -> np.ndarray:
         return grushin_conj_f_array(base, covs)[np.newaxis]
 
-    def conj_grad(cov, stratum: str) -> np.ndarray:
-        return grushin_conj_grad(base, cov)
+    def record_fields(covs: np.ndarray, strata: np.ndarray, order_one: np.ndarray):
+        return grushin_record_fields(base, covs, order_one)
 
     def ray_gate(direction: np.ndarray) -> bool:
         du, dv = float(direction[0]), float(direction[1])
@@ -472,8 +531,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         chart_array=chart_array,
         conj_f=conj_f,
         conj_f_array=conj_f_array,
-        conj_grad=conj_grad,
-        kernel=lambda cov: grushin_kernel(base, cov)[0],
+        record_fields=record_fields,
         stratum_names=("other",),
         ray_gate=ray_gate,
         kernel_jacobi_image=kernel_jacobi_image,

@@ -118,6 +118,16 @@ def libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist(), *columns), dtype=float, count=x.size)
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row pair of two (N, k) arrays, bit for bit.
+
+    A stacked matmul takes the same dot product per row as the 1-d a[i] @ b[i]
+    (and as np.linalg.norm, which is sqrt(x @ x)); np.einsum and
+    np.linalg.norm(axis=1) sum in another order and may differ in the last bit.
+    """
+    return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
+
+
 def scan_nodes(lo: float, hi: float, scan_points: int) -> np.ndarray:
     """The uniform grid of find_roots: scan_points nodes from lo to hi."""
     if not (hi > lo):

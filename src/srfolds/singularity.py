@@ -17,7 +17,8 @@ adapter explicitly excludes, is reported as Undetermined rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import InvalidInput, WitnessNotFound
 from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, RankResult, check_root_tol,
                       fd_columns, fd_jacobian, fd_stencil, find_roots, rank_nullspace,
-                      scan_nodes)
+                      row_dots, scan_nodes)
 
 # The classification policy is fixed. conj-scan prints PAIRING_TOL and
 # SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
@@ -76,9 +77,19 @@ class StructureAdapter:
     (n_strata, n) array whose entries equal conj_f's bit for bit (or raises
     what conj_f raises at the first row where it raises): scan_ray samples its
     grid with it, and Brent and the residual gate use conj_f, so both must
-    agree for the brackets to hold. conj_grad(cov, stratum) is the analytic
-    gradient of one stratum function; kernel(cov) a unit kernel vector at a
-    conjugate covector.
+    agree for the brackets to hold.
+
+    record_fields(covs, strata, order_one) gives the analytic fields of a
+    ray's records in array calls: for (n, fiber_dim) covectors, their stratum
+    indices into stratum_names and a mask of the order-one rows, it returns
+    the f-values (n, n_strata), as conj_f gives them, and on the order-one
+    rows the unit kernel vectors (n, fiber_dim) and the gradients (n,
+    fiber_dim) of each row's stratum function; their other rows are not
+    read. Each value equals the structure's scalar function bit for bit, and
+    it raises what the scalar sequence (conj_f, then on order-one rows the
+    kernel and the gradient) raises at the first row where it raises; a row
+    of order 0 or 2 raises only where conj_f does. A structure with one
+    stratum function gets index 0 for every record, whatever its label.
 
     ray_gate(direction) says whether covectors along the ray can be conjugate
     at all; undetermined(cov, stratum) marks points the classification theory
@@ -99,8 +110,8 @@ class StructureAdapter:
     chart_array: Callable[[np.ndarray, np.ndarray], np.ndarray]
     conj_f: Callable[[np.ndarray], tuple]
     conj_f_array: Callable[[np.ndarray], np.ndarray]
-    conj_grad: Callable[[np.ndarray, str], np.ndarray]
-    kernel: Callable[[np.ndarray], np.ndarray]
+    record_fields: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                            tuple[np.ndarray, np.ndarray, np.ndarray]]
     stratum_names: tuple[str, ...]
     ray_gate: Callable[[np.ndarray], bool]
     kernel_jacobi_image: Callable[[np.ndarray], np.ndarray]
@@ -130,14 +141,25 @@ class FoldWitness:
     separation: float
 
 
-def _normalized_pairing(adapter: StructureAdapter,
-                        record: ConjugateRecord) -> Optional[float]:
-    grad = np.asarray(adapter.conj_grad(record.covector, record.stratum), float)
-    kern = np.asarray(record.kernel_basis[0], float)
-    denom = float(np.linalg.norm(grad) * np.linalg.norm(kern))
-    if denom == 0.0 or not np.isfinite(denom):
-        return None
-    return float(grad @ kern / denom)
+def _stratum_indices(adapter: StructureAdapter, strata: Sequence[str]) -> np.ndarray:
+    """Each stratum's index into adapter.stratum_names; 0 on a one-function structure."""
+    names = adapter.stratum_names
+    if len(names) == 1:
+        return np.zeros(len(strata), dtype=int)
+    return np.array([names.index(stratum) for stratum in strata])
+
+
+def _pairings(grads: np.ndarray, kerns: np.ndarray,
+              order_one: np.ndarray) -> list[Optional[float]]:
+    """<grad, kernel> / (|grad| |kernel|) on each order-one row.
+
+    None on the other rows and where the denominator is 0 or not finite.
+    """
+    with np.errstate(all="ignore"):
+        denom = np.sqrt(row_dots(grads, grads)) * np.sqrt(row_dots(kerns, kerns))
+        pairing = row_dots(grads, kerns) / denom
+    usable = order_one & (denom != 0.0) & np.isfinite(denom)
+    return [p if ok else None for p, ok in zip(pairing.tolist(), usable.tolist())]
 
 
 def _rank_reports(adapter: StructureAdapter, covs: np.ndarray) -> list[RankResult]:
@@ -152,6 +174,26 @@ def _rank_reports(adapter: StructureAdapter, covs: np.ndarray) -> list[RankResul
     return rank_nullspace(fd_columns(adapter.chart_array(covs, points), steps))
 
 
+def _unit_direction(direction: Sequence[float], fiber_dim: int) -> np.ndarray:
+    """direction / |direction|, also where |direction| overflows or underflows.
+
+    Such a direction is first scaled by the power of two that brings its
+    largest component into [0.5, 1), which is exact; every other direction
+    is divided by its norm as it is.
+    """
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (fiber_dim,):
+        raise InvalidInput(f"direction must have {fiber_dim} components, got shape {d.shape}")
+    with np.errstate(over="ignore", under="ignore"):
+        norm_d = float(np.linalg.norm(d))
+    if (norm_d == 0.0 or math.isinf(norm_d)) and np.isfinite(d).all() and d.any():
+        d = np.ldexp(d, -math.frexp(float(np.max(np.abs(d))))[1])
+        norm_d = float(np.linalg.norm(d))
+    if norm_d == 0.0 or not np.isfinite(norm_d):
+        raise InvalidInput("direction must be a nonzero finite vector")
+    return d / norm_d
+
+
 def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float, *,
              scan_points: int = DEFAULT_SCAN_POINTS,
              root_tol: float = DEFAULT_ROOT_TOL) -> list[ConjugateRecord]:
@@ -164,17 +206,10 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     before it becomes a record; the records of all strata are built together
     (_build_records). Records are sorted by s.
     """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (adapter.fiber_dim,):
-        raise InvalidInput(
-            f"direction must have {adapter.fiber_dim} components, got shape {d.shape}")
-    norm_d = float(np.linalg.norm(d))
-    if norm_d == 0.0 or not np.isfinite(norm_d):
-        raise InvalidInput("direction must be a nonzero finite vector")
+    d = _unit_direction(direction, adapter.fiber_dim)
     if not (s_max > 0.0 and np.isfinite(s_max)):
         raise InvalidInput(f"s_max must be positive and finite, got {s_max}")
     check_root_tol(root_tol)
-    d = d / norm_d
     if not adapter.ray_gate(d):
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
@@ -194,34 +229,31 @@ def _build_records(adapter: StructureAdapter, d: np.ndarray,
                    hits: list[tuple[float, str]]) -> list[ConjugateRecord]:
     """The records at the radii s (on their strata) of the unit ray d.
 
-    One _rank_reports pass gives every record's order and FD kernel; the
-    analytic f-values, kernel and pairing are scalar calls per record; and
+    One _rank_reports pass gives every record's order and FD kernel, one
+    record_fields call the analytic f-values, kernels and gradients, and
     _decide certifies the records that need the second-order test together.
     A planar record with a pairing is named C0 or C1 by it.
     """
-    covs = [s * d for s, _ in hits]
-    rank_infos = _rank_reports(adapter, np.array(covs))
-    records, pairings = [], []
-    for (s, stratum), cov, rank_info in zip(hits, covs, rank_infos):
-        order = adapter.fiber_dim - rank_info.numeric_rank
-        f_values = tuple(float(v) for v in adapter.conj_f(cov))
-        if order == 1:
-            kernel_basis = (np.asarray(adapter.kernel(cov), dtype=float),)
-        else:
-            kernel_basis = tuple(rank_info.nullspace_basis)
-        record = ConjugateRecord(s=float(s), covector=cov, stratum=stratum, order=order,
-                                 kernel_basis=kernel_basis, f_values=f_values,
-                                 singularity_class=SingularityClass.UNDETERMINED)
-        records.append(record)
-        pairings.append(_normalized_pairing(adapter, record) if order == 1 else None)
-    classes = _decide(adapter, records, pairings, rank_infos)
-    built = []
-    for record, pairing, cls in zip(records, pairings, classes):
-        stratum = record.stratum
-        if adapter.fiber_dim == 2 and pairing is not None:
-            stratum = "C0" if abs(pairing) > PAIRING_TOL else "C1"
-        built.append(replace(record, stratum=stratum, singularity_class=cls))
-    return built
+    covs = np.array([s * d for s, _ in hits])
+    strata = [stratum for _, stratum in hits]
+    rank_infos = _rank_reports(adapter, covs)
+    orders = [adapter.fiber_dim - info.numeric_rank for info in rank_infos]
+    order_one = np.array(orders) == 1
+    f_values, kernels, grads = adapter.record_fields(
+        covs, _stratum_indices(adapter, strata), order_one)
+    pairings = _pairings(grads, kernels, order_one)
+    kernel_bases = [(kern,) if one else tuple(info.nullspace_basis)
+                    for kern, one, info in zip(kernels, order_one.tolist(), rank_infos)]
+    classes = _decide(adapter, covs, strata, orders, kernel_bases, pairings, rank_infos)
+    records = []
+    for i, (s, stratum) in enumerate(hits):
+        if adapter.fiber_dim == 2 and pairings[i] is not None:
+            stratum = "C0" if abs(pairings[i]) > PAIRING_TOL else "C1"
+        records.append(ConjugateRecord(
+            s=float(s), covector=covs[i], stratum=stratum, order=orders[i],
+            kernel_basis=kernel_bases[i], f_values=tuple(f_values[i].tolist()),
+            singularity_class=classes[i]))
+    return records
 
 
 def classify(adapter: StructureAdapter, record: ConjugateRecord) -> SingularityClass:
@@ -236,24 +268,35 @@ def classify(adapter: StructureAdapter, record: ConjugateRecord) -> SingularityC
     normalized by |grad| |kernel|, and the second-order certificate is a norm of
     a projection, so rescaling gradient or kernel vectors cannot flip the class.
     scan_ray reaches the same decision through the same build, over all the
-    records of a ray at once.
+    records of a ray at once; here the record's own kernel is paired with the
+    gradient, and an order-one record at a covector the structure does not
+    accept as conjugate raises as the build does.
     """
-    rank_infos = _rank_reports(adapter, np.asarray(record.covector, dtype=float)[np.newaxis])
-    pairing = _normalized_pairing(adapter, record) if record.order == 1 else None
-    return _decide(adapter, [record], [pairing], rank_infos)[0]
+    cov = np.asarray(record.covector, dtype=float)[np.newaxis]
+    rank_infos = _rank_reports(adapter, cov)
+    order_one = np.array([record.order == 1])
+    pairings = [None]
+    if record.order == 1:
+        _, _, grads = adapter.record_fields(
+            cov, _stratum_indices(adapter, [record.stratum]), order_one)
+        kern = np.asarray(record.kernel_basis[0], dtype=float)[np.newaxis]
+        pairings = _pairings(grads, kern, order_one)
+    return _decide(adapter, cov, [record.stratum], [record.order], [record.kernel_basis],
+                   pairings, rank_infos)[0]
 
 
-def _decide(adapter: StructureAdapter, records: list[ConjugateRecord],
+def _decide(adapter: StructureAdapter, covs: np.ndarray, strata: list[str],
+            orders: list[int], kernel_bases: list[tuple[np.ndarray, ...]],
             pairings: list[Optional[float]],
             rank_infos: list[RankResult]) -> list[SingularityClass]:
     """classify's decision for each record, from its pairing and FD rank report.
 
     The records the pairing leaves open share one _second_orders call.
     """
-    classes = [_pairing_class(adapter, rec, pairing)
-               for rec, pairing in zip(records, pairings)]
+    classes = [_pairing_class(adapter, cov, stratum, order, pairing)
+               for cov, stratum, order, pairing in zip(covs, strata, orders, pairings)]
     pending = [i for i, cls in enumerate(classes) if cls is None]
-    values = _second_orders(adapter, [records[i] for i in pending],
+    values = _second_orders(adapter, covs[pending], [kernel_bases[i][0] for i in pending],
                             [rank_infos[i] for i in pending])
     for i, value in zip(pending, values):
         classes[i] = (SingularityClass.TANGENTIAL if value > SECOND_ORDER_TOL
@@ -261,14 +304,14 @@ def _decide(adapter: StructureAdapter, records: list[ConjugateRecord],
     return classes
 
 
-def _pairing_class(adapter: StructureAdapter, record: ConjugateRecord,
+def _pairing_class(adapter: StructureAdapter, cov: np.ndarray, stratum: str, order: int,
                    pairing: Optional[float]) -> Optional[SingularityClass]:
     """The class when the order and the pairing settle it; None when the second order must."""
-    if record.order == 0:
+    if order == 0:
         return SingularityClass.NOT_SINGULAR
-    if record.order != 1:
+    if order != 1:
         return SingularityClass.UNDETERMINED
-    if adapter.undetermined(record.covector, record.stratum):
+    if adapter.undetermined(cov, stratum):
         return SingularityClass.UNDETERMINED
     if pairing is None:
         return SingularityClass.UNDETERMINED
@@ -294,24 +337,24 @@ def second_order_transversality(adapter: StructureAdapter,
     """
     if record.order < 1:
         return 0.0
-    cov = np.asarray(record.covector, dtype=float)
-    return _second_orders(adapter, [record], _rank_reports(adapter, cov[np.newaxis]))[0]
+    cov = np.asarray(record.covector, dtype=float)[np.newaxis]
+    return _second_orders(adapter, cov, [record.kernel_basis[0]], _rank_reports(adapter, cov))[0]
 
 
-def _second_orders(adapter: StructureAdapter, records: list[ConjugateRecord],
+def _second_orders(adapter: StructureAdapter, covs: np.ndarray, kerns: list[np.ndarray],
                    rank_infos: list[RankResult]) -> list[float]:
-    """The second-order value of each record, from its FD rank report.
+    """The second-order value at each covector along its kernel vector, from its FD rank report.
 
-    The four-point stencils of every record whose differential has an image
-    complement go through one chart_array call; a record without one gets 0.0.
+    The four-point stencils of every covector whose differential has an
+    image complement go through one chart_array call; any other gets 0.0.
     """
-    values = [0.0] * len(records)
+    values = [0.0] * len(rank_infos)
     live = [i for i, info in enumerate(rank_infos) if info.image_complement.shape[1]]
     if not live:
         return values
-    covs = np.array([np.asarray(records[i].covector, dtype=float) for i in live])
-    kerns = [np.asarray(records[i].kernel_basis[0], dtype=float) for i in live]
-    kerns = np.array([kern / np.linalg.norm(kern) for kern in kerns])
+    covs = covs[live]
+    kerns = np.array([np.asarray(kerns[i], dtype=float) for i in live])
+    kerns = kerns / np.sqrt(row_dots(kerns, kerns))[:, np.newaxis]
     step = SECOND_ORDER_STEP
     points = np.stack([(1.0 + sgn_s * step) * (covs + sgn_r * step * kerns)
                        for sgn_s, sgn_r in ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=1)

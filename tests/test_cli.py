@@ -126,6 +126,14 @@ class TestConjScan:
         assert classes == ["Tangential", "Fold", "Tangential", "Fold",
                            "Tangential"]
 
+    def test_direction_whose_norm_overflows(self):
+        # the squares of the components overflow; the direction still scans
+        proc = run_cli("conj-scan", "--structure", "su2", "--direction=1e308,0,5e307",
+                       "--s-max", "20", "--format", "csv")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(proc.stdout.strip().splitlines()) == 6
+
     def test_sl2_negative_r_ray_is_empty(self):
         proc = run_cli("conj-scan", "--structure", "sl2",
                        "--direction", "1,-0.5,-1", "--s-max", "10",

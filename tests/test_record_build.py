@@ -6,26 +6,31 @@ call, and evaluates the second-order stencils of the records that need them
 with one more chart_array call. The references here are scalar: the chart of
 adapter.chart_at(center) called point by point, and the per-record build of
 fd_jacobian's column loop, rank_nullspace on one matrix and the four-point
-stencil. Order, kernel basis, second-order value and class must agree bit
-for bit.
+stencil, with the f-values, kernel and gradient from the structure's public
+scalar functions. Order, f-values, kernel basis, second-order value and class
+must agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srfolds import (SingularityClass, grushin_adapter, rank_nullspace, scan_ray,
-                     second_order_transversality, sl2_adapter, su2_adapter)
-from srfolds.errors import InvalidInput
+from srfolds import (SingularityClass, grushin_adapter, grushin_conj_f, grushin_conj_grad,
+                     grushin_kernel, rank_nullspace, scan_ray, second_order_transversality,
+                     sl2_adapter, sl2_conj_f, sl2_conj_grad, sl2_kernel, su2_adapter,
+                     su2_conj_f, su2_conj_grad, su2_kernel)
+from srfolds.errors import DegenerateCovector, InvalidInput, NotConjugate
 from srfolds.grushin import GrushinBase
 from srfolds.numeric import fd_stencil
 from srfolds.singularity import (PAIRING_TOL, SECOND_ORDER_STEP, SECOND_ORDER_TOL,
-                                 _rank_reports)
+                                 _rank_reports, _stratum_indices)
 from srfolds.sl2 import sl2_exp
 from srfolds.su2 import su2_exp
 
@@ -259,14 +264,33 @@ def _loop_fd_jacobian(F, x, h=1e-6):
     return np.column_stack(cols)
 
 
-def _scalar_build(adapter, rec):
-    """(order, kernel basis, second-order value, class) of one record, point by point."""
+# a structure's public scalar f-values, unit kernel and stratum gradient
+_Scalars = namedtuple("_Scalars", "conj_f kernel grad")
+
+
+SU2_SCALARS = _Scalars(su2_conj_f, su2_kernel,
+                       lambda cov, stratum: su2_conj_grad(cov)[("C0", "C1").index(stratum)])
+# sl2_conj_f returns (r, f0, f1); the adapter's f-values are (f0, f1)
+SL2_SCALARS = _Scalars(lambda cov: sl2_conj_f(cov)[1:], sl2_kernel,
+                       lambda cov, stratum: sl2_conj_grad(cov)[("C0", "C1").index(stratum)])
+
+
+def _grushin(alpha, x0):
+    base = GrushinBase(alpha, x0, 0.0)
+    return grushin_adapter(base), _Scalars(lambda cov: (grushin_conj_f(base, cov),),
+                                           lambda cov: grushin_kernel(base, cov)[0],
+                                           lambda cov, stratum: grushin_conj_grad(base, cov))
+
+
+def _scalar_build(adapter, scalars, rec):
+    """(order, f-values, kernel basis, second-order value, class, rank report) of one record."""
     cov = np.asarray(rec.covector, dtype=float)
     chart = adapter.chart_at(cov)
     info = rank_nullspace(_loop_fd_jacobian(chart, cov))
     order = adapter.fiber_dim - info.numeric_rank
+    f_values = tuple(float(v) for v in scalars.conj_f(cov))
     if order == 1:
-        kernel_basis = (np.asarray(adapter.kernel(cov), dtype=float),)
+        kernel_basis = (np.asarray(scalars.kernel(cov), dtype=float),)
     else:
         kernel_basis = tuple(info.nullspace_basis)
     second = 0.0
@@ -284,43 +308,185 @@ def _scalar_build(adapter, rec):
     if order == 0:
         cls = SingularityClass.NOT_SINGULAR
     elif order == 1 and not adapter.undetermined(cov, rec.stratum):
-        grad = np.asarray(adapter.conj_grad(cov, rec.stratum), dtype=float)
+        grad = np.asarray(scalars.grad(cov, rec.stratum), dtype=float)
         pairing = float(grad @ kernel_basis[0]
                         / (np.linalg.norm(grad) * np.linalg.norm(kernel_basis[0])))
         if abs(pairing) > PAIRING_TOL:
             cls = SingularityClass.FOLD
         elif adapter.fiber_dim == 3 and second > SECOND_ORDER_TOL:
             cls = SingularityClass.TANGENTIAL
-    return order, kernel_basis, second, cls, info
+    return order, f_values, kernel_basis, second, cls, info
 
 
 RAYS = [
-    ("su2", SU2, (1.0, 0.0, 0.5), 20.0),
-    ("su2-planar", SU2, (1.0, 0.0, 0.0), 20.0),
-    ("su2-long", SU2, (1.0, 0.0, 0.5), 4000.0),
-    ("sl2", SL2, (1.0, 0.0, 2.0), 14.0),
-    ("sl2-400", SL2, (0.3, -0.4, 1.1), 400.0),
-    ("sl2-long", SL2, (1.0, 0.0, 2.0), 4000.0),
-    ("grushin", grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
-     (math.cos(0.9), math.sin(0.9)), 20.0),
-    ("grushin-vertical", grushin_adapter(GrushinBase(1.0, 0.5, 0.0)), (0.0, 1.0), 20.0),
-    ("grushin-near-vertical", grushin_adapter(GrushinBase(3.0, 2.0, 0.0)),
+    ("su2", SU2, SU2_SCALARS, (1.0, 0.0, 0.5), 20.0),
+    ("su2-planar", SU2, SU2_SCALARS, (1.0, 0.0, 0.0), 20.0),
+    ("su2-long", SU2, SU2_SCALARS, (1.0, 0.0, 0.5), 4000.0),
+    ("sl2", SL2, SL2_SCALARS, (1.0, 0.0, 2.0), 14.0),
+    ("sl2-400", SL2, SL2_SCALARS, (0.3, -0.4, 1.1), 400.0),
+    ("sl2-long", SL2, SL2_SCALARS, (1.0, 0.0, 2.0), 4000.0),
+    ("grushin", *_grushin(2.5, 0.5), (math.cos(0.9), math.sin(0.9)), 20.0),
+    ("grushin-vertical", *_grushin(1.0, 0.5), (0.0, 1.0), 20.0),
+    ("grushin-near-vertical", *_grushin(3.0, 2.0),
      (math.cos(math.pi / 2.0 + 1e-6), math.sin(math.pi / 2.0 + 1e-6)), 20.0),
-    ("grushin-order-zero", grushin_adapter(GrushinBase(3.0, -2.0, 0.0)), (1.0, 1e-8), 30.0),
+    ("grushin-order-zero", *_grushin(3.0, -2.0), (1.0, 1e-8), 30.0),
 ]
 
 
-@pytest.mark.parametrize("name,adapter,direction,s_max", RAYS, ids=[r[0] for r in RAYS])
-def test_batched_build_equals_scalar_build(name, adapter, direction, s_max):
+@pytest.mark.parametrize("name,adapter,scalars,direction,s_max", RAYS,
+                         ids=[r[0] for r in RAYS])
+def test_batched_build_equals_scalar_build(name, adapter, scalars, direction, s_max):
     records = scan_ray(adapter, direction, s_max)
     assert records
     reports = _rank_reports(adapter, np.array([rec.covector for rec in records]))
     for rec, report in zip(records, reports):
-        order, kernel_basis, second, cls, info = _scalar_build(adapter, rec)
+        order, f_values, kernel_basis, second, cls, info = _scalar_build(adapter, scalars, rec)
         assert rec.order == order
+        assert np.array(rec.f_values).tobytes() == np.array(f_values).tobytes()
         assert [k.tobytes() for k in rec.kernel_basis] == [k.tobytes() for k in kernel_basis]
         assert rec.singularity_class is cls
         assert report.singular_values.tobytes() == info.singular_values.tobytes()
         assert report.image_complement.tobytes() == info.image_complement.tobytes()
         if rec.order >= 1:
             assert second_order_transversality(adapter, rec) == second
+
+
+def _hook_outcome(adapter, covs, names, order_one):
+    """record_fields over the rows: every f-value, and the order-one kernels and gradients."""
+    def call():
+        f_values, kernels, grads = adapter.record_fields(
+            covs, _stratum_indices(adapter, names), order_one)
+        return f_values.tobytes(), kernels[order_one].tobytes(), grads[order_one].tobytes()
+    return _outcome(call)
+
+
+def _scalar_outcome(scalars, covs, names, order_one):
+    """The scalar sequence row by row: conj_f, then on order-one rows the kernel and gradient."""
+    def call():
+        f_values, kernels, grads = [], [], []
+        for cov, name, one in zip(covs, names, order_one):
+            f_values.append([float(v) for v in scalars.conj_f(cov)])
+            if one:
+                kernels.append(np.asarray(scalars.kernel(cov), dtype=float))
+                grads.append(np.asarray(scalars.grad(cov, name), dtype=float))
+        return (np.array(f_values).tobytes(), np.array(kernels).tobytes(),
+                np.array(grads).tobytes())
+    return _outcome(call)
+
+
+def _assert_record_fields_are_scalar(adapter, scalars, rows, names, order_one):
+    covs = np.array(rows, dtype=float).reshape(-1, adapter.fiber_dim)
+    order_one = np.array(order_one, dtype=bool)
+    assert (_hook_outcome(adapter, covs, names, order_one)
+            == _scalar_outcome(scalars, covs, names, order_one))
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugate_pool(key):
+    """Record covectors of a few rays: rows the kernel check accepts."""
+    if key in ("su2", "sl2"):
+        adapter = SU2 if key == "su2" else SL2
+        rays = {"su2": [((1.0, 0.0, 0.5), 20.0), ((0.3, -0.7, 0.0), 20.0)],
+                "sl2": [((1.0, 0.0, 2.0), 14.0), ((0.3, -0.4, 1.1), 60.0)]}[key]
+    else:
+        adapter = _grushin(*key)[0]
+        rays = [((math.cos(0.9), math.sin(0.9)), 20.0), ((-0.4, 1.0), 20.0)]
+    return tuple(tuple(rec.covector.tolist()) for direction, s_max in rays
+                 for rec in scan_ray(adapter, direction, s_max))
+
+
+# a relative nudge of a conjugate row: the kernel check keeps the small ones
+# and rejects the large ones as not conjugate
+nudges = st.sampled_from([0.0, 1e-13, -1e-11, 1e-9, -3e-9, 1e-7, 1e-3])
+group_edges = [
+    (0.0, 0.0, 1.3),           # H = 0: conj_f raises
+    (nan, 0.0, 1.0),           # not finite: conj_f raises
+    (1.0, 0.0, 0.5),           # SL(2): r < 0, never conjugate
+    (1.0, 0.0, 1.0),           # SL(2): r = 0
+    (1e-170, 0.0, 1.0),        # H underflows
+]
+
+
+class TestRecordFields:
+    """record_fields against the public scalar functions, row by row, bit for bit.
+
+    The first row where the scalar sequence raises must raise the same
+    exception, with the same message, from the array hook.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["su2", "sl2"]), st.data())
+    def test_group_rows(self, key, data):
+        adapter, scalars = (SU2, SU2_SCALARS) if key == "su2" else (SL2, SL2_SCALARS)
+        pool = _conjugate_pool(key)
+        row = st.one_of(
+            st.tuples(st.sampled_from(pool), nudges).map(
+                lambda pair: tuple((1.0 + pair[1]) * c for c in pair[0])),
+            st.sampled_from(group_edges),
+            st.tuples(finite, finite, finite))
+        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+        names = data.draw(st.lists(st.sampled_from(["C0", "C1"]),
+                                   min_size=len(rows), max_size=len(rows)))
+        order_one = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        _assert_record_fields_are_scalar(adapter, scalars, rows, names, order_one)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ALPHAS), st.sampled_from([0.0, 0.5, -2.0]), st.data())
+    def test_grushin_rows(self, alpha, x0, data):
+        adapter, scalars = _grushin(alpha, x0)
+        tol = 1e-12 * max(1.0, abs(x0))
+        edges = [
+            (-x0, 1e-170),                # straight line to x1 = 0 on u0 + x0 = 0
+            (-x0 + 0.5 * tol, 1e-170),    # u0 + x0 inside the branch tolerance
+            (-x0 + 2.0 * tol, 1e-170),    # and just outside it
+            (-x0 + 1e-9, 1e-170),
+            (-x0, 0.8),                   # u0 + x0 = 0 on the oscillator
+            (1.3, 0.0), (-0.7, 0.0),      # v0 = 0
+            (0.0, 0.0), (0.0, 1.3),       # H = 0 (the latter at x0 = 0)
+            (1e60, 1e-170),               # conjugate, |x1|^(2 alpha - 2) overflows
+            (float("inf"), 1.0),
+        ]
+        pool = _conjugate_pool((alpha, x0))
+        row = st.one_of(
+            st.tuples(st.sampled_from(pool), nudges).map(
+                lambda pair: tuple((1.0 + pair[1]) * c for c in pair[0])),
+            st.sampled_from(edges),
+            st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)))
+        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+        names = data.draw(st.lists(st.sampled_from(["other", "C0", "C1"]),
+                                   min_size=len(rows), max_size=len(rows)))
+        order_one = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        _assert_record_fields_are_scalar(adapter, scalars, rows, names, order_one)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("x0", [0.0, 0.5, -2.0])
+    def test_grushin_edges_each_alone(self, alpha, x0):
+        adapter, scalars = _grushin(alpha, x0)
+        tol = 1e-12 * max(1.0, abs(x0))
+        for row in [(-x0, 1e-170), (-x0 + 0.5 * tol, 1e-170), (-x0 + 2.0 * tol, 1e-170),
+                    (1.3, 0.0), (0.0, 0.0), (1e60, 1e-170), (0.4, 1.0)]:
+            for one in (False, True):
+                _assert_record_fields_are_scalar(adapter, scalars, [row], ["other"], [one])
+
+    @pytest.mark.parametrize("adapter,scalars", [(SU2, SU2_SCALARS), (SL2, SL2_SCALARS)],
+                             ids=["su2", "sl2"])
+    def test_group_edges_each_alone(self, adapter, scalars):
+        for row in group_edges + [(0.3, 0.4, 1.2)]:
+            for one in (False, True):
+                _assert_record_fields_are_scalar(adapter, scalars, [row], ["C1"], [one])
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: (SU2, (0.3, 0.4, 1.2)), NotConjugate),
+        (lambda: (SL2, (1.0, 0.0, 0.5)), NotConjugate),
+        (lambda: (_grushin(3.0, 0.5)[0], (0.4, 1.0)), NotConjugate),
+        (lambda: (_grushin(2.0, 0.5)[0], (1.3, 0.0)), DegenerateCovector),
+    ], ids=["su2", "sl2-hyperbolic", "grushin", "grushin-v0-zero"])
+    def test_rows_of_other_orders_never_raise(self, make, error):
+        # a record at a covector the kernel check rejects raises only at order one
+        adapter, row = make()
+        covs = np.array([row] * 3)
+        strata = _stratum_indices(adapter, [adapter.stratum_names[0]] * 3)
+        with pytest.raises(error):
+            adapter.record_fields(covs, strata, np.array([False, True, False]))
+        f_values, _, _ = adapter.record_fields(covs, strata, np.zeros(3, dtype=bool))
+        assert np.isfinite(f_values).all()

@@ -26,8 +26,10 @@ from srfolds import (ConjugateRecord, FoldWitness, InvalidInput,
                      fd_jacobian, fold_witness, grushin_adapter,
                      regularity_isomorphism_check, scan_ray,
                      second_order_transversality, sl2_adapter, su2_adapter)
-from srfolds.contact import cov_triple, curvature
+from srfolds.contact import ContactGroup, cov_triple, curvature
 from srfolds.numeric import DEFAULT_SCAN_POINTS, rank_nullspace
+import srfolds.grushin as grushin_module
+import srfolds.singularity as singularity_module
 import srfolds.sl2 as sl2_module
 import srfolds.su2 as su2_module
 from srfolds.grushin import GrushinBase, grushin_jacobi, grushin_kernel
@@ -181,6 +183,43 @@ class TestScanRay:
         with pytest.raises(InvalidInput):
             scan_ray(su2, direction, 10.0)
 
+    @pytest.mark.parametrize("k", [-1000, 600, 1000])
+    @pytest.mark.parametrize("make_adapter,direction,s_max", [
+        (su2_adapter, SU2_RAY, 20.0),
+        (sl2_adapter, SL2_RAY, 14.0),
+        (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
+         (math.cos(0.9), math.sin(0.9)), 20.0),
+    ], ids=["su2", "sl2", "grushin"])
+    def test_direction_whose_norm_overflows_or_underflows(self, make_adapter, direction,
+                                                          s_max, k):
+        # |2^k d| overflows (k = 600, 1000) or underflows (k = -1000); an exact
+        # power-of-two rescale leaves the unit direction, so the records, as is
+        adapter = make_adapter()
+        expected = scan_ray(adapter, direction, s_max)
+        records = scan_ray(adapter, tuple(2.0 ** k * c for c in direction), s_max)
+        assert len(records) == len(expected) >= 2
+        for rec, ref in zip(records, expected):
+            assert (rec.s, rec.stratum, rec.order, rec.f_values, rec.singularity_class) == (
+                ref.s, ref.stratum, ref.order, ref.f_values, ref.singularity_class)
+            assert rec.covector.tobytes() == ref.covector.tobytes()
+            assert [v.tobytes() for v in rec.kernel_basis] == [
+                v.tobytes() for v in ref.kernel_basis]
+
+    @pytest.mark.parametrize("make_adapter,direction,reference", [
+        (su2_adapter, (1e200, 0.0, 5e199), SU2_RAY),
+        (su2_adapter, (3e-320, 0.0, 1.5e-320), SU2_RAY),
+        (lambda: grushin_adapter(GrushinBase(1.0, 1.0, 0.0)), (1e308, 1e308), (1.0, 1.0)),
+    ], ids=["su2-huge", "su2-subnormal", "grushin-huge"])
+    def test_extreme_finite_direction_scans(self, make_adapter, direction, reference):
+        adapter = make_adapter()
+        records = scan_ray(adapter, direction, 20.0)
+        expected = scan_ray(adapter, reference, 20.0)
+        assert records
+        assert [(rec.stratum, rec.singularity_class) for rec in records] == [
+            (rec.stratum, rec.singularity_class) for rec in expected]
+        assert [rec.s for rec in records] == pytest.approx([rec.s for rec in expected],
+                                                           rel=1e-12)
+
     def test_wrong_arity_rejected(self, su2, grushin):
         with pytest.raises(InvalidInput):
             scan_ray(su2, (1.0, 0.0), 10.0)
@@ -243,15 +282,20 @@ class TestClassify:
             flipped = replace(rec, kernel_basis=(-rec.kernel_basis[0],))
             assert classify(su2, flipped) is rec.singularity_class
 
+    @staticmethod
+    def _scaled_gradients(adapter, factor):
+        def record_fields(covs, strata, order_one):
+            f_values, kernels, grads = adapter.record_fields(covs, strata, order_one)
+            return f_values, kernels, factor * grads
+        return replace(adapter, record_fields=record_fields)
+
     def test_gradient_sign_flip_does_not_change_class(self, su2, su2_records):
-        flipped = replace(
-            su2, conj_grad=lambda cov, st: -np.asarray(su2.conj_grad(cov, st)))
+        flipped = self._scaled_gradients(su2, -1.0)
         for rec in su2_records:
             assert classify(flipped, rec) is rec.singularity_class
 
     def test_gradient_rescale_does_not_change_class(self, su2, su2_records):
-        scaled = replace(
-            su2, conj_grad=lambda cov, st: 37.0 * np.asarray(su2.conj_grad(cov, st)))
+        scaled = self._scaled_gradients(su2, 37.0)
         for rec in su2_records:
             assert classify(scaled, rec) is rec.singularity_class
 
@@ -327,8 +371,9 @@ class TestScanCost:
         (sl2_adapter, SL2_RAY, 14.0),
     ], ids=["grushin", "su2", "sl2"])
     def test_scalar_conj_f_calls_per_record(self, make_adapter, ray, s_max):
-        # the grid is one conj_f_array call; the scalar conj_f serves only
-        # Brent, its residual check and each record's f-values
+        # the grid is one conj_f_array call and the records take their
+        # f-values from record_fields; the scalar conj_f serves only Brent,
+        # whose last value is the residual
         adapter = make_adapter()
         calls = [0]
 
@@ -338,8 +383,48 @@ class TestScanCost:
 
         records = scan_ray(replace(adapter, conj_f=counted), ray, s_max)
         assert len(records) >= 2
-        assert calls[0] <= 16 * len(records)
+        assert calls[0] <= 5 * len(records)
         assert calls[0] < DEFAULT_SCAN_POINTS
+
+    @pytest.mark.parametrize("make_adapter,ray,s_max", [
+        (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
+         (math.cos(0.9), math.sin(0.9)), 20.0),
+        (lambda: grushin_adapter(GrushinBase(1.0, 0.5, 0.0)), (0.0, 1.0), 20.0),
+        (su2_adapter, SU2_RAY, 20.0),
+        (su2_adapter, (1.0, 0.0, 0.0), 20.0),
+        (sl2_adapter, SL2_RAY, 14.0),
+    ], ids=["grushin", "grushin-vertical", "su2", "su2-planar", "sl2"])
+    def test_record_build_makes_no_scalar_call(self, monkeypatch, make_adapter, ray, s_max):
+        # the f-values, kernels and gradients of a ray's records come from one
+        # record_fields call; no scalar f, kernel, gradient or exponential runs
+        building, scalar_calls = [False], []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapped(*args):
+                if building[0]:
+                    scalar_calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("conj_f", "strata", "kernel", "conj_grad"):
+            spy(ContactGroup, name)
+        for name in ("grushin_conj_f", "grushin_kernel", "grushin_conj_grad", "grushin_exp"):
+            spy(grushin_module, name)
+        build = singularity_module._build_records
+
+        def counted_build(*args):
+            building[0] = True
+            try:
+                return build(*args)
+            finally:
+                building[0] = False
+
+        monkeypatch.setattr(singularity_module, "_build_records", counted_build)
+        records = scan_ray(make_adapter(), ray, s_max)
+        assert len(records) >= 2
+        assert scalar_calls == []
 
 
 class TestSecondOrderTransversality:
