@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,9 +96,10 @@ class ContactGroup:
     equal the scalar ones bit for bit; the other rows are left to the scalar
     exponential. selects_primary(entries), applied to the endpoint entries at
     a center, chooses the chart there: the entries indexed by charts[0] if it
-    holds, by charts[1] otherwise. Charts are linear in the entries, so a
-    tangent matrix at the endpoint has the same three entries as its chart
-    components.
+    holds, by charts[1] otherwise. It also takes the four entries as columns
+    of equal length and then selects at each row. Charts are linear in the
+    entries, so a tangent matrix at the endpoint has the same three entries
+    as its chart components.
     """
 
     name: str
@@ -107,7 +108,7 @@ class ContactGroup:
     basis: tuple[np.ndarray, np.ndarray, np.ndarray]
     matrix_entries: Callable[[np.ndarray], np.ndarray]
     entries_array: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    selects_primary: Callable[[tuple[float, ...]], bool]
+    selects_primary: Callable[[Sequence], bool | np.ndarray]
     charts: tuple[tuple[int, int, int], tuple[int, int, int]]
 
     def _primary_at(self, center) -> bool:
@@ -125,22 +126,24 @@ class ContactGroup:
     def chart_array(self, centers: np.ndarray, points: np.ndarray) -> np.ndarray:
         """chart_at(centers[i])(points[i, j]) for every i, j, bit for bit.
 
-        Each center selects its chart with one scalar exponential; the entries
-        of every point come from one entries_array call, and the rows it does
-        not mark exact take the scalar exponential's entries. Those rows are
-        evaluated center by center, right after the center's selection, so the
-        first of them that raises is the first that the scalar loop raises at.
+        The entries of every center and point come from one entries_array
+        call, and selects_primary chooses the chart of each center it marks
+        exact. A center it does not mark exact selects with the scalar
+        exponential, and a point it does not mark exact takes the scalar
+        exponential's entries. Those are evaluated center by center, the
+        center before its points, so the first of them that raises is the
+        first that the scalar loop raises at.
         """
         n, m, _ = points.shape
-        entries, exact = self.entries_array(points.reshape(n * m, 3))
-        entries, exact = entries.reshape(n, m, 4), exact.reshape(n, m)
-        primary = []
-        for i, complete in enumerate(exact.all(axis=1).tolist()):
-            primary.append(self._primary_at(centers[i]))
-            if not complete:
-                for j in np.flatnonzero(~exact[i]):
-                    entries[i, j] = self.exp(points[i, j], 1.0)[0].entries()
-        return np.where(np.array(primary)[:, np.newaxis, np.newaxis],
+        entries, exact = self.entries_array(np.concatenate([centers, points.reshape(n * m, 3)]))
+        primary, centers_exact = self.selects_primary(entries[:n].T), exact[:n]
+        entries, exact = entries[n:].reshape(n, m, 4), exact[n:].reshape(n, m)
+        for i in np.flatnonzero(~centers_exact | ~exact.all(axis=1)):
+            if not centers_exact[i]:
+                primary[i] = self._primary_at(centers[i])
+            for j in np.flatnonzero(~exact[i]):
+                entries[i, j] = self.exp(points[i, j], 1.0)[0].entries()
+        return np.where(primary[:, np.newaxis, np.newaxis],
                         entries[..., list(self.charts[0])], entries[..., list(self.charts[1])])
 
     def conj_f(self, cov) -> tuple[float, float, float]:

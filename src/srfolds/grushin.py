@@ -378,7 +378,12 @@ def grushin_endpoint_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
 
 
 def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
-    """Analytic gradient (df/du0, df/dv0) of the conjugacy function."""
+    """Analytic gradient (df/du0, df/dv0) of the conjugacy function.
+
+    Raises DegenerateCovector at H = 0, at v0 = 0, and off the u0 + x0 = 0
+    branch where the denominator alpha v0 (u0 + x0) H underflows to 0 or
+    overflows.
+    """
     u0, v0 = _cov_pair(cov)
     alpha = base.alpha
     x0 = base.x0
@@ -399,10 +404,15 @@ def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
         df_du = u1 * v0 * v0 * x2a / h2
         df_dv = u1 * v0 * x2a * x0 / h2
         return np.array([df_du, df_dv])
+    denom = a * v0 * edge * h2
+    if denom == 0.0 or not math.isfinite(denom):
+        raise DegenerateCovector(
+            f"conjugacy gradient undefined: alpha v0 (u0 + x0) H = {denom!r} "
+            "underflows or overflows")
     df_du = (u1_dot * edge * edge * ((a - 1.0) * u0 - x0)
              - a * v0 * v0 * x1 * x2a * x0) / (a * edge * h2)
     df_dv = (u1_dot * edge * edge * (u0 * u0 + a * v0 * v0 * x2a + u0 * x0)
-             + a * u0 * v0 * v0 * x1 * x2a * x0) / (a * v0 * edge * h2)
+             + a * u0 * v0 * v0 * x1 * x2a * x0) / denom
     return np.array([df_du, df_dv])
 
 
@@ -422,9 +432,10 @@ def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
     (n, 2) and the gradients (n, 2); the other rows of those two are not
     defined. Every row's endpoint comes from one _endpoint_pass. The rows
     where one of the scalar functions may raise (not finite, H = 0, and on
-    order-one rows v0 = 0, an f that grushin_kernel rejects or an odd power
-    that overflows) go through them in row order, so the first of them that
-    raises is the scalar loop's first.
+    order-one rows v0 = 0, an f that grushin_kernel rejects, an odd power
+    that overflows, a gradient denominator that underflows or overflows, or
+    a gradient that is not finite) go through them in row order, so the
+    first of them that raises is the scalar loop's first.
     """
     u0, v0 = covs[:, 0], covs[:, 1]
     alpha, x0 = base.alpha, base.x0
@@ -446,6 +457,7 @@ def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
         u1_dot = -alpha * v0 * v0 * odd
         a = alpha
         on_edge = np.abs(edge) <= _BRANCH_TOL * np.maximum(np.maximum(1.0, np.abs(u0)), abs(x0))
+        denom = a * v0 * edge * h2
         df_du = np.where(
             on_edge, u1 * v0 * v0 * x2a / h2,
             (u1_dot * edge * edge * ((a - 1.0) * u0 - x0)
@@ -453,10 +465,12 @@ def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
         df_dv = np.where(
             on_edge, u1 * v0 * x2a * x0 / h2,
             (u1_dot * edge * edge * (u0 * u0 + a * v0 * v0 * x2a + u0 * x0)
-             + a * u0 * v0 * v0 * x1 * x2a * x0) / (a * v0 * edge * h2))
+             + a * u0 * v0 * v0 * x1 * x2a * x0) / denom)
     grads = np.column_stack([df_du, df_dv])
+    degenerate = ~on_edge & ((denom == 0.0) | ~np.isfinite(denom))
     fallback = ~good | (order_one & ((v0 == 0.0) | (np.abs(f) > _KERNEL_RESIDUAL_TOL * scale)
-                                     | ~np.isfinite(odd)))
+                                     | ~np.isfinite(odd) | degenerate
+                                     | ~np.isfinite(grads).all(axis=1)))
     for i in np.flatnonzero(fallback):
         f[i] = grushin_conj_f(base, covs[i])
         if order_one[i]:

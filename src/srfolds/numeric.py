@@ -325,7 +325,8 @@ def rank_nullspace(M: np.ndarray) -> RankResult | list[RankResult]:
 
     M is one matrix, which gives one RankResult, or a stack of shape (N, m, n),
     which gives a list of N RankResults from one SVD call over the stack; each
-    equals, bit for bit, what its matrix gives on its own.
+    equals, bit for bit, what its matrix gives on its own. The thresholds and
+    ranks of a stack are taken in one array pass.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.size == 0:
@@ -334,17 +335,19 @@ def rank_nullspace(M: np.ndarray) -> RankResult | list[RankResult]:
     if not np.all(np.isfinite(M)):
         raise DegenerateMatrix("matrix contains non-finite entries")
     u, s, vh = np.linalg.svd(M)
-    if M.ndim == 2:
-        return _rank_result(u, s, vh)
-    return [_rank_result(*usv) for usv in zip(u, s, vh)]
-
-
-def _rank_result(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> RankResult:
-    if s[0] == 0.0:
+    largest = s[..., 0]
+    if not np.all(largest):
         raise DegenerateMatrix("zero matrix has no usable rank threshold")
-    tol = DEFAULT_RANK_TOL_FACTOR * float(s[0])
-    rank = int(np.sum(s > tol))
-    basis = tuple(vh[k].copy() for k in range(rank, vh.shape[0]))
+    tols = DEFAULT_RANK_TOL_FACTOR * largest
+    ranks = np.count_nonzero(s > tols[..., np.newaxis], axis=-1)
+    if M.ndim == 2:
+        return _rank_result(u, s, vh, int(ranks), float(tols))
+    return [_rank_result(*usv, rank, tol)
+            for *usv, rank, tol in zip(u, s, vh, ranks.tolist(), tols.tolist())]
+
+
+def _rank_result(u: np.ndarray, s: np.ndarray, vh: np.ndarray, rank: int,
+                 tol: float) -> RankResult:
     return RankResult(singular_values=s, numeric_rank=rank,
-                      nullspace_basis=basis, tolerance_used=tol,
+                      nullspace_basis=tuple(vh[rank:].copy()), tolerance_used=tol,
                       image_complement=u[:, rank:])

@@ -67,10 +67,12 @@ class StructureAdapter:
     shape (N, fiber_dim) and points of shape (N, m, fiber_dim) give an array
     of shape (N, m, chart_dim) whose row [i, j] equals
     chart_at(centers[i])(points[i, j]) bit for bit (or it raises what that
-    scalar call raises). The record build evaluates every finite-difference
-    and second-order stencil of a ray through it, and classify and the other
-    record checks call the same build, so bitwise agreement is what keeps a
-    record's order, kernel basis and class the same whichever route made it.
+    scalar call raises, at the first row where it raises); it selects the
+    chart of every center in array form too. The record build evaluates
+    every finite-difference and second-order stencil of a ray through it,
+    and classify and the other record checks call the same build, so
+    bitwise agreement is what keeps a record's order, kernel basis and class
+    the same whichever route made it.
     conj_f returns the tuple of stratum function values aligned with
     stratum_names; conj_f_array(covs) evaluates them at every row of an
     (n, fiber_dim) array of covectors in one array call and returns an
@@ -201,10 +203,10 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
 
     Roots of each stratum function are located by a scan-and-bracket search:
     one conj_f_array call samples every stratum on the scan grid, and Brent
-    polishes each sign change with the scalar conj_f. Every root is
-    cross-validated by the finite-difference rank of the chart exponential
-    before it becomes a record; the records of all strata are built together
-    (_build_records). Records are sorted by s.
+    polishes each sign change with the scalar conj_f, called on a list of
+    Python floats. Every root is cross-validated by the finite-difference
+    rank of the chart exponential before it becomes a record; the records of
+    all strata are built together (_build_records). Records are sorted by s.
     """
     d = _unit_direction(direction, adapter.fiber_dim)
     if not (s_max > 0.0 and np.isfinite(s_max)):
@@ -214,10 +216,12 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
     grid = adapter.conj_f_array(scan_nodes(lo, s_max, scan_points)[:, np.newaxis] * d)
+    # Python floats multiply as numpy's float64 does, and conj_f converts them for free
+    components = d.tolist()
     hits: list[tuple[float, str]] = []
     for idx, stratum in enumerate(adapter.stratum_names):
         def g(s: float, _i: int = idx) -> float:
-            return float(adapter.conj_f(s * d)[_i])
+            return float(adapter.conj_f([s * c for c in components])[_i])
         hits += [(hit.value, stratum) for hit in find_roots(
             g, lo, s_max, scan_points=scan_points, tol=root_tol, grid_values=grid[idx])]
     records = _build_records(adapter, d, hits) if hits else []

@@ -16,22 +16,25 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srfolds import (SingularityClass, grushin_adapter, grushin_conj_f, grushin_conj_grad,
                      grushin_kernel, rank_nullspace, scan_ray, second_order_transversality,
                      sl2_adapter, sl2_conj_f, sl2_conj_grad, sl2_kernel, su2_adapter,
                      su2_conj_f, su2_conj_grad, su2_kernel)
-from srfolds.errors import DegenerateCovector, InvalidInput, NotConjugate
+from srfolds.errors import DegenerateCovector, DegenerateMatrix, InvalidInput, NotConjugate
 from srfolds.grushin import GrushinBase
 from srfolds.numeric import fd_stencil
 from srfolds.singularity import (PAIRING_TOL, SECOND_ORDER_STEP, SECOND_ORDER_TOL,
                                  _rank_reports, _stratum_indices)
-from srfolds.sl2 import sl2_exp
+from srfolds.sl2 import _GROUP as SL2_GROUP
+from srfolds.sl2 import _R_HYPER_MIN, sl2_exp
+from srfolds.su2 import _GROUP as SU2_GROUP
 from srfolds.su2 import su2_exp
 
 SU2 = su2_adapter()
@@ -94,6 +97,49 @@ def _switch(selector, direction, lo, hi, n=400):
             for a, b, fa, fb in zip(grid, grid[1:], flags, flags[1:]) if fa != fb]
 
 
+def _uses_im(cov):
+    point = su2_exp(cov, 1.0)[0]
+    return abs(point.alpha_re) >= abs(point.alpha_im)
+
+
+def _uses_m11(cov):
+    return abs(sl2_exp(cov, 1.0)[0].m11) >= 1e-3
+
+
+def _m11_edges(direction):
+    """Pairs of covectors within an ulp of each other where |m11| crosses 1e-3, on r > 0 rays."""
+    def m11_positive(cov):
+        return sl2_exp(cov, 1.0)[0].m11 > 0.0
+
+    # the band |m11| < 1e-3 is narrow, and wider where m11 is flat: walk out
+    # of it from each zero of m11, both ways, with doubling steps
+    d = np.asarray(direction) / np.linalg.norm(direction)
+    zeros = [float(a @ d) for a, _ in _switch(m11_positive, d, 0.5, 20.0)[:2]]
+    pairs = []
+    for s in zeros:
+        for sign in (-1.0, 1.0):
+            step = 1e-4
+            while not _uses_m11((s + sign * step) * d):
+                step *= 2.0
+                assert step < 20.0
+            pairs.append(_bisect(_uses_m11, d, s, s + sign * step))
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _selector_edge_centers():
+    """Centers an ulp either side of each group's selector edge, on a few rays."""
+    su2 = [pair for d in [(1.0, 0.0, 0.5), (0.3, -0.7, 0.2), (-0.2, 0.4, 1.5)]
+           for pair in _switch(_uses_im, d, 0.5, 20.0)[:2]]
+    sl2 = [pair for d in [(1.0, 0.0, 2.0), (0.3, -0.4, 1.1)] for pair in _m11_edges(d)]
+    return {key: tuple(tuple(c.tolist()) for pair in pairs for c in pair)
+            for key, pairs in (("su2", su2), ("sl2", sl2))}
+
+
+# centers entries_array does not mark exact, whose scalar exponential does not
+# raise: rho = 0 on SU(2), r below _R_HYPER_MIN on SL(2)
+NOT_EXACT_CENTERS = {"su2": [(0.0, 0.0, 0.0)], "sl2": [(1400.5, 0.0, 0.0)]}
+
 finite = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 small = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
 offsets = st.lists(st.tuples(small, small, small), min_size=1, max_size=5)
@@ -112,11 +158,7 @@ class TestGroupChartArray:
     def test_su2_selector_edge(self, direction, offs):
         # |Re alpha| = |Im alpha| at the center's endpoint: centers an ulp apart
         # select different charts
-        def uses_im(cov):
-            point = su2_exp(cov, 1.0)[0]
-            return abs(point.alpha_re) >= abs(point.alpha_im)
-
-        for pair in _switch(uses_im, direction, 0.5, 20.0)[:3]:
+        for pair in _switch(_uses_im, direction, 0.5, 20.0)[:3]:
             _assert_chart_array_is_scalar(SU2, pair, _near(pair, offs))
 
     @settings(max_examples=20, deadline=None)
@@ -124,25 +166,49 @@ class TestGroupChartArray:
         lambda c: c[2] * c[2] - c[0] * c[0] - c[1] * c[1] > 0.01), offsets)
     def test_sl2_selector_edge(self, direction, offs):
         # |m11| = 1e-3 at the center's endpoint, on the rays scan_ray scans (r > 0)
-        def uses_m11(cov):
-            return abs(sl2_exp(cov, 1.0)[0].m11) >= 1e-3
+        for pair in _m11_edges(direction):
+            assert _uses_m11(pair[0]) != _uses_m11(pair[1])
+            _assert_chart_array_is_scalar(SL2, pair, _near(pair, offs))
 
-        def m11_positive(cov):
-            return sl2_exp(cov, 1.0)[0].m11 > 0.0
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["su2", "sl2"]), st.data())
+    def test_array_selection_is_the_scalar_selection(self, key, data):
+        # the chart chart_array picks at each center is the one _primary_at picks
+        group = SU2_GROUP if key == "su2" else SL2_GROUP
+        center = st.one_of(st.sampled_from(_selector_edge_centers()[key]),
+                           st.sampled_from(NOT_EXACT_CENTERS[key]),
+                           st.tuples(finite, finite, finite))
+        centers = np.array(data.draw(st.lists(center, min_size=1, max_size=6)), dtype=float)
+        # rows entries_array is made to leave to the scalar exponential, as it
+        # leaves the SU(2) rows off the unit-sphere band
+        dropped = data.draw(st.lists(st.booleans(), min_size=1, max_size=7))
 
-        # the band |m11| < 1e-3 is narrow, and wider where m11 is flat: walk out
-        # of it from each zero of m11, both ways, with doubling steps
-        d = np.asarray(direction) / np.linalg.norm(direction)
-        zeros = [float(a @ d) for a, _ in _switch(m11_positive, d, 0.5, 20.0)[:2]]
-        for s in zeros:
-            for sign in (-1.0, 1.0):
-                step = 1e-4
-                while not uses_m11((s + sign * step) * d):
-                    step *= 2.0
-                    assert step < 20.0
-                pair = _bisect(uses_m11, d, s, s + sign * step)
-                assert uses_m11(pair[0]) != uses_m11(pair[1])
-                _assert_chart_array_is_scalar(SL2, pair, _near(pair, offs))
+        def entries_array(covs):
+            entries, exact = group.entries_array(covs)
+            return entries, exact & ~np.resize(dropped, exact.shape)
+
+        def scalar():
+            rows = []
+            for c in centers:
+                index = list(group.charts[0 if group._primary_at(c) else 1])
+                rows.append(np.array(group.exp(c, 1.0)[0].entries())[index])
+            return np.array(rows).tobytes()
+
+        for each in (group, replace(group, entries_array=entries_array)):
+            def array():
+                return each.chart_array(centers, centers[:, np.newaxis])[:, 0].tobytes()
+            assert _outcome(array) == _outcome(scalar)
+
+    @pytest.mark.parametrize("key", ["su2", "sl2"])
+    def test_not_exact_centers_select_without_raising(self, key):
+        group = SU2_GROUP if key == "su2" else SL2_GROUP
+        centers = np.array(NOT_EXACT_CENTERS[key])
+        assert not group.entries_array(centers)[1].any()
+        for c in centers:
+            group._primary_at(c)
+        if key == "sl2":
+            assert all(c[2] ** 2 - c[0] ** 2 - c[1] ** 2 < _R_HYPER_MIN for c in centers)
+        _assert_chart_array_is_scalar(group, centers, _near(centers, [(0.0, 0.0, 0.0)]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-4e-6, 4e-6),
@@ -177,21 +243,26 @@ class TestGroupChartArray:
         _assert_chart_array_is_scalar(adapter, centers, points)
 
     def test_first_raise_is_the_scalar_loops_first(self):
-        for centers, offset, error in (
+        for adapter, centers, offset, error in (
                 # the first center's offset row raises, and so does the second
                 # center itself; the scalar loop meets the former first
-                ([(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 800.0, 0.0),  # det overflows
+                (SL2, [(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 800.0, 0.0),  # det overflows
                  InvalidInput),
-                ([(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 1400.0, 0.0),  # sinh overflows
+                (SL2, [(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 1400.0, 0.0),  # sinh overflows
                  OverflowError),
                 # the first center raises (det overflows) before a later row's sinh would
-                ([(0.0, 1400.0, 0.0), (nan, 0.0, 0.0)], (0.0, 100.0, 0.0), InvalidInput),
+                (SL2, [(0.0, 1400.0, 0.0), (nan, 0.0, 0.0)], (0.0, 100.0, 0.0), InvalidInput),
                 # the first center's NaN row raises before the second center's sinh would
-                ([(0.0, 1.0, 2.0), (0.0, 1500.0, 0.0)], (nan, 0.0, 0.0), InvalidInput)):
+                (SL2, [(0.0, 1.0, 2.0), (0.0, 1500.0, 0.0)], (nan, 0.0, 0.0), InvalidInput),
+                # the first center is not exact and selects without raising; a point
+                # of its row (det overflows) raises before the second center's sinh
+                (SL2, [(1400.5, 0.0, 0.0), (0.0, 1500.0, 0.0)], (nan, 0.0, 0.0), InvalidInput),
+                # rho = 0 selects with the scalar exponential; the second center raises
+                (SU2, [(0.0, 0.0, 0.0), (nan, 0.0, 0.0)], (0.0, 0.0, 0.0), InvalidInput)):
             points = _near(centers, [offset])
-            _assert_chart_array_is_scalar(SL2, centers, points)
+            _assert_chart_array_is_scalar(adapter, centers, points)
             with pytest.raises(error):
-                SL2.chart_array(np.array(centers), points)
+                adapter.chart_array(np.array(centers), points)
 
 
 class TestGrushinChartArray:
@@ -233,6 +304,24 @@ class TestGrushinChartArray:
         _assert_chart_array_is_scalar(adapter, centers, points)
 
 
+def _rank_fields(result):
+    """Every field of a RankResult, as bytes and Python values."""
+    return (result.singular_values.tobytes(), result.numeric_rank,
+            type(result.numeric_rank), result.tolerance_used, type(result.tolerance_used),
+            [v.tobytes() for v in result.nullspace_basis], result.image_complement.shape,
+            result.image_complement.tobytes())
+
+
+def _assert_stack_is_each_matrix(stack):
+    def stacked():
+        return [_rank_fields(one) for one in rank_nullspace(stack)]
+
+    def each():
+        return [_rank_fields(rank_nullspace(matrix)) for matrix in stack]
+
+    assert _outcome(stacked) == _outcome(each)
+
+
 class TestStackedRank:
     @pytest.mark.parametrize("k", [2, 3])
     def test_stack_equals_each_matrix(self, k):
@@ -242,13 +331,29 @@ class TestStackedRank:
         u, s, vh = np.linalg.svd(stack[::5])
         s[:, -1] = 0.0
         stack[::5] = (u * s[:, np.newaxis, :]) @ vh
-        for one, each in zip(rank_nullspace(stack), map(rank_nullspace, stack)):
-            assert one.singular_values.tobytes() == each.singular_values.tobytes()
-            assert one.numeric_rank == each.numeric_rank
-            assert one.tolerance_used == each.tolerance_used
-            assert [v.tobytes() for v in one.nullspace_basis] == [
-                v.tobytes() for v in each.nullspace_basis]
-            assert one.image_complement.tobytes() == each.image_complement.tobytes()
+        _assert_stack_is_each_matrix(stack)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_random_stacks(self, k, data):
+        entry = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+        matrices = data.draw(st.lists(st.lists(entry, min_size=k * k, max_size=k * k),
+                                      min_size=1, max_size=6))
+        stack = np.array(matrices).reshape(-1, k, k)
+        # scales far from one, and exact rank drops: a row doubled
+        stack *= 2.0 ** np.array(data.draw(st.lists(
+            st.integers(-300, 300), min_size=len(stack), max_size=len(stack))))[:, None, None]
+        drop = np.array(data.draw(st.lists(st.booleans(), min_size=len(stack),
+                                           max_size=len(stack))))
+        stack[drop, -1] = 2.0 * stack[drop, 0]
+        _assert_stack_is_each_matrix(stack)
+
+    def test_zero_matrix_inside_the_stack_raises(self):
+        stack = np.random.default_rng(0).normal(size=(5, 3, 3))
+        stack[2] = 0.0
+        with pytest.raises(DegenerateMatrix, match="zero matrix"):
+            rank_nullspace(stack)
+        _assert_stack_is_each_matrix(stack)
 
 
 def _loop_fd_jacobian(F, x, h=1e-6):
@@ -407,6 +512,36 @@ group_edges = [
 ]
 
 
+@st.composite
+def _grushin_cases(draw):
+    """(alpha, x0, rows, names, order_one): conjugate rows nudged, edge rows, random rows."""
+    alpha = draw(st.sampled_from(ALPHAS))
+    x0 = draw(st.sampled_from([0.0, 0.5, -2.0]))
+    tol = 1e-12 * max(1.0, abs(x0))
+    edges = [
+        (-x0, 1e-170),                # straight line to x1 = 0 on u0 + x0 = 0
+        (-x0 + 0.5 * tol, 1e-170),    # u0 + x0 inside the branch tolerance
+        (-x0 + 2.0 * tol, 1e-170),    # and just outside it
+        (-x0 + 1e-9, 1e-170),
+        (-x0, 0.8),                   # u0 + x0 = 0 on the oscillator
+        (1.3, 0.0), (-0.7, 0.0),      # v0 = 0
+        (0.0, 0.0), (0.0, 1.3),       # H = 0 (the latter at x0 = 0)
+        (1e60, 1e-170),               # conjugate, |x1|^(2 alpha - 2) overflows
+        (float("inf"), 1.0),
+    ]
+    pool = _conjugate_pool((alpha, x0))
+    row = st.one_of(
+        st.tuples(st.sampled_from(pool), nudges).map(
+            lambda pair: tuple((1.0 + pair[1]) * c for c in pair[0])),
+        st.sampled_from(edges),
+        st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)))
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    names = draw(st.lists(st.sampled_from(["other", "C0", "C1"]),
+                          min_size=len(rows), max_size=len(rows)))
+    order_one = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return alpha, x0, rows, names, order_one
+
+
 class TestRecordFields:
     """record_fields against the public scalar functions, row by row, bit for bit.
 
@@ -431,32 +566,25 @@ class TestRecordFields:
         _assert_record_fields_are_scalar(adapter, scalars, rows, names, order_one)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(ALPHAS), st.sampled_from([0.0, 0.5, -2.0]), st.data())
-    def test_grushin_rows(self, alpha, x0, data):
+    @given(_grushin_cases())
+    # order-one rows with u0 = 0 and tiny v0, where alpha v0 (u0 + x0) H underflows
+    @example((1.5, 0.5, [(0.0, 2.0694358630168767e-151)], ["other"], [True]))
+    @example((2.0, -2.0, [(3.122205925171836, 3.934473453489649),
+                          (0.0, 6.995317289086942e-150)], ["other", "C1"], [False, True]))
+    def test_grushin_rows(self, case):
+        alpha, x0, rows, names, order_one = case
         adapter, scalars = _grushin(alpha, x0)
-        tol = 1e-12 * max(1.0, abs(x0))
-        edges = [
-            (-x0, 1e-170),                # straight line to x1 = 0 on u0 + x0 = 0
-            (-x0 + 0.5 * tol, 1e-170),    # u0 + x0 inside the branch tolerance
-            (-x0 + 2.0 * tol, 1e-170),    # and just outside it
-            (-x0 + 1e-9, 1e-170),
-            (-x0, 0.8),                   # u0 + x0 = 0 on the oscillator
-            (1.3, 0.0), (-0.7, 0.0),      # v0 = 0
-            (0.0, 0.0), (0.0, 1.3),       # H = 0 (the latter at x0 = 0)
-            (1e60, 1e-170),               # conjugate, |x1|^(2 alpha - 2) overflows
-            (float("inf"), 1.0),
-        ]
-        pool = _conjugate_pool((alpha, x0))
-        row = st.one_of(
-            st.tuples(st.sampled_from(pool), nudges).map(
-                lambda pair: tuple((1.0 + pair[1]) * c for c in pair[0])),
-            st.sampled_from(edges),
-            st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)))
-        rows = data.draw(st.lists(row, min_size=1, max_size=8))
-        names = data.draw(st.lists(st.sampled_from(["other", "C0", "C1"]),
-                                   min_size=len(rows), max_size=len(rows)))
-        order_one = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
         _assert_record_fields_are_scalar(adapter, scalars, rows, names, order_one)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("x0", [0.5, -2.0])
+    def test_underflowing_gradient_denominator_is_degenerate(self, alpha, x0):
+        adapter, _ = _grushin(alpha, x0)
+        row = np.array([[0.0, 2.0694358630168767e-151]])
+        with pytest.raises(DegenerateCovector, match="underflows or overflows"):
+            grushin_conj_grad(GrushinBase(alpha, x0, 0.0), row[0])
+        with pytest.raises(DegenerateCovector, match="underflows or overflows"):
+            adapter.record_fields(row, np.zeros(1, dtype=int), np.array([True]))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("x0", [0.0, 0.5, -2.0])
