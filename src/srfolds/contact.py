@@ -84,6 +84,15 @@ def curvature(eps: int, u0: float, v0: float, w0: float) -> float:
     return w0 * w0 + eps * (u0 * u0 + v0 * v0)
 
 
+def finite_curvature(eps: int, u0: float, v0: float, w0: float) -> float:
+    """curvature(eps, u0, v0, w0); raises InvalidInput where it overflows."""
+    r = curvature(eps, u0, v0, w0)
+    if not math.isfinite(r):
+        raise InvalidInput(
+            f"covector ({u0!r}, {v0!r}, {w0!r}) too large: its curvature r overflows")
+    return r
+
+
 @dataclass(frozen=True)
 class ContactGroup:
     """One group's sign and representation, plugged into the shared formulas.
@@ -155,7 +164,7 @@ class ContactGroup:
         u0, v0, w0 = cov_triple(cov)
         if u0 * u0 + v0 * v0 == 0.0:
             raise DegenerateCovector("conjugacy functions undefined at H = 0")
-        r = curvature(self.eps, u0, v0, w0)
+        r = finite_curvature(self.eps, u0, v0, w0)
         if r > 0.0:
             root = math.sqrt(r)
             half = root / 2.0
@@ -169,8 +178,19 @@ class ContactGroup:
         _, f0, f1 = self.conj_f(cov)
         return f0, f1
 
-    def _trig_rows(self, covs: np.ndarray):
-        """The rows of covs with H != 0 and finite r > 0, and there sqrt(r), sin and cos of sqrt(r)/2."""
+    def record_fields(self, covs: np.ndarray, strata: np.ndarray,
+                      order_one: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(strata, kernel, conj_grad[stratum]) at each row of covs, bit for bit.
+
+        Returns the f-values (n, 2), and on the order_one rows the unit kernels
+        (n, 3) and the gradients (n, 3) of the strata indexed by strata; the
+        other rows of those two are not defined, and kernels and gradients are
+        computed on the order-one rows only. The rows with H != 0 and finite
+        r > 0 share one trigonometric pass. The rest, and the order-one rows
+        that kernel would reject as not conjugate, go through strata, kernel
+        and conj_grad in row order, so the first of them that raises is the
+        scalar loop's first.
+        """
         u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
         with np.errstate(all="ignore"):
             h2 = u0 * u0 + v0 * v0
@@ -178,52 +198,28 @@ class ContactGroup:
         live = (h2 != 0.0) & (r > 0.0) & np.isfinite(r)
         root = np.sqrt(r[live])
         half = root / 2.0
-        return live, root, libm(math.sin, half), libm(math.cos, half)
-
-    def strata_array(self, covs: np.ndarray) -> np.ndarray:
-        """strata at each row (u0, v0, w0) of covs, as a (2, n) array, bit for bit.
-
-        Rows with r > 0 take the trigonometric branch in one array pass. The
-        rest (H = 0, r <= 0, not finite) go to strata itself, so they raise or
-        return exactly what the scalar loop does; on a ray that passes the
-        adapter's ray_gate, r <= 0 only appears by rounding.
-        """
-        live, root, sin_half, cos_half = self._trig_rows(covs)
-        out = np.empty((2, covs.shape[0]))
-        out[0, live] = root * cos_half - 2.0 * sin_half
-        out[1, live] = sin_half
-        for i in np.flatnonzero(~live):
-            out[:, i] = self.strata(covs[i])
-        return out
-
-    def record_fields(self, covs: np.ndarray, strata: np.ndarray,
-                      order_one: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(strata, kernel, conj_grad[stratum]) at each row of covs, bit for bit.
-
-        Returns the f-values (n, 2), and on the order_one rows the unit kernels
-        (n, 3) and the gradients (n, 3) of the strata indexed by strata; the
-        other rows of those two are not defined. The rows with r > 0 share one
-        trigonometric pass. The rest, and the order-one rows that kernel would
-        reject as not conjugate, go through strata, kernel and conj_grad in
-        row order, so the first of them that raises is the scalar loop's first.
-        """
-        live, root, sin_half, cos_half = self._trig_rows(covs)
+        sin_half, cos_half = libm(math.sin, half), libm(math.cos, half)
         n = covs.shape[0]
         f_values, kernels, grads = np.empty((n, 2)), np.empty((n, 3)), np.empty((n, 3))
-        u0, v0, w0 = covs[live, 0], covs[live, 1], covs[live, 2]
-        f0 = root * cos_half - 2.0 * sin_half
-        f_values[live] = np.column_stack([f0, sin_half])
         planar = root * cos_half
-        kern = np.column_stack([-v0 * planar, u0 * planar, -4.0 * self.eps * sin_half])
-        with np.errstate(all="ignore"):
-            kernels[live] = kern / np.sqrt(row_dots(kern, kern))[:, np.newaxis]
-        # the factor 2 of dr/d(u0, v0, w0) is folded into the coefficients
-        direction = np.column_stack([self.eps * u0, self.eps * v0, w0])
-        coef = np.where(strata[live] == 0, -0.5 * sin_half, cos_half / (2.0 * root))
-        grads[live] = coef[:, np.newaxis] * direction
+        f0 = planar - 2.0 * sin_half
+        f_values[live] = np.column_stack([f0, sin_half])
         fallback = ~live
-        fallback[live] = order_one[live] & (np.minimum(np.abs(f0), np.abs(sin_half))
-                                            > _KERNEL_RESIDUAL_TOL * np.maximum(1.0, root))
+        if order_one[live].any():
+            fallback[live] = order_one[live] & (np.minimum(np.abs(f0), np.abs(sin_half))
+                                                > _KERNEL_RESIDUAL_TOL * np.maximum(1.0, root))
+            one = order_one[live] & ~fallback[live]
+            rows = np.flatnonzero(live)[one]
+            u0, v0, w0, sin_half = u0[rows], v0[rows], w0[rows], sin_half[one]
+            kern = np.column_stack([-v0 * planar[one], u0 * planar[one],
+                                    -4.0 * self.eps * sin_half])
+            with np.errstate(all="ignore"):
+                kernels[rows] = kern / np.sqrt(row_dots(kern, kern))[:, np.newaxis]
+            # the factor 2 of dr/d(u0, v0, w0) is folded into the coefficients
+            direction = np.column_stack([self.eps * u0, self.eps * v0, w0])
+            coef = np.where(strata[rows] == 0, -0.5 * sin_half,
+                            cos_half[one] / (2.0 * root[one]))
+            grads[rows] = coef[:, np.newaxis] * direction
         for i in np.flatnonzero(fallback):
             f_values[i] = self.strata(covs[i])
             if order_one[i]:
@@ -252,7 +248,7 @@ class ContactGroup:
         u0, v0, w0 = cov_triple(cov)
         if u0 * u0 + v0 * v0 == 0.0:
             raise DegenerateCovector("conjugacy gradients undefined at H = 0")
-        r = curvature(self.eps, u0, v0, w0)
+        r = finite_curvature(self.eps, u0, v0, w0)
         if r <= 0.0:
             raise DegenerateCovector(
                 f"stratum gradients only defined on r > 0, got r = {r:.6g}")
@@ -327,7 +323,6 @@ class ContactGroup:
             chart_at=self.chart_at,
             chart_array=self.chart_array,
             conj_f=self.strata,
-            conj_f_array=self.strata_array,
             record_fields=self.record_fields,
             stratum_names=("C0", "C1"),
             ray_gate=ray_gate,

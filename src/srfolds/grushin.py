@@ -355,28 +355,6 @@ def _endpoint_pass(base: GrushinBase,
     return x1, y1, u1
 
 
-def grushin_conj_f_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
-    """grushin_conj_f at each row (u0, v0) of covs, bit for bit, in one array pass.
-
-    Rows that are not finite or have H = 0 go to grushin_conj_f first, so the
-    first of them raises what the scalar loop raises there; the endpoints of
-    the rest come from _endpoint_pass.
-    """
-    u0, v0 = covs[:, 0], covs[:, 1]
-    with np.errstate(all="ignore"):
-        h2 = u0 * u0 + v0 * v0 * _even_power(base.x0, base.alpha)
-    for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
-        grushin_conj_f(base, covs[i])
-    x1, _, u1 = _endpoint_pass(base, covs)
-    return u1 * (u0 + base.x0) - u0 * x1
-
-
-def grushin_endpoint_array(base: GrushinBase, covs: np.ndarray) -> np.ndarray:
-    """grushin_exp(base, cov, 1.0).position at each row of covs, bit for bit."""
-    x1, y1, _ = _endpoint_pass(base, covs)
-    return np.column_stack([x1, y1])
-
-
 def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
     """Analytic gradient (df/du0, df/dv0) of the conjugacy function.
 
@@ -430,7 +408,8 @@ def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
 
     Returns the f-values (n, 1), and on the order_one rows the unit kernels
     (n, 2) and the gradients (n, 2); the other rows of those two are not
-    defined. Every row's endpoint comes from one _endpoint_pass. The rows
+    defined, and kernels and gradients are computed on the order-one rows
+    only. Every row's endpoint comes from one _endpoint_pass. The rows
     where one of the scalar functions may raise (not finite, H = 0, and on
     order-one rows v0 = 0, an f that grushin_kernel rejects, an odd power
     that overflows, a gradient denominator that underflows or overflows, or
@@ -446,31 +425,38 @@ def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
         good = np.isfinite(covs).all(axis=1) & (h2 != 0.0)
         x1, u1 = np.zeros(n), np.zeros(n)
         x1[good], _, u1[good] = _endpoint_pass(base, covs[good])
-        edge = u0 + x0
-        f = u1 * edge - u0 * x1
-        scale = np.fmax(1.0, np.abs(u1) * (np.abs(u0) + abs(x0)) + np.abs(u0) * np.abs(x1))
-        kern = np.column_stack([v0 * x2a, -u0])
-        kernels = kern / np.sqrt(row_dots(kern, kern))[:, np.newaxis]
-        odd = np.zeros(n)
-        live = order_one & good & (x1 != 0.0)
-        odd[live] = libm(_pow_or_inf, np.abs(x1[live]), 2.0 * (alpha - 1.0)) * x1[live]
-        u1_dot = -alpha * v0 * v0 * odd
-        a = alpha
-        on_edge = np.abs(edge) <= _BRANCH_TOL * np.maximum(np.maximum(1.0, np.abs(u0)), abs(x0))
-        denom = a * v0 * edge * h2
-        df_du = np.where(
-            on_edge, u1 * v0 * v0 * x2a / h2,
-            (u1_dot * edge * edge * ((a - 1.0) * u0 - x0)
-             - a * v0 * v0 * x1 * x2a * x0) / (a * edge * h2))
-        df_dv = np.where(
-            on_edge, u1 * v0 * x2a * x0 / h2,
-            (u1_dot * edge * edge * (u0 * u0 + a * v0 * v0 * x2a + u0 * x0)
-             + a * u0 * v0 * v0 * x1 * x2a * x0) / denom)
-    grads = np.column_stack([df_du, df_dv])
-    degenerate = ~on_edge & ((denom == 0.0) | ~np.isfinite(denom))
-    fallback = ~good | (order_one & ((v0 == 0.0) | (np.abs(f) > _KERNEL_RESIDUAL_TOL * scale)
-                                     | ~np.isfinite(odd) | degenerate
-                                     | ~np.isfinite(grads).all(axis=1)))
+        f = u1 * (u0 + x0) - u0 * x1
+    kernels, grads = np.empty((n, 2)), np.empty((n, 2))
+    fallback = ~good
+    rows = np.flatnonzero(order_one & good)
+    if rows.size:
+        u0, v0, h2, x1, u1 = u0[rows], v0[rows], h2[rows], x1[rows], u1[rows]
+        with np.errstate(all="ignore"):
+            scale = np.fmax(1.0, np.abs(u1) * (np.abs(u0) + abs(x0)) + np.abs(u0) * np.abs(x1))
+            kern = np.column_stack([v0 * x2a, -u0])
+            kernels[rows] = kern / np.sqrt(row_dots(kern, kern))[:, np.newaxis]
+            odd = np.zeros(rows.size)
+            live = x1 != 0.0
+            odd[live] = libm(_pow_or_inf, np.abs(x1[live]), 2.0 * (alpha - 1.0)) * x1[live]
+            u1_dot = -alpha * v0 * v0 * odd
+            a = alpha
+            edge = u0 + x0
+            on_edge = (np.abs(edge)
+                       <= _BRANCH_TOL * np.maximum(np.maximum(1.0, np.abs(u0)), abs(x0)))
+            denom = a * v0 * edge * h2
+            df_du = np.where(
+                on_edge, u1 * v0 * v0 * x2a / h2,
+                (u1_dot * edge * edge * ((a - 1.0) * u0 - x0)
+                 - a * v0 * v0 * x1 * x2a * x0) / (a * edge * h2))
+            df_dv = np.where(
+                on_edge, u1 * v0 * x2a * x0 / h2,
+                (u1_dot * edge * edge * (u0 * u0 + a * v0 * v0 * x2a + u0 * x0)
+                 + a * u0 * v0 * v0 * x1 * x2a * x0) / denom)
+        grads[rows] = np.column_stack([df_du, df_dv])
+        degenerate = ~on_edge & ((denom == 0.0) | ~np.isfinite(denom))
+        fallback[rows] = ((v0 == 0.0) | (np.abs(f[rows]) > _KERNEL_RESIDUAL_TOL * scale)
+                          | ~np.isfinite(odd) | degenerate
+                          | ~np.isfinite(grads[rows]).all(axis=1))
     for i in np.flatnonzero(fallback):
         f[i] = grushin_conj_f(base, covs[i])
         if order_one[i]:
@@ -516,13 +502,11 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         return np.asarray(grushin_exp(base, cov, 1.0).position, dtype=float)
 
     def chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return grushin_endpoint_array(base, points.reshape(-1, 2)).reshape(points.shape)
+        x1, y1, _ = _endpoint_pass(base, points.reshape(-1, 2))
+        return np.column_stack([x1, y1]).reshape(points.shape)
 
     def conj_f(cov) -> tuple[float]:
         return (grushin_conj_f(base, cov),)
-
-    def conj_f_array(covs: np.ndarray) -> np.ndarray:
-        return grushin_conj_f_array(base, covs)[np.newaxis]
 
     def record_fields(covs: np.ndarray, strata: np.ndarray, order_one: np.ndarray):
         return grushin_record_fields(base, covs, order_one)
@@ -544,7 +528,6 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         chart_at=lambda center: endpoint,
         chart_array=chart_array,
         conj_f=conj_f,
-        conj_f_array=conj_f_array,
         record_fields=record_fields,
         stratum_names=("other",),
         ray_gate=ray_gate,

@@ -74,24 +74,21 @@ class StructureAdapter:
     bitwise agreement is what keeps a record's order, kernel basis and class
     the same whichever route made it.
     conj_f returns the tuple of stratum function values aligned with
-    stratum_names; conj_f_array(covs) evaluates them at every row of an
-    (n, fiber_dim) array of covectors in one array call and returns an
-    (n_strata, n) array whose entries equal conj_f's bit for bit (or raises
-    what conj_f raises at the first row where it raises): scan_ray samples its
-    grid with it, and Brent and the residual gate use conj_f, so both must
-    agree for the brackets to hold.
-
-    record_fields(covs, strata, order_one) gives the analytic fields of a
-    ray's records in array calls: for (n, fiber_dim) covectors, their stratum
-    indices into stratum_names and a mask of the order-one rows, it returns
-    the f-values (n, n_strata), as conj_f gives them, and on the order-one
-    rows the unit kernel vectors (n, fiber_dim) and the gradients (n,
-    fiber_dim) of each row's stratum function; their other rows are not
-    read. Each value equals the structure's scalar function bit for bit, and
-    it raises what the scalar sequence (conj_f, then on order-one rows the
-    kernel and the gradient) raises at the first row where it raises; a row
-    of order 0 or 2 raises only where conj_f does. A structure with one
-    stratum function gets index 0 for every record, whatever its label.
+    stratum_names. record_fields(covs, strata, order_one) gives them and the
+    other analytic fields in array calls: for (n, fiber_dim) covectors,
+    their stratum indices into stratum_names and a mask of the order-one
+    rows, it returns the f-values (n, n_strata), as conj_f gives them, and
+    on the order-one rows the unit kernel vectors (n, fiber_dim) and the
+    gradients (n, fiber_dim) of each row's stratum function; their other
+    rows are not read, and need not be computed. Each value equals the
+    structure's scalar function bit for bit, and it raises what the scalar
+    sequence (conj_f, then on order-one rows the kernel and the gradient)
+    raises at the first row where it raises; a row of order 0 or 2 raises
+    only where conj_f does. A structure with one stratum function gets
+    index 0 for every record, whatever its label. scan_ray samples its grid
+    with one record_fields call that has no order-one row, and builds its
+    records with one more; Brent and the residual gate use conj_f, so the
+    two must agree for the brackets to hold.
 
     ray_gate(direction) says whether covectors along the ray can be conjugate
     at all; undetermined(cov, stratum) marks points the classification theory
@@ -111,7 +108,6 @@ class StructureAdapter:
     chart_at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     chart_array: Callable[[np.ndarray, np.ndarray], np.ndarray]
     conj_f: Callable[[np.ndarray], tuple]
-    conj_f_array: Callable[[np.ndarray], np.ndarray]
     record_fields: Callable[[np.ndarray, np.ndarray, np.ndarray],
                             tuple[np.ndarray, np.ndarray, np.ndarray]]
     stratum_names: tuple[str, ...]
@@ -202,11 +198,12 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     """Conjugate covectors on the ray {s * direction : 0 < s <= s_max}, classified.
 
     Roots of each stratum function are located by a scan-and-bracket search:
-    one conj_f_array call samples every stratum on the scan grid, and Brent
-    polishes each sign change with the scalar conj_f, called on a list of
-    Python floats. Every root is cross-validated by the finite-difference
-    rank of the chart exponential before it becomes a record; the records of
-    all strata are built together (_build_records). Records are sorted by s.
+    one record_fields call with no order-one row samples every stratum on
+    the scan grid, and Brent polishes each sign change with the scalar
+    conj_f, called on a list of Python floats. Every root is cross-validated
+    by the finite-difference rank of the chart exponential before it becomes
+    a record; the records of all strata are built together (_build_records).
+    Records are sorted by s.
     """
     d = _unit_direction(direction, adapter.fiber_dim)
     if not (s_max > 0.0 and np.isfinite(s_max)):
@@ -215,7 +212,9 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     if not adapter.ray_gate(d):
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
-    grid = adapter.conj_f_array(scan_nodes(lo, s_max, scan_points)[:, np.newaxis] * d)
+    nodes = scan_nodes(lo, s_max, scan_points)
+    grid = adapter.record_fields(nodes[:, np.newaxis] * d, np.zeros(nodes.size, dtype=int),
+                                 np.zeros(nodes.size, dtype=bool))[0].T
     # Python floats multiply as numpy's float64 does, and conj_f converts them for free
     components = d.tolist()
     hits: list[tuple[float, str]] = []

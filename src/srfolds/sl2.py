@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactGroup, cov_triple, curvature
+from .contact import ContactGroup, cov_triple, curvature, finite_curvature
 from .errors import InvalidInput
 from .numeric import libm
 from .scfun import sc_pair, sc_pair_array
@@ -77,7 +77,7 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
     u0, v0, w0 = cov_triple(cov)
     t = float(t)
-    r = curvature(_EPS, u0, v0, w0)
+    r = finite_curvature(_EPS, u0, v0, w0)
     s, c = sc_pair(r, t / 2.0)
     a11, a12, a21, a22 = c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0
     if r < 0.0:

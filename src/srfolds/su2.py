@@ -84,6 +84,8 @@ def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
     rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
     if rho == 0.0:
         return Su2Point(1.0, 0.0, 0.0, 0.0), np.zeros(3)
+    if not math.isfinite(rho):
+        raise InvalidInput(f"covector ({u0!r}, {v0!r}, {w0!r}) too large: its norm overflows")
     spin = complex(math.cos(w0 * t / 2.0), -math.sin(w0 * t / 2.0))
     alpha = spin * complex(math.cos(rho * t / 2.0),
                            (w0 / rho) * math.sin(rho * t / 2.0))

@@ -264,6 +264,18 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("expmap", "--structure", "su2", "--covector", "1e200,0,1e200"),
+        ("expmap", "--structure", "sl2", "--covector", "1e200,0,1e200"),
+        ("conj-scan", "--structure", "su2", "--direction", "1,0,1", "--s-max", "1e300"),
+    ], ids=str)
+    def test_covector_whose_curvature_overflows(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "overflows" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_alpha_below_one_is_computation_error(self):
         proc = run_cli("expmap", "--structure", "grushin", "--alpha", "0.5",
                        "--base", "1,0", "--covector", "0,1")

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from srfolds import InvalidInput, sl2_conj_f, sl2_exp, su2_conj_f, su2_exp
+from srfolds import (InvalidInput, sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_kernel,
+                     su2_conj_f, su2_conj_grad, su2_exp, su2_kernel)
 from srfolds.contact import ContactCovector, cov_triple
 
 CONTAINERS = pytest.mark.parametrize("make", [tuple, list, np.array],
@@ -47,3 +48,16 @@ class TestCovTriple:
         parsed = cov_triple(cov)
         assert parsed == (1.0, 0.5, 2.0)
         assert all(type(c) is float for c in parsed)
+
+
+class TestOverflowingCurvature:
+    @pytest.mark.parametrize("cov", [(1e200, 0.0, 1e200), (0.0, 1e200, 1.0), (1.0, 0.0, 1e300)],
+                             ids=str)
+    def test_every_group_function_raises_invalid_input(self, cov):
+        # finite components whose squares overflow: no bare math error, NaN
+        # f-value or NaN kernel, on either group
+        for call in (lambda c: su2_exp(c, 1.0), lambda c: sl2_exp(c, 1.0),
+                     su2_conj_f, su2_kernel, su2_conj_grad,
+                     sl2_conj_f, sl2_kernel, sl2_conj_grad):
+            with pytest.raises(InvalidInput, match="overflows"):
+                call(cov)

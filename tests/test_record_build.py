@@ -509,6 +509,7 @@ group_edges = [
     (1.0, 0.0, 0.5),           # SL(2): r < 0, never conjugate
     (1.0, 0.0, 1.0),           # SL(2): r = 0
     (1e-170, 0.0, 1.0),        # H underflows
+    (1e200, 0.0, 1e200),       # r overflows: every function raises InvalidInput
 ]
 
 

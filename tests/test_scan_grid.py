@@ -1,12 +1,12 @@
 """The scan grid in one array call agrees with the scalar stratum functions.
 
-scan_ray samples a ray's grid with one adapter.conj_f_array call and polishes
-each bracket with the scalar adapter.conj_f. The reference here is the scalar
-loop, one conj_f call per grid node. On a list of edge rays (components that
-underflow, Grushin's straight-line branch, H = 0 on the first nodes, angles
-next to the vertical, w0 = 0) the array values must equal it bit for bit,
-and scan_ray must return the same records, or raise the same exception with
-the same message, with either grid.
+scan_ray samples a ray's grid with one adapter.record_fields call that has no
+order-one row and polishes each bracket with the scalar adapter.conj_f. The
+reference here is the scalar loop, one conj_f call per grid node. On a list
+of edge rays (components that underflow, Grushin's straight-line branch,
+H = 0 on the first nodes, angles next to the vertical, w0 = 0) the array
+values must equal it bit for bit, and scan_ray must return the same records,
+or raise the same exception with the same message, with either grid.
 """
 
 from __future__ import annotations
@@ -36,12 +36,26 @@ GROUP_CASES = list(itertools.product(("su2", "sl2"), GROUP_DIRECTIONS))
 
 
 def _scalar_grid(adapter):
-    """The adapter with its grid sampled one scalar conj_f call per node."""
+    """The adapter with its f-values taken one scalar conj_f call per row.
 
-    def conj_f_array(covs):
-        return np.array([[float(v) for v in adapter.conj_f(cov)] for cov in covs]).T
+    Order-one rows still take their kernel and gradient from the adapter's
+    own record_fields, one row at a time after that row's conj_f, so the
+    scalar loop's first raise stays first.
+    """
 
-    return replace(adapter, conj_f_array=conj_f_array)
+    def record_fields(covs, strata, order_one):
+        n = covs.shape[0]
+        f_values = np.empty((n, len(adapter.stratum_names)))
+        kernels, grads = np.empty((n, adapter.fiber_dim)), np.empty((n, adapter.fiber_dim))
+        for i, cov in enumerate(covs):
+            f_values[i] = [float(v) for v in adapter.conj_f(cov)]
+            if order_one[i]:
+                _, kernel, grad = adapter.record_fields(covs[i:i + 1], strata[i:i + 1],
+                                                        order_one[i:i + 1])
+                kernels[i], grads[i] = kernel[0], grad[0]
+        return f_values, kernels, grads
+
+    return replace(adapter, record_fields=record_fields)
 
 
 def _outcome(call):
@@ -65,7 +79,8 @@ def _grid(adapter, direction):
     d = np.asarray(direction, dtype=float)
     nodes = scan_nodes(S_MAX * RAY_ORIGIN_OFFSET, S_MAX, DEFAULT_SCAN_POINTS)
     covs = nodes[:, np.newaxis] * (d / np.linalg.norm(d))
-    return _outcome(lambda: adapter.conj_f_array(covs).tobytes())
+    strata, order_one = np.zeros(len(covs), dtype=int), np.zeros(len(covs), dtype=bool)
+    return _outcome(lambda: adapter.record_fields(covs, strata, order_one)[0].T.tobytes())
 
 
 def _check(adapter, direction):

@@ -371,9 +371,8 @@ class TestScanCost:
         (sl2_adapter, SL2_RAY, 14.0),
     ], ids=["grushin", "su2", "sl2"])
     def test_scalar_conj_f_calls_per_record(self, make_adapter, ray, s_max):
-        # the grid is one conj_f_array call and the records take their
-        # f-values from record_fields; the scalar conj_f serves only Brent,
-        # whose last value is the residual
+        # the grid and the records take their f-values from record_fields;
+        # the scalar conj_f serves only Brent, whose last value is the residual
         adapter = make_adapter()
         calls = [0]
 
@@ -385,6 +384,28 @@ class TestScanCost:
         assert len(records) >= 2
         assert calls[0] <= 5 * len(records)
         assert calls[0] < DEFAULT_SCAN_POINTS
+
+    @pytest.mark.parametrize("make_adapter,ray,s_max", [
+        (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
+         (math.cos(0.9), math.sin(0.9)), 20.0),
+        (su2_adapter, SU2_RAY, 20.0),
+        (sl2_adapter, SL2_RAY, 14.0),
+    ], ids=["grushin", "su2", "sl2"])
+    def test_record_fields_calls_per_ray(self, make_adapter, ray, s_max):
+        # one call samples the grid, with no order-one row, and one builds
+        # the records
+        adapter = make_adapter()
+        order_one_rows = []
+
+        def record_fields(covs, strata, order_one):
+            order_one_rows.append(int(np.count_nonzero(order_one)))
+            return adapter.record_fields(covs, strata, order_one)
+
+        records = scan_ray(replace(adapter, record_fields=record_fields), ray, s_max)
+        assert len(records) >= 2
+        assert len(order_one_rows) == 2
+        assert order_one_rows[0] == 0
+        assert order_one_rows[1] == sum(rec.order == 1 for rec in records) > 0
 
     @pytest.mark.parametrize("make_adapter,ray,s_max", [
         (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
