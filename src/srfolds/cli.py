@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_conj_scan)
 
     p_self = sub.add_parser("selftest", help="run the verification battery")
-    add_common(p_self)
+    p_self.add_argument("--out", default=None, help="write output to FILE")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(func=cmd_selftest)
 

@@ -158,8 +158,8 @@ class ContactGroup:
     def conj_f(self, cov) -> tuple[float, float, float]:
         """(r, f0, f1); conjugate iff r > 0 and f0 f1 = 0.
 
-        For r <= 0 the returned f-values are the strictly positive hyperbolic
-        continuations (diagnostics only; such covectors are never conjugate).
+        For r <= 0 the f-values are the strictly positive hyperbolic continuations
+        (diagnostics only; never conjugate), and InvalidInput where they overflow.
         """
         u0, v0, w0 = cov_triple(cov)
         if u0 * u0 + v0 * v0 == 0.0:
@@ -171,7 +171,13 @@ class ContactGroup:
             return (r, root * math.cos(half) - 2.0 * math.sin(half), math.sin(half))
         sigma = math.sqrt(-r)
         half = sigma / 2.0
-        return (r, sigma * math.cosh(half) - 2.0 * math.sinh(half), math.sinh(half))
+        try:
+            f0 = sigma * math.cosh(half) - 2.0 * math.sinh(half)
+        except OverflowError:
+            f0 = math.inf
+        if not math.isfinite(f0):
+            raise InvalidInput(f"f0 overflows at r = {r!r}, covector ({u0!r}, {v0!r}, {w0!r})")
+        return (r, f0, math.sinh(half))
 
     def strata(self, cov) -> tuple[float, float]:
         """Stratum functions (f0, f1); the covector is conjugate iff f0 f1 = 0."""

@@ -320,13 +320,14 @@ class RankResult:
     image_complement: np.ndarray
 
 
-def rank_nullspace(M: np.ndarray) -> RankResult | list[RankResult]:
+def rank_nullspace(M: np.ndarray) -> RankResult | tuple[np.ndarray, ...]:
     """Numeric rank and nullspace of M; threshold DEFAULT_RANK_TOL_FACTOR * largest sigma.
 
     M is one matrix, which gives one RankResult, or a stack of shape (N, m, n),
-    which gives a list of N RankResults from one SVD call over the stack; each
-    equals, bit for bit, what its matrix gives on its own. The thresholds and
-    ranks of a stack are taken in one array pass.
+    which gives the arrays (u, singular_values, vh, ranks, tolerances) of one
+    SVD call and one array pass. Row i is, bit for bit, what matrix i gives on
+    its own, whose nullspace_basis is vh[i, ranks[i]:] and image_complement
+    u[i, :, ranks[i]:].
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.size == 0:
@@ -340,14 +341,9 @@ def rank_nullspace(M: np.ndarray) -> RankResult | list[RankResult]:
         raise DegenerateMatrix("zero matrix has no usable rank threshold")
     tols = DEFAULT_RANK_TOL_FACTOR * largest
     ranks = np.count_nonzero(s > tols[..., np.newaxis], axis=-1)
-    if M.ndim == 2:
-        return _rank_result(u, s, vh, int(ranks), float(tols))
-    return [_rank_result(*usv, rank, tol)
-            for *usv, rank, tol in zip(u, s, vh, ranks.tolist(), tols.tolist())]
-
-
-def _rank_result(u: np.ndarray, s: np.ndarray, vh: np.ndarray, rank: int,
-                 tol: float) -> RankResult:
+    if M.ndim == 3:
+        return u, s, vh, ranks, tols
+    rank = int(ranks)
     return RankResult(singular_values=s, numeric_rank=rank,
-                      nullspace_basis=tuple(vh[rank:].copy()), tolerance_used=tol,
+                      nullspace_basis=tuple(vh[rank:].copy()), tolerance_used=float(tols),
                       image_complement=u[:, rank:])

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidInput
 from .numeric import libm
 
 # exact (1-c)/a loses ~|eps/a| absolute accuracy; below this the series wins
@@ -25,7 +26,10 @@ SERIES_THRESHOLD = 1e-6
 
 
 def sc_pair(a: float, t: float) -> tuple[float, float]:
-    """(s_a(t), c_a(t)); series branch when |a| t^2 < SERIES_THRESHOLD."""
+    """(s_a(t), c_a(t)); series branch when |a| t^2 < SERIES_THRESHOLD.
+
+    Raises InvalidInput where sinh or cosh of sqrt(-a) t overflows.
+    """
     z = a * t * t
     if abs(z) < SERIES_THRESHOLD:
         s = t * (1.0 - z / 6.0 + z * z / 120.0 - z ** 3 / 5040.0)
@@ -35,15 +39,18 @@ def sc_pair(a: float, t: float) -> tuple[float, float]:
         sq = math.sqrt(a)
         return math.sin(sq * t) / sq, math.cos(sq * t)
     sq = math.sqrt(-a)
-    return math.sinh(sq * t) / sq, math.cosh(sq * t)
+    try:
+        return math.sinh(sq * t) / sq, math.cosh(sq * t)
+    except OverflowError:
+        raise InvalidInput(f"sinh(sqrt(-a) t) overflows at a = {a!r}, t = {t!r}") from None
 
 
 def sc_pair_array(a: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """sc_pair(a_i, t) at each element a_i of a 1-d array, bit for bit.
 
     The same branches on masks, with every transcendental call through the
-    scalar libm (numeric.libm), so a non-finite or overflowing element raises
-    what sc_pair raises there.
+    scalar libm (numeric.libm), so only an element whose sinh overflows
+    raises, with OverflowError where sc_pair raises InvalidInput.
     """
     z = a * t * t
     series = np.abs(z) < SERIES_THRESHOLD

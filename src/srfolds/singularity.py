@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, WitnessNotFound
-from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, RankResult, check_root_tol,
-                      fd_columns, fd_jacobian, fd_stencil, find_roots, rank_nullspace,
-                      row_dots, scan_nodes)
+from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, check_root_tol, fd_columns,
+                      fd_jacobian, fd_stencil, find_roots, rank_nullspace, row_dots,
+                      scan_nodes)
 
 # The classification policy is fixed. conj-scan prints PAIRING_TOL and
 # SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
@@ -147,26 +147,25 @@ def _stratum_indices(adapter: StructureAdapter, strata: Sequence[str]) -> np.nda
     return np.array([names.index(stratum) for stratum in strata])
 
 
-def _pairings(grads: np.ndarray, kerns: np.ndarray,
-              order_one: np.ndarray) -> list[Optional[float]]:
+def _pairings(grads: np.ndarray, kerns: np.ndarray, order_one: np.ndarray) -> np.ndarray:
     """<grad, kernel> / (|grad| |kernel|) on each order-one row.
 
-    None on the other rows and where the denominator is 0 or not finite.
+    NaN on the other rows and where the denominator is 0 or not finite.
     """
     with np.errstate(all="ignore"):
         denom = np.sqrt(row_dots(grads, grads)) * np.sqrt(row_dots(kerns, kerns))
         pairing = row_dots(grads, kerns) / denom
-    usable = order_one & (denom != 0.0) & np.isfinite(denom)
-    return [p if ok else None for p, ok in zip(pairing.tolist(), usable.tolist())]
+    return np.where(order_one & (denom != 0.0) & np.isfinite(denom), pairing, np.nan)
 
 
-def _rank_reports(adapter: StructureAdapter, covs: np.ndarray) -> list[RankResult]:
-    """The FD rank report of the chart Jacobian at each row of covs.
+def _rank_reports(adapter: StructureAdapter, covs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The FD rank reports of the chart Jacobians at the rows of covs, as arrays.
 
     fd_jacobian's central-difference stencil around every covector goes
     through one chart_array call, each row in the chart selected at its own
-    covector, and the stacked Jacobians through one rank_nullspace call. Each
-    report equals rank_nullspace(fd_jacobian(adapter.chart_at(cov), cov)).
+    covector, and the stacked Jacobians through one rank_nullspace call, whose
+    (u, singular_values, vh, ranks, tolerances) row i equals
+    rank_nullspace(fd_jacobian(adapter.chart_at(cov), cov)) at cov = covs[i].
     """
     points, steps = fd_stencil(covs)
     return rank_nullspace(fd_columns(adapter.chart_array(covs, points), steps))
@@ -234,28 +233,27 @@ def _build_records(adapter: StructureAdapter, d: np.ndarray,
 
     One _rank_reports pass gives every record's order and FD kernel, one
     record_fields call the analytic f-values, kernels and gradients, and
-    _decide certifies the records that need the second-order test together.
-    A planar record with a pairing is named C0 or C1 by it.
+    _decide classifies the records together. A planar record with a pairing
+    is named C0 or C1 by it.
     """
     covs = np.array([s * d for s, _ in hits])
     strata = [stratum for _, stratum in hits]
-    rank_infos = _rank_reports(adapter, covs)
-    orders = [adapter.fiber_dim - info.numeric_rank for info in rank_infos]
-    order_one = np.array(orders) == 1
+    u, _, vh, ranks, _ = _rank_reports(adapter, covs)
+    orders = adapter.fiber_dim - ranks
+    order_one = orders == 1
     f_values, kernels, grads = adapter.record_fields(
         covs, _stratum_indices(adapter, strata), order_one)
     pairings = _pairings(grads, kernels, order_one)
-    kernel_bases = [(kern,) if one else tuple(info.nullspace_basis)
-                    for kern, one, info in zip(kernels, order_one.tolist(), rank_infos)]
-    classes = _decide(adapter, covs, strata, orders, kernel_bases, pairings, rank_infos)
+    classes = _decide(adapter, covs, strata, orders, kernels, pairings, u, ranks)
     records = []
     for i, (s, stratum) in enumerate(hits):
-        if adapter.fiber_dim == 2 and pairings[i] is not None:
+        if adapter.fiber_dim == 2 and not math.isnan(pairings[i]):
             stratum = "C0" if abs(pairings[i]) > PAIRING_TOL else "C1"
+        order, rank = int(orders[i]), int(ranks[i])
         records.append(ConjugateRecord(
-            s=float(s), covector=covs[i], stratum=stratum, order=orders[i],
-            kernel_basis=kernel_bases[i], f_values=tuple(f_values[i].tolist()),
-            singularity_class=classes[i]))
+            s=float(s), covector=covs[i], stratum=stratum, order=order,
+            kernel_basis=(kernels[i],) if order == 1 else tuple(vh[i, rank:].copy()),
+            f_values=tuple(f_values[i].tolist()), singularity_class=classes[i]))
     return records
 
 
@@ -276,56 +274,40 @@ def classify(adapter: StructureAdapter, record: ConjugateRecord) -> SingularityC
     accept as conjugate raises as the build does.
     """
     cov = np.asarray(record.covector, dtype=float)[np.newaxis]
-    rank_infos = _rank_reports(adapter, cov)
-    order_one = np.array([record.order == 1])
-    pairings = [None]
+    u, _, _, ranks, _ = _rank_reports(adapter, cov)
+    orders = np.array([record.order])
+    # the kernel and the pairing are read on order-one rows only
+    kern, pairings = np.full_like(cov, np.nan), np.full(1, np.nan)
     if record.order == 1:
         _, _, grads = adapter.record_fields(
-            cov, _stratum_indices(adapter, [record.stratum]), order_one)
+            cov, _stratum_indices(adapter, [record.stratum]), orders == 1)
         kern = np.asarray(record.kernel_basis[0], dtype=float)[np.newaxis]
-        pairings = _pairings(grads, kern, order_one)
-    return _decide(adapter, cov, [record.stratum], [record.order], [record.kernel_basis],
-                   pairings, rank_infos)[0]
+        pairings = _pairings(grads, kern, orders == 1)
+    return _decide(adapter, cov, [record.stratum], orders, kern, pairings, u, ranks)[0]
 
 
 def _decide(adapter: StructureAdapter, covs: np.ndarray, strata: list[str],
-            orders: list[int], kernel_bases: list[tuple[np.ndarray, ...]],
-            pairings: list[Optional[float]],
-            rank_infos: list[RankResult]) -> list[SingularityClass]:
-    """classify's decision for each record, from its pairing and FD rank report.
+            orders: np.ndarray, kerns: np.ndarray, pairings: np.ndarray,
+            u: np.ndarray, ranks: np.ndarray) -> list[SingularityClass]:
+    """classify's decision for each record, by masks over its order, pairing and FD rank report.
 
     The records the pairing leaves open share one _second_orders call.
     """
-    classes = [_pairing_class(adapter, cov, stratum, order, pairing)
-               for cov, stratum, order, pairing in zip(covs, strata, orders, pairings)]
-    pending = [i for i, cls in enumerate(classes) if cls is None]
-    values = _second_orders(adapter, covs[pending], [kernel_bases[i][0] for i in pending],
-                            [rank_infos[i] for i in pending])
-    for i, value in zip(pending, values):
-        classes[i] = (SingularityClass.TANGENTIAL if value > SECOND_ORDER_TOL
-                      else SingularityClass.UNDETERMINED)
-    return classes
-
-
-def _pairing_class(adapter: StructureAdapter, cov: np.ndarray, stratum: str, order: int,
-                   pairing: Optional[float]) -> Optional[SingularityClass]:
-    """The class when the order and the pairing settle it; None when the second order must."""
-    if order == 0:
-        return SingularityClass.NOT_SINGULAR
-    if order != 1:
-        return SingularityClass.UNDETERMINED
-    if adapter.undetermined(cov, stratum):
-        return SingularityClass.UNDETERMINED
-    if pairing is None:
-        return SingularityClass.UNDETERMINED
-    if abs(pairing) > PAIRING_TOL:
-        return SingularityClass.FOLD
-    if adapter.fiber_dim == 2:
-        # plane-to-plane maps have folds and cusps (Whitney); the mixed
-        # second derivative certifies the group's tangential form and cannot
-        # tell a cusp, or a fold next to one, from it
-        return SingularityClass.UNDETERMINED
-    return None
+    paired = (orders == 1) & ~np.isnan(pairings)
+    for i in np.flatnonzero(orders == 1):
+        paired[i] &= not adapter.undetermined(covs[i], strata[i])
+    fold = paired & (np.abs(pairings) > PAIRING_TOL)
+    # plane-to-plane maps have folds and cusps (Whitney); the mixed second
+    # derivative certifies the group's tangential form and cannot tell a
+    # cusp, or a fold next to one, from it
+    pending = paired & ~fold & (adapter.fiber_dim != 2)
+    classes = np.full(len(strata), SingularityClass.UNDETERMINED, dtype=object)
+    classes[orders == 0] = SingularityClass.NOT_SINGULAR
+    classes[fold] = SingularityClass.FOLD
+    tangential = _second_orders(adapter, covs[pending], kerns[pending], u[pending],
+                                ranks[pending]) > SECOND_ORDER_TOL
+    classes[np.flatnonzero(pending)[tangential]] = SingularityClass.TANGENTIAL
+    return classes.tolist()
 
 
 def second_order_transversality(adapter: StructureAdapter,
@@ -341,22 +323,23 @@ def second_order_transversality(adapter: StructureAdapter,
     if record.order < 1:
         return 0.0
     cov = np.asarray(record.covector, dtype=float)[np.newaxis]
-    return _second_orders(adapter, cov, [record.kernel_basis[0]], _rank_reports(adapter, cov))[0]
+    u, _, _, ranks, _ = _rank_reports(adapter, cov)
+    kern = np.asarray(record.kernel_basis[0], dtype=float)[np.newaxis]
+    return float(_second_orders(adapter, cov, kern, u, ranks)[0])
 
 
-def _second_orders(adapter: StructureAdapter, covs: np.ndarray, kerns: list[np.ndarray],
-                   rank_infos: list[RankResult]) -> list[float]:
-    """The second-order value at each covector along its kernel vector, from its FD rank report.
+def _second_orders(adapter: StructureAdapter, covs: np.ndarray, kerns: np.ndarray,
+                   u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The second-order value at each covector along its kernel, from its _rank_reports u and rank.
 
     The four-point stencils of every covector whose differential has an
     image complement go through one chart_array call; any other gets 0.0.
     """
-    values = [0.0] * len(rank_infos)
-    live = [i for i, info in enumerate(rank_infos) if info.image_complement.shape[1]]
-    if not live:
+    values = np.zeros(len(covs))
+    live = ranks < u.shape[-1]
+    if not live.any():
         return values
-    covs = covs[live]
-    kerns = np.array([np.asarray(kerns[i], dtype=float) for i in live])
+    covs, kerns = covs[live], kerns[live]
     kerns = kerns / np.sqrt(row_dots(kerns, kerns))[:, np.newaxis]
     step = SECOND_ORDER_STEP
     points = np.stack([(1.0 + sgn_s * step) * (covs + sgn_r * step * kerns)
@@ -364,9 +347,15 @@ def _second_orders(adapter: StructureAdapter, covs: np.ndarray, kerns: list[np.n
     ends = adapter.chart_array(covs, points)
     mixed = ends[:, 0] - ends[:, 1] - ends[:, 2] + ends[:, 3]
     mixed /= 4.0 * step * step
-    for i, vec in zip(live, mixed):
-        values[i] = float(np.linalg.norm(rank_infos[i].image_complement.T @ vec))
+    values[live] = _complement_norms(u[live], ranks[live], mixed)
     return values
+
+
+def _complement_norms(u: np.ndarray, ranks: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(u[i][:, ranks[i]:].T @ vecs[i]) for each row, bit for bit, in one product."""
+    projected = (u.swapaxes(-1, -2) @ vecs[:, :, np.newaxis])[:, :, 0]
+    projected[np.arange(u.shape[-1]) < ranks[:, np.newaxis]] = 0.0
+    return np.sqrt(row_dots(projected, projected))
 
 
 def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
@@ -466,7 +455,6 @@ def regularity_isomorphism_check(adapter: StructureAdapter,
     norm_vec = float(np.linalg.norm(vec))
     if norm_vec == 0.0:
         return False
-    complement = _rank_reports(adapter, cov[np.newaxis])[0].image_complement
-    if complement.shape[1] == 0:
-        return False
-    return bool(np.linalg.norm(complement.T @ vec) > INDEPENDENCE_TOL * norm_vec)
+    u, _, _, ranks, _ = _rank_reports(adapter, cov[np.newaxis])
+    # at full rank the complement is empty and its norm is 0.0
+    return bool(_complement_norms(u, ranks, vec[np.newaxis])[0] > INDEPENDENCE_TOL * norm_vec)

@@ -1,11 +1,19 @@
-"""Shared test plumbing: acceptance-criterion reporting.
+"""Shared test plumbing: acceptance-criterion reporting and Hypothesis profiles.
 
 Tests named test_criterion_* (in test_acceptance.py) each cover one numbered
 acceptance criterion; after the run a summary section prints one PASS/FAIL
 line per criterion so the gate can be read off directly.
+
+The "ci" Hypothesis profile (pytest --hypothesis-profile=ci) draws the same
+examples on every run and prints the blob that reproduces a failure; the
+default profile draws new examples each run.
 """
 
 from __future__ import annotations
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 _criterion_outcomes: dict[str, str] = {}
 

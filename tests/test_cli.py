@@ -250,6 +250,13 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    def test_selftest_has_no_format(self, capsys):
+        # the battery prints one text table; a --format it would ignore is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ("--direction", "1,0,0.5", "--root-tol", "0"),
         ("--direction", "1,0,0.5", "--root-tol", "-1"),
@@ -267,6 +274,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ("expmap", "--structure", "su2", "--covector", "1e200,0,1e200"),
         ("expmap", "--structure", "sl2", "--covector", "1e200,0,1e200"),
+        ("expmap", "--structure", "sl2", "--covector", "1e4,0,1"),
         ("conj-scan", "--structure", "su2", "--direction", "1,0,1", "--s-max", "1e300"),
     ], ids=str)
     def test_covector_whose_curvature_overflows(self, args):

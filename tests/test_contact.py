@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from srfolds import (InvalidInput, sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_kernel,
-                     su2_conj_f, su2_conj_grad, su2_exp, su2_kernel)
+from srfolds import (InvalidInput, sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_frame_images,
+                     sl2_jacobi, sl2_kernel, su2_conj_f, su2_conj_grad, su2_exp, su2_kernel)
 from srfolds.contact import ContactCovector, cov_triple
+from srfolds.state import JacobiCoords
 
 CONTAINERS = pytest.mark.parametrize("make", [tuple, list, np.array],
                                      ids=["tuple", "list", "ndarray"])
@@ -61,3 +62,20 @@ class TestOverflowingCurvature:
                      sl2_conj_f, sl2_kernel, sl2_conj_grad):
             with pytest.raises(InvalidInput, match="overflows"):
                 call(cov)
+
+    @pytest.mark.parametrize("cov", [(1e4, 0.0, 1.0), (0.0, -1e4, 1.0)], ids=str)
+    def test_deep_hyperbolic_sl2_covector_raises_invalid_input(self, cov):
+        # finite r far below 0: sinh and cosh of sqrt(-r)/2 overflow; no bare
+        # math error from any SL(2) function that evaluates them
+        start = JacobiCoords(p=(1.0, 0.0, 0.0), x=(0.0, 0.0, 0.0))
+        for call in (lambda c: sl2_exp(c, 1.0), lambda c: sl2_jacobi(c, start, 1.0),
+                     sl2_frame_images, sl2_conj_f, sl2_kernel):
+            with pytest.raises(InvalidInput, match="overflows"):
+                call(cov)
+
+    def test_sl2_f0_that_overflows_is_no_nan(self):
+        # sqrt(-r)/2 just under 710: cosh and sinh are finite, but
+        # sqrt(-r) cosh - 2 sinh is inf - inf
+        for call in (sl2_conj_f, sl2_kernel):
+            with pytest.raises(InvalidInput, match="f0 overflows"):
+                call((1420.0, 0.0, 1.0))

@@ -23,15 +23,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srfolds import (SingularityClass, grushin_adapter, grushin_conj_f, grushin_conj_grad,
-                     grushin_kernel, rank_nullspace, scan_ray, second_order_transversality,
-                     sl2_adapter, sl2_conj_f, sl2_conj_grad, sl2_kernel, su2_adapter,
-                     su2_conj_f, su2_conj_grad, su2_kernel)
+from srfolds import (ConjugateRecord, SingularityClass, StructureAdapter, classify,
+                     fd_jacobian, grushin_adapter, grushin_conj_f, grushin_conj_grad,
+                     grushin_kernel, rank_nullspace, regularity_isomorphism_check, scan_ray,
+                     second_order_transversality, sl2_adapter, sl2_conj_f, sl2_conj_grad,
+                     sl2_kernel, su2_adapter, su2_conj_f, su2_conj_grad, su2_kernel)
 from srfolds.errors import DegenerateCovector, DegenerateMatrix, InvalidInput, NotConjugate
 from srfolds.grushin import GrushinBase
 from srfolds.numeric import fd_stencil
-from srfolds.singularity import (PAIRING_TOL, SECOND_ORDER_STEP, SECOND_ORDER_TOL,
-                                 _rank_reports, _stratum_indices)
+from srfolds.singularity import (INDEPENDENCE_TOL, PAIRING_TOL, SECOND_ORDER_STEP,
+                                 SECOND_ORDER_TOL, _rank_reports, _stratum_indices)
 from srfolds.sl2 import _GROUP as SL2_GROUP
 from srfolds.sl2 import _R_HYPER_MIN, sl2_exp
 from srfolds.su2 import _GROUP as SU2_GROUP
@@ -249,7 +250,7 @@ class TestGroupChartArray:
                 (SL2, [(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 800.0, 0.0),  # det overflows
                  InvalidInput),
                 (SL2, [(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 1400.0, 0.0),  # sinh overflows
-                 OverflowError),
+                 InvalidInput),
                 # the first center raises (det overflows) before a later row's sinh would
                 (SL2, [(0.0, 1400.0, 0.0), (nan, 0.0, 0.0)], (0.0, 100.0, 0.0), InvalidInput),
                 # the first center's NaN row raises before the second center's sinh would
@@ -304,20 +305,23 @@ class TestGrushinChartArray:
         _assert_chart_array_is_scalar(adapter, centers, points)
 
 
-def _rank_fields(result):
-    """Every field of a RankResult, as bytes and Python values."""
-    return (result.singular_values.tobytes(), result.numeric_rank,
-            type(result.numeric_rank), result.tolerance_used, type(result.tolerance_used),
-            [v.tobytes() for v in result.nullspace_basis], result.image_complement.shape,
-            result.image_complement.tobytes())
+def _rank_fields(singular_values, rank, tol, nullspace_basis, image_complement):
+    """Every field of a rank report, as bytes and Python values."""
+    return (singular_values.tobytes(), rank, type(rank), tol, type(tol),
+            [v.tobytes() for v in nullspace_basis], image_complement.shape,
+            image_complement.tobytes())
 
 
 def _assert_stack_is_each_matrix(stack):
     def stacked():
-        return [_rank_fields(one) for one in rank_nullspace(stack)]
+        u, s, vh, ranks, tols = rank_nullspace(stack)
+        return [_rank_fields(s_i, rank, tol, vh_i[rank:], u_i[:, rank:])
+                for u_i, s_i, vh_i, rank, tol in zip(u, s, vh, ranks.tolist(), tols.tolist())]
 
     def each():
-        return [_rank_fields(rank_nullspace(matrix)) for matrix in stack]
+        return [_rank_fields(one.singular_values, one.numeric_rank, one.tolerance_used,
+                             one.nullspace_basis, one.image_complement)
+                for one in map(rank_nullspace, stack)]
 
     assert _outcome(stacked) == _outcome(each)
 
@@ -443,17 +447,110 @@ RAYS = [
 def test_batched_build_equals_scalar_build(name, adapter, scalars, direction, s_max):
     records = scan_ray(adapter, direction, s_max)
     assert records
-    reports = _rank_reports(adapter, np.array([rec.covector for rec in records]))
-    for rec, report in zip(records, reports):
+    u, singular_values, _, ranks, _ = _rank_reports(
+        adapter, np.array([rec.covector for rec in records]))
+    for rec, u_i, s_i, rank in zip(records, u, singular_values, ranks.tolist()):
         order, f_values, kernel_basis, second, cls, info = _scalar_build(adapter, scalars, rec)
         assert rec.order == order
         assert np.array(rec.f_values).tobytes() == np.array(f_values).tobytes()
         assert [k.tobytes() for k in rec.kernel_basis] == [k.tobytes() for k in kernel_basis]
         assert rec.singularity_class is cls
-        assert report.singular_values.tobytes() == info.singular_values.tobytes()
-        assert report.image_complement.tobytes() == info.image_complement.tobytes()
+        assert s_i.tobytes() == info.singular_values.tobytes()
+        assert u_i[:, rank:].tobytes() == info.image_complement.tobytes()
         if rec.order >= 1:
             assert second_order_transversality(adapter, rec) == second
+
+
+def _rank_one_chart(x):
+    """(phi, phi^2, phi^3) of one linear form: rank 1, an image complement of width 2."""
+    phi = x[0] + 2.0 * x[1] + 3.0 * x[2]
+    return np.array([phi, phi * phi, phi ** 3])
+
+
+def _rank_two_chart(x):
+    """Rank 2 where x0 + x1 = 3 and x2 = 0, kernel e2; the mixed derivative there is 3 e2."""
+    return np.array([x[0], x[1], x[2] * (x[0] + x[1] - 3.0) + x[2] * x[2]])
+
+
+def _full_rank_chart(x):
+    return np.array([x[0] + x[1] * x[1], x[1] + x[2] * x[2], x[2] + x[0] * x[0]])
+
+
+def _fake_adapter(chart):
+    """A three-dimensional structure with one chart everywhere and the stratum gradient e0."""
+    def record_fields(covs, strata, order_one):
+        n = len(covs)
+        return np.zeros((n, 1)), np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0], (n, 1))
+
+    return StructureAdapter(
+        name="fake", fiber_dim=3, chart_at=lambda center: chart,
+        chart_array=lambda centers, points: np.array([[chart(p) for p in row]
+                                                      for row in points]),
+        conj_f=lambda cov: (0.0,), record_fields=record_fields, stratum_names=("C",),
+        ray_gate=lambda direction: True,
+        kernel_jacobi_image=lambda cov: np.array([0.0, 0.0, 1.0]))
+
+
+class TestRankRowsNoScanReaches:
+    """Rank reports of other orders than the scan rays give, against one matrix at a time.
+
+    At the covector (1, 2, 0) the three charts have FD rank 1 (a record of
+    order 2), rank 2 and full rank (an order-one record whose differential
+    has no image complement, as one built by another route may be). The
+    second-order value, the class and the regularity check must equal the
+    reference from rank_nullspace(fd_jacobian(chart, cov)) bit for bit.
+    """
+
+    @pytest.mark.parametrize("chart,rank,order,cls", [
+        (_rank_one_chart, 1, 2, SingularityClass.UNDETERMINED),
+        (_rank_two_chart, 2, 1, SingularityClass.TANGENTIAL),
+        (_full_rank_chart, 3, 1, SingularityClass.UNDETERMINED),
+    ], ids=["rank-1", "rank-2", "full-rank"])
+    def test_equals_the_per_matrix_reference(self, chart, rank, order, cls):
+        cov = np.array([1.0, 2.0, 0.0])
+        info = rank_nullspace(fd_jacobian(chart, cov))
+        assert info.numeric_rank == rank
+        assert info.image_complement.shape[1] == 3 - rank
+        kernel_basis = tuple(info.nullspace_basis) or (np.array([0.0, 0.0, 1.0]),)
+        record = ConjugateRecord(s=1.0, covector=cov, stratum="C", order=order,
+                                 kernel_basis=kernel_basis, f_values=(0.0,),
+                                 singularity_class=cls)
+        second = 0.0
+        if info.image_complement.shape[1]:
+            kern = kernel_basis[0] / np.linalg.norm(kernel_basis[0])
+            step = SECOND_ORDER_STEP
+
+            def endpoint(sgn_s, sgn_r):
+                return chart((1.0 + sgn_s * step) * (cov + sgn_r * step * kern))
+
+            mixed = endpoint(1, 1) - endpoint(1, -1) - endpoint(-1, 1) + endpoint(-1, -1)
+            mixed /= 4.0 * step * step
+            second = float(np.linalg.norm(info.image_complement.T @ mixed))
+
+        adapter = _fake_adapter(chart)
+        # the FD stencil has 6 points per covector, the second-order one 4
+        stencils = [6, 4] if rank < 3 else [6]
+        stencil_sizes = []
+
+        def chart_array(centers, points):
+            stencil_sizes.append(points.shape[1])
+            return adapter.chart_array(centers, points)
+
+        counted = replace(adapter, chart_array=chart_array)
+        value = second_order_transversality(counted, record)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(second).tobytes()
+        assert stencil_sizes == stencils
+        stencil_sizes.clear()
+        # the pairing with e0 vanishes, so the second order decides
+        assert classify(counted, record) is cls
+        assert stencil_sizes == (stencils if order == 1 else [6])
+        assert (second > SECOND_ORDER_TOL) is (cls is SingularityClass.TANGENTIAL)
+        if order == 1:
+            vec = adapter.kernel_jacobi_image(cov)
+            independent = (info.image_complement.shape[1] > 0 and np.linalg.norm(
+                info.image_complement.T @ vec) > INDEPENDENCE_TOL * np.linalg.norm(vec))
+            assert regularity_isomorphism_check(adapter, record) is bool(independent)
 
 
 def _hook_outcome(adapter, covs, names, order_one):
@@ -510,6 +607,7 @@ group_edges = [
     (1.0, 0.0, 1.0),           # SL(2): r = 0
     (1e-170, 0.0, 1.0),        # H underflows
     (1e200, 0.0, 1e200),       # r overflows: every function raises InvalidInput
+    (1e4, 0.0, 1.0),           # SL(2): cosh(sqrt(-r)/2) overflows, InvalidInput
 ]
 
 

@@ -29,6 +29,7 @@ from srfolds import (ConjugateRecord, FoldWitness, InvalidInput,
 from srfolds.contact import ContactGroup, cov_triple, curvature
 from srfolds.numeric import DEFAULT_SCAN_POINTS, rank_nullspace
 import srfolds.grushin as grushin_module
+import srfolds.numeric as numeric_module
 import srfolds.singularity as singularity_module
 import srfolds.sl2 as sl2_module
 import srfolds.su2 as su2_module
@@ -363,6 +364,28 @@ class TestScanCost:
         assert calls[0] <= 2
         assert rows[0] <= 2 * len(records)
         assert scalar[0] == 0
+
+    def test_rank_reports_stay_arrays(self, monkeypatch):
+        # the records of a ray are decided from the arrays of one stacked SVD:
+        # one rank_nullspace call per _rank_reports call, and no RankResult
+        built, stacked, reports = [0], [0], [0]
+
+        def counter(count, original):
+            def counted(*args, **kwargs):
+                count[0] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(numeric_module, "RankResult",
+                            counter(built, numeric_module.RankResult))
+        monkeypatch.setattr(singularity_module, "rank_nullspace",
+                            counter(stacked, singularity_module.rank_nullspace))
+        monkeypatch.setattr(singularity_module, "_rank_reports",
+                            counter(reports, singularity_module._rank_reports))
+        records = scan_ray(sl2_adapter(), SL2_RAY, 4000.0)
+        assert len(records) >= 2
+        assert built[0] == 0
+        assert stacked[0] == reports[0] >= 1
 
     @pytest.mark.parametrize("make_adapter,ray,s_max", [
         (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
