@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import libm, quad
+from .numeric import finite_time, libm, quad
 
 # below this, x = s^(2 alpha) moves s and cos by less than an ulp from the
 # leading terms (t, 1); it also keeps x clear of the underflow at which
@@ -175,9 +175,7 @@ def _arc_cos_quarter_array(table: _AlphaConstants, cos_sq: np.ndarray) -> np.nda
 def sin_cos_alpha(alpha: float, t: float) -> tuple[float, float]:
     """(sin_alpha(t), cos_alpha(t)) for any real t."""
     alpha = _validate_alpha(alpha)
-    t = float(t)
-    if not math.isfinite(t):
-        raise InvalidInput(f"t must be finite, got {t!r}")
+    t = finite_time(t)
     if alpha == 1.0:
         return math.sin(t), math.cos(t)
     table = _table_cached(alpha)

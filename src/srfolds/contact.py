@@ -23,18 +23,18 @@ direction lands at the time-one endpoint g as
 
     f_c = -eps (h2 g X0 - w0 (u1 g X1 + v1 g X2)) / sqrt(h2).
 
-The chart is shared too: three of the four real entries of the endpoint
-matrix, picked by the group's selector frozen at a center. Each group's
-representation (basis, point class, exponential, entries, selector) lives in
-su2.py and sl2.py.
+The chart is shared too: the four real entries of the endpoint matrix, which
+embed the group in R^4. Rank drop, the fold condition and the cokernel
+projection survive composing with an immersion, so no coordinate chart of
+the group is needed. Each group's representation (basis, point class,
+exponential, entries) lives in su2.py and sl2.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -103,12 +103,9 @@ class ContactGroup:
     (X0, X1, X2). entries_array(covs) gives the entries of exp(cov, 1.0) at
     each row of a (k, 3) array, together with a mask of the rows where they
     equal the scalar ones bit for bit; the other rows are left to the scalar
-    exponential. selects_primary(entries), applied to the endpoint entries at
-    a center, chooses the chart there: the entries indexed by charts[0] if it
-    holds, by charts[1] otherwise. It also takes the four entries as columns
-    of equal length and then selects at each row. Charts are linear in the
-    entries, so a tangent matrix at the endpoint has the same three entries
-    as its chart components.
+    exponential. The chart is the four entries themselves, an embedding of the
+    group in R^4, so a tangent matrix at the endpoint has its four entries as
+    its chart components.
     """
 
     name: str
@@ -117,43 +114,24 @@ class ContactGroup:
     basis: tuple[np.ndarray, np.ndarray, np.ndarray]
     matrix_entries: Callable[[np.ndarray], np.ndarray]
     entries_array: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    selects_primary: Callable[[Sequence], bool | np.ndarray]
-    charts: tuple[tuple[int, int, int], tuple[int, int, int]]
 
-    def _primary_at(self, center) -> bool:
-        return self.selects_primary(self.exp(center, 1.0)[0].entries())
+    def chart(self, cov) -> np.ndarray:
+        """The four real entries of the time-one endpoint of cov."""
+        return np.array(self.exp(cov, 1.0)[0].entries())
 
-    def chart_at(self, center) -> Callable[..., np.ndarray]:
-        """The chart selected at the endpoint of center, as a function of the covector."""
-        pick = itemgetter(*self.charts[0 if self._primary_at(center) else 1])
-        return lambda cov: np.array(pick(self.exp(cov, 1.0)[0].entries()))
+    def chart_array(self, points: np.ndarray) -> np.ndarray:
+        """chart(points[i, j]) for every i, j, bit for bit.
 
-    def chart(self, cov, center=None) -> np.ndarray:
-        """Chart coordinates of the time-one endpoint, selector frozen at center."""
-        return self.chart_at(cov if center is None else center)(cov)
-
-    def chart_array(self, centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """chart_at(centers[i])(points[i, j]) for every i, j, bit for bit.
-
-        The entries of every center and point come from one entries_array
-        call, and selects_primary chooses the chart of each center it marks
-        exact. A center it does not mark exact selects with the scalar
-        exponential, and a point it does not mark exact takes the scalar
-        exponential's entries. Those are evaluated center by center, the
-        center before its points, so the first of them that raises is the
-        first that the scalar loop raises at.
+        The entries of every point come from one entries_array call; a point
+        it does not mark exact takes the scalar exponential's entries, in row
+        order, so the first of them that raises is the first that the scalar
+        loop raises at.
         """
-        n, m, _ = points.shape
-        entries, exact = self.entries_array(np.concatenate([centers, points.reshape(n * m, 3)]))
-        primary, centers_exact = self.selects_primary(entries[:n].T), exact[:n]
-        entries, exact = entries[n:].reshape(n, m, 4), exact[n:].reshape(n, m)
-        for i in np.flatnonzero(~centers_exact | ~exact.all(axis=1)):
-            if not centers_exact[i]:
-                primary[i] = self._primary_at(centers[i])
-            for j in np.flatnonzero(~exact[i]):
-                entries[i, j] = self.exp(points[i, j], 1.0)[0].entries()
-        return np.where(primary[:, np.newaxis, np.newaxis],
-                        entries[..., list(self.charts[0])], entries[..., list(self.charts[1])])
+        flat = points.reshape(-1, 3)
+        entries, exact = self.entries_array(flat)
+        for i in np.flatnonzero(~exact):
+            entries[i] = self.chart(flat[i])
+        return entries.reshape(*points.shape[:-1], 4)
 
     def conj_f(self, cov) -> tuple[float, float, float]:
         """(r, f0, f1); conjugate iff r > 0 and f0 f1 = 0.
@@ -274,11 +252,11 @@ class ContactGroup:
         r = curvature(self.eps, *cov_triple(cov))
         if len(init.p) != 3:
             raise InvalidInput("group Jacobi data has three momentum components")
-        p, x = propagate_linear_jacobi(r, init.p, init.x, float(t))
+        p, x = propagate_linear_jacobi(r, init.p, init.x, t)
         return JacobiCoords(p=tuple(p), x=tuple(x))
 
     def frame_images(self, cov) -> np.ndarray:
-        """Chart images of the canonical frame directions at the time-one endpoint."""
+        """Chart images, four entries each, of the canonical frame directions at the endpoint."""
         u0, v0, w0 = cov_triple(cov)
         h2 = u0 * u0 + v0 * v0
         if h2 == 0.0:
@@ -286,13 +264,12 @@ class ContactGroup:
         point, momentum = self.exp((u0, v0, w0), 1.0)
         u1, v1 = momentum[0], momentum[1]
         g = point.matrix()
-        index = list(self.charts[0 if self.selects_primary(point.entries()) else 1])
         g_x0, g_x1, g_x2 = (g @ x for x in self.basis)
         sq = math.sqrt(h2)
         f_a = (u1 * g_x2 - v1 * g_x1) / sq
         f_b = (u1 * g_x1 + v1 * g_x2) / sq
         f_c = -self.eps * (h2 * g_x0 - w0 * (u1 * g_x1 + v1 * g_x2)) / sq
-        return np.column_stack([self.matrix_entries(f)[index] for f in (f_a, f_b, f_c)])
+        return np.column_stack([self.matrix_entries(f) for f in (f_a, f_b, f_c)])
 
     def adapter(self) -> StructureAdapter:
         """Plug the group into the generic conjugate-locus scanner."""
@@ -326,7 +303,7 @@ class ContactGroup:
         return StructureAdapter(
             name=self.name,
             fiber_dim=3,
-            chart_at=self.chart_at,
+            chart=self.chart,
             chart_array=self.chart_array,
             conj_f=self.strata,
             record_fields=self.record_fields,

@@ -41,7 +41,7 @@ import numpy as np
 from .alphatrig import (arc_alpha, arc_alpha_array, arc_cos_alpha, arc_cos_alpha_array,
                         pi_alpha, sin_cos_alpha, sin_cos_alpha_array)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import libm, row_dots
+from .numeric import finite_time, libm, row_dots
 from .scfun import sc_pair
 from .singularity import StructureAdapter
 from .state import GeodesicState, JacobiCoords
@@ -213,7 +213,7 @@ def grushin_amplitude(base: GrushinBase, cov) -> GrushinAmplitude:
 def grushin_exp(base: GrushinBase, cov, t: float) -> GeodesicState:
     """Normal geodesic from the base point at time t: positions and momenta."""
     u0, v0 = _cov_pair(cov)
-    t = float(t)
+    t = finite_time(t)
     h2 = _energy(base, u0, v0)
     if h2 == 0.0:
         return GeodesicState(t, (base.x0, base.y0), (u0, v0))
@@ -272,7 +272,7 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
     along the line.
     """
     u0, v0 = _cov_pair(cov)
-    t = float(t)
+    t = finite_time(t)
     pa0, pb0 = init.p
     xa0, xb0 = init.x
     h2 = _energy(base, u0, v0)
@@ -492,16 +492,16 @@ def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
 def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     """Plug the plane into the generic conjugate-locus scanner.
 
-    The chart is the plane itself, the endpoint position, so chart_at and
-    chart_array ignore their centers. Records start on the placeholder
-    stratum "other"; the scanner names them C0/C1 from the kernel pairing,
-    the transversality that defines the strata of a planar structure.
+    The chart is the plane itself, the endpoint position. Records start on
+    the placeholder stratum "other"; the scanner names them C0/C1 from the
+    kernel pairing, the transversality that defines the strata of a planar
+    structure.
     """
 
     def endpoint(cov) -> np.ndarray:
         return np.asarray(grushin_exp(base, cov, 1.0).position, dtype=float)
 
-    def chart_array(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    def chart_array(points: np.ndarray) -> np.ndarray:
         x1, y1, _ = _endpoint_pass(base, points.reshape(-1, 2))
         return np.column_stack([x1, y1]).reshape(points.shape)
 
@@ -525,7 +525,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     return StructureAdapter(
         name="grushin",
         fiber_dim=2,
-        chart_at=lambda center: endpoint,
+        chart=endpoint,
         chart_array=chart_array,
         conj_f=conj_f,
         record_fields=record_fields,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -132,6 +133,8 @@ def scan_nodes(lo: float, hi: float, scan_points: int) -> np.ndarray:
     """The uniform grid of find_roots: scan_points nodes from lo to hi."""
     if not (hi > lo):
         raise InvalidInput(f"empty scan interval [{lo}, {hi}]")
+    if not isinstance(scan_points, numbers.Integral):
+        raise InvalidInput(f"scan_points must be an integer, got {scan_points!r}")
     if scan_points < 2:
         raise InvalidInput("scan_points must be at least 2")
     return np.linspace(lo, hi, scan_points)
@@ -141,6 +144,14 @@ def check_root_tol(tol: float) -> None:
     """Raise InvalidInput unless tol is a positive finite root tolerance."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InvalidInput(f"root tolerance must be positive and finite, got {tol}")
+
+
+def finite_time(t) -> float:
+    """float(t); raises InvalidInput unless it is finite."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise InvalidInput(f"t must be finite, got {t!r}")
+    return t
 
 
 def find_roots(g: Callable[[float], float], lo: float, hi: float,

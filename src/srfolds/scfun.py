@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import libm
+from .numeric import finite_time, libm
 
 # exact (1-c)/a loses ~|eps/a| absolute accuracy; below this the series wins
 SERIES_THRESHOLD = 1e-6
@@ -91,6 +91,7 @@ def propagate_linear_jacobi(r: float, p0, x0, t: float):
     """
     pa0, pb0, pc0 = (float(v) for v in p0)
     xa0, xb0, xc0 = (float(v) for v in x0)
+    t = finite_time(t)
     s, c, g1, g2 = jacobi_ratios(r, t)
     pa = pa0 * c - (r * xa0 + pc0) * s
     xa = xa0 * c + pa0 * s - pc0 * g1

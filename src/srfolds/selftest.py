@@ -254,8 +254,7 @@ def _frame_identity_residual(structure: str, cov: tuple[float, float, float]) ->
         r, ec_sign = w0 * w0 - h2, 1.0
     frame = np.column_stack([(-v0, u0, 0.0), (u0, v0, w0),
                              (0.0, 0.0, ec_sign)]) / math.sqrt(h2)
-    center = np.array(cov)
-    jac = fd_jacobian(adapter.chart_at(center), center)
+    jac = fd_jacobian(adapter.chart, np.array(cov))
     lhs = jac @ frame
     rhs = images @ vertical_to_endpoint_matrix(r)
     return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs))))
@@ -329,7 +328,7 @@ def _check_kernel_annihilation(su2_records: list, sl2_records: list) -> float:
         if not records:
             return float("inf")
         for rec in records:
-            jac = fd_jacobian(adapter.chart_at(rec.covector), rec.covector)
+            jac = fd_jacobian(adapter.chart, rec.covector)
             scale = max(1.0, float(np.linalg.norm(jac, 2)))
             for kern in rec.kernel_basis:
                 worst = max(worst, float(np.linalg.norm(jac @ kern)) / scale)

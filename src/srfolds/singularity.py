@@ -58,21 +58,19 @@ def _never(cov: np.ndarray, stratum: str) -> bool:
 class StructureAdapter:
     """Hooks a geometric structure into the generic scanner and classifier.
 
-    chart_at(center) returns the chart presentation of the fiber exponential
-    near `center` (the covector under study): a function mapping a covector to
-    the chart coordinates, as a float array, of its time-one endpoint. The
-    chart is selected once, when chart_at is called, so finite differences
-    never straddle a chart switch and each evaluation costs one exponential.
-    chart_array(centers, points) is the same map over arrays: centers of
-    shape (N, fiber_dim) and points of shape (N, m, fiber_dim) give an array
-    of shape (N, m, chart_dim) whose row [i, j] equals
-    chart_at(centers[i])(points[i, j]) bit for bit (or it raises what that
-    scalar call raises, at the first row where it raises); it selects the
-    chart of every center in array form too. The record build evaluates
-    every finite-difference and second-order stencil of a ray through it,
-    and classify and the other record checks call the same build, so
-    bitwise agreement is what keeps a record's order, kernel basis and class
-    the same whichever route made it.
+    chart(cov) gives the chart coordinates, as a float array, of the time-one
+    endpoint of a covector: the fiber exponential in one presentation valid
+    everywhere, so finite differences never straddle a chart switch. It may
+    immerse the target in more coordinates than fiber_dim (a group matrix's
+    four entries); rank, kernel and the complement of the image are read
+    there. chart_array(points) is the same map over arrays: points of shape
+    (N, m, fiber_dim) give an array of shape (N, m, chart_dim) whose row
+    [i, j] equals chart(points[i, j]) bit for bit (or it raises what that
+    scalar call raises, at the first row where it raises). The record build
+    evaluates every finite-difference and second-order stencil of a ray
+    through it, and classify and the other record checks call the same
+    build, so bitwise agreement is what keeps a record's order, kernel basis
+    and class the same whichever route made it.
     conj_f returns the tuple of stratum function values aligned with
     stratum_names. record_fields(covs, strata, order_one) gives them and the
     other analytic fields in array calls: for (n, fiber_dim) covectors,
@@ -105,8 +103,8 @@ class StructureAdapter:
 
     name: str
     fiber_dim: int
-    chart_at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-    chart_array: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    chart: Callable[[np.ndarray], np.ndarray]
+    chart_array: Callable[[np.ndarray], np.ndarray]
     conj_f: Callable[[np.ndarray], tuple]
     record_fields: Callable[[np.ndarray, np.ndarray, np.ndarray],
                             tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -144,6 +142,10 @@ def _stratum_indices(adapter: StructureAdapter, strata: Sequence[str]) -> np.nda
     names = adapter.stratum_names
     if len(names) == 1:
         return np.zeros(len(strata), dtype=int)
+    unknown = set(strata) - set(names)
+    if unknown:
+        raise InvalidInput(f"unknown stratum {sorted(unknown)[0]!r} for {adapter.name}; "
+                           f"expected one of {names}")
     return np.array([names.index(stratum) for stratum in strata])
 
 
@@ -162,13 +164,13 @@ def _rank_reports(adapter: StructureAdapter, covs: np.ndarray) -> tuple[np.ndarr
     """The FD rank reports of the chart Jacobians at the rows of covs, as arrays.
 
     fd_jacobian's central-difference stencil around every covector goes
-    through one chart_array call, each row in the chart selected at its own
-    covector, and the stacked Jacobians through one rank_nullspace call, whose
-    (u, singular_values, vh, ranks, tolerances) row i equals
-    rank_nullspace(fd_jacobian(adapter.chart_at(cov), cov)) at cov = covs[i].
+    through one chart_array call, and the stacked Jacobians through one
+    rank_nullspace call, whose (u, singular_values, vh, ranks, tolerances)
+    row i equals rank_nullspace(fd_jacobian(adapter.chart, cov)) at
+    cov = covs[i].
     """
     points, steps = fd_stencil(covs)
-    return rank_nullspace(fd_columns(adapter.chart_array(covs, points), steps))
+    return rank_nullspace(fd_columns(adapter.chart_array(points), steps))
 
 
 def _unit_direction(direction: Sequence[float], fiber_dim: int) -> np.ndarray:
@@ -314,12 +316,13 @@ def second_order_transversality(adapter: StructureAdapter,
                                 record: ConjugateRecord) -> float:
     """Norm of the mixed radial/kernel second derivative outside Im(d chart).
 
-    With chart = adapter.chart_at(cov), evaluates d^2/ds dr of
-    (s, r) -> chart((1+s)(cov + r k)) at (0, 0) by a four-point central stencil
-    of step SECOND_ORDER_STEP and projects it onto the orthogonal complement of
-    the image of the differential. Returns 0.0 when the differential has full
-    rank (no complement to project onto).
+    Evaluates d^2/ds dr of (s, r) -> adapter.chart((1+s)(cov + r k)) at
+    (0, 0) by a four-point central stencil of step SECOND_ORDER_STEP and
+    projects it onto the orthogonal complement of the image of the
+    differential. Returns 0.0 when the differential has full rank.
     """
+    # a stratum the structure does not have is rejected, as classify rejects it
+    _stratum_indices(adapter, [record.stratum])
     if record.order < 1:
         return 0.0
     cov = np.asarray(record.covector, dtype=float)[np.newaxis]
@@ -332,11 +335,11 @@ def _second_orders(adapter: StructureAdapter, covs: np.ndarray, kerns: np.ndarra
                    u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The second-order value at each covector along its kernel, from its _rank_reports u and rank.
 
-    The four-point stencils of every covector whose differential has an
-    image complement go through one chart_array call; any other gets 0.0.
+    The four-point stencils of every covector whose differential drops rank
+    go through one chart_array call; any other gets 0.0.
     """
     values = np.zeros(len(covs))
-    live = ranks < u.shape[-1]
+    live = ranks < adapter.fiber_dim
     if not live.any():
         return values
     covs, kerns = covs[live], kerns[live]
@@ -344,7 +347,7 @@ def _second_orders(adapter: StructureAdapter, covs: np.ndarray, kerns: np.ndarra
     step = SECOND_ORDER_STEP
     points = np.stack([(1.0 + sgn_s * step) * (covs + sgn_r * step * kerns)
                        for sgn_s, sgn_r in ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=1)
-    ends = adapter.chart_array(covs, points)
+    ends = adapter.chart_array(points)
     mixed = ends[:, 0] - ends[:, 1] - ends[:, 2] + ends[:, 3]
     mixed /= 4.0 * step * step
     values[live] = _complement_norms(u[live], ranks[live], mixed)
@@ -352,10 +355,19 @@ def _second_orders(adapter: StructureAdapter, covs: np.ndarray, kerns: np.ndarra
 
 
 def _complement_norms(u: np.ndarray, ranks: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(u[i][:, ranks[i]:].T @ vecs[i]) for each row, bit for bit, in one product."""
-    projected = (u.swapaxes(-1, -2) @ vecs[:, :, np.newaxis])[:, :, 0]
-    projected[np.arange(u.shape[-1]) < ranks[:, np.newaxis]] = 0.0
-    return np.sqrt(row_dots(projected, projected))
+    """np.linalg.norm(u[i][:, ranks[i]:].T @ vecs[i]) for each row, bit for bit.
+
+    The rows of each rank share one stacked product on their u[..., rank:]
+    slice; a product with every column of u, masked afterwards, may round
+    differently.
+    """
+    norms = np.empty(len(ranks))
+    for rank in set(ranks.tolist()):
+        rows = ranks == rank
+        complement = u[rows][:, :, rank:].swapaxes(-1, -2)
+        projected = (complement @ vecs[rows][:, :, np.newaxis])[:, :, 0]
+        norms[rows] = np.sqrt(row_dots(projected, projected))
+    return norms
 
 
 def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
@@ -372,15 +384,14 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
     """
     if record.singularity_class is not SingularityClass.FOLD:
         raise InvalidInput("fold_witness requires a record classified as Fold")
-    if not (delta > 0.0):
-        raise InvalidInput(f"delta must be positive, got {delta}")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise InvalidInput(f"delta must be positive and finite, got {delta}")
     cov = np.asarray(record.covector, dtype=float)
     kern = np.asarray(record.kernel_basis[0], dtype=float)
     kern = kern / np.linalg.norm(kern)
-    chart = adapter.chart_at(cov)
     margins = []
     for a in (delta / 2.0, delta / 3.0, delta / 4.0):
-        pair = _newton_partner(chart, cov, kern, a)
+        pair = _newton_partner(adapter.chart, cov, kern, a)
         if pair is None:
             margins.append(f"a={a:.3g}: solve failed")
             continue
@@ -403,9 +414,10 @@ def _newton_partner(chart, cov: np.ndarray, kern: np.ndarray, a: float):
     """Quasi-Newton solve for the partner covector across the fold line, or None.
 
     Targets the image of cov + a kern from cov - a kern. One FD Jacobian is
-    built, and only if the first residual misses 1e-13; each step then
-    applies Broyden's rank-one secant update J += (dr - J dx) dx^T / (dx.dx)
-    instead of rebuilding it. Steps are clamped to 5a. Returns
+    built, and only if the first residual misses 1e-13; each step is its
+    least-squares solution (the chart may have more coordinates than the
+    fiber), and then Broyden's rank-one secant update J += (dr - J dx) dx^T
+    / (dx.dx) replaces rebuilding it. Steps are clamped to 5a. Returns
     (lam_a, lam_b, dist) with dist the norm of the last residual.
     """
     lam_a = cov + a * kern
@@ -420,7 +432,7 @@ def _newton_partner(chart, cov: np.ndarray, kern: np.ndarray, a: float):
         try:
             if jac is None:
                 jac = fd_jacobian(chart, lam_b, h=1e-7)
-            step_vec = np.linalg.solve(jac, residual)
+            step_vec = np.linalg.lstsq(jac, residual, rcond=None)[0]
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step_vec)):
@@ -456,5 +468,6 @@ def regularity_isomorphism_check(adapter: StructureAdapter,
     if norm_vec == 0.0:
         return False
     u, _, _, ranks, _ = _rank_reports(adapter, cov[np.newaxis])
-    # at full rank the complement is empty and its norm is 0.0
+    # at full rank the complement is empty, or normal to the target where the
+    # chart immerses it, and a tangent vector has no part there above rounding
     return bool(_complement_norms(u, ranks, vec[np.newaxis])[0] > INDEPENDENCE_TOL * norm_vec)

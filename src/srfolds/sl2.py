@@ -19,8 +19,7 @@ conjugate, and for r > 0 the strata are those of the compact case with sqrt(r)
 in place of the covector norm. The kernel's vertical term +4 sin(sqrt(r)/2)
 has the opposite sign from the compact case, as finite differences confirm.
 
-The chart (contact.py) reads (m11, m12, m21) where |m11| >= 1e-3 at the
-center, and (m12, m21, m22) otherwise.
+The chart (contact.py) reads all four entries (m11, m12, m21, m22).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from .contact import ContactGroup, cov_triple, curvature, finite_curvature
 from .errors import InvalidInput
-from .numeric import libm
+from .numeric import finite_time, libm
 from .scfun import sc_pair, sc_pair_array
 
 X0 = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -41,8 +40,6 @@ X2 = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # sign of the horizontal energy in the curvature scalar r (see contact.py)
 _EPS = -1
-# chart selector threshold on the leading matrix entry
-_CHART_M11_MIN = 1e-3
 # below this r, sqrt(-r)/2 > 700 and sinh there is close to overflowing (past
 # 710.48); the array exponential leaves such rows to the scalar one
 _R_HYPER_MIN = -(1400.0 ** 2)
@@ -76,7 +73,7 @@ class Sl2Matrix:
 def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
     u0, v0, w0 = cov_triple(cov)
-    t = float(t)
+    t = finite_time(t)
     r = finite_curvature(_EPS, u0, v0, w0)
     s, c = sc_pair(r, t / 2.0)
     a11, a12, a21, a22 = c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0
@@ -137,17 +134,11 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return entries, exact
 
 
-def _selects_primary(entries: tuple[float, ...]) -> bool:
-    """The primary chart where m11 is bounded away from zero (determinant one recovers m22)."""
-    return abs(entries[0]) >= _CHART_M11_MIN
-
-
 # exp looks sl2_exp up in the module globals on every call, so rebinding that
 # name (as the span tracer in perfbench/ does) also reaches adapters already built
 _GROUP = ContactGroup(name="sl2", eps=_EPS, exp=lambda cov, t: sl2_exp(cov, t),
                       basis=(X0, X1, X2), matrix_entries=_entries,
-                      entries_array=_entries_array, selects_primary=_selects_primary,
-                      charts=((0, 1, 2), (1, 2, 3)))
+                      entries_array=_entries_array)
 sl2_chart = _GROUP.chart
 sl2_jacobi = _GROUP.jacobi
 sl2_conj_f = _GROUP.conj_f

@@ -20,8 +20,8 @@ conjugate covector has order one. The kernel's vertical term -4 sin(rho/2)
 has the opposite sign from the display some references carry; finite
 differences arbitrate it (the other sign is not annihilated).
 
-The chart (contact.py) reads (Im alpha, Re beta, Im beta) where Re alpha
-dominates Im alpha at the center, and (Re alpha, Re beta, Im beta) otherwise.
+The chart (contact.py) reads all four entries (Re alpha, Im alpha, Re beta,
+Im beta).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .contact import ContactGroup, cov_triple, curvature
 from .errors import DegenerateCovector, InvalidInput
-from .numeric import libm
+from .numeric import finite_time, libm
 from .state import JacobiCoords
 
 X0 = 0.5 * np.array([[1j, 0.0], [0.0, -1j]])
@@ -80,7 +80,7 @@ class Su2Point:
 def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
     u0, v0, w0 = cov_triple(cov)
-    t = float(t)
+    t = finite_time(t)
     rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
     if rho == 0.0:
         return Su2Point(1.0, 0.0, 0.0, 0.0), np.zeros(3)
@@ -146,17 +146,11 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return entries, exact
 
 
-def _selects_primary(entries: tuple[float, ...]) -> bool:
-    """The primary chart where Re alpha dominates Im alpha."""
-    return abs(entries[0]) >= abs(entries[1])
-
-
 # exp looks su2_exp up in the module globals on every call, so rebinding that
 # name (as the span tracer in perfbench/ does) also reaches adapters already built
 _GROUP = ContactGroup(name="su2", eps=_EPS, exp=lambda cov, t: su2_exp(cov, t),
                       basis=(X0, X1, X2), matrix_entries=_entries,
-                      entries_array=_entries_array, selects_primary=_selects_primary,
-                      charts=((1, 2, 3), (0, 2, 3)))
+                      entries_array=_entries_array)
 su2_chart = _GROUP.chart
 su2_conj_f = _GROUP.strata
 su2_kernel = _GROUP.kernel

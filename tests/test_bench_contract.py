@@ -70,7 +70,7 @@ def test_traced_layer_metrics_are_finite_numbers(bench_modules):
     finally:
         t.uninstall()
     assert any(rec.singularity_class is srfolds.SingularityClass.FOLD for rec in records)
-    # the scan itself selects its charts and evaluates its stencils in array calls
+    # the scan itself evaluates its stencils in array calls
     assert run.layer_metrics(t, tracer.Tracer(), 1)["su2.exp.calls"] == 0
     t = tracer.Tracer().install()
     try:

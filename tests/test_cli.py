@@ -284,6 +284,18 @@ class TestExitCodes:
         assert "overflows" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("expmap", "--structure", "su2", "--covector", "1,0,0.5", "--t", "inf"),
+        ("expmap", "--structure", "sl2", "--covector", "1,0,0.5", "--t", "nan"),
+        ("expmap", "--structure", "grushin", "--covector", "1,0", "--t", "inf"),
+    ], ids=str)
+    def test_non_finite_time_is_one_error_line(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: t must be finite")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     def test_alpha_below_one_is_computation_error(self):
         proc = run_cli("expmap", "--structure", "grushin", "--alpha", "0.5",
                        "--base", "1,0", "--covector", "0,1")

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from srfolds import (InvalidInput, sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_frame_images,
-                     sl2_jacobi, sl2_kernel, su2_conj_f, su2_conj_grad, su2_exp, su2_kernel)
+from srfolds import (InvalidInput, sl2_adapter, sl2_conj_f, sl2_conj_grad, sl2_exp,
+                     sl2_frame_images, sl2_jacobi, sl2_kernel, su2_adapter, su2_conj_f,
+                     su2_conj_grad, su2_exp, su2_kernel)
 from srfolds.contact import ContactCovector, cov_triple
 from srfolds.state import JacobiCoords
 
@@ -79,3 +80,18 @@ class TestOverflowingCurvature:
         for call in (sl2_conj_f, sl2_kernel):
             with pytest.raises(InvalidInput, match="f0 overflows"):
                 call((1420.0, 0.0, 1.0))
+
+
+class TestEntryChart:
+    @pytest.mark.parametrize("adapter,exp", [(su2_adapter(), su2_exp), (sl2_adapter(), sl2_exp)],
+                             ids=["su2", "sl2"])
+    @pytest.mark.parametrize("cov", [(1.0, 0.0, 0.5), (0.4, -0.3, 1.5), (-3.87, 2.51, 3.3),
+                                     (1.32, 3.01, -3.35), (1.2, 0.5, 0.3), (0.0, 0.0, 0.0)],
+                             ids=str)
+    def test_chart_is_the_endpoint_entries(self, adapter, exp, cov):
+        # no selection: the chart reads all four entries wherever it is evaluated
+        entries = np.array(exp(cov, 1.0)[0].entries())
+        assert adapter.chart(cov).tobytes() == entries.tobytes()
+        points = np.array([[cov, cov]], dtype=float)
+        assert adapter.chart_array(points).shape == (1, 2, 4)
+        assert adapter.chart_array(points)[0, 1].tobytes() == entries.tobytes()

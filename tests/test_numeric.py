@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from scipy.optimize import brentq
 
-from srfolds import (DegenerateMatrix, InvalidInput, NonConvergence, OdeProblem,
-                     RootHit, fd_jacobian, find_roots, integrate, rank_nullspace,
-                     vertical_to_endpoint_matrix)
+from srfolds import (DegenerateMatrix, GrushinBase, InvalidInput, JacobiCoords,
+                     NonConvergence, OdeProblem, RootHit, fd_jacobian, find_roots,
+                     grushin_exp, grushin_jacobi, integrate, propagate_linear_jacobi,
+                     rank_nullspace, sin_cos_alpha, sl2_exp, sl2_jacobi, su2_exp,
+                     su2_jacobi, vertical_to_endpoint_matrix)
 from srfolds.numeric import _brent, quad, scan_nodes
 
 TAN_FIXED_POINT = 4.493409457909064
@@ -101,6 +103,32 @@ class TestQuad:
     def test_quartic_radicand(self):
         value = quad(lambda t: 1.0 / math.sqrt(1.0 - t ** 4), 0.0, 1.0, tol=1e-8)
         assert abs(value - QUARTIC_INTEGRAL) <= 1e-6
+
+
+GROUP_START = JacobiCoords(p=(1.0, 0.0, 0.0), x=(0.0, 0.0, 0.0))
+PLANE_START = JacobiCoords(p=(1.0, 0.0), x=(0.0, 0.0))
+BASE = GrushinBase(1.5, 0.5, 0.0)
+
+
+class TestFiniteTime:
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize("call", [
+        lambda t: sin_cos_alpha(1.5, t),
+        lambda t: su2_exp((1.0, 0.0, 0.5), t),
+        lambda t: sl2_exp((1.0, 0.0, 0.5), t),
+        lambda t: grushin_exp(BASE, (1.0, 0.0), t),       # v0 = 0: a straight line
+        lambda t: grushin_exp(BASE, (1.0, 0.7), t),
+        lambda t: su2_jacobi((1.0, 0.0, 0.5), GROUP_START, t),
+        lambda t: sl2_jacobi((1.0, 0.0, 0.5), GROUP_START, t),
+        lambda t: grushin_jacobi(BASE, (0.0, 0.0), PLANE_START, t),
+        lambda t: grushin_jacobi(BASE, (1.0, 0.7), PLANE_START, t),
+        lambda t: propagate_linear_jacobi(1.0, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), t),
+    ], ids=["sin_cos_alpha", "su2_exp", "sl2_exp", "grushin_exp-line", "grushin_exp",
+            "su2_jacobi", "sl2_jacobi", "grushin_jacobi-rest", "grushin_jacobi",
+            "propagate_linear_jacobi"])
+    def test_non_finite_time_rejected(self, call, t):
+        with pytest.raises(InvalidInput, match="t must be finite"):
+            call(t)
 
 
 class TestFindRoots:

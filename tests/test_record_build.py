@@ -3,8 +3,8 @@
 scan_ray evaluates the finite-difference stencils of all its records with one
 adapter.chart_array call, takes their ranks from one stacked rank_nullspace
 call, and evaluates the second-order stencils of the records that need them
-with one more chart_array call. The references here are scalar: the chart of
-adapter.chart_at(center) called point by point, and the per-record build of
+with one more chart_array call. The references here are scalar: adapter.chart
+called point by point, and the per-record build of
 fd_jacobian's column loop, rank_nullspace on one matrix and the four-point
 stencil, with the f-values, kernel and gradient from the structure's public
 scalar functions. Order, f-values, kernel basis, second-order value and class
@@ -33,9 +33,7 @@ from srfolds.grushin import GrushinBase
 from srfolds.numeric import fd_stencil
 from srfolds.singularity import (INDEPENDENCE_TOL, PAIRING_TOL, SECOND_ORDER_STEP,
                                  SECOND_ORDER_TOL, _rank_reports, _stratum_indices)
-from srfolds.sl2 import _GROUP as SL2_GROUP
-from srfolds.sl2 import _R_HYPER_MIN, sl2_exp
-from srfolds.su2 import _GROUP as SU2_GROUP
+from srfolds.sl2 import sl2_exp
 from srfolds.su2 import su2_exp
 
 SU2 = su2_adapter()
@@ -53,16 +51,15 @@ def _outcome(call):
         return type(err), str(err)
 
 
-def _assert_chart_array_is_scalar(adapter, centers, points):
-    centers = np.asarray(centers, dtype=float)
+def _assert_chart_array_is_scalar(adapter, points):
     points = np.asarray(points, dtype=float)
 
     def scalar():
-        return np.array([[np.asarray(adapter.chart_at(c)(p), dtype=float) for p in row]
-                         for c, row in zip(centers, points)]).tobytes()
+        return np.array([[np.asarray(adapter.chart(p), dtype=float) for p in row]
+                         for row in points]).tobytes()
 
     def array():
-        return np.asarray(adapter.chart_array(centers, points), dtype=float).tobytes()
+        return np.asarray(adapter.chart_array(points), dtype=float).tobytes()
 
     assert _outcome(array) == _outcome(scalar)
 
@@ -127,20 +124,6 @@ def _m11_edges(direction):
     return pairs
 
 
-@functools.lru_cache(maxsize=None)
-def _selector_edge_centers():
-    """Centers an ulp either side of each group's selector edge, on a few rays."""
-    su2 = [pair for d in [(1.0, 0.0, 0.5), (0.3, -0.7, 0.2), (-0.2, 0.4, 1.5)]
-           for pair in _switch(_uses_im, d, 0.5, 20.0)[:2]]
-    sl2 = [pair for d in [(1.0, 0.0, 2.0), (0.3, -0.4, 1.1)] for pair in _m11_edges(d)]
-    return {key: tuple(tuple(c.tolist()) for pair in pairs for c in pair)
-            for key, pairs in (("su2", su2), ("sl2", sl2))}
-
-
-# centers entries_array does not mark exact, whose scalar exponential does not
-# raise: rho = 0 on SU(2), r below _R_HYPER_MIN on SL(2)
-NOT_EXACT_CENTERS = {"su2": [(0.0, 0.0, 0.0)], "sl2": [(1400.5, 0.0, 0.0)]}
-
 finite = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 small = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
 offsets = st.lists(st.tuples(small, small, small), min_size=1, max_size=5)
@@ -151,65 +134,26 @@ class TestGroupChartArray:
     @given(st.sampled_from([SU2, SL2]),
            st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=6), offsets)
     def test_generic_covectors(self, adapter, centers, offs):
-        _assert_chart_array_is_scalar(adapter, centers, _near(centers, offs))
+        _assert_chart_array_is_scalar(adapter, _near(centers, offs))
 
     @settings(max_examples=20, deadline=None)
     @given(st.tuples(finite, finite, finite).filter(lambda c: np.linalg.norm(c) > 0.1),
            offsets)
     def test_su2_selector_edge(self, direction, offs):
-        # |Re alpha| = |Im alpha| at the center's endpoint: centers an ulp apart
-        # select different charts
+        # points around covectors an ulp either side of |Re alpha| = |Im alpha|
+        # at the endpoint
         for pair in _switch(_uses_im, direction, 0.5, 20.0)[:3]:
-            _assert_chart_array_is_scalar(SU2, pair, _near(pair, offs))
+            _assert_chart_array_is_scalar(SU2, _near(pair, offs))
 
     @settings(max_examples=20, deadline=None)
     @given(st.tuples(finite, finite, finite).filter(
         lambda c: c[2] * c[2] - c[0] * c[0] - c[1] * c[1] > 0.01), offsets)
     def test_sl2_selector_edge(self, direction, offs):
-        # |m11| = 1e-3 at the center's endpoint, on the rays scan_ray scans (r > 0)
+        # points around covectors an ulp either side of |m11| = 1e-3 at the
+        # endpoint, on the rays scan_ray scans (r > 0)
         for pair in _m11_edges(direction):
             assert _uses_m11(pair[0]) != _uses_m11(pair[1])
-            _assert_chart_array_is_scalar(SL2, pair, _near(pair, offs))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["su2", "sl2"]), st.data())
-    def test_array_selection_is_the_scalar_selection(self, key, data):
-        # the chart chart_array picks at each center is the one _primary_at picks
-        group = SU2_GROUP if key == "su2" else SL2_GROUP
-        center = st.one_of(st.sampled_from(_selector_edge_centers()[key]),
-                           st.sampled_from(NOT_EXACT_CENTERS[key]),
-                           st.tuples(finite, finite, finite))
-        centers = np.array(data.draw(st.lists(center, min_size=1, max_size=6)), dtype=float)
-        # rows entries_array is made to leave to the scalar exponential, as it
-        # leaves the SU(2) rows off the unit-sphere band
-        dropped = data.draw(st.lists(st.booleans(), min_size=1, max_size=7))
-
-        def entries_array(covs):
-            entries, exact = group.entries_array(covs)
-            return entries, exact & ~np.resize(dropped, exact.shape)
-
-        def scalar():
-            rows = []
-            for c in centers:
-                index = list(group.charts[0 if group._primary_at(c) else 1])
-                rows.append(np.array(group.exp(c, 1.0)[0].entries())[index])
-            return np.array(rows).tobytes()
-
-        for each in (group, replace(group, entries_array=entries_array)):
-            def array():
-                return each.chart_array(centers, centers[:, np.newaxis])[:, 0].tobytes()
-            assert _outcome(array) == _outcome(scalar)
-
-    @pytest.mark.parametrize("key", ["su2", "sl2"])
-    def test_not_exact_centers_select_without_raising(self, key):
-        group = SU2_GROUP if key == "su2" else SL2_GROUP
-        centers = np.array(NOT_EXACT_CENTERS[key])
-        assert not group.entries_array(centers)[1].any()
-        for c in centers:
-            group._primary_at(c)
-        if key == "sl2":
-            assert all(c[2] ** 2 - c[0] ** 2 - c[1] ** 2 < _R_HYPER_MIN for c in centers)
-        _assert_chart_array_is_scalar(group, centers, _near(centers, [(0.0, 0.0, 0.0)]))
+            _assert_chart_array_is_scalar(SL2, _near(pair, offs))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-4e-6, 4e-6),
@@ -219,13 +163,13 @@ class TestGroupChartArray:
         h2 = u0 * u0 + v0 * v0
         w0 = math.sqrt(max(h2 + r, 0.0))
         centers = [(u0, v0, w0), (3.0, 4.0, 5.0)]
-        _assert_chart_array_is_scalar(SL2, centers, _near(centers, offs))
+        _assert_chart_array_is_scalar(SL2, _near(centers, offs))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.floats(-1.0, 1.0), offsets)
     def test_sl2_hyperbolic_branch(self, u0, v0, w0, offs):
         centers = [(u0, v0, w0), (u0 + 2.0, v0, w0)]
-        _assert_chart_array_is_scalar(SL2, centers, _near(centers, offs))
+        _assert_chart_array_is_scalar(SL2, _near(centers, offs))
 
     @pytest.mark.parametrize("adapter", [SU2, SL2], ids=["su2", "sl2"])
     @pytest.mark.parametrize("row", [
@@ -241,29 +185,27 @@ class TestGroupChartArray:
         centers = [(1.0, 0.0, 2.0), (0.4, -0.3, 2.5)]
         points = _near(centers, [(0.0, 0.0, 0.0)])
         points[1, -1] = row
-        _assert_chart_array_is_scalar(adapter, centers, points)
+        _assert_chart_array_is_scalar(adapter, points)
 
     def test_first_raise_is_the_scalar_loops_first(self):
-        for adapter, centers, offset, error in (
-                # the first center's offset row raises, and so does the second
-                # center itself; the scalar loop meets the former first
-                (SL2, [(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 800.0, 0.0),  # det overflows
+        for adapter, points, error in (
+                # a det overflow raises before a later row's NaN does
+                (SL2, [[(0.0, 1.0, 2.0), (0.0, 800.0, 0.0)], [(nan, 0.0, 0.0), (0.0, 1.0, 2.0)]],
                  InvalidInput),
-                (SL2, [(0.0, 100.0, 0.0), (nan, 0.0, 0.0)], (0.0, 1400.0, 0.0),  # sinh overflows
+                (SL2, [[(0.0, 1400.0, 0.0)], [(nan, 0.0, 0.0)]], InvalidInput),
+                # a NaN row raises before a later row's sinh would overflow
+                (SL2, [[(0.0, 1.0, 2.0), (nan, 0.0, 0.0)], [(0.0, 1500.0, 0.0), (0.0, 1.0, 2.0)]],
                  InvalidInput),
-                # the first center raises (det overflows) before a later row's sinh would
-                (SL2, [(0.0, 1400.0, 0.0), (nan, 0.0, 0.0)], (0.0, 100.0, 0.0), InvalidInput),
-                # the first center's NaN row raises before the second center's sinh would
-                (SL2, [(0.0, 1.0, 2.0), (0.0, 1500.0, 0.0)], (nan, 0.0, 0.0), InvalidInput),
-                # the first center is not exact and selects without raising; a point
-                # of its row (det overflows) raises before the second center's sinh
-                (SL2, [(1400.5, 0.0, 0.0), (0.0, 1500.0, 0.0)], (nan, 0.0, 0.0), InvalidInput),
-                # rho = 0 selects with the scalar exponential; the second center raises
-                (SU2, [(0.0, 0.0, 0.0), (nan, 0.0, 0.0)], (0.0, 0.0, 0.0), InvalidInput)):
-            points = _near(centers, [offset])
-            _assert_chart_array_is_scalar(adapter, centers, points)
+                # a row the array pass leaves to the scalar exponential, which does
+                # not raise there, then a NaN row before a later row's sinh
+                (SL2, [[(1400.5, 0.0, 0.0), (nan, 0.0, 0.0)], [(0.0, 1500.0, 0.0)] * 2],
+                 InvalidInput),
+                # rho = 0 takes the scalar exponential; the next row raises
+                (SU2, [[(0.0, 0.0, 0.0), (nan, 0.0, 0.0)]], InvalidInput)):
+            points = np.array(points)
+            _assert_chart_array_is_scalar(adapter, points)
             with pytest.raises(error):
-                adapter.chart_array(np.array(centers), points)
+                adapter.chart_array(points)
 
 
 class TestGrushinChartArray:
@@ -275,7 +217,7 @@ class TestGrushinChartArray:
                     min_size=1, max_size=4))
     def test_generic_covectors(self, alpha, x0, centers, offs):
         adapter = grushin_adapter(GrushinBase(alpha, x0, 0.7))
-        _assert_chart_array_is_scalar(adapter, centers, _near(centers, offs))
+        _assert_chart_array_is_scalar(adapter, _near(centers, offs))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(ALPHAS), st.sampled_from(X0S), st.floats(0.01, 60.0),
@@ -287,7 +229,7 @@ class TestGrushinChartArray:
         angle = math.pi / 2.0 + side * eps
         centers = [(s * math.cos(angle), s * math.sin(angle)),
                    (s * math.cos(angle), -s * math.sin(angle))]
-        _assert_chart_array_is_scalar(adapter, centers, _near(centers, [(0.0, 0.0)]))
+        _assert_chart_array_is_scalar(adapter, _near(centers, [(0.0, 0.0)]))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("x0", X0S)
@@ -295,14 +237,14 @@ class TestGrushinChartArray:
         # v0^2 underflows (straight line), v0 = 0, and H = 0 at x0 = 0
         adapter = grushin_adapter(GrushinBase(alpha, x0, 0.7))
         centers = [(1.0, 1e-170), (-0.5, 0.0), (0.0, 1.3), (1e-170, 0.0), (0.4, 1.0)]
-        _assert_chart_array_is_scalar(adapter, centers, _near(centers, [(0.0, 0.0)]))
+        _assert_chart_array_is_scalar(adapter, _near(centers, [(0.0, 0.0)]))
 
     def test_non_finite_row_raises_what_the_scalar_raises(self):
         adapter = grushin_adapter(GrushinBase(1.5, 0.5, 0.0))
         centers = [(0.4, 1.0)]
         points = _near(centers, [(0.0, 0.0)])
         points[0, 2] = (float("inf"), 1.0)
-        _assert_chart_array_is_scalar(adapter, centers, points)
+        _assert_chart_array_is_scalar(adapter, points)
 
 
 def _rank_fields(singular_values, rank, tol, nullspace_basis, image_complement):
@@ -394,7 +336,7 @@ def _grushin(alpha, x0):
 def _scalar_build(adapter, scalars, rec):
     """(order, f-values, kernel basis, second-order value, class, rank report) of one record."""
     cov = np.asarray(rec.covector, dtype=float)
-    chart = adapter.chart_at(cov)
+    chart = adapter.chart
     info = rank_nullspace(_loop_fd_jacobian(chart, cov))
     order = adapter.fiber_dim - info.numeric_rank
     f_values = tuple(float(v) for v in scalars.conj_f(cov))
@@ -483,9 +425,8 @@ def _fake_adapter(chart):
         return np.zeros((n, 1)), np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0], (n, 1))
 
     return StructureAdapter(
-        name="fake", fiber_dim=3, chart_at=lambda center: chart,
-        chart_array=lambda centers, points: np.array([[chart(p) for p in row]
-                                                      for row in points]),
+        name="fake", fiber_dim=3, chart=chart,
+        chart_array=lambda points: np.array([[chart(p) for p in row] for row in points]),
         conj_f=lambda cov: (0.0,), record_fields=record_fields, stratum_names=("C",),
         ray_gate=lambda direction: True,
         kernel_jacobi_image=lambda cov: np.array([0.0, 0.0, 1.0]))
@@ -532,9 +473,9 @@ class TestRankRowsNoScanReaches:
         stencils = [6, 4] if rank < 3 else [6]
         stencil_sizes = []
 
-        def chart_array(centers, points):
+        def chart_array(points):
             stencil_sizes.append(points.shape[1])
-            return adapter.chart_array(centers, points)
+            return adapter.chart_array(points)
 
         counted = replace(adapter, chart_array=chart_array)
         value = second_order_transversality(counted, record)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,6 +36,7 @@ import srfolds.sl2 as sl2_module
 import srfolds.su2 as su2_module
 from srfolds.grushin import GrushinBase, grushin_jacobi, grushin_kernel
 from srfolds.scfun import vertical_to_endpoint_matrix
+from srfolds.singularity import SECOND_ORDER_TOL
 from srfolds.state import JacobiCoords
 
 TWO_PI = 6.283185307179586
@@ -163,7 +165,7 @@ class TestScanRay:
 
     def test_kernel_annihilated_by_chart_jacobian(self, su2, su2_records):
         for rec in su2_records:
-            jac = fd_jacobian(su2.chart_at(rec.covector), rec.covector)
+            jac = fd_jacobian(su2.chart, rec.covector)
             sigma_max = np.linalg.svd(jac, compute_uv=False)[0]
             kern = rec.kernel_basis[0]
             residual = np.linalg.norm(jac @ kern) / np.linalg.norm(kern)
@@ -232,6 +234,11 @@ class TestScanRay:
         with pytest.raises(InvalidInput):
             scan_ray(su2, SU2_RAY, s_max)
 
+    @pytest.mark.parametrize("scan_points", [2.5, 400.0, "400"], ids=repr)
+    def test_non_integer_scan_points_rejected(self, su2, scan_points):
+        with pytest.raises(InvalidInput, match="scan_points must be an integer"):
+            scan_ray(su2, SU2_RAY, 20.0, scan_points=scan_points)
+
 
 class TestClassify:
     def test_su2_alternation(self, su2_records):
@@ -266,6 +273,28 @@ class TestClassify:
         by_stratum = {rec.stratum: rec.singularity_class for rec in records}
         assert by_stratum["C0"] is SingularityClass.UNDETERMINED
         assert by_stratum["C1"] is SingularityClass.TANGENTIAL
+
+    @pytest.mark.parametrize("direction,s,s_max", [
+        ((0.5303219488525271, -0.08504432600888788, 0.8435200609226502), 309.124, 400.0),
+        ((0.25796374654510346, 0.3984433412482121, 0.8801690799405387), 67.815, 400.0),
+        ((-0.5714228746305088, 0.11525250842793541, -0.8125224659356038), 344.116, 400.0),
+    ], ids=["309.124", "67.815", "344.116"])
+    def test_sl2_first_stratum_records_are_tangential(self, sl2, direction, s, s_max):
+        # every C1 point is tangential by the closed form; a chart of three of
+        # the four matrix entries conditions the certificate under
+        # SECOND_ORDER_TOL at these records
+        records = [rec for rec in scan_ray(sl2, direction, s_max) if abs(rec.s - s) < 1e-3]
+        assert len(records) == 1
+        rec = records[0]
+        assert (rec.stratum, rec.order) == ("C1", 1)
+        assert rec.singularity_class is SingularityClass.TANGENTIAL
+        assert second_order_transversality(sl2, rec) > 100.0 * SECOND_ORDER_TOL
+
+    @pytest.mark.parametrize("check", [classify, second_order_transversality],
+                             ids=["classify", "second_order_transversality"])
+    def test_unknown_stratum_rejected(self, su2, su2_records, check):
+        with pytest.raises(InvalidInput, match="unknown stratum 'C2'"):
+            check(su2, replace(su2_records[1], stratum="C2"))
 
     def test_order_zero_is_not_singular(self, su2, su2_records):
         synthetic = replace(su2_records[0], order=0)
@@ -308,10 +337,9 @@ class TestScanCost:
     evaluates every record's central-difference stencil, and one more the
     second-order stencils of the records whose pairing vanishes (here, every
     record that is not a Fold). Each call takes the endpoint entries of its
-    centers in the same array pass as its stencil points and selects each
-    center's chart from them, so on these rays neither a center nor a point
-    of a stencil is a scalar exponential. A per-record stencil or chart
-    selection, or a third array call, breaks the budget.
+    stencil points in one array pass, so on these rays no point of a stencil
+    is a scalar exponential. A per-record stencil or a third array call
+    breaks the budget.
     """
 
     @pytest.mark.parametrize("module,exp_name,make_adapter,ray,s_max", [
@@ -345,20 +373,16 @@ class TestScanCost:
         adapter = make_adapter()
         calls, rows, scalar = [0], [0], [0]
 
-        def chart_array(centers, points):
+        def chart_array(points):
             calls[0] += 1
-            rows[0] += len(centers)
-            return adapter.chart_array(centers, points)
+            rows[0] += len(points)
+            return adapter.chart_array(points)
 
-        def chart_at(center):
-            chart = adapter.chart_at(center)
+        def chart(cov):
+            scalar[0] += 1
+            return adapter.chart(cov)
 
-            def counted(cov):
-                scalar[0] += 1
-                return chart(cov)
-            return counted
-
-        records = scan_ray(replace(adapter, chart_array=chart_array, chart_at=chart_at),
+        records = scan_ray(replace(adapter, chart_array=chart_array, chart=chart),
                            ray, s_max)
         assert len(records) >= 2
         assert calls[0] <= 2
@@ -512,9 +536,8 @@ class TestFoldWitness:
         assert np.linalg.norm(witness.covector_a - cov) <= self.DELTA
         assert np.linalg.norm(witness.covector_b - cov) <= self.DELTA
         # recompute endpoint coincidence directly from the chart
-        chart = adapter.chart_at(cov)
-        pa = np.asarray(chart(witness.covector_a), float)
-        pb = np.asarray(chart(witness.covector_b), float)
+        pa = np.asarray(adapter.chart(witness.covector_a), float)
+        pb = np.asarray(adapter.chart(witness.covector_b), float)
         assert np.linalg.norm(pa - pb) <= 1e-9
 
     def test_su2_fold_witness(self, su2, su2_records):
@@ -536,10 +559,13 @@ class TestFoldWitness:
         with pytest.raises(InvalidInput):
             fold_witness(su2, su2_records[0], self.DELTA)
 
-    @pytest.mark.parametrize("delta", [0.0, -1e-3])
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, float("inf"), float("nan")])
     def test_rejects_bad_delta(self, su2, su2_records, delta):
-        with pytest.raises(InvalidInput):
-            fold_witness(su2, su2_records[1], delta)
+        # named as the bad argument, before any arithmetic warns on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="delta must be positive and finite"):
+                fold_witness(su2, su2_records[1], delta)
 
     def test_no_witness_at_regular_point(self, su2, su2_records):
         # a regular covector dressed up as a fold: the chart is injective
@@ -578,15 +604,11 @@ class TestWitnessCost:
     def _counting(adapter):
         calls = [0]
 
-        def chart_at(center):
-            chart = adapter.chart_at(center)
+        def chart(cov):
+            calls[0] += 1
+            return adapter.chart(cov)
 
-            def counted(cov):
-                calls[0] += 1
-                return chart(cov)
-            return counted
-
-        return replace(adapter, chart_at=chart_at), calls
+        return replace(adapter, chart=chart), calls
 
     def _witness_costs(self, adapter, records):
         counted, calls = self._counting(adapter)

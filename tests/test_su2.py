@@ -248,9 +248,7 @@ class TestKernel:
                     np.array(_c0_covector(1.0)),
                     np.array(_c0_covector(-2.0))):
             kern = su2_kernel(tuple(cov))
-            jac = fd_jacobian(
-                lambda c, cov=cov: su2_chart((c[0], c[1], c[2]), center=tuple(cov)),
-                cov)
+            jac = fd_jacobian(su2_chart, cov)
             sigma = np.linalg.svd(jac, compute_uv=False)
             assert np.linalg.norm(jac @ kern) <= 1e-6 * max(1.0, sigma[0])
 
@@ -300,24 +298,17 @@ class TestConjGrad:
 
 class TestChartAndFrame:
     def test_chart_is_three_dimensional_and_finite(self):
+        # four entries on the unit sphere: the three-sphere SU(2) in R^4
         coords = su2_chart((0.9, -0.4, 1.1))
-        assert coords.shape == (3,)
+        assert coords.shape == (4,)
         assert np.all(np.isfinite(coords))
-
-    def test_chart_selector_freezes_at_center(self):
-        center = (2.0 * math.pi, 0.0, 0.0)  # endpoint has alpha near -1
-        nearby = (2.0 * math.pi + 1e-4, 1e-4, 1e-4)
-        frozen = su2_chart(nearby, center=center)
-        assert np.all(np.isfinite(frozen))
-        # moving the covector a little must not swap chart components
-        base_val = su2_chart(center, center=center)
-        assert np.abs(frozen - base_val).max() <= 1e-2
+        assert abs(coords @ coords - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("cov", [
         (1.0, 0.0, 0.5),
         (0.7, -1.1, 0.4),
         (TWO_PI, 0.0, 0.0),
-        (-3.87, 2.51, 3.3),         # |Re alpha| < |Im alpha|: the alternate chart
+        (-3.87, 2.51, 3.3),         # |Re alpha| < |Im alpha|
     ])
     def test_frame_identity(self, cov):
         u0, v0, w0 = cov
@@ -329,8 +320,7 @@ class TestChartAndFrame:
             np.array([u0, v0, w0]) / sq,
             np.array([0.0, 0.0, -1.0]) / sq,
         ])
-        jac = fd_jacobian(
-            lambda c: su2_chart((c[0], c[1], c[2]), center=cov), np.array(cov))
+        jac = fd_jacobian(su2_chart, np.array(cov))
         images = su2_frame_images(cov)
         from srfolds import vertical_to_endpoint_matrix
         lhs = jac @ basis
