@@ -9,32 +9,54 @@ sin_alpha^(2 alpha) + cos_alpha^2 = 1 and is periodic with period 2 pi_alpha.
 
 sin_alpha is the generalized sine sin_{p,2} with p = 2 alpha (Edmunds, Gurka
 & Lang, J. Approx. Theory 164 (2012); DLMF 8.17). On the first quarter,
-0 <= t <= q = pi_alpha / 2, the energy law gives dt = ds / sqrt(1 - s^(2 alpha)),
-and the substitution x = s^(2 alpha) turns the arc integral into a regularized
-incomplete beta function. With a = 1 / (2 alpha):
+0 <= t <= q = pi_alpha / 2, the energy law gives dt = ds / sqrt(1 - s^(2 alpha)).
+With a = 1 / (2 alpha), s = sin_alpha(t), c = cos_alpha(t), x = s^(2 alpha) and
+y = 1 - x = c^2, the arc integral is a regularized incomplete beta function,
+and its binomial series gives
 
-    pi_alpha = B(a, 1/2) / alpha,        t = q I_x(a, 1/2),   x = sin_alpha(t)^(2 alpha),
-    q - t = q I_{1-x}(1/2, a),           1 - x = cos_alpha(t)^2.
+    pi_alpha = B(a, 1/2) / alpha,
+    t = q I_x(a, 1/2) = s G(x),          G(x) = sum_n (1/2)_n / n! a / (a + n) x^n,
+    q - t = q I_y(1/2, a) = c H(y) / alpha,   H(y) = sum_n (1 - a)_n / n! y^n / (2n + 1).
 
-Evaluation inverts the first form where x <= 1/2 and the second, the
-complementary one, where x > 1/2, so that the smaller of |sin| and |cos| is
-always the component computed directly and keeps full relative precision
-(sin near t = 0, cos near t = q). Other arguments reduce to the first quarter
-by oddness, periodicity and the sign pattern of the pair. alpha = 1
-short-circuits to math.sin/math.cos and math.asin. The integral definition
-of pi_alpha is kept as a quadrature oracle for the tests.
+The lower part of the quarter, x <= 1/2, uses the first form and the upper
+part, y <= 1/2, the complementary one, so that the smaller of |sin| and |cos|
+is always the component computed directly and keeps full relative precision
+(sin near t = 0, cos near t = q); there the terms of both series are positive
+and fall by at least half from one to the next. t_mid is the phase where
+x = y = 1/2, so q = t_mid + (q - t_mid) = 2^-a G(1/2) + sqrt(1/2) H(1/2) / alpha.
+That sum is within about an ulp of pi_alpha / 2, closer than
+Gamma(a) sqrt(pi) / (2 alpha Gamma(a + 1/2)) from math.gamma (up to 3.4 ulp),
+and a phase many periods out carries that error times the number of periods.
 
-scipy.special is imported on first use: _table_cached loads its beta
-functions when it builds the first table with alpha != 1, and every later
-use reads them through such a table, so alpha = 1 never loads it.
+Each alpha != 1 gets a table (_table_cached) of four short polynomials, the
+Chebyshev interpolants of analytic factors, each in its own variable and
+vanishing at the origin:
+
+    t <= t_mid:  x = w (1 + P(w)),  w = t^(2 alpha);  s = t (1 + P)^a, c = sqrt(1 - x)
+    t >  t_mid:  c = h (1 + R(h^2)),  h = alpha (q - t);  s = (1 - c^2)^a
+    arc_alpha, x <= 1/2:       t = s (1 + (G(x) - 1))
+    arc_cos_alpha, y <= 1/2:   q - t = c (1 + (H(y) - 1)) / alpha
+
+The sine below t_mid is t (1 + P)^a rather than x^a: a = 1/(2 alpha) is
+rounded to a double, and a power carries the relative error of its exponent
+times the log of its base, which for x^a is |log s|, worth 3 ulp near t = 0
+at alpha = 2.5, while log(1 + P) stays below 1.1.
+
+It is built once from the standard library: the summed series for G and H,
+and Newton's method on them for the node values of P and R, with the
+residual formed in the small quantities (log(1 + P), R, G - 1, H - 1) so that
+it does not cancel. Other arguments reduce to the first quarter by oddness,
+periodicity and the sign pattern of the pair. alpha = 1 short-circuits to
+math.sin/math.cos and math.asin. The integral definition of pi_alpha is kept
+as a quadrature oracle for the tests.
 
 The *_array functions evaluate the same formulas over a 1-d array, branch by
 branch on masks, and return bit for bit what the scalar functions return at
-each element. Arithmetic, sqrt and fmod are correctly rounded in numpy as in
-Python, and the betainc/betaincinv ufuncs run the same code on arrays as on
-scalars; numpy's own power, log, expm1, arcsin, arccos, sin and cos can
-differ from the C library by an ulp, so those go through the scalar libm
-element by element (numeric.libm).
+each element: the polynomials run the same Horner recurrence on floats and
+on arrays, and arithmetic and sqrt are correctly rounded in numpy as in
+Python. numpy's own power, log, expm1, arcsin, arccos, sin and cos can differ
+from the C library by an ulp, so those go through the scalar libm element by
+element (numeric.libm).
 """
 
 from __future__ import annotations
@@ -49,32 +71,135 @@ from .errors import InvalidInput
 from .numeric import finite_time, libm, quad
 
 # below this, x = s^(2 alpha) moves s and cos by less than an ulp from the
-# leading terms (t, 1); it also keeps x clear of the underflow at which
-# betaincinv stops resolving it
+# leading terms (t, 1), which are returned as they are
 _NEGLIGIBLE_X = 2.0 ** -53
+# each factor is interpolated at _CHEBYSHEV_DEGREE + 1 Chebyshev points; past
+# the coefficients kept (16 for sin and cos, 21 for the inversions) every
+# coefficient is below 2e-17 for alpha from 1 + 1e-9 to 1e300
+_CHEBYSHEV_DEGREE = 28
+_SIN_TERMS = 16
+_ARC_TERMS = 21
+# Newton stops after a step this small: the next one would be below an ulp
+_NEWTON_STEP = 1e-13
 
 
 def _validate_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 1.0:
-        raise InvalidInput(f"alpha must be a finite real >= 1, got {alpha!r}")
+    # the exponent 2 alpha of the energy law must be a double: alpha < 2^1023
+    if not math.isfinite(2.0 * alpha) or alpha < 1.0:
+        raise InvalidInput(f"alpha must be a real in [1, 2^1023), got {alpha!r}")
     return alpha
 
 
 class _AlphaConstants(NamedTuple):
-    """Per-alpha constants of the beta-function closed form."""
+    """Per-alpha constants and polynomials of the first quarter.
+
+    Each polynomial is a tuple of the coefficients of z^(n-1), ..., z, 1 in
+    the Chebyshev variable z in [-1, 1]: z = w w_scale - 1, h^2 u_scale - 1,
+    or 4 x - 1 and 4 y - 1 for the inversions. They are empty at alpha = 1,
+    where nothing reads them.
+    """
 
     alpha: float
     a: float          # 1 / (2 alpha)
     pi_alpha: float   # half-period
     quarter: float    # pi_alpha / 2
     t_mid: float      # phase where sin_alpha^(2 alpha) = cos_alpha^2 = 1/2
+    w_scale: float = 0.0       # 2 / t_mid^(2 alpha)
+    u_scale: float = 0.0       # 2 / (alpha (quarter - t_mid))^2
+    sin_low: tuple = ()        # P(w)
+    cos_high: tuple = ()       # R(u)
+    arc_low: tuple = ()        # G(x) - 1 on [0, 1/2]
+    arc_high: tuple = ()       # H(y) - 1 on [0, 1/2]
 
 
-def _import_special() -> None:
-    """Bind scipy.special's beta, betainc and betaincinv as globals of this module."""
-    global beta, betainc, betaincinv
-    from scipy.special import beta, betainc, betaincinv
+def _series_tail(b: float, g: float, x: float) -> float:
+    """sum_{n >= 1} (b)_n / n! g / (g + n) x^n for 0 <= x <= 1/2.
+
+    G(x) - 1 for (b, g) = (1/2, a) and H(x) - 1 for (1 - a, 1/2). The terms
+    are positive and at most halve, so stopping once x^n-sized terms fall
+    below 1e-20 (by n = 67) leaves less than that; fsum adds them without
+    rounding drift.
+    """
+    terms, power = [], 1.0
+    for n in range(1, 100):
+        power *= (n - 1 + b) / n * x
+        terms.append(g / (g + n) * power)
+        if not power > 1e-20:
+            break
+    return math.fsum(terms)
+
+
+def _sin_low_factor(alpha: float, a: float, w: float) -> float:
+    """P(w) with x = w (1 + P): sin_alpha(w^a)^(2 alpha) = x.
+
+    Newton on rho = log(x / w), which solves rho + 2 alpha log G(w e^rho) = 0
+    with derivative 1 / (G sqrt(1 - x)).
+    """
+    rho = 0.0
+    for _ in range(64):
+        x = w * math.exp(rho)
+        tail = _series_tail(0.5, a, x)
+        step = (rho + 2.0 * alpha * math.log1p(tail)) * (1.0 + tail) * math.sqrt(1.0 - x)
+        rho -= step
+        if abs(step) < _NEWTON_STEP:
+            break
+    return math.expm1(rho)
+
+
+def _cos_high_factor(a: float, u: float) -> float:
+    """R(u) with c = h (1 + R), h = sqrt(u) = alpha (q - t), c = cos_alpha(t).
+
+    Newton on c H(c^2) = h, whose derivative in R is x^(a - 1) at x = 1 - c^2.
+    """
+    r = 0.0
+    for _ in range(64):
+        y = u * (1.0 + r) * (1.0 + r)
+        tail = _series_tail(1.0 - a, 0.5, y)
+        step = (r + tail + r * tail) * (1.0 - y) ** (1.0 - a)
+        r -= step
+        if abs(step) < _NEWTON_STEP:
+            break
+    return r
+
+
+def _chebyshev_fit(f, terms: int) -> tuple:
+    """Coefficients of z^(terms-1), ..., z, 1 of the degree terms - 1 Chebyshev
+    series of f on [-1, 1], interpolated at the _CHEBYSHEV_DEGREE + 1 extreme
+    points of T_n.
+
+    The factors are analytic well beyond [-1, 1], so their power-series
+    coefficients in z shrink as fast as the Chebyshev ones and Horner's rule
+    sums them stably, in two operations a term against Clenshaw's three.
+    """
+    n = _CHEBYSHEV_DEGREE
+    cosines = [math.cos(math.pi * m / n) for m in range(2 * n)]
+    values = [f(cosines[j]) for j in range(n + 1)]
+    values[0] *= 0.5
+    values[n] *= 0.5
+    cheb = [(1.0 if k else 0.5) * 2.0 / n
+            * math.fsum(v * cosines[j * k % (2 * n)] for j, v in enumerate(values))
+            for k in range(terms)]
+    # integer coefficients of T_0 ... T_(terms-1), by T_(k+1) = 2 z T_k - T_(k-1)
+    basis = [[1], [0, 1]]
+    while len(basis) < terms:
+        prev, last = basis[-2], basis[-1]
+        basis.append([2 * b - (prev[i] if i < len(prev) else 0)
+                      for i, b in enumerate([0] + last)])
+    return tuple(math.fsum(c * t[k] for c, t in zip(cheb, basis) if k < len(t))
+                 for k in reversed(range(terms)))
+
+
+def _polynomial(coeffs: tuple, z):
+    """sum_k coeffs[k] z^(n-1-k) by Horner's rule, for a float or an array z.
+
+    An array takes at each element the operations a float takes, in the same
+    order, so the two agree bit for bit.
+    """
+    total = 0.0
+    for c in coeffs:
+        total = total * z + c
+    return total
 
 
 @lru_cache(maxsize=64)
@@ -84,11 +209,24 @@ def _table_cached(alpha: float) -> _AlphaConstants:
         # sin and cos; the table serves only pi_alpha here
         return _AlphaConstants(alpha=alpha, a=a, pi_alpha=math.pi, quarter=0.5 * math.pi,
                                t_mid=0.25 * math.pi)
-    _import_special()
-    half = float(beta(a, 0.5)) / alpha
-    quarter = 0.5 * half
-    return _AlphaConstants(alpha=alpha, a=a, pi_alpha=half, quarter=quarter,
-                           t_mid=quarter * float(betainc(a, 0.5, 0.5)))
+    g_mid, h_mid = _series_tail(0.5, a, 0.5), _series_tail(1.0 - a, 0.5, 0.5)
+    # the two parts of the quarter, t_mid = s G(1/2) and q - t_mid = c H(1/2) / alpha
+    # at s^(2 alpha) = c^2 = 1/2
+    t_mid = 0.5 ** a * (1.0 + g_mid)
+    quarter = t_mid + math.sqrt(0.5) * (1.0 + h_mid) / alpha
+    # w and u there: w = (1/2) G^(2 alpha), u = (1/2) H^2
+    w_mid = 0.5 * math.exp(2.0 * alpha * math.log1p(g_mid))
+    u_mid = 0.5 * (1.0 + h_mid) * (1.0 + h_mid)
+    return _AlphaConstants(
+        alpha=alpha, a=a, pi_alpha=2.0 * quarter, quarter=quarter,
+        t_mid=t_mid, w_scale=2.0 / w_mid, u_scale=2.0 / u_mid,
+        sin_low=_chebyshev_fit(
+            lambda z: _sin_low_factor(alpha, a, 0.5 * w_mid * (1.0 + z)), _SIN_TERMS),
+        cos_high=_chebyshev_fit(
+            lambda z: _cos_high_factor(a, 0.5 * u_mid * (1.0 + z)), _SIN_TERMS),
+        arc_low=_chebyshev_fit(lambda z: _series_tail(0.5, a, 0.25 * (1.0 + z)), _ARC_TERMS),
+        arc_high=_chebyshev_fit(
+            lambda z: _series_tail(1.0 - a, 0.5, 0.25 * (1.0 + z)), _ARC_TERMS))
 
 
 def _pi_alpha_quadrature(alpha: float) -> float:
@@ -114,29 +252,45 @@ def pi_alpha(alpha: float) -> float:
 
 def _eval_quarter(table: _AlphaConstants, tq: float) -> tuple[float, float]:
     """(|sin_alpha|, |cos_alpha|) at tq in [0, quarter]."""
-    a, quarter = table.a, table.quarter
     if tq <= table.t_mid:
-        if tq ** (2.0 * table.alpha) < _NEGLIGIBLE_X:
+        w = tq ** (2.0 * table.alpha)
+        if w < _NEGLIGIBLE_X:
             return tq, 1.0
-        x = float(betaincinv(a, 0.5, tq / quarter))
-        return x ** a, math.sqrt(1.0 - x)
-    cos_sq = float(betaincinv(0.5, a, max(quarter - tq, 0.0) / quarter))
-    return (1.0 - cos_sq) ** a, math.sqrt(cos_sq)
+        p = _polynomial(table.sin_low, w * table.w_scale - 1.0)
+        return tq * (1.0 + p) ** table.a, math.sqrt(1.0 - (w + w * p))
+    h = table.alpha * max(table.quarter - tq, 0.0)
+    c = h + h * _polynomial(table.cos_high, h * h * table.u_scale - 1.0)
+    return (1.0 - c * c) ** table.a, c
 
 
 def _eval_quarter_array(table: _AlphaConstants, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_eval_quarter at each element of tq."""
-    a, quarter = table.a, table.quarter
     s_abs, c_abs = tq.copy(), np.ones_like(tq)
     low = np.flatnonzero(tq <= table.t_mid)
-    low = low[libm(pow, tq[low], 2.0 * table.alpha) >= _NEGLIGIBLE_X]
-    x = betaincinv(a, 0.5, tq[low] / quarter)
-    s_abs[low], c_abs[low] = libm(pow, x, a), np.sqrt(1.0 - x)
+    w = libm(pow, tq[low], 2.0 * table.alpha)
+    kept = ~(w < _NEGLIGIBLE_X)
+    low, w = low[kept], w[kept]
+    if low.size:
+        p = _polynomial(table.sin_low, w * table.w_scale - 1.0)
+        s_abs[low] = tq[low] * libm(pow, 1.0 + p, table.a)
+        c_abs[low] = np.sqrt(1.0 - (w + w * p))
     high = np.flatnonzero(~(tq <= table.t_mid))
-    gap = quarter - tq[high]
-    cos_sq = betaincinv(0.5, a, np.where(0.0 > gap, 0.0, gap) / quarter)
-    s_abs[high], c_abs[high] = libm(pow, 1.0 - cos_sq, a), np.sqrt(cos_sq)
+    if high.size:
+        gap = table.quarter - tq[high]
+        h = table.alpha * np.where(0.0 > gap, 0.0, gap)
+        c = h + h * _polynomial(table.cos_high, h * h * table.u_scale - 1.0)
+        s_abs[high], c_abs[high] = libm(pow, 1.0 - c * c, table.a), c
     return s_abs, c_abs
+
+
+def _arc_low(table: _AlphaConstants, s, x):
+    """Phase where |sin_alpha| = s, from x = s^(2 alpha) <= 1/2; floats or arrays."""
+    return s + s * _polynomial(table.arc_low, 4.0 * x - 1.0)
+
+
+def _arc_high(table: _AlphaConstants, c, cos_sq):
+    """Phase where cos_alpha = c, from cos_sq = c^2 <= 1/2; floats or arrays."""
+    return table.quarter - (c + c * _polynomial(table.arc_high, 4.0 * cos_sq - 1.0)) / table.alpha
 
 
 def _arc_quarter(table: _AlphaConstants, s: float) -> float:
@@ -145,13 +299,18 @@ def _arc_quarter(table: _AlphaConstants, s: float) -> float:
     if x < _NEGLIGIBLE_X:
         return s
     if x <= 0.5:
-        return table.quarter * float(betainc(table.a, 0.5, x))
-    return _arc_cos_quarter(table, -math.expm1(2.0 * table.alpha * math.log(s)))
+        return _arc_low(table, s, x)
+    cos_sq = -math.expm1(2.0 * table.alpha * math.log(s))
+    return _arc_high(table, math.sqrt(cos_sq), cos_sq)
 
 
-def _arc_cos_quarter(table: _AlphaConstants, cos_sq: float) -> float:
-    """Phase tq in [0, quarter] with cos_alpha(tq)^2 = cos_sq (complementary form)."""
-    return table.quarter * (1.0 - float(betainc(0.5, table.a, cos_sq)))
+def _arc_cos_quarter(table: _AlphaConstants, c: float) -> float:
+    """Phase tq in [0, quarter] with cos_alpha(tq) = c, for c in [0, 1]."""
+    cos_sq = c * c
+    if cos_sq <= 0.5:
+        return _arc_high(table, c, cos_sq)
+    x = (1.0 - c) * (1.0 + c)
+    return _arc_low(table, x ** table.a, x)
 
 
 def _arc_quarter_array(table: _AlphaConstants, s: np.ndarray) -> np.ndarray:
@@ -159,17 +318,28 @@ def _arc_quarter_array(table: _AlphaConstants, s: np.ndarray) -> np.ndarray:
     x = libm(pow, s, 2.0 * table.alpha)
     tq = s.copy()
     kept = ~(x < _NEGLIGIBLE_X)
-    mid = np.flatnonzero(kept & (x <= 0.5))
-    tq[mid] = table.quarter * betainc(table.a, 0.5, x[mid])
+    low = np.flatnonzero(kept & (x <= 0.5))
+    if low.size:
+        tq[low] = _arc_low(table, s[low], x[low])
     top = np.flatnonzero(kept & ~(x <= 0.5))
-    log_s = libm(math.log, s[top])
-    tq[top] = _arc_cos_quarter_array(table, -libm(math.expm1, 2.0 * table.alpha * log_s))
+    if top.size:
+        cos_sq = -libm(math.expm1, 2.0 * table.alpha * libm(math.log, s[top]))
+        tq[top] = _arc_high(table, np.sqrt(cos_sq), cos_sq)
     return tq
 
 
-def _arc_cos_quarter_array(table: _AlphaConstants, cos_sq: np.ndarray) -> np.ndarray:
-    """_arc_cos_quarter at each element of cos_sq."""
-    return table.quarter * (1.0 - betainc(0.5, table.a, cos_sq))
+def _arc_cos_quarter_array(table: _AlphaConstants, c: np.ndarray) -> np.ndarray:
+    """_arc_cos_quarter at each element of c."""
+    cos_sq = c * c
+    tq = np.empty_like(c)
+    high = np.flatnonzero(cos_sq <= 0.5)
+    if high.size:
+        tq[high] = _arc_high(table, c[high], cos_sq[high])
+    low = np.flatnonzero(~(cos_sq <= 0.5))
+    if low.size:
+        x = (1.0 - c[low]) * (1.0 + c[low])
+        tq[low] = _arc_low(table, libm(pow, x, table.a), x)
+    return tq
 
 
 def sin_cos_alpha(alpha: float, t: float) -> tuple[float, float]:
@@ -236,7 +406,7 @@ def arc_cos_alpha(alpha: float, c: float) -> float:
     c = min(max(c, 0.0), 1.0)
     if alpha == 1.0:
         return math.acos(c)
-    return _arc_cos_quarter(_table_cached(alpha), c * c)
+    return _arc_cos_quarter(_table_cached(alpha), c)
 
 
 def sin_cos_alpha_array(alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,4 +440,4 @@ def arc_cos_alpha_array(alpha: float, c: np.ndarray) -> np.ndarray:
     alpha = _validate_alpha(alpha)
     if alpha == 1.0:
         return libm(math.acos, c)
-    return _arc_cos_quarter_array(_table_cached(alpha), c * c)
+    return _arc_cos_quarter_array(_table_cached(alpha), c)

@@ -56,6 +56,15 @@ class TestPiAlpha:
         with pytest.raises(InvalidInput):
             pi_alpha(0.5)
 
+    def test_alpha_whose_exponent_overflows_is_rejected(self):
+        # 2 alpha is the exponent of the energy law; past 2^1023 it is inf
+        assert math.isfinite(pi_alpha(math.nextafter(2.0 ** 1023, 0.0)))
+        for alpha in (2.0 ** 1023, 1.7e308):
+            with pytest.raises(InvalidInput):
+                pi_alpha(alpha)
+            with pytest.raises(InvalidInput):
+                sin_cos_alpha_array(alpha, np.array([0.5]))
+
 
 class TestSinCosAlpha:
     def test_classical_quarter_period(self):
@@ -204,6 +213,18 @@ class TestAlphaTrigTable:
         dd = pi_alpha(alpha) / 2.0 - t
         assert abs(sin_cos_alpha(alpha, t)[1] / (alpha * dd) - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.5, 3.0, 7.5])
+    def test_sin_within_an_ulp_next_to_zero(self, alpha):
+        # where x = t^(2 alpha) just clears 2^-53, sin_alpha(t) is
+        # t - t x / (2 (2 alpha + 1)) up to t x^2; a power of so small a base
+        # with the rounded exponent 1/(2 alpha) misses by several ulp, enough
+        # to flip the sign of t cos_alpha(t) - sin_alpha(t) in grushin_conj_f
+        rng = np.random.default_rng(7)
+        for x in (2.0 ** -rng.uniform(40.0, 53.0, 500)).tolist():
+            t = x ** (0.5 / alpha)
+            ref = t - t * t ** (2.0 * alpha) / (2.0 * (2.0 * alpha + 1.0))
+            assert abs(sin_cos_alpha(alpha, t)[0] - ref) <= math.ulp(t)
+
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 7.5])
     @pytest.mark.parametrize("t", [1e-30, 1e-12, 1e-8, 1e-5])
     def test_sin_relative_precision_at_zero(self, alpha, t):
@@ -251,3 +272,103 @@ class TestArrayForms:
         c = self._unit_samples(np.random.default_rng(3))
         ref = np.array([arc_cos_alpha(alpha, v) for v in c.tolist()])
         assert arc_cos_alpha_array(alpha, c).tobytes() == ref.tobytes()
+
+
+class TestScipyOracle:
+    """The standard-library tables against scipy.special's incomplete beta functions.
+
+    scipy serves here only as an oracle. On the first quarter t = q I_x(a, 1/2)
+    with x = sin_alpha^(2 alpha), a = 1/(2 alpha) and q = pi_alpha / 2, and
+    q - t = q I_y(1/2, a) with y = cos_alpha^2. Each comparison is relative
+    on the component the library computes directly: sin_alpha up to t_mid
+    (where x = 1/2), cos_alpha above it, and the phase for the inversions.
+    Above t_mid the reference takes the library's own gap q - t to the
+    quarter, so that it sees the evaluation rather than the last digit of
+    pi_alpha, which test_pi_alpha bounds on its own. Where x underflows (t
+    or s below about 0.03 at alpha = 100) scipy cannot resolve the phase;
+    there sin_alpha(t) = t to the last bit, as the relative-precision tests
+    above check, so those samples are left out.
+    """
+
+    ALPHAS = [1.0 + 1e-9, 1.0001, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 7.5, 20.0, 100.0]
+    BOUND = 1e-14
+
+    @staticmethod
+    def _special():
+        from scipy import special
+        return special
+
+    @classmethod
+    def _quarter(cls, alpha):
+        a = 0.5 / alpha
+        return a, 0.5 * float(cls._special().beta(a, 0.5)) / alpha
+
+    @staticmethod
+    def _assert_close(got, ref, bound):
+        got, ref = np.asarray(got), np.asarray(ref)
+        err = np.abs(got - ref)
+        worst = int(np.argmax(err - bound * np.abs(ref)))
+        assert np.all(err <= bound * np.abs(ref)), (got[worst], ref[worst])
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_pi_alpha(self, alpha):
+        a, quarter = self._quarter(alpha)
+        self._assert_close([pi_alpha(alpha)], [2.0 * quarter], self.BOUND)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_sin_cos(self, alpha):
+        sp = self._special()
+        a, quarter = self._quarter(alpha)
+        q = pi_alpha(alpha) / 2.0
+        t_mid = q * float(sp.betainc(a, 0.5, 0.5))
+        rng = np.random.default_rng(4)
+        near_mid = t_mid + q * np.concatenate([-(10.0 ** -rng.uniform(2, 15, 100)),
+                                               10.0 ** -rng.uniform(2, 15, 100)])
+        steps = np.arange(-4, 5)
+        t = np.concatenate([
+            rng.uniform(0.0, q, 1700), near_mid,
+            q * 10.0 ** -rng.uniform(1, 15, 250), q - q * 10.0 ** -rng.uniform(1, 15, 250),
+            [np.nextafter(t_mid, np.inf * s) if s else t_mid for s in np.sign(steps)],
+            t_mid + steps * np.spacing(t_mid), [0.0, q]])
+        s, c = np.array([sin_cos_alpha(alpha, v) for v in t.tolist()]).T
+        low = (t <= t_mid) & (t ** (2.0 * alpha) >= np.finfo(float).tiny)
+        x = sp.betaincinv(a, 0.5, t[low] / quarter)
+        self._assert_close(s[low], x ** a, self.BOUND)
+        high = t > t_mid
+        gap = q - t[high]
+        self._assert_close(c[high], np.sqrt(sp.betaincinv(0.5, a, gap / quarter)), self.BOUND)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_arc(self, alpha):
+        sp = self._special()
+        a, quarter = self._quarter(alpha)
+        rng = np.random.default_rng(5)
+        s_mid = 0.5 ** a
+        s = np.concatenate([rng.uniform(0.0, 1.0, 1900), 10.0 ** -rng.uniform(1, 15, 200),
+                            1.0 - 10.0 ** -rng.uniform(1, 15, 200),
+                            s_mid * (1.0 + np.linspace(-1e-13, 1e-13, 41)), [0.0, 1.0]])
+        s = s[(s ** (2.0 * alpha) >= np.finfo(float).tiny) | (s == 0.0)]
+        tq = np.array([arc_alpha(alpha, v, 1.0) for v in s.tolist()])
+        x = s ** (2.0 * alpha)
+        low = x <= 0.5
+        ref = np.empty_like(s)
+        ref[low] = quarter * sp.betainc(a, 0.5, x[low])
+        cos_sq = -np.expm1(2.0 * alpha * np.log(s[~low]))
+        ref[~low] = quarter - quarter * sp.betainc(0.5, a, cos_sq)
+        self._assert_close(tq, ref, self.BOUND)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_arc_cos(self, alpha):
+        sp = self._special()
+        a, quarter = self._quarter(alpha)
+        rng = np.random.default_rng(6)
+        c = np.concatenate([rng.uniform(0.0, 1.0, 1600), 10.0 ** -rng.uniform(1, 15, 200),
+                            1.0 - 10.0 ** -rng.uniform(1, 15, 200),
+                            math.sqrt(0.5) * (1.0 + np.linspace(-1e-13, 1e-13, 41)),
+                            [0.0, 1.0]])
+        tq = np.array([arc_cos_alpha(alpha, v) for v in c.tolist()])
+        high = c * c <= 0.5
+        ref = np.empty_like(c)
+        ref[high] = quarter - quarter * sp.betainc(0.5, a, c[high] * c[high])
+        ref[~high] = quarter * sp.betainc(a, 0.5, (1.0 - c[~high]) * (1.0 + c[~high]))
+        self._assert_close(tq, ref, self.BOUND)

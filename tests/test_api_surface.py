@@ -66,9 +66,9 @@ assert su2 and sl2
 report("group scans and witness")
 assert scan_ray(grushin_adapter(GrushinBase(1.0, 0.5, 0.0)), (0.4, 1.0), 10.0)
 report("alpha = 1 scan")
-for structure in ("su2", "sl2"):
-    sys.argv = ["srfolds", "expmap", "--structure", structure,
-                "--covector", "1,0.5,2", "--format", "text"]
+
+def expmap(structure, *args):
+    sys.argv = ["srfolds", "expmap", "--structure", structure, *args, "--format", "text"]
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
@@ -76,16 +76,26 @@ for structure in ("su2", "sl2"):
     except SystemExit as done:
         assert done.code == 0 and out.getvalue(), (done.code, out.getvalue())
     report("expmap " + structure)
+
+for structure in ("su2", "sl2"):
+    expmap(structure, "--covector", "1,0.5,2")
 assert scan_ray(grushin_adapter(GrushinBase(1.5, 0.5, 0.0)), (0.4, 1.0), 10.0)
 report("alpha = 1.5 scan")
+grushin = grushin_adapter(GrushinBase(2.5, 0.5, 0.0))
+fold = next(r for r in scan_ray(grushin, (0.4, 1.0), 10.0)
+            if r.singularity_class is SingularityClass.FOLD)
+fold_witness(grushin, fold, 1e-3)
+report("alpha = 2.5 witness")
+expmap("grushin", "--alpha", "2.5", "--base", "0.5,0", "--covector", "0.4,1")
 """
 
 
 def test_scan_paths_leave_scipy_unloaded():
-    # Brent is written out in numeric, scipy.special serves only alpha != 1,
-    # the ODE solver and quadrature serve only the oracles (numeric imports
-    # scipy.integrate inside integrate and quad), and cli looks the scipy
-    # version up when it prints it
+    # Brent is written out in numeric, alphatrig builds its per-alpha tables
+    # from the standard library, the ODE solver and quadrature serve only
+    # the oracles (numeric imports scipy.integrate inside integrate and
+    # quad), and cli looks the scipy version up when it prints it; so no
+    # scan, witness or expmap at any alpha loads a watched module
     env = dict(os.environ)
     src = str(Path(srfolds.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -98,5 +108,7 @@ def test_scan_paths_leave_scipy_unloaded():
         ["alpha = 1 scan", []],
         ["expmap su2", []],
         ["expmap sl2", []],
-        ["alpha = 1.5 scan", ["scipy.special"]],
+        ["alpha = 1.5 scan", []],
+        ["alpha = 2.5 witness", []],
+        ["expmap grushin", []],
     ]

@@ -33,8 +33,6 @@ from srfolds.grushin import GrushinBase
 from srfolds.numeric import fd_stencil
 from srfolds.singularity import (INDEPENDENCE_TOL, PAIRING_TOL, SECOND_ORDER_STEP,
                                  SECOND_ORDER_TOL, _rank_reports, _stratum_indices)
-from srfolds.sl2 import sl2_exp
-from srfolds.su2 import su2_exp
 
 SU2 = su2_adapter()
 SL2 = sl2_adapter()
@@ -72,58 +70,6 @@ def _near(centers, offsets):
     return np.concatenate([stencil, shifted], axis=1)
 
 
-def _bisect(selector, d, a, b):
-    """Points a * d, b * d within an ulp of each other where selector flips, between a and b."""
-    fa = selector(a * d)
-    while True:
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            return a * d, b * d
-        if selector(mid * d) == fa:
-            a = mid
-        else:
-            b = mid
-
-
-def _switch(selector, direction, lo, hi, n=400):
-    """Pairs of radii within an ulp of each other where selector(s * d) flips, on [lo, hi]."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    grid = np.linspace(lo, hi, n)
-    flags = [selector(s * d) for s in grid]
-    return [_bisect(selector, d, a, b)
-            for a, b, fa, fb in zip(grid, grid[1:], flags, flags[1:]) if fa != fb]
-
-
-def _uses_im(cov):
-    point = su2_exp(cov, 1.0)[0]
-    return abs(point.alpha_re) >= abs(point.alpha_im)
-
-
-def _uses_m11(cov):
-    return abs(sl2_exp(cov, 1.0)[0].m11) >= 1e-3
-
-
-def _m11_edges(direction):
-    """Pairs of covectors within an ulp of each other where |m11| crosses 1e-3, on r > 0 rays."""
-    def m11_positive(cov):
-        return sl2_exp(cov, 1.0)[0].m11 > 0.0
-
-    # the band |m11| < 1e-3 is narrow, and wider where m11 is flat: walk out
-    # of it from each zero of m11, both ways, with doubling steps
-    d = np.asarray(direction) / np.linalg.norm(direction)
-    zeros = [float(a @ d) for a, _ in _switch(m11_positive, d, 0.5, 20.0)[:2]]
-    pairs = []
-    for s in zeros:
-        for sign in (-1.0, 1.0):
-            step = 1e-4
-            while not _uses_m11((s + sign * step) * d):
-                step *= 2.0
-                assert step < 20.0
-            pairs.append(_bisect(_uses_m11, d, s, s + sign * step))
-    return pairs
-
-
 finite = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 small = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
 offsets = st.lists(st.tuples(small, small, small), min_size=1, max_size=5)
@@ -135,25 +81,6 @@ class TestGroupChartArray:
            st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=6), offsets)
     def test_generic_covectors(self, adapter, centers, offs):
         _assert_chart_array_is_scalar(adapter, _near(centers, offs))
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.tuples(finite, finite, finite).filter(lambda c: np.linalg.norm(c) > 0.1),
-           offsets)
-    def test_su2_selector_edge(self, direction, offs):
-        # points around covectors an ulp either side of |Re alpha| = |Im alpha|
-        # at the endpoint
-        for pair in _switch(_uses_im, direction, 0.5, 20.0)[:3]:
-            _assert_chart_array_is_scalar(SU2, _near(pair, offs))
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.tuples(finite, finite, finite).filter(
-        lambda c: c[2] * c[2] - c[0] * c[0] - c[1] * c[1] > 0.01), offsets)
-    def test_sl2_selector_edge(self, direction, offs):
-        # points around covectors an ulp either side of |m11| = 1e-3 at the
-        # endpoint, on the rays scan_ray scans (r > 0)
-        for pair in _m11_edges(direction):
-            assert _uses_m11(pair[0]) != _uses_m11(pair[1])
-            _assert_chart_array_is_scalar(SL2, _near(pair, offs))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-4e-6, 4e-6),

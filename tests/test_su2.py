@@ -297,7 +297,7 @@ class TestConjGrad:
 
 
 class TestChartAndFrame:
-    def test_chart_is_three_dimensional_and_finite(self):
+    def test_chart_has_four_finite_entries(self):
         # four entries on the unit sphere: the three-sphere SU(2) in R^4
         coords = su2_chart((0.9, -0.4, 1.1))
         assert coords.shape == (4,)
