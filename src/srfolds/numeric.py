@@ -3,7 +3,9 @@
 Contract-checked wrappers around numpy, plus scipy.integrate for the ODE and
 quadrature oracles, which integrate and quad import on first use. Root
 polishing is Brent's method written out here, operation for operation as
-scipy.optimize.brentq, so finding roots loads no scipy module. Every closed
+scipy.optimize.brentq, so finding roots loads no scipy module; its lockstep
+form polishes many brackets at once, one array evaluation per step, and
+gives the same roots to the bit. Every closed
 form in the library is cross-checked against routines from this module, so the
 defaults are tight: the integrator runs at rel 1e-10 / abs 1e-12 and root
 polishing at 1e-10 unless a caller loosens them explicitly.
@@ -11,6 +13,7 @@ polishing at 1e-10 unless a caller loosens them explicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -19,7 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMatrix, InvalidInput, NonConvergence, StepFailure
+from .errors import (DegenerateMatrix, InvalidInput, NonConvergence, SrfoldsError,
+                     StepFailure)
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
@@ -154,6 +158,18 @@ def finite_time(t) -> float:
     return t
 
 
+def sign_brackets(gs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """np.nonzero of the brackets along the last axis of gs.
+
+    Index i along that axis marks the bracket [i, i + 1] when gs there is
+    nonzero at both ends and of opposite signs. On a stack of grids the
+    brackets come grid by grid, each grid's in ascending order.
+    """
+    sign = np.sign(gs)
+    left, right = sign[..., :-1], sign[..., 1:]
+    return np.nonzero((left != right) & (left != 0.0) & (right != 0.0))
+
+
 def find_roots(g: Callable[[float], float], lo: float, hi: float,
                scan_points: int = DEFAULT_SCAN_POINTS,
                tol: float = DEFAULT_ROOT_TOL,
@@ -174,7 +190,8 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
     NonConvergence, which names the first such node, and a tol that is not
     positive and finite raises InvalidInput. A NaN from g inside a bracket,
     or a bracket that Brent does not close in _BRENT_MAXITER steps, raises
-    NonConvergence too.
+    NonConvergence too. find_roots_lockstep gives the same hits for several
+    functions at once, polishing all their brackets together.
     """
     check_root_tol(tol)
     xs = scan_nodes(lo, hi, scan_points)
@@ -191,9 +208,65 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
         raise NonConvergence(
             f"scan produced {bad.size} non-finite values on [{lo}, {hi}]; "
             f"first at s = {float(xs[first])!r}: {float(gs[first])!r}")
+    polished = [_brent(g, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]),
+                       xtol=tol * 1e-2, rtol=1e-15)
+                for i in sign_brackets(gs)[0]]
+    return _gated_hits(xs, gs, polished, tol, lo, hi)
+
+
+def find_roots_lockstep(g: Callable[[int, float], float],
+                        g_rows: Callable[[np.ndarray], np.ndarray],
+                        lo: float, hi: float, grid_values: np.ndarray,
+                        scan_points: int = DEFAULT_SCAN_POINTS,
+                        tol: float = DEFAULT_ROOT_TOL) -> list[list[RootHit]]:
+    """find_roots of k functions on one grid, every bracket polished in one lockstep.
+
+    g(k, x) is function k at x, and g_rows(x) the values (m, k) of every
+    function at the m points x, equal to g bit for bit; grid_values (k,
+    scan_points) holds them at the scan nodes. Entry k of the result is,
+    to the bit, find_roots(functools.partial(g, k), lo, hi, scan_points,
+    tol, grid_values[k]). Each Brent step of every open bracket, whatever
+    its function, comes from one g_rows call (_brent_lockstep), and g is
+    not called. A non-finite grid value, a NaN or a raise inside the
+    lockstep, or a bracket it does not close, re-runs find_roots function
+    by function, so what that raises is raised.
+    """
+    check_root_tol(tol)
+    xs = scan_nodes(lo, hi, scan_points)
+    grids = np.asarray(grid_values, dtype=float)
+    if grids.ndim != 2 or grids.shape[1] != xs.size:
+        raise InvalidInput(
+            f"grid_values has shape {grids.shape}, expected (k, {scan_points})")
+
+    def one_by_one() -> list[list[RootHit]]:
+        return [find_roots(functools.partial(g, k), lo, hi, scan_points, tol, gs)
+                for k, gs in enumerate(grids)]
+
+    if not np.isfinite(grids).all():
+        return one_by_one()
+    columns, lefts = sign_brackets(grids)
+    try:
+        roots, values = _brent_lockstep(
+            g_rows, columns, xs[lefts], xs[lefts + 1], grids[columns, lefts],
+            grids[columns, lefts + 1], xtol=tol * 1e-2, rtol=1e-15)
+    except (SrfoldsError, ArithmeticError, ValueError):
+        return one_by_one()
+    polished = list(zip(roots.tolist(), values.tolist()))
+    bounds = np.searchsorted(columns, np.arange(len(grids) + 1)).tolist()
+    return [_gated_hits(xs, gs, polished[bounds[k]:bounds[k + 1]], tol, lo, hi)
+            for k, gs in enumerate(grids)]
+
+
+def _gated_hits(xs: np.ndarray, gs: np.ndarray, polished: list[tuple[float, float]],
+                tol: float, lo: float, hi: float) -> list[RootHit]:
+    """find_roots' hits on [lo, hi] from its finite grid gs at the nodes xs and its polish.
+
+    polished holds Brent's (root, g(root)) for each sign_brackets bracket in
+    order. Exact zeros on the grid, then the polished roots that pass the
+    residual gate, are merged and sorted.
+    """
     scale = max(1.0, float(np.max(np.abs(gs))))
     hits: list[RootHit] = []
-
     nonzero = np.flatnonzero(gs)
     for i in np.flatnonzero(gs == 0.0):
         k = int(np.searchsorted(nonzero, i))
@@ -202,10 +275,7 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
     # residual gate: a sign change across a pole (tan-style) converges to the
     # discontinuity, where |g| stays huge; genuine roots polish to ~|g'| * xtol
     residual_cap = tol * scale
-    sign = np.sign(gs)
-    for i in np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0) & (sign[1:] != 0.0)):
-        r, value = _brent(g, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]),
-                          xtol=tol * 1e-2, rtol=1e-15)
+    for r, value in polished:
         residual = abs(value)
         if residual <= residual_cap:
             hits.append(RootHit(float(r), residual))
@@ -278,6 +348,84 @@ def _brent(g: Callable[[float], float], xa: float, xb: float, fa: float, fb: flo
                 f"Brent polish on [{xa!r}, {xb!r}]: g is nan at {xcur!r}")
     raise NonConvergence(
         f"Brent polish on [{xa!r}, {xb!r}] did not converge in {_BRENT_MAXITER} steps")
+
+
+def _brent_lockstep(g_rows: Callable[[np.ndarray], np.ndarray], columns: np.ndarray,
+                    xa: np.ndarray, xb: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+                    xtol: float, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_brent on every bracket [xa[j], xb[j]] of function columns[j] at once.
+
+    g_rows(x) gives the values (m, k) of k functions at the m points x; each
+    step calls it once, on the brackets still open, and reads function
+    columns[j] for bracket j. Returns (roots, values) with row j equal, to
+    the bit, to what _brent returns on bracket j: its updates are applied
+    elementwise, and numpy's + - * / and comparisons round as Python's float
+    operations do. Where a divisor of the secant or the inverse quadratic
+    step is 0.0 the step is inf, as in _brent's ZeroDivisionError branch
+    (numpy's x / 0 is an inf that later operations can turn finite). A NaN
+    from g_rows, or a bracket still open after _BRENT_MAXITER steps, raises
+    NonConvergence without naming a bracket; _brent on the brackets in order
+    names it.
+    """
+    roots, values = xb.copy(), fb.copy()
+    # _brent returns an end where g is 0 without a step
+    at_a = fa == 0.0
+    roots[at_a], values[at_a] = xa[at_a], fa[at_a]
+    rows = np.flatnonzero(~at_a & (fb != 0.0))
+    cols, index = columns[rows], np.arange(rows.size)
+    # _brent's variables, one row each: xpre, xcur, xblk, fpre, fcur, fblk, spre, scur
+    state = np.zeros((8, rows.size))
+    state[[0, 1, 3, 4]] = xa[rows], xb[rows], fa[rows], fb[rows]
+    for _ in range(_BRENT_MAXITER):
+        xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+        # the (x, f) pairs of the previous, current and contrapoint iterates
+        pre, cur, blk = state[0:6:3], state[1:6:3], state[2:6:3]
+        flip = (fpre < 0.0) != (fcur < 0.0)
+        np.copyto(state[6:8], xcur - xpre, where=flip)
+        np.copyto(blk, pre, where=flip)
+        swap = np.abs(fblk) < np.abs(fcur)
+        last = cur.copy()
+        np.copyto(cur, blk, where=swap)
+        np.copyto(pre, last, where=swap)
+        np.copyto(blk, last, where=swap)
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[rows[done]], values[rows[done]] = xcur[done], fcur[done]
+            open_ = ~done
+            state, rows, cols = state[:, open_], rows[open_], cols[open_]
+            delta, sbis, index = delta[open_], sbis[open_], index[:rows.size]
+            xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+        if not rows.size:
+            return roots, values
+        dx_pre, dx_blk = xpre - xcur, xblk - xcur
+        secant = xpre == xblk
+        with np.errstate(all="ignore"):
+            dpre = (fpre - fcur) / dx_pre
+            dblk = (fblk - fcur) / dx_blk
+            divisor = np.where(secant, fcur - fpre, dblk * dpre * (fblk - fpre))
+            stry = np.where(secant, -fcur * (xcur - xpre),
+                            -fcur * (fblk * dblk - fpre * dpre)) / divisor
+        abs_spre = np.abs(spre)
+        # neither is NaN, so np.minimum picks what Python's min does
+        limit = np.minimum(abs_spre, 3 * np.abs(sbis) - delta)
+        # _brent's step is inf where it divides by 0.0, and an inf step is
+        # never taken; a secant row with dx_pre == 0 has sbis == 0 and is done
+        accept = ((abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
+                  & (2 * np.abs(stry) < limit)
+                  & (divisor != 0.0) & (dx_pre != 0.0) & (dx_blk != 0.0))
+        state[6] = np.where(accept, scur, sbis)
+        state[7] = np.where(accept, stry, sbis)
+        # sbis is nonzero here, so copysign gives delta if sbis > 0 else -delta
+        step = np.where(np.abs(state[7]) > delta, state[7], np.copysign(delta, sbis))
+        state[0:6:3] = state[1:6:3]
+        state[1] += step
+        state[4] = g_rows(state[1])[index, cols]
+        if np.isnan(state[4]).any():
+            raise NonConvergence("lockstep Brent polish: g is nan inside a bracket")
+    raise NonConvergence(
+        f"lockstep Brent polish left {rows.size} bracket(s) open after {_BRENT_MAXITER} steps")
 
 
 def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x: Sequence[float],

@@ -17,6 +17,7 @@ adapter explicitly excludes, is reported as Undetermined rather than guessed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, WitnessNotFound
+from .errors import DegenerateCovector, InvalidInput, WitnessNotFound
 from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, check_root_tol, fd_columns,
-                      fd_jacobian, fd_stencil, find_roots, rank_nullspace, row_dots,
-                      scan_nodes)
+                      fd_jacobian, fd_stencil, find_roots, find_roots_lockstep,
+                      rank_nullspace, row_dots, scan_nodes, sign_brackets)
 
 # The classification policy is fixed. conj-scan prints PAIRING_TOL and
 # SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
@@ -41,6 +42,16 @@ SECOND_ORDER_STEP = 1e-4
 INDEPENDENCE_TOL = 1e-3
 # relative offset of the first scan node from the ray origin
 RAY_ORIGIN_OFFSET = 1e-4
+# sign-change brackets, over all strata of a ray, from which scan_ray polishes
+# them in lockstep (find_roots_lockstep); fewer take the scalar Brent on conj_f.
+# A lockstep step costs one record_fields call and some seventy array
+# operations however few brackets are open, so it pays only on rays with
+# many. Lockstep over scalar scan_ray time (min of 21 interleaved runs,
+# measured twice on a 2-core Xeon) reads 1.03-1.06 at 43 brackets and
+# 0.98-1.00 at 49 on SU(2), 0.97-1.02 at 45 and 0.97-0.99 at 52 on SL(2),
+# and 1.00-1.08 at 40 and 0.95-0.99 at 46 on Grushin (alpha = 2.5, x0 = 0
+# and 0.3)
+LOCKSTEP_MIN_BRACKETS = 48
 
 
 class SingularityClass(Enum):
@@ -85,8 +96,11 @@ class StructureAdapter:
     only where conj_f does. A structure with one stratum function gets
     index 0 for every record, whatever its label. scan_ray samples its grid
     with one record_fields call that has no order-one row, and builds its
-    records with one more; Brent and the residual gate use conj_f, so the
-    two must agree for the brackets to hold.
+    records with one more. Brent polishes the brackets of a ray with few of
+    them on conj_f, and those of a ray with LOCKSTEP_MIN_BRACKETS or more
+    in lockstep, one record_fields call with no order-one row per step; its
+    last values are the residuals. So the two must agree for the brackets
+    and the radii to hold.
 
     ray_gate(direction) says whether covectors along the ray can be conjugate
     at all; undetermined(cov, stratum) marks points the classification theory
@@ -200,11 +214,15 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
 
     Roots of each stratum function are located by a scan-and-bracket search:
     one record_fields call with no order-one row samples every stratum on
-    the scan grid, and Brent polishes each sign change with the scalar
-    conj_f, called on a list of Python floats. Every root is cross-validated
-    by the finite-difference rank of the chart exponential before it becomes
-    a record; the records of all strata are built together (_build_records).
-    Records are sorted by s.
+    the scan grid. With fewer than LOCKSTEP_MIN_BRACKETS sign changes over
+    all strata, Brent polishes each with the scalar conj_f, called on a list
+    of Python floats (find_roots); with more, all of them are polished
+    together, one record_fields call per Brent step (find_roots_lockstep),
+    to the same roots bit for bit. Every root is cross-validated by the
+    finite-difference rank of the chart exponential before it becomes a
+    record; the records of all strata are built together (_build_records).
+    Records are sorted by s. An s_max so small that the energy of the first
+    grid covectors underflows raises InvalidInput.
     """
     d = _unit_direction(direction, adapter.fiber_dim)
     if not (s_max > 0.0 and np.isfinite(s_max)):
@@ -214,16 +232,31 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
     nodes = scan_nodes(lo, s_max, scan_points)
-    grid = adapter.record_fields(nodes[:, np.newaxis] * d, np.zeros(nodes.size, dtype=int),
-                                 np.zeros(nodes.size, dtype=bool))[0].T
+
+    def g_rows(s: np.ndarray) -> np.ndarray:
+        return adapter.record_fields(s[:, np.newaxis] * d, np.zeros(s.size, dtype=int),
+                                     np.zeros(s.size, dtype=bool))[0]
+
+    try:
+        grid = g_rows(nodes).T
+    except DegenerateCovector as exc:
+        # the gate let the ray in, so its energy is positive: it underflows
+        raise InvalidInput(f"s_max = {s_max!r} is too small: the energy of the covectors "
+                           f"at the start of the scan grid underflows ({exc})") from exc
     # Python floats multiply as numpy's float64 does, and conj_f converts them for free
     components = d.tolist()
-    hits: list[tuple[float, str]] = []
-    for idx, stratum in enumerate(adapter.stratum_names):
-        def g(s: float, _i: int = idx) -> float:
-            return float(adapter.conj_f([s * c for c in components])[_i])
-        hits += [(hit.value, stratum) for hit in find_roots(
-            g, lo, s_max, scan_points=scan_points, tol=root_tol, grid_values=grid[idx])]
+
+    def g(idx: int, s: float) -> float:
+        return float(adapter.conj_f([s * c for c in components])[idx])
+
+    if sign_brackets(grid)[0].size >= LOCKSTEP_MIN_BRACKETS:
+        found = find_roots_lockstep(g, g_rows, lo, s_max, grid, scan_points, root_tol)
+    else:
+        found = [find_roots(functools.partial(g, idx), lo, s_max, scan_points=scan_points,
+                            tol=root_tol, grid_values=grid[idx])
+                 for idx in range(len(adapter.stratum_names))]
+    hits = [(hit.value, stratum)
+            for stratum, roots in zip(adapter.stratum_names, found) for hit in roots]
     records = _build_records(adapter, d, hits) if hits else []
     records.sort(key=lambda rec: rec.s)
     return records

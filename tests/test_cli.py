@@ -5,7 +5,10 @@ argument parsing, exit codes, and the printed artifacts exactly as a user
 would see them. Numeric output is cross-checked against the library called
 in-process, and determinism is checked byte-for-byte. The SU(2)/SL(2)
 outputs are also compared byte-for-byte with golden files in tests/golden,
-captured before the two group modules were merged into contact.py.
+captured before the two group modules were merged into contact.py; the two
+many-root scans were captured before their brackets were polished in
+lockstep. The CLI subprocesses turn a RuntimeWarning into an error, as
+pyproject does for the tests themselves.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ GOLDEN_CASES = {
                          "--direction", "0.3,0,1", "--s-max", "10"),
     "scan_sl2_r_nonpositive": ("conj-scan", "--structure", "sl2",
                                "--direction", "1,0,0.5"),
+    # rays with over a hundred roots, whose brackets are polished in lockstep
+    "scan_su2_many_roots": ("conj-scan", "--structure", "su2",
+                            "--direction", "0.3,0.8,1.1", "--s-max", "400"),
+    "scan_sl2_many_roots": ("conj-scan", "--structure", "sl2",
+                            "--direction", "0.2,0.5,1.3", "--s-max", "400"),
 }
 
 
@@ -56,8 +64,9 @@ def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+    # pyproject's filterwarnings does not reach a subprocess
     return subprocess.run(
-        [sys.executable, "-m", "srfolds.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "srfolds.cli", *args],
         capture_output=True, text=True, env=env, timeout=300)
 
 
@@ -283,6 +292,18 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "overflows" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("--structure", "su2", "--direction", "1,0,0.5"),
+        ("--structure", "sl2", "--direction", "1,0,2"),
+        ("--structure", "grushin", "--alpha", "2", "--base", "0.5,0", "--direction", "1,1"),
+    ], ids=["su2", "sl2", "grushin"])
+    def test_s_max_whose_grid_energy_underflows_is_one_error_line(self, args):
+        proc = run_cli("conj-scan", *args, "--s-max", "1e-160")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: s_max = 1e-160 is too small")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("args", [
         ("expmap", "--structure", "su2", "--covector", "1,0,0.5", "--t", "inf"),

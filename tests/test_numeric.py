@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from srfolds import (DegenerateMatrix, GrushinBase, InvalidInput, JacobiCoords,
                      grushin_exp, grushin_jacobi, integrate, propagate_linear_jacobi,
                      rank_nullspace, sin_cos_alpha, sl2_exp, sl2_jacobi, su2_exp,
                      su2_jacobi, vertical_to_endpoint_matrix)
-from srfolds.numeric import _brent, quad, scan_nodes
+from srfolds.numeric import (_brent, _brent_lockstep, find_roots_lockstep, quad, scan_nodes,
+                             sign_brackets)
+from srfolds.singularity import LOCKSTEP_MIN_BRACKETS
 
 TAN_FIXED_POINT = 4.493409457909064
 QUARTIC_INTEGRAL = 1.3110287771460598
@@ -399,6 +402,175 @@ class TestFindRootsBrackets:
         xs = scan_nodes(0.0, 1.0, grid.size)
         _same_as_loop(lambda t: float(np.interp(t, xs, grid)), 0.0, 1.0, grid.size,
                       grid_values=grid)
+
+
+def _lockstep(functions, brackets, xtol):
+    """_brent_lockstep over brackets (a, b) of functions[j], as Python floats or "raised"."""
+    def g_rows(x):
+        return np.array([[f(t) for f in functions] for t in x.tolist()]).reshape(x.size, -1)
+
+    xa, xb = (np.array([b[i] for b in brackets]) for i in (0, 1))
+    columns = np.arange(len(brackets))
+    fa = np.array([f(a) for f, (a, _) in zip(functions, brackets)])
+    fb = np.array([f(b) for f, (_, b) in zip(functions, brackets)])
+    try:
+        roots, values = _brent_lockstep(g_rows, columns, xa, xb, fa, fb, xtol, 1e-15)
+    except NonConvergence:
+        return "raised"
+    return list(zip(roots.tolist(), values.tolist()))
+
+
+def _one_by_one(functions, brackets, xtol):
+    """_brent on each bracket in turn, as Python floats, or "raised" if one raises."""
+    try:
+        return [_brent(f, a, b, f(a), f(b), xtol, 1e-15)
+                for f, (a, b) in zip(functions, brackets)]
+    except NonConvergence:
+        return "raised"
+
+
+def _bits(outcome):
+    return outcome if outcome == "raised" else [(r.hex(), v.hex()) for r, v in outcome]
+
+
+class TestBrentLockstep:
+    """_brent_lockstep returns, bracket by bracket, what _brent returns, to the bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["cubic", "quintic", "sin", "tan", "pole"]),
+                              st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                              st.floats(-5.0, 5.0), st.floats(1e-9, 10.0)),
+                    min_size=1, max_size=6),
+           st.sampled_from([1.0, 1e-200]),
+           st.sampled_from([1e-14, 1e-12, 1e-10, 1e-6, 1e-2]))
+    def test_same_as_brent_on_the_brentq_families(self, cases, scale, xtol):
+        # at scale 1e-200 the inverse quadratic divisor underflows to 0.0,
+        # which sends _brent through its ZeroDivisionError branch
+        functions, brackets = [], []
+        for name, p, q, a, width in cases:
+            g = _family(name, p, q)
+            f = (lambda t, g=g: scale * g(t))
+            b = a + width
+            fa, fb = f(a), f(b)
+            if (b > a and math.isfinite(fa) and math.isfinite(fb)
+                    and fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)):
+                functions.append(f)
+                brackets.append((a, b))
+        assume(brackets)
+        assert _bits(_lockstep(functions, brackets, xtol)) == _bits(
+            _one_by_one(functions, brackets, xtol))
+
+    def test_zero_divisor_bisection_and_zero_ends(self):
+        functions = [
+            # tiny values: every inverse quadratic divisor underflows to 0.0
+            lambda t: 1e-200 * (t - 0.3) * (t + 0.7) * (t - 2.1),
+            lambda t: 1e-120 * (t - 0.3) ** 5,
+            # a step: |g| never falls, so every step bisects
+            lambda t: -1.0 if t < 0.3 else 2.0,
+            # exactly 0.0 at an end: returned without a step
+            lambda t: t - 1.0,
+            lambda t: t - 2.0,
+            math.sin,
+        ]
+        brackets = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (1.0, 3.0), (0.5, 2.0), (3.0, 3.5)]
+        for xtol in (1e-12, 1e-3):
+            outcome = _lockstep(functions, brackets, xtol)
+            assert outcome != "raised"
+            assert _bits(outcome) == _bits(_one_by_one(functions, brackets, xtol))
+            assert outcome[3] == (1.0, 0.0) and outcome[4] == (2.0, 0.0)
+
+    def test_nan_or_no_convergence_raises(self):
+        nan_inside = lambda t: math.nan if 0.2 < t < 0.5 else t - 0.3
+        creeping = lambda t: (t - 0.3) ** 5
+        for bad in (nan_inside, creeping):
+            assert _lockstep([math.sin, bad], [(3.0, 3.5), (0.0, 1.0)], 1e-12) == "raised"
+
+    def test_no_open_bracket_makes_no_call(self):
+        def g_rows(x):
+            raise AssertionError("called")
+
+        empty = np.zeros(0)
+        roots, values = _brent_lockstep(g_rows, np.zeros(0, dtype=int), empty, empty,
+                                        empty, empty, 1e-12, 1e-15)
+        assert roots.size == values.size == 0
+        roots, values = _brent_lockstep(g_rows, np.zeros(2, dtype=int), np.array([1.0, 2.0]),
+                                        np.array([2.0, 3.0]), np.array([0.0, -1.0]),
+                                        np.array([1.0, 0.0]), 1e-12, 1e-15)
+        assert roots.tolist() == [1.0, 3.0] and values.tolist() == [0.0, 0.0]
+
+
+def _sine_and_tangent(k, t):
+    # sin has 63 roots on [1, 200]; tan - t has as many roots and rejects its poles
+    return math.sin(t) if k == 0 else math.tan(t) - t
+
+
+class TestFindRootsLockstep:
+    """find_roots_lockstep gives find_roots' hits, function by function, to the bit."""
+
+    LO, HI, POINTS = 1.0, 200.0, 400
+
+    def _grids(self, g):
+        xs = scan_nodes(self.LO, self.HI, self.POINTS)
+        return np.array([[g(k, x) for x in xs.tolist()] for k in (0, 1)])
+
+    def _one_by_one(self, g, grids):
+        return [find_roots(lambda t, k=k: g(k, t), self.LO, self.HI, self.POINTS,
+                           grid_values=grids[k]) for k in (0, 1)]
+
+    def test_same_hits_as_find_roots_without_scalar_calls(self):
+        grids = self._grids(_sine_and_tangent)
+        assert sign_brackets(grids)[0].size >= LOCKSTEP_MIN_BRACKETS
+        scalar_calls, row_calls = [0], [0]
+
+        def g(k, t):
+            scalar_calls[0] += 1
+            return _sine_and_tangent(k, t)
+
+        def g_rows(x):
+            row_calls[0] += 1
+            return np.array([[_sine_and_tangent(k, t) for k in (0, 1)] for t in x.tolist()])
+
+        hits = find_roots_lockstep(g, g_rows, self.LO, self.HI, grids, self.POINTS)
+        assert scalar_calls[0] == 0
+        assert 0 < row_calls[0] <= 100
+        expected = self._one_by_one(_sine_and_tangent, grids)
+        assert [[(h.value.hex(), h.residual.hex()) for h in row] for row in hits] == [
+            [(h.value.hex(), h.residual.hex()) for h in row] for row in expected]
+        assert len(hits[0]) == 63 and len(hits[1]) > 0
+
+    def test_nan_inside_one_bracket_raises_the_scalar_message(self):
+        grids = self._grids(_sine_and_tangent)
+        # NaN inside the bracket of sin around 20 pi, between the nodes 62.34 and 62.84
+        def g(k, t):
+            return math.nan if k == 0 and 62.4 < t < 62.84 else _sine_and_tangent(k, t)
+
+        def g_rows(x):
+            return np.array([[g(k, t) for k in (0, 1)] for t in x.tolist()])
+
+        with pytest.raises(NonConvergence) as scalar:
+            self._one_by_one(g, grids)
+        assert re.fullmatch(r"Brent polish on \[\S+, \S+\]: g is nan at \S+", str(scalar.value))
+        with pytest.raises(NonConvergence) as lockstep:
+            find_roots_lockstep(g, g_rows, self.LO, self.HI, grids, self.POINTS)
+        assert str(lockstep.value) == str(scalar.value)
+
+    def test_a_raise_or_a_non_finite_grid_is_the_scalar_error(self):
+        grids = self._grids(_sine_and_tangent)
+
+        def g_rows(x):
+            raise ZeroDivisionError("array form")
+
+        assert find_roots_lockstep(_sine_and_tangent, g_rows, self.LO, self.HI, grids,
+                                   self.POINTS) == self._one_by_one(_sine_and_tangent, grids)
+        grids[1, 7] = math.inf
+        with pytest.raises(NonConvergence, match="scan produced 1 non-finite values"):
+            find_roots_lockstep(_sine_and_tangent, g_rows, self.LO, self.HI, grids,
+                                self.POINTS)
+
+    def test_grid_of_wrong_shape_rejected(self):
+        with pytest.raises(InvalidInput, match=r"grid_values has shape \(400,\)"):
+            find_roots_lockstep(_sine_and_tangent, None, self.LO, self.HI,
+                                np.zeros(self.POINTS), self.POINTS)
 
 
 class TestFdJacobian:

@@ -1,7 +1,8 @@
 """The scan grid in one array call agrees with the scalar stratum functions.
 
 scan_ray samples a ray's grid with one adapter.record_fields call that has no
-order-one row and polishes each bracket with the scalar adapter.conj_f. The
+order-one row and polishes each bracket with the scalar adapter.conj_f (on
+these rays, which have too few brackets for the lockstep polish). The
 reference here is the scalar loop, one conj_f call per grid node. On a list
 of edge rays (components that underflow, Grushin's straight-line branch,
 H = 0 on the first nodes, angles next to the vertical, w0 = 0) the array
@@ -100,12 +101,14 @@ def test_group_edge_rays(structure, direction):
 
 
 def test_edge_rays_cover_the_raise_and_straight_branches():
-    # H underflows to 0 on the first nodes: the scan raises, as the scalar loop does
+    # H underflows to 0 on the first nodes: the scan raises, with either grid,
+    # the InvalidInput that names s_max and the scalar conj_f's reason
     for adapter, direction in [(su2_adapter(), (1e-160, 0.0, 1.0)),
                                (sl2_adapter(), (0.0, 1e-161, 1.0)),
                                (grushin_adapter(GrushinBase(1.0, 0.0, 0.0)), (1e-160, 1.0))]:
         kind, message = _records(adapter, direction)
-        assert kind.__name__ == "DegenerateCovector" and "H = 0" in message
+        assert kind.__name__ == "InvalidInput" and "H = 0" in message
+        assert message.startswith(f"s_max = {S_MAX!r} is too small")
     # v0^2 underflows on every node: Grushin's straight line, where f is exactly 0
     adapter = grushin_adapter(GrushinBase(2.0, 0.5, 0.0))
     assert not np.frombuffer(_grid(adapter, (1.0, 1e-300))).any()

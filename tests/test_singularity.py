@@ -36,7 +36,7 @@ import srfolds.sl2 as sl2_module
 import srfolds.su2 as su2_module
 from srfolds.grushin import GrushinBase, grushin_jacobi, grushin_kernel
 from srfolds.scfun import vertical_to_endpoint_matrix
-from srfolds.singularity import SECOND_ORDER_TOL
+from srfolds.singularity import LOCKSTEP_MIN_BRACKETS, SECOND_ORDER_TOL
 from srfolds.state import JacobiCoords
 
 TWO_PI = 6.283185307179586
@@ -234,6 +234,17 @@ class TestScanRay:
         with pytest.raises(InvalidInput):
             scan_ray(su2, SU2_RAY, s_max)
 
+    @pytest.mark.parametrize("make_adapter,direction", [
+        (su2_adapter, (1.0, 0.0, 0.5)),
+        (sl2_adapter, (1.0, 0.0, 2.0)),
+        (lambda: grushin_adapter(GrushinBase(2.0, 0.5, 0.0)), (1.0, 1.0)),
+    ], ids=["su2", "sl2", "grushin"])
+    def test_s_max_whose_grid_energy_underflows_rejected(self, make_adapter, direction):
+        # the gate lets these rays in, but at s_max = 1e-160 the energy of the
+        # first grid covectors (about 1e-164 in size) underflows to 0
+        with pytest.raises(InvalidInput, match=r"^s_max = 1e-160 is too small"):
+            scan_ray(make_adapter(), direction, 1e-160)
+
     @pytest.mark.parametrize("scan_points", [2.5, 400.0, "400"], ids=repr)
     def test_non_integer_scan_points_rejected(self, su2, scan_points):
         with pytest.raises(InvalidInput, match="scan_points must be an integer"):
@@ -419,7 +430,8 @@ class TestScanCost:
     ], ids=["grushin", "su2", "sl2"])
     def test_scalar_conj_f_calls_per_record(self, make_adapter, ray, s_max):
         # the grid and the records take their f-values from record_fields;
-        # the scalar conj_f serves only Brent, whose last value is the residual
+        # on these short rays the scalar conj_f serves only Brent, whose last
+        # value is the residual
         adapter = make_adapter()
         calls = [0]
 
@@ -432,6 +444,51 @@ class TestScanCost:
         assert calls[0] <= 5 * len(records)
         assert calls[0] < DEFAULT_SCAN_POINTS
 
+    @pytest.mark.parametrize("make_adapter,ray", [
+        (su2_adapter, SU2_RAY), (sl2_adapter, SL2_RAY),
+    ], ids=["su2-long", "sl2-long"])
+    def test_long_ray_polishes_in_lockstep(self, monkeypatch, make_adapter, ray):
+        # a ray with LOCKSTEP_MIN_BRACKETS or more brackets makes no scalar
+        # conj_f call: one record_fields call samples the grid, one per Brent
+        # step polishes every bracket of both strata, and one builds the records
+        adapter = make_adapter()
+        steps = []
+        brent = numeric_module._brent
+
+        def counted_brent(g, *args, **kwargs):
+            calls = [0]
+
+            def counted_g(s):
+                calls[0] += 1
+                return g(s)
+            try:
+                return brent(counted_g, *args, **kwargs)
+            finally:
+                steps.append(calls[0])
+
+        monkeypatch.setattr(numeric_module, "_brent", counted_brent)
+        monkeypatch.setattr(singularity_module, "LOCKSTEP_MIN_BRACKETS", 10 ** 9)
+        scalar_records = scan_ray(adapter, ray, 4000.0)
+        assert len(steps) >= LOCKSTEP_MIN_BRACKETS
+        monkeypatch.undo()
+        conj_f_calls, order_one_rows = [0], []
+
+        def conj_f(cov):
+            conj_f_calls[0] += 1
+            return adapter.conj_f(cov)
+
+        def record_fields(covs, strata, order_one):
+            order_one_rows.append(int(np.count_nonzero(order_one)))
+            return adapter.record_fields(covs, strata, order_one)
+
+        records = scan_ray(replace(adapter, conj_f=conj_f, record_fields=record_fields),
+                           ray, 4000.0)
+        assert conj_f_calls[0] == 0
+        assert len(order_one_rows) <= 2 + max(steps)
+        assert order_one_rows[:-1] == [0] * (len(order_one_rows) - 1)
+        assert [(rec.s, rec.stratum) for rec in records] == [
+            (rec.s, rec.stratum) for rec in scalar_records]
+
     @pytest.mark.parametrize("make_adapter,ray,s_max", [
         (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
          (math.cos(0.9), math.sin(0.9)), 20.0),
@@ -439,8 +496,8 @@ class TestScanCost:
         (sl2_adapter, SL2_RAY, 14.0),
     ], ids=["grushin", "su2", "sl2"])
     def test_record_fields_calls_per_ray(self, make_adapter, ray, s_max):
-        # one call samples the grid, with no order-one row, and one builds
-        # the records
+        # on these short rays one call samples the grid, with no order-one
+        # row, and one builds the records
         adapter = make_adapter()
         order_one_rows = []
 
