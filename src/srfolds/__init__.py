@@ -11,13 +11,11 @@ from .alphatrig import arc_alpha, pi_alpha, sin_cos_alpha
 from .errors import (DegenerateCovector, DegenerateMatrix, InvalidInput,
                      NonConvergence, NotConjugate, SrfoldsError, StepFailure,
                      WitnessNotFound)
-from .grushin import (GrushinAmplitude, GrushinBase, GrushinCovector,
-                      GrushinJacobiCoeffs, grushin_adapter, grushin_amplitude,
-                      grushin_conj_f, grushin_conj_grad, grushin_dexp,
-                      grushin_exp, grushin_jacobi, grushin_jacobi_coefficients,
-                      grushin_kernel)
-from .numeric import (OdeProblem, RankResult, RootHit, Trajectory, fd_jacobian,
-                      find_roots, integrate, rank_nullspace)
+from .grushin import (GrushinBase, grushin_adapter, grushin_conj_f,
+                      grushin_conj_grad, grushin_dexp, grushin_exp,
+                      grushin_jacobi, grushin_kernel)
+from .numeric import RankResult, RootHit, fd_jacobian, find_roots, rank_nullspace
+from .oracles import OdeProblem, integrate
 from .scfun import propagate_linear_jacobi, sc_pair, vertical_to_endpoint_matrix
 from .selftest import CheckResult, format_report, run_selftest
 from .singularity import (ConjugateRecord, FoldWitness, SingularityClass,
@@ -36,18 +34,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult", "ConjugateRecord", "DegenerateCovector",
-    "DegenerateMatrix", "FoldWitness", "GeodesicState", "GrushinAmplitude",
-    "GrushinBase", "GrushinCovector", "GrushinJacobiCoeffs",
+    "DegenerateMatrix", "FoldWitness", "GeodesicState", "GrushinBase",
     "InvalidInput", "JacobiCoords", "NonConvergence", "NotConjugate",
     "OdeProblem", "RankResult", "RootHit", "SingularityClass",
-    "Sl2Matrix", "SrfoldsError", "StepFailure",
-    "StructureAdapter", "Su2Point", "Trajectory",
-    "WitnessNotFound", "arc_alpha", "classify", "fd_jacobian",
-    "find_roots", "fold_witness", "format_report", "grushin_adapter",
-    "grushin_amplitude", "grushin_conj_f", "grushin_conj_grad",
-    "grushin_dexp", "grushin_exp", "grushin_jacobi",
-    "grushin_jacobi_coefficients", "grushin_kernel", "integrate",
-    "pi_alpha", "propagate_linear_jacobi", "rank_nullspace",
+    "Sl2Matrix", "SrfoldsError", "StepFailure", "StructureAdapter",
+    "Su2Point", "WitnessNotFound", "arc_alpha", "classify",
+    "fd_jacobian", "find_roots", "fold_witness", "format_report",
+    "grushin_adapter", "grushin_conj_f", "grushin_conj_grad",
+    "grushin_dexp", "grushin_exp", "grushin_jacobi", "grushin_kernel",
+    "integrate", "pi_alpha", "propagate_linear_jacobi", "rank_nullspace",
     "regularity_isomorphism_check", "run_selftest", "sc_pair", "scan_ray",
     "second_order_transversality", "sin_cos_alpha", "sl2_adapter",
     "sl2_chart", "sl2_conj_f", "sl2_conj_grad", "sl2_exp",

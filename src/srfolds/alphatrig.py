@@ -68,7 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import finite_time, libm, quad
+from .numeric import finite_time, libm
+from .oracles import quad
 
 # below this, x = s^(2 alpha) moves s and cos by less than an ulp from the
 # leading terms (t, 1), which are returned as they are

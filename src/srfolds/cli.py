@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SrfoldsError
+from .errors import InvalidInput, SrfoldsError
 from .grushin import GrushinBase, grushin_adapter, grushin_exp
 from .numeric import DEFAULT_RANK_TOL_FACTOR, DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS
 from .selftest import format_report, run_selftest
@@ -75,10 +75,13 @@ def _versions() -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    else:
+    if not out_path:
         print(text)
+        return
+    try:
+        Path(out_path).write_text(text + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out_path!r}: {exc.strerror}")
 
 
 def _grushin_base(args) -> GrushinBase:
@@ -206,7 +209,11 @@ def cmd_conj_scan(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = run_selftest(seed=args.seed)
+    try:
+        results = run_selftest(seed=args.seed)
+    except InvalidInput as exc:
+        # the seed is the battery's one argument
+        raise _UsageError(str(exc))
     _emit(format_report(results), args.out)
     return 0 if all(result.passed for result in results) else 1
 

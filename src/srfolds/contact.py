@@ -50,26 +50,8 @@ _VERTICAL_EXCLUSION_TOL = 1e-12
 _KERNEL_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ContactCovector:
-    """Initial covector u0 X1 + v0 X2 + w0 X0 at the identity."""
-
-    u0: float
-    v0: float
-    w0: float
-
-    def __post_init__(self) -> None:
-        for name in ("u0", "v0", "w0"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidInput(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-
 def cov_triple(cov) -> tuple[float, float, float]:
-    """(u0, v0, w0) of a ContactCovector or of any finite 3-sequence."""
-    if isinstance(cov, ContactCovector):
-        return cov.u0, cov.v0, cov.w0
+    """(u0, v0, w0) of any finite 3-sequence, as Python floats."""
     # tolist() hands over Python floats, far cheaper to convert
     # than the numpy scalars its iteration yields
     values = cov.tolist() if isinstance(cov, np.ndarray) else cov

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphatrig import (arc_alpha, arc_alpha_array, arc_cos_alpha, arc_cos_alpha_array,
-                        pi_alpha, sin_cos_alpha, sin_cos_alpha_array)
+                        sin_cos_alpha, sin_cos_alpha_array)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import finite_time, libm, row_dots
 from .scfun import sc_pair
@@ -70,42 +70,7 @@ class GrushinBase:
             raise InvalidInput(f"alpha must be >= 1, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class GrushinCovector:
-    """Initial covector u0 dx + v0 dy at the base point."""
-
-    u0: float
-    v0: float
-
-    def __post_init__(self) -> None:
-        for name in ("u0", "v0"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidInput(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class GrushinAmplitude:
-    """Amplitude, frequency and phase of the oscillatory branch."""
-
-    A: float
-    omega: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class GrushinJacobiCoeffs:
-    """Coefficients k1, k2, k3 of the closed-form Jacobi solution ansatz."""
-
-    k1: float
-    k2: float
-    k3: float
-
-
 def _cov_pair(cov) -> tuple[float, float]:
-    if isinstance(cov, GrushinCovector):
-        return cov.u0, cov.v0
     # tolist() hands over Python floats, far cheaper to convert
     # than the numpy scalars its iteration yields
     values = cov.tolist() if isinstance(cov, np.ndarray) else cov
@@ -194,22 +159,6 @@ def _oscillator(base: GrushinBase, u0: float, v0: float,
     return amp, omega, phase, flip
 
 
-def grushin_amplitude(base: GrushinBase, cov) -> GrushinAmplitude:
-    """(A, omega, phi) of the oscillatory branch; requires v0 != 0 and H != 0."""
-    u0, v0 = _cov_pair(cov)
-    h2 = _energy(base, u0, v0)
-    if h2 == 0.0 or not _curvature_resolvable(h2, v0):
-        raise DegenerateCovector(
-            f"amplitude parameters need v0 != 0 and H != 0, got (u0, v0)=({u0}, {v0})")
-    amp, omega, phase, flip = _oscillator(base, u0, v0, h2)
-    half = pi_alpha(base.alpha)
-    if flip > 0.0:
-        phi = phase if phase >= 0.0 else phase + 2.0 * half
-    else:
-        phi = half - phase
-    return GrushinAmplitude(A=amp, omega=omega, phi=phi)
-
-
 def grushin_exp(base: GrushinBase, cov, t: float) -> GeodesicState:
     """Normal geodesic from the base point at time t: positions and momenta."""
     u0, v0 = _cov_pair(cov)
@@ -239,34 +188,17 @@ def grushin_dexp(base: GrushinBase, cov) -> np.ndarray:
     return np.array(columns).T
 
 
-def grushin_jacobi_coefficients(base: GrushinBase, cov,
-                                init: JacobiCoords) -> GrushinJacobiCoeffs:
-    """Ansatz coefficients k1, k2, k3 matching the initial Jacobi data."""
-    u0, v0 = _cov_pair(cov)
-    h2 = _energy(base, u0, v0)
-    if h2 == 0.0 or not _curvature_resolvable(h2, v0):
-        raise DegenerateCovector(
-            "closed-form Jacobi coefficients need v0 != 0 and H != 0")
-    pa0, pb0 = init.p
-    xa0, _ = init.x
-    a = base.alpha
-    x0 = base.x0
-    odd0 = _odd_power(x0, a)
-    k1 = (a * xa0 * v0 ** 3 * odd0 + pa0 * u0 * v0 - pb0 * u0 * u0) / (a * v0 * h2)
-    k2 = (a * xa0 * u0 * v0 - pa0 * v0 * x0 + pb0 * u0 * x0) / (a * v0 * h2)
-    k3 = ((a - 1.0) * v0 * k1 + pb0) / v0
-    return GrushinJacobiCoeffs(k1=k1, k2=k2, k3=k3)
-
-
 def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
                    t: float) -> JacobiCoords:
     """Jacobi data (p_a, p_b, x_a, x_b)(t) along the geodesic of cov, any real t.
 
-    Where v0 != 0 and H != 0 this is the oscillator ansatz of
-    grushin_jacobi_coefficients. On the degenerate branches the geodesic is
-    the line x0 + u0 t, and every v0 term of the linearized system vanishes
-    or underflows there except the restoring force v0^2 x_a of alpha = 1 (the
-    H = 0 branch at x0 = 0). So (x_a, p_a) is the constant-coefficient
+    Where v0 != 0 and H != 0 this is the oscillator ansatz
+    x_a = k1 x + (k2 + k3 t) u along the geodesic (x, u)(t), whose
+    coefficients k1, k2, k3 match the initial data; p_b stays constant and
+    x_b follows from the conserved fluxes. On the degenerate branches the
+    geodesic is the line x0 + u0 t, and every v0 term of the linearized
+    system vanishes or underflows there except the restoring force v0^2 x_a
+    of alpha = 1 (the H = 0 branch at x0 = 0). So (x_a, p_a) is the constant-coefficient
     oscillator of sc_pair(k, t), with k = v0^2 at alpha = 1 and 0 otherwise,
     p_b is constant and x_b gains p_b times the integral of |x|^(2 alpha)
     along the line.
@@ -283,8 +215,9 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
         return JacobiCoords(p=(pa0 * c - k * xa0 * s, pb0), x=(xa0 * c + pa0 * s, xb))
     a = base.alpha
     x0 = base.x0
-    coeffs = grushin_jacobi_coefficients(base, cov, init)
-    k1, k2, k3 = coeffs.k1, coeffs.k2, coeffs.k3
+    k1 = (a * xa0 * v0 ** 3 * _odd_power(x0, a) + pa0 * u0 * v0 - pb0 * u0 * u0) / (a * v0 * h2)
+    k2 = (a * xa0 * u0 * v0 - pa0 * v0 * x0 + pb0 * u0 * x0) / (a * v0 * h2)
+    k3 = ((a - 1.0) * v0 * k1 + pb0) / v0
     state = grushin_exp(base, cov, t)
     x, _ = state.position
     u, _ = state.momentum

@@ -11,15 +11,17 @@ minute.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .alphatrig import arc_alpha, pi_alpha, sin_cos_alpha
-from .errors import SrfoldsError
+from .errors import InvalidInput, SrfoldsError
 from .grushin import (GrushinBase, grushin_adapter, grushin_dexp, grushin_exp,
                       grushin_jacobi)
-from .numeric import OdeProblem, fd_jacobian, find_roots, integrate
+from .numeric import fd_jacobian, find_roots
+from .oracles import OdeProblem, integrate
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
 from .singularity import SingularityClass, fold_witness, scan_ray
 from .sl2 import sl2_adapter, sl2_exp, sl2_frame_images
@@ -336,7 +338,12 @@ def _check_kernel_annihilation(su2_records: list, sl2_records: list) -> float:
 
 
 def run_selftest(seed: int = 0) -> list[CheckResult]:
-    """Run the full battery, each check against its fixed threshold."""
+    """Run the full battery, each check against its fixed threshold.
+
+    Raises InvalidInput unless seed is a non-negative integer.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInput(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     su2_records, sl2_records = _su2_scan_records(), _sl2_scan_records()
     battery = [

@@ -8,6 +8,7 @@ tolerances block. These tests keep it from growing per-call knobs again.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import os
@@ -93,7 +94,7 @@ expmap("grushin", "--alpha", "2.5", "--base", "0.5,0", "--covector", "0.4,1")
 def test_scan_paths_leave_scipy_unloaded():
     # Brent is written out in numeric, alphatrig builds its per-alpha tables
     # from the standard library, the ODE solver and quadrature serve only
-    # the oracles (numeric imports scipy.integrate inside integrate and
+    # the oracles (oracles imports scipy.integrate inside integrate and
     # quad), and cli looks the scipy version up when it prints it; so no
     # scan, witness or expmap at any alpha loads a watched module
     env = dict(os.environ)
@@ -112,3 +113,35 @@ def test_scan_paths_leave_scipy_unloaded():
         ["alpha = 2.5 witness", []],
         ["expmap grushin", []],
     ]
+
+
+def _scipy_imports(path: Path) -> list[tuple]:
+    """(enclosing top-level name, line) of each scipy import in a module.
+
+    The name is None for an import at module level.
+    """
+    hits = []
+    for stmt in ast.parse(path.read_text()).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                hits.append((getattr(stmt, "name", None), node.lineno))
+    return hits
+
+
+def test_only_the_oracles_import_scipy():
+    # oracles.py holds the ODE and quadrature routes, and cli's version report
+    # names scipy's version; every other module stays on numpy and the
+    # standard library, whatever path imports it
+    package = Path(srfolds.__file__).resolve().parent
+    offenders = [(path.name, name, line) for path in sorted(package.glob("*.py"))
+                 if path.name not in ("oracles.py", "cli.py")
+                 for name, line in _scipy_imports(path)]
+    assert offenders == []
+    assert [name for name, _ in _scipy_imports(package / "cli.py")] == ["_versions"]
+    assert _scipy_imports(package / "oracles.py")

@@ -323,6 +323,26 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
 
+    def test_negative_seed_is_one_usage_error_line(self):
+        proc = run_cli("selftest", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr == "usage error: seed must be a non-negative integer, got -1\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("expmap", "--structure", "su2", "--covector", "1,0,0.5"),
+        ("conj-scan", "--structure", "su2", "--direction", "1,0,0.5"),
+        ("selftest",),
+    ], ids=["expmap", "conj-scan", "selftest"])
+    def test_out_in_missing_directory_is_one_usage_error_line(self, argv, tmp_path):
+        out_file = tmp_path / "missing" / "out.txt"
+        proc = run_cli(*argv, "--out", str(out_file))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"usage error: cannot write --out {str(out_file)!r}: "
+                               "No such file or directory\n")
+        assert proc.stdout == ""
+        assert not out_file.parent.exists()
+
 
 class TestSelftest:
     def test_passes_quickly_and_deterministically(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,8 +11,16 @@ import pytest
 from srfolds import (InvalidInput, sl2_adapter, sl2_conj_f, sl2_conj_grad, sl2_exp,
                      sl2_frame_images, sl2_jacobi, sl2_kernel, su2_adapter, su2_conj_f,
                      su2_conj_grad, su2_exp, su2_kernel)
-from srfolds.contact import ContactCovector, cov_triple
+from srfolds.contact import cov_triple
 from srfolds.state import JacobiCoords
+
+
+class NamedCovector(NamedTuple):
+    """A caller's own covector record: cov_triple takes any 3-sequence."""
+    u0: float
+    v0: float
+    w0: float
+
 
 CONTAINERS = pytest.mark.parametrize("make", [tuple, list, np.array],
                                      ids=["tuple", "list", "ndarray"])
@@ -29,12 +38,6 @@ class TestCovTriple:
             with pytest.raises(InvalidInput, match="finite"):
                 parse(make(values))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("cls", [ContactCovector])
-    def test_non_finite_covector_object(self, cls, bad):
-        with pytest.raises(InvalidInput, match="finite"):
-            cls(1.0, bad, 2.0)
-
     @CONTAINERS
     @pytest.mark.parametrize("values", [[], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
     def test_wrong_length(self, make, values):
@@ -44,8 +47,8 @@ class TestCovTriple:
 
     @pytest.mark.parametrize("cov", [
         (1, 0.5, 2), [1.0, 0.5, 2.0], np.array([1.0, 0.5, 2.0]),
-        np.array([1.0, 0.5, 2.0], dtype=np.float32), ContactCovector(1.0, 0.5, 2.0),
-        ContactCovector(1, 0.5, 2), (np.float32(1.0), np.float64(0.5), 2)])
+        np.array([1.0, 0.5, 2.0], dtype=np.float32), NamedCovector(1.0, 0.5, 2.0),
+        NamedCovector(1, 0.5, 2), (np.float32(1.0), np.float64(0.5), 2)])
     def test_values_are_python_floats(self, cov):
         parsed = cov_triple(cov)
         assert parsed == (1.0, 0.5, 2.0)

@@ -1,4 +1,4 @@
-"""Numeric infrastructure: integrator, quadrature, roots, FD Jacobians, rank."""
+"""Numeric infrastructure: roots, FD Jacobians, rank; and the ODE and quadrature oracles."""
 
 from __future__ import annotations
 
@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from srfolds import (DegenerateMatrix, GrushinBase, InvalidInput, JacobiCoords,
-                     NonConvergence, OdeProblem, RootHit, fd_jacobian, find_roots,
-                     grushin_exp, grushin_jacobi, integrate, propagate_linear_jacobi,
+                     NonConvergence, RootHit, fd_jacobian, find_roots,
+                     grushin_exp, grushin_jacobi, propagate_linear_jacobi,
                      rank_nullspace, sin_cos_alpha, sl2_exp, sl2_jacobi, su2_exp,
                      su2_jacobi, vertical_to_endpoint_matrix)
-from srfolds.numeric import (_brent, _brent_lockstep, find_roots_lockstep, quad, scan_nodes,
+from srfolds.numeric import (_brent, _brent_lockstep, find_roots_lockstep, scan_nodes,
                              sign_brackets)
+from srfolds.oracles import OdeProblem, integrate, quad
 from srfolds.singularity import LOCKSTEP_MIN_BRACKETS
 
 TAN_FIXED_POINT = 4.493409457909064

@@ -22,7 +22,7 @@ from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
                      fd_jacobian, integrate, rank_nullspace, su2_chart,
                      su2_conj_f, su2_conj_grad, su2_exp, su2_frame_images,
                      su2_jacobi, su2_kernel, vertical_to_endpoint_matrix)
-from srfolds.contact import ContactCovector, curvature
+from srfolds.contact import curvature
 from srfolds.su2 import X0, X1, X2
 
 TWO_PI = 6.283185307179586
@@ -120,8 +120,6 @@ class TestExp:
     def test_point_validation(self):
         with pytest.raises(InvalidInput):
             Su2Point(1.0, 0.0, 0.5, 0.0)
-        with pytest.raises(InvalidInput):
-            ContactCovector(math.nan, 0.0, 1.0)
 
 
 class TestJacobi:
