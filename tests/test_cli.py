@@ -7,7 +7,8 @@ in-process, and determinism is checked byte-for-byte. The SU(2)/SL(2)
 outputs are also compared byte-for-byte with golden files in tests/golden,
 captured before the two group modules were merged into contact.py; the two
 many-root scans were captured before their brackets were polished in
-lockstep. The CLI subprocesses turn a RuntimeWarning into an error, as
+lockstep, and the Grushin scans before they took their stratum function from
+its closed-form restriction to each ray. The CLI subprocesses turn a RuntimeWarning into an error, as
 pyproject does for the tests themselves.
 """
 
@@ -32,7 +33,8 @@ TWO_PI = 6.283185307179586
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = str(Path(srfolds.__file__).resolve().parents[1])
 # each case runs in every --format; conj-scan rays cover a tilted SU(2) ray,
-# the SU(2) w0 = 0 ray, two SL(2) rays with r > 0 and an SL(2) ray with r <= 0
+# the SU(2) w0 = 0 ray, two SL(2) rays with r > 0, an SL(2) ray with r <= 0
+# and three Grushin scans
 GOLDEN_CASES = {
     "expmap_su2": ("expmap", "--structure", "su2", "--covector", "1,2,0.5",
                    "--t", "0.7"),
@@ -55,6 +57,15 @@ GOLDEN_CASES = {
                             "--direction", "0.3,0.8,1.1", "--s-max", "400"),
     "scan_sl2_many_roots": ("conj-scan", "--structure", "sl2",
                             "--direction", "0.2,0.5,1.3", "--s-max", "400"),
+    # Grushin rays: the README base with a direction of each sign of u0,
+    # the axis base at alpha = 1, and an off-axis base at non-integer alpha
+    "scan_grushin_readme": ("conj-scan", "--structure", "grushin", "--alpha", "1.5",
+                            "--base", "0.5,0", "--direction", "0.4,1",
+                            "--direction=-0.6,1", "--s-max", "20"),
+    "scan_grushin_axis": ("conj-scan", "--structure", "grushin", "--alpha", "1",
+                          "--base", "0,0", "--direction", "0.3,1", "--s-max", "20"),
+    "scan_grushin_off_axis": ("conj-scan", "--structure", "grushin", "--alpha", "2.5",
+                              "--base", "0.3,0", "--direction", "1,0.5", "--s-max", "20"),
 }
 
 
