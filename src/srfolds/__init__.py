@@ -18,7 +18,7 @@ from .numeric import RankResult, RootHit, fd_jacobian, find_roots, rank_nullspac
 from .oracles import OdeProblem, integrate
 from .scfun import propagate_linear_jacobi, sc_pair, vertical_to_endpoint_matrix
 from .selftest import CheckResult, format_report, run_selftest
-from .singularity import (ConjugateRecord, FoldWitness, SingularityClass,
+from .singularity import (ConjugateRecord, FoldWitness, RayStrata, SingularityClass,
                           StructureAdapter, classify, fold_witness,
                           regularity_isomorphism_check, scan_ray,
                           second_order_transversality)
@@ -36,7 +36,7 @@ __all__ = [
     "CheckResult", "ConjugateRecord", "DegenerateCovector",
     "DegenerateMatrix", "FoldWitness", "GeodesicState", "GrushinBase",
     "InvalidInput", "JacobiCoords", "NonConvergence", "NotConjugate",
-    "OdeProblem", "RankResult", "RootHit", "SingularityClass",
+    "OdeProblem", "RankResult", "RayStrata", "RootHit", "SingularityClass",
     "Sl2Matrix", "SrfoldsError", "StepFailure", "StructureAdapter",
     "Su2Point", "WitnessNotFound", "arc_alpha", "classify",
     "fd_jacobian", "find_roots", "fold_witness", "format_report",

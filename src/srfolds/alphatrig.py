@@ -50,6 +50,10 @@ periodicity and the sign pattern of the pair. alpha = 1 short-circuits to
 math.sin/math.cos and math.asin. The integral definition of pi_alpha is kept
 as a quadrature oracle for the tests.
 
+alpha_table(alpha) checks alpha once and returns its table; table_sin_cos,
+table_arc and table_arc_cos evaluate from it without the argument checks of
+sin_cos_alpha, arc_alpha and arc_cos_alpha, which call them, bit for bit.
+
 The *_array functions evaluate the same formulas over a 1-d array, branch by
 branch on masks, and return bit for bit what the scalar functions return at
 each element: the polynomials run the same Horner recurrence on floats and
@@ -343,13 +347,24 @@ def _arc_cos_quarter_array(table: _AlphaConstants, c: np.ndarray) -> np.ndarray:
     return tq
 
 
+def alpha_table(alpha: float) -> _AlphaConstants:
+    """The table of a checked alpha, for the table_* functions below.
+
+    They take the table and skip the argument checks of the public
+    functions, for callers that check alpha once and evaluate many times.
+    """
+    return _table_cached(_validate_alpha(alpha))
+
+
 def sin_cos_alpha(alpha: float, t: float) -> tuple[float, float]:
     """(sin_alpha(t), cos_alpha(t)) for any real t."""
-    alpha = _validate_alpha(alpha)
-    t = finite_time(t)
-    if alpha == 1.0:
+    return table_sin_cos(alpha_table(alpha), finite_time(t))
+
+
+def table_sin_cos(table: _AlphaConstants, t: float) -> tuple[float, float]:
+    """sin_cos_alpha(table.alpha, t) for a finite float t, bit for bit."""
+    if table.alpha == 1.0:
         return math.sin(t), math.cos(t)
-    table = _table_cached(alpha)
     period = 2.0 * table.pi_alpha
     half = table.pi_alpha
     # fold negative arguments by oddness instead of shifting by a period;
@@ -379,13 +394,9 @@ def arc_alpha(alpha: float, s: float, c_sign: float) -> float:
     if abs(s) > 1.0 + 1e-12:
         raise InvalidInput(f"|s| must not exceed 1, got {s!r}")
     s = min(max(s, -1.0), 1.0)
-    if alpha == 1.0:
-        half = math.pi
-        tq = math.asin(abs(s))
-    else:
-        table = _table_cached(alpha)
-        half = table.pi_alpha
-        tq = _arc_quarter(table, abs(s))
+    table = _table_cached(alpha)
+    half = table.pi_alpha
+    tq = table_arc(table, abs(s))
     if s >= 0.0:
         phi = tq if c_sign >= 0 else half - tq
     else:
@@ -404,10 +415,21 @@ def arc_cos_alpha(alpha: float, c: float) -> float:
     c = float(c)
     if not (-1e-12 <= c <= 1.0 + 1e-12):
         raise InvalidInput(f"c must lie in [0, 1], got {c!r}")
-    c = min(max(c, 0.0), 1.0)
-    if alpha == 1.0:
+    return table_arc_cos(_table_cached(alpha), min(max(c, 0.0), 1.0))
+
+
+def table_arc(table: _AlphaConstants, s: float) -> float:
+    """arc_alpha(table.alpha, s, 1.0) for a float s in [0, 1], bit for bit."""
+    if table.alpha == 1.0:
+        return math.asin(s)
+    return _arc_quarter(table, s)
+
+
+def table_arc_cos(table: _AlphaConstants, c: float) -> float:
+    """arc_cos_alpha(table.alpha, c) for a float c in [0, 1], bit for bit."""
+    if table.alpha == 1.0:
         return math.acos(c)
-    return _arc_cos_quarter(_table_cached(alpha), c)
+    return _arc_cos_quarter(table, c)
 
 
 def sin_cos_alpha_array(alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,17 @@ Structures are selected with --structure {grushin, su2, sl2}; coordinate lists
 are comma-separated (grushin uses 2 fiber coordinates, the groups use 3 and
 are always based at the identity). Output is text, CSV, or JSON; every float
 is printed with 12 significant digits so runs diff cleanly. Exit codes:
-0 success, 1 computation failure (or self-test failure), 2 usage error.
+0 success, 1 computation failure (or self-test failure), 2 usage error. A
+flag value that no input could take (a non-finite --alpha, --scan-points
+below 2, an --s-max or --root-tol that is not positive and finite) is a
+usage error, found before anything is computed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -98,6 +102,17 @@ def _check_structure_flags(args) -> None:
                               "--base is not configurable")
     if args.alpha is None:
         args.alpha = 1.0
+    if not math.isfinite(args.alpha):
+        raise _UsageError(f"--alpha must be finite, got {args.alpha!r}")
+
+
+def _check_scan_flags(args) -> None:
+    """Reject the scan options no ray can take; an s_max too small for a ray stays exit 1."""
+    if args.scan_points < 2:
+        raise _UsageError(f"--scan-points must be at least 2, got {args.scan_points}")
+    for flag, value in (("--s-max", args.s_max), ("--root-tol", args.root_tol)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise _UsageError(f"{flag} must be positive and finite, got {value!r}")
 
 
 def cmd_expmap(args) -> int:
@@ -156,6 +171,7 @@ def _csv_cell(value) -> str:
 
 def cmd_conj_scan(args) -> int:
     _check_structure_flags(args)
+    _check_scan_flags(args)
     dim = _fiber_dim(args.structure)
     directions = [_parse_floats(d, "direction", dim) for d in args.direction]
     config = {"command": "conj-scan", "structure": args.structure,

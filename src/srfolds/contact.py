@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import libm, rank_nullspace, row_dots
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
-from .singularity import StructureAdapter
+from .singularity import RayStrata, StructureAdapter, covector_ray_strata
 from .state import JacobiCoords
 
 # C0 covectors with w0 = 0 fall outside the proven dense subset; excluded
@@ -271,6 +271,9 @@ class ContactGroup:
             return abs(w0) <= _VERTICAL_EXCLUSION_TOL * math.sqrt(
                 u0 * u0 + v0 * v0 + w0 * w0)
 
+        def ray_strata(d: np.ndarray) -> RayStrata:
+            return covector_ray_strata(self.strata, self.record_fields, d)
+
         def kernel_jacobi_image(cov) -> np.ndarray:
             r = curvature(self.eps, *cov_triple(cov))
             if r <= 0.0:
@@ -287,7 +290,7 @@ class ContactGroup:
             fiber_dim=3,
             chart=self.chart,
             chart_array=self.chart_array,
-            conj_f=self.strata,
+            ray_strata=ray_strata,
             record_fields=self.record_fields,
             stratum_names=("C0", "C1"),
             ray_gate=ray_gate,

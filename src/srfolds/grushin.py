@@ -29,6 +29,11 @@ structure. The label is the scanner's pairing test at singularity.PAIRING_TOL
 and nothing more: a fold whose normalized pairing falls under it, as on rays
 next to u0 = 0, reads C1 and Undetermined, and so does a cusp. Telling those
 apart needs a cusp certificate and a second fold route.
+
+Along a ray of covectors s d the amplitude, the phase and omega / s do not
+depend on s, so ray scans evaluate f from them (_ray_strata), and they skip
+the radii at which the geodesic stays off the axis, where the plane is
+Riemannian with negative curvature and has no conjugate point.
 """
 
 from __future__ import annotations
@@ -38,18 +43,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphatrig import (arc_alpha, arc_alpha_array, arc_cos_alpha, arc_cos_alpha_array,
-                        sin_cos_alpha, sin_cos_alpha_array)
+# sin_cos_alpha and arc_alpha, the checked scalar forms, are not called here;
+# perfbench/tracer.py wraps these names as the alpha-trig boundary
+from .alphatrig import (alpha_table, arc_alpha, arc_alpha_array,
+                        arc_cos_alpha_array, sin_cos_alpha, sin_cos_alpha_array, table_arc,
+                        table_arc_cos, table_sin_cos)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import finite_time, libm, row_dots
 from .scfun import sc_pair
-from .singularity import StructureAdapter
+from .singularity import RayStrata, StructureAdapter, covector_ray_strata
 from .state import GeodesicState, JacobiCoords
 
 # relative tolerance deciding the u0 + x0 = 0 branch of the gradient formulas
 _BRANCH_TOL = 1e-12
 # relative residual of f under which grushin_kernel accepts a covector as conjugate
 _KERNEL_RESIDUAL_TOL = 1e-8
+# relative margin under a ray's crossing radius within which roots are kept;
+# the radius and a polished root are both good to far better than this
+_CROSSING_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,7 +140,13 @@ def _curvature_resolvable(h2: float, v0: float) -> bool:
     return math.isfinite(math.sqrt(h2) / abs(v0))
 
 
-def _oscillator(base: GrushinBase, u0: float, v0: float,
+def _oscillates(h2: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Where grushin_exp takes its oscillator branch: h2 != 0 and _curvature_resolvable."""
+    with np.errstate(all="ignore"):
+        return (h2 != 0.0) & (v0 * v0 != 0.0) & np.isfinite(np.sqrt(h2) / np.abs(v0))
+
+
+def _oscillator(table, x0: float, u0: float, v0: float,
                 h2: float) -> tuple[float, float, float, float]:
     """(amp, omega, phase, flip) with x(t) = amp sin_alpha(phase + flip omega t).
 
@@ -144,36 +161,48 @@ def _oscillator(base: GrushinBase, u0: float, v0: float,
     cos_alpha = |u0| / (amp |omega|). Next to the quarter period |x0| / amp
     sits next to 1, where one rounding of that ratio moves the inverted phase
     by far more than an ulp; cos_alpha is small there and well conditioned.
+    table is alpha's (alphatrig.alpha_table) and x0 the base's abscissa.
     """
-    alpha = base.alpha
+    alpha = table.alpha
     amp = (math.sqrt(h2) / abs(v0)) ** (1.0 / alpha)
     omega = v0 * amp ** (alpha - 1.0)
-    sin_ratio = min(abs(base.x0 / amp), 1.0)
+    sin_ratio = min(abs(x0 / amp), 1.0)
     cos_ratio = min(abs(u0 / (amp * omega)), 1.0)
     if cos_ratio < sin_ratio:
-        arc = arc_cos_alpha(alpha, cos_ratio)
+        arc = table_arc_cos(table, cos_ratio)
     else:
-        arc = arc_alpha(alpha, sin_ratio, 1.0)
-    phase = math.copysign(arc, base.x0)
+        arc = table_arc(table, sin_ratio)
+    phase = math.copysign(arc, x0)
     flip = -1.0 if u0 * v0 < 0.0 else 1.0
     return amp, omega, phase, flip
+
+
+def _endpoint(table, x0: float, y0: float, u0: float, v0: float,
+              t: float) -> tuple[float, float, float]:
+    """(x, y, u) at time t of the geodesic of (u0, v0) from (x0, y0).
+
+    grushin_exp on floats, without its argument checks and without building
+    a GeodesicState: table is alpha's (alphatrig.alpha_table), and u0, v0
+    and t are finite floats.
+    """
+    alpha = table.alpha
+    h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
+    if h2 == 0.0:
+        return x0, y0, u0
+    if not _curvature_resolvable(h2, v0):
+        return x0 + u0 * t, y0, u0
+    amp, omega, phase, flip = _oscillator(table, x0, u0, v0, h2)
+    sin_a, cos_a = table_sin_cos(table, finite_time(phase + flip * omega * t))
+    x = amp * sin_a
+    u = flip * amp * omega * cos_a
+    return x, y0 + (t * h2 + u0 * x0 - u * x) / (v0 * (alpha + 1.0)), u
 
 
 def grushin_exp(base: GrushinBase, cov, t: float) -> GeodesicState:
     """Normal geodesic from the base point at time t: positions and momenta."""
     u0, v0 = _cov_pair(cov)
     t = finite_time(t)
-    h2 = _energy(base, u0, v0)
-    if h2 == 0.0:
-        return GeodesicState(t, (base.x0, base.y0), (u0, v0))
-    if not _curvature_resolvable(h2, v0):
-        return GeodesicState(t, (base.x0 + u0 * t, base.y0), (u0, v0))
-    alpha = base.alpha
-    amp, omega, phase, flip = _oscillator(base, u0, v0, h2)
-    sin_a, cos_a = sin_cos_alpha(alpha, phase + flip * omega * t)
-    x = amp * sin_a
-    u = flip * amp * omega * cos_a
-    y = base.y0 + (t * h2 + u0 * base.x0 - u * x) / (v0 * (alpha + 1.0))
+    x, y, u = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, t)
     return GeodesicState(t, (x, y), (u, v0))
 
 
@@ -262,8 +291,7 @@ def _endpoint_pass(base: GrushinBase,
     with np.errstate(all="ignore"):
         h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
         x1 = x0 + u0 * 1.0
-        osc = np.flatnonzero((h2 != 0.0) & (v0 * v0 != 0.0)
-                             & np.isfinite(np.sqrt(h2) / np.abs(v0)))
+    osc = np.flatnonzero(_oscillates(h2, v0))
     y1 = np.full(u0.shape, base.y0)
     u1 = u0.copy()
     for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
@@ -422,17 +450,84 @@ def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
     return [kern / np.linalg.norm(kern)]
 
 
+def _ray_strata(table, x0: float, d: np.ndarray, covector: RayStrata) -> RayStrata:
+    """grushin_conj_f restricted to the ray s d, from per-ray oscillator constants.
+
+    Along the ray H grows as s^2 and v0 as s, so the amplitude, the phase,
+    the flip and omega / s do not depend on s: _oscillator runs once, on d
+    itself, and then
+
+        f(s) = flip amp (omega_1 s) cos_alpha(theta) (s du + x0)
+               - s du amp sin_alpha(theta),   theta = phase + flip omega_1 s,
+
+    which is u1 (u0 + x0) - u0 x1 for the covector s d at one alpha-trig
+    evaluation. It equals grushin_conj_f(s d) up to rounding, not bit for
+    bit. Where grushin_exp would not take its oscillator branch at s d
+    (H = 0, v0^2 underflows, an amplitude ratio that overflows), and on the
+    whole ray where it would not at d, the values are covector's, which
+    evaluates grushin_conj_f at each covector (and raises where it raises).
+
+    free_below is the crossing radius, the first s at which theta reaches a
+    multiple of pi_alpha, less a relative _CROSSING_MARGIN. Below it the
+    geodesic of s d stays off the axis x = 0 for t in [0, 1], where the
+    plane is Riemannian with Gaussian curvature -alpha (alpha + 1) / x^2 < 0,
+    so it has no conjugate point; the roots found there are rounding noise.
+    table is alpha's (alphatrig.alpha_table) and x0 the base's abscissa.
+    """
+    du, dv = d.tolist()
+    alpha = table.alpha
+    x2a = _even_power(x0, alpha)
+    h2 = du * du + dv * dv * x2a
+    if h2 == 0.0 or not _curvature_resolvable(h2, dv):
+        return covector
+    amp, omega, phase, flip = _oscillator(table, x0, du, dv, h2)
+    rate, flip_amp = flip * omega, flip * amp
+
+    def g(idx: int, s: float) -> float:
+        u0, v0 = s * du, s * dv
+        h2 = u0 * u0 + v0 * v0 * x2a
+        if h2 == 0.0 or not _curvature_resolvable(h2, v0):
+            return covector.g(idx, s)
+        sin_a, cos_a = table_sin_cos(table, phase + rate * s)
+        return flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
+
+    def g_rows(s: np.ndarray) -> np.ndarray:
+        u0, v0 = s * du, s * dv
+        with np.errstate(all="ignore"):
+            h2 = u0 * u0 + v0 * v0 * x2a
+        osc = _oscillates(h2, v0)
+        f = np.empty((s.size, 1))
+        if not osc.all():
+            f[~osc] = covector.g_rows(s[~osc])
+        s, u0 = s[osc], u0[osc]
+        sin_a, cos_a = sin_cos_alpha_array(alpha, phase + rate * s)
+        f[osc, 0] = flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
+        return f
+
+    free_below = 0.0
+    if phase != 0.0:
+        # theta moves with the sign of rate, from phase in [-pi_alpha/2, pi_alpha/2]
+        toward_axis = (rate < 0.0) != (phase < 0.0)
+        gap = abs(phase) if toward_axis else table.pi_alpha - abs(phase)
+        free_below = gap / abs(omega) * (1.0 - _CROSSING_MARGIN)
+    return RayStrata(g, g_rows, free_below)
+
+
 def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     """Plug the plane into the generic conjugate-locus scanner.
 
     The chart is the plane itself, the endpoint position. Records start on
     the placeholder stratum "other"; the scanner names them C0/C1 from the
     kernel pairing, the transversality that defines the strata of a planar
-    structure.
+    structure. A ray's stratum function is its closed-form restriction
+    (_ray_strata).
     """
+    table = alpha_table(base.alpha)
 
     def endpoint(cov) -> np.ndarray:
-        return np.asarray(grushin_exp(base, cov, 1.0).position, dtype=float)
+        u0, v0 = _cov_pair(cov)
+        x, y, _ = _endpoint(table, base.x0, base.y0, u0, v0, 1.0)
+        return np.array([x, y])
 
     def chart_array(points: np.ndarray) -> np.ndarray:
         x1, y1, _ = _endpoint_pass(base, points.reshape(-1, 2))
@@ -443,6 +538,9 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
 
     def record_fields(covs: np.ndarray, strata: np.ndarray, order_one: np.ndarray):
         return grushin_record_fields(base, covs, order_one)
+
+    def ray_strata(d: np.ndarray) -> RayStrata:
+        return _ray_strata(table, base.x0, d, covector_ray_strata(conj_f, record_fields, d))
 
     def ray_gate(direction: np.ndarray) -> bool:
         du, dv = float(direction[0]), float(direction[1])
@@ -460,7 +558,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         fiber_dim=2,
         chart=endpoint,
         chart_array=chart_array,
-        conj_f=conj_f,
+        ray_strata=ray_strata,
         record_fields=record_fields,
         stratum_names=("other",),
         ray_gate=ray_gate,

@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,14 +43,14 @@ INDEPENDENCE_TOL = 1e-3
 # relative offset of the first scan node from the ray origin
 RAY_ORIGIN_OFFSET = 1e-4
 # sign-change brackets, over all strata of a ray, from which scan_ray polishes
-# them in lockstep (find_roots_lockstep); fewer take the scalar Brent on conj_f.
-# A lockstep step costs one record_fields call and some seventy array
+# them in lockstep (find_roots_lockstep); fewer take the scalar Brent on g.
+# A lockstep step costs one g_rows call and some seventy array
 # operations however few brackets are open, so it pays only on rays with
 # many. Lockstep over scalar scan_ray time (min of 21 interleaved runs,
 # measured twice on a 2-core Xeon) reads 1.03-1.06 at 43 brackets and
 # 0.98-1.00 at 49 on SU(2), 0.97-1.02 at 45 and 0.97-0.99 at 52 on SL(2),
 # and 1.00-1.08 at 40 and 0.95-0.99 at 46 on Grushin (alpha = 2.5, x0 = 0
-# and 0.3)
+# and 0.3; measured when Grushin rays were still evaluated per covector)
 LOCKSTEP_MIN_BRACKETS = 48
 
 
@@ -63,6 +63,43 @@ class SingularityClass(Enum):
 
 def _never(cov: np.ndarray, stratum: str) -> bool:
     return False
+
+
+class RayStrata(NamedTuple):
+    """A structure's stratum functions restricted to the ray {s d : s > 0}.
+
+    g(idx, s) is stratum function idx at the covector s d, and g_rows(s)
+    the values (m, n_strata) of every stratum function at the m radii of a
+    1-d array s, equal to g bit for bit (or it raises what g raises at the
+    first radius where g raises). No covector s d with s < free_below is
+    conjugate, and scan_ray drops the roots it finds there.
+    """
+
+    g: Callable[[int, float], float]
+    g_rows: Callable[[np.ndarray], np.ndarray]
+    free_below: float = 0.0
+
+
+def covector_ray_strata(strata: Callable[[list], tuple],
+                        record_fields: Callable, d: np.ndarray) -> RayStrata:
+    """The RayStrata that evaluates a structure at each covector s d.
+
+    strata(cov) gives the stratum function values at one covector, and
+    record_fields is the adapter hook, whose f-values must equal them bit
+    for bit: g calls strata on a list of Python floats s d_i, which round
+    as numpy's s * d does and convert for free, and g_rows makes one
+    record_fields call with no order-one row.
+    """
+    components = d.tolist()
+
+    def g(idx: int, s: float) -> float:
+        return float(strata([s * c for c in components])[idx])
+
+    def g_rows(s: np.ndarray) -> np.ndarray:
+        return record_fields(s[:, np.newaxis] * d, np.zeros(s.size, dtype=int),
+                             np.zeros(s.size, dtype=bool))[0]
+
+    return RayStrata(g, g_rows)
 
 
 @dataclass(frozen=True)
@@ -82,25 +119,26 @@ class StructureAdapter:
     through it, and classify and the other record checks call the same
     build, so bitwise agreement is what keeps a record's order, kernel basis
     and class the same whichever route made it.
-    conj_f returns the tuple of stratum function values aligned with
-    stratum_names. record_fields(covs, strata, order_one) gives them and the
-    other analytic fields in array calls: for (n, fiber_dim) covectors,
-    their stratum indices into stratum_names and a mask of the order-one
-    rows, it returns the f-values (n, n_strata), as conj_f gives them, and
-    on the order-one rows the unit kernel vectors (n, fiber_dim) and the
-    gradients (n, fiber_dim) of each row's stratum function; their other
-    rows are not read, and need not be computed. Each value equals the
-    structure's scalar function bit for bit, and it raises what the scalar
-    sequence (conj_f, then on order-one rows the kernel and the gradient)
+    ray_strata(d) gives the stratum functions, aligned with stratum_names,
+    restricted to the ray of the unit direction d (RayStrata): scan_ray
+    samples its grid with one g_rows call, and Brent polishes the brackets
+    of a ray with few of them on g, and those of a ray with
+    LOCKSTEP_MIN_BRACKETS or more in lockstep, one g_rows call per step;
+    its last values are the residuals. So g and g_rows must agree bit for
+    bit for the brackets and the radii to hold. record_fields(covs, strata,
+    order_one) gives the stratum function values and the other analytic
+    fields at arbitrary covectors, in array calls: for (n, fiber_dim)
+    covectors, their stratum indices into stratum_names and a mask of the
+    order-one rows, it returns the f-values (n, n_strata), and on the
+    order-one rows the unit kernel vectors (n, fiber_dim) and the gradients
+    (n, fiber_dim) of each row's stratum function; their other rows are not
+    read, and need not be computed. Each value equals the structure's
+    scalar function bit for bit, and it raises what the scalar sequence
+    (the f-values, then on order-one rows the kernel and the gradient)
     raises at the first row where it raises; a row of order 0 or 2 raises
-    only where conj_f does. A structure with one stratum function gets
-    index 0 for every record, whatever its label. scan_ray samples its grid
-    with one record_fields call that has no order-one row, and builds its
-    records with one more. Brent polishes the brackets of a ray with few of
-    them on conj_f, and those of a ray with LOCKSTEP_MIN_BRACKETS or more
-    in lockstep, one record_fields call with no order-one row per step; its
-    last values are the residuals. So the two must agree for the brackets
-    and the radii to hold.
+    only where the f-values do. A structure with one stratum function gets
+    index 0 for every record, whatever its label. scan_ray builds a ray's
+    records with one record_fields call.
 
     ray_gate(direction) says whether covectors along the ray can be conjugate
     at all; undetermined(cov, stratum) marks points the classification theory
@@ -119,7 +157,7 @@ class StructureAdapter:
     fiber_dim: int
     chart: Callable[[np.ndarray], np.ndarray]
     chart_array: Callable[[np.ndarray], np.ndarray]
-    conj_f: Callable[[np.ndarray], tuple]
+    ray_strata: Callable[[np.ndarray], RayStrata]
     record_fields: Callable[[np.ndarray, np.ndarray, np.ndarray],
                             tuple[np.ndarray, np.ndarray, np.ndarray]]
     stratum_names: tuple[str, ...]
@@ -212,13 +250,14 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
              root_tol: float = DEFAULT_ROOT_TOL) -> list[ConjugateRecord]:
     """Conjugate covectors on the ray {s * direction : 0 < s <= s_max}, classified.
 
-    Roots of each stratum function are located by a scan-and-bracket search:
-    one record_fields call with no order-one row samples every stratum on
-    the scan grid. With fewer than LOCKSTEP_MIN_BRACKETS sign changes over
-    all strata, Brent polishes each with the scalar conj_f, called on a list
-    of Python floats (find_roots); with more, all of them are polished
-    together, one record_fields call per Brent step (find_roots_lockstep),
-    to the same roots bit for bit. Every root is cross-validated by the
+    Roots of each stratum function are located by a scan-and-bracket search
+    on the adapter's restriction of the strata to the ray (ray_strata): one
+    g_rows call samples every stratum on the scan grid. With fewer than
+    LOCKSTEP_MIN_BRACKETS sign changes over all strata, Brent polishes each
+    with the scalar g (find_roots); with more, all of them are polished
+    together, one g_rows call per Brent step (find_roots_lockstep), to the
+    same roots bit for bit. Roots below the restriction's free_below are
+    dropped. Every root is cross-validated by the
     finite-difference rank of the chart exponential before it becomes a
     record; the records of all strata are built together (_build_records).
     Records are sorted by s. An s_max so small that the energy of the first
@@ -232,23 +271,13 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
     nodes = scan_nodes(lo, s_max, scan_points)
-
-    def g_rows(s: np.ndarray) -> np.ndarray:
-        return adapter.record_fields(s[:, np.newaxis] * d, np.zeros(s.size, dtype=int),
-                                     np.zeros(s.size, dtype=bool))[0]
-
+    g, g_rows, free_below = adapter.ray_strata(d)
     try:
         grid = g_rows(nodes).T
     except DegenerateCovector as exc:
         # the gate let the ray in, so its energy is positive: it underflows
         raise InvalidInput(f"s_max = {s_max!r} is too small: the energy of the covectors "
                            f"at the start of the scan grid underflows ({exc})") from exc
-    # Python floats multiply as numpy's float64 does, and conj_f converts them for free
-    components = d.tolist()
-
-    def g(idx: int, s: float) -> float:
-        return float(adapter.conj_f([s * c for c in components])[idx])
-
     if sign_brackets(grid)[0].size >= LOCKSTEP_MIN_BRACKETS:
         found = find_roots_lockstep(g, g_rows, lo, s_max, grid, scan_points, root_tol)
     else:
@@ -256,7 +285,8 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
                             tol=root_tol, grid_values=grid[idx])
                  for idx in range(len(adapter.stratum_names))]
     hits = [(hit.value, stratum)
-            for stratum, roots in zip(adapter.stratum_names, found) for hit in roots]
+            for stratum, roots in zip(adapter.stratum_names, found) for hit in roots
+            if hit.value >= free_below]
     records = _build_records(adapter, d, hits) if hits else []
     records.sort(key=lambda rec: rec.s)
     return records

@@ -9,6 +9,7 @@ tolerances block. These tests keep it from growing per-call knobs again.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -44,6 +45,15 @@ def test_every_exported_name_resolves_once():
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_decision_layer_takes_no_tolerance_or_step(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+def test_structure_adapter_hooks_are_pinned():
+    # every field is one more thing each new structure must supply, so one is
+    # added or dropped only on purpose
+    assert [f.name for f in dataclasses.fields(srfolds.StructureAdapter)] == [
+        "name", "fiber_dim", "chart", "chart_array", "ray_strata", "record_fields",
+        "stratum_names", "ray_gate", "kernel_jacobi_image", "undetermined"]
+    assert srfolds.RayStrata._fields == ("g", "g_rows", "free_below")
 
 
 # each step runs in one interpreter, in order; after each the probe prints

@@ -81,7 +81,10 @@ def test_traced_layer_metrics_are_finite_numbers(bench_modules):
     metrics = run.layer_metrics(t, tracer.Tracer(), len(rays))
     assert metrics["singularity.scan_ray.calls"] == 2
     assert metrics["singularity.fold_witness.calls"] > 0
-    assert metrics["su2.exp.calls"] > 0 and metrics["grushin.exp.calls"] > 0
+    assert metrics["su2.exp.calls"] > 0
+    # a Grushin scan takes f from its ray restriction and its fold witness the
+    # chart's float endpoint (grushin._endpoint), so grushin_exp is not called
+    assert metrics["grushin.exp.calls"] == 0
     for metric in spec["per_layer"]:
         name = metric["name"]
         if run.measured_by(name) is None:

@@ -8,8 +8,8 @@ outputs are also compared byte-for-byte with golden files in tests/golden,
 captured before the two group modules were merged into contact.py; the two
 many-root scans were captured before their brackets were polished in
 lockstep, and the Grushin scans before they took their stratum function from
-its closed-form restriction to each ray. The CLI subprocesses turn a RuntimeWarning into an error, as
-pyproject does for the tests themselves.
+its closed-form restriction to each ray. The CLI subprocesses turn a
+RuntimeWarning into an error, as pyproject does for the tests themselves.
 """
 
 from __future__ import annotations
@@ -282,14 +282,24 @@ class TestExitCodes:
         ("--direction", "1,0,0.5", "--root-tol", "-1"),
         ("--direction", "1,0,0.5", "--root-tol", "nan"),
         ("--direction", "1,0,0.5", "--s-max", "inf"),
+        ("--direction", "1,0,0.5", "--s-max", "-1"),
+        ("--direction", "1,0,0.5", "--scan-points", "1"),
         ("--direction", "0,0,1", "--root-tol", "-1"),   # a ray the gate empties
     ], ids=str)
     def test_bad_root_tol_or_s_max_is_one_error_line(self, flags):
+        # a flag value that no ray could take is a usage error, found before any scan
         proc = run_cli("conj-scan", "--structure", "su2", *flags)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage error: --")
         assert proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_non_finite_alpha_is_one_usage_error_line(self):
+        proc = run_cli("expmap", "--structure", "grushin", "--alpha", "nan",
+                       "--covector", "1,0")
+        assert proc.returncode == 2
+        assert proc.stderr == "usage error: --alpha must be finite, got nan\n"
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("args", [
         ("expmap", "--structure", "su2", "--covector", "1e200,0,1e200"),

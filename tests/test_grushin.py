@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srfolds import (DegenerateCovector, GrushinBase, InvalidInput,
@@ -15,7 +15,8 @@ from srfolds import (DegenerateCovector, GrushinBase, InvalidInput,
                      grushin_conj_grad, grushin_dexp, grushin_exp,
                      grushin_jacobi, grushin_kernel, integrate, rank_nullspace,
                      scan_ray, sin_cos_alpha)
-from srfolds.grushin import _oscillator
+from srfolds.alphatrig import alpha_table
+from srfolds.grushin import _CROSSING_MARGIN, _oscillator
 from srfolds.singularity import PAIRING_TOL
 
 TAN_FIXED_POINT = 4.493409457909064
@@ -125,9 +126,8 @@ class TestAmplitude:
         # the oscillator grushin_exp runs: x(t) = amp sin_alpha(phase + flip omega t)
         # and u(t) = flip amp omega cos_alpha(phase + flip omega t) at t = 0
         alpha = 1.5
-        base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
         h2 = u0 * u0 + v0 * v0 * abs(x0) ** (2.0 * alpha)
-        amp, omega, phase, flip = _oscillator(base, u0, v0, h2)
+        amp, omega, phase, flip = _oscillator(alpha_table(alpha), x0, u0, v0, h2)
         assert abs(amp ** 2 * omega ** 2 - h2) <= 1e-10 * max(1.0, h2)
         s_phi, c_phi = sin_cos_alpha(alpha, phase)
         assert abs(amp * s_phi - x0) <= 1e-10
@@ -513,3 +513,64 @@ class TestCovectorParsing:
         for cov in ((0.4, 1), [0.4, 1.0], np.array([0.4, 1.0]), np.array([2, 5])):
             _, v = grushin_exp(base, cov, 1.0).momentum
             assert type(v) is float
+
+
+class TestRayRestriction:
+    """The adapter's closed-form restriction of f to a ray (ray_strata)."""
+
+    # both f and its restriction evaluate sin_alpha at theta = phase + flip omega s
+    # from constants that round differently; an error of order eps |theta| in
+    # theta reaches f through terms of size amp (alpha |omega| (|u0| + |x0|) + |u0|).
+    # The bound is _RESTRICTION_ULPS eps times that size times (1 + |theta|);
+    # the worst ratio seen over 40,000 random draws of this domain was 3.6
+    _RESTRICTION_ULPS = 32.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(1.0, 5.0), x0=st.floats(-2.0, 2.0),
+           angle=st.floats(0.0, 2.0 * math.pi), s=st.floats(1e-3, 60.0))
+    def test_agrees_with_conj_f_to_rounding(self, alpha, x0, angle, s):
+        base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
+        d = np.array([math.cos(angle), math.sin(angle)])
+        u0, v0 = s * d[0], s * d[1]
+        h2 = u0 * u0 + v0 * v0 * abs(x0) ** (2.0 * alpha)
+        assume(v0 * v0 != 0.0 and h2 != 0.0)
+        amp, omega, phase, flip = _oscillator(alpha_table(alpha), x0, u0, v0, h2)
+        theta = phase + flip * omega
+        size = amp * (alpha * abs(omega) * (abs(u0) + abs(x0)) + abs(u0)) * (1.0 + abs(theta))
+        value = grushin_adapter(base).ray_strata(d).g(0, s)
+        reference = grushin_conj_f(base, (u0, v0))
+        eps = np.finfo(float).eps
+        assert abs(value - reference) <= self._RESTRICTION_ULPS * eps * max(1.0, size)
+
+    @pytest.mark.parametrize("alpha,x0,direction", [
+        (1.5, 0.5, (0.4, 1.0)),       # moving off the axis
+        (1.5, 0.5, (-0.6, 1.0)),      # moving toward it
+        (2.5, -0.3, (1.0, 0.5)),
+        (2.5, -0.3, (-1.0, -0.5)),
+        (3.0, 2.0, (0.0, 1.0)),       # starting at the top of the oscillation
+        (1.0, -0.5, (1.0, 1e-8)),     # near-horizontal, reaching the axis at s ~ 0.5
+    ])
+    def test_crossing_radius_is_where_the_endpoint_reaches_the_axis(self, alpha, x0,
+                                                                    direction):
+        base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
+        d = np.asarray(direction) / np.linalg.norm(direction)
+        crossing = grushin_adapter(base).ray_strata(d).free_below / (1.0 - _CROSSING_MARGIN)
+        before = grushin_exp(base, (1.0 - 1e-6) * crossing * d, 1.0).position[0]
+        after = grushin_exp(base, (1.0 + 1e-6) * crossing * d, 1.0).position[0]
+        assert math.copysign(1.0, before) == math.copysign(1.0, x0)
+        assert math.copysign(1.0, after) == -math.copysign(1.0, x0)
+
+    def test_no_crossing_radius_on_the_axis(self):
+        adapter = grushin_adapter(GrushinBase(alpha=2.0, x0=0.0, y0=0.0))
+        assert adapter.ray_strata(np.array([0.6, 0.8])).free_below == 0.0
+
+    @pytest.mark.parametrize("alpha,x0,direction", [
+        (1.0, 0.5, (1.0, 1e-155)),
+        (4.0, 0.5, (1.0, 1e-160)),
+    ])
+    def test_no_record_below_the_crossing_radius(self, alpha, x0, direction):
+        # these geodesics stay off the axis on [0, 1] for every s <= 30, where
+        # the plane has negative curvature; f there is rounding noise, whose
+        # sign changes used to become dozens of records, most of them Folds
+        records = scan_ray(grushin_adapter(GrushinBase(alpha, x0, 0.0)), direction, 30.0)
+        assert records == []

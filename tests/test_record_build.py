@@ -31,7 +31,7 @@ from srfolds import (ConjugateRecord, SingularityClass, StructureAdapter, classi
 from srfolds.errors import DegenerateCovector, DegenerateMatrix, InvalidInput, NotConjugate
 from srfolds.grushin import GrushinBase
 from srfolds.numeric import fd_stencil
-from srfolds.singularity import (INDEPENDENCE_TOL, PAIRING_TOL, SECOND_ORDER_STEP,
+from srfolds.singularity import (INDEPENDENCE_TOL, PAIRING_TOL, SECOND_ORDER_STEP, RayStrata,
                                  SECOND_ORDER_TOL, _rank_reports, _stratum_indices)
 
 SU2 = su2_adapter()
@@ -307,7 +307,8 @@ RAYS = [
     ("grushin-vertical", *_grushin(1.0, 0.5), (0.0, 1.0), 20.0),
     ("grushin-near-vertical", *_grushin(3.0, 2.0),
      (math.cos(math.pi / 2.0 + 1e-6), math.sin(math.pi / 2.0 + 1e-6)), 20.0),
-    ("grushin-order-zero", *_grushin(3.0, -2.0), (1.0, 1e-8), 30.0),
+    # an order-0 record past the crossing radius (about 0.5) of a near-horizontal ray
+    ("grushin-order-zero", *_grushin(3.0, -0.5), (1.0, 1e-8), 30.0),
 ]
 
 
@@ -354,7 +355,8 @@ def _fake_adapter(chart):
     return StructureAdapter(
         name="fake", fiber_dim=3, chart=chart,
         chart_array=lambda points: np.array([[chart(p) for p in row] for row in points]),
-        conj_f=lambda cov: (0.0,), record_fields=record_fields, stratum_names=("C",),
+        ray_strata=lambda d: RayStrata(lambda idx, s: 0.0, lambda s: np.zeros((s.size, 1))),
+        record_fields=record_fields, stratum_names=("C",),
         ray_gate=lambda direction: True,
         kernel_jacobi_image=lambda cov: np.array([0.0, 0.0, 1.0]))
 

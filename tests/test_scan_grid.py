@@ -1,13 +1,13 @@
 """The scan grid in one array call agrees with the scalar stratum functions.
 
-scan_ray samples a ray's grid with one adapter.record_fields call that has no
-order-one row and polishes each bracket with the scalar adapter.conj_f (on
-these rays, which have too few brackets for the lockstep polish). The
-reference here is the scalar loop, one conj_f call per grid node. On a list
-of edge rays (components that underflow, Grushin's straight-line branch,
-H = 0 on the first nodes, angles next to the vertical, w0 = 0) the array
-values must equal it bit for bit, and scan_ray must return the same records,
-or raise the same exception with the same message, with either grid.
+scan_ray samples a ray's grid with one g_rows call of the adapter's
+restriction to the ray (ray_strata) and polishes each bracket with its scalar
+g (on these rays, which have too few brackets for the lockstep polish). The
+reference here is the scalar loop, one g call per grid node. On a list of
+edge rays (components that underflow, Grushin's straight-line branch, H = 0
+on the first nodes, angles next to the vertical, w0 = 0) the array values
+must equal it bit for bit, and scan_ray must return the same records, or
+raise the same exception with the same message, with either grid.
 """
 
 from __future__ import annotations
@@ -37,26 +37,19 @@ GROUP_CASES = list(itertools.product(("su2", "sl2"), GROUP_DIRECTIONS))
 
 
 def _scalar_grid(adapter):
-    """The adapter with its f-values taken one scalar conj_f call per row.
+    """The adapter with its ray grids taken one scalar g call per node and stratum."""
 
-    Order-one rows still take their kernel and gradient from the adapter's
-    own record_fields, one row at a time after that row's conj_f, so the
-    scalar loop's first raise stays first.
-    """
+    def ray_strata(d):
+        strata = adapter.ray_strata(d)
+        n = len(adapter.stratum_names)
 
-    def record_fields(covs, strata, order_one):
-        n = covs.shape[0]
-        f_values = np.empty((n, len(adapter.stratum_names)))
-        kernels, grads = np.empty((n, adapter.fiber_dim)), np.empty((n, adapter.fiber_dim))
-        for i, cov in enumerate(covs):
-            f_values[i] = [float(v) for v in adapter.conj_f(cov)]
-            if order_one[i]:
-                _, kernel, grad = adapter.record_fields(covs[i:i + 1], strata[i:i + 1],
-                                                        order_one[i:i + 1])
-                kernels[i], grads[i] = kernel[0], grad[0]
-        return f_values, kernels, grads
+        def g_rows(s):
+            return np.array([[strata.g(idx, x) for idx in range(n)]
+                             for x in s.tolist()]).reshape(s.size, n)
 
-    return replace(adapter, record_fields=record_fields)
+        return strata._replace(g_rows=g_rows)
+
+    return replace(adapter, ray_strata=ray_strata)
 
 
 def _outcome(call):
@@ -79,9 +72,8 @@ def _records(adapter, direction):
 def _grid(adapter, direction):
     d = np.asarray(direction, dtype=float)
     nodes = scan_nodes(S_MAX * RAY_ORIGIN_OFFSET, S_MAX, DEFAULT_SCAN_POINTS)
-    covs = nodes[:, np.newaxis] * (d / np.linalg.norm(d))
-    strata, order_one = np.zeros(len(covs), dtype=int), np.zeros(len(covs), dtype=bool)
-    return _outcome(lambda: adapter.record_fields(covs, strata, order_one)[0].T.tobytes())
+    g_rows = adapter.ray_strata(d / np.linalg.norm(d)).g_rows
+    return _outcome(lambda: g_rows(nodes).T.tobytes())
 
 
 def _check(adapter, direction):
@@ -102,7 +94,7 @@ def test_group_edge_rays(structure, direction):
 
 def test_edge_rays_cover_the_raise_and_straight_branches():
     # H underflows to 0 on the first nodes: the scan raises, with either grid,
-    # the InvalidInput that names s_max and the scalar conj_f's reason
+    # the InvalidInput that names s_max and the scalar stratum function's reason
     for adapter, direction in [(su2_adapter(), (1e-160, 0.0, 1.0)),
                                (sl2_adapter(), (0.0, 1e-161, 1.0)),
                                (grushin_adapter(GrushinBase(1.0, 0.0, 0.0)), (1e-160, 1.0))]:
@@ -115,6 +107,12 @@ def test_edge_rays_cover_the_raise_and_straight_branches():
 
 
 def test_order_zero_record_survives():
-    records = scan_ray(grushin_adapter(GrushinBase(3.0, -2.0, 0.0)), (1.0, 1e-8), S_MAX)
+    # a root where the chart has full FD rank becomes an order-0 record; on
+    # this near-horizontal ray f is rounding noise past the crossing radius
+    # (about 0.5), where the geodesics reach the axis
+    adapter = grushin_adapter(GrushinBase(3.0, -0.5, 0.0))
+    records = scan_ray(adapter, (1.0, 1e-8), S_MAX)
     assert [(rec.order, rec.singularity_class) for rec in records] == [
         (0, SingularityClass.NOT_SINGULAR)]
+    d = np.array([1.0, 1e-8]) / math.hypot(1.0, 1e-8)
+    assert records[0].s > adapter.ray_strata(d).free_below > 0.4

@@ -139,7 +139,7 @@ class TestScanRay:
         assert all(rec.order == 1 for rec in records)
 
     def test_grushin_no_record_at_first_grid_node(self):
-        # conj_f rounds to exactly 0.0 at the first scan node of this ray,
+        # f rounds to exactly 0.0 at the first scan node of this ray,
         # s = 20 * RAY_ORIGIN_OFFSET, without changing sign there; the scan
         # must give the records the same ray gives when scanned further
         adapter = grushin_adapter(GrushinBase(3.0, 0.0, 0.0))
@@ -429,28 +429,24 @@ class TestScanCost:
         (sl2_adapter, SL2_RAY, 14.0),
     ], ids=["grushin", "su2", "sl2"])
     def test_scalar_conj_f_calls_per_record(self, make_adapter, ray, s_max):
-        # the grid and the records take their f-values from record_fields;
-        # on these short rays the scalar conj_f serves only Brent, whose last
-        # value is the residual
-        adapter = make_adapter()
-        calls = [0]
-
-        def counted(cov):
-            calls[0] += 1
-            return adapter.conj_f(cov)
-
-        records = scan_ray(replace(adapter, conj_f=counted), ray, s_max)
+        # the grid comes from one g_rows call of the ray's restriction and the
+        # records from record_fields; on these short rays the scalar g serves
+        # only Brent, whose last value is the residual
+        calls = {"g": 0, "g_rows": 0}
+        records = scan_ray(_counted_strata(make_adapter(), calls), ray, s_max)
         assert len(records) >= 2
-        assert calls[0] <= 5 * len(records)
-        assert calls[0] < DEFAULT_SCAN_POINTS
+        assert calls["g"] <= 5 * len(records)
+        assert calls["g"] < DEFAULT_SCAN_POINTS
+        assert calls["g_rows"] == 1
 
     @pytest.mark.parametrize("make_adapter,ray", [
         (su2_adapter, SU2_RAY), (sl2_adapter, SL2_RAY),
     ], ids=["su2-long", "sl2-long"])
     def test_long_ray_polishes_in_lockstep(self, monkeypatch, make_adapter, ray):
         # a ray with LOCKSTEP_MIN_BRACKETS or more brackets makes no scalar
-        # conj_f call: one record_fields call samples the grid, one per Brent
-        # step polishes every bracket of both strata, and one builds the records
+        # g call: one g_rows call samples the grid, one per Brent step
+        # polishes every bracket of both strata, and one record_fields call
+        # builds the records
         adapter = make_adapter()
         steps = []
         brent = numeric_module._brent
@@ -471,21 +467,17 @@ class TestScanCost:
         scalar_records = scan_ray(adapter, ray, 4000.0)
         assert len(steps) >= LOCKSTEP_MIN_BRACKETS
         monkeypatch.undo()
-        conj_f_calls, order_one_rows = [0], []
-
-        def conj_f(cov):
-            conj_f_calls[0] += 1
-            return adapter.conj_f(cov)
+        calls, order_one_rows = {"g": 0, "g_rows": 0}, []
 
         def record_fields(covs, strata, order_one):
             order_one_rows.append(int(np.count_nonzero(order_one)))
             return adapter.record_fields(covs, strata, order_one)
 
-        records = scan_ray(replace(adapter, conj_f=conj_f, record_fields=record_fields),
-                           ray, 4000.0)
-        assert conj_f_calls[0] == 0
-        assert len(order_one_rows) <= 2 + max(steps)
-        assert order_one_rows[:-1] == [0] * (len(order_one_rows) - 1)
+        counted = replace(_counted_strata(adapter, calls), record_fields=record_fields)
+        records = scan_ray(counted, ray, 4000.0)
+        assert calls["g"] == 0
+        assert calls["g_rows"] <= 1 + max(steps)
+        assert len(order_one_rows) == 1
         assert [(rec.s, rec.stratum) for rec in records] == [
             (rec.s, rec.stratum) for rec in scalar_records]
 
@@ -496,20 +488,21 @@ class TestScanCost:
         (sl2_adapter, SL2_RAY, 14.0),
     ], ids=["grushin", "su2", "sl2"])
     def test_record_fields_calls_per_ray(self, make_adapter, ray, s_max):
-        # on these short rays one call samples the grid, with no order-one
-        # row, and one builds the records
+        # on these short rays one g_rows call samples the grid and one
+        # record_fields call builds the records
         adapter = make_adapter()
-        order_one_rows = []
+        calls, order_one_rows = {"g": 0, "g_rows": 0}, []
 
         def record_fields(covs, strata, order_one):
             order_one_rows.append(int(np.count_nonzero(order_one)))
             return adapter.record_fields(covs, strata, order_one)
 
-        records = scan_ray(replace(adapter, record_fields=record_fields), ray, s_max)
+        counted = replace(_counted_strata(adapter, calls), record_fields=record_fields)
+        records = scan_ray(counted, ray, s_max)
         assert len(records) >= 2
-        assert len(order_one_rows) == 2
-        assert order_one_rows[0] == 0
-        assert order_one_rows[1] == sum(rec.order == 1 for rec in records) > 0
+        assert calls["g_rows"] == 1
+        assert order_one_rows == [sum(rec.order == 1 for rec in records)]
+        assert order_one_rows[0] > 0
 
     @pytest.mark.parametrize("make_adapter,ray,s_max", [
         (lambda: grushin_adapter(GrushinBase(2.5, 0.5, 0.0)),
@@ -736,6 +729,53 @@ class TestRegularityIsomorphism:
             cov = np.asarray(rec.covector, dtype=float)
             assert (adapter.kernel_jacobi_image(cov).tobytes()
                     == self._composed_image(structure, cov).tobytes())
+
+
+def _counted_strata(adapter, calls):
+    """The adapter with the calls of its ray restrictions' g and g_rows counted in calls."""
+
+    def ray_strata(d):
+        strata = adapter.ray_strata(d)
+
+        def g(idx, s):
+            calls["g"] += 1
+            return strata.g(idx, s)
+
+        def g_rows(s):
+            calls["g_rows"] += 1
+            return strata.g_rows(s)
+
+        return strata._replace(g=g, g_rows=g_rows)
+
+    return replace(adapter, ray_strata=ray_strata)
+
+
+@pytest.mark.parametrize("adapter,direction", [
+    (su2_adapter(), SU2_RAY),
+    (su2_adapter(), (1.0, 1.0, 0.0)),
+    (sl2_adapter(), SL2_RAY),
+    (sl2_adapter(), (0.2, 0.5, 1.3)),
+    (grushin_adapter(GrushinBase(1.0, 0.0, 0.0)), (0.3, 1.0)),
+    (grushin_adapter(GrushinBase(2.5, 0.5, 0.0)), (math.cos(0.9), math.sin(0.9))),
+    (grushin_adapter(GrushinBase(3.0, -2.0, 0.0)), (-1.0, 0.3)),
+    # v0^2 underflows up to s ~ 0.15: the straight line there, the oscillator after
+    (grushin_adapter(GrushinBase(1.0, 0.5, 0.0)), (1.0, 1e-161)),
+    # v0^2 underflows on the whole ray: every value is the covector route's
+    (grushin_adapter(GrushinBase(2.0, 0.5, 0.0)), (1.0, 1e-300)),
+], ids=["su2", "su2-planar", "sl2", "sl2-tilted", "grushin-axis", "grushin",
+        "grushin-negative-x0", "grushin-mixed", "grushin-straight"])
+def test_ray_strata_rows_equal_g(adapter, direction):
+    # scan_ray takes its grid and its lockstep steps from g_rows and its
+    # scalar Brent steps from g, so the two must agree to the bit
+    strata = adapter.ray_strata(_unit(direction))
+    rng = np.random.default_rng(7)
+    radii = np.concatenate([np.linspace(1e-3, 60.0, 400), rng.uniform(0.0, 60.0, 200),
+                            rng.uniform(0.0, 0.3, 100)])
+    rows = strata.g_rows(radii)
+    scalar = [[strata.g(idx, s) for idx in range(len(adapter.stratum_names))]
+              for s in radii.tolist()]
+    assert rows.shape == (radii.size, len(adapter.stratum_names))
+    assert rows.tobytes() == np.array(scalar).tobytes()
 
 
 class _Counted:
