@@ -54,13 +54,14 @@ alpha_table(alpha) checks alpha once and returns its table; table_sin_cos,
 table_arc and table_arc_cos evaluate from it without the argument checks of
 sin_cos_alpha, arc_alpha and arc_cos_alpha, which call them, bit for bit.
 
-The *_array functions evaluate the same formulas over a 1-d array, branch by
-branch on masks, and return bit for bit what the scalar functions return at
-each element: the polynomials run the same Horner recurrence on floats and
-on arrays, and arithmetic and sqrt are correctly rounded in numpy as in
-Python. numpy's own power, log, expm1, arcsin, arccos, sin and cos can differ
-from the C library by an ulp, so those go through the scalar libm element by
-element (numeric.libm).
+sin_cos_alpha_array evaluates the same formulas over a 1-d array, branch by
+branch on masks, and returns bit for bit what sin_cos_alpha returns at each
+element: the polynomials run the same Horner recurrence on floats and on
+arrays, and arithmetic and sqrt are correctly rounded in numpy as in Python.
+numpy's own power, sin and cos can differ from the C library by an ulp, so
+those go through the scalar libm element by element (numeric.libm). It serves
+the Grushin scan grid, hundreds of phases a ray; the inversions run a few
+times a ray and have only their scalar form.
 """
 
 from __future__ import annotations
@@ -288,13 +289,13 @@ def _eval_quarter_array(table: _AlphaConstants, tq: np.ndarray) -> tuple[np.ndar
     return s_abs, c_abs
 
 
-def _arc_low(table: _AlphaConstants, s, x):
-    """Phase where |sin_alpha| = s, from x = s^(2 alpha) <= 1/2; floats or arrays."""
+def _arc_low(table: _AlphaConstants, s: float, x: float) -> float:
+    """Phase where |sin_alpha| = s, from x = s^(2 alpha) <= 1/2."""
     return s + s * _polynomial(table.arc_low, 4.0 * x - 1.0)
 
 
-def _arc_high(table: _AlphaConstants, c, cos_sq):
-    """Phase where cos_alpha = c, from cos_sq = c^2 <= 1/2; floats or arrays."""
+def _arc_high(table: _AlphaConstants, c: float, cos_sq: float) -> float:
+    """Phase where cos_alpha = c, from cos_sq = c^2 <= 1/2."""
     return table.quarter - (c + c * _polynomial(table.arc_high, 4.0 * cos_sq - 1.0)) / table.alpha
 
 
@@ -316,35 +317,6 @@ def _arc_cos_quarter(table: _AlphaConstants, c: float) -> float:
         return _arc_high(table, c, cos_sq)
     x = (1.0 - c) * (1.0 + c)
     return _arc_low(table, x ** table.a, x)
-
-
-def _arc_quarter_array(table: _AlphaConstants, s: np.ndarray) -> np.ndarray:
-    """_arc_quarter at each element of s."""
-    x = libm(pow, s, 2.0 * table.alpha)
-    tq = s.copy()
-    kept = ~(x < _NEGLIGIBLE_X)
-    low = np.flatnonzero(kept & (x <= 0.5))
-    if low.size:
-        tq[low] = _arc_low(table, s[low], x[low])
-    top = np.flatnonzero(kept & ~(x <= 0.5))
-    if top.size:
-        cos_sq = -libm(math.expm1, 2.0 * table.alpha * libm(math.log, s[top]))
-        tq[top] = _arc_high(table, np.sqrt(cos_sq), cos_sq)
-    return tq
-
-
-def _arc_cos_quarter_array(table: _AlphaConstants, c: np.ndarray) -> np.ndarray:
-    """_arc_cos_quarter at each element of c."""
-    cos_sq = c * c
-    tq = np.empty_like(c)
-    high = np.flatnonzero(cos_sq <= 0.5)
-    if high.size:
-        tq[high] = _arc_high(table, c[high], cos_sq[high])
-    low = np.flatnonzero(~(cos_sq <= 0.5))
-    if low.size:
-        x = (1.0 - c[low]) * (1.0 + c[low])
-        tq[low] = _arc_low(table, libm(pow, x, table.a), x)
-    return tq
 
 
 def alpha_table(alpha: float) -> _AlphaConstants:
@@ -448,19 +420,3 @@ def sin_cos_alpha_array(alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.nda
     s_sign = np.where(second, 1.0, -1.0)
     c_sign = np.where(first | ~third, 1.0, -1.0)
     return odd_sign * s_sign * s_abs, c_sign * c_abs
-
-
-def arc_alpha_array(alpha: float, s: np.ndarray) -> np.ndarray:
-    """arc_alpha(alpha, s, 1.0) at each element of a 1-d array of s in [0, 1]."""
-    alpha = _validate_alpha(alpha)
-    if alpha == 1.0:
-        return libm(math.asin, np.abs(s))
-    return _arc_quarter_array(_table_cached(alpha), np.abs(s))
-
-
-def arc_cos_alpha_array(alpha: float, c: np.ndarray) -> np.ndarray:
-    """arc_cos_alpha at each element of a 1-d array of c in [0, 1]."""
-    alpha = _validate_alpha(alpha)
-    if alpha == 1.0:
-        return libm(math.acos, c)
-    return _arc_cos_quarter_array(_table_cached(alpha), c)

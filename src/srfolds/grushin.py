@@ -33,7 +33,9 @@ apart needs a cusp certificate and a second fold route.
 Along a ray of covectors s d the amplitude, the phase and omega / s do not
 depend on s, so ray scans evaluate f from them (_ray_strata), and they skip
 the radii at which the geodesic stays off the axis, where the plane is
-Riemannian with negative curvature and has no conjugate point.
+Riemannian with negative curvature and has no conjugate point. Everything
+else evaluates the geodesic in one scalar form (_endpoint): the adapter's
+chart_array and record_fields loop over it and over the scalar functions.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ import numpy as np
 
 # sin_cos_alpha and arc_alpha, the checked scalar forms, are not called here;
 # perfbench/tracer.py wraps these names as the alpha-trig boundary
-from .alphatrig import (alpha_table, arc_alpha, arc_alpha_array,
-                        arc_cos_alpha_array, sin_cos_alpha, sin_cos_alpha_array, table_arc,
+from .alphatrig import (alpha_table, arc_alpha, sin_cos_alpha, sin_cos_alpha_array, table_arc,
                         table_arc_cos, table_sin_cos)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import finite_time, libm, row_dots
+from .numeric import finite_time
 from .scfun import sc_pair
 from .singularity import RayStrata, StructureAdapter, covector_ray_strata
 from .state import GeodesicState, JacobiCoords
@@ -65,7 +66,11 @@ _CROSSING_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class GrushinBase:
-    """Base point (x0, y0) of the plane together with the exponent alpha."""
+    """Base point (x0, y0) of the plane together with the exponent alpha.
+
+    |x0|^(2 alpha) must be a double: every field of the plane at the base
+    carries it.
+    """
 
     alpha: float
     x0: float
@@ -79,6 +84,11 @@ class GrushinBase:
             object.__setattr__(self, name, float(value))
         if self.alpha < 1.0:
             raise InvalidInput(f"alpha must be >= 1, got {self.alpha}")
+        try:
+            _even_power(self.x0, self.alpha)
+        except OverflowError:
+            raise InvalidInput(f"x0 = {self.x0!r} too large: |x0|^(2 alpha) overflows "
+                               f"at alpha = {self.alpha!r}") from None
 
 
 def _cov_pair(cov) -> tuple[float, float]:
@@ -123,9 +133,12 @@ def _line_integral(x0: float, u0: float, t: float, alpha: float) -> float:
     return (_even_power(x1, alpha) * x1 - _even_power(x0, alpha) * x0) / (n * u0)
 
 
-def _energy(base: GrushinBase, u0: float, v0: float) -> float:
-    """2H at the base point."""
-    return u0 * u0 + v0 * v0 * _even_power(base.x0, base.alpha)
+def _energy(x0: float, alpha: float, u0: float, v0: float) -> float:
+    """2H at the base abscissa x0; raises InvalidInput where it overflows."""
+    h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
+    if not math.isfinite(h2):
+        raise InvalidInput(f"covector ({u0!r}, {v0!r}) too large: its energy overflows")
+    return h2
 
 
 def _curvature_resolvable(h2: float, v0: float) -> bool:
@@ -141,7 +154,7 @@ def _curvature_resolvable(h2: float, v0: float) -> bool:
 
 
 def _oscillates(h2: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Where grushin_exp takes its oscillator branch: h2 != 0 and _curvature_resolvable."""
+    """Where _endpoint takes its oscillator branch: h2 != 0 and _curvature_resolvable."""
     with np.errstate(all="ignore"):
         return (h2 != 0.0) & (v0 * v0 != 0.0) & np.isfinite(np.sqrt(h2) / np.abs(v0))
 
@@ -183,10 +196,11 @@ def _endpoint(table, x0: float, y0: float, u0: float, v0: float,
 
     grushin_exp on floats, without its argument checks and without building
     a GeodesicState: table is alpha's (alphatrig.alpha_table), and u0, v0
-    and t are finite floats.
+    and t are finite floats. The scalar Grushin functions and the adapter's
+    chart all evaluate the geodesic here.
     """
     alpha = table.alpha
-    h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
+    h2 = _energy(x0, alpha, u0, v0)
     if h2 == 0.0:
         return x0, y0, u0
     if not _curvature_resolvable(h2, v0):
@@ -199,7 +213,10 @@ def _endpoint(table, x0: float, y0: float, u0: float, v0: float,
 
 
 def grushin_exp(base: GrushinBase, cov, t: float) -> GeodesicState:
-    """Normal geodesic from the base point at time t: positions and momenta."""
+    """Normal geodesic from the base point at time t: positions and momenta.
+
+    Raises InvalidInput where the energy u0^2 + v0^2 |x0|^(2 alpha) overflows.
+    """
     u0, v0 = _cov_pair(cov)
     t = finite_time(t)
     x, y, u = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, t)
@@ -236,7 +253,7 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
     t = finite_time(t)
     pa0, pb0 = init.p
     xa0, xb0 = init.x
-    h2 = _energy(base, u0, v0)
+    h2 = _energy(base.x0, base.alpha, u0, v0)
     if h2 == 0.0 or not _curvature_resolvable(h2, v0):
         k = v0 * v0 if base.alpha == 1.0 else 0.0
         s, c = sc_pair(k, t)
@@ -268,52 +285,10 @@ def grushin_conj_f(base: GrushinBase, cov) -> float:
     scans gate those out.
     """
     u0, v0 = _cov_pair(cov)
-    if _energy(base, u0, v0) == 0.0:
+    if _energy(base.x0, base.alpha, u0, v0) == 0.0:
         raise DegenerateCovector("conjugacy function undefined at H = 0")
-    state = grushin_exp(base, cov, 1.0)
-    x1, _ = state.position
-    u1, _ = state.momentum
+    x1, _, u1 = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, 1.0)
     return u1 * (u0 + base.x0) - u0 * x1
-
-
-def _endpoint_pass(base: GrushinBase,
-                   covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x1, y1, u1) of grushin_exp(base, cov, 1.0) at each row of covs, bit for bit.
-
-    Follows the scalar branches row by row: the straight line where the
-    curvature is not resolvable, and _oscillator and grushin_exp term for
-    term elsewhere, with the phase inverted from the smaller of its sine and
-    cosine ratios. Rows that are not finite or have H = 0 go to grushin_exp
-    itself.
-    """
-    u0, v0 = covs[:, 0], covs[:, 1]
-    alpha, x0 = base.alpha, base.x0
-    with np.errstate(all="ignore"):
-        h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
-        x1 = x0 + u0 * 1.0
-    osc = np.flatnonzero(_oscillates(h2, v0))
-    y1 = np.full(u0.shape, base.y0)
-    u1 = u0.copy()
-    for i in np.flatnonzero(~np.isfinite(covs).all(axis=1) | (h2 == 0.0)):
-        state = grushin_exp(base, covs[i], 1.0)
-        (x1[i], y1[i]), u1[i] = state.position, state.momentum[0]
-    u0, v0, h2 = u0[osc], v0[osc], h2[osc]
-    amp = libm(pow, np.sqrt(h2) / np.abs(v0), 1.0 / alpha)
-    omega = v0 * libm(pow, amp, alpha - 1.0)
-    sin_ratio = np.minimum(np.abs(x0 / amp), 1.0)
-    cos_ratio = np.minimum(np.abs(u0 / (amp * omega)), 1.0)
-    by_cos = cos_ratio < sin_ratio
-    arc = np.empty_like(amp)
-    arc[by_cos] = arc_cos_alpha_array(alpha, cos_ratio[by_cos])
-    arc[~by_cos] = arc_alpha_array(alpha, sin_ratio[~by_cos])
-    phase = np.copysign(arc, x0)
-    flip = np.where(u0 * v0 < 0.0, -1.0, 1.0)
-    sin_a, cos_a = sin_cos_alpha_array(alpha, phase + flip * omega * 1.0)
-    x = amp * sin_a
-    u = flip * amp * omega * cos_a
-    x1[osc], u1[osc] = x, u
-    y1[osc] = base.y0 + (1.0 * h2 + u0 * x0 - u * x) / (v0 * (alpha + 1.0))
-    return x1, y1, u1
 
 
 def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
@@ -333,9 +308,7 @@ def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
     if v0 == 0.0:
         raise DegenerateCovector(
             "conjugacy gradient undefined on the v0 = 0 branch (f vanishes identically)")
-    state = grushin_exp(base, cov, 1.0)
-    x1, _ = state.position
-    u1, _ = state.momentum
+    x1, _, u1 = _endpoint(alpha_table(alpha), x0, base.y0, u0, v0, 1.0)
     u1_dot = -alpha * v0 * v0 * _odd_power(x1, alpha)
     a = alpha
     edge = u0 + x0
@@ -355,75 +328,24 @@ def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
     return np.array([df_du, df_dv])
 
 
-def _pow_or_inf(x: float, y: float) -> float:
-    """x ** y, or inf where that power raises OverflowError."""
-    try:
-        return x ** y
-    except OverflowError:
-        return math.inf
-
-
 def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
                           order_one: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grushin_conj_f, grushin_kernel, grushin_conj_grad) at each row of covs, bit for bit.
+    """(grushin_conj_f, grushin_kernel, grushin_conj_grad) at each row of covs.
 
     Returns the f-values (n, 1), and on the order_one rows the unit kernels
     (n, 2) and the gradients (n, 2); the other rows of those two are not
-    defined, and kernels and gradients are computed on the order-one rows
-    only. Every row's endpoint comes from one _endpoint_pass. The rows
-    where one of the scalar functions may raise (not finite, H = 0, and on
-    order-one rows v0 = 0, an f that grushin_kernel rejects, an odd power
-    that overflows, a gradient denominator that underflows or overflows, or
-    a gradient that is not finite) go through them in row order, so the
-    first of them that raises is the scalar loop's first.
+    defined. Each row is a call of the scalar functions, f and then on an
+    order-one row the kernel and the gradient, so the values are theirs and
+    the first of them that raises is the first error of the row loop.
     """
-    u0, v0 = covs[:, 0], covs[:, 1]
-    alpha, x0 = base.alpha, base.x0
-    x2a = _even_power(x0, alpha)
     n = covs.shape[0]
-    with np.errstate(all="ignore"):
-        h2 = u0 * u0 + v0 * v0 * x2a
-        good = np.isfinite(covs).all(axis=1) & (h2 != 0.0)
-        x1, u1 = np.zeros(n), np.zeros(n)
-        x1[good], _, u1[good] = _endpoint_pass(base, covs[good])
-        f = u1 * (u0 + x0) - u0 * x1
-    kernels, grads = np.empty((n, 2)), np.empty((n, 2))
-    fallback = ~good
-    rows = np.flatnonzero(order_one & good)
-    if rows.size:
-        u0, v0, h2, x1, u1 = u0[rows], v0[rows], h2[rows], x1[rows], u1[rows]
-        with np.errstate(all="ignore"):
-            scale = np.fmax(1.0, np.abs(u1) * (np.abs(u0) + abs(x0)) + np.abs(u0) * np.abs(x1))
-            kern = np.column_stack([v0 * x2a, -u0])
-            kernels[rows] = kern / np.sqrt(row_dots(kern, kern))[:, np.newaxis]
-            odd = np.zeros(rows.size)
-            live = x1 != 0.0
-            odd[live] = libm(_pow_or_inf, np.abs(x1[live]), 2.0 * (alpha - 1.0)) * x1[live]
-            u1_dot = -alpha * v0 * v0 * odd
-            a = alpha
-            edge = u0 + x0
-            on_edge = (np.abs(edge)
-                       <= _BRANCH_TOL * np.maximum(np.maximum(1.0, np.abs(u0)), abs(x0)))
-            denom = a * v0 * edge * h2
-            df_du = np.where(
-                on_edge, u1 * v0 * v0 * x2a / h2,
-                (u1_dot * edge * edge * ((a - 1.0) * u0 - x0)
-                 - a * v0 * v0 * x1 * x2a * x0) / (a * edge * h2))
-            df_dv = np.where(
-                on_edge, u1 * v0 * x2a * x0 / h2,
-                (u1_dot * edge * edge * (u0 * u0 + a * v0 * v0 * x2a + u0 * x0)
-                 + a * u0 * v0 * v0 * x1 * x2a * x0) / denom)
-        grads[rows] = np.column_stack([df_du, df_dv])
-        degenerate = ~on_edge & ((denom == 0.0) | ~np.isfinite(denom))
-        fallback[rows] = ((v0 == 0.0) | (np.abs(f[rows]) > _KERNEL_RESIDUAL_TOL * scale)
-                          | ~np.isfinite(odd) | degenerate
-                          | ~np.isfinite(grads[rows]).all(axis=1))
-    for i in np.flatnonzero(fallback):
-        f[i] = grushin_conj_f(base, covs[i])
+    f, kernels, grads = np.empty((n, 1)), np.empty((n, 2)), np.empty((n, 2))
+    for i, cov in enumerate(covs):
+        f[i, 0] = grushin_conj_f(base, cov)
         if order_one[i]:
-            kernels[i] = grushin_kernel(base, covs[i])[0]
-            grads[i] = grushin_conj_grad(base, covs[i])
-    return f[:, np.newaxis], kernels, grads
+            kernels[i] = grushin_kernel(base, cov)[0]
+            grads[i] = grushin_conj_grad(base, cov)
+    return f, kernels, grads
 
 
 def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
@@ -433,13 +355,11 @@ def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
     (v0 |x0|^(2 alpha), -u0) in the (u, v) fiber coordinates.
     """
     u0, v0 = _cov_pair(cov)
-    if _energy(base, u0, v0) == 0.0:
+    if _energy(base.x0, base.alpha, u0, v0) == 0.0:
         raise DegenerateCovector("kernel undefined at H = 0")
     if v0 == 0.0:
         raise DegenerateCovector("no conjugate covectors along v0 = 0 rays")
-    state = grushin_exp(base, cov, 1.0)
-    x1, _ = state.position
-    u1, _ = state.momentum
+    x1, _, u1 = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, 1.0)
     f = u1 * (u0 + base.x0) - u0 * x1
     scale = max(1.0, abs(u1) * (abs(u0) + abs(base.x0)) + abs(u0) * abs(x1))
     bound = _KERNEL_RESIDUAL_TOL * scale
@@ -462,10 +382,11 @@ def _ray_strata(table, x0: float, d: np.ndarray, covector: RayStrata) -> RayStra
 
     which is u1 (u0 + x0) - u0 x1 for the covector s d at one alpha-trig
     evaluation. It equals grushin_conj_f(s d) up to rounding, not bit for
-    bit. Where grushin_exp would not take its oscillator branch at s d
-    (H = 0, v0^2 underflows, an amplitude ratio that overflows), and on the
-    whole ray where it would not at d, the values are covector's, which
-    evaluates grushin_conj_f at each covector (and raises where it raises).
+    bit. Where _endpoint would not take its oscillator branch at s d (H = 0,
+    v0^2 underflows, an amplitude ratio that overflows, an energy that
+    overflows and raises), and on the whole ray where it would not at d, the
+    values are covector's, which evaluates grushin_conj_f at each covector
+    (and raises where it raises).
 
     free_below is the crossing radius, the first s at which theta reaches a
     multiple of pi_alpha, less a relative _CROSSING_MARGIN. Below it the
@@ -524,14 +445,18 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     """
     table = alpha_table(base.alpha)
 
-    def endpoint(cov) -> np.ndarray:
+    def position(cov) -> tuple[float, float]:
         u0, v0 = _cov_pair(cov)
         x, y, _ = _endpoint(table, base.x0, base.y0, u0, v0, 1.0)
-        return np.array([x, y])
+        return x, y
+
+    def endpoint(cov) -> np.ndarray:
+        return np.array(position(cov))
 
     def chart_array(points: np.ndarray) -> np.ndarray:
-        x1, y1, _ = _endpoint_pass(base, points.reshape(-1, 2))
-        return np.column_stack([x1, y1]).reshape(points.shape)
+        # a stencil carries a few dozen points, too few for an array pass to pay
+        return np.array([position(cov) for cov in points.reshape(-1, 2)],
+                        dtype=float).reshape(points.shape)
 
     def conj_f(cov) -> tuple[float]:
         return (grushin_conj_f(base, cov),)
@@ -546,7 +471,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         du, dv = float(direction[0]), float(direction[1])
         if dv == 0.0:
             return False
-        return _energy(base, du, dv) > 0.0
+        return _energy(base.x0, base.alpha, du, dv) > 0.0
 
     def kernel_jacobi_image(cov) -> np.ndarray:
         # fiber perturbations are realized directly in plane coordinates

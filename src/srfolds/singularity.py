@@ -138,7 +138,10 @@ class StructureAdapter:
     raises at the first row where it raises; a row of order 0 or 2 raises
     only where the f-values do. A structure with one stratum function gets
     index 0 for every record, whatever its label. scan_ray builds a ray's
-    records with one record_fields call.
+    records with one record_fields call. "Array calls" names the interface,
+    not the evaluation: the groups evaluate chart_array and record_fields
+    in array passes, and Grushin, whose calls carry a few dozen stencil
+    points and a handful of records, loops over its scalar functions.
 
     ray_gate(direction) says whether covectors along the ray can be conjugate
     at all; undetermined(cov, stratum) marks points the classification theory

@@ -314,6 +314,29 @@ class TestExitCodes:
         assert "overflows" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args,message", [
+        (("expmap", "--base", "0.5,0", "--covector", "1,1e200"),
+         "covector (1.0, 1e+200) too large: its energy overflows"),
+        (("expmap", "--base", "0.5,0", "--covector", "1e160,1"),
+         "covector (1e+160, 1.0) too large: its energy overflows"),
+        (("conj-scan", "--base", "0.5,0", "--direction", "1,1", "--s-max", "1e300"),
+         "covector (7.071067811865476e+295, 7.071067811865476e+295) too large: "
+         "its energy overflows"),
+        (("expmap", "--base", "1e200,0", "--covector", "1,1"),
+         "x0 = 1e+200 too large: |x0|^(2 alpha) overflows at alpha = 2.0"),
+        (("conj-scan", "--base", "1e200,0", "--direction", "1,1"),
+         "x0 = 1e+200 too large: |x0|^(2 alpha) overflows at alpha = 2.0"),
+        (("expmap", "--alpha", "1", "--base", "1e170,0", "--covector", "1,1"),
+         "x0 = 1e+170 too large: |x0|^(2 alpha) overflows at alpha = 1.0"),
+    ], ids=["expmap-v0", "expmap-u0", "conj-scan", "expmap-base", "conj-scan-base",
+            "expmap-base-alpha-1"])
+    def test_grushin_overflow_is_one_error_line(self, args, message):
+        command, *flags = args
+        proc = run_cli(command, "--structure", "grushin", "--alpha", "2", *flags)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("args", [
         ("--structure", "su2", "--direction", "1,0,0.5"),
         ("--structure", "sl2", "--direction", "1,0,2"),

@@ -17,6 +17,7 @@ from srfolds import (DegenerateCovector, GrushinBase, InvalidInput,
                      scan_ray, sin_cos_alpha)
 from srfolds.alphatrig import alpha_table
 from srfolds.grushin import _CROSSING_MARGIN, _oscillator
+from srfolds.oracles import quad
 from srfolds.singularity import PAIRING_TOL
 
 TAN_FIXED_POINT = 4.493409457909064
@@ -115,6 +116,19 @@ class TestExp:
             u, _ = state.momentum
             h = u * u + v0 * v0 * abs(x) ** (2.0 * alpha)
             assert abs(h - h0) <= 1e-9 * max(1.0, h0)
+
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "y = (t 2H + u0 x0 - u x) / (v0 (alpha + 1)) cancels where v0 is small: "
+        "its error grows as eps / |v0| (README, Known limitations)"))
+    def test_small_v0_height_matches_quadrature(self):
+        # dy/dt = v0 |x|^(2 alpha) along the closed-form x, integrated on its own
+        base = GrushinBase(alpha=2.0, x0=0.0, y0=0.0)
+        cov = (1.0, 1e-8)
+        y = grushin_exp(base, cov, 1.0).position[1]
+        ref = cov[1] * quad(lambda tau: abs(grushin_exp(base, cov, tau).position[0]) ** 4.0,
+                            0.0, 1.0, tol=1e-14)
+        assert abs(y - ref) <= 1e-12 * abs(ref)
 
 
 class TestAmplitude:
@@ -513,6 +527,47 @@ class TestCovectorParsing:
         for cov in ((0.4, 1), [0.4, 1.0], np.array([0.4, 1.0]), np.array([2, 5])):
             _, v = grushin_exp(base, cov, 1.0).momentum
             assert type(v) is float
+
+
+class TestOverflow:
+    """An energy or a base power past the largest double raises InvalidInput.
+
+    An infinite energy fails the curvature check, whose straight line would
+    be a wrong answer there, so the energy is checked first.
+    """
+
+    BASE = GrushinBase(alpha=2.0, x0=0.5, y0=0.0)
+    JACOBI_INIT = JacobiCoords(p=(1.0, 0.0), x=(0.0, 0.0))
+
+    @pytest.mark.parametrize("cov", [(1.0, 1e200), (1e160, 1.0), (-1e155, 0.0)], ids=_cov_id)
+    def test_energy_overflow_raises(self, cov):
+        adapter = grushin_adapter(self.BASE)
+        calls = [lambda: grushin_exp(self.BASE, cov, 1.0),
+                 lambda: grushin_conj_f(self.BASE, cov),
+                 lambda: grushin_jacobi(self.BASE, cov, self.JACOBI_INIT, 1.0),
+                 lambda: adapter.chart(np.array(cov)),
+                 lambda: adapter.chart_array(np.array([[cov]])),
+                 lambda: adapter.record_fields(np.array([cov]), np.zeros(1, dtype=int),
+                                               np.zeros(1, dtype=bool))]
+        for call in calls:
+            with pytest.raises(InvalidInput, match="too large: its energy overflows"):
+                call()
+
+    def test_scan_whose_grid_energy_overflows_raises(self):
+        with pytest.raises(InvalidInput, match="too large: its energy overflows"):
+            scan_ray(grushin_adapter(self.BASE), (1.0, 1.0), 1e300)
+
+    def test_largest_finite_energy_still_bends(self):
+        # v0^2 |x0|^4 = 1e300 / 16 is finite: the geodesic stays within its
+        # amplitude (sqrt(2H) / |v0|)^(1 / alpha)
+        x, _ = grushin_exp(self.BASE, (1.0, 1e150), 1.0).position
+        amp = (math.hypot(1.0, 1e150 * 0.25) / 1e150) ** 0.5
+        assert abs(x) <= amp * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("alpha,x0", [(2.0, 1e200), (1.0, 1e170), (2.0, -1e100)])
+    def test_base_whose_power_overflows_raises(self, alpha, x0):
+        with pytest.raises(InvalidInput, match=r"too large: \|x0\|\^\(2 alpha\) overflows"):
+            GrushinBase(alpha=alpha, x0=x0, y0=0.0)
 
 
 class TestRayRestriction:

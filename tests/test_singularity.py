@@ -347,10 +347,11 @@ class TestScanCost:
     The records of a ray are built in array calls: one chart_array call
     evaluates every record's central-difference stencil, and one more the
     second-order stencils of the records whose pairing vanishes (here, every
-    record that is not a Fold). Each call takes the endpoint entries of its
-    stencil points in one array pass, so on these rays no point of a stencil
-    is a scalar exponential. A per-record stencil or a third array call
-    breaks the budget.
+    record that is not a Fold). On the groups each call takes the endpoint
+    entries of its stencil points in one array pass, so no point of a
+    stencil is a scalar exponential; the Grushin chart_array loops over its
+    scalar endpoint, but never through the chart hook. A per-record stencil
+    or a third array call breaks the budget.
     """
 
     @pytest.mark.parametrize("module,exp_name,make_adapter,ray,s_max", [
@@ -514,7 +515,10 @@ class TestScanCost:
     ], ids=["grushin", "grushin-vertical", "su2", "su2-planar", "sl2"])
     def test_record_build_makes_no_scalar_call(self, monkeypatch, make_adapter, ray, s_max):
         # the f-values, kernels and gradients of a ray's records come from one
-        # record_fields call; no scalar f, kernel, gradient or exponential runs
+        # record_fields call. On the groups no scalar f, kernel, gradient or
+        # exponential runs; the Grushin hook is a row loop over the scalar
+        # form, one f per record and one kernel and gradient per order-one
+        # record, each of which takes its endpoint without grushin_exp
         building, scalar_calls = [False], []
 
         def spy(owner, name):
@@ -540,9 +544,17 @@ class TestScanCost:
                 building[0] = False
 
         monkeypatch.setattr(singularity_module, "_build_records", counted_build)
-        records = scan_ray(make_adapter(), ray, s_max)
+        adapter = make_adapter()
+        records = scan_ray(adapter, ray, s_max)
         assert len(records) >= 2
-        assert scalar_calls == []
+        if adapter.name != "grushin":
+            assert scalar_calls == []
+            return
+        order_one = sum(rec.order == 1 for rec in records)
+        assert order_one > 0
+        assert sorted(scalar_calls) == sorted(
+            ["grushin_conj_f"] * len(records)
+            + ["grushin_kernel", "grushin_conj_grad"] * order_one)
 
 
 class TestSecondOrderTransversality:
