@@ -253,6 +253,26 @@ class ContactGroup:
         f_c = -self.eps * (h2 * g_x0 - w0 * (u1 * g_x1 + v1 * g_x2)) / sq
         return np.column_stack([self.matrix_entries(f) for f in (f_a, f_b, f_c)])
 
+    def chart_jacobian(self, cov) -> np.ndarray:
+        """The (4, 3) differential of chart at cov, from the closed-form Jacobi fields.
+
+        The frame Jacobi datum p(0) = e_j lands at column j of frame_images(cov)
+        @ vertical_to_endpoint_matrix(r). Its covector perturbation is column j
+        of the frame F = [(-v0, u0, 0), (u0, v0, w0), (0, 0, -eps)] / sqrt(h2)
+        (the columns as listed), so the differential is that product times
+        F^-1, written out here. Raises DegenerateCovector at H = 0 and
+        InvalidInput where r overflows.
+        """
+        u0, v0, w0 = cov_triple(cov)
+        images = self.frame_images((u0, v0, w0))
+        r = finite_curvature(self.eps, u0, v0, w0)
+        h2 = u0 * u0 + v0 * v0
+        eps = self.eps
+        frame_inverse = np.array([[-v0, u0, 0.0],
+                                  [u0, v0, 0.0],
+                                  [eps * w0 * u0, eps * w0 * v0, -eps * h2]]) / math.sqrt(h2)
+        return images @ vertical_to_endpoint_matrix(r) @ frame_inverse
+
     def adapter(self) -> StructureAdapter:
         """Plug the group into the generic conjugate-locus scanner."""
 
@@ -289,6 +309,7 @@ class ContactGroup:
             name=self.name,
             fiber_dim=3,
             chart=self.chart,
+            chart_jacobian=self.chart_jacobian,
             chart_array=self.chart_array,
             ray_strata=ray_strata,
             record_fields=self.record_fields,

@@ -107,10 +107,19 @@ def _even_power(x: float, alpha: float) -> float:
 
 
 def _odd_power(x: float, alpha: float) -> float:
-    """|x|^(2(alpha-1)) x, the odd companion of the even power; 0 at x = 0."""
+    """|x|^(2(alpha-1)) x, the odd companion of the even power; 0 at x = 0.
+
+    Raises OverflowError where |x|^(2(alpha-1)) overflows; the public
+    functions report that as _power_overflow.
+    """
     if x == 0.0:
         return 0.0
     return abs(x) ** (2.0 * (alpha - 1.0)) * x
+
+
+def _power_overflow(u0: float, v0: float) -> InvalidInput:
+    """The error for a covector whose Jacobi or gradient terms overflow a double."""
+    return InvalidInput(f"covector ({u0!r}, {v0!r}) too large: its Jacobi fields overflow")
 
 
 def _line_integral(x0: float, u0: float, t: float, alpha: float) -> float:
@@ -134,8 +143,15 @@ def _line_integral(x0: float, u0: float, t: float, alpha: float) -> float:
 
 
 def _energy(x0: float, alpha: float, u0: float, v0: float) -> float:
-    """2H at the base abscissa x0; raises InvalidInput where it overflows."""
-    h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
+    """2H at the base abscissa x0; raises InvalidInput where it overflows.
+
+    At x0 = 0 it is u0^2 exactly, also where v0^2 overflows and its product
+    with |x0|^(2 alpha) = 0 would be nan.
+    """
+    if x0 == 0.0:
+        h2 = u0 * u0
+    else:
+        h2 = u0 * u0 + v0 * v0 * _even_power(x0, alpha)
     if not math.isfinite(h2):
         raise InvalidInput(f"covector ({u0!r}, {v0!r}) too large: its energy overflows")
     return h2
@@ -227,11 +243,34 @@ def grushin_dexp(base: GrushinBase, cov) -> np.ndarray:
     """Analytic Jacobian d(x1, y1)/d(u0, v0) of the time-one endpoint map.
 
     Column j is the endpoint (x_a, x_b) = (dx, dy) of the Jacobi field that
-    starts at x = 0 with p = e_j, so every branch of grushin_jacobi carries over.
+    starts at x = 0 with p = e_j, equal to grushin_jacobi's. Where the
+    oscillator ansatz holds, both columns share one endpoint evaluation and
+    its fluxes; the degenerate branches are grushin_jacobi's. Raises
+    InvalidInput where an entry overflows.
     """
-    columns = [grushin_jacobi(base, cov, JacobiCoords(p=p0, x=(0.0, 0.0)), 1.0).x
-               for p0 in ((1.0, 0.0), (0.0, 1.0))]
-    return np.array(columns).T
+    u0, v0 = _cov_pair(cov)
+    a = base.alpha
+    x0 = base.x0
+    h2 = _energy(x0, a, u0, v0)
+    if h2 == 0.0 or not _curvature_resolvable(h2, v0):
+        columns = [grushin_jacobi(base, cov, JacobiCoords(p=p0, x=(0.0, 0.0)), 1.0).x
+                   for p0 in ((1.0, 0.0), (0.0, 1.0))]
+        return np.array(columns).T
+    x, _, u = _endpoint(alpha_table(a), x0, base.y0, u0, v0, 1.0)
+    y_flux = (h2 + u0 * x0 - u * x) / (v0 * (a + 1.0))
+    z_flux = (u0 * x0 - a * h2 + (a + 1.0) * u * u - u * x) / (v0 * (a + 1.0))
+    swing = u * u - u0 * u0
+    denom = a * v0 * h2
+    jac = np.empty((2, 2))
+    # grushin_jacobi's k1, k2 and p_b at p = e_0 and at p = e_1, with x_a = x_b = 0
+    for j, (k1, k2, pb0) in enumerate(((u0 * v0 / denom, -(v0 * x0) / denom, 0.0),
+                                       (-(u0 * u0) / denom, u0 * x0 / denom, 1.0))):
+        k3 = ((a - 1.0) * v0 * k1 + pb0) / v0
+        jac[0, j] = k1 * x + (k2 + k3) * u
+        jac[1, j] = (pb0 / v0 + 2.0 * a * k1) * y_flux - (k2 / v0) * swing - k3 * z_flux
+    if not np.isfinite(jac).all():
+        raise _power_overflow(u0, v0)
+    return jac
 
 
 def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
@@ -247,7 +286,8 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
     of alpha = 1 (the H = 0 branch at x0 = 0). So (x_a, p_a) is the constant-coefficient
     oscillator of sc_pair(k, t), with k = v0^2 at alpha = 1 and 0 otherwise,
     p_b is constant and x_b gains p_b times the integral of |x|^(2 alpha)
-    along the line.
+    along the line. Raises InvalidInput where the energy or a power in the
+    oscillator coefficients overflows.
     """
     u0, v0 = _cov_pair(cov)
     t = finite_time(t)
@@ -261,13 +301,15 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
         return JacobiCoords(p=(pa0 * c - k * xa0 * s, pb0), x=(xa0 * c + pa0 * s, xb))
     a = base.alpha
     x0 = base.x0
-    k1 = (a * xa0 * v0 ** 3 * _odd_power(x0, a) + pa0 * u0 * v0 - pb0 * u0 * u0) / (a * v0 * h2)
+    x, _, u = _endpoint(alpha_table(a), x0, base.y0, u0, v0, t)
+    try:
+        k1 = (a * xa0 * v0 ** 3 * _odd_power(x0, a) + pa0 * u0 * v0
+              - pb0 * u0 * u0) / (a * v0 * h2)
+        u_dot = -a * v0 * v0 * _odd_power(x, a)
+    except OverflowError:
+        raise _power_overflow(u0, v0) from None
     k2 = (a * xa0 * u0 * v0 - pa0 * v0 * x0 + pb0 * u0 * x0) / (a * v0 * h2)
     k3 = ((a - 1.0) * v0 * k1 + pb0) / v0
-    state = grushin_exp(base, cov, t)
-    x, _ = state.position
-    u, _ = state.momentum
-    u_dot = -a * v0 * v0 * _odd_power(x, a)
     xa = k1 * x + (k2 + k3 * t) * u
     pa = (k1 + k3) * u + (k2 + k3 * t) * u_dot
     y_flux = (t * h2 + u0 * x0 - u * x) / (v0 * (a + 1.0))
@@ -296,20 +338,23 @@ def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
 
     Raises DegenerateCovector at H = 0, at v0 = 0, and off the u0 + x0 = 0
     branch where the denominator alpha v0 (u0 + x0) H underflows to 0 or
-    overflows.
+    overflows; InvalidInput where the energy or |x1|^(2(alpha-1)) overflows.
     """
     u0, v0 = _cov_pair(cov)
     alpha = base.alpha
     x0 = base.x0
     x2a = _even_power(x0, alpha)
-    h2 = u0 * u0 + v0 * v0 * x2a
+    h2 = _energy(x0, alpha, u0, v0)
     if h2 == 0.0:
         raise DegenerateCovector("conjugacy gradient undefined at H = 0")
     if v0 == 0.0:
         raise DegenerateCovector(
             "conjugacy gradient undefined on the v0 = 0 branch (f vanishes identically)")
     x1, _, u1 = _endpoint(alpha_table(alpha), x0, base.y0, u0, v0, 1.0)
-    u1_dot = -alpha * v0 * v0 * _odd_power(x1, alpha)
+    try:
+        u1_dot = -alpha * v0 * v0 * _odd_power(x1, alpha)
+    except OverflowError:
+        raise _power_overflow(u0, v0) from None
     a = alpha
     edge = u0 + x0
     if abs(edge) <= _BRANCH_TOL * max(1.0, abs(u0), abs(x0)):
@@ -437,7 +482,8 @@ def _ray_strata(table, x0: float, d: np.ndarray, covector: RayStrata) -> RayStra
 def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     """Plug the plane into the generic conjugate-locus scanner.
 
-    The chart is the plane itself, the endpoint position. Records start on
+    The chart is the plane itself, the endpoint position, and its
+    differential is grushin_dexp. Records start on
     the placeholder stratum "other"; the scanner names them C0/C1 from the
     kernel pairing, the transversality that defines the strata of a planar
     structure. A ray's stratum function is its closed-form restriction
@@ -482,6 +528,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         name="grushin",
         fiber_dim=2,
         chart=endpoint,
+        chart_jacobian=lambda cov: grushin_dexp(base, cov),
         chart_array=chart_array,
         ray_strata=ray_strata,
         record_fields=record_fields,

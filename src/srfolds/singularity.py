@@ -3,8 +3,8 @@
 A geometric structure plugs in through StructureAdapter: a chart presentation of
 its fiber exponential (endpoint of the unit-time geodesic as a function of the
 initial covector), analytic stratum functions whose zeros along a ray mark the
-conjugate covectors, analytic gradients and kernel vectors, and a hook into its
-closed-form Jacobi solution.
+conjugate covectors, analytic gradients and kernel vectors, the chart's
+closed-form differential, and a hook into its closed-form Jacobi solution.
 
 Classification at an order-one conjugate covector follows the transversality
 dichotomy: when the active stratum's gradient pairs nontrivially with the kernel
@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DegenerateCovector, InvalidInput, WitnessNotFound
 from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, check_root_tol, fd_columns,
-                      fd_jacobian, fd_stencil, find_roots, find_roots_lockstep,
-                      rank_nullspace, row_dots, scan_nodes, sign_brackets)
+                      fd_stencil, find_roots, find_roots_lockstep, rank_nullspace, row_dots,
+                      scan_nodes, sign_brackets)
 
 # The classification policy is fixed. conj-scan prints PAIRING_TOL and
 # SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
@@ -111,7 +111,11 @@ class StructureAdapter:
     everywhere, so finite differences never straddle a chart switch. It may
     immerse the target in more coordinates than fiber_dim (a group matrix's
     four entries); rank, kernel and the complement of the image are read
-    there. chart_array(points) is the same map over arrays: points of shape
+    there. chart_jacobian(cov) is chart's differential at cov, a
+    (chart_dim, fiber_dim) array from the structure's closed forms; it
+    starts fold_witness's partner solve (_newton_partner) and may raise
+    InvalidInput or DegenerateCovector where it is not defined.
+    chart_array(points) is the same map over arrays: points of shape
     (N, m, fiber_dim) give an array of shape (N, m, chart_dim) whose row
     [i, j] equals chart(points[i, j]) bit for bit (or it raises what that
     scalar call raises, at the first row where it raises). The record build
@@ -159,6 +163,7 @@ class StructureAdapter:
     name: str
     fiber_dim: int
     chart: Callable[[np.ndarray], np.ndarray]
+    chart_jacobian: Callable[[np.ndarray], np.ndarray]
     chart_array: Callable[[np.ndarray], np.ndarray]
     ray_strata: Callable[[np.ndarray], RayStrata]
     record_fields: Callable[[np.ndarray, np.ndarray, np.ndarray],
@@ -443,10 +448,10 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
     Steps +-a along the kernel direction and solves for the full covector on
     the far side until both images agree, certifying non-injectivity of the
     exponential in every neighbourhood of the fold point. The solve is
-    quasi-Newton: one FD Jacobian, then Broyden updates (see _newton_partner).
-    Offsets a = delta/2, delta/3, delta/4 are tried in turn; when none meets
-    the gates, WitnessNotFound names the image distance and the separation
-    reached at each.
+    quasi-Newton: the adapter's analytic differential (chart_jacobian), then
+    Broyden updates (see _newton_partner). Offsets a = delta/2, delta/3,
+    delta/4 are tried in turn; when none meets the gates, WitnessNotFound
+    names the image distance and the separation reached at each.
     """
     if record.singularity_class is not SingularityClass.FOLD:
         raise InvalidInput("fold_witness requires a record classified as Fold")
@@ -457,13 +462,13 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
     kern = kern / np.linalg.norm(kern)
     margins = []
     for a in (delta / 2.0, delta / 3.0, delta / 4.0):
-        pair = _newton_partner(adapter.chart, cov, kern, a)
+        pair = _newton_partner(adapter.chart, adapter.chart_jacobian, cov, kern, a)
         if pair is None:
             margins.append(f"a={a:.3g}: solve failed")
             continue
         lam_a, lam_b, dist = pair
-        separation = float(np.linalg.norm(lam_a - lam_b))
-        reach = float(max(np.linalg.norm(lam_a - cov), np.linalg.norm(lam_b - cov)))
+        separation = _norm(lam_a - lam_b)
+        reach = max(_norm(lam_a - cov), _norm(lam_b - cov))
         if dist <= 1e-9 and separation >= delta / 4.0 and reach <= delta:
             return FoldWitness(covector_a=lam_a, covector_b=lam_b,
                                image_distance=dist, separation=separation)
@@ -476,43 +481,55 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
         + "; ".join(margins) + ")")
 
 
-def _newton_partner(chart, cov: np.ndarray, kern: np.ndarray, a: float):
+def _norm(vec: np.ndarray) -> float:
+    """np.linalg.norm of a 1-d float array, bit for bit, as a Python float."""
+    return math.sqrt(vec @ vec)
+
+
+def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a: float):
     """Quasi-Newton solve for the partner covector across the fold line, or None.
 
-    Targets the image of cov + a kern from cov - a kern. One FD Jacobian is
-    built, and only if the first residual misses 1e-13; each step is its
-    least-squares solution (the chart may have more coordinates than the
-    fiber), and then Broyden's rank-one secant update J += (dr - J dx) dx^T
-    / (dx.dx) replaces rebuilding it. Steps are clamped to 5a. Returns
-    (lam_a, lam_b, dist) with dist the norm of the last residual.
+    Targets the image of cov + a kern from cov - a kern. The Newton matrix
+    is chart_jacobian at cov - a kern, taken only if the first residual
+    misses 1e-13; each step solves it (np.linalg.solve on a square chart,
+    least squares where the chart has more coordinates than the fiber),
+    and then Broyden's rank-one secant update J += (dr - J dx) dx^T / (dx.dx)
+    replaces re-evaluating it. Steps are clamped to 5a. A differential that
+    raises InvalidInput or DegenerateCovector, a singular solve or a
+    non-finite step gives None. Returns (lam_a, lam_b, dist) with dist the
+    norm of the last residual.
     """
     lam_a = cov + a * kern
     target = chart(lam_a)
     lam_b = cov - a * kern
     residual = chart(lam_b) - target
-    dist = float(np.linalg.norm(residual))
+    dist = _norm(residual)
     jac = None
     for _ in range(50):
         if dist <= 1e-13:
             break
         try:
             if jac is None:
-                jac = fd_jacobian(chart, lam_b, h=1e-7)
-            step_vec = np.linalg.lstsq(jac, residual, rcond=None)[0]
-        except np.linalg.LinAlgError:
+                jac = chart_jacobian(lam_b)
+            if jac.shape[0] == jac.shape[1]:
+                step_vec = np.linalg.solve(jac, residual)
+            else:
+                step_vec = np.linalg.lstsq(jac, residual, rcond=None)[0]
+        except (np.linalg.LinAlgError, InvalidInput, DegenerateCovector):
             return None
         if not np.all(np.isfinite(step_vec)):
             return None
-        step_norm = float(np.linalg.norm(step_vec))
+        step_norm = _norm(step_vec)
         if step_norm > 5.0 * a:
             step_vec *= 5.0 * a / step_norm
         lam_b = lam_b - step_vec
         new_residual = chart(lam_b) - target
-        dist = float(np.linalg.norm(new_residual))
-        dx_dx = float(step_vec @ step_vec)
+        dist = _norm(new_residual)
+        dx_dx = step_vec @ step_vec
         if dist > 1e-13 and dx_dx > 0.0:
-            # secant condition J dx = dr with dx = -step_vec
-            jac -= np.outer(new_residual - residual + jac @ step_vec, step_vec) / dx_dx
+            # secant condition J dx = dr with dx = -step_vec; a new array, so
+            # the hook's return value is never written to
+            jac = jac - np.outer(new_residual - residual + jac @ step_vec, step_vec) / dx_dx
         residual = new_residual
     return lam_a, lam_b, dist
 

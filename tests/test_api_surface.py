@@ -51,8 +51,8 @@ def test_structure_adapter_hooks_are_pinned():
     # every field is one more thing each new structure must supply, so one is
     # added or dropped only on purpose
     assert [f.name for f in dataclasses.fields(srfolds.StructureAdapter)] == [
-        "name", "fiber_dim", "chart", "chart_array", "ray_strata", "record_fields",
-        "stratum_names", "ray_gate", "kernel_jacobi_image", "undetermined"]
+        "name", "fiber_dim", "chart", "chart_jacobian", "chart_array", "ray_strata",
+        "record_fields", "stratum_names", "ray_gate", "kernel_jacobi_image", "undetermined"]
     assert srfolds.RayStrata._fields == ("g", "g_rows", "free_below")
 
 

@@ -93,6 +93,20 @@ class TestExpmap:
         assert float(values["x"]) == pytest.approx(state.position[0], rel=1e-11)
         assert float(values["y"]) == pytest.approx(state.position[1], rel=1e-11)
 
+    def test_grushin_axis_base_with_huge_v0(self):
+        # at x0 = 0 the energy is u0^2 = 1 although v0^2 overflows; the
+        # geodesic has amplitude 1e-100 and frequency 1e100
+        proc = run_cli("expmap", "--structure", "grushin", "--alpha", "2",
+                       "--base", "0,0", "--covector", "1,1e200")
+        assert proc.returncode == 0, proc.stderr
+        values = {key: float(value) for key, value in
+                  (line.split(" = ") for line in proc.stdout.strip().splitlines())}
+        state = grushin_exp(GrushinBase(2.0, 0.0, 0.0), (1.0, 1e200), 1.0)
+        assert values["x"] == pytest.approx(state.position[0], rel=1e-11)
+        assert values["u"] == pytest.approx(state.momentum[0], rel=1e-11)
+        assert abs(values["x"]) <= 1e-100
+        assert values["v"] == 1e200
+
     def test_su2_json_matches_library(self):
         proc = run_cli("expmap", "--structure", "su2",
                        "--covector", "1,2,0.5", "--t", "0.7",

@@ -8,9 +8,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from srfolds import (InvalidInput, sl2_adapter, sl2_conj_f, sl2_conj_grad, sl2_exp,
-                     sl2_frame_images, sl2_jacobi, sl2_kernel, su2_adapter, su2_conj_f,
-                     su2_conj_grad, su2_exp, su2_kernel)
+from srfolds import (DegenerateCovector, InvalidInput, fd_jacobian, sl2_adapter, sl2_conj_f,
+                     sl2_conj_grad, sl2_exp, sl2_frame_images, sl2_jacobi, sl2_kernel,
+                     su2_adapter, su2_conj_f, su2_conj_grad, su2_exp, su2_kernel)
 from srfolds.contact import cov_triple
 from srfolds.state import JacobiCoords
 
@@ -62,8 +62,8 @@ class TestOverflowingCurvature:
         # finite components whose squares overflow: no bare math error, NaN
         # f-value or NaN kernel, on either group
         for call in (lambda c: su2_exp(c, 1.0), lambda c: sl2_exp(c, 1.0),
-                     su2_conj_f, su2_kernel, su2_conj_grad,
-                     sl2_conj_f, sl2_kernel, sl2_conj_grad):
+                     su2_conj_f, su2_kernel, su2_conj_grad, su2_adapter().chart_jacobian,
+                     sl2_conj_f, sl2_kernel, sl2_conj_grad, sl2_adapter().chart_jacobian):
             with pytest.raises(InvalidInput, match="overflows"):
                 call(cov)
 
@@ -73,7 +73,7 @@ class TestOverflowingCurvature:
         # math error from any SL(2) function that evaluates them
         start = JacobiCoords(p=(1.0, 0.0, 0.0), x=(0.0, 0.0, 0.0))
         for call in (lambda c: sl2_exp(c, 1.0), lambda c: sl2_jacobi(c, start, 1.0),
-                     sl2_frame_images, sl2_conj_f, sl2_kernel):
+                     sl2_frame_images, sl2_adapter().chart_jacobian, sl2_conj_f, sl2_kernel):
             with pytest.raises(InvalidInput, match="overflows"):
                 call(cov)
 
@@ -98,3 +98,27 @@ class TestEntryChart:
         points = np.array([[cov, cov]], dtype=float)
         assert adapter.chart_array(points).shape == (1, 2, 4)
         assert adapter.chart_array(points)[0, 1].tobytes() == entries.tobytes()
+
+
+class TestEqualHorizontalComponents:
+    """Covectors with |u0| = |v0|: nothing there is degenerate."""
+
+    @pytest.mark.parametrize("conj_f,conj_grad", [(su2_conj_f, su2_conj_grad),
+                                                  (sl2_conj_f, sl2_conj_grad)],
+                             ids=["su2", "sl2"])
+    @pytest.mark.parametrize("cov", [(1.0, 1.0, 2.5), (0.7, -0.7, 3.1), (-2.0, -2.0, 4.0)],
+                             ids=str)
+    def test_conj_grad_matches_fd_of_strata(self, conj_f, conj_grad, cov):
+        # every covector here has r > 0 on both groups
+        grads = np.array(conj_grad(cov))
+        # the last two values are (f0, f1) on both groups
+        fd = fd_jacobian(lambda c: np.array(conj_f(c)[-2:]), np.array(cov))
+        assert np.abs(grads - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+class TestChartJacobianDegenerate:
+    @pytest.mark.parametrize("adapter", [su2_adapter(), sl2_adapter()], ids=["su2", "sl2"])
+    def test_raises_at_h_zero(self, adapter):
+        # the canonical frame, and so the closed-form differential, needs H > 0
+        with pytest.raises(DegenerateCovector, match="H = 0"):
+            adapter.chart_jacobian(np.array([0.0, 0.0, 1.5]))

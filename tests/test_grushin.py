@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,21 @@ class TestDexp:
             lambda c: np.array(grushin_exp(base, (c[0], c[1]), 1.0).position),
             np.array([0.0, 1.3]))
         assert np.max(np.abs(jac - fd)) <= 1e-6
+
+
+    @pytest.mark.parametrize("x0", [0.0, 0.6, -0.4, 1.3])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_equals_jacobi_columns_bit_for_bit(self, alpha, x0):
+        # one endpoint evaluation shared by both columns gives what two
+        # grushin_jacobi calls give, on every branch
+        base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
+        rng = np.random.default_rng(int(10 * alpha + 100 * x0) % 2 ** 32)
+        covs = [tuple(rng.uniform(-5.0, 5.0, size=2)) for _ in range(40)]
+        covs += [(0.0, 1.7), (-x0, 0.9), *DEGENERATE_COVECTORS]
+        for cov in covs:
+            columns = [grushin_jacobi(base, cov, JacobiCoords(p=p0, x=(0.0, 0.0)), 1.0).x
+                       for p0 in ((1.0, 0.0), (0.0, 1.0))]
+            assert np.array_equal(grushin_dexp(base, cov), np.array(columns).T), cov
 
 
 class TestJacobi:
@@ -563,6 +579,36 @@ class TestOverflow:
         x, _ = grushin_exp(self.BASE, (1.0, 1e150), 1.0).position
         amp = (math.hypot(1.0, 1e150 * 0.25) / 1e150) ** 0.5
         assert abs(x) <= amp * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("base,cov", [
+        (GrushinBase(10.0, 0.0, 0.0), (1e150, 1e-150)),
+        (GrushinBase(2.0, 0.5, 0.0), (1.0, 1e110)),
+    ], ids=["odd-power", "v0-cubed"])
+    def test_power_overflow_raises_invalid_input(self, base, cov):
+        # a finite energy whose Jacobi or gradient terms overflow a double:
+        # no bare OverflowError, and the message names the covector
+        calls = [lambda: grushin_jacobi(base, cov, self.JACOBI_INIT, 1.0)]
+        if base.alpha == 10.0:
+            # v0^3 appears only in the Jacobi fields' x_a(0) term
+            calls += [lambda: grushin_conj_grad(base, cov), lambda: grushin_dexp(base, cov),
+                      lambda: grushin_adapter(base).chart_jacobian(np.array(cov))]
+        for call in calls:
+            with pytest.raises(InvalidInput, match=re.escape(
+                    f"covector ({cov[0]!r}, {cov[1]!r}) too large: its Jacobi fields overflow")):
+                call()
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+    def test_axis_base_energy_is_exact_where_v0_squared_overflows(self, alpha):
+        # at x0 = 0 the energy is u0^2; v0^2 |x0|^(2 alpha) would be inf * 0
+        base = GrushinBase(alpha=alpha, x0=0.0, y0=0.0)
+        v0 = 1e200
+        state = grushin_exp(base, (1.0, v0), 1.0)
+        x1, _ = state.position
+        u1, _ = state.momentum
+        energy = u1 * u1 + (v0 * abs(x1) ** alpha) ** 2
+        assert abs(energy - 1.0) <= 1e-12
+        assert abs(x1) <= 1e-100 ** (1.0 / alpha) * (1.0 + 1e-12)
+        assert math.isfinite(grushin_conj_f(base, (1.0, v0)))
 
     @pytest.mark.parametrize("alpha,x0", [(2.0, 1e200), (1.0, 1e170), (2.0, -1e100)])
     def test_base_whose_power_overflows_raises(self, alpha, x0):

@@ -354,6 +354,7 @@ def _fake_adapter(chart):
 
     return StructureAdapter(
         name="fake", fiber_dim=3, chart=chart,
+        chart_jacobian=lambda cov: fd_jacobian(chart, cov),
         chart_array=lambda points: np.array([[chart(p) for p in row] for row in points]),
         ray_strata=lambda d: RayStrata(lambda idx, s: 0.0, lambda s: np.zeros((s.size, 1))),
         record_fields=record_fields, stratum_names=("C",),

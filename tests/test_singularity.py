@@ -14,15 +14,19 @@ tangential points through the mixed second-derivative norm.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from srfolds import (ConjugateRecord, FoldWitness, InvalidInput,
+from srfolds import (ConjugateRecord, DegenerateCovector, FoldWitness, InvalidInput,
                      SingularityClass, WitnessNotFound, classify,
                      fd_jacobian, fold_witness, grushin_adapter,
                      regularity_isomorphism_check, scan_ray,
@@ -648,16 +652,90 @@ class TestFoldWitness:
             assert float(reach) <= self.DELTA
         assert "separation >= 0.00025" in message
 
+    @pytest.mark.parametrize("error", [InvalidInput, DegenerateCovector])
+    def test_differential_that_raises_is_a_failed_solve(self, sl2, sl2_records, error):
+        # as where the frame is undefined (H = 0): each offset reports a
+        # failed solve, and no witness is made up
+        def chart_jacobian(cov):
+            raise error("differential undefined here")
+
+        with pytest.raises(WitnessNotFound) as info:
+            fold_witness(replace(sl2, chart_jacobian=chart_jacobian), sl2_records[1],
+                         self.DELTA)
+        assert re.findall(r"a=(\S+): solve failed", str(info.value)) == [
+            "0.0005", "0.000333", "0.00025"]
+
+    def test_makes_no_fd_jacobian_call(self, monkeypatch, su2, sl2, grushin, su2_records,
+                                       sl2_records, grushin_fold_records):
+        # the partner solve starts from chart_jacobian, not from finite differences
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fold_witness made a finite-difference call")
+
+        for name in ("fd_jacobian", "fd_stencil", "fd_columns"):
+            monkeypatch.setattr(numeric_module, name, forbidden)
+            monkeypatch.setattr(singularity_module, name, forbidden, raising=False)
+        for adapter, records in ((su2, su2_records), (sl2, sl2_records),
+                                 (grushin, grushin_fold_records)):
+            folds = [r for r in records if r.singularity_class is SingularityClass.FOLD]
+            assert folds
+            for rec in folds:
+                fold_witness(adapter, rec, self.DELTA)
+
+
+GOLDEN_SCANS = sorted((Path(__file__).parent / "golden").glob("scan_*.json"))
+
+
+def _golden_adapter(config):
+    if config["structure"] == "grushin":
+        return grushin_adapter(GrushinBase(config["alpha"], *config["base"]))
+    return su2_adapter() if config["structure"] == "su2" else sl2_adapter()
+
+
+def _assert_matches_fd(adapter, cov):
+    jac = adapter.chart_jacobian(cov)
+    fd = fd_jacobian(adapter.chart, cov)
+    assert jac.shape == fd.shape
+    assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(jac).max())
+
+
+class TestChartJacobian:
+    """Each adapter's closed-form differential against central differences of its chart."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([su2_adapter(), sl2_adapter()]),
+           st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3))
+    def test_groups_random_covectors(self, adapter, cov):
+        assume(cov[0] ** 2 + cov[1] ** 2 >= 1e-2)
+        _assert_matches_fd(adapter, np.array(cov))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]), st.sampled_from([0.0, 0.3, -0.5, 1.0]),
+           st.floats(-6.0, 6.0), st.floats(0.1, 6.0), st.sampled_from([1.0, -1.0]))
+    def test_grushin_random_covectors(self, alpha, x0, u0, v0, sign):
+        # |v0| >= 0.1 keeps the stencil off the v0 = 0 seam, where the
+        # closed form cancels terms of order 1/v0, and |u0| >= 0.1 at x0 = 0
+        # off the rest point H = 0, where the chart is not smooth for alpha > 1
+        assume(x0 != 0.0 or abs(u0) >= 0.1)
+        adapter = grushin_adapter(GrushinBase(alpha, x0, 0.0))
+        _assert_matches_fd(adapter, np.array([u0, sign * v0]))
+
+    @pytest.mark.parametrize("path", GOLDEN_SCANS, ids=lambda path: path.stem)
+    def test_golden_scan_records(self, path):
+        golden = json.loads(path.read_text())
+        adapter = _golden_adapter(golden["config"])
+        for result in golden["results"]:
+            for rec in result["records"]:
+                _assert_matches_fd(adapter, np.array(rec["covector"]))
+
 
 class TestWitnessCost:
     """Chart evaluations per fold witness.
 
-    The partner solve builds one FD Jacobian (six evaluations) and then
-    updates it by Broyden's secant formula, so a witness costs the two
-    starting evaluations, the Jacobian and one evaluation per step. On the
-    long SL(2) ray the FD step is as large as the offset along the kernel; a
-    fresh Jacobian on every step costs about 50 evaluations per witness there,
-    and four of the 77 witnesses fall back past a = delta/2.
+    The partner solve starts from the adapter's closed-form differential
+    (chart_jacobian), which costs no chart evaluation, and then updates it
+    by Broyden's secant formula, so a witness costs the two starting
+    evaluations and one evaluation per step: 3 on the SU(2) and Grushin
+    rays and 4.6 on average on the long SL(2) ray.
     """
 
     DELTA = 1e-3
@@ -687,7 +765,7 @@ class TestWitnessCost:
                  if rec.singularity_class is SingularityClass.FOLD and rec.s >= 3000.0]
         assert len(folds) >= 10
         costs, offsets = self._witness_costs(sl2, folds)
-        assert sum(costs) / len(costs) <= 14.0
+        assert sum(costs) / len(costs) <= 5.0
         # every witness succeeds at the first offset, a = delta / 2
         assert offsets == pytest.approx([self.DELTA / 2.0] * len(folds), rel=1e-9)
 
@@ -696,7 +774,14 @@ class TestWitnessCost:
                  if rec.singularity_class is SingularityClass.FOLD]
         assert len(folds) == 2
         costs, _ = self._witness_costs(su2, folds)
-        assert max(costs) <= 10
+        assert max(costs) <= 3
+
+    def test_grushin_ray(self, grushin, grushin_fold_records):
+        folds = [rec for rec in grushin_fold_records
+                 if rec.singularity_class is SingularityClass.FOLD]
+        assert folds
+        costs, _ = self._witness_costs(grushin, folds)
+        assert max(costs) <= 3
 
 
 class TestRegularityIsomorphism:

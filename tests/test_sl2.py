@@ -12,6 +12,7 @@ second stratum.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
                      sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_frame_images,
                      sl2_jacobi, sl2_kernel, vertical_to_endpoint_matrix)
 from srfolds.contact import cov_triple, curvature
+from srfolds.scfun import SERIES_THRESHOLD, jacobi_ratios
 from srfolds.sl2 import X0, X1, X2
 
 TWO_PI = 6.283185307179586
@@ -91,6 +93,32 @@ class TestScFunctions:
                 exact_s, exact_c = math.sinh(root) / root, math.cosh(root)
             assert abs(s - exact_s) <= 1e-12
             assert abs(c - exact_c) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("a", [0.99e-6, 3e-7, 1e-9, -0.99e-6, -3e-7, -1e-9])
+    def test_jacobi_ratios_series_against_cancellation_free_forms(self, a, t):
+        # |a| under SERIES_THRESHOLD takes the series of g1 = (1 - c)/a and
+        # g2 = (t - s)/a; g1 = 2 sin^2(sqrt(a) t/2)/a (sinh for a < 0) does
+        # not cancel, and g2's alternating Taylor series sum_k (-a t^2)^k
+        # t^3/(2k+3)! is summed exactly in rationals
+        assert abs(a) < SERIES_THRESHOLD
+        _, _, g1, g2 = jacobi_ratios(a, t)
+        root = math.sqrt(abs(a))
+        half = math.sin(root * t / 2.0) if a > 0 else math.sinh(root * t / 2.0)
+        assert abs(g1 - 2.0 * half * half / abs(a)) <= 1e-14 * g1
+        z, exact = -Fraction(a) * Fraction(t) ** 2, Fraction(0)
+        for k in range(8):
+            exact += z ** k * Fraction(t) ** 3 / math.factorial(2 * k + 3)
+        assert abs(g2 - float(exact)) <= 1e-14 * g2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_jacobi_ratios_continuous_across_series_threshold(self, sign):
+        # the last series a and the first closed-form a: the closed form's
+        # cancellation costs about eps / |a| there
+        inside = jacobi_ratios(sign * math.nextafter(SERIES_THRESHOLD, 0.0), 1.0)
+        outside = jacobi_ratios(sign * SERIES_THRESHOLD, 1.0)
+        for near, far in zip(inside, outside):
+            assert abs(near - far) <= 1e-9 * abs(far)
 
 
 class TestExp:
