@@ -57,6 +57,9 @@ from .state import GeodesicState, JacobiCoords
 
 # relative tolerance deciding the u0 + x0 = 0 branch of the gradient formulas
 _BRANCH_TOL = 1e-12
+# the Jacobi data x = 0, p = e_j whose endpoints are grushin_dexp's columns
+_UNIT_MOMENTA = (JacobiCoords(p=(1.0, 0.0), x=(0.0, 0.0)),
+                 JacobiCoords(p=(0.0, 1.0), x=(0.0, 0.0)))
 # relative residual of f under which grushin_kernel accepts a covector as conjugate
 _KERNEL_RESIDUAL_TOL = 1e-8
 # relative margin under a ray's crossing radius within which roots are kept;
@@ -243,34 +246,21 @@ def grushin_dexp(base: GrushinBase, cov) -> np.ndarray:
     """Analytic Jacobian d(x1, y1)/d(u0, v0) of the time-one endpoint map.
 
     Column j is the endpoint (x_a, x_b) = (dx, dy) of the Jacobi field that
-    starts at x = 0 with p = e_j, equal to grushin_jacobi's. Where the
-    oscillator ansatz holds, both columns share one endpoint evaluation and
-    its fluxes; the degenerate branches are grushin_jacobi's. Raises
-    InvalidInput where an entry overflows.
+    starts at x = 0 with p = e_j: grushin_jacobi's, bit for bit, and raising
+    where it raises. Where the oscillator ansatz holds, both columns share one
+    endpoint evaluation.
     """
     u0, v0 = _cov_pair(cov)
     a = base.alpha
     x0 = base.x0
     h2 = _energy(x0, a, u0, v0)
     if h2 == 0.0 or not _curvature_resolvable(h2, v0):
-        columns = [grushin_jacobi(base, cov, JacobiCoords(p=p0, x=(0.0, 0.0)), 1.0).x
-                   for p0 in ((1.0, 0.0), (0.0, 1.0))]
+        columns = [grushin_jacobi(base, cov, init, 1.0).x for init in _UNIT_MOMENTA]
         return np.array(columns).T
     x, _, u = _endpoint(alpha_table(a), x0, base.y0, u0, v0, 1.0)
-    y_flux = (h2 + u0 * x0 - u * x) / (v0 * (a + 1.0))
-    z_flux = (u0 * x0 - a * h2 + (a + 1.0) * u * u - u * x) / (v0 * (a + 1.0))
-    swing = u * u - u0 * u0
-    denom = a * v0 * h2
-    jac = np.empty((2, 2))
-    # grushin_jacobi's k1, k2 and p_b at p = e_0 and at p = e_1, with x_a = x_b = 0
-    for j, (k1, k2, pb0) in enumerate(((u0 * v0 / denom, -(v0 * x0) / denom, 0.0),
-                                       (-(u0 * u0) / denom, u0 * x0 / denom, 1.0))):
-        k3 = ((a - 1.0) * v0 * k1 + pb0) / v0
-        jac[0, j] = k1 * x + (k2 + k3) * u
-        jac[1, j] = (pb0 / v0 + 2.0 * a * k1) * y_flux - (k2 / v0) * swing - k3 * z_flux
-    if not np.isfinite(jac).all():
-        raise _power_overflow(u0, v0)
-    return jac
+    columns = [_jacobi_endpoint(a, x0, u0, v0, h2, 1.0, x, u, init)[1:]
+               for init in _UNIT_MOMENTA]
+    return np.array(columns).T
 
 
 def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
@@ -299,15 +289,28 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
         s, c = sc_pair(k, t)
         xb = xb0 + pb0 * _line_integral(base.x0, u0, t, base.alpha)
         return JacobiCoords(p=(pa0 * c - k * xa0 * s, pb0), x=(xa0 * c + pa0 * s, xb))
-    a = base.alpha
-    x0 = base.x0
-    x, _, u = _endpoint(alpha_table(a), x0, base.y0, u0, v0, t)
+    x, _, u = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, t)
+    pa, xa, xb = _jacobi_endpoint(base.alpha, base.x0, u0, v0, h2, t, x, u, init)
+    return JacobiCoords(p=(pa, pb0), x=(xa, xb))
+
+
+def _jacobi_endpoint(a: float, x0: float, u0: float, v0: float, h2: float, t: float,
+                     x: float, u: float, init: JacobiCoords) -> tuple[float, float, float]:
+    """(p_a, x_a, x_b) at time t on grushin_jacobi's oscillator branch.
+
+    (x, u) is the geodesic's endpoint at t and h2 its energy, with h2 != 0
+    and _curvature_resolvable; p_b stays init's. The x_a(0) term of k1, with
+    its v0^3, is taken only where x_a(0) != 0. Raises InvalidInput where a
+    power in the coefficients overflows.
+    """
+    pa0, pb0 = init.p
+    xa0, xb0 = init.x
     try:
-        k1 = (a * xa0 * v0 ** 3 * _odd_power(x0, a) + pa0 * u0 * v0
-              - pb0 * u0 * u0) / (a * v0 * h2)
+        lead = a * xa0 * v0 ** 3 * _odd_power(x0, a) if xa0 != 0.0 else 0.0
         u_dot = -a * v0 * v0 * _odd_power(x, a)
     except OverflowError:
         raise _power_overflow(u0, v0) from None
+    k1 = (lead + pa0 * u0 * v0 - pb0 * u0 * u0) / (a * v0 * h2)
     k2 = (a * xa0 * u0 * v0 - pa0 * v0 * x0 + pb0 * u0 * x0) / (a * v0 * h2)
     k3 = ((a - 1.0) * v0 * k1 + pb0) / v0
     xa = k1 * x + (k2 + k3 * t) * u
@@ -316,7 +319,7 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
     z_flux = (u0 * x0 - a * t * h2 + (a + 1.0) * t * u * u - u * x) / (v0 * (a + 1.0))
     xb = (xb0 + (pb0 / v0 + 2.0 * a * k1) * y_flux
           - (k2 / v0) * (u * u - u0 * u0) - k3 * z_flux)
-    return JacobiCoords(p=(pa, pb0), x=(xa, xb))
+    return pa, xa, xb
 
 
 def grushin_conj_f(base: GrushinBase, cov) -> float:

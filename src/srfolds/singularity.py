@@ -467,8 +467,8 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
             margins.append(f"a={a:.3g}: solve failed")
             continue
         lam_a, lam_b, dist = pair
-        separation = _norm(lam_a - lam_b)
-        reach = max(_norm(lam_a - cov), _norm(lam_b - cov))
+        separation = float(np.linalg.norm(lam_a - lam_b))
+        reach = float(max(np.linalg.norm(lam_a - cov), np.linalg.norm(lam_b - cov)))
         if dist <= 1e-9 and separation >= delta / 4.0 and reach <= delta:
             return FoldWitness(covector_a=lam_a, covector_b=lam_b,
                                image_distance=dist, separation=separation)
@@ -479,11 +479,6 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
         "the record may be misclassified (need image distance <= 1e-09, "
         f"separation >= {delta / 4.0:.3g}, reach <= delta; "
         + "; ".join(margins) + ")")
-
-
-def _norm(vec: np.ndarray) -> float:
-    """np.linalg.norm of a 1-d float array, bit for bit, as a Python float."""
-    return math.sqrt(vec @ vec)
 
 
 def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a: float):
@@ -503,7 +498,7 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
     target = chart(lam_a)
     lam_b = cov - a * kern
     residual = chart(lam_b) - target
-    dist = _norm(residual)
+    dist = float(np.linalg.norm(residual))
     jac = None
     for _ in range(50):
         if dist <= 1e-13:
@@ -519,13 +514,13 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
             return None
         if not np.all(np.isfinite(step_vec)):
             return None
-        step_norm = _norm(step_vec)
+        step_norm = float(np.linalg.norm(step_vec))
         if step_norm > 5.0 * a:
             step_vec *= 5.0 * a / step_norm
         lam_b = lam_b - step_vec
         new_residual = chart(lam_b) - target
-        dist = _norm(new_residual)
-        dx_dx = step_vec @ step_vec
+        dist = float(np.linalg.norm(new_residual))
+        dx_dx = float(step_vec @ step_vec)
         if dist > 1e-13 and dx_dx > 0.0:
             # secant condition J dx = dr with dx = -step_vec; a new array, so
             # the hook's return value is never written to
