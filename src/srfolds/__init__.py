@@ -14,13 +14,12 @@ from .errors import (DegenerateCovector, DegenerateMatrix, InvalidInput,
 from .grushin import (GrushinBase, grushin_adapter, grushin_conj_f,
                       grushin_conj_grad, grushin_dexp, grushin_exp,
                       grushin_jacobi, grushin_kernel)
-from .numeric import RankResult, RootHit, fd_jacobian, find_roots, rank_nullspace
-from .oracles import OdeProblem, integrate
+from .numeric import RankResult, RootHit, find_roots, rank_nullspace
+from .oracles import OdeProblem, fd_jacobian, integrate
 from .scfun import propagate_linear_jacobi, sc_pair, vertical_to_endpoint_matrix
 from .selftest import CheckResult, format_report, run_selftest
 from .singularity import (ConjugateRecord, FoldWitness, RayStrata, SingularityClass,
-                          StructureAdapter, classify, fold_witness,
-                          regularity_isomorphism_check, scan_ray,
+                          StructureAdapter, classify, fold_witness, scan_ray,
                           second_order_transversality)
 from .sl2 import (Sl2Matrix, sl2_adapter, sl2_chart, sl2_conj_f,
                   sl2_conj_grad, sl2_exp, sl2_frame_images, sl2_jacobi,
@@ -43,7 +42,7 @@ __all__ = [
     "grushin_adapter", "grushin_conj_f", "grushin_conj_grad",
     "grushin_dexp", "grushin_exp", "grushin_jacobi", "grushin_kernel",
     "integrate", "pi_alpha", "propagate_linear_jacobi", "rank_nullspace",
-    "regularity_isomorphism_check", "run_selftest", "sc_pair", "scan_ray",
+    "run_selftest", "sc_pair", "scan_ray",
     "second_order_transversality", "sin_cos_alpha", "sl2_adapter",
     "sl2_chart", "sl2_conj_f", "sl2_conj_grad", "sl2_exp",
     "sl2_frame_images", "sl2_jacobi", "sl2_kernel", "su2_adapter",

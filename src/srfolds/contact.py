@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import libm, rank_nullspace, row_dots
+from .numeric import libm, row_dots
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
 from .singularity import RayStrata, StructureAdapter, covector_ray_strata
 from .state import JacobiCoords
@@ -294,17 +294,6 @@ class ContactGroup:
         def ray_strata(d: np.ndarray) -> RayStrata:
             return covector_ray_strata(self.strata, self.record_fields, d)
 
-        def kernel_jacobi_image(cov) -> np.ndarray:
-            r = curvature(self.eps, *cov_triple(cov))
-            if r <= 0.0:
-                raise NotConjugate(f"covectors with r = {r:.6g} <= 0 are never conjugate")
-            result = rank_nullspace(vertical_to_endpoint_matrix(r))
-            if not result.nullspace_basis:
-                raise NotConjugate("conjugate matrix has trivial nullspace")
-            init = JacobiCoords(p=tuple(result.nullspace_basis[0]), x=(0.0, 0.0, 0.0))
-            p1 = np.asarray(self.jacobi(cov, init, 1.0).p, dtype=float)
-            return self.frame_images(cov) @ p1
-
         return StructureAdapter(
             name=self.name,
             fiber_dim=3,
@@ -316,5 +305,4 @@ class ContactGroup:
             stratum_names=("C0", "C1"),
             ray_gate=ray_gate,
             undetermined=undetermined,
-            kernel_jacobi_image=kernel_jacobi_image,
         )

@@ -300,16 +300,22 @@ def _jacobi_endpoint(a: float, x0: float, u0: float, v0: float, h2: float, t: fl
 
     (x, u) is the geodesic's endpoint at t and h2 its energy, with h2 != 0
     and _curvature_resolvable; p_b stays init's. The x_a(0) term of k1, with
-    its v0^3, is taken only where x_a(0) != 0. Raises InvalidInput where a
-    power in the coefficients overflows.
+    its v0^3, is taken only where x_a(0) != 0, and u_dot is regrouped as
+    -a v0 (v0 |x|^(2(a-1)) x) only where the product taken left to right is
+    not finite, so its bits stay wherever that one is. Raises InvalidInput
+    where a power in the coefficients overflows.
     """
     pa0, pb0 = init.p
     xa0, xb0 = init.x
     try:
         lead = a * xa0 * v0 ** 3 * _odd_power(x0, a) if xa0 != 0.0 else 0.0
-        u_dot = -a * v0 * v0 * _odd_power(x, a)
+        x_power = _odd_power(x, a)
     except OverflowError:
         raise _power_overflow(u0, v0) from None
+    u_dot = -a * v0 * v0 * x_power
+    if not math.isfinite(u_dot):
+        # v0 * v0 overflows once |v0| > 1.3e154, where u_dot itself need not
+        u_dot = -a * v0 * (v0 * x_power)
     k1 = (lead + pa0 * u0 * v0 - pb0 * u0 * u0) / (a * v0 * h2)
     k2 = (a * xa0 * u0 * v0 - pa0 * v0 * x0 + pb0 * u0 * x0) / (a * v0 * h2)
     k3 = ((a - 1.0) * v0 * k1 + pb0) / v0
@@ -522,11 +528,6 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
             return False
         return _energy(base.x0, base.alpha, du, dv) > 0.0
 
-    def kernel_jacobi_image(cov) -> np.ndarray:
-        # fiber perturbations are realized directly in plane coordinates
-        init = JacobiCoords(p=tuple(grushin_kernel(base, cov)[0]), x=(0.0, 0.0))
-        return np.asarray(grushin_jacobi(base, cov, init, 1.0).p, dtype=float)
-
     return StructureAdapter(
         name="grushin",
         fiber_dim=2,
@@ -537,5 +538,4 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         record_fields=record_fields,
         stratum_names=("other",),
         ray_gate=ray_gate,
-        kernel_jacobi_image=kernel_jacobi_image,
     )

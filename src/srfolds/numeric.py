@@ -1,11 +1,13 @@
-"""The scan's numerics: root finding, FD Jacobians, rank queries.
+"""The scan's numerics: root finding, FD stencils, rank queries.
 
 Contract-checked wrappers around numpy. Root polishing is Brent's method
 written out here, operation for operation as scipy.optimize.brentq, so finding
 roots loads no scipy module; its lockstep form polishes many brackets at once,
 one array evaluation per step, and gives the same roots to the bit. Root
-polishing runs at 1e-10 unless a caller loosens it explicitly. The ODE and
-quadrature routes that check the closed forms live in oracles.py.
+polishing runs at 1e-10 unless a caller loosens it explicitly. The
+finite-difference stencil and its columns serve the record build; the ODE,
+quadrature and one-point finite-difference Jacobian routes that check the
+closed forms live in oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -352,18 +354,8 @@ def _brent_lockstep(g_rows: Callable[[np.ndarray], np.ndarray], columns: np.ndar
         f"lockstep Brent polish left {rows.size} bracket(s) open after {_BRENT_MAXITER} steps")
 
 
-def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x: Sequence[float],
-                h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of F at x; step scaled per coordinate."""
-    points, steps = fd_stencil(np.asarray(x, dtype=float), h)
-    values = np.array([np.asarray(F(p), dtype=float) for p in points])
-    # row-major, as callers have always received it: products and solves
-    # with a transposed view may round differently
-    return np.ascontiguousarray(fd_columns(values, steps))
-
-
 def fd_stencil(x: np.ndarray, h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """The points and steps of fd_jacobian around each row of x.
+    """The points and steps of oracles.fd_jacobian around each row of x.
 
     x has shape (..., k). The steps h_j = h max(1, |x_j|) have the shape of
     x; the points have shape (..., 2k, k) and run x + h_0 e_0, x - h_0 e_0,

@@ -1,22 +1,23 @@
-"""The independent routes the closed forms are checked against: ODE and quadrature.
+"""The independent routes the closed forms are checked against: ODE, quadrature, FD.
 
 Contract-checked wrappers around scipy.integrate, which integrate and quad
-import on first use, so importing this module loads no scipy module. The
-self-test battery, alphatrig's quadrature form of pi_alpha and the test suite
-call them; no scan, witness or exponential does. The defaults are tight: the
-integrator runs at rel 1e-10 / abs 1e-12 and quadrature at 1e-10 unless a
-caller loosens them explicitly.
+import on first use, so importing this module loads no scipy module, and the
+central-difference Jacobian of one function at one point (fd_jacobian), on
+the record build's stencil. The self-test battery, alphatrig's quadrature
+form of pi_alpha and the test suite call them; no scan, witness or
+exponential does. The defaults are tight: the integrator runs at rel 1e-10 /
+abs 1e-12 and quadrature at 1e-10 unless a caller loosens them explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, NonConvergence, StepFailure
-from .numeric import DEFAULT_ROOT_TOL
+from .numeric import DEFAULT_ROOT_TOL, fd_columns, fd_stencil
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
@@ -90,3 +91,13 @@ def quad(f: Callable[[float], float], a: float, b: float,
         raise NonConvergence(
             f"quadrature error estimate {abserr:.3e} exceeds tol {tol:.3e} on [{a}, {b}]")
     return value
+
+
+def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x: Sequence[float],
+                h: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of F at x; step scaled per coordinate."""
+    points, steps = fd_stencil(np.asarray(x, dtype=float), h)
+    values = np.array([np.asarray(F(p), dtype=float) for p in points])
+    # row-major, as callers have always received it: products and solves
+    # with a transposed view may round differently
+    return np.ascontiguousarray(fd_columns(values, steps))

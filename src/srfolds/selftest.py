@@ -20,8 +20,8 @@ from .alphatrig import arc_alpha, pi_alpha, sin_cos_alpha
 from .errors import InvalidInput, SrfoldsError
 from .grushin import (GrushinBase, grushin_adapter, grushin_dexp, grushin_exp,
                       grushin_jacobi)
-from .numeric import fd_jacobian, find_roots
-from .oracles import OdeProblem, integrate
+from .numeric import find_roots
+from .oracles import OdeProblem, fd_jacobian, integrate
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
 from .singularity import SingularityClass, fold_witness, scan_ray
 from .sl2 import sl2_adapter, sl2_exp, sl2_frame_images

@@ -3,8 +3,8 @@
 A geometric structure plugs in through StructureAdapter: a chart presentation of
 its fiber exponential (endpoint of the unit-time geodesic as a function of the
 initial covector), analytic stratum functions whose zeros along a ray mark the
-conjugate covectors, analytic gradients and kernel vectors, the chart's
-closed-form differential, and a hook into its closed-form Jacobi solution.
+conjugate covectors, analytic gradients and kernel vectors, and the chart's
+closed-form differential, which steps the fold witnesses.
 
 Classification at an order-one conjugate covector follows the transversality
 dichotomy: when the active stratum's gradient pairs nontrivially with the kernel
@@ -38,8 +38,6 @@ PAIRING_TOL = 1e-6
 SECOND_ORDER_TOL = 1e-3
 # step of the four-point stencil of the second-order certificate
 SECOND_ORDER_STEP = 1e-4
-# share of the kernel Jacobi momentum outside Im(d exp) that certifies regularity
-INDEPENDENCE_TOL = 1e-3
 # relative offset of the first scan node from the ray origin
 RAY_ORIGIN_OFFSET = 1e-4
 # sign-change brackets, over all strata of a ray, from which scan_ray polishes
@@ -112,9 +110,10 @@ class StructureAdapter:
     immerse the target in more coordinates than fiber_dim (a group matrix's
     four entries); rank, kernel and the complement of the image are read
     there. chart_jacobian(cov) is chart's differential at cov, a
-    (chart_dim, fiber_dim) array from the structure's closed forms; it
-    starts fold_witness's partner solve (_newton_partner) and may raise
-    InvalidInput or DegenerateCovector where it is not defined.
+    (chart_dim, fiber_dim) array from the structure's closed forms; it is
+    the chord matrix of fold_witness's partner solve (_newton_partner),
+    evaluated at most once per offset, and may raise InvalidInput or
+    DegenerateCovector where it is not defined.
     chart_array(points) is the same map over arrays: points of shape
     (N, m, fiber_dim) give an array of shape (N, m, chart_dim) whose row
     [i, j] equals chart(points[i, j]) bit for bit (or it raises what that
@@ -152,12 +151,6 @@ class StructureAdapter:
     deliberately excludes. A planar structure (fiber_dim == 2) has no
     separate stratum functions: the scanner names each of its records that
     has a kernel/gradient pairing C0 (transversal, above PAIRING_TOL) or C1.
-
-    kernel_jacobi_image(cov) feeds regularity_isomorphism_check from the
-    structure's closed-form Jacobi solution: it takes the vertical Jacobi
-    datum spanning the kernel at a conjugate covector, propagates its
-    momentum to t=1 and returns that momentum's image in the chart at the
-    endpoint.
     """
 
     name: str
@@ -170,7 +163,6 @@ class StructureAdapter:
                             tuple[np.ndarray, np.ndarray, np.ndarray]]
     stratum_names: tuple[str, ...]
     ray_gate: Callable[[np.ndarray], bool]
-    kernel_jacobi_image: Callable[[np.ndarray], np.ndarray]
     undetermined: Callable[[np.ndarray, str], bool] = field(default=_never)
 
 
@@ -223,8 +215,8 @@ def _pairings(grads: np.ndarray, kerns: np.ndarray, order_one: np.ndarray) -> np
 def _rank_reports(adapter: StructureAdapter, covs: np.ndarray) -> tuple[np.ndarray, ...]:
     """The FD rank reports of the chart Jacobians at the rows of covs, as arrays.
 
-    fd_jacobian's central-difference stencil around every covector goes
-    through one chart_array call, and the stacked Jacobians through one
+    oracles.fd_jacobian's central-difference stencil around every covector
+    goes through one chart_array call, and the stacked Jacobians through one
     rank_nullspace call, whose (u, singular_values, vh, ranks, tolerances)
     row i equals rank_nullspace(fd_jacobian(adapter.chart, cov)) at
     cov = covs[i].
@@ -447,10 +439,10 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
 
     Steps +-a along the kernel direction and solves for the full covector on
     the far side until both images agree, certifying non-injectivity of the
-    exponential in every neighbourhood of the fold point. The solve is
-    quasi-Newton: the adapter's analytic differential (chart_jacobian), then
-    Broyden updates (see _newton_partner). Offsets a = delta/2, delta/3,
-    delta/4 are tried in turn; when none meets the gates, WitnessNotFound
+    exponential in every neighbourhood of the fold point. The solve is the
+    chord method: the adapter's analytic differential (chart_jacobian),
+    evaluated once per offset and kept for every step (see _newton_partner).
+    Offsets a = delta/2, delta/3, delta/4 are tried in turn; when none meets the gates, WitnessNotFound
     names the image distance and the separation reached at each.
     """
     if record.singularity_class is not SingularityClass.FOLD:
@@ -482,16 +474,15 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
 
 
 def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a: float):
-    """Quasi-Newton solve for the partner covector across the fold line, or None.
+    """Chord solve for the partner covector across the fold line, or None.
 
-    Targets the image of cov + a kern from cov - a kern. The Newton matrix
+    Targets the image of cov + a kern from cov - a kern. The chord matrix
     is chart_jacobian at cov - a kern, taken only if the first residual
-    misses 1e-13; each step solves it (np.linalg.solve on a square chart,
-    least squares where the chart has more coordinates than the fiber),
-    and then Broyden's rank-one secant update J += (dr - J dx) dx^T / (dx.dx)
-    replaces re-evaluating it. Steps are clamped to 5a. A differential that
-    raises InvalidInput or DegenerateCovector, a singular solve or a
-    non-finite step gives None. Returns (lam_a, lam_b, dist) with dist the
+    misses 1e-13, and every step solves that one matrix (np.linalg.solve
+    on a square chart, least squares where the chart has more coordinates
+    than the fiber) until the residual meets 1e-13 or 50 steps are taken.
+    Steps are clamped to 5a. A differential that raises InvalidInput or
+    DegenerateCovector, a singular solve or a non-finite step gives None. Returns (lam_a, lam_b, dist) with dist the
     norm of the last residual.
     """
     lam_a = cov + a * kern
@@ -518,34 +509,7 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
         if step_norm > 5.0 * a:
             step_vec *= 5.0 * a / step_norm
         lam_b = lam_b - step_vec
-        new_residual = chart(lam_b) - target
-        dist = float(np.linalg.norm(new_residual))
-        dx_dx = float(step_vec @ step_vec)
-        if dist > 1e-13 and dx_dx > 0.0:
-            # secant condition J dx = dr with dx = -step_vec; a new array, so
-            # the hook's return value is never written to
-            jac = jac - np.outer(new_residual - residual + jac @ step_vec, step_vec) / dx_dx
-        residual = new_residual
+        residual = chart(lam_b) - target
+        dist = float(np.linalg.norm(residual))
     return lam_a, lam_b, dist
 
-
-def regularity_isomorphism_check(adapter: StructureAdapter,
-                                 record: ConjugateRecord) -> bool:
-    """True when the kernel Jacobi datum's endpoint momentum escapes Im(d exp).
-
-    Takes the chart image of the endpoint momentum of the vertical Jacobi
-    datum whose field vanishes at both ends (adapter.kernel_jacobi_image) and
-    tests its linear independence from the image of the differential: the
-    part outside it must exceed INDEPENDENCE_TOL of the vector's norm.
-    """
-    if record.order != 1:
-        raise InvalidInput("regularity check requires an order-one record")
-    cov = np.asarray(record.covector, dtype=float)
-    vec = np.asarray(adapter.kernel_jacobi_image(cov), dtype=float)
-    norm_vec = float(np.linalg.norm(vec))
-    if norm_vec == 0.0:
-        return False
-    u, _, _, ranks, _ = _rank_reports(adapter, cov[np.newaxis])
-    # at full rank the complement is empty, or normal to the target where the
-    # chart immerses it, and a tangent vector has no part there above rounding
-    return bool(_complement_norms(u, ranks, vec[np.newaxis])[0] > INDEPENDENCE_TOL * norm_vec)

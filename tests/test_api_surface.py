@@ -1,9 +1,11 @@
-"""The public surface: what srfolds exports, and what its decision layer takes.
+"""The public surface: what srfolds exports, what its decision layer takes, what it imports.
 
-The fold/tangential decision is a fixed policy (PAIRING_TOL, SECOND_ORDER_TOL,
-SECOND_ORDER_STEP, INDEPENDENCE_TOL in singularity.py and
-DEFAULT_RANK_TOL_FACTOR in numeric.py), printed by the CLI in every
-tolerances block. These tests keep it from growing per-call knobs again.
+The fold/tangential decision is a fixed policy (PAIRING_TOL, SECOND_ORDER_TOL
+and SECOND_ORDER_STEP in singularity.py and DEFAULT_RANK_TOL_FACTOR in
+numeric.py), printed by the CLI in every tolerances block, and the fold
+witness's gates are fixed too. These tests keep both from growing per-call
+knobs again, keep the adapter at the hooks the scan and the witness call,
+and keep every module from importing a name it does not use.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import pytest
 
 import srfolds
 from srfolds.numeric import rank_nullspace
-from srfolds.singularity import (classify, regularity_isomorphism_check,
-                                 scan_ray, second_order_transversality)
+from srfolds.singularity import (classify, fold_witness, scan_ray,
+                                 second_order_transversality)
 
 
 def test_every_exported_name_resolves_once():
@@ -37,7 +39,8 @@ def test_every_exported_name_resolves_once():
     (scan_ray, ["adapter", "direction", "s_max", "scan_points", "root_tol"]),
     (classify, ["adapter", "record"]),
     (second_order_transversality, ["adapter", "record"]),
-    (regularity_isomorphism_check, ["adapter", "record"]),
+    # delta bounds where the witness may lie; its gates are fixed
+    (fold_witness, ["adapter", "record", "delta"]),
     (rank_nullspace, ["M"]),
     (srfolds.su2_kernel, ["cov"]),
     (srfolds.sl2_kernel, ["cov"]),
@@ -52,7 +55,7 @@ def test_structure_adapter_hooks_are_pinned():
     # added or dropped only on purpose
     assert [f.name for f in dataclasses.fields(srfolds.StructureAdapter)] == [
         "name", "fiber_dim", "chart", "chart_jacobian", "chart_array", "ray_strata",
-        "record_fields", "stratum_names", "ray_gate", "kernel_jacobi_image", "undetermined"]
+        "record_fields", "stratum_names", "ray_gate", "undetermined"]
     assert srfolds.RayStrata._fields == ("g", "g_rows", "free_below")
 
 
@@ -155,3 +158,58 @@ def test_only_the_oracles_import_scipy():
     assert offenders == []
     assert [name for name, _ in _scipy_imports(package / "cli.py")] == ["_versions"]
     assert _scipy_imports(package / "oracles.py")
+
+
+def _tracer_boundaries() -> set[tuple[str, str]]:
+    """(module, name) of every srfolds name perfbench/tracer.py wraps, read from its lists.
+
+    A boundary is a tuple of strings whose first is an srfolds module; the
+    tracer keeps them in module-level lists, or alone in a module-level tuple.
+    """
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    boundaries = set()
+    for stmt in ast.parse(tracer.read_text()).body:
+        if not isinstance(stmt, ast.Assign):
+            continue
+        try:
+            value = ast.literal_eval(stmt.value)
+        except ValueError:
+            continue
+        for entry in ([value] if isinstance(value, tuple) else value):
+            if (isinstance(entry, tuple) and entry and isinstance(entry[0], str)
+                    and entry[0].split(".")[0] == "srfolds"):
+                boundaries.add(entry[:2])
+    return boundaries
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and neither reads nor lists in __all__."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in stmt.targets):
+            used |= set(ast.literal_eval(stmt.value))
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a dead import hides what a module needs; the only ones allowed are the
+    # names the benchmark's tracer wraps in that module, and they go when
+    # the tracer stops wrapping them
+    package = Path(srfolds.__file__).resolve().parent
+    boundaries = _tracer_boundaries()
+    assert boundaries
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        module = "srfolds" if path.stem == "__init__" else f"srfolds.{path.stem}"
+        offenders += [(path.name, name) for name in _unused_imports(path)
+                      if (module, name) not in boundaries]
+    assert offenders == []

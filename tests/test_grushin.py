@@ -40,6 +40,20 @@ def _cov_id(cov) -> str:
     return f"{cov[0]:g}_{cov[1]:g}"
 
 
+def _unit_momenta_form(base: GrushinBase, cov, t: float) -> tuple[float, float]:
+    """p1.x2 - p2.x1 of the Jacobi fields with x(0) = 0, p(0) = e1 and e2, at t.
+
+    The linearized flow keeps this symplectic form, 0 at t = 0, so it is 0 at
+    every t; returned with |p1| |x2| + |p2| |x1|, the size of its terms.
+    """
+    one, two = (grushin_jacobi(base, cov, JacobiCoords(p=p, x=(0.0, 0.0)), t)
+                for p in ((1.0, 0.0), (0.0, 1.0)))
+    p1, x1, p2, x2 = one.p, one.x, two.p, two.x
+    form = p1[0] * x2[0] + p1[1] * x2[1] - p2[0] * x1[0] - p2[1] * x1[1]
+    # hypot, as field sizes near 1e-200 square below the smallest double
+    return form, math.hypot(*p1) * math.hypot(*x2) + math.hypot(*p2) * math.hypot(*x1)
+
+
 def _jacobi_ode_oracle(base: GrushinBase, cov, init: JacobiCoords,
                        t_end: float) -> np.ndarray:
     """Integrate the linearized system along the closed-form geodesic."""
@@ -273,6 +287,17 @@ class TestJacobi:
         ref = _jacobi_ode_oracle(base, (u0, v0), init, 1.0)
         assert np.max(np.abs(np.array([*closed.p, *closed.x]) - ref)) <= 1e-8
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]), st.sampled_from([0.0, 0.4, -0.4, 1.3]),
+           st.sampled_from([-1.0, 0.5, 1.0, 3.0]), st.floats(-3.0, 3.0),
+           st.floats(-1.0, 150.0), st.sampled_from([1.0, -1.0]))
+    def test_unit_momenta_keep_the_symplectic_form(self, alpha, x0, t, u0, log_v0, sign):
+        # a route independent of the ODE oracle, which reaches |v0| = 1e150;
+        # |v0| >= 0.1 stays clear of the 1/v0 cancellation near v0 = 0
+        form, size = _unit_momenta_form(GrushinBase(alpha, x0, 0.0),
+                                        (u0, sign * 10.0 ** log_v0), t)
+        assert abs(form) <= 1e-11 * size
+
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.3])
     @pytest.mark.parametrize("cov", DEGENERATE_COVECTORS, ids=_cov_id)
     @pytest.mark.parametrize("x0", [0.0, 0.7, -1.2])
@@ -371,6 +396,35 @@ class TestConjugacy:
         base = GrushinBase(alpha=1.0, x0=0.0, y0=0.0)
         with pytest.raises(NotConjugate):
             grushin_kernel(base, (1.0, 1.0))
+
+    def test_kernel_bound_counts_both_terms_of_its_scale(self):
+        # |f| = |u1 (u0 + x0) - u0 x1| may reach 1e-8 max(1, |u1| (|u0| + |x0|)
+        # + |u0| |x1|); at a record the two terms are equal, so a covector moved
+        # off it along its ray until |f| sits between 1e-8 times their
+        # difference and the bound is accepted, and one at twice the bound is not
+        base = GrushinBase(alpha=1.0, x0=1.0, y0=0.0)
+        d = np.array([0.4, 1.0]) / math.hypot(0.4, 1.0)
+        rec = max(scan_ray(grushin_adapter(base), d, 10.0), key=lambda r: r.s)
+        slope = abs(float(grushin_conj_grad(base, rec.covector) @ d))
+
+        def moved(f_size):
+            """The covector f_size / slope further out, its |f| and its two scale terms."""
+            cov = (rec.s + f_size / slope) * d
+            state = grushin_exp(base, cov, 1.0)
+            x1, u1 = state.position[0], state.momentum[0]
+            terms = abs(u1) * (abs(cov[0]) + 1.0), abs(cov[0]) * abs(x1)
+            return cov, abs(grushin_conj_f(base, cov)), terms
+
+        _, _, (first, second) = moved(0.0)
+        cov, f, (first, second) = moved(1e-8 * math.sqrt(max(1.0, first - second)
+                                                         * (first + second)))
+        assert 1e-8 * max(1.0, first - second) < f < 1e-8 * max(1.0, first + second)
+        (kern,) = grushin_kernel(base, cov)
+        assert abs(np.linalg.norm(kern) - 1.0) <= 1e-12
+        cov, f, (first, second) = moved(2e-8 * (first + second))
+        assert f > 1.5e-8 * (first + second) > 1e-8
+        with pytest.raises(NotConjugate):
+            grushin_kernel(base, cov)
 
     def test_conjugate_rank_drop(self):
         base = GrushinBase(alpha=1.0, x0=0.0, y0=0.0)
@@ -614,6 +668,16 @@ class TestOverflow:
         assert abs(energy - 1.0) <= 1e-12
         assert abs(x1) <= 1e-100 ** (1.0 / alpha) * (1.0 + 1e-12)
         assert math.isfinite(grushin_conj_f(base, (1.0, v0)))
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+    def test_axis_base_jacobi_is_finite_where_v0_squared_overflows(self, alpha):
+        # u_dot = -alpha v0^2 |x|^(2(alpha-1)) x is finite although v0^2 is not
+        base = GrushinBase(alpha=alpha, x0=0.0, y0=0.0)
+        out = grushin_jacobi(base, (1.0, 1e200), self.JACOBI_INIT, 1.0)
+        assert all(map(math.isfinite, (*out.p, *out.x)))
+        form, size = _unit_momenta_form(base, (1.0, 1e200), 1.0)
+        assert size > 0.0
+        assert abs(form) <= 1e-11 * size
 
     @pytest.mark.parametrize("alpha,x0", [(2.0, 1e200), (1.0, 1e170), (2.0, -1e100)])
     def test_base_whose_power_overflows_raises(self, alpha, x0):
