@@ -85,9 +85,10 @@ class ContactGroup:
     (X0, X1, X2). entries_array(covs) gives the entries of exp(cov, 1.0) at
     each row of a (k, 3) array, together with a mask of the rows where they
     equal the scalar ones bit for bit; the other rows are left to the scalar
-    exponential. The chart is the four entries themselves, an embedding of the
-    group in R^4, so a tangent matrix at the endpoint has its four entries as
-    its chart components.
+    exponential, so the mask need cover only the rows a scan reaches (SL(2)'s
+    covers sc_pair's trigonometric branch). The chart is the four entries
+    themselves, an embedding of the group in R^4, so a tangent matrix at the
+    endpoint has its four entries as its chart components.
     """
 
     name: str
@@ -153,9 +154,9 @@ class ContactGroup:
         other rows of those two are not defined, and kernels and gradients are
         computed on the order-one rows only. The rows with H != 0 and finite
         r > 0 share one trigonometric pass. The rest, and the order-one rows
-        that kernel would reject as not conjugate, go through strata, kernel
-        and conj_grad in row order, so the first of them that raises is the
-        scalar loop's first.
+        that kernel would reject as not conjugate, go through strata and
+        kernel in row order, so the first of them that raises is the scalar
+        loop's first; every order-one row among them raises there.
         """
         u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
         with np.errstate(all="ignore"):
@@ -190,7 +191,6 @@ class ContactGroup:
             f_values[i] = self.strata(covs[i])
             if order_one[i]:
                 kernels[i] = self.kernel(covs[i])
-                grads[i] = self.conj_grad(covs[i])[strata[i]]
         return f_values, kernels, grads
 
     def kernel(self, cov) -> np.ndarray:
@@ -276,12 +276,6 @@ class ContactGroup:
     def adapter(self) -> StructureAdapter:
         """Plug the group into the generic conjugate-locus scanner."""
 
-        def ray_gate(direction: np.ndarray) -> bool:
-            du, dv, dw = (float(c) for c in direction)
-            if du * du + dv * dv == 0.0:
-                return False
-            return curvature(self.eps, du, dv, dw) > 0.0
-
         def undetermined(cov, stratum: str) -> bool:
             # the tangential/fold theory for C0 is only established off w0 = 0;
             # r > 0 keeps |w0| > 0 on SL(2), so this only ever fires on SU(2)
@@ -291,7 +285,11 @@ class ContactGroup:
             return abs(w0) <= _VERTICAL_EXCLUSION_TOL * math.sqrt(
                 u0 * u0 + v0 * v0 + w0 * w0)
 
-        def ray_strata(d: np.ndarray) -> RayStrata:
+        def ray_strata(d: np.ndarray) -> RayStrata | None:
+            du, dv, dw = d.tolist()
+            # only covectors with H != 0 and r > 0 are conjugate
+            if du * du + dv * dv == 0.0 or curvature(self.eps, du, dv, dw) <= 0.0:
+                return None
             return covector_ray_strata(self.strata, self.record_fields, d)
 
         return StructureAdapter(
@@ -303,6 +301,5 @@ class ContactGroup:
             ray_strata=ray_strata,
             record_fields=self.record_fields,
             stratum_names=("C0", "C1"),
-            ray_gate=ray_gate,
             undetermined=undetermined,
         )

@@ -519,14 +519,13 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     def record_fields(covs: np.ndarray, strata: np.ndarray, order_one: np.ndarray):
         return grushin_record_fields(base, covs, order_one)
 
-    def ray_strata(d: np.ndarray) -> RayStrata:
+    def ray_strata(d: np.ndarray) -> RayStrata | None:
+        du, dv = d.tolist()
+        # a v0 = 0 ray or one with H = 0 has no conjugate covector; an energy
+        # that overflows raises here
+        if dv == 0.0 or _energy(base.x0, base.alpha, du, dv) == 0.0:
+            return None
         return _ray_strata(table, base.x0, d, covector_ray_strata(conj_f, record_fields, d))
-
-    def ray_gate(direction: np.ndarray) -> bool:
-        du, dv = float(direction[0]), float(direction[1])
-        if dv == 0.0:
-            return False
-        return _energy(base.x0, base.alpha, du, dv) > 0.0
 
     return StructureAdapter(
         name="grushin",
@@ -537,5 +536,4 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         ray_strata=ray_strata,
         record_fields=record_fields,
         stratum_names=("other",),
-        ray_gate=ray_gate,
     )

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import finite_time, libm
+from .numeric import finite_time
 
 # exact (1-c)/a loses ~|eps/a| absolute accuracy; below this the series wins
 SERIES_THRESHOLD = 1e-6
@@ -43,29 +43,6 @@ def sc_pair(a: float, t: float) -> tuple[float, float]:
         return math.sinh(sq * t) / sq, math.cosh(sq * t)
     except OverflowError:
         raise InvalidInput(f"sinh(sqrt(-a) t) overflows at a = {a!r}, t = {t!r}") from None
-
-
-def sc_pair_array(a: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """sc_pair(a_i, t) at each element a_i of a 1-d array, bit for bit.
-
-    The same branches on masks, with every transcendental call through the
-    scalar libm (numeric.libm), so only an element whose sinh overflows
-    raises, with OverflowError where sc_pair raises InvalidInput.
-    """
-    z = a * t * t
-    series = np.abs(z) < SERIES_THRESHOLD
-    trig = ~series & (a > 0.0)
-    hyper = ~series & ~(a > 0.0)
-    s, c = np.empty_like(a), np.empty_like(a)
-    z = z[series]
-    cube = libm(pow, z, 3.0)
-    s[series] = t * (1.0 - z / 6.0 + z * z / 120.0 - cube / 5040.0)
-    c[series] = 1.0 - z / 2.0 + z * z / 24.0 - cube / 720.0
-    sq = np.sqrt(a[trig])
-    s[trig], c[trig] = libm(math.sin, sq * t) / sq, libm(math.cos, sq * t)
-    sq = np.sqrt(-a[hyper])
-    s[hyper], c[hyper] = libm(math.sinh, sq * t) / sq, libm(math.cosh, sq * t)
-    return s, c
 
 
 def jacobi_ratios(a: float, t: float) -> tuple[float, float, float, float]:

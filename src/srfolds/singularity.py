@@ -70,7 +70,8 @@ class RayStrata(NamedTuple):
     the values (m, n_strata) of every stratum function at the m radii of a
     1-d array s, equal to g bit for bit (or it raises what g raises at the
     first radius where g raises). No covector s d with s < free_below is
-    conjugate, and scan_ray drops the roots it finds there.
+    conjugate, and scan_ray drops the roots it finds there. A ray with no
+    conjugate covector gets None from the adapter instead.
     """
 
     g: Callable[[int, float], float]
@@ -86,7 +87,8 @@ def covector_ray_strata(strata: Callable[[list], tuple],
     record_fields is the adapter hook, whose f-values must equal them bit
     for bit: g calls strata on a list of Python floats s d_i, which round
     as numpy's s * d does and convert for free, and g_rows makes one
-    record_fields call with no order-one row.
+    record_fields call with no order-one row. The adapter returns None
+    instead of calling it on a ray with no conjugate covector.
     """
     components = d.tolist()
 
@@ -112,7 +114,7 @@ class StructureAdapter:
     there. chart_jacobian(cov) is chart's differential at cov, a
     (chart_dim, fiber_dim) array from the structure's closed forms; it is
     the chord matrix of fold_witness's partner solve (_newton_partner),
-    evaluated at most once per offset, and may raise InvalidInput or
+    evaluated at most once per witness, and may raise InvalidInput or
     DegenerateCovector where it is not defined.
     chart_array(points) is the same map over arrays: points of shape
     (N, m, fiber_dim) give an array of shape (N, m, chart_dim) whose row
@@ -123,7 +125,8 @@ class StructureAdapter:
     build, so bitwise agreement is what keeps a record's order, kernel basis
     and class the same whichever route made it.
     ray_strata(d) gives the stratum functions, aligned with stratum_names,
-    restricted to the ray of the unit direction d (RayStrata): scan_ray
+    restricted to the ray of the unit direction d (RayStrata), or None on
+    a ray with no conjugate covector, which then has no records. scan_ray
     samples its grid with one g_rows call, and Brent polishes the brackets
     of a ray with few of them on g, and those of a ray with
     LOCKSTEP_MIN_BRACKETS or more in lockstep, one g_rows call per step;
@@ -146,8 +149,7 @@ class StructureAdapter:
     in array passes, and Grushin, whose calls carry a few dozen stencil
     points and a handful of records, loops over its scalar functions.
 
-    ray_gate(direction) says whether covectors along the ray can be conjugate
-    at all; undetermined(cov, stratum) marks points the classification theory
+    undetermined(cov, stratum) marks points the classification theory
     deliberately excludes. A planar structure (fiber_dim == 2) has no
     separate stratum functions: the scanner names each of its records that
     has a kernel/gradient pairing C0 (transversal, above PAIRING_TOL) or C1.
@@ -158,11 +160,10 @@ class StructureAdapter:
     chart: Callable[[np.ndarray], np.ndarray]
     chart_jacobian: Callable[[np.ndarray], np.ndarray]
     chart_array: Callable[[np.ndarray], np.ndarray]
-    ray_strata: Callable[[np.ndarray], RayStrata]
+    ray_strata: Callable[[np.ndarray], RayStrata | None]
     record_fields: Callable[[np.ndarray, np.ndarray, np.ndarray],
                             tuple[np.ndarray, np.ndarray, np.ndarray]]
     stratum_names: tuple[str, ...]
-    ray_gate: Callable[[np.ndarray], bool]
     undetermined: Callable[[np.ndarray, str], bool] = field(default=_never)
 
 
@@ -251,10 +252,11 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     """Conjugate covectors on the ray {s * direction : 0 < s <= s_max}, classified.
 
     Roots of each stratum function are located by a scan-and-bracket search
-    on the adapter's restriction of the strata to the ray (ray_strata): one
-    g_rows call samples every stratum on the scan grid. With fewer than
-    LOCKSTEP_MIN_BRACKETS sign changes over all strata, Brent polishes each
-    with the scalar g (find_roots); with more, all of them are polished
+    on the adapter's restriction of the strata to the ray (ray_strata, None
+    on a ray with no records): one g_rows call samples every stratum on the
+    scan grid. With fewer than LOCKSTEP_MIN_BRACKETS sign changes over all
+    strata, Brent polishes each with the scalar g (find_roots); with more,
+    all of them are polished
     together, one g_rows call per Brent step (find_roots_lockstep), to the
     same roots bit for bit. Roots below the restriction's free_below are
     dropped. Every root is cross-validated by the
@@ -267,15 +269,16 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     if not (s_max > 0.0 and np.isfinite(s_max)):
         raise InvalidInput(f"s_max must be positive and finite, got {s_max}")
     check_root_tol(root_tol)
-    if not adapter.ray_gate(d):
+    strata = adapter.ray_strata(d)
+    if strata is None:
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
     nodes = scan_nodes(lo, s_max, scan_points)
-    g, g_rows, free_below = adapter.ray_strata(d)
+    g, g_rows, free_below = strata
     try:
         grid = g_rows(nodes).T
     except DegenerateCovector as exc:
-        # the gate let the ray in, so its energy is positive: it underflows
+        # ray_strata let the ray in, so its energy is positive: it underflows
         raise InvalidInput(f"s_max = {s_max!r} is too small: the energy of the covectors "
                            f"at the start of the scan grid underflows ({exc})") from exc
     if sign_brackets(grid)[0].size >= LOCKSTEP_MIN_BRACKETS:
@@ -437,13 +440,14 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
                  delta: float) -> FoldWitness:
     """Two covectors within delta of the fold whose endpoints coincide to 1e-9.
 
-    Steps +-a along the kernel direction and solves for the full covector on
-    the far side until both images agree, certifying non-injectivity of the
-    exponential in every neighbourhood of the fold point. The solve is the
-    chord method: the adapter's analytic differential (chart_jacobian),
-    evaluated once per offset and kept for every step (see _newton_partner).
-    Offsets a = delta/2, delta/3, delta/4 are tried in turn; when none meets the gates, WitnessNotFound
-    names the image distance and the separation reached at each.
+    Steps +-a, a = delta/2, along the kernel direction and solves for the
+    full covector on the far side until both images agree, certifying
+    non-injectivity of the exponential in every neighbourhood of the fold
+    point. The solve is the chord method: the adapter's analytic
+    differential (chart_jacobian), evaluated once and kept for every step
+    (see _newton_partner). When the pair misses the gates, WitnessNotFound
+    names the image distance, the separation and the reach it got to; a
+    smaller delta takes a smaller step.
     """
     if record.singularity_class is not SingularityClass.FOLD:
         raise InvalidInput("fold_witness requires a record classified as Fold")
@@ -452,25 +456,23 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
     cov = np.asarray(record.covector, dtype=float)
     kern = np.asarray(record.kernel_basis[0], dtype=float)
     kern = kern / np.linalg.norm(kern)
-    margins = []
-    for a in (delta / 2.0, delta / 3.0, delta / 4.0):
-        pair = _newton_partner(adapter.chart, adapter.chart_jacobian, cov, kern, a)
-        if pair is None:
-            margins.append(f"a={a:.3g}: solve failed")
-            continue
+    a = delta / 2.0
+    pair = _newton_partner(adapter.chart, adapter.chart_jacobian, cov, kern, a)
+    if pair is None:
+        margin = f"a={a:.3g}: solve failed"
+    else:
         lam_a, lam_b, dist = pair
         separation = float(np.linalg.norm(lam_a - lam_b))
         reach = float(max(np.linalg.norm(lam_a - cov), np.linalg.norm(lam_b - cov)))
         if dist <= 1e-9 and separation >= delta / 4.0 and reach <= delta:
             return FoldWitness(covector_a=lam_a, covector_b=lam_b,
                                image_distance=dist, separation=separation)
-        margins.append(f"a={a:.3g}: image distance {dist:.3g}, "
-                       f"separation {separation:.3g}, reach {reach:.3g}")
+        margin = (f"a={a:.3g}: image distance {dist:.3g}, "
+                  f"separation {separation:.3g}, reach {reach:.3g}")
     raise WitnessNotFound(
         f"no coincident endpoint pair within delta={delta} of the fold covector; "
         "the record may be misclassified (need image distance <= 1e-09, "
-        f"separation >= {delta / 4.0:.3g}, reach <= delta; "
-        + "; ".join(margins) + ")")
+        f"separation >= {delta / 4.0:.3g}, reach <= delta; {margin})")
 
 
 def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a: float):
@@ -482,8 +484,8 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
     on a square chart, least squares where the chart has more coordinates
     than the fiber) until the residual meets 1e-13 or 50 steps are taken.
     Steps are clamped to 5a. A differential that raises InvalidInput or
-    DegenerateCovector, a singular solve or a non-finite step gives None. Returns (lam_a, lam_b, dist) with dist the
-    norm of the last residual.
+    DegenerateCovector, a singular solve or a non-finite step gives None.
+    Returns (lam_a, lam_b, dist) with dist the norm of the last residual.
     """
     lam_a = cov + a * kern
     target = chart(lam_a)

@@ -32,7 +32,7 @@ import numpy as np
 from .contact import ContactGroup, cov_triple, curvature, finite_curvature
 from .errors import InvalidInput
 from .numeric import finite_time, libm
-from .scfun import sc_pair, sc_pair_array
+from .scfun import SERIES_THRESHOLD, sc_pair
 
 X0 = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
 X1 = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -40,9 +40,6 @@ X2 = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # sign of the horizontal energy in the curvature scalar r (see contact.py)
 _EPS = -1
-# below this r, sqrt(-r)/2 > 700 and sinh there is close to overflowing (past
-# 710.48); the array exponential leaves such rows to the scalar one
-_R_HYPER_MIN = -(1400.0 ** 2)
 
 
 @dataclass(frozen=True)
@@ -101,28 +98,26 @@ def _entries(matrix: np.ndarray) -> np.ndarray:
 def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_entries of sl2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
-    Repeats sl2_exp at t = 1 term for term, through scfun.sc_pair_array,
-    including the diagonal entry recovered from det = 1 where r < 0. Rows
-    whose input or curvature is not finite, or whose r is below _R_HYPER_MIN,
-    are not evaluated here, so what sinh raises there the scalar exponential
-    raises, in the scalar loop's order. They and the rows that fail the
-    Sl2Matrix determinant check are not exact.
+    Repeats sl2_exp at t = 1 term for term where sc_pair(r, 1/2) takes its
+    trigonometric branch: finite input with r / 4 >= SERIES_THRESHOLD. A
+    scan reaches no other row (a record has r >= 4 pi^2), so the rest (the
+    series, r <= 0, a non-finite input or r) and the rows that fail the
+    Sl2Matrix determinant check are not exact: the scalar exponential takes
+    them, and raises there what it raises, in the scalar loop's order.
     """
     u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
     with np.errstate(all="ignore"):
         r = curvature(_EPS, u0, v0, w0)
-    live = np.flatnonzero(np.isfinite(covs).all(axis=1) & (r >= _R_HYPER_MIN) & np.isfinite(r))
+        live = np.isfinite(covs).all(axis=1) & np.isfinite(r) & (r / 4.0 >= SERIES_THRESHOLD)
     u0, v0, w0 = u0[live], v0[live], w0[live]
-    s, c = sc_pair_array(r[live], 1.0 / 2.0)
+    sq = np.sqrt(r[live])
+    s, c = libm(math.sin, sq * 0.5) / sq, libm(math.cos, sq * 0.5)
     half = w0 * 1.0 / 2.0
     cos_t, sin_t = libm(math.cos, half), libm(math.sin, half)
     entries = np.zeros((covs.shape[0], 4))
     exact = np.zeros(covs.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
         a11, a12, a21, a22 = c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0
-        hyper, grows11 = r[live] < 0.0, s * u0 >= 0.0
-        a11, a22 = (np.where(hyper & ~grows11, (1.0 + a12 * a21) / a22, a11),
-                    np.where(hyper & grows11, (1.0 + a12 * a21) / a11, a22))
         m11 = a11 * cos_t + a12 * sin_t
         m12 = -a11 * sin_t + a12 * cos_t
         m21 = a21 * cos_t + a22 * sin_t

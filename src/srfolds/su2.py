@@ -113,14 +113,17 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_entries of su2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
     Repeats su2_exp at t = 1 in real arithmetic, term for term, including the
-    zero parts that Python's complex product and quotient carry. Rows with
-    rho = 0, non-finite rows and rows off the unit-sphere band are not exact.
+    zero parts that Python's complex product and quotient carry. Every row
+    with finite input and 0 < rho < inf is exact: Su2Point's unit-sphere check
+    cannot fail there, since r = rho^2 is a sum of squares that does not
+    cancel. The rows with rho = 0 and the non-finite rows are left to the
+    scalar exponential.
     """
     u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
     with np.errstate(all="ignore"):
         rho = np.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
-    live = np.flatnonzero(np.isfinite(covs).all(axis=1) & np.isfinite(rho) & (rho != 0.0))
-    u0, v0, w0, rho = u0[live], v0[live], w0[live], rho[live]
+    exact = np.isfinite(covs).all(axis=1) & np.isfinite(rho) & (rho != 0.0)
+    u0, v0, w0, rho = u0[exact], v0[exact], w0[exact], rho[exact]
     half = w0 * 1.0 / 2.0
     cos_w, sin_w = libm(math.cos, half), libm(math.sin, half)
     half = rho * 1.0 / 2.0
@@ -135,14 +138,8 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled_im = ratio_re * 0.0 + ratio_im * sin_r
     beta_re = scaled_re * cos_w - scaled_im * sin_w
     beta_im = scaled_re * sin_w + scaled_im * cos_w
-    norm_sq = (alpha_re * alpha_re + alpha_im * alpha_im
-               + beta_re * beta_re + beta_im * beta_im)
     entries = np.zeros((covs.shape[0], 4))
-    entries[live] = np.column_stack([alpha_re, alpha_im, beta_re, beta_im])
-    # Su2Point raises off the band |norm_sq - 1| <= 1e-10; inside this narrower
-    # one the scalar cannot, so only the rows outside it need the scalar check
-    exact = np.zeros(covs.shape[0], dtype=bool)
-    exact[live] = np.abs(norm_sq - 1.0) <= 1e-11
+    entries[exact] = np.column_stack([alpha_re, alpha_im, beta_re, beta_im])
     return entries, exact
 
 

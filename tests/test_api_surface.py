@@ -55,7 +55,7 @@ def test_structure_adapter_hooks_are_pinned():
     # added or dropped only on purpose
     assert [f.name for f in dataclasses.fields(srfolds.StructureAdapter)] == [
         "name", "fiber_dim", "chart", "chart_jacobian", "chart_array", "ray_strata",
-        "record_fields", "stratum_names", "ray_gate", "undetermined"]
+        "record_fields", "stratum_names", "undetermined"]
     assert srfolds.RayStrata._fields == ("g", "g_rows", "free_below")
 
 
@@ -212,4 +212,39 @@ def test_no_module_imports_a_name_it_does_not_use():
         module = "srfolds" if path.stem == "__init__" else f"srfolds.{path.stem}"
         offenders += [(path.name, name) for name in _unused_imports(path)
                       if (module, name) not in boundaries]
+    assert offenders == []
+
+
+# numpy's transcendental ufuncs; any of them may differ from the C library by
+# an ulp, where numeric.libm gives what the scalar code computes
+_NUMPY_TRANSCENDENTALS = {
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh",
+    "exp", "expm1", "exp2", "log", "log1p", "log2", "log10", "power", "float_power", "hypot"}
+
+
+def _numpy_transcendentals(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of each numpy transcendental ufunc a module names."""
+    tree = ast.parse(path.read_text())
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "numpy"}
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr in _NUMPY_TRANSCENDENTALS):
+            hits.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            hits += [(alias.name, node.lineno) for alias in node.names
+                     if alias.name in _NUMPY_TRANSCENDENTALS]
+    return hits
+
+
+def test_no_module_calls_a_numpy_transcendental():
+    # the array passes (chart_array, record_fields, g_rows) equal the scalar
+    # functions bit for bit because every sin, cos, pow or log in them goes
+    # through numeric.libm; a change that trades libm for numpy's ufuncs
+    # drops that contract on purpose, and this guard with it
+    package = Path(srfolds.__file__).resolve().parent
+    offenders = [(path.name, *hit) for path in sorted(package.glob("*.py"))
+                 for hit in _numpy_transcendentals(path)]
     assert offenders == []

@@ -27,7 +27,7 @@ from srfolds import (ConjugateRecord, SingularityClass, StructureAdapter, classi
                      fd_jacobian, grushin_adapter, grushin_conj_f, grushin_conj_grad,
                      grushin_kernel, rank_nullspace, scan_ray,
                      second_order_transversality, sl2_adapter, sl2_conj_f, sl2_conj_grad,
-                     sl2_kernel, su2_adapter, su2_conj_f, su2_conj_grad, su2_kernel)
+                     sl2_kernel, su2_adapter, su2_conj_f, su2_conj_grad, su2_exp, su2_kernel)
 from srfolds.errors import DegenerateCovector, DegenerateMatrix, InvalidInput, NotConjugate
 from srfolds.grushin import GrushinBase
 from srfolds.numeric import fd_stencil
@@ -73,6 +73,10 @@ def _near(centers, offsets):
 finite = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 small = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
 offsets = st.lists(st.tuples(small, small, small), min_size=1, max_size=5)
+# 0 or +-10^e with e uniform in [-150, 150]
+scaled = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                           st.sampled_from([1.0, -1.0]),
+                                           st.floats(-150.0, 150.0)))
 
 
 class TestGroupChartArray:
@@ -81,6 +85,17 @@ class TestGroupChartArray:
            st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=6), offsets)
     def test_generic_covectors(self, adapter, centers, offs):
         _assert_chart_array_is_scalar(adapter, _near(centers, offs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(scaled, scaled, scaled), min_size=1, max_size=6))
+    def test_su2_entries_stay_on_the_unit_sphere(self, covs):
+        # su2's entries_array marks every finite row with 0 < rho < inf exact,
+        # with no unit-sphere check: r = rho^2 is a sum of squares, which does
+        # not cancel, so Su2Point's 1e-10 check cannot fail at any scale
+        for cov in covs:
+            point, _ = su2_exp(cov, 1.0)
+            assert abs(sum(e * e for e in point.entries()) - 1.0) <= 1e-14
+        _assert_chart_array_is_scalar(SU2, [covs])
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-4e-6, 4e-6),
@@ -357,8 +372,7 @@ def _fake_adapter(chart):
         chart_jacobian=lambda cov: fd_jacobian(chart, cov),
         chart_array=lambda points: np.array([[chart(p) for p in row] for row in points]),
         ray_strata=lambda d: RayStrata(lambda idx, s: 0.0, lambda s: np.zeros((s.size, 1))),
-        record_fields=record_fields, stratum_names=("C",),
-        ray_gate=lambda direction: True)
+        record_fields=record_fields, stratum_names=("C",))
 
 
 class TestRankRowsNoScanReaches:
@@ -566,6 +580,27 @@ class TestRecordFields:
         for row in group_edges + [(0.3, 0.4, 1.2)]:
             for one in (False, True):
                 _assert_record_fields_are_scalar(adapter, scalars, [row], ["C1"], [one])
+
+    @pytest.mark.parametrize("adapter,scalars", [(SU2, SU2_SCALARS), (SL2, SL2_SCALARS)],
+                             ids=["su2", "sl2"])
+    @pytest.mark.parametrize("row,error", [
+        ((0.0, 0.0, 1.3), DegenerateCovector),    # H = 0
+        ((1.0, 0.0, 0.5), NotConjugate),          # SL(2): r < 0; SU(2): residual
+        ((1.0, 0.0, 1.0), NotConjugate),          # SL(2): r = 0; SU(2): residual
+        ((0.3, 0.4, 1.2), NotConjugate),          # residual over tolerance
+        ((nan, 0.0, 1.0), InvalidInput),          # not finite
+        ((1e200, 0.0, 1e200), InvalidInput),      # r overflows
+    ], ids=["H=0", "r<0", "r=0", "residual", "nan", "overflow"])
+    def test_order_one_rows_left_to_the_scalars_raise(self, adapter, scalars, row, error):
+        # the trigonometric pass leaves these rows to strata and kernel, and
+        # one of them raises before a gradient is needed: after a conjugate
+        # row, the hook raises the scalar sequence's error
+        conjugate = _conjugate_pool(adapter.name)[0]
+        covs = np.array([conjugate, row])
+        with pytest.raises(error):
+            adapter.record_fields(covs, np.ones(2, dtype=int), np.ones(2, dtype=bool))
+        _assert_record_fields_are_scalar(adapter, scalars, [conjugate, row], ["C1", "C1"],
+                                         [True, True])
 
     @pytest.mark.parametrize("make,error", [
         (lambda: (SU2, (0.3, 0.4, 1.2)), NotConjugate),

@@ -7,7 +7,9 @@ reference here is the scalar loop, one g call per grid node. On a list of
 edge rays (components that underflow, Grushin's straight-line branch, H = 0
 on the first nodes, angles next to the vertical, w0 = 0) the array values
 must equal it bit for bit, and scan_ray must return the same records, or
-raise the same exception with the same message, with either grid.
+raise the same exception with the same message, with either grid. A ray
+that ray_strata turns away (None: r <= 0, H = 0, v0 = 0) has no grid and
+no records.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def _scalar_grid(adapter):
 
     def ray_strata(d):
         strata = adapter.ray_strata(d)
+        if strata is None:
+            return None
         n = len(adapter.stratum_names)
 
         def g_rows(s):
@@ -72,8 +76,9 @@ def _records(adapter, direction):
 def _grid(adapter, direction):
     d = np.asarray(direction, dtype=float)
     nodes = scan_nodes(S_MAX * RAY_ORIGIN_OFFSET, S_MAX, DEFAULT_SCAN_POINTS)
-    g_rows = adapter.ray_strata(d / np.linalg.norm(d)).g_rows
-    return _outcome(lambda: g_rows(nodes).T.tobytes())
+    strata = adapter.ray_strata(d / np.linalg.norm(d))
+    # a ray with no conjugate covector has no restriction, and no grid
+    return None if strata is None else _outcome(lambda: strata.g_rows(nodes).T.tobytes())
 
 
 def _check(adapter, direction):
