@@ -35,7 +35,9 @@ depend on s, so ray scans evaluate f from them (_ray_strata), and they skip
 the radii at which the geodesic stays off the axis, where the plane is
 Riemannian with negative curvature and has no conjugate point. Everything
 else evaluates the geodesic in one scalar form (_endpoint): the adapter's
-chart_array and record_fields loop over it and over the scalar functions.
+chart_array loops over it, and record_fields takes one endpoint per row,
+from which f, the kernel and the gradient follow through the formulas the
+scalar functions share.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 from .alphatrig import (alpha_table, arc_alpha, sin_cos_alpha, sin_cos_alpha_array, table_arc,
                         table_arc_cos, table_sin_cos)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import finite_time
+from .numeric import finite_time, vector_norm
 from .scfun import sc_pair
 from .singularity import RayStrata, StructureAdapter, covector_ray_strata
 from .state import GeodesicState, JacobiCoords
@@ -62,6 +64,8 @@ _UNIT_MOMENTA = (JacobiCoords(p=(1.0, 0.0), x=(0.0, 0.0)),
                  JacobiCoords(p=(0.0, 1.0), x=(0.0, 0.0)))
 # relative residual of f under which grushin_kernel accepts a covector as conjugate
 _KERNEL_RESIDUAL_TOL = 1e-8
+# grushin_kernel's error on the v0 = 0 branch, where f vanishes identically
+_NO_KERNEL_ON_V0_ZERO = "no conjugate covectors along v0 = 0 rays"
 # relative margin under a ray's crossing radius within which roots are kept;
 # the radius and a polished root are both good to far better than this
 _CROSSING_MARGIN = 1e-9
@@ -339,7 +343,12 @@ def grushin_conj_f(base: GrushinBase, cov) -> float:
     if _energy(base.x0, base.alpha, u0, v0) == 0.0:
         raise DegenerateCovector("conjugacy function undefined at H = 0")
     x1, _, u1 = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, 1.0)
-    return u1 * (u0 + base.x0) - u0 * x1
+    return _conj_f(base.x0, u0, x1, u1)
+
+
+def _conj_f(x0: float, u0: float, x1: float, u1: float) -> float:
+    """f = u1 (u0 + x0) - u0 x1 from the time-one endpoint (x1, u1)."""
+    return u1 * (u0 + x0) - u0 * x1
 
 
 def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
@@ -350,21 +359,27 @@ def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
     overflows; InvalidInput where the energy or |x1|^(2(alpha-1)) overflows.
     """
     u0, v0 = _cov_pair(cov)
-    alpha = base.alpha
-    x0 = base.x0
-    x2a = _even_power(x0, alpha)
-    h2 = _energy(x0, alpha, u0, v0)
+    h2 = _energy(base.x0, base.alpha, u0, v0)
     if h2 == 0.0:
         raise DegenerateCovector("conjugacy gradient undefined at H = 0")
     if v0 == 0.0:
         raise DegenerateCovector(
             "conjugacy gradient undefined on the v0 = 0 branch (f vanishes identically)")
-    x1, _, u1 = _endpoint(alpha_table(alpha), x0, base.y0, u0, v0, 1.0)
+    x1, _, u1 = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, 1.0)
+    return _conj_grad(base.alpha, base.x0, u0, v0, h2, x1, u1)
+
+
+def _conj_grad(a: float, x0: float, u0: float, v0: float, h2: float,
+               x1: float, u1: float) -> np.ndarray:
+    """grushin_conj_grad from the energy h2 != 0 and the time-one endpoint (x1, u1), v0 != 0.
+
+    Raises what grushin_conj_grad raises past its H = 0 and v0 = 0 checks.
+    """
+    x2a = _even_power(x0, a)
     try:
-        u1_dot = -alpha * v0 * v0 * _odd_power(x1, alpha)
+        u1_dot = -a * v0 * v0 * _odd_power(x1, a)
     except OverflowError:
         raise _power_overflow(u0, v0) from None
-    a = alpha
     edge = u0 + x0
     if abs(edge) <= _BRANCH_TOL * max(1.0, abs(u0), abs(x0)):
         df_du = u1 * v0 * v0 * x2a / h2
@@ -388,17 +403,29 @@ def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
 
     Returns the f-values (n, 1), and on the order_one rows the unit kernels
     (n, 2) and the gradients (n, 2); the other rows of those two are not
-    defined. Each row is a call of the scalar functions, f and then on an
-    order-one row the kernel and the gradient, so the values are theirs and
-    the first of them that raises is the first error of the row loop.
+    defined. Each row takes one time-one endpoint, and f, the kernel and
+    the gradient come from it through the formulas the scalar functions
+    share, after the checks of each in turn: the values are theirs, and
+    the first check that fails raises what the scalar sequence raises
+    first, with its message (each row is the numpy row the scalar
+    functions would be handed).
     """
+    alpha, x0, y0 = base.alpha, base.x0, base.y0
+    table = alpha_table(alpha)
     n = covs.shape[0]
     f, kernels, grads = np.empty((n, 1)), np.empty((n, 2)), np.empty((n, 2))
     for i, cov in enumerate(covs):
-        f[i, 0] = grushin_conj_f(base, cov)
+        u0, v0 = _cov_pair(cov)
+        h2 = _energy(x0, alpha, u0, v0)
+        if h2 == 0.0:
+            raise DegenerateCovector("conjugacy function undefined at H = 0")
+        x1, _, u1 = _endpoint(table, x0, y0, u0, v0, 1.0)
+        f[i, 0] = _conj_f(x0, u0, x1, u1)
         if order_one[i]:
-            kernels[i] = grushin_kernel(base, cov)[0]
-            grads[i] = grushin_conj_grad(base, cov)
+            if v0 == 0.0:
+                raise DegenerateCovector(_NO_KERNEL_ON_V0_ZERO)
+            kernels[i] = _unit_kernel(alpha, x0, u0, v0, x1, u1)
+            grads[i] = _conj_grad(alpha, x0, u0, v0, h2, x1, u1)
     return f, kernels, grads
 
 
@@ -412,16 +439,25 @@ def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
     if _energy(base.x0, base.alpha, u0, v0) == 0.0:
         raise DegenerateCovector("kernel undefined at H = 0")
     if v0 == 0.0:
-        raise DegenerateCovector("no conjugate covectors along v0 = 0 rays")
+        raise DegenerateCovector(_NO_KERNEL_ON_V0_ZERO)
     x1, _, u1 = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, 1.0)
-    f = u1 * (u0 + base.x0) - u0 * x1
-    scale = max(1.0, abs(u1) * (abs(u0) + abs(base.x0)) + abs(u0) * abs(x1))
+    return [_unit_kernel(base.alpha, base.x0, u0, v0, x1, u1)]
+
+
+def _unit_kernel(a: float, x0: float, u0: float, v0: float,
+                 x1: float, u1: float) -> np.ndarray:
+    """grushin_kernel's unit vector from the time-one endpoint (x1, u1), v0 != 0.
+
+    Raises NotConjugate where f exceeds its residual bound.
+    """
+    f = _conj_f(x0, u0, x1, u1)
+    scale = max(1.0, abs(u1) * (abs(u0) + abs(x0)) + abs(u0) * abs(x1))
     bound = _KERNEL_RESIDUAL_TOL * scale
     if abs(f) > bound:
         raise NotConjugate(
             f"covector is not conjugate: |f| = {abs(f):.3e} exceeds {bound:.3e}")
-    kern = np.array([v0 * _even_power(base.x0, base.alpha), -u0])
-    return [kern / np.linalg.norm(kern)]
+    kern = np.array([v0 * _even_power(x0, a), -u0])
+    return kern / vector_norm(kern)
 
 
 def _ray_strata(table, x0: float, d: np.ndarray, covector: RayStrata) -> RayStrata:

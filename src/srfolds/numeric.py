@@ -59,6 +59,16 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a real 1-d float array, bit for bit, without its dispatch.
+
+    norm takes sqrt(v.dot(v)) there too, so the square overflows to inf,
+    with dot's RuntimeWarning, or underflows to 0.0 where norm's does, and a
+    nan or inf component gives nan or inf.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def scan_nodes(lo: float, hi: float, scan_points: int) -> np.ndarray:
     """The uniform grid of find_roots: scan_points nodes from lo to hi."""
     if not (hi > lo):

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateCovector, InvalidInput, WitnessNotFound
 from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, check_root_tol, fd_columns,
                       fd_stencil, find_roots, find_roots_lockstep, rank_nullspace, row_dots,
-                      scan_nodes, sign_brackets)
+                      scan_nodes, sign_brackets, vector_norm)
 
 # The classification policy is fixed. conj-scan prints PAIRING_TOL and
 # SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
@@ -147,7 +147,7 @@ class StructureAdapter:
     records with one record_fields call. "Array calls" names the interface,
     not the evaluation: the groups evaluate chart_array and record_fields
     in array passes, and Grushin, whose calls carry a few dozen stencil
-    points and a handful of records, loops over its scalar functions.
+    points and a handful of records, loops over its scalar form.
 
     undetermined(cov, stratum) marks points the classification theory
     deliberately excludes. A planar structure (fiber_dim == 2) has no
@@ -447,23 +447,31 @@ def fold_witness(adapter: StructureAdapter, record: ConjugateRecord,
     differential (chart_jacobian), evaluated once and kept for every step
     (see _newton_partner). When the pair misses the gates, WitnessNotFound
     names the image distance, the separation and the reach it got to; a
-    smaller delta takes a smaller step.
+    smaller delta takes a smaller step. A record covector with a component
+    that is not finite, or a kernel whose norm is 0 or not finite, raises
+    InvalidInput before any chart call.
     """
     if record.singularity_class is not SingularityClass.FOLD:
         raise InvalidInput("fold_witness requires a record classified as Fold")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise InvalidInput(f"delta must be positive and finite, got {delta}")
     cov = np.asarray(record.covector, dtype=float)
+    if not all(map(math.isfinite, cov.tolist())):
+        raise InvalidInput(f"fold_witness needs a finite record covector, got {cov!r}")
     kern = np.asarray(record.kernel_basis[0], dtype=float)
-    kern = kern / np.linalg.norm(kern)
+    kern_norm = vector_norm(kern)
+    if not (kern_norm > 0.0 and math.isfinite(kern_norm)):
+        raise InvalidInput("fold_witness needs a record kernel whose norm is nonzero "
+                           f"and finite, got {kern!r}")
+    kern = kern / kern_norm
     a = delta / 2.0
     pair = _newton_partner(adapter.chart, adapter.chart_jacobian, cov, kern, a)
     if pair is None:
         margin = f"a={a:.3g}: solve failed"
     else:
         lam_a, lam_b, dist = pair
-        separation = float(np.linalg.norm(lam_a - lam_b))
-        reach = float(max(np.linalg.norm(lam_a - cov), np.linalg.norm(lam_b - cov)))
+        separation = vector_norm(lam_a - lam_b)
+        reach = max(vector_norm(lam_a - cov), vector_norm(lam_b - cov))
         if dist <= 1e-9 and separation >= delta / 4.0 and reach <= delta:
             return FoldWitness(covector_a=lam_a, covector_b=lam_b,
                                image_distance=dist, separation=separation)
@@ -491,7 +499,7 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
     target = chart(lam_a)
     lam_b = cov - a * kern
     residual = chart(lam_b) - target
-    dist = float(np.linalg.norm(residual))
+    dist = vector_norm(residual)
     jac = None
     for _ in range(50):
         if dist <= 1e-13:
@@ -505,13 +513,15 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
                 step_vec = np.linalg.lstsq(jac, residual, rcond=None)[0]
         except (np.linalg.LinAlgError, InvalidInput, DegenerateCovector):
             return None
-        if not np.all(np.isfinite(step_vec)):
+        step_norm = vector_norm(step_vec)
+        # a finite norm has finite components; an infinite one may only
+        # square past the largest double, and takes the clamp
+        if not math.isfinite(step_norm) and not np.isfinite(step_vec).all():
             return None
-        step_norm = float(np.linalg.norm(step_vec))
         if step_norm > 5.0 * a:
             step_vec *= 5.0 * a / step_norm
         lam_b = lam_b - step_vec
         residual = chart(lam_b) - target
-        dist = float(np.linalg.norm(residual))
+        dist = vector_norm(residual)
     return lam_a, lam_b, dist
 

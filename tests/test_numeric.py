@@ -18,7 +18,7 @@ from srfolds import (DegenerateMatrix, GrushinBase, InvalidInput, JacobiCoords,
                      rank_nullspace, sin_cos_alpha, sl2_exp, sl2_jacobi, su2_exp,
                      su2_jacobi, vertical_to_endpoint_matrix)
 from srfolds.numeric import (_brent, _brent_lockstep, find_roots_lockstep, scan_nodes,
-                             sign_brackets)
+                             sign_brackets, vector_norm)
 from srfolds.oracles import OdeProblem, integrate, quad
 from srfolds.singularity import LOCKSTEP_MIN_BRACKETS
 
@@ -572,6 +572,28 @@ class TestFindRootsLockstep:
         with pytest.raises(InvalidInput, match=r"grid_values has shape \(400,\)"):
             find_roots_lockstep(_sine_and_tangent, None, self.LO, self.HI,
                                 np.zeros(self.POINTS), self.POINTS)
+
+
+# 0 or +-10^e, from squares in the subnormal range to squares near 1e300
+_norm_components = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+              st.integers(-160, 150)))
+
+
+class TestVectorNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda n: st.lists(_norm_components, min_size=n, max_size=n)))
+    def test_equals_linalg_norm_bit_for_bit(self, components):
+        v = np.array(components)
+        assert vector_norm(v).hex() == float(np.linalg.norm(v)).hex()
+
+    @pytest.mark.parametrize("bad,expected", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "inf")])
+    def test_non_finite_component(self, bad, expected):
+        assert str(vector_norm(np.array([1.0, bad, 0.0]))) == expected
+        assert str(float(np.linalg.norm(np.array([1.0, bad, 0.0])))) == expected
 
 
 class TestFdJacobian:
