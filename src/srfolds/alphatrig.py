@@ -35,7 +35,7 @@ vanishing at the origin:
     t <= t_mid:  x = w (1 + P(w)),  w = t^(2 alpha);  s = t (1 + P)^a, c = sqrt(1 - x)
     t >  t_mid:  c = h (1 + R(h^2)),  h = alpha (q - t);  s = (1 - c^2)^a
     arc_alpha, x <= 1/2:       t = s (1 + (G(x) - 1))
-    arc_cos_alpha, y <= 1/2:   q - t = c (1 + (H(y) - 1)) / alpha
+    table_arc_cos, y <= 1/2:   q - t = c (1 + (H(y) - 1)) / alpha
 
 The sine below t_mid is t (1 + P)^a rather than x^a: a = 1/(2 alpha) is
 rounded to a double, and a power carries the relative error of its exponent
@@ -50,9 +50,10 @@ periodicity and the sign pattern of the pair. alpha = 1 short-circuits to
 math.sin/math.cos and math.asin. The integral definition of pi_alpha is kept
 as a quadrature oracle for the tests.
 
-alpha_table(alpha) checks alpha once and returns its table; table_sin_cos,
-table_arc and table_arc_cos evaluate from it without the argument checks of
-sin_cos_alpha, arc_alpha and arc_cos_alpha, which call them, bit for bit.
+alpha_table(alpha) checks alpha once and returns its table; table_sin_cos
+and table_arc evaluate from it without the argument checks of sin_cos_alpha
+and arc_alpha, which call them, bit for bit, and table_arc_cos inverts
+cos_alpha from it.
 
 sin_cos_alpha_array evaluates the same formulas over a 1-d array, branch by
 branch on masks, and returns bit for bit what sin_cos_alpha returns at each
@@ -376,20 +377,6 @@ def arc_alpha(alpha: float, s: float, c_sign: float) -> float:
     return math.fmod(phi, 2.0 * half)
 
 
-def arc_cos_alpha(alpha: float, c: float) -> float:
-    """Phase in [0, pi_alpha/2] with cos_alpha = c, for c in [0, 1].
-
-    Well conditioned where c is small, next to the quarter period, where
-    inverting sin_alpha is not; near c = 1 arc_alpha keeps more relative
-    precision in the small phase.
-    """
-    alpha = _validate_alpha(alpha)
-    c = float(c)
-    if not (-1e-12 <= c <= 1.0 + 1e-12):
-        raise InvalidInput(f"c must lie in [0, 1], got {c!r}")
-    return table_arc_cos(_table_cached(alpha), min(max(c, 0.0), 1.0))
-
-
 def table_arc(table: _AlphaConstants, s: float) -> float:
     """arc_alpha(table.alpha, s, 1.0) for a float s in [0, 1], bit for bit."""
     if table.alpha == 1.0:
@@ -398,7 +385,12 @@ def table_arc(table: _AlphaConstants, s: float) -> float:
 
 
 def table_arc_cos(table: _AlphaConstants, c: float) -> float:
-    """arc_cos_alpha(table.alpha, c) for a float c in [0, 1], bit for bit."""
+    """The phase in [0, pi_alpha/2] with cos_alpha = c, for a float c in [0, 1].
+
+    Well conditioned where c is small, next to the quarter period, where
+    inverting sin_alpha is not; near c = 1 table_arc keeps more relative
+    precision in the small phase.
+    """
     if table.alpha == 1.0:
         return math.acos(c)
     return _arc_cos_quarter(table, c)

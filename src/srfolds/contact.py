@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import libm, row_dots
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
-from .singularity import RayStrata, StructureAdapter, covector_ray_strata
+from .singularity import RayStrata, StructureAdapter
 from .state import JacobiCoords
 
 # C0 covectors with w0 = 0 fall outside the proven dense subset; excluded
@@ -274,7 +274,12 @@ class ContactGroup:
         return images @ vertical_to_endpoint_matrix(r) @ frame_inverse
 
     def adapter(self) -> StructureAdapter:
-        """Plug the group into the generic conjugate-locus scanner."""
+        """Plug the group into the generic conjugate-locus scanner.
+
+        A ray's restriction evaluates the strata at each covector s d: g
+        through strata, g_rows through one record_fields call with no
+        order-one row, whose f-values equal strata's bit for bit.
+        """
 
         def undetermined(cov, stratum: str) -> bool:
             # the tangential/fold theory for C0 is only established off w0 = 0;
@@ -290,7 +295,16 @@ class ContactGroup:
             # only covectors with H != 0 and r > 0 are conjugate
             if du * du + dv * dv == 0.0 or curvature(self.eps, du, dv, dw) <= 0.0:
                 return None
-            return covector_ray_strata(self.strata, self.record_fields, d)
+
+            def g(idx: int, s: float) -> float:
+                # Python floats s d_i round as numpy's s * d does
+                return self.strata([s * du, s * dv, s * dw])[idx]
+
+            def g_rows(s: np.ndarray) -> np.ndarray:
+                return self.record_fields(s[:, np.newaxis] * d, np.zeros(s.size, dtype=int),
+                                          np.zeros(s.size, dtype=bool))[0]
+
+            return RayStrata(g, g_rows)
 
         return StructureAdapter(
             name=self.name,

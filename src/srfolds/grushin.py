@@ -54,7 +54,7 @@ from .alphatrig import (alpha_table, arc_alpha, sin_cos_alpha, sin_cos_alpha_arr
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import finite_time, vector_norm
 from .scfun import sc_pair
-from .singularity import RayStrata, StructureAdapter, covector_ray_strata
+from .singularity import RayStrata, StructureAdapter
 from .state import GeodesicState, JacobiCoords
 
 # relative tolerance deciding the u0 + x0 = 0 branch of the gradient formulas
@@ -460,7 +460,7 @@ def _unit_kernel(a: float, x0: float, u0: float, v0: float,
     return kern / vector_norm(kern)
 
 
-def _ray_strata(table, x0: float, d: np.ndarray, covector: RayStrata) -> RayStrata:
+def _ray_strata(base: GrushinBase, table, d: np.ndarray) -> RayStrata:
     """grushin_conj_f restricted to the ray s d, from per-ray oscillator constants.
 
     Along the ray H grows as s^2 and v0 as s, so the amplitude, the phase,
@@ -475,22 +475,27 @@ def _ray_strata(table, x0: float, d: np.ndarray, covector: RayStrata) -> RayStra
     bit. Where _endpoint would not take its oscillator branch at s d (H = 0,
     v0^2 underflows, an amplitude ratio that overflows, an energy that
     overflows and raises), and on the whole ray where it would not at d, the
-    values are covector's, which evaluates grushin_conj_f at each covector
-    (and raises where it raises).
+    values are grushin_conj_f's at the covector s d, taken in row order (so
+    g_rows raises where the first of them raises).
 
     free_below is the crossing radius, the first s at which theta reaches a
     multiple of pi_alpha, less a relative _CROSSING_MARGIN. Below it the
     geodesic of s d stays off the axis x = 0 for t in [0, 1], where the
     plane is Riemannian with Gaussian curvature -alpha (alpha + 1) / x^2 < 0,
     so it has no conjugate point; the roots found there are rounding noise.
-    table is alpha's (alphatrig.alpha_table) and x0 the base's abscissa.
+    table is alpha's (alphatrig.alpha_table).
     """
     du, dv = d.tolist()
-    alpha = table.alpha
+    alpha, x0 = table.alpha, base.x0
     x2a = _even_power(x0, alpha)
+
+    def covector_rows(s: np.ndarray) -> np.ndarray:
+        return np.array([grushin_conj_f(base, (r * du, r * dv)) for r in s.tolist()],
+                        dtype=float).reshape(-1, 1)
+
     h2 = du * du + dv * dv * x2a
     if h2 == 0.0 or not _curvature_resolvable(h2, dv):
-        return covector
+        return RayStrata(lambda idx, s: grushin_conj_f(base, (s * du, s * dv)), covector_rows)
     amp, omega, phase, flip = _oscillator(table, x0, du, dv, h2)
     rate, flip_amp = flip * omega, flip * amp
 
@@ -498,7 +503,7 @@ def _ray_strata(table, x0: float, d: np.ndarray, covector: RayStrata) -> RayStra
         u0, v0 = s * du, s * dv
         h2 = u0 * u0 + v0 * v0 * x2a
         if h2 == 0.0 or not _curvature_resolvable(h2, v0):
-            return covector.g(idx, s)
+            return grushin_conj_f(base, (u0, v0))
         sin_a, cos_a = table_sin_cos(table, phase + rate * s)
         return flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
 
@@ -509,7 +514,7 @@ def _ray_strata(table, x0: float, d: np.ndarray, covector: RayStrata) -> RayStra
         osc = _oscillates(h2, v0)
         f = np.empty((s.size, 1))
         if not osc.all():
-            f[~osc] = covector.g_rows(s[~osc])
+            f[~osc] = covector_rows(s[~osc])
         s, u0 = s[osc], u0[osc]
         sin_a, cos_a = sin_cos_alpha_array(alpha, phase + rate * s)
         f[osc, 0] = flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
@@ -549,9 +554,6 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         return np.array([position(cov) for cov in points.reshape(-1, 2)],
                         dtype=float).reshape(points.shape)
 
-    def conj_f(cov) -> tuple[float]:
-        return (grushin_conj_f(base, cov),)
-
     def record_fields(covs: np.ndarray, strata: np.ndarray, order_one: np.ndarray):
         return grushin_record_fields(base, covs, order_one)
 
@@ -561,7 +563,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         # that overflows raises here
         if dv == 0.0 or _energy(base.x0, base.alpha, du, dv) == 0.0:
             return None
-        return _ray_strata(table, base.x0, d, covector_ray_strata(conj_f, record_fields, d))
+        return _ray_strata(base, table, d)
 
     return StructureAdapter(
         name="grushin",

@@ -79,29 +79,6 @@ class RayStrata(NamedTuple):
     free_below: float = 0.0
 
 
-def covector_ray_strata(strata: Callable[[list], tuple],
-                        record_fields: Callable, d: np.ndarray) -> RayStrata:
-    """The RayStrata that evaluates a structure at each covector s d.
-
-    strata(cov) gives the stratum function values at one covector, and
-    record_fields is the adapter hook, whose f-values must equal them bit
-    for bit: g calls strata on a list of Python floats s d_i, which round
-    as numpy's s * d does and convert for free, and g_rows makes one
-    record_fields call with no order-one row. The adapter returns None
-    instead of calling it on a ray with no conjugate covector.
-    """
-    components = d.tolist()
-
-    def g(idx: int, s: float) -> float:
-        return float(strata([s * c for c in components])[idx])
-
-    def g_rows(s: np.ndarray) -> np.ndarray:
-        return record_fields(s[:, np.newaxis] * d, np.zeros(s.size, dtype=int),
-                             np.zeros(s.size, dtype=bool))[0]
-
-    return RayStrata(g, g_rows)
-
-
 @dataclass(frozen=True)
 class StructureAdapter:
     """Hooks a geometric structure into the generic scanner and classifier.
@@ -491,7 +468,8 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
     misses 1e-13, and every step solves that one matrix (np.linalg.solve
     on a square chart, least squares where the chart has more coordinates
     than the fiber) until the residual meets 1e-13 or 50 steps are taken.
-    Steps are clamped to 5a. A differential that raises InvalidInput or
+    Steps are clamped to 5a, also a finite one whose squared norm
+    overflows. A differential that raises InvalidInput or
     DegenerateCovector, a singular solve or a non-finite step gives None.
     Returns (lam_a, lam_b, dist) with dist the norm of the last residual.
     """
@@ -513,12 +491,23 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
                 step_vec = np.linalg.lstsq(jac, residual, rcond=None)[0]
         except (np.linalg.LinAlgError, InvalidInput, DegenerateCovector):
             return None
-        step_norm = vector_norm(step_vec)
-        # a finite norm has finite components; an infinite one may only
-        # square past the largest double, and takes the clamp
-        if not math.isfinite(step_norm) and not np.isfinite(step_vec).all():
-            return None
-        if step_norm > 5.0 * a:
+        biggest = max(map(abs, step_vec.tolist()))
+        if biggest <= 1e150:
+            step_norm = vector_norm(step_vec)
+        else:
+            # a nan, an inf, or a component whose square may overflow in
+            # dot, which warns
+            with np.errstate(over="ignore"):
+                step_norm = vector_norm(step_vec)
+        if not math.isfinite(step_norm):
+            if not np.isfinite(step_vec).all():
+                return None
+            # a finite step whose square overflowed: its norm is taken on
+            # its copy scaled by its largest component, and it is clamped
+            # to 5a unless it is shorter
+            step_vec = step_vec / biggest
+            step_vec *= min(biggest, 5.0 * a / vector_norm(step_vec))
+        elif step_norm > 5.0 * a:
             step_vec *= 5.0 * a / step_norm
         lam_b = lam_b - step_vec
         residual = chart(lam_b) - target

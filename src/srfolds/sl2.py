@@ -24,6 +24,7 @@ The chart (contact.py) reads all four entries (m11, m12, m21, m22).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,14 +81,17 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
             a22 = (1.0 + a12 * a21) / a11
         else:
             a11 = (1.0 + a12 * a21) / a22
-    cos_t, sin_t = math.cos(w0 * t / 2.0), math.sin(w0 * t / 2.0)
-    m11 = a11 * cos_t + a12 * sin_t
-    m12 = -a11 * sin_t + a12 * cos_t
-    m21 = a21 * cos_t + a22 * sin_t
-    m22 = -a21 * sin_t + a22 * cos_t
+    point = Sl2Matrix(*_rotated(a11, a12, a21, a22, w0, t, math.cos, math.sin))
     u1 = u0 * math.cos(w0 * t) + v0 * math.sin(w0 * t)
     v1 = v0 * math.cos(w0 * t) - u0 * math.sin(w0 * t)
-    return Sl2Matrix(m11, m12, m21, m22), np.array([u1, v1, w0])
+    return point, np.array([u1, v1, w0])
+
+
+def _rotated(a11, a12, a21, a22, w0, t, cos, sin):
+    """The first factor times exp(t w0 X0), on floats (math trig) or arrays (libm trig)."""
+    cos_t, sin_t = cos(w0 * t / 2.0), sin(w0 * t / 2.0)
+    return (a11 * cos_t + a12 * sin_t, -a11 * sin_t + a12 * cos_t,
+            a21 * cos_t + a22 * sin_t, -a21 * sin_t + a22 * cos_t)
 
 
 def _entries(matrix: np.ndarray) -> np.ndarray:
@@ -98,9 +102,9 @@ def _entries(matrix: np.ndarray) -> np.ndarray:
 def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_entries of sl2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
-    Repeats sl2_exp at t = 1 term for term where sc_pair(r, 1/2) takes its
-    trigonometric branch: finite input with r / 4 >= SERIES_THRESHOLD. A
-    scan reaches no other row (a record has r >= 4 pi^2), so the rest (the
+    Runs sl2_exp at t = 1, with _rotated and libm's trig, where sc_pair(r, 1/2)
+    takes its trigonometric branch: finite input with r / 4 >= SERIES_THRESHOLD.
+    A scan reaches no other row (a record has r >= 4 pi^2), so the rest (the
     series, r <= 0, a non-finite input or r) and the rows that fail the
     Sl2Matrix determinant check are not exact: the scalar exponential takes
     them, and raises there what it raises, in the scalar loop's order.
@@ -112,16 +116,12 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u0, v0, w0 = u0[live], v0[live], w0[live]
     sq = np.sqrt(r[live])
     s, c = libm(math.sin, sq * 0.5) / sq, libm(math.cos, sq * 0.5)
-    half = w0 * 1.0 / 2.0
-    cos_t, sin_t = libm(math.cos, half), libm(math.sin, half)
     entries = np.zeros((covs.shape[0], 4))
     exact = np.zeros(covs.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        a11, a12, a21, a22 = c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0
-        m11 = a11 * cos_t + a12 * sin_t
-        m12 = -a11 * sin_t + a12 * cos_t
-        m21 = a21 * cos_t + a22 * sin_t
-        m22 = -a21 * sin_t + a22 * cos_t
+        m11, m12, m21, m22 = _rotated(
+            c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0, w0, 1.0,
+            functools.partial(libm, math.cos), functools.partial(libm, math.sin))
         det = m11 * m22 - m12 * m21
         scale = np.maximum(1.0, np.abs(m11 * m22) + np.abs(m12 * m21))
         exact[live] = np.isfinite(det) & (np.abs(det - 1.0) <= 1e-9 * scale)

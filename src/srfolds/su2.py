@@ -26,6 +26,7 @@ Im beta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,13 +87,9 @@ def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
         return Su2Point(1.0, 0.0, 0.0, 0.0), np.zeros(3)
     if not math.isfinite(rho):
         raise InvalidInput(f"covector ({u0!r}, {v0!r}, {w0!r}) too large: its norm overflows")
-    spin = complex(math.cos(w0 * t / 2.0), -math.sin(w0 * t / 2.0))
-    alpha = spin * complex(math.cos(rho * t / 2.0),
-                           (w0 / rho) * math.sin(rho * t / 2.0))
-    beta = (complex(u0, v0) / rho) * math.sin(rho * t / 2.0) * spin.conjugate()
+    point = Su2Point(*_endpoint_entries(u0, v0, w0, rho, t, math.cos, math.sin))
     u1 = u0 * math.cos(w0 * t) - v0 * math.sin(w0 * t)
     v1 = v0 * math.cos(w0 * t) + u0 * math.sin(w0 * t)
-    point = Su2Point(alpha.real, alpha.imag, beta.real, beta.imag)
     return point, np.array([u1, v1, w0])
 
 
@@ -109,37 +106,39 @@ def _entries(matrix: np.ndarray) -> np.ndarray:
     return np.array([a.real, a.imag, b.real, b.imag])
 
 
+def _endpoint_entries(u0, v0, w0, rho, t, cos, sin):
+    """(Re alpha, Im alpha, Re beta, Im beta) of su2_exp's endpoint, with 0 < rho < inf.
+
+    The closed form's complex products written out in real arithmetic, the
+    same on floats and on arrays: cos and sin are the trig functions to
+    apply, math's or numeric.libm's over arrays.
+    """
+    cos_w, sin_w = cos(w0 * t / 2.0), sin(w0 * t / 2.0)
+    cos_r, sin_r = cos(rho * t / 2.0), sin(rho * t / 2.0)
+    # alpha = (cos_w - i sin_w) (cos_r + i q), beta = (u0 + i v0) (sin_r / rho) (cos_w + i sin_w)
+    q = (w0 / rho) * sin_r
+    beta_u, beta_v = (u0 / rho) * sin_r, (v0 / rho) * sin_r
+    return (cos_w * cos_r + sin_w * q, cos_w * q - sin_w * cos_r,
+            beta_u * cos_w - beta_v * sin_w, beta_u * sin_w + beta_v * cos_w)
+
+
 def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_entries of su2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
-    Repeats su2_exp at t = 1 in real arithmetic, term for term, including the
-    zero parts that Python's complex product and quotient carry. Every row
-    with finite input and 0 < rho < inf is exact: Su2Point's unit-sphere check
-    cannot fail there, since r = rho^2 is a sum of squares that does not
-    cancel. The rows with rho = 0 and the non-finite rows are left to the
-    scalar exponential.
+    Every row with finite input and 0 < rho < inf runs su2_exp's own
+    arithmetic (_endpoint_entries) with libm's trig, so it is exact:
+    Su2Point's unit-sphere check cannot fail there, since r = rho^2 is a
+    sum of squares that does not cancel. The rows with rho = 0 and the
+    non-finite rows are left to the scalar exponential.
     """
     u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
     with np.errstate(all="ignore"):
         rho = np.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
     exact = np.isfinite(covs).all(axis=1) & np.isfinite(rho) & (rho != 0.0)
-    u0, v0, w0, rho = u0[exact], v0[exact], w0[exact], rho[exact]
-    half = w0 * 1.0 / 2.0
-    cos_w, sin_w = libm(math.cos, half), libm(math.sin, half)
-    half = rho * 1.0 / 2.0
-    cos_r, sin_r = libm(math.cos, half), libm(math.sin, half)
-    # alpha = (cos_w - i sin_w) (cos_r + i q)
-    q = (w0 / rho) * sin_r
-    alpha_re = cos_w * cos_r - (-sin_w) * q
-    alpha_im = cos_w * q + (-sin_w) * cos_r
-    # beta = ((u0 + i v0) / rho) sin_r (cos_w + i sin_w), each factor a complex
-    ratio_re, ratio_im = (u0 + v0 * 0.0) / rho, (v0 - u0 * 0.0) / rho
-    scaled_re = ratio_re * sin_r - ratio_im * 0.0
-    scaled_im = ratio_re * 0.0 + ratio_im * sin_r
-    beta_re = scaled_re * cos_w - scaled_im * sin_w
-    beta_im = scaled_re * sin_w + scaled_im * cos_w
     entries = np.zeros((covs.shape[0], 4))
-    entries[exact] = np.column_stack([alpha_re, alpha_im, beta_re, beta_im])
+    entries[exact] = np.column_stack(_endpoint_entries(
+        u0[exact], v0[exact], w0[exact], rho[exact], 1.0,
+        functools.partial(libm, math.cos), functools.partial(libm, math.sin)))
     return entries, exact
 
 

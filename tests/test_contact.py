@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,15 @@ class TestCovTriple:
         parsed = cov_triple(cov)
         assert parsed == (1.0, 0.5, 2.0)
         assert all(type(c) is float for c in parsed)
+
+
+class TestJacobiCoords:
+    @pytest.mark.parametrize("p,x", [((1.0, 0.0, 0.0), (0.0, 0.0)), ((1.0,), (0.0, 0.0))],
+                             ids=["3-2", "1-2"])
+    def test_unequal_lengths_rejected(self, p, x):
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"p and x must have equal length, got {len(p)} and {len(x)}")):
+            JacobiCoords(p=p, x=x)
 
 
 class TestOverflowingCurvature:

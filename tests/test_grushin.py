@@ -371,6 +371,17 @@ class TestConjugacy:
             scale = max(1.0, np.max(np.abs(grad)), np.max(np.abs(fd)))
             assert np.max(np.abs(grad - fd)) <= 1e-5 * scale
 
+    @pytest.mark.parametrize("call,message", [
+        (grushin_kernel, "kernel undefined at H = 0"),
+        (grushin_conj_grad, "conjugacy gradient undefined at H = 0"),
+    ], ids=["kernel", "gradient"])
+    def test_rest_covector_with_v0_raises_its_own_message(self, call, message):
+        # at x0 = 0, u0 = 0 has H = 0 whatever v0 is, so the v0 = 0 checks
+        # that follow cannot stand in for the H = 0 one
+        base = GrushinBase(alpha=1.5, x0=0.0, y0=0.0)
+        with pytest.raises(DegenerateCovector, match=re.escape(message)):
+            call(base, (0.0, 1.3))
+
     def test_kernel_second_case(self):
         base = GrushinBase(alpha=1.0, x0=1.0, y0=0.0)
         (kern,) = grushin_kernel(base, (0.0, math.pi))

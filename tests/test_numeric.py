@@ -17,8 +17,8 @@ from srfolds import (DegenerateMatrix, GrushinBase, InvalidInput, JacobiCoords,
                      grushin_exp, grushin_jacobi, propagate_linear_jacobi,
                      rank_nullspace, sin_cos_alpha, sl2_exp, sl2_jacobi, su2_exp,
                      su2_jacobi, vertical_to_endpoint_matrix)
-from srfolds.numeric import (_brent, _brent_lockstep, find_roots_lockstep, scan_nodes,
-                             sign_brackets, vector_norm)
+from srfolds.numeric import (_brent, _brent_lockstep, _gated_hits, find_roots_lockstep,
+                             scan_nodes, sign_brackets, vector_norm)
 from srfolds.oracles import OdeProblem, integrate, quad
 from srfolds.singularity import LOCKSTEP_MIN_BRACKETS
 
@@ -404,6 +404,17 @@ class TestFindRootsBrackets:
         _same_as_loop(lambda t: float(np.interp(t, xs, grid)), 0.0, 1.0, grid.size,
                       grid_values=grid)
 
+    def test_near_duplicate_hit_keeps_the_smaller_residual(self):
+        # two polished roots closer than (hi - lo) 1e-9 merge into one hit;
+        # the later one, with the smaller residual, replaces the earlier
+        xs = scan_nodes(0.0, 1.0, 3)
+        gs = np.array([-1.0, 1.0, 2.0])
+        merged = _gated_hits(xs, gs, [(0.25, 1e-12), (0.25 + 1e-12, 1e-14)], 1e-10, 0.0, 1.0)
+        assert merged == [RootHit(0.25 + 1e-12, 1e-14)]
+        # and the earlier one stays where its residual is the smaller
+        merged = _gated_hits(xs, gs, [(0.25, 1e-14), (0.25 + 1e-12, 1e-12)], 1e-10, 0.0, 1.0)
+        assert merged == [RootHit(0.25, 1e-14)]
+
 
 def _lockstep(functions, brackets, xtol):
     """_brent_lockstep over brackets (a, b) of functions[j], as Python floats or "raised"."""
@@ -644,6 +655,12 @@ class TestRankNullspace:
         kernel = result.nullspace_basis[0]
         assert abs(abs(kernel[0]) - 1.0) <= 1e-9
         assert np.linalg.norm(kernel[1:]) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 0, 3), (2, 2, 2, 2)], ids=str)
+    def test_rejects_what_is_no_nonempty_matrix_or_stack(self, shape):
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"expected a nonempty matrix or stack of matrices, got shape {shape}")):
+            rank_nullspace(np.ones(shape))
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateMatrix):

@@ -600,6 +600,13 @@ class TestSecondOrderTransversality:
             second_order_transversality(su2, rec), rel=1e-12)
         assert classify(su2, scaled) is SingularityClass.TANGENTIAL
 
+    def test_zero_on_an_order_zero_record(self, su2, su2_records):
+        # order 0 means the scan found no rank drop: the certificate is 0.0
+        # without a stencil, even at a covector where the chart drops rank
+        rec = su2_records[0]
+        assert second_order_transversality(su2, rec) > SECOND_ORDER_TOL
+        assert second_order_transversality(su2, replace(rec, order=0)) == 0.0
+
     def test_zero_at_full_rank_point(self, su2):
         d = _unit(SU2_RAY)
         regular = ConjugateRecord(
@@ -735,16 +742,38 @@ class TestNewtonPartner:
         # residual / 5e-324 overflows to inf; a nan differential gives nan steps
         assert self._solve(scale) is None
 
+    def _chart_points(self, scale):
+        """The points the identity chart is called at: lam_a, lam_b, then one per step."""
+        points = []
+
+        def chart(cov):
+            points.append(cov.copy())
+            return cov.copy()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            singularity_module._newton_partner(
+                chart, lambda cov: scale * np.eye(2), self.COV, self.KERN, self.A)
+        return points
+
     def test_step_whose_square_overflows_is_clamped(self):
         # each component is about 1e157 and finite, but its square is not:
-        # the step's norm reads inf, so the 5a clamp scales the step by
-        # 5a / inf = 0 rather than failing the solve; the square's overflow
-        # warns in dot, as it does inside np.linalg.norm
-        with np.errstate(over="ignore"):
-            lam_a, lam_b, dist = self._solve(1e-160)
-        assert np.array_equal(lam_a, self.COV + self.A * self.KERN)
-        assert np.array_equal(lam_b, self.COV - self.A * self.KERN)
-        assert dist == pytest.approx(2.0 * self.A)
+        # the step is measured on its copy scaled by its largest component,
+        # so it is clamped to 5a, with no overflow warning from dot
+        points = self._chart_points(1e-160)
+        steps = np.diff(points[1:], axis=0)
+        assert len(steps) == 50
+        assert np.allclose(np.linalg.norm(steps, axis=1), 5.0 * self.A, rtol=1e-12, atol=0.0)
+        # the first step goes against the residual lam_b - lam_a = -2a kern
+        assert np.allclose(steps[0], 5.0 * self.A * self.KERN, rtol=1e-12, atol=0.0)
+
+    def test_large_step_whose_square_is_finite_keeps_its_bits(self):
+        # components near 1e151 square finitely: the step is clamped by the
+        # norm np.linalg.norm gives it, bit for bit
+        points = self._chart_points(1e-154)
+        step = np.linalg.solve(1e-154 * np.eye(2), points[1] - points[0])
+        expected = points[1] - step * (5.0 * self.A / np.linalg.norm(step))
+        assert points[2].tobytes() == expected.tobytes()
 
 
 GOLDEN_SCANS = sorted((Path(__file__).parent / "golden").glob("scan_*.json"))
