@@ -495,8 +495,9 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
         if biggest <= 1e150:
             step_norm = vector_norm(step_vec)
         else:
-            # a nan, an inf, or a component whose square may overflow in
-            # dot, which warns
+            # an inf, a component whose square may overflow in dot (which
+            # warns), or a leading nan; a nan elsewhere reads a nan norm on
+            # either branch and returns None below
             with np.errstate(over="ignore"):
                 step_norm = vector_norm(step_vec)
         if not math.isfinite(step_norm):

@@ -32,13 +32,11 @@ WORKLOADS = ("grushin_rays", "group_rays")
 
 
 def _seeds(text: str) -> list[int]:
-    """'1-10' or '3' or '1,4,7' as a list of seeds."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+    """'N' or 'N-M' as the list of seeds N..M."""
+    lo, _, hi = text.partition("-")
+    seeds = list(range(int(lo), int(hi or lo) + 1))
     if not seeds:
-        raise SystemExit(f"error: no seeds in {text!r}")
+        raise ValueError(text)
     return seeds
 
 
@@ -56,7 +54,7 @@ def _raised(digest, exc: Exception) -> None:
     _feed(digest, "raise", type(exc).__name__, str(exc))
 
 
-def pool_line(api, run, ops, workload: str, seeds: list[int], label: str) -> str:
+def pool_line(api, run, ops, workload: str, seeds: list[int]) -> str:
     adapters = ops.build_adapters(api, workload)
     digest = hashlib.sha256()
     records = witnesses = raises = 0
@@ -86,16 +84,14 @@ def pool_line(api, run, ops, workload: str, seeds: list[int], label: str) -> str
                 witnesses += 1
                 _feed(digest, "witness", wit.covector_a, wit.covector_b,
                       wit.image_distance, wit.separation)
-    return (f"{workload} seeds {label}: {records} records, {witnesses} witnesses, "
-            f"{raises} raises, sha256 {digest.hexdigest()}")
+    return (f"{workload} seeds {seeds[0]}-{seeds[-1]}: {records} records, "
+            f"{witnesses} witnesses, {raises} raises, sha256 {digest.hexdigest()}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="1-10",
-                        help="seeds as 1-10, 3 or 1,4,7 (default 1-10)")
-    parser.add_argument("--workload", choices=WORKLOADS, action="append",
-                        help="one workload; repeat for more (default: both)")
+    parser.add_argument("--seeds", type=_seeds, default="1-10",
+                        help="seeds as N or N-M (default 1-10)")
     args = parser.parse_args(argv)
     # perfbench/ is only read: no bytecode is cached next to it
     sys.dont_write_bytecode = True
@@ -103,8 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     import srfolds as api
     import ops
     import run
-    for workload in args.workload or WORKLOADS:
-        print(pool_line(api, run, ops, workload, _seeds(args.seeds), args.seeds), flush=True)
+    for workload in WORKLOADS:
+        print(pool_line(api, run, ops, workload, args.seeds), flush=True)
     return 0
 
 
