@@ -55,14 +55,16 @@ and table_arc evaluate from it without the argument checks of sin_cos_alpha
 and arc_alpha, which call them, bit for bit, and table_arc_cos inverts
 cos_alpha from it.
 
-sin_cos_alpha_array evaluates the same formulas over a 1-d array, branch by
-branch on masks, and returns bit for bit what sin_cos_alpha returns at each
-element: the polynomials run the same Horner recurrence on floats and on
-arrays, and arithmetic and sqrt are correctly rounded in numpy as in Python.
-numpy's own power, sin and cos can differ from the C library by an ulp, so
-those go through the scalar libm element by element (numeric.libm). It serves
-the Grushin scan grid, hundreds of phases a ray; the inversions run a few
-times a ray and have only their scalar form.
+sin_cos_alpha_array selects the branches over a 1-d array on masks and runs
+the same formula bodies as sin_cos_alpha, _low_quarter and _high_quarter,
+which take their pow and sqrt as arguments, so it returns bit for bit what
+sin_cos_alpha returns at each element: the polynomials run the same Horner
+recurrence on floats and on arrays, and arithmetic and sqrt are correctly
+rounded in numpy as in Python. numpy's own power, sin and cos can differ
+from the C library by an ulp, so those go through the scalar libm element by
+element (numeric.libm_pow, libm_sin, libm_cos). It serves the Grushin scan
+grid, hundreds of phases a ray; the inversions run a few times a ray and
+have only their scalar form.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import finite_time, libm
+from .numeric import finite_time, libm_cos, libm_pow, libm_sin
 from .oracles import quad
 
 # below this, x = s^(2 alpha) moves s and cos by less than an ulp from the
@@ -257,36 +259,46 @@ def pi_alpha(alpha: float) -> float:
     return _table_cached(_validate_alpha(alpha)).pi_alpha
 
 
+def _low_quarter(table: _AlphaConstants, tq, w, pow, sqrt):
+    """(|sin_alpha|, |cos_alpha|) at tq <= t_mid from w = tq^(2 alpha) >= _NEGLIGIBLE_X.
+
+    The same on floats and on arrays: pow and sqrt are Python's, or
+    numeric.libm's pow and numpy's correctly rounded sqrt over arrays.
+    """
+    p = _polynomial(table.sin_low, w * table.w_scale - 1.0)
+    return tq * pow(1.0 + p, table.a), sqrt(1.0 - (w + w * p))
+
+
+def _high_quarter(table: _AlphaConstants, gap, pow):
+    """(|sin_alpha|, |cos_alpha|) at quarter - gap > t_mid, gap >= 0, like _low_quarter."""
+    h = table.alpha * gap
+    c = h + h * _polynomial(table.cos_high, h * h * table.u_scale - 1.0)
+    return pow(1.0 - c * c, table.a), c
+
+
 def _eval_quarter(table: _AlphaConstants, tq: float) -> tuple[float, float]:
     """(|sin_alpha|, |cos_alpha|) at tq in [0, quarter]."""
     if tq <= table.t_mid:
         w = tq ** (2.0 * table.alpha)
         if w < _NEGLIGIBLE_X:
             return tq, 1.0
-        p = _polynomial(table.sin_low, w * table.w_scale - 1.0)
-        return tq * (1.0 + p) ** table.a, math.sqrt(1.0 - (w + w * p))
-    h = table.alpha * max(table.quarter - tq, 0.0)
-    c = h + h * _polynomial(table.cos_high, h * h * table.u_scale - 1.0)
-    return (1.0 - c * c) ** table.a, c
+        return _low_quarter(table, tq, w, pow, math.sqrt)
+    return _high_quarter(table, max(table.quarter - tq, 0.0), pow)
 
 
 def _eval_quarter_array(table: _AlphaConstants, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_eval_quarter at each element of tq."""
     s_abs, c_abs = tq.copy(), np.ones_like(tq)
     low = np.flatnonzero(tq <= table.t_mid)
-    w = libm(pow, tq[low], 2.0 * table.alpha)
+    w = libm_pow(tq[low], 2.0 * table.alpha)
     kept = ~(w < _NEGLIGIBLE_X)
     low, w = low[kept], w[kept]
     if low.size:
-        p = _polynomial(table.sin_low, w * table.w_scale - 1.0)
-        s_abs[low] = tq[low] * libm(pow, 1.0 + p, table.a)
-        c_abs[low] = np.sqrt(1.0 - (w + w * p))
+        s_abs[low], c_abs[low] = _low_quarter(table, tq[low], w, libm_pow, np.sqrt)
     high = np.flatnonzero(~(tq <= table.t_mid))
     if high.size:
         gap = table.quarter - tq[high]
-        h = table.alpha * np.where(0.0 > gap, 0.0, gap)
-        c = h + h * _polynomial(table.cos_high, h * h * table.u_scale - 1.0)
-        s_abs[high], c_abs[high] = libm(pow, 1.0 - c * c, table.a), c
+        s_abs[high], c_abs[high] = _high_quarter(table, np.where(0.0 > gap, 0.0, gap), libm_pow)
     return s_abs, c_abs
 
 
@@ -364,8 +376,9 @@ def arc_alpha(alpha: float, s: float, c_sign: float) -> float:
     """Phase phi in [0, 2 pi_alpha) with sin_alpha(phi) = s, sign(cos_alpha) = c_sign."""
     alpha = _validate_alpha(alpha)
     s = float(s)
-    if abs(s) > 1.0 + 1e-12:
-        raise InvalidInput(f"|s| must not exceed 1, got {s!r}")
+    # a nan c_sign would read as negative below
+    if not abs(s) <= 1.0 + 1e-12 or math.isnan(c_sign):
+        raise InvalidInput(f"need |s| <= 1 and a numeric c_sign, got {s!r} and {c_sign!r}")
     s = min(max(s, -1.0), 1.0)
     table = _table_cached(alpha)
     half = table.pi_alpha
@@ -400,7 +413,7 @@ def sin_cos_alpha_array(alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.nda
     """sin_cos_alpha at each element of a 1-d array of finite t."""
     alpha = _validate_alpha(alpha)
     if alpha == 1.0:
-        return libm(math.sin, t), libm(math.cos, t)
+        return libm_sin(t), libm_cos(t)
     table = _table_cached(alpha)
     period = 2.0 * table.pi_alpha
     half = table.pi_alpha

@@ -39,15 +39,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import libm, row_dots
+from .numeric import libm_cos, libm_sin, row_dots
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
-from .singularity import RayStrata, StructureAdapter
+from .singularity import KERNEL_RESIDUAL_TOL, RayStrata, StructureAdapter
 from .state import JacobiCoords
 
 # C0 covectors with w0 = 0 fall outside the proven dense subset; excluded
 _VERTICAL_EXCLUSION_TOL = 1e-12
-# relative stratum residual under which kernel() accepts a covector as conjugate
-_KERNEL_RESIDUAL_TOL = 1e-8
 
 
 def cov_triple(cov) -> tuple[float, float, float]:
@@ -75,6 +73,27 @@ def finite_curvature(eps: int, u0: float, v0: float, w0: float) -> float:
     return r
 
 
+def _trig_fields(r, sqrt, cos, sin):
+    """(root, cos(root/2), sin(root/2), root cos(root/2), f0) at r > 0, root = sqrt(r).
+
+    The same on floats and on arrays: sqrt, cos and sin are math's, or
+    numpy's correctly rounded sqrt and numeric.libm's trig over arrays.
+    """
+    root = sqrt(r)
+    half = root / 2.0
+    cos_half, sin_half = cos(half), sin(half)
+    planar = root * cos_half
+    return root, cos_half, sin_half, planar, planar - 2.0 * sin_half
+
+
+def _gradient_coefficients(root, cos_half, sin_half):
+    """(2 df0/dr, 2 df1/dr) from _trig_fields, on floats or arrays.
+
+    The stratum gradients are these times (eps u0, eps v0, w0).
+    """
+    return -0.5 * sin_half, cos_half / (2.0 * root)
+
+
 @dataclass(frozen=True)
 class ContactGroup:
     """One group's sign and representation, plugged into the shared formulas.
@@ -89,6 +108,11 @@ class ContactGroup:
     covers sc_pair's trigonometric branch). The chart is the four entries
     themselves, an embedding of the group in R^4, so a tangent matrix at the
     endpoint has its four entries as its chart components.
+
+    conj_f, conj_grad and record_fields take the r > 0 strata fields from
+    one body (_trig_fields), on floats and on arrays, and the gradient
+    coefficients from another (_gradient_coefficients); the kernel vector is
+    written only in record_fields, and kernel is record_fields on one row.
     """
 
     name: str
@@ -127,9 +151,8 @@ class ContactGroup:
             raise DegenerateCovector("conjugacy functions undefined at H = 0")
         r = finite_curvature(self.eps, u0, v0, w0)
         if r > 0.0:
-            root = math.sqrt(r)
-            half = root / 2.0
-            return (r, root * math.cos(half) - 2.0 * math.sin(half), math.sin(half))
+            _, _, sin_half, _, f0 = _trig_fields(r, math.sqrt, math.cos, math.sin)
+            return r, f0, sin_half
         sigma = math.sqrt(-r)
         half = sigma / 2.0
         try:
@@ -153,28 +176,25 @@ class ContactGroup:
         (n, 3) and the gradients (n, 3) of the strata indexed by strata; the
         other rows of those two are not defined, and kernels and gradients are
         computed on the order-one rows only. The rows with H != 0 and finite
-        r > 0 share one trigonometric pass. The rest, and the order-one rows
-        that kernel would reject as not conjugate, go through strata and
-        kernel in row order, so the first of them that raises is the scalar
-        loop's first; every order-one row among them raises there.
+        r > 0 run _trig_fields in one array pass, conj_f's own arithmetic.
+        The rest, and the order-one rows whose f-values miss the kernel
+        residual bound, go through conj_f in row order, so the first of them
+        that raises is the scalar loop's first; every order-one row among
+        them raises there, NotConjugate where conj_f does not.
         """
         u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
         with np.errstate(all="ignore"):
             h2 = u0 * u0 + v0 * v0
             r = w0 * w0 + self.eps * h2
         live = (h2 != 0.0) & (r > 0.0) & np.isfinite(r)
-        root = np.sqrt(r[live])
-        half = root / 2.0
-        sin_half, cos_half = libm(math.sin, half), libm(math.cos, half)
+        root, cos_half, sin_half, planar, f0 = _trig_fields(r[live], np.sqrt, libm_cos, libm_sin)
         n = covs.shape[0]
         f_values, kernels, grads = np.empty((n, 2)), np.empty((n, 3)), np.empty((n, 3))
-        planar = root * cos_half
-        f0 = planar - 2.0 * sin_half
         f_values[live] = np.column_stack([f0, sin_half])
         fallback = ~live
         if order_one[live].any():
             fallback[live] = order_one[live] & (np.minimum(np.abs(f0), np.abs(sin_half))
-                                                > _KERNEL_RESIDUAL_TOL * np.maximum(1.0, root))
+                                                > KERNEL_RESIDUAL_TOL * np.maximum(1.0, root))
             one = order_one[live] & ~fallback[live]
             rows = np.flatnonzero(live)[one]
             u0, v0, w0, sin_half = u0[rows], v0[rows], w0[rows], sin_half[one]
@@ -182,32 +202,29 @@ class ContactGroup:
                                     -4.0 * self.eps * sin_half])
             with np.errstate(all="ignore"):
                 kernels[rows] = kern / np.sqrt(row_dots(kern, kern))[:, np.newaxis]
-            # the factor 2 of dr/d(u0, v0, w0) is folded into the coefficients
             direction = np.column_stack([self.eps * u0, self.eps * v0, w0])
-            coef = np.where(strata[rows] == 0, -0.5 * sin_half,
-                            cos_half[one] / (2.0 * root[one]))
+            coef = np.where(strata[rows] == 0,
+                            *_gradient_coefficients(root[one], cos_half[one], sin_half))
             grads[rows] = coef[:, np.newaxis] * direction
         for i in np.flatnonzero(fallback):
-            f_values[i] = self.strata(covs[i])
-            if order_one[i]:
-                kernels[i] = self.kernel(covs[i])
+            r_i, f0_i, f1_i = self.conj_f(covs[i])
+            f_values[i] = f0_i, f1_i
+            if not order_one[i]:
+                continue
+            if r_i <= 0.0:
+                raise NotConjugate(f"covectors with r = {r_i:.6g} <= 0 are never conjugate")
+            raise NotConjugate(
+                f"covector is not conjugate: |f0| = {abs(f0_i):.3e}, |f1| = {abs(f1_i):.3e}")
         return f_values, kernels, grads
 
     def kernel(self, cov) -> np.ndarray:
-        """Unit kernel vector of the time-one differential at a conjugate covector."""
-        u0, v0, w0 = cov_triple(cov)
-        r, f0, f1 = self.conj_f((u0, v0, w0))
-        if r <= 0.0:
-            raise NotConjugate(f"covectors with r = {r:.6g} <= 0 are never conjugate")
-        root = math.sqrt(r)
-        scale = max(1.0, root)
-        if min(abs(f0), abs(f1)) > _KERNEL_RESIDUAL_TOL * scale:
-            raise NotConjugate(
-                f"covector is not conjugate: |f0| = {abs(f0):.3e}, |f1| = {abs(f1):.3e}")
-        half = root / 2.0
-        planar = root * math.cos(half)
-        kern = np.array([-v0 * planar, u0 * planar, -4.0 * self.eps * math.sin(half)])
-        return kern / np.linalg.norm(kern)
+        """Unit kernel vector of the time-one differential at a conjugate covector.
+
+        record_fields on the one row cov, raising what it raises there.
+        """
+        _, kernels, _ = self.record_fields(np.array([cov_triple(cov)]), np.zeros(1, dtype=int),
+                                           np.ones(1, dtype=bool))
+        return kernels[0]
 
     def conj_grad(self, cov) -> tuple[np.ndarray, np.ndarray]:
         """Analytic gradients (df0, df1) of the stratum functions (needs r > 0)."""
@@ -218,20 +235,18 @@ class ContactGroup:
         if r <= 0.0:
             raise DegenerateCovector(
                 f"stratum gradients only defined on r > 0, got r = {r:.6g}")
-        root = math.sqrt(r)
-        half = root / 2.0
+        root, cos_half, sin_half, _, _ = _trig_fields(r, math.sqrt, math.cos, math.sin)
+        coef0, coef1 = _gradient_coefficients(root, cos_half, sin_half)
         # half of dr/d(u0, v0, w0); the factor 2 is folded into the coefficients
         direction = np.array([self.eps * u0, self.eps * v0, w0])
-        df0 = -0.5 * math.sin(half) * direction
-        df1 = (math.cos(half) / (2.0 * root)) * direction
-        return df0, df1
+        return coef0 * direction, coef1 * direction
 
     def jacobi(self, cov, init: JacobiCoords, t: float) -> JacobiCoords:
         """Frame Jacobi data (p_a, p_b, p_c, x_a, x_b, x_c)(t) in closed form.
 
         Valid for every sign of r; the r -> 0 limits are series-stabilized.
         """
-        r = curvature(self.eps, *cov_triple(cov))
+        r = finite_curvature(self.eps, *cov_triple(cov))
         if len(init.p) != 3:
             raise InvalidInput("group Jacobi data has three momentum components")
         p, x = propagate_linear_jacobi(r, init.p, init.x, t)

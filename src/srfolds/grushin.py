@@ -54,7 +54,7 @@ from .alphatrig import (alpha_table, arc_alpha, sin_cos_alpha, sin_cos_alpha_arr
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import finite_time, vector_norm
 from .scfun import sc_pair
-from .singularity import RayStrata, StructureAdapter
+from .singularity import KERNEL_RESIDUAL_TOL, RayStrata, StructureAdapter
 from .state import GeodesicState, JacobiCoords
 
 # relative tolerance deciding the u0 + x0 = 0 branch of the gradient formulas
@@ -62,8 +62,6 @@ _BRANCH_TOL = 1e-12
 # the Jacobi data x = 0, p = e_j whose endpoints are grushin_dexp's columns
 _UNIT_MOMENTA = (JacobiCoords(p=(1.0, 0.0), x=(0.0, 0.0)),
                  JacobiCoords(p=(0.0, 1.0), x=(0.0, 0.0)))
-# relative residual of f under which grushin_kernel accepts a covector as conjugate
-_KERNEL_RESIDUAL_TOL = 1e-8
 # grushin_kernel's error on the v0 = 0 branch, where f vanishes identically
 _NO_KERNEL_ON_V0_ZERO = "no conjugate covectors along v0 = 0 rays"
 # relative margin under a ray's crossing radius within which roots are kept;
@@ -452,7 +450,7 @@ def _unit_kernel(a: float, x0: float, u0: float, v0: float,
     """
     f = _conj_f(x0, u0, x1, u1)
     scale = max(1.0, abs(u1) * (abs(u0) + abs(x0)) + abs(u0) * abs(x1))
-    bound = _KERNEL_RESIDUAL_TOL * scale
+    bound = KERNEL_RESIDUAL_TOL * scale
     if abs(f) > bound:
         raise NotConjugate(
             f"covector is not conjugate: |f| = {abs(f):.3e} exceeds {bound:.3e}")
@@ -499,13 +497,18 @@ def _ray_strata(base: GrushinBase, table, d: np.ndarray) -> RayStrata:
     amp, omega, phase, flip = _oscillator(table, x0, du, dv, h2)
     rate, flip_amp = flip * omega, flip * amp
 
+    def restriction(s, u0, sin_cos, key):
+        # f(s) above, on a float s (table_sin_cos, table) or on an array of
+        # them (sin_cos_alpha_array, alpha)
+        sin_a, cos_a = sin_cos(key, phase + rate * s)
+        return flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
+
     def g(idx: int, s: float) -> float:
         u0, v0 = s * du, s * dv
         h2 = u0 * u0 + v0 * v0 * x2a
         if h2 == 0.0 or not _curvature_resolvable(h2, v0):
             return grushin_conj_f(base, (u0, v0))
-        sin_a, cos_a = table_sin_cos(table, phase + rate * s)
-        return flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
+        return restriction(s, u0, table_sin_cos, table)
 
     def g_rows(s: np.ndarray) -> np.ndarray:
         u0, v0 = s * du, s * dv
@@ -515,9 +518,7 @@ def _ray_strata(base: GrushinBase, table, d: np.ndarray) -> RayStrata:
         f = np.empty((s.size, 1))
         if not osc.all():
             f[~osc] = covector_rows(s[~osc])
-        s, u0 = s[osc], u0[osc]
-        sin_a, cos_a = sin_cos_alpha_array(alpha, phase + rate * s)
-        f[osc, 0] = flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
+        f[osc, 0] = restriction(s[osc], u0[osc], sin_cos_alpha_array, alpha)
         return f
 
     free_below = 0.0

@@ -49,6 +49,13 @@ def libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist(), *columns), dtype=float, count=x.size)
 
 
+# math's cos and sin and Python's pow over 1-d arrays, for the formula bodies
+# that take their elementary functions as arguments
+libm_cos = functools.partial(libm, math.cos)
+libm_sin = functools.partial(libm, math.sin)
+libm_pow = functools.partial(libm, pow)
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ b[i] for each row pair of two (N, k) arrays, bit for bit.
 

@@ -28,21 +28,34 @@ SERIES_THRESHOLD = 1e-6
 def sc_pair(a: float, t: float) -> tuple[float, float]:
     """(s_a(t), c_a(t)); series branch when |a| t^2 < SERIES_THRESHOLD.
 
-    Raises InvalidInput where sinh or cosh of sqrt(-a) t overflows.
+    Raises InvalidInput where a or t is not finite, and where sinh or cosh
+    of sqrt(-a) t overflows.
     """
     z = a * t * t
     if abs(z) < SERIES_THRESHOLD:
         s = t * (1.0 - z / 6.0 + z * z / 120.0 - z ** 3 / 5040.0)
         c = 1.0 - z / 2.0 + z * z / 24.0 - z ** 3 / 720.0
         return s, c
+    # an inf or nan a or t makes z inf or nan, so the series never sees one
+    if not (math.isfinite(a) and math.isfinite(t)):
+        raise InvalidInput(f"a and t must be finite, got a = {a!r}, t = {t!r}")
     if a > 0.0:
-        sq = math.sqrt(a)
-        return math.sin(sq * t) / sq, math.cos(sq * t)
+        return trig_sc_pair(a, t, math.sqrt, math.cos, math.sin)
     sq = math.sqrt(-a)
     try:
         return math.sinh(sq * t) / sq, math.cosh(sq * t)
     except OverflowError:
         raise InvalidInput(f"sinh(sqrt(-a) t) overflows at a = {a!r}, t = {t!r}") from None
+
+
+def trig_sc_pair(a, t, sqrt, cos, sin):
+    """sc_pair's trigonometric branch, a > 0, on floats or arrays.
+
+    sqrt, cos and sin are math's, or numpy's correctly rounded sqrt and
+    numeric.libm's trig over arrays.
+    """
+    sq = sqrt(a)
+    return sin(sq * t) / sq, cos(sq * t)
 
 
 def jacobi_ratios(a: float, t: float) -> tuple[float, float, float, float]:

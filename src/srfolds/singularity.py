@@ -36,6 +36,8 @@ from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, check_root_tol, fd_
 PAIRING_TOL = 1e-6
 # projected mixed second derivative above this certifies the tangential form
 SECOND_ORDER_TOL = 1e-3
+# relative stratum residual under which a kernel accepts a covector as conjugate
+KERNEL_RESIDUAL_TOL = 1e-8
 # step of the four-point stencil of the second-order certificate
 SECOND_ORDER_STEP = 1e-4
 # relative offset of the first scan node from the ray origin

@@ -24,7 +24,6 @@ The chart (contact.py) reads all four entries (m11, m12, m21, m22).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +31,8 @@ import numpy as np
 
 from .contact import ContactGroup, cov_triple, curvature, finite_curvature
 from .errors import InvalidInput
-from .numeric import finite_time, libm
-from .scfun import SERIES_THRESHOLD, sc_pair
+from .numeric import finite_time, libm_cos, libm_sin
+from .scfun import SERIES_THRESHOLD, sc_pair, trig_sc_pair
 
 X0 = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
 X1 = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -53,12 +52,9 @@ class Sl2Matrix:
     m22: float
 
     def __post_init__(self) -> None:
-        det = self.m11 * self.m22 - self.m12 * self.m21
-        # the determinant of a large hyperbolic element cancels products far
-        # bigger than one, so the admissible residual scales with them
-        scale = max(1.0, abs(self.m11 * self.m22) + abs(self.m12 * self.m21))
-        if not math.isfinite(det) or abs(det - 1.0) > 1e-9 * scale:
-            raise InvalidInput(f"matrix must have determinant 1: det - 1 = {det - 1.0:.3e}")
+        excess, unimodular = _unimodular(*self.entries(), math.isfinite, max)
+        if not unimodular:
+            raise InvalidInput(f"matrix must have determinant 1: det - 1 = {excess:.3e}")
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
@@ -74,7 +70,7 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     t = finite_time(t)
     r = finite_curvature(_EPS, u0, v0, w0)
     s, c = sc_pair(r, t / 2.0)
-    a11, a12, a21, a22 = c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0
+    a11, a12, a21, a22 = _first_factor(s, c, u0, v0, w0)
     if r < 0.0:
         # the diagonal entry that u0 shrinks cancels; det = 1 recovers it
         if s * u0 >= 0.0:
@@ -85,6 +81,26 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     u1 = u0 * math.cos(w0 * t) + v0 * math.sin(w0 * t)
     v1 = v0 * math.cos(w0 * t) - u0 * math.sin(w0 * t)
     return point, np.array([u1, v1, w0])
+
+
+def _unimodular(m11, m12, m21, m22, isfinite, maximum):
+    """(det - 1, whether Sl2Matrix accepts the entries), on floats or arrays.
+
+    isfinite and maximum are math.isfinite and max on floats, numpy's on arrays.
+    """
+    det = m11 * m22 - m12 * m21
+    # the determinant of a large hyperbolic element cancels products far
+    # bigger than one, so the admissible residual scales with them
+    scale = maximum(1.0, abs(m11 * m22) + abs(m12 * m21))
+    return det - 1.0, isfinite(det) & (abs(det - 1.0) <= 1e-9 * scale)
+
+
+def _first_factor(s, c, u0, v0, w0):
+    """Entries of exp(t (u0 X1 + v0 X2 - w0 X0)) from (s, c) = sc_pair(r, t/2).
+
+    The same on floats and on arrays.
+    """
+    return c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0
 
 
 def _rotated(a11, a12, a21, a22, w0, t, cos, sin):
@@ -102,30 +118,27 @@ def _entries(matrix: np.ndarray) -> np.ndarray:
 def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_entries of sl2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
-    Runs sl2_exp at t = 1, with _rotated and libm's trig, where sc_pair(r, 1/2)
-    takes its trigonometric branch: finite input with r / 4 >= SERIES_THRESHOLD.
-    A scan reaches no other row (a record has r >= 4 pi^2), so the rest (the
-    series, r <= 0, a non-finite input or r) and the rows that fail the
-    Sl2Matrix determinant check are not exact: the scalar exponential takes
-    them, and raises there what it raises, in the scalar loop's order.
+    Runs sl2_exp's own arithmetic at t = 1 (trig_sc_pair, _first_factor,
+    _rotated, with libm's trig) where sc_pair(r, 1/2) takes its trigonometric
+    branch: finite input with r / 4 >= SERIES_THRESHOLD. Sl2Matrix's check
+    (_unimodular) marks the exact rows among them. A scan reaches no other
+    row (a record has r >= 4 pi^2), so the rest (the series, r <= 0, a
+    non-finite input or r) and the rows that fail the determinant check are
+    not exact: the scalar exponential takes them, and raises there what it
+    raises, in the scalar loop's order.
     """
     u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
     with np.errstate(all="ignore"):
         r = curvature(_EPS, u0, v0, w0)
         live = np.isfinite(covs).all(axis=1) & np.isfinite(r) & (r / 4.0 >= SERIES_THRESHOLD)
     u0, v0, w0 = u0[live], v0[live], w0[live]
-    sq = np.sqrt(r[live])
-    s, c = libm(math.sin, sq * 0.5) / sq, libm(math.cos, sq * 0.5)
+    s, c = trig_sc_pair(r[live], 0.5, np.sqrt, libm_cos, libm_sin)
     entries = np.zeros((covs.shape[0], 4))
     exact = np.zeros(covs.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        m11, m12, m21, m22 = _rotated(
-            c + s * u0, s * (v0 + w0), s * (v0 - w0), c - s * u0, w0, 1.0,
-            functools.partial(libm, math.cos), functools.partial(libm, math.sin))
-        det = m11 * m22 - m12 * m21
-        scale = np.maximum(1.0, np.abs(m11 * m22) + np.abs(m12 * m21))
-        exact[live] = np.isfinite(det) & (np.abs(det - 1.0) <= 1e-9 * scale)
-    entries[live] = np.column_stack([m11, m12, m21, m22])
+        m = _rotated(*_first_factor(s, c, u0, v0, w0), w0, 1.0, libm_cos, libm_sin)
+        exact[live] = _unimodular(*m, np.isfinite, np.maximum)[1]
+    entries[live] = np.column_stack(m)
     return entries, exact
 
 

@@ -26,7 +26,6 @@ Im beta).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .contact import ContactGroup, cov_triple, curvature
 from .errors import DegenerateCovector, InvalidInput
-from .numeric import finite_time, libm
+from .numeric import finite_time, libm_cos, libm_sin
 from .state import JacobiCoords
 
 X0 = 0.5 * np.array([[1j, 0.0], [0.0, -1j]])
@@ -126,10 +125,10 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_entries of su2_exp(cov, 1.0) at each row of covs, and the rows where exact.
 
     Every row with finite input and 0 < rho < inf runs su2_exp's own
-    arithmetic (_endpoint_entries) with libm's trig, so it is exact:
-    Su2Point's unit-sphere check cannot fail there, since r = rho^2 is a
-    sum of squares that does not cancel. The rows with rho = 0 and the
-    non-finite rows are left to the scalar exponential.
+    arithmetic (_endpoint_entries) with numeric.libm_cos and libm_sin, so
+    it is exact: Su2Point's unit-sphere check cannot fail there, since
+    r = rho^2 is a sum of squares that does not cancel. The rows with
+    rho = 0 and the non-finite rows are left to the scalar exponential.
     """
     u0, v0, w0 = covs[:, 0], covs[:, 1], covs[:, 2]
     with np.errstate(all="ignore"):
@@ -137,8 +136,7 @@ def _entries_array(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact = np.isfinite(covs).all(axis=1) & np.isfinite(rho) & (rho != 0.0)
     entries = np.zeros((covs.shape[0], 4))
     entries[exact] = np.column_stack(_endpoint_entries(
-        u0[exact], v0[exact], w0[exact], rho[exact], 1.0,
-        functools.partial(libm, math.cos), functools.partial(libm, math.sin)))
+        u0[exact], v0[exact], w0[exact], rho[exact], 1.0, libm_cos, libm_sin))
     return entries, exact
 
 

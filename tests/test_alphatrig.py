@@ -135,8 +135,11 @@ class TestArcAlpha:
         assert c < 0.0
 
     def test_domain_validation(self):
-        with pytest.raises(InvalidInput):
-            arc_alpha(2.0, 1.5, +1.0)
+        # a nan s or c_sign must not read as a phase or as a negative sign
+        for s, c_sign in ((1.5, +1.0), (math.nan, +1.0), (0.5, math.nan), (math.nan, math.nan)):
+            for alpha in (1.0, 2.0):
+                with pytest.raises(InvalidInput):
+                    arc_alpha(alpha, s, c_sign)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1.0, 1.5, 2.0, 3.0]),

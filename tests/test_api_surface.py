@@ -5,7 +5,8 @@ and SECOND_ORDER_STEP in singularity.py and DEFAULT_RANK_TOL_FACTOR in
 numeric.py), printed by the CLI in every tolerances block, and the fold
 witness's gates are fixed too. These tests keep both from growing per-call
 knobs again, keep the adapter at the hooks the scan and the witness call,
-and keep every module from importing a name it does not use.
+keep every module from importing a name it does not use, and keep the
+scalar and array forms of each formula on one body.
 """
 
 from __future__ import annotations
@@ -288,3 +289,51 @@ def test_every_definition_is_called_or_exported():
     # not export is dead code, however well a test covers it
     package = Path(srfolds.__file__).resolve().parent
     assert set(_unreferenced_definitions(package)) - _UNREFERENCED_ALLOWED == set()
+
+
+# each formula that runs on Python floats and on numpy arrays is written once,
+# in a body that takes its elementary functions as arguments: (body, a scalar
+# caller, an array caller), each a dotted path of nested definitions in src/
+_SHARED_BODIES = [
+    ("contact._trig_fields", "contact.ContactGroup.conj_f", "contact.ContactGroup.record_fields"),
+    ("contact._trig_fields", "contact.ContactGroup.conj_grad",
+     "contact.ContactGroup.record_fields"),
+    ("contact._gradient_coefficients", "contact.ContactGroup.conj_grad",
+     "contact.ContactGroup.record_fields"),
+    ("su2._endpoint_entries", "su2.su2_exp", "su2._entries_array"),
+    ("sl2._first_factor", "sl2.sl2_exp", "sl2._entries_array"),
+    ("sl2._rotated", "sl2.sl2_exp", "sl2._entries_array"),
+    ("sl2._unimodular", "sl2.Sl2Matrix.__post_init__", "sl2._entries_array"),
+    ("scfun.trig_sc_pair", "scfun.sc_pair", "sl2._entries_array"),
+    ("alphatrig._low_quarter", "alphatrig._eval_quarter", "alphatrig._eval_quarter_array"),
+    ("alphatrig._high_quarter", "alphatrig._eval_quarter", "alphatrig._eval_quarter_array"),
+    ("grushin._ray_strata.restriction", "grushin._ray_strata.g", "grushin._ray_strata.g_rows"),
+]
+
+
+def _definition(package: Path, dotted: str):
+    """The function or class a dotted path names, module first, or None."""
+    module, *path = dotted.split(".")
+    node = ast.parse((package / f"{module}.py").read_text())
+    for name in path:
+        node = next((child for child in node.body
+                     if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                     and child.name == name), None)
+        if node is None:
+            return None
+    return node
+
+
+@pytest.mark.parametrize("body,scalar,array", _SHARED_BODIES, ids=lambda path: path)
+def test_scalar_and_array_forms_call_one_body(body, scalar, array):
+    # the bit-for-bit tests of each pair guard its masks and fall-back loops;
+    # this keeps the arithmetic itself from being written out twice again
+    package = Path(srfolds.__file__).resolve().parent
+    assert _definition(package, body) is not None, body
+    name = body.split(".")[-1]
+    for caller in (scalar, array):
+        node = _definition(package, caller)
+        assert node is not None, caller
+        assert name in {sub.id if isinstance(sub, ast.Name) else sub.attr
+                        for sub in ast.walk(node)
+                        if isinstance(sub, (ast.Name, ast.Attribute))}, (caller, name)

@@ -11,7 +11,7 @@ import pytest
 
 from srfolds import (DegenerateCovector, InvalidInput, fd_jacobian, sl2_adapter, sl2_conj_f,
                      sl2_conj_grad, sl2_exp, sl2_frame_images, sl2_jacobi, sl2_kernel,
-                     su2_adapter, su2_conj_f, su2_conj_grad, su2_exp, su2_kernel)
+                     su2_adapter, su2_conj_f, su2_conj_grad, su2_exp, su2_jacobi, su2_kernel)
 from srfolds.contact import cov_triple
 from srfolds.state import JacobiCoords
 
@@ -70,10 +70,13 @@ class TestOverflowingCurvature:
                              ids=str)
     def test_every_group_function_raises_invalid_input(self, cov):
         # finite components whose squares overflow: no bare math error, NaN
-        # f-value or NaN kernel, on either group
+        # f-value, NaN kernel or NaN Jacobi field, on either group
+        start = JacobiCoords(p=(1.0, 0.0, 0.0), x=(0.0, 0.0, 0.0))
         for call in (lambda c: su2_exp(c, 1.0), lambda c: sl2_exp(c, 1.0),
                      su2_conj_f, su2_kernel, su2_conj_grad, su2_adapter().chart_jacobian,
-                     sl2_conj_f, sl2_kernel, sl2_conj_grad, sl2_adapter().chart_jacobian):
+                     lambda c: su2_jacobi(c, start, 1.0),
+                     sl2_conj_f, sl2_kernel, sl2_conj_grad, sl2_adapter().chart_jacobian,
+                     lambda c: sl2_jacobi(c, start, 1.0)):
             with pytest.raises(InvalidInput, match="overflows"):
                 call(cov)
 

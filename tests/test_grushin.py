@@ -696,6 +696,19 @@ class TestOverflow:
             GrushinBase(alpha=alpha, x0=x0, y0=0.0)
 
 
+class TestBase:
+    @pytest.mark.parametrize("fields,message", [
+        ((math.nan, 0.5, 0.0), "alpha must be a finite real"),
+        ((2.0, math.inf, 0.0), "x0 must be a finite real"),
+        ((2.0, 0.5, -math.inf), "y0 must be a finite real"),
+        ((0.5, 0.5, 0.0), "alpha must be >= 1"),
+        ((-2.0, 0.0, 0.0), "alpha must be >= 1"),
+    ], ids=str)
+    def test_rejects_a_field_out_of_range(self, fields, message):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            GrushinBase(*fields)
+
+
 class TestRayRestriction:
     """The adapter's closed-form restriction of f to a ray (ray_strata)."""
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from srfolds import (DegenerateMatrix, GrushinBase, InvalidInput, JacobiCoords,
-                     NonConvergence, RootHit, fd_jacobian, find_roots,
+                     NonConvergence, RootHit, StepFailure, fd_jacobian, find_roots,
                      grushin_exp, grushin_jacobi, propagate_linear_jacobi,
                      rank_nullspace, sin_cos_alpha, sl2_exp, sl2_jacobi, su2_exp,
                      su2_jacobi, vertical_to_endpoint_matrix)
@@ -87,6 +87,17 @@ class TestIntegrate:
         with pytest.raises(InvalidInput):
             OdeProblem(dimension=1, vector_field=lambda t, y: y,
                        initial_state=np.array([1.0]), t_span=(1.0, 0.0))
+        # an empty state matches dimension 0, so only the dimension check rejects it
+        with pytest.raises(InvalidInput, match="dimension must be >= 1"):
+            OdeProblem(dimension=0, vector_field=lambda t, y: y,
+                       initial_state=np.array([]), t_span=(0.0, 1.0))
+
+    def test_blow_up_raises_step_failure(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1, inside the span
+        problem = OdeProblem(dimension=1, vector_field=lambda t, y: y * y,
+                             initial_state=np.array([1.0]), t_span=(0.0, 2.0))
+        with pytest.raises(StepFailure, match=r"integration failed on \(0\.0, 2\.0\)"):
+            integrate(problem)
 
     def test_trajectory_span_guard(self):
         problem = OdeProblem(dimension=1, vector_field=lambda t, y: y,
@@ -107,6 +118,11 @@ class TestQuad:
     def test_quartic_radicand(self):
         value = quad(lambda t: 1.0 / math.sqrt(1.0 - t ** 4), 0.0, 1.0, tol=1e-8)
         assert abs(value - QUARTIC_INTEGRAL) <= 1e-6
+
+    def test_divergent_integral_raises_non_convergence(self):
+        # 1/t has no integral over [0, 1]: the estimate cannot meet the tolerance
+        with pytest.raises(NonConvergence, match=r"quadrature error estimate .* on \[0\.0, 1\.0\]"):
+            quad(lambda t: 1.0 / t if t else 0.0, 0.0, 1.0)
 
 
 GROUP_START = JacobiCoords(p=(1.0, 0.0, 0.0), x=(0.0, 0.0, 0.0))

@@ -94,6 +94,17 @@ class TestScFunctions:
             assert abs(s - exact_s) <= 1e-12
             assert abs(c - exact_c) <= 1e-12
 
+    def test_non_finite_input_raises_invalid_input(self):
+        # inf or nan makes a t^2 inf or nan, which no branch may read: the
+        # trigonometric one raised a bare ValueError, and nan came back as nan
+        for a, t in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+                     (-math.inf, 0.5), (0.0, math.inf)):
+            with pytest.raises(InvalidInput, match="must be finite"):
+                sc_pair(a, t)
+        for r in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidInput, match="must be finite"):
+                vertical_to_endpoint_matrix(r)
+
     @pytest.mark.parametrize("t", [1.0, 0.5, 2.0])
     @pytest.mark.parametrize("a", [0.99e-6, 3e-7, 1e-9, -0.99e-6, -3e-7, -1e-9])
     def test_jacobi_ratios_series_against_cancellation_free_forms(self, a, t):
