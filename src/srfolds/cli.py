@@ -23,6 +23,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,6 @@ from .sl2 import sl2_adapter, sl2_exp
 from .su2 import su2_adapter, su2_exp
 
 CSV_HEADER = "s,stratum,order,class,k1,k2,k3,f0,f1"
-# the names of a group endpoint's entries(), in their order
-_ENTRY_NAMES = {"su2": ("alpha_re", "alpha_im", "beta_re", "beta_im"),
-                "sl2": ("m11", "m12", "m21", "m22")}
-_GROUP_ADAPTERS = {"su2": su2_adapter, "sl2": sl2_adapter}
 
 
 class _UsageError(Exception):
@@ -129,7 +126,8 @@ def cmd_expmap(args) -> int:
     else:
         # looked up at call time, so a rebound su2_exp or sl2_exp is the one called
         point, mom = (su2_exp if args.structure == "su2" else sl2_exp)(cov, args.t)
-        position = dict(zip(_ENTRY_NAMES[args.structure], point.entries()))
+        # a group endpoint's fields are its entries(), in their order
+        position = dict(zip((field.name for field in fields(point)), point.entries()))
         momentum = dict(zip(("u", "v", "w"), mom))
     position = {k: round12(v) for k, v in position.items()}
     momentum = {k: round12(v) for k, v in momentum.items()}
@@ -182,7 +180,7 @@ def cmd_conj_scan(args) -> int:
         config.update(alpha=args.alpha, base=[base.x0, base.y0])
         adapter = grushin_adapter(base)
     else:
-        adapter = _GROUP_ADAPTERS[args.structure]()
+        adapter = (su2_adapter if args.structure == "su2" else sl2_adapter)()
 
     all_records = [scan_ray(adapter, d, args.s_max, scan_points=args.scan_points,
                             root_tol=args.root_tol) for d in directions]

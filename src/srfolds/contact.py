@@ -73,6 +73,12 @@ def finite_curvature(eps: int, u0: float, v0: float, w0: float) -> float:
     return r
 
 
+def rotated_momentum(eps: int, u0: float, v0: float, w0: float, t: float) -> tuple[float, float]:
+    """The horizontal momentum (u, v)(t): (u0, v0) turned by the angle eps w0 t."""
+    c, s = math.cos(w0 * t), math.sin(w0 * t)
+    return u0 * c - eps * v0 * s, v0 * c + eps * u0 * s
+
+
 def _trig_fields(r, sqrt, cos, sin):
     """(root, cos(root/2), sin(root/2), root cos(root/2), f0) at r > 0, root = sqrt(r).
 

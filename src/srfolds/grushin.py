@@ -283,6 +283,8 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
     """
     u0, v0 = _cov_pair(cov)
     t = finite_time(t)
+    if len(init.p) != 2:
+        raise InvalidInput("Grushin Jacobi data has two momentum components")
     pa0, pb0 = init.p
     xa0, xb0 = init.x
     h2 = _energy(base.x0, base.alpha, u0, v0)

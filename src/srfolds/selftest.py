@@ -48,6 +48,12 @@ def _odd_power(x: float, alpha: float) -> float:
     return abs(x) ** (2.0 * (alpha - 1.0)) * x
 
 
+def _ode(field, y0, t_end: float = 1.0):
+    """Trajectory of y' = field(t, y) from y(0) = y0 over [0, t_end]."""
+    return integrate(OdeProblem(dimension=len(y0), vector_field=field,
+                                initial_state=np.array(y0, dtype=float), t_span=(0.0, t_end)))
+
+
 def _check_alpha_trig_identity() -> float:
     worst = 0.0
     for alpha in (1.0, 1.5, 2.0, 3.0):
@@ -78,10 +84,7 @@ def _check_alpha_period_ode() -> float:
         def field(t: float, y: np.ndarray) -> np.ndarray:
             return np.array([y[1], -alpha * _odd_power(y[0], alpha)])
 
-        problem = OdeProblem(dimension=2, vector_field=field,
-                             initial_state=np.array([0.0, 1.0]),
-                             t_span=(0.0, 0.8 * pi_a))
-        traj = integrate(problem)
+        traj = _ode(field, [0.0, 1.0], 0.8 * pi_a)
         hits = find_roots(lambda t: float(traj(t)[1]), 0.3 * pi_a, 0.7 * pi_a,
                           scan_points=100)
         if len(hits) != 1:
@@ -103,10 +106,7 @@ def _check_grushin_exp_ode(rng: np.random.Generator) -> float:
         for _ in range(8):
             u0, v0 = rng.uniform(-2.0, 2.0, size=2)
             v0 += math.copysign(0.3, v0)
-            problem = OdeProblem(dimension=4, vector_field=field,
-                                 initial_state=np.array([base.x0, base.y0, u0, v0]),
-                                 t_span=(0.0, 1.0))
-            traj = integrate(problem)
+            traj = _ode(field, [base.x0, base.y0, u0, v0])
             for t in (0.25, 0.5, 0.75, 1.0):
                 state = grushin_exp(base, (u0, v0), t)
                 ref = traj(t)
@@ -117,56 +117,43 @@ def _check_grushin_exp_ode(rng: np.random.Generator) -> float:
     return worst
 
 
-def _check_su2_exp_ode(rng: np.random.Generator) -> float:
+def _su2_exp_field(w0: float):
+    """g' = g (u X1 + v X2) on SU(2) as (alpha, beta), with (u, v) rotating with w0."""
+
+    def field(t: float, y: np.ndarray) -> np.ndarray:
+        a = complex(y[0], y[1])
+        b = complex(y[2], y[3])
+        u, v = y[4], y[5]
+        da = 0.5 * b * complex(-u, v)
+        db = 0.5 * a * complex(u, v)
+        return np.array([da.real, da.imag, db.real, db.imag,
+                         -w0 * v, w0 * u])
+
+    return field
+
+
+def _sl2_exp_field(w0: float):
+    """g' = g (u X1 + v X2) on SL(2) as (m11, m12, m21, m22), with (u, v) rotating against w0."""
+
+    def field(t: float, y: np.ndarray) -> np.ndarray:
+        m11, m12, m21, m22, u, v = y
+        return np.array([0.5 * (m11 * u + m12 * v), 0.5 * (m11 * v - m12 * u),
+                         0.5 * (m21 * u + m22 * v), 0.5 * (m21 * v - m22 * u),
+                         w0 * v, -w0 * u])
+
+    return field
+
+
+def _check_group_exp_ode(rng: np.random.Generator, exp, exp_field, identity) -> float:
+    """exp's endpoint entries and momentum vs the matrix ODE exp_field(w0) from identity."""
     worst = 0.0
     for _ in range(8):
         u0, v0, w0 = rng.uniform(-3.0, 3.0, size=3)
-
-        def field(t: float, y: np.ndarray) -> np.ndarray:
-            a = complex(y[0], y[1])
-            b = complex(y[2], y[3])
-            u, v = y[4], y[5]
-            da = 0.5 * b * complex(-u, v)
-            db = 0.5 * a * complex(u, v)
-            return np.array([da.real, da.imag, db.real, db.imag,
-                             -w0 * v, w0 * u])
-
-        problem = OdeProblem(dimension=6, vector_field=field,
-                             initial_state=np.array([1.0, 0.0, 0.0, 0.0, u0, v0]),
-                             t_span=(0.0, 1.0))
-        traj = integrate(problem)
+        traj = _ode(exp_field(w0), [*identity, u0, v0])
         for t in (0.5, 1.0):
-            point, momentum = su2_exp((u0, v0, w0), t)
-            ref = traj(t)
-            worst = max(worst,
-                        abs(point.alpha_re - ref[0]), abs(point.alpha_im - ref[1]),
-                        abs(point.beta_re - ref[2]), abs(point.beta_im - ref[3]),
-                        abs(momentum[0] - ref[4]), abs(momentum[1] - ref[5]))
-    return worst
-
-
-def _check_sl2_exp_ode(rng: np.random.Generator) -> float:
-    worst = 0.0
-    for _ in range(8):
-        u0, v0, w0 = rng.uniform(-3.0, 3.0, size=3)
-
-        def field(t: float, y: np.ndarray) -> np.ndarray:
-            m11, m12, m21, m22, u, v = y
-            return np.array([0.5 * (m11 * u + m12 * v), 0.5 * (m11 * v - m12 * u),
-                             0.5 * (m21 * u + m22 * v), 0.5 * (m21 * v - m22 * u),
-                             w0 * v, -w0 * u])
-
-        problem = OdeProblem(dimension=6, vector_field=field,
-                             initial_state=np.array([1.0, 0.0, 0.0, 1.0, u0, v0]),
-                             t_span=(0.0, 1.0))
-        traj = integrate(problem)
-        for t in (0.5, 1.0):
-            point, momentum = sl2_exp((u0, v0, w0), t)
-            ref = traj(t)
-            worst = max(worst,
-                        abs(point.m11 - ref[0]), abs(point.m12 - ref[1]),
-                        abs(point.m21 - ref[2]), abs(point.m22 - ref[3]),
-                        abs(momentum[0] - ref[4]), abs(momentum[1] - ref[5]))
+            point, momentum = exp((u0, v0, w0), t)
+            got = (*point.entries(), momentum[0], momentum[1])
+            worst = max(worst, *(abs(g - ref) for g, ref in zip(got, traj(t))))
     return worst
 
 
@@ -215,10 +202,7 @@ def _check_grushin_jacobi_closed(rng: np.random.Generator) -> float:
             xb_dot = abs(x) ** (2.0 * alpha) * pb + 2.0 * alpha * v0 * odd * xa
             return np.array([pa_dot, 0.0, pa, xb_dot])
 
-        problem = OdeProblem(dimension=4, vector_field=field,
-                             initial_state=np.array([*init.p, *init.x]),
-                             t_span=(0.0, 1.0))
-        ref = integrate(problem).end
+        ref = _ode(field, [*init.p, *init.x]).end
         closed = grushin_jacobi(base, (u0, v0), init, 1.0)
         got = np.array([*closed.p, *closed.x])
         worst = max(worst, float(np.max(np.abs(got - ref))))
@@ -236,40 +220,28 @@ def _check_group_jacobi_linear_ode(rng: np.random.Generator) -> float:
 
         for _ in range(5):
             y0 = rng.uniform(-1.0, 1.0, size=6)
-            problem = OdeProblem(dimension=6, vector_field=field,
-                                 initial_state=y0, t_span=(0.0, 1.0))
-            ref = integrate(problem).end
+            ref = _ode(field, y0).end
             p, x = propagate_linear_jacobi(r, y0[:3], y0[3:], 1.0)
             worst = max(worst, float(np.max(np.abs(np.concatenate([p, x]) - ref))))
     return worst
 
 
-def _frame_identity_residual(structure: str, cov: tuple[float, float, float]) -> float:
-    """Residual of chart-Jacobian * vertical frame = frame images * propagator."""
-    u0, v0, w0 = cov
-    h2 = u0 * u0 + v0 * v0
-    if structure == "su2":
-        adapter, images = su2_adapter(), su2_frame_images(cov)
-        r, ec_sign = u0 * u0 + v0 * v0 + w0 * w0, -1.0
-    else:
-        adapter, images = sl2_adapter(), sl2_frame_images(cov)
-        r, ec_sign = w0 * w0 - h2, 1.0
-    frame = np.column_stack([(-v0, u0, 0.0), (u0, v0, w0),
-                             (0.0, 0.0, ec_sign)]) / math.sqrt(h2)
-    jac = fd_jacobian(adapter.chart, np.array(cov))
-    lhs = jac @ frame
-    rhs = images @ vertical_to_endpoint_matrix(r)
-    return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs))))
+def _check_frame_identity(adapter, frame_images, eps: int, covs) -> float:
+    """Residual of chart-Jacobian * vertical frame = frame images * propagator.
 
-
-def _check_su2_frame_identity() -> float:
-    return max(_frame_identity_residual("su2", cov)
-               for cov in ((1.2, 0.7, 0.9), (0.4, -1.1, 2.2), (2.0, 0.3, -1.5)))
-
-
-def _check_sl2_frame_identity() -> float:
-    return max(_frame_identity_residual("sl2", cov)
-               for cov in ((0.3, 0.2, 1.4), (1.0, 0.5, 0.6), (0.2, -0.4, 2.5)))
+    The group enters through eps, the sign of h2 in r = w0^2 + eps h2, and
+    the frame's vertical column (0, 0, -eps).
+    """
+    residuals = []
+    for cov in covs:
+        u0, v0, w0 = cov
+        h2 = u0 * u0 + v0 * v0
+        frame = np.column_stack([(-v0, u0, 0.0), (u0, v0, w0),
+                                 (0.0, 0.0, -eps)]) / math.sqrt(h2)
+        lhs = fd_jacobian(adapter.chart, np.array(cov)) @ frame
+        rhs = frame_images(cov) @ vertical_to_endpoint_matrix(w0 * w0 + eps * h2)
+        residuals.append(float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
+    return max(residuals)
 
 
 def _check_root_scan_pole_rejection() -> float:
@@ -280,14 +252,6 @@ def _check_root_scan_pole_rejection() -> float:
         return float("inf")
     return max(max(abs(h.value - e) for h, e in zip(hits, expected)),
                max(abs(math.tan(h.value)) for h in hits))
-
-
-def _su2_scan_records() -> list:
-    return scan_ray(su2_adapter(), (1.0, 0.0, 0.5), 20.0)
-
-
-def _sl2_scan_records() -> list:
-    return scan_ray(sl2_adapter(), (0.3, 0.0, 1.0), 10.0)
 
 
 def _check_su2_scan_radii(records: list) -> float:
@@ -345,20 +309,27 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInput(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    su2_records, sl2_records = _su2_scan_records(), _sl2_scan_records()
+    su2_records = scan_ray(su2_adapter(), (1.0, 0.0, 0.5), 20.0)
+    sl2_records = scan_ray(sl2_adapter(), (0.3, 0.0, 1.0), 10.0)
     battery = [
         ("alpha-trig-identity", 1e-10, _check_alpha_trig_identity),
         ("alpha-arc-roundtrip", 1e-9, _check_alpha_arc_roundtrip),
         ("alpha-period-ode", 1e-7, _check_alpha_period_ode),
         ("grushin-exp-ode", 1e-8, lambda: _check_grushin_exp_ode(rng)),
-        ("su2-exp-ode", 1e-8, lambda: _check_su2_exp_ode(rng)),
-        ("sl2-exp-ode", 1e-8, lambda: _check_sl2_exp_ode(rng)),
+        ("su2-exp-ode", 1e-8,
+         lambda: _check_group_exp_ode(rng, su2_exp, _su2_exp_field, (1.0, 0.0, 0.0, 0.0))),
+        ("sl2-exp-ode", 1e-8,
+         lambda: _check_group_exp_ode(rng, sl2_exp, _sl2_exp_field, (1.0, 0.0, 0.0, 1.0))),
         ("grushin-dexp-fd", 1e-5, lambda: _check_grushin_dexp_fd(rng)),
         ("grushin-jacobi-closed", 1e-8, lambda: _check_grushin_jacobi_closed(rng)),
         ("group-jacobi-linear-ode", 1e-8,
          lambda: _check_group_jacobi_linear_ode(rng)),
-        ("su2-frame-identity", 1e-8, _check_su2_frame_identity),
-        ("sl2-frame-identity", 1e-8, _check_sl2_frame_identity),
+        ("su2-frame-identity", 1e-8,
+         lambda: _check_frame_identity(su2_adapter(), su2_frame_images, 1, (
+             (1.2, 0.7, 0.9), (0.4, -1.1, 2.2), (2.0, 0.3, -1.5)))),
+        ("sl2-frame-identity", 1e-8,
+         lambda: _check_frame_identity(sl2_adapter(), sl2_frame_images, -1, (
+             (0.3, 0.2, 1.4), (1.0, 0.5, 0.6), (0.2, -0.4, 2.5)))),
         ("root-scan-pole-rejection", 1e-8, _check_root_scan_pole_rejection),
         ("su2-scan-radii", 1e-6, lambda: _check_su2_scan_radii(su2_records)),
         ("classification-sample", 0.0,

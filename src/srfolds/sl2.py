@@ -10,9 +10,9 @@ r < 0, polynomial at r = 0). For r < 0 the diagonal entry of the first
 factor that u0 shrinks, c - s u0 or c + s u0, cancels; it comes from det = 1
 as (1 + a12 a21) / a_big instead, with a_big the diagonal entry that u0
 enlarges. The horizontal momentum rotates the opposite way from the SU(2)
-case: u(t) = u0 cos(w0 t) + v0 sin(w0 t), v(t) = v0 cos(w0 t) - u0 sin(w0 t);
-as there, the matrix-ODE oracle g' = g (u X1 + v X2) arbitrates the sign
-conventions.
+case: u(t) = u0 cos(w0 t) + v0 sin(w0 t), v(t) = v0 cos(w0 t) - u0 sin(w0 t)
+(contact.rotated_momentum at eps = -1); as there, the matrix-ODE oracle
+g' = g (u X1 + v X2) arbitrates the sign conventions.
 
 This is the eps = -1 case of contact.py: covectors with r <= 0 are never
 conjugate, and for r > 0 the strata are those of the compact case with sqrt(r)
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactGroup, cov_triple, curvature, finite_curvature
+from .contact import ContactGroup, cov_triple, curvature, finite_curvature, rotated_momentum
 from .errors import InvalidInput
 from .numeric import finite_time, libm_cos, libm_sin
 from .scfun import SERIES_THRESHOLD, sc_pair, trig_sc_pair
@@ -69,6 +69,8 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     u0, v0, w0 = cov_triple(cov)
     t = finite_time(t)
     r = finite_curvature(_EPS, u0, v0, w0)
+    if not math.isfinite(w0 * t):
+        raise InvalidInput(f"phase w0 t overflows at w0 = {w0!r}, t = {t!r}")
     s, c = sc_pair(r, t / 2.0)
     a11, a12, a21, a22 = _first_factor(s, c, u0, v0, w0)
     if r < 0.0:
@@ -78,9 +80,7 @@ def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
         else:
             a11 = (1.0 + a12 * a21) / a22
     point = Sl2Matrix(*_rotated(a11, a12, a21, a22, w0, t, math.cos, math.sin))
-    u1 = u0 * math.cos(w0 * t) + v0 * math.sin(w0 * t)
-    v1 = v0 * math.cos(w0 * t) - u0 * math.sin(w0 * t)
-    return point, np.array([u1, v1, w0])
+    return point, np.array([*rotated_momentum(_EPS, u0, v0, w0, t), w0])
 
 
 def _unimodular(m11, m12, m21, m22, isfinite, maximum):

@@ -10,7 +10,8 @@ transverse X0, and normal geodesics from the identity with covector
     beta(t)  = ((u0 + i v0)/rho) sin(rho t/2) (cos(w0 t/2) + i sin(w0 t/2))
 
 with rho = |(u0, v0, w0)|. The horizontal momentum rotates at rate w0:
-u(t) = u0 cos(w0 t) - v0 sin(w0 t), v(t) = v0 cos(w0 t) + u0 sin(w0 t). (Some
+u(t) = u0 cos(w0 t) - v0 sin(w0 t), v(t) = v0 cos(w0 t) + u0 sin(w0 t)
+(contact.rotated_momentum at eps = +1). (Some
 references print an extra w0 factor on those sine terms; the matrix-ODE oracle
 g' = g (u X1 + v X2) rules it out, and that reconciliation is what ships here.)
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactGroup, cov_triple, curvature
+from .contact import ContactGroup, cov_triple, curvature, rotated_momentum
 from .errors import DegenerateCovector, InvalidInput
 from .numeric import finite_time, libm_cos, libm_sin
 from .state import JacobiCoords
@@ -84,12 +85,13 @@ def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
     rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
     if rho == 0.0:
         return Su2Point(1.0, 0.0, 0.0, 0.0), np.zeros(3)
-    if not math.isfinite(rho):
-        raise InvalidInput(f"covector ({u0!r}, {v0!r}, {w0!r}) too large: its norm overflows")
+    # an overflowing norm makes rho t inf or nan, and |w0 t| <= rho |t|: one
+    # check keeps every phase below finite
+    if not math.isfinite(rho * t):
+        raise InvalidInput(f"covector ({u0!r}, {v0!r}, {w0!r}) too large at t = {t!r}: "
+                           "its norm rho or the phase rho t overflows")
     point = Su2Point(*_endpoint_entries(u0, v0, w0, rho, t, math.cos, math.sin))
-    u1 = u0 * math.cos(w0 * t) - v0 * math.sin(w0 * t)
-    v1 = v0 * math.cos(w0 * t) + u0 * math.sin(w0 * t)
-    return point, np.array([u1, v1, w0])
+    return point, np.array([*rotated_momentum(_EPS, u0, v0, w0, t), w0])
 
 
 def su2_jacobi(cov, init: JacobiCoords, t: float) -> JacobiCoords:

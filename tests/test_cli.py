@@ -427,3 +427,26 @@ class TestSelftest:
         identity = [line for line in lines if line.startswith("alpha-trig-identity")]
         assert identity and identity[0].endswith("FAIL")
         assert lines[-1] != "16/16 checks passed"
+
+    @pytest.mark.parametrize("route,check", [
+        ("su2_exp", "su2-exp-ode"), ("sl2_exp", "sl2-exp-ode"),
+        ("su2_frame_images", "su2-frame-identity"), ("sl2_frame_images", "sl2-frame-identity"),
+    ])
+    def test_planted_wrong_group_route_fails_only_its_check(self, monkeypatch, capsys,
+                                                             route, check):
+        # the exp-ODE and frame-identity checks are written once for both
+        # groups: a route of one group planted wrong fails that group's check
+        # and no other, so no check compares the other group's route
+        true_route = getattr(srfolds.selftest, route)
+
+        def planted(*args):
+            if route.endswith("_exp"):
+                point, momentum = true_route(*args)
+                return point, momentum + 1e-6
+            return true_route(*args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(srfolds.selftest, route, planted)
+        assert main(["selftest", "--seed", "42"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:-1] if line.endswith("FAIL")] == [check]
+        assert lines[-1] == "15/16 checks passed"

@@ -64,6 +64,12 @@ class TestJacobiCoords:
                 f"p and x must have equal length, got {len(p)} and {len(x)}")):
             JacobiCoords(p=p, x=x)
 
+    @pytest.mark.parametrize("jacobi", [su2_jacobi, sl2_jacobi], ids=["su2", "sl2"])
+    def test_group_data_that_is_not_three_component_rejected(self, jacobi):
+        for n in (2, 4):
+            with pytest.raises(InvalidInput, match="group Jacobi data has three momentum components"):
+                jacobi((1.0, 0.5, 2.0), JacobiCoords(p=(1.0,) * n, x=(0.0,) * n), 1.0)
+
 
 class TestOverflowingCurvature:
     @pytest.mark.parametrize("cov", [(1e200, 0.0, 1e200), (0.0, 1e200, 1.0), (1.0, 0.0, 1e300)],
@@ -89,6 +95,28 @@ class TestOverflowingCurvature:
                      sl2_frame_images, sl2_adapter().chart_jacobian, sl2_conj_f, sl2_kernel):
             with pytest.raises(InvalidInput, match="overflows"):
                 call(cov)
+
+    @pytest.mark.parametrize("name,cov,t,finite_t", [
+        ("su2_exp", (0.0, 0.0, 2.0), 1e308, 1e307),
+        ("sl2_exp", (0.0, 0.0, 2.0), 1e308, 1e307),
+        ("sl2_exp", (1e150, 0.0, 0.0), 1e300, 1e-151),
+        ("su2_jacobi", (2.0, 0.0, 0.0), 1e308, 1e307),
+        ("sl2_jacobi", (2.0, 0.0, 0.0), 1e308, 100.0),
+        ("sl2_jacobi", (1e150, 0.0, 0.0), 1e300, 1e-151),
+    ], ids=str)
+    def test_finite_time_whose_phase_overflows_raises_invalid_input(self, name, cov, t, finite_t):
+        # finite covector and t, but a phase (rho t, w0 t or sqrt(|r|) t)
+        # that overflows: no bare math error, NaN Jacobi field or NaN
+        # determinant; the same covector at a finite phase still evaluates
+        start = JacobiCoords(p=(1.0, 0.0, 0.0), x=(0.0, 0.0, 0.0))
+        function = {"su2_exp": su2_exp, "sl2_exp": sl2_exp,
+                    "su2_jacobi": lambda c, t: su2_jacobi(c, start, t),
+                    "sl2_jacobi": lambda c, t: sl2_jacobi(c, start, t)}[name]
+        with pytest.raises(InvalidInput, match="overflows|must be finite"):
+            function(cov, t)
+        out = function(cov, finite_t)
+        values = [*out[0].entries(), *out[1]] if name.endswith("_exp") else [*out.p, *out.x]
+        assert np.isfinite(values).all()
 
     def test_sl2_f0_that_overflows_is_no_nan(self):
         # sqrt(-r)/2 just under 710: cosh and sinh are finite, but

@@ -252,6 +252,12 @@ class TestDexp:
 
 
 class TestJacobi:
+    def test_data_that_is_not_two_component_rejected(self):
+        base = GrushinBase(alpha=2.0, x0=0.5, y0=0.0)
+        for n in (1, 3):
+            with pytest.raises(InvalidInput, match="Grushin Jacobi data has two momentum components"):
+                grushin_jacobi(base, (0.4, 1.0), JacobiCoords(p=(1.0,) * n, x=(0.0,) * n), 1.0)
+
     def test_zero_initial_data(self):
         base = GrushinBase(alpha=1.5, x0=0.4, y0=0.0)
         out = grushin_jacobi(base, (0.9, 1.2), JacobiCoords(p=(0, 0), x=(0, 0)), 1.0)

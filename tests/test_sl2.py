@@ -96,9 +96,12 @@ class TestScFunctions:
 
     def test_non_finite_input_raises_invalid_input(self):
         # inf or nan makes a t^2 inf or nan, which no branch may read: the
-        # trigonometric one raised a bare ValueError, and nan came back as nan
+        # trigonometric one raised a bare ValueError, and nan came back as nan;
+        # so did finite a and t whose phase sqrt(|a|) t overflows, and the
+        # hyperbolic branch returned (inf, inf) there
         for a, t in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
-                     (-math.inf, 0.5), (0.0, math.inf)):
+                     (-math.inf, 0.5), (0.0, math.inf),
+                     (4.0, 1e308), (-4.0, 1e308), (-1e300, 1e300)):
             with pytest.raises(InvalidInput, match="must be finite"):
                 sc_pair(a, t)
         for r in (math.inf, -math.inf, math.nan):
