@@ -55,10 +55,10 @@ and table_arc evaluate from it without the argument checks of sin_cos_alpha
 and arc_alpha, which call them, bit for bit, and table_arc_cos inverts
 cos_alpha from it.
 
-sin_cos_alpha_array selects the branches over a 1-d array on masks and runs
-the same formula bodies as sin_cos_alpha, _low_quarter and _high_quarter,
+table_sin_cos_array selects the branches over a 1-d array on masks and runs
+the same formula bodies as table_sin_cos, _low_quarter and _high_quarter,
 which take their pow and sqrt as arguments, so it returns bit for bit what
-sin_cos_alpha returns at each element: the polynomials run the same Horner
+table_sin_cos returns at each element: the polynomials run the same Horner
 recurrence on floats and on arrays, and arithmetic and sqrt are correctly
 rounded in numpy as in Python. numpy's own power, sin and cos can differ
 from the C library by an ulp, so those go through the scalar libm element by
@@ -409,12 +409,10 @@ def table_arc_cos(table: _AlphaConstants, c: float) -> float:
     return _arc_cos_quarter(table, c)
 
 
-def sin_cos_alpha_array(alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin_cos_alpha at each element of a 1-d array of finite t."""
-    alpha = _validate_alpha(alpha)
-    if alpha == 1.0:
+def table_sin_cos_array(table: _AlphaConstants, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """table_sin_cos at each element of a 1-d array of finite t, bit for bit."""
+    if table.alpha == 1.0:
         return libm_sin(t), libm_cos(t)
-    table = _table_cached(alpha)
     period = 2.0 * table.pi_alpha
     half = table.pi_alpha
     odd_sign = np.where(t < 0.0, -1.0, 1.0)

@@ -85,6 +85,18 @@ def _emit(text: str, out_path: str | None) -> None:
         raise _UsageError(f"cannot write --out {out_path!r}: {exc.strerror}")
 
 
+def _render(args, config: dict, results, tolerances: dict, csv_lines: list[str],
+            text_lines: list[str]) -> None:
+    """Emit the JSON payload, the CSV lines or the text lines, as --format asks."""
+    if args.format == "json":
+        payload = {"config": config, "results": results,
+                   "versions": _versions(), "tolerances": tolerances}
+        text = json.dumps(payload, indent=2)
+    else:
+        text = "\n".join(csv_lines if args.format == "csv" else text_lines)
+    _emit(text, args.out)
+
+
 def _grushin_base(args) -> GrushinBase:
     x0, y0 = _parse_floats(args.base, "base", 2)
     return GrushinBase(alpha=args.alpha, x0=x0, y0=y0)
@@ -131,20 +143,10 @@ def cmd_expmap(args) -> int:
         momentum = dict(zip(("u", "v", "w"), mom))
     position = {k: round12(v) for k, v in position.items()}
     momentum = {k: round12(v) for k, v in momentum.items()}
-    if args.format == "json":
-        payload = {"config": config,
-                   "results": {"position": position, "momentum": momentum},
-                   "versions": _versions(), "tolerances": {}}
-        text = json.dumps(payload, indent=2)
-    elif args.format == "csv":
-        lines = ["name,value"]
-        lines += [f"{k},{_fmt(v)}" for k, v in (*position.items(), *momentum.items())]
-        text = "\n".join(lines)
-    else:
-        lines = [f"{k} = {_fmt(v)}" for k, v in position.items()]
-        lines += [f"{k} = {_fmt(v)}" for k, v in momentum.items()]
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    values = (*position.items(), *momentum.items())
+    _render(args, config, {"position": position, "momentum": momentum}, {},
+            ["name,value", *(f"{k},{_fmt(v)}" for k, v in values)],
+            [f"{k} = {_fmt(v)}" for k, v in values])
     return 0
 
 
@@ -190,35 +192,25 @@ def cmd_conj_scan(args) -> int:
 
     rows = [[_record_row(rec) for rec in records]
             for records in all_records]
-    if args.format == "json":
-        results = [{"direction": d, "records": recs}
-                   for d, recs in zip(directions, rows)]
-        payload = {"config": config, "results": results,
-                   "versions": _versions(), "tolerances": tolerances}
-        text = json.dumps(payload, indent=2)
-    elif args.format == "csv":
-        lines = [CSV_HEADER]
-        for recs in rows:
-            for row in recs:
-                lines.append(",".join(_csv_cell(row[key]) for key in
-                                      ("s", "stratum", "order", "class",
-                                       "k1", "k2", "k3", "f0", "f1")))
-        text = "\n".join(lines)
-    else:
-        lines = []
-        for direction, recs in zip(directions, rows):
-            head = ",".join(_fmt(c) for c in direction)
-            lines.append(f"direction {head}: {len(recs)} conjugate covector(s)")
-            for row in recs:
-                kern = ",".join(_fmt(row[k]) for k in ("k1", "k2", "k3")
-                                if row[k] is not None)
-                fvals = ",".join(_fmt(row[k]) for k in ("f0", "f1")
-                                 if row[k] is not None)
-                lines.append(f"  s={_fmt(row['s'])}  stratum={row['stratum']}  "
-                             f"order={row['order']}  class={row['class']}  "
-                             f"kernel=({kern})  f=({fvals})")
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    # the CSV columns are the row keys the header names, in its order
+    csv_lines = [CSV_HEADER]
+    csv_lines += [",".join(_csv_cell(row[key]) for key in CSV_HEADER.split(","))
+                  for recs in rows for row in recs]
+    text_lines = []
+    for direction, recs in zip(directions, rows):
+        head = ",".join(_fmt(c) for c in direction)
+        text_lines.append(f"direction {head}: {len(recs)} conjugate covector(s)")
+        for row in recs:
+            kern = ",".join(_fmt(row[k]) for k in ("k1", "k2", "k3")
+                            if row[k] is not None)
+            fvals = ",".join(_fmt(row[k]) for k in ("f0", "f1")
+                             if row[k] is not None)
+            text_lines.append(f"  s={_fmt(row['s'])}  stratum={row['stratum']}  "
+                              f"order={row['order']}  class={row['class']}  "
+                              f"kernel=({kern})  f=({fvals})")
+    results = [{"direction": d, "records": recs}
+               for d, recs in zip(directions, rows)]
+    _render(args, config, results, tolerances, csv_lines, text_lines)
     return 0
 
 

@@ -39,24 +39,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import libm_cos, libm_sin, row_dots
+from .numeric import finite_covector, libm_cos, libm_sin, row_dots
 from .scfun import propagate_linear_jacobi, vertical_to_endpoint_matrix
 from .singularity import KERNEL_RESIDUAL_TOL, RayStrata, StructureAdapter
 from .state import JacobiCoords
 
 # C0 covectors with w0 = 0 fall outside the proven dense subset; excluded
 _VERTICAL_EXCLUSION_TOL = 1e-12
-
-
-def cov_triple(cov) -> tuple[float, float, float]:
-    """(u0, v0, w0) of any finite 3-sequence, as Python floats."""
-    # tolist() hands over Python floats, far cheaper to convert
-    # than the numpy scalars its iteration yields
-    values = cov.tolist() if isinstance(cov, np.ndarray) else cov
-    u0, v0, w0 = map(float, values)
-    if not (math.isfinite(u0) and math.isfinite(v0) and math.isfinite(w0)):
-        raise InvalidInput(f"covector components must be finite, got {cov!r}")
-    return u0, v0, w0
 
 
 def curvature(eps: int, u0: float, v0: float, w0: float) -> float:
@@ -152,7 +141,7 @@ class ContactGroup:
         For r <= 0 the f-values are the strictly positive hyperbolic continuations
         (diagnostics only; never conjugate), and InvalidInput where they overflow.
         """
-        u0, v0, w0 = cov_triple(cov)
+        u0, v0, w0 = finite_covector(cov, 3)
         if u0 * u0 + v0 * v0 == 0.0:
             raise DegenerateCovector("conjugacy functions undefined at H = 0")
         r = finite_curvature(self.eps, u0, v0, w0)
@@ -228,13 +217,13 @@ class ContactGroup:
 
         record_fields on the one row cov, raising what it raises there.
         """
-        _, kernels, _ = self.record_fields(np.array([cov_triple(cov)]), np.zeros(1, dtype=int),
-                                           np.ones(1, dtype=bool))
+        _, kernels, _ = self.record_fields(np.array([finite_covector(cov, 3)]),
+                                           np.zeros(1, dtype=int), np.ones(1, dtype=bool))
         return kernels[0]
 
     def conj_grad(self, cov) -> tuple[np.ndarray, np.ndarray]:
         """Analytic gradients (df0, df1) of the stratum functions (needs r > 0)."""
-        u0, v0, w0 = cov_triple(cov)
+        u0, v0, w0 = finite_covector(cov, 3)
         if u0 * u0 + v0 * v0 == 0.0:
             raise DegenerateCovector("conjugacy gradients undefined at H = 0")
         r = finite_curvature(self.eps, u0, v0, w0)
@@ -252,7 +241,7 @@ class ContactGroup:
 
         Valid for every sign of r; the r -> 0 limits are series-stabilized.
         """
-        r = finite_curvature(self.eps, *cov_triple(cov))
+        r = finite_curvature(self.eps, *finite_covector(cov, 3))
         if len(init.p) != 3:
             raise InvalidInput("group Jacobi data has three momentum components")
         p, x = propagate_linear_jacobi(r, init.p, init.x, t)
@@ -260,7 +249,7 @@ class ContactGroup:
 
     def frame_images(self, cov) -> np.ndarray:
         """Chart images, four entries each, of the canonical frame directions at the endpoint."""
-        u0, v0, w0 = cov_triple(cov)
+        u0, v0, w0 = finite_covector(cov, 3)
         h2 = u0 * u0 + v0 * v0
         if h2 == 0.0:
             raise DegenerateCovector("canonical frame undefined at H = 0")
@@ -284,7 +273,7 @@ class ContactGroup:
         F^-1, written out here. Raises DegenerateCovector at H = 0 and
         InvalidInput where r overflows.
         """
-        u0, v0, w0 = cov_triple(cov)
+        u0, v0, w0 = finite_covector(cov, 3)
         images = self.frame_images((u0, v0, w0))
         r = finite_curvature(self.eps, u0, v0, w0)
         h2 = u0 * u0 + v0 * v0
@@ -307,7 +296,7 @@ class ContactGroup:
             # r > 0 keeps |w0| > 0 on SL(2), so this only ever fires on SU(2)
             if stratum != "C0":
                 return False
-            u0, v0, w0 = cov_triple(cov)
+            u0, v0, w0 = finite_covector(cov, 3)
             return abs(w0) <= _VERTICAL_EXCLUSION_TOL * math.sqrt(
                 u0 * u0 + v0 * v0 + w0 * w0)
 

@@ -42,6 +42,7 @@ scalar functions share.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,10 +50,10 @@ import numpy as np
 
 # sin_cos_alpha and arc_alpha, the checked scalar forms, are not called here;
 # perfbench/tracer.py wraps these names as the alpha-trig boundary
-from .alphatrig import (alpha_table, arc_alpha, sin_cos_alpha, sin_cos_alpha_array, table_arc,
-                        table_arc_cos, table_sin_cos)
+from .alphatrig import (alpha_table, arc_alpha, sin_cos_alpha, table_arc, table_arc_cos,
+                        table_sin_cos, table_sin_cos_array)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import finite_time, vector_norm
+from .numeric import finite_covector, finite_time, vector_norm
 from .scfun import sc_pair
 from .singularity import KERNEL_RESIDUAL_TOL, RayStrata, StructureAdapter
 from .state import GeodesicState, JacobiCoords
@@ -62,8 +63,6 @@ _BRANCH_TOL = 1e-12
 # the Jacobi data x = 0, p = e_j whose endpoints are grushin_dexp's columns
 _UNIT_MOMENTA = (JacobiCoords(p=(1.0, 0.0), x=(0.0, 0.0)),
                  JacobiCoords(p=(0.0, 1.0), x=(0.0, 0.0)))
-# grushin_kernel's error on the v0 = 0 branch, where f vanishes identically
-_NO_KERNEL_ON_V0_ZERO = "no conjugate covectors along v0 = 0 rays"
 # relative margin under a ray's crossing radius within which roots are kept;
 # the radius and a polished root are both good to far better than this
 _CROSSING_MARGIN = 1e-9
@@ -94,16 +93,6 @@ class GrushinBase:
         except OverflowError:
             raise InvalidInput(f"x0 = {self.x0!r} too large: |x0|^(2 alpha) overflows "
                                f"at alpha = {self.alpha!r}") from None
-
-
-def _cov_pair(cov) -> tuple[float, float]:
-    # tolist() hands over Python floats, far cheaper to convert
-    # than the numpy scalars its iteration yields
-    values = cov.tolist() if isinstance(cov, np.ndarray) else cov
-    u0, v0 = map(float, values)
-    if not (math.isfinite(u0) and math.isfinite(v0)):
-        raise InvalidInput(f"covector components must be finite, got {cov!r}")
-    return u0, v0
 
 
 def _even_power(x: float, alpha: float) -> float:
@@ -238,7 +227,7 @@ def grushin_exp(base: GrushinBase, cov, t: float) -> GeodesicState:
 
     Raises InvalidInput where the energy u0^2 + v0^2 |x0|^(2 alpha) overflows.
     """
-    u0, v0 = _cov_pair(cov)
+    u0, v0 = finite_covector(cov, 2)
     t = finite_time(t)
     x, y, u = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, t)
     return GeodesicState(t, (x, y), (u, v0))
@@ -249,20 +238,9 @@ def grushin_dexp(base: GrushinBase, cov) -> np.ndarray:
 
     Column j is the endpoint (x_a, x_b) = (dx, dy) of the Jacobi field that
     starts at x = 0 with p = e_j: grushin_jacobi's, bit for bit, and raising
-    where it raises. Where the oscillator ansatz holds, both columns share one
-    endpoint evaluation.
+    where it raises. Both columns share one geodesic evaluation (_jacobi_fields).
     """
-    u0, v0 = _cov_pair(cov)
-    a = base.alpha
-    x0 = base.x0
-    h2 = _energy(x0, a, u0, v0)
-    if h2 == 0.0 or not _curvature_resolvable(h2, v0):
-        columns = [grushin_jacobi(base, cov, init, 1.0).x for init in _UNIT_MOMENTA]
-        return np.array(columns).T
-    x, _, u = _endpoint(alpha_table(a), x0, base.y0, u0, v0, 1.0)
-    columns = [_jacobi_endpoint(a, x0, u0, v0, h2, 1.0, x, u, init)[1:]
-               for init in _UNIT_MOMENTA]
-    return np.array(columns).T
+    return np.array([field[2:] for field in _jacobi_fields(base, cov, _UNIT_MOMENTA, 1.0)]).T
 
 
 def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
@@ -279,28 +257,48 @@ def grushin_jacobi(base: GrushinBase, cov, init: JacobiCoords,
     oscillator of sc_pair(k, t), with k = v0^2 at alpha = 1 and 0 otherwise,
     p_b is constant and x_b gains p_b times the integral of |x|^(2 alpha)
     along the line. Raises InvalidInput where the energy or a power in the
-    oscillator coefficients overflows.
+    oscillator coefficients overflows, or where a field outgrows the doubles.
     """
-    u0, v0 = _cov_pair(cov)
-    t = finite_time(t)
     if len(init.p) != 2:
         raise InvalidInput("Grushin Jacobi data has two momentum components")
-    pa0, pb0 = init.p
-    xa0, xb0 = init.x
-    h2 = _energy(base.x0, base.alpha, u0, v0)
+    pa, pb, xa, xb = _jacobi_fields(base, cov, (init,), t)[0]
+    return JacobiCoords(p=(pa, pb), x=(xa, xb))
+
+
+def _jacobi_fields(base: GrushinBase, cov, inits, t: float) -> list[tuple[float, ...]]:
+    """grushin_jacobi's (p_a, p_b, x_a, x_b) of each of inits, along one geodesic evaluation.
+
+    The two-component Jacobi data inits share the branch: the straight line
+    or the oscillator ansatz (_jacobi_endpoint). Raises InvalidInput where
+    the integral of |x|^(2 alpha) along the line overflows, and where a
+    component of a field is not finite.
+    """
+    u0, v0 = finite_covector(cov, 2)
+    t = finite_time(t)
+    a, x0 = base.alpha, base.x0
+    h2 = _energy(x0, a, u0, v0)
     if h2 == 0.0 or not _curvature_resolvable(h2, v0):
-        k = v0 * v0 if base.alpha == 1.0 else 0.0
+        k = v0 * v0 if a == 1.0 else 0.0
         s, c = sc_pair(k, t)
-        xb = xb0 + pb0 * _line_integral(base.x0, u0, t, base.alpha)
-        return JacobiCoords(p=(pa0 * c - k * xa0 * s, pb0), x=(xa0 * c + pa0 * s, xb))
-    x, _, u = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, t)
-    pa, xa, xb = _jacobi_endpoint(base.alpha, base.x0, u0, v0, h2, t, x, u, init)
-    return JacobiCoords(p=(pa, pb0), x=(xa, xb))
+        try:
+            line = _line_integral(x0, u0, t, a)
+        except OverflowError:
+            raise InvalidInput(f"covector ({u0!r}, {v0!r}) at t = {t!r}: the integral of "
+                               "|x|^(2 alpha) along its line overflows") from None
+        fields = [(pa0 * c - k * xa0 * s, pb0, xa0 * c + pa0 * s, xb0 + pb0 * line)
+                  for (pa0, pb0), (xa0, xb0) in ((init.p, init.x) for init in inits)]
+    else:
+        x, _, u = _endpoint(alpha_table(a), x0, base.y0, u0, v0, t)
+        fields = [_jacobi_endpoint(a, x0, u0, v0, h2, t, x, u, init) for init in inits]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(fields))):
+        raise InvalidInput(f"covector ({u0!r}, {v0!r}) at t = {t!r}: its Jacobi fields "
+                           "outgrow the doubles")
+    return fields
 
 
 def _jacobi_endpoint(a: float, x0: float, u0: float, v0: float, h2: float, t: float,
-                     x: float, u: float, init: JacobiCoords) -> tuple[float, float, float]:
-    """(p_a, x_a, x_b) at time t on grushin_jacobi's oscillator branch.
+                     x: float, u: float, init: JacobiCoords) -> tuple[float, ...]:
+    """(p_a, p_b, x_a, x_b) at time t on grushin_jacobi's oscillator branch.
 
     (x, u) is the geodesic's endpoint at t and h2 its energy, with h2 != 0
     and _curvature_resolvable; p_b stays init's. The x_a(0) term of k1, with
@@ -329,7 +327,7 @@ def _jacobi_endpoint(a: float, x0: float, u0: float, v0: float, h2: float, t: fl
     z_flux = (u0 * x0 - a * t * h2 + (a + 1.0) * t * u * u - u * x) / (v0 * (a + 1.0))
     xb = (xb0 + (pb0 / v0 + 2.0 * a * k1) * y_flux
           - (k2 / v0) * (u * u - u0 * u0) - k3 * z_flux)
-    return pa, xa, xb
+    return pa, pb0, xa, xb
 
 
 def grushin_conj_f(base: GrushinBase, cov) -> float:
@@ -339,11 +337,23 @@ def grushin_conj_f(base: GrushinBase, cov) -> float:
     rays f vanishes identically and carries no information, which is why ray
     scans gate those out.
     """
-    u0, v0 = _cov_pair(cov)
-    if _energy(base.x0, base.alpha, u0, v0) == 0.0:
-        raise DegenerateCovector("conjugacy function undefined at H = 0")
-    x1, _, u1 = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, 1.0)
+    u0, _, _, x1, u1 = _time_one(alpha_table(base.alpha), base, cov, "conjugacy function")
     return _conj_f(base.x0, u0, x1, u1)
+
+
+def _time_one(table, base: GrushinBase, cov, quantity: str) -> tuple[float, ...]:
+    """(u0, v0, h2, x1, u1): the covector, its energy and its time-one endpoint (x1, u1).
+
+    table is alpha's (alphatrig.alpha_table). Raises DegenerateCovector at
+    H = 0, where the quantity named is undefined, and InvalidInput where cov
+    is malformed or its energy overflows.
+    """
+    u0, v0 = finite_covector(cov, 2)
+    h2 = _energy(base.x0, base.alpha, u0, v0)
+    if h2 == 0.0:
+        raise DegenerateCovector(f"{quantity} undefined at H = 0")
+    x1, _, u1 = _endpoint(table, base.x0, base.y0, u0, v0, 1.0)
+    return u0, v0, h2, x1, u1
 
 
 def _conj_f(x0: float, u0: float, x1: float, u1: float) -> float:
@@ -358,14 +368,10 @@ def grushin_conj_grad(base: GrushinBase, cov) -> np.ndarray:
     branch where the denominator alpha v0 (u0 + x0) H underflows to 0 or
     overflows; InvalidInput where the energy or |x1|^(2(alpha-1)) overflows.
     """
-    u0, v0 = _cov_pair(cov)
-    h2 = _energy(base.x0, base.alpha, u0, v0)
-    if h2 == 0.0:
-        raise DegenerateCovector("conjugacy gradient undefined at H = 0")
+    u0, v0, h2, x1, u1 = _time_one(alpha_table(base.alpha), base, cov, "conjugacy gradient")
     if v0 == 0.0:
         raise DegenerateCovector(
             "conjugacy gradient undefined on the v0 = 0 branch (f vanishes identically)")
-    x1, _, u1 = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, 1.0)
     return _conj_grad(base.alpha, base.x0, u0, v0, h2, x1, u1)
 
 
@@ -410,20 +416,14 @@ def grushin_record_fields(base: GrushinBase, covs: np.ndarray,
     first, with its message (each row is the numpy row the scalar
     functions would be handed).
     """
-    alpha, x0, y0 = base.alpha, base.x0, base.y0
+    alpha, x0 = base.alpha, base.x0
     table = alpha_table(alpha)
     n = covs.shape[0]
     f, kernels, grads = np.empty((n, 1)), np.empty((n, 2)), np.empty((n, 2))
     for i, cov in enumerate(covs):
-        u0, v0 = _cov_pair(cov)
-        h2 = _energy(x0, alpha, u0, v0)
-        if h2 == 0.0:
-            raise DegenerateCovector("conjugacy function undefined at H = 0")
-        x1, _, u1 = _endpoint(table, x0, y0, u0, v0, 1.0)
+        u0, v0, h2, x1, u1 = _time_one(table, base, cov, "conjugacy function")
         f[i, 0] = _conj_f(x0, u0, x1, u1)
         if order_one[i]:
-            if v0 == 0.0:
-                raise DegenerateCovector(_NO_KERNEL_ON_V0_ZERO)
             kernels[i] = _unit_kernel(alpha, x0, u0, v0, x1, u1)
             grads[i] = _conj_grad(alpha, x0, u0, v0, h2, x1, u1)
     return f, kernels, grads
@@ -435,21 +435,19 @@ def grushin_kernel(base: GrushinBase, cov) -> list[np.ndarray]:
     The kernel is always one-dimensional here, spanned by
     (v0 |x0|^(2 alpha), -u0) in the (u, v) fiber coordinates.
     """
-    u0, v0 = _cov_pair(cov)
-    if _energy(base.x0, base.alpha, u0, v0) == 0.0:
-        raise DegenerateCovector("kernel undefined at H = 0")
-    if v0 == 0.0:
-        raise DegenerateCovector(_NO_KERNEL_ON_V0_ZERO)
-    x1, _, u1 = _endpoint(alpha_table(base.alpha), base.x0, base.y0, u0, v0, 1.0)
+    u0, v0, _, x1, u1 = _time_one(alpha_table(base.alpha), base, cov, "kernel")
     return [_unit_kernel(base.alpha, base.x0, u0, v0, x1, u1)]
 
 
 def _unit_kernel(a: float, x0: float, u0: float, v0: float,
                  x1: float, u1: float) -> np.ndarray:
-    """grushin_kernel's unit vector from the time-one endpoint (x1, u1), v0 != 0.
+    """grushin_kernel's unit vector from the time-one endpoint (x1, u1).
 
-    Raises NotConjugate where f exceeds its residual bound.
+    Raises DegenerateCovector at v0 = 0, where f vanishes identically, and
+    NotConjugate where f exceeds its residual bound.
     """
+    if v0 == 0.0:
+        raise DegenerateCovector("no conjugate covectors along v0 = 0 rays")
     f = _conj_f(x0, u0, x1, u1)
     scale = max(1.0, abs(u1) * (abs(u0) + abs(x0)) + abs(u0) * abs(x1))
     bound = KERNEL_RESIDUAL_TOL * scale
@@ -499,10 +497,10 @@ def _ray_strata(base: GrushinBase, table, d: np.ndarray) -> RayStrata:
     amp, omega, phase, flip = _oscillator(table, x0, du, dv, h2)
     rate, flip_amp = flip * omega, flip * amp
 
-    def restriction(s, u0, sin_cos, key):
-        # f(s) above, on a float s (table_sin_cos, table) or on an array of
-        # them (sin_cos_alpha_array, alpha)
-        sin_a, cos_a = sin_cos(key, phase + rate * s)
+    def restriction(s, u0, sin_cos):
+        # f(s) above, on a float s (table_sin_cos) or on an array of them
+        # (table_sin_cos_array)
+        sin_a, cos_a = sin_cos(table, phase + rate * s)
         return flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
 
     def g(idx: int, s: float) -> float:
@@ -510,7 +508,7 @@ def _ray_strata(base: GrushinBase, table, d: np.ndarray) -> RayStrata:
         h2 = u0 * u0 + v0 * v0 * x2a
         if h2 == 0.0 or not _curvature_resolvable(h2, v0):
             return grushin_conj_f(base, (u0, v0))
-        return restriction(s, u0, table_sin_cos, table)
+        return restriction(s, u0, table_sin_cos)
 
     def g_rows(s: np.ndarray) -> np.ndarray:
         u0, v0 = s * du, s * dv
@@ -520,7 +518,7 @@ def _ray_strata(base: GrushinBase, table, d: np.ndarray) -> RayStrata:
         f = np.empty((s.size, 1))
         if not osc.all():
             f[~osc] = covector_rows(s[~osc])
-        f[osc, 0] = restriction(s[osc], u0[osc], sin_cos_alpha_array, alpha)
+        f[osc, 0] = restriction(s[osc], u0[osc], table_sin_cos_array)
         return f
 
     free_below = 0.0
@@ -545,7 +543,7 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
     table = alpha_table(base.alpha)
 
     def position(cov) -> tuple[float, float]:
-        u0, v0 = _cov_pair(cov)
+        u0, v0 = finite_covector(cov, 2)
         x, y, _ = _endpoint(table, base.x0, base.y0, u0, v0, 1.0)
         return x, y
 

@@ -101,6 +101,24 @@ def finite_time(t) -> float:
     return t
 
 
+def finite_covector(cov, dim: int) -> tuple[float, ...]:
+    """The dim components of a covector as Python floats.
+
+    Raises InvalidInput unless cov holds dim real numbers, each finite.
+    """
+    # tolist() hands over Python floats, far cheaper to convert
+    # than the numpy scalars its iteration yields
+    values = cov.tolist() if isinstance(cov, np.ndarray) else cov
+    try:
+        values = tuple(map(float, values))
+    except (TypeError, ValueError):
+        # not a sequence, or a component float() cannot take
+        values = ()
+    if len(values) != dim or not all(map(math.isfinite, values)):
+        raise InvalidInput(f"covector must have {dim} finite real components, got {cov!r}")
+    return values
+
+
 def sign_brackets(gs: np.ndarray) -> tuple[np.ndarray, ...]:
     """np.nonzero of the brackets along the last axis of gs.
 

@@ -80,6 +80,7 @@ def propagate_linear_jacobi(r: float, p0, x0, t: float):
 
     The system is p_a' = -p_c - r x_a, x_a' = p_a, x_b' = p_b, x_c' = x_a with
     p_b, p_c constant; fiber order is (a, b, c). Returns (p(t), x(t)) as arrays.
+    Raises InvalidInput where a component of either is not finite.
     """
     pa0, pb0, pc0 = (float(v) for v in p0)
     xa0, xb0, xc0 = (float(v) for v in x0)
@@ -88,7 +89,10 @@ def propagate_linear_jacobi(r: float, p0, x0, t: float):
     pa = pa0 * c - (r * xa0 + pc0) * s
     xa = xa0 * c + pa0 * s - pc0 * g1
     xc = xc0 + pa0 * g1 + xa0 * s - pc0 * g2
-    return (np.array([pa, pb0, pc0]), np.array([xa, xb0 + pb0 * t, xc]))
+    p, x = (pa, pb0, pc0), (xa, xb0 + pb0 * t, xc)
+    if not all(map(math.isfinite, p + x)):
+        raise InvalidInput(f"Jacobi field outgrows the doubles at r = {r!r}, t = {t!r}")
+    return np.array(p), np.array(x)
 
 
 def vertical_to_endpoint_matrix(r: float) -> np.ndarray:

@@ -470,9 +470,10 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
     misses 1e-13, and every step solves that one matrix (np.linalg.solve
     on a square chart, least squares where the chart has more coordinates
     than the fiber) until the residual meets 1e-13 or 50 steps are taken.
-    Steps are clamped to 5a, also a finite one whose squared norm
-    overflows. A differential that raises InvalidInput or
-    DegenerateCovector, a singular solve or a non-finite step gives None.
+    Steps are clamped to 5a; a step with a component above 1e150, whose
+    squared norm may overflow, takes math.hypot for its norm. A differential
+    that raises InvalidInput or DegenerateCovector, a singular solve or a
+    non-finite step gives None.
     Returns (lam_a, lam_b, dist) with dist the norm of the last residual.
     """
     lam_a = cov + a * kern
@@ -493,24 +494,17 @@ def _newton_partner(chart, chart_jacobian, cov: np.ndarray, kern: np.ndarray, a:
                 step_vec = np.linalg.lstsq(jac, residual, rcond=None)[0]
         except (np.linalg.LinAlgError, InvalidInput, DegenerateCovector):
             return None
-        biggest = max(map(abs, step_vec.tolist()))
-        if biggest <= 1e150:
+        components = step_vec.tolist()
+        if max(map(abs, components)) <= 1e150:
             step_norm = vector_norm(step_vec)
         else:
-            # an inf, a component whose square may overflow in dot (which
-            # warns), or a leading nan; a nan elsewhere reads a nan norm on
-            # either branch and returns None below
-            with np.errstate(over="ignore"):
-                step_norm = vector_norm(step_vec)
+            # a component whose square may overflow in dot, an inf, or a
+            # leading nan: hypot neither overflows nor warns, and gives inf
+            # or nan for a step with an inf or a nan
+            step_norm = math.hypot(*components)
         if not math.isfinite(step_norm):
-            if not np.isfinite(step_vec).all():
-                return None
-            # a finite step whose square overflowed: its norm is taken on
-            # its copy scaled by its largest component, and it is clamped
-            # to 5a unless it is shorter
-            step_vec = step_vec / biggest
-            step_vec *= min(biggest, 5.0 * a / vector_norm(step_vec))
-        elif step_norm > 5.0 * a:
+            return None
+        if step_norm > 5.0 * a:
             step_vec *= 5.0 * a / step_norm
         lam_b = lam_b - step_vec
         residual = chart(lam_b) - target

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactGroup, cov_triple, curvature, finite_curvature, rotated_momentum
+from .contact import ContactGroup, curvature, finite_curvature, rotated_momentum
 from .errors import InvalidInput
-from .numeric import finite_time, libm_cos, libm_sin
+from .numeric import finite_covector, finite_time, libm_cos, libm_sin
 from .scfun import SERIES_THRESHOLD, sc_pair, trig_sc_pair
 
 X0 = 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -66,7 +66,7 @@ class Sl2Matrix:
 
 def sl2_exp(cov, t: float) -> tuple[Sl2Matrix, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
-    u0, v0, w0 = cov_triple(cov)
+    u0, v0, w0 = finite_covector(cov, 3)
     t = finite_time(t)
     r = finite_curvature(_EPS, u0, v0, w0)
     if not math.isfinite(w0 * t):

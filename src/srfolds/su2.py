@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactGroup, cov_triple, curvature, rotated_momentum
+from .contact import ContactGroup, curvature, rotated_momentum
 from .errors import DegenerateCovector, InvalidInput
-from .numeric import finite_time, libm_cos, libm_sin
+from .numeric import finite_covector, finite_time, libm_cos, libm_sin
 from .state import JacobiCoords
 
 X0 = 0.5 * np.array([[1j, 0.0], [0.0, -1j]])
@@ -80,7 +80,7 @@ class Su2Point:
 
 def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
     """Endpoint and momentum (u, v, w)(t) of the normal geodesic of cov."""
-    u0, v0, w0 = cov_triple(cov)
+    u0, v0, w0 = finite_covector(cov, 3)
     t = finite_time(t)
     rho = math.sqrt(u0 * u0 + v0 * v0 + w0 * w0)
     if rho == 0.0:
@@ -96,7 +96,7 @@ def su2_exp(cov, t: float) -> tuple[Su2Point, np.ndarray]:
 
 def su2_jacobi(cov, init: JacobiCoords, t: float) -> JacobiCoords:
     """Frame Jacobi data (p_a, p_b, p_c, x_a, x_b, x_c)(t) in closed form."""
-    if curvature(_EPS, *cov_triple(cov)) == 0.0:
+    if curvature(_EPS, *finite_covector(cov, 3)) == 0.0:
         raise DegenerateCovector("Jacobi frame undefined at the zero covector")
     return _GROUP.jacobi(cov, init, t)
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from srfolds import (InvalidInput, OdeProblem, arc_alpha, find_roots,
                      integrate, pi_alpha, sin_cos_alpha)
-from srfolds.alphatrig import (_pi_alpha_quadrature, alpha_table, sin_cos_alpha_array,
-                               table_arc_cos)
+from srfolds.alphatrig import (_pi_alpha_quadrature, alpha_table, table_arc_cos,
+                               table_sin_cos_array)
 
 PI_15 = 2.8043642106509084
 PI_2 = 2.6220575542921196
@@ -63,7 +63,7 @@ class TestPiAlpha:
             with pytest.raises(InvalidInput):
                 pi_alpha(alpha)
             with pytest.raises(InvalidInput):
-                sin_cos_alpha_array(alpha, np.array([0.5]))
+                table_sin_cos_array(alpha_table(alpha), np.array([0.5]))
 
 
 class TestSinCosAlpha:
@@ -232,7 +232,7 @@ class TestAlphaTrigTable:
 
 
 class TestArrayForms:
-    """sin_cos_alpha_array returns sin_cos_alpha's values bit for bit.
+    """table_sin_cos_array returns sin_cos_alpha's values bit for bit.
 
     numpy's power, sin and cos differ from the C library by an ulp on a few
     percent of inputs, so a few thousand samples per alpha catch an array
@@ -247,7 +247,7 @@ class TestArrayForms:
         half = pi_alpha(alpha)
         t = np.concatenate([rng.uniform(-4.0 * half, 4.0 * half, 4000),
                             half * np.arange(-8, 9) / 2.0, [0.0, -0.0, 1e-300, -1e-300]])
-        s_arr, c_arr = sin_cos_alpha_array(alpha, t)
+        s_arr, c_arr = table_sin_cos_array(alpha_table(alpha), t)
         s_ref, c_ref = np.array([sin_cos_alpha(alpha, v) for v in t.tolist()]).T
         assert s_arr.tobytes() == s_ref.tobytes()
         assert c_arr.tobytes() == c_ref.tobytes()

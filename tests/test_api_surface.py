@@ -60,6 +60,30 @@ def test_structure_adapter_hooks_are_pinned():
     assert srfolds.RayStrata._fields == ("g", "g_rows", "free_below")
 
 
+_COVECTOR_FUNCTIONS = [f"{group}_{op}" for group in ("su2", "sl2")
+                       for op in ("exp", "jacobi", "chart", "conj_f", "kernel", "conj_grad",
+                                  "frame_images")]
+_COVECTOR_FUNCTIONS += [f"grushin_{op}" for op in ("exp", "dexp", "jacobi", "conj_f",
+                                                   "conj_grad", "kernel")]
+
+
+@pytest.mark.parametrize("name", _COVECTOR_FUNCTIONS)
+@pytest.mark.parametrize("malformed", ["short", "long", "text", "none", "scalar"])
+def test_malformed_covector_raises_invalid_input(name, malformed):
+    # every public function that takes a covector parses it with
+    # numeric.finite_covector, so a caller's except SrfoldsError sees a
+    # covector of the wrong length or with a non-numeric component
+    dim = 2 if name.startswith("grushin") else 3
+    cov = {"short": [0.5] * (dim - 1), "long": (0.5,) * (dim + 1),
+           "text": [0.5] * (dim - 1) + ["u"], "none": (None,) + (0.5,) * (dim - 1),
+           "scalar": 0.5}[malformed]
+    base = (srfolds.GrushinBase(alpha=1.5, x0=0.5, y0=0.0),) if dim == 2 else ()
+    start = srfolds.JacobiCoords(p=(1.0,) + (0.0,) * (dim - 1), x=(0.0,) * dim)
+    rest = {"exp": (1.0,), "jacobi": (start, 1.0)}.get(name.split("_", 1)[1], ())
+    with pytest.raises(srfolds.InvalidInput, match=f"covector must have {dim} finite real"):
+        getattr(srfolds, name)(*base, cov, *rest)
+
+
 # each step runs in one interpreter, in order; after each the probe prints
 # which of the watched scipy modules are loaded
 _SCIPY_PROBE = """

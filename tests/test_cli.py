@@ -14,6 +14,7 @@ RuntimeWarning into an error, as pyproject does for the tests themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -449,4 +450,36 @@ class TestSelftest:
         assert main(["selftest", "--seed", "42"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines[1:-1] if line.endswith("FAIL")] == [check]
+        assert lines[-1] == "15/16 checks passed"
+
+    @pytest.mark.parametrize("route,check", [
+        ("su2_exp", "su2-exp-ode"), ("sl2_exp", "sl2-exp-ode"),
+        ("grushin_exp", "grushin-exp-ode"),
+        ("propagate_linear_jacobi", "group-jacobi-linear-ode"),
+    ])
+    def test_one_nan_from_a_route_fails_its_check(self, monkeypatch, capsys, route, check):
+        # a comparison with NaN is false, so max(worst, nan) keeps worst and
+        # a fold by max drops the NaN; the battery's one fold keeps it. The
+        # route's first call alone hands back a NaN: the group momentum's
+        # first entry, the Grushin abscissa, or the propagator's x_a
+        true_route = getattr(srfolds.selftest, route)
+        calls = []
+
+        def planted(*args):
+            out = true_route(*args)
+            calls.append(args)
+            if len(calls) > 1:
+                return out
+            if route == "grushin_exp":
+                return dataclasses.replace(out, position=(math.nan, out.position[1]))
+            first, second = out
+            second = second.copy()
+            second[0] = math.nan
+            return first, second
+
+        monkeypatch.setattr(srfolds.selftest, route, planted)
+        assert main(["selftest", "--seed", "42"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] + line.split()[-1:] for line in lines[1:-1]
+                if line.endswith("FAIL")] == [[check, "nan", "FAIL"]]
         assert lines[-1] == "15/16 checks passed"

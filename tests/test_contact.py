@@ -12,12 +12,13 @@ import pytest
 from srfolds import (DegenerateCovector, InvalidInput, fd_jacobian, sl2_adapter, sl2_conj_f,
                      sl2_conj_grad, sl2_exp, sl2_frame_images, sl2_jacobi, sl2_kernel,
                      su2_adapter, su2_conj_f, su2_conj_grad, su2_exp, su2_jacobi, su2_kernel)
-from srfolds.contact import cov_triple
+from srfolds.numeric import finite_covector
+from srfolds.scfun import propagate_linear_jacobi
 from srfolds.state import JacobiCoords
 
 
 class NamedCovector(NamedTuple):
-    """A caller's own covector record: cov_triple takes any 3-sequence."""
+    """A caller's own covector record: finite_covector takes any 3-sequence."""
     u0: float
     v0: float
     w0: float
@@ -34,16 +35,17 @@ class TestCovTriple:
     def test_non_finite_component(self, make, bad, slot):
         values = [1.0, 0.5, 2.0]
         values[slot] = bad
-        for parse in (cov_triple, lambda c: su2_exp(c, 1.0), lambda c: sl2_exp(c, 1.0),
-                      su2_conj_f, sl2_conj_f):
+        for parse in (lambda c: finite_covector(c, 3), lambda c: su2_exp(c, 1.0),
+                      lambda c: sl2_exp(c, 1.0), su2_conj_f, sl2_conj_f):
             with pytest.raises(InvalidInput, match="finite"):
                 parse(make(values))
 
     @CONTAINERS
     @pytest.mark.parametrize("values", [[], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
     def test_wrong_length(self, make, values):
-        for parse in (cov_triple, lambda c: su2_exp(c, 1.0), lambda c: sl2_exp(c, 1.0)):
-            with pytest.raises(ValueError, match="values to unpack"):
+        for parse in (lambda c: finite_covector(c, 3), lambda c: su2_exp(c, 1.0),
+                      lambda c: sl2_exp(c, 1.0)):
+            with pytest.raises(InvalidInput, match="covector must have 3 finite real components"):
                 parse(make(values))
 
     @pytest.mark.parametrize("cov", [
@@ -51,7 +53,7 @@ class TestCovTriple:
         np.array([1.0, 0.5, 2.0], dtype=np.float32), NamedCovector(1.0, 0.5, 2.0),
         NamedCovector(1, 0.5, 2), (np.float32(1.0), np.float64(0.5), 2)])
     def test_values_are_python_floats(self, cov):
-        parsed = cov_triple(cov)
+        parsed = finite_covector(cov, 3)
         assert parsed == (1.0, 0.5, 2.0)
         assert all(type(c) is float for c in parsed)
 
@@ -117,6 +119,18 @@ class TestOverflowingCurvature:
         out = function(cov, finite_t)
         values = [*out[0].entries(), *out[1]] if name.endswith("_exp") else [*out.p, *out.x]
         assert np.isfinite(values).all()
+
+    @pytest.mark.parametrize("call", [
+        lambda: su2_jacobi((1.0, 0.0, 0.5), JacobiCoords(p=(0.0, 2.0, 0.0), x=(0.0,) * 3), 1e308),
+        lambda: su2_jacobi((1.0, 0.0, 0.5), JacobiCoords(p=(0.0, 0.0, 3.0), x=(0.0,) * 3), 1e308),
+        lambda: sl2_jacobi((0.3, 0.0, 1.0), JacobiCoords(p=(0.0, 2.0, 0.0), x=(0.0,) * 3), 1e308),
+        lambda: propagate_linear_jacobi(1e-300, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 1e200),
+    ], ids=["su2-x_b-inf", "su2-x_c-minus-inf", "sl2-x_b-inf", "propagator-nan"])
+    def test_jacobi_field_that_outgrows_the_doubles_raises_invalid_input(self, call):
+        # finite phases, but x_b = p_b t overflows, x_c's p_c t^2 / 2 does,
+        # or at r = 1e-300 the ratio (t - s) / r is inf and x_a and x_c nan
+        with pytest.raises(InvalidInput, match="Jacobi field outgrows the doubles"):
+            call()
 
     def test_sl2_f0_that_overflows_is_no_nan(self):
         # sqrt(-r)/2 just under 710: cosh and sinh are finite, but

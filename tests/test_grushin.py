@@ -610,7 +610,7 @@ class TestCovectorParsing:
     @pytest.mark.parametrize("values", [[], [1.0], [1.0, 2.0, 3.0]])
     def test_wrong_length(self, make, values):
         base = GrushinBase(alpha=1.5, x0=0.5, y0=0.0)
-        with pytest.raises(ValueError, match="values to unpack"):
+        with pytest.raises(InvalidInput, match="covector must have 2 finite real components"):
             grushin_exp(base, make(values), 1.0)
 
     def test_parsed_values_are_python_floats(self):
@@ -643,6 +643,16 @@ class TestOverflow:
         for call in calls:
             with pytest.raises(InvalidInput, match="too large: its energy overflows"):
                 call()
+
+    @pytest.mark.parametrize("cov,match", [
+        ((0.4, 1.0), "its Jacobi fields outgrow the doubles"),
+        ((0.4, 0.0), "along its line overflows"),
+    ], ids=["oscillator", "line"])
+    def test_jacobi_field_that_outgrows_the_doubles_raises(self, cov, match):
+        # a finite covector at t = 1e308: the oscillator's x_b came back nan,
+        # and the line's integral of |x|^(2 alpha) raised a bare OverflowError
+        with pytest.raises(InvalidInput, match=match):
+            grushin_jacobi(self.BASE, cov, JacobiCoords(p=(0.0, 1.0), x=(0.0, 0.0)), 1e308)
 
     def test_scan_whose_grid_energy_overflows_raises(self):
         with pytest.raises(InvalidInput, match="too large: its energy overflows"):

@@ -30,8 +30,8 @@ from srfolds import (ConjugateRecord, DegenerateCovector, FoldWitness, InvalidIn
                      SingularityClass, WitnessNotFound, classify,
                      fd_jacobian, fold_witness, grushin_adapter, scan_ray,
                      second_order_transversality, sl2_adapter, su2_adapter)
-from srfolds.contact import ContactGroup, cov_triple, curvature
-from srfolds.numeric import DEFAULT_SCAN_POINTS, rank_nullspace
+from srfolds.contact import ContactGroup, curvature
+from srfolds.numeric import DEFAULT_SCAN_POINTS, finite_covector, rank_nullspace
 import srfolds.grushin as grushin_module
 import srfolds.numeric as numeric_module
 import srfolds.oracles as oracles_module
@@ -756,10 +756,24 @@ class TestNewtonPartner:
                 chart, lambda cov: scale * np.eye(2), self.COV, self.KERN, self.A)
         return points
 
+    @pytest.mark.parametrize("step", [
+        (math.nan, 1.0), (1.0, math.nan), (1e200, math.nan), (math.inf, math.nan),
+        (math.nan, math.inf),
+    ], ids=["nan-first", "nan-last", "huge-then-nan", "inf-nan", "nan-inf"])
+    def test_step_with_a_nan_fails(self, monkeypatch, step):
+        # the solve spreads a NaN to every component, so it is planted:
+        # a leading NaN or a component above 1e150 takes the hypot norm, nan
+        # or inf, and a trailing NaN after small ones the dot norm, nan
+        monkeypatch.setattr(np.linalg, "solve", lambda jac, residual: np.array(step))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._solve(1.0) is None
+
     def test_step_whose_square_overflows_is_clamped(self):
         # each component is about 1e157 and finite, but its square is not:
-        # the step is measured on its copy scaled by its largest component,
-        # so it is clamped to 5a, with no overflow warning from dot
+        # a step with a component above 1e150 takes math.hypot for its norm,
+        # which does not overflow, so it is clamped to 5a, with no overflow
+        # warning from dot
         points = self._chart_points(1e-160)
         steps = np.diff(points[1:], axis=0)
         assert len(steps) == 50
@@ -768,8 +782,8 @@ class TestNewtonPartner:
         assert np.allclose(steps[0], 5.0 * self.A * self.KERN, rtol=1e-12, atol=0.0)
 
     def test_large_step_whose_square_is_finite_keeps_its_bits(self):
-        # components near 1e151 square finitely: the step is clamped by the
-        # norm np.linalg.norm gives it, bit for bit
+        # components near 1e151 square finitely; past 1e150 the step takes
+        # math.hypot's norm, which on this step is np.linalg.norm's, bit for bit
         points = self._chart_points(1e-154)
         step = np.linalg.solve(1e-154 * np.eye(2), points[1] - points[0])
         expected = points[1] - step * (5.0 * self.A / np.linalg.norm(step))
@@ -950,7 +964,7 @@ class TestRegularityIsomorphism:
             coords = grushin_jacobi(base, cov, JacobiCoords(p=tuple(p0), x=(0.0, 0.0)), 1.0)
             return np.eye(2) @ np.asarray(coords.p, dtype=float)
         module = su2_module if structure == "su2" else sl2_module
-        r = curvature(module._EPS, *cov_triple(cov))
+        r = curvature(module._EPS, *finite_covector(cov, 3))
         p0 = rank_nullspace(vertical_to_endpoint_matrix(r)).nullspace_basis[0]
         init = JacobiCoords(p=tuple(p0), x=(0.0, 0.0, 0.0))
         p1 = np.asarray(module._GROUP.jacobi(cov, init, 1.0).p, dtype=float)

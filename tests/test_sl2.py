@@ -24,7 +24,8 @@ from srfolds import (DegenerateCovector, InvalidInput, JacobiCoords,
                      fd_jacobian, integrate, sc_pair, sl2_chart,
                      sl2_conj_f, sl2_conj_grad, sl2_exp, sl2_frame_images,
                      sl2_jacobi, sl2_kernel, vertical_to_endpoint_matrix)
-from srfolds.contact import cov_triple, curvature
+from srfolds.contact import curvature
+from srfolds.numeric import finite_covector
 from srfolds.scfun import SERIES_THRESHOLD, jacobi_ratios
 from srfolds.sl2 import X0, X1, X2
 
@@ -222,7 +223,7 @@ class TestExp:
             Sl2Matrix(1.0, 0.0, 0.0, 2.0)
 
     def test_covector_curvature_scalar(self):
-        assert curvature(-1, *cov_triple((1.0, 2.0, 3.0))) == pytest.approx(
+        assert curvature(-1, *finite_covector((1.0, 2.0, 3.0), 3)) == pytest.approx(
             4.0, abs=1e-12)
 
 
