@@ -45,8 +45,12 @@ at alpha = 2.5, while log(1 + P) stays below 1.1.
 It is built once from the standard library: the summed series for G and H,
 and Newton's method on them for the node values of P and R, with the
 residual formed in the small quantities (log(1 + P), R, G - 1, H - 1) so that
-it does not cancel. Other arguments reduce to the first quarter by oddness,
-periodicity and the sign pattern of the pair. alpha = 1 short-circuits to
+it does not cancel. The series' per-term factors (n - 1 + b)/n and
+g/(g + n) depend only on (b, g), two pairs per alpha, so _series_factors
+derives them once per pair and the build's series steps only multiply; the
+factors, and so the table, are the ones a per-term loop computes, bit for
+bit. Other arguments reduce to the first quarter by oddness, periodicity and
+the sign pattern of the pair. alpha = 1 short-circuits to
 math.sin/math.cos and math.asin. The integral definition of pi_alpha is kept
 as a quadrature oracle for the tests.
 
@@ -76,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import finite_time, libm_cos, libm_pow, libm_sin
+from .numeric import finite_time, libm_cos, libm_pow, libm_sin, real_number
 from .oracles import quad
 
 # below this, x = s^(2 alpha) moves s and cos by less than an ulp from the
@@ -93,7 +97,7 @@ _NEWTON_STEP = 1e-13
 
 
 def _validate_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    alpha = real_number(alpha, "alpha")
     # the exponent 2 alpha of the energy law must be a double: alpha < 2^1023
     if not math.isfinite(2.0 * alpha) or alpha < 1.0:
         raise InvalidInput(f"alpha must be a real in [1, 2^1023), got {alpha!r}")
@@ -122,6 +126,16 @@ class _AlphaConstants(NamedTuple):
     arc_high: tuple = ()       # H(y) - 1 on [0, 1/2]
 
 
+@lru_cache(maxsize=128)
+def _series_factors(b: float, g: float) -> tuple[tuple[float, float], ...]:
+    """((n - 1 + b) / n, g / (g + n)) for n = 1 ... 99, the factors of _series_tail's terms.
+
+    They depend on (b, g) alone, and a table build sums its two series at
+    some 13,000 points x, so each pair is derived once.
+    """
+    return tuple(((n - 1 + b) / n, g / (g + n)) for n in range(1, 100))
+
+
 def _series_tail(b: float, g: float, x: float) -> float:
     """sum_{n >= 1} (b)_n / n! g / (g + n) x^n for 0 <= x <= 1/2.
 
@@ -131,9 +145,9 @@ def _series_tail(b: float, g: float, x: float) -> float:
     rounding drift.
     """
     terms, power = [], 1.0
-    for n in range(1, 100):
-        power *= (n - 1 + b) / n * x
-        terms.append(g / (g + n) * power)
+    for ratio, weight in _series_factors(b, g):
+        power *= ratio * x
+        terms.append(weight * power)
         if not power > 1e-20:
             break
     return math.fsum(terms)
@@ -375,7 +389,7 @@ def table_sin_cos(table: _AlphaConstants, t: float) -> tuple[float, float]:
 def arc_alpha(alpha: float, s: float, c_sign: float) -> float:
     """Phase phi in [0, 2 pi_alpha) with sin_alpha(phi) = s, sign(cos_alpha) = c_sign."""
     alpha = _validate_alpha(alpha)
-    s = float(s)
+    s, c_sign = real_number(s, "s"), real_number(c_sign, "c_sign")
     # a nan c_sign would read as negative below
     if not abs(s) <= 1.0 + 1e-12 or math.isnan(c_sign):
         raise InvalidInput(f"need |s| <= 1 and a numeric c_sign, got {s!r} and {c_sign!r}")

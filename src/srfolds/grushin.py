@@ -53,7 +53,7 @@ import numpy as np
 from .alphatrig import (alpha_table, arc_alpha, sin_cos_alpha, table_arc, table_arc_cos,
                         table_sin_cos, table_sin_cos_array)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
-from .numeric import finite_covector, finite_time, vector_norm
+from .numeric import finite_covector, finite_time, real_number, vector_norm
 from .scfun import sc_pair
 from .singularity import KERNEL_RESIDUAL_TOL, RayStrata, StructureAdapter
 from .state import GeodesicState, JacobiCoords
@@ -83,9 +83,10 @@ class GrushinBase:
     def __post_init__(self) -> None:
         for name in ("alpha", "x0", "y0"):
             value = getattr(self, name)
-            if not (np.isscalar(value) and math.isfinite(float(value))):
+            real = real_number(value, name)
+            if not math.isfinite(real):
                 raise InvalidInput(f"{name} must be a finite real, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, real)
         if self.alpha < 1.0:
             raise InvalidInput(f"alpha must be >= 1, got {self.alpha}")
         try:
@@ -216,7 +217,11 @@ def _endpoint(table, x0: float, y0: float, u0: float, v0: float,
     if not _curvature_resolvable(h2, v0):
         return x0 + u0 * t, y0, u0
     amp, omega, phase, flip = _oscillator(table, x0, u0, v0, h2)
-    sin_a, cos_a = table_sin_cos(table, finite_time(phase + flip * omega * t))
+    theta = phase + flip * omega * t
+    if not math.isfinite(theta):
+        raise InvalidInput(f"covector ({u0!r}, {v0!r}) too large at t = {t!r}: "
+                           "its phase omega t overflows")
+    sin_a, cos_a = table_sin_cos(table, theta)
     x = amp * sin_a
     u = flip * amp * omega * cos_a
     return x, y0 + (t * h2 + u0 * x0 - u * x) / (v0 * (alpha + 1.0)), u
@@ -551,9 +556,16 @@ def grushin_adapter(base: GrushinBase) -> StructureAdapter:
         return np.array(position(cov))
 
     def chart_array(points: np.ndarray) -> np.ndarray:
-        # a stencil carries a few dozen points, too few for an array pass to pay
-        return np.array([position(cov) for cov in points.reshape(-1, 2)],
-                        dtype=float).reshape(points.shape)
+        # a stencil carries a few dozen points, too few for an array pass to
+        # pay; one finiteness check stands for each point's finite_covector,
+        # and a stencil that fails it takes position's, for its message
+        flat = points.reshape(-1, 2)
+        if np.isfinite(flat).all():
+            ends = [_endpoint(table, base.x0, base.y0, u0, v0, 1.0)[:2]
+                    for u0, v0 in flat.tolist()]
+        else:
+            ends = [position(cov) for cov in flat]
+        return np.array(ends, dtype=float).reshape(points.shape)
 
     def record_fields(covs: np.ndarray, strata: np.ndarray, order_one: np.ndarray):
         return grushin_record_fields(base, covs, order_one)

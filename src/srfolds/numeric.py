@@ -16,6 +16,7 @@ import functools
 import itertools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -93,12 +94,33 @@ def check_root_tol(tol: float) -> None:
         raise InvalidInput(f"root tolerance must be positive and finite, got {tol}")
 
 
+def real_number(value, name: str) -> float:
+    """float(value) of a real number; an int past the doubles reads as an infinity.
+
+    Raises InvalidInput, naming the argument, for anything that is not a
+    numbers.Real, although float() takes text, bytes and 0-d arrays.
+    """
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def finite_time(t) -> float:
-    """float(t); raises InvalidInput unless it is finite."""
-    t = float(t)
+    """float(t); raises InvalidInput unless t is a finite real number."""
+    if type(t) is not float:
+        t = real_number(t, "t")
     if not math.isfinite(t):
         raise InvalidInput(f"t must be finite, got {t!r}")
     return t
+
+
+# float(x) for a float x, TypeError for any other type
+_as_float = float.__float__
 
 
 def finite_covector(cov, dim: int) -> tuple[float, ...]:
@@ -109,14 +131,33 @@ def finite_covector(cov, dim: int) -> tuple[float, ...]:
     # tolist() hands over Python floats, far cheaper to convert
     # than the numpy scalars its iteration yields
     values = cov.tolist() if isinstance(cov, np.ndarray) else cov
-    try:
-        values = tuple(map(float, values))
-    except (TypeError, ValueError):
-        # not a sequence, or a component float() cannot take
-        values = ()
+    if type(values) is tuple or type(values) is list:
+        try:
+            # floats, as a covector's components nearly always are, in one
+            # pass that refuses any other type
+            values = tuple(map(_as_float, values))
+        except TypeError:
+            values = _real_components(values)
+    else:
+        values = _real_components(values)
     if len(values) != dim or not all(map(math.isfinite, values)):
         raise InvalidInput(f"covector must have {dim} finite real components, got {cov!r}")
     return values
+
+
+def _real_components(values) -> tuple[float, ...]:
+    """The components of values as floats; () unless it is a sequence of real numbers.
+
+    Text and mappings are refused: they iterate as characters and keys,
+    which float() could take.
+    """
+    if isinstance(values, (str, bytes, bytearray, Mapping)):
+        return ()
+    try:
+        return tuple(real_number(v, "a component") for v in values)
+    except (TypeError, InvalidInput):
+        # not a sequence, or a component that is not a real number
+        return ()
 
 
 def sign_brackets(gs: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srfolds import alphatrig
 from srfolds import (InvalidInput, OdeProblem, arc_alpha, find_roots,
                      integrate, pi_alpha, sin_cos_alpha)
 from srfolds.alphatrig import (_pi_alpha_quadrature, alpha_table, table_arc_cos,
@@ -229,6 +230,47 @@ class TestAlphaTrigTable:
         # 1e-30 puts sin_alpha^(2 alpha) below the smallest normal double at 7.5
         assert abs(sin_cos_alpha(alpha, t)[0] / t - 1.0) <= 1e-14
         assert abs(arc_alpha(alpha, t, +1.0) / t - 1.0) <= 1e-14
+
+
+# float() takes text, which is not a number
+@pytest.mark.parametrize("call,name", [
+    (lambda: pi_alpha("2"), "alpha"),
+    (lambda: sin_cos_alpha("abc", 0.5), "alpha"),
+    (lambda: arc_alpha(None, 0.5, 1.0), "alpha"),
+    (lambda: arc_alpha(2.0, "0.5", 1.0), "s"),
+    (lambda: arc_alpha(2.0, 0.5, "x"), "c_sign"),
+    (lambda: alpha_table(b"2"), "alpha"),
+], ids=["pi_alpha", "sin_cos_alpha", "arc_alpha-alpha", "arc_alpha-s", "arc_alpha-c_sign",
+        "alpha_table"])
+def test_non_numeric_argument_raises_invalid_input(call, name):
+    with pytest.raises(InvalidInput, match=f"{name} must be a real number"):
+        call()
+
+
+def _plain_series_tail(b: float, g: float, x: float) -> float:
+    """alphatrig._series_tail with its factors derived at each term."""
+    terms, power = [], 1.0
+    for n in range(1, 100):
+        power *= (n - 1 + b) / n * x
+        terms.append(g / (g + n) * power)
+        if not power > 1e-20:
+            break
+    return math.fsum(terms)
+
+
+def _table_bits(table) -> list:
+    """Every field of a table: floats as hex, polynomials as tuples of hex."""
+    return [tuple(map(float.hex, field)) if isinstance(field, tuple) else float.hex(field)
+            for field in table]
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.5, 2.0, 2.5, 3.0, 7.5, 100.0])
+def test_factor_cache_builds_the_plain_loops_table(alpha, monkeypatch):
+    # the cached factors are the ones the loop derives, so every coefficient
+    # of every table keeps its bits
+    cached = alphatrig._table_cached.__wrapped__(alpha)
+    monkeypatch.setattr(alphatrig, "_series_tail", _plain_series_tail)
+    assert _table_bits(cached) == _table_bits(alphatrig._table_cached.__wrapped__(alpha))
 
 
 class TestArrayForms:

@@ -20,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import srfolds
@@ -33,6 +34,78 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(srfolds, name)]
     assert missing == []
+
+
+def test_star_import_binds_every_exported_name():
+    # the names resolve on first access, so a star import must reach each
+    namespace = {}
+    exec("from srfolds import *", namespace)
+    assert len(srfolds.__all__) == 61
+    assert [name for name in srfolds.__all__ if name not in namespace] == []
+    assert set(srfolds._SOURCES) == set(srfolds.__all__)
+
+
+def test_dir_lists_every_exported_name():
+    names = dir(srfolds)
+    assert "__all__" in names and "__version__" in names
+    assert set(srfolds.__all__) <= set(names)
+
+
+# each caller runs in its own interpreter; after import and after each step
+# the probe prints the srfolds modules loaded
+_MODULE_PROBE = """
+import json, sys
+
+def report(step):
+    print(json.dumps([step, sorted(m for m in sys.modules if m.startswith("srfolds."))]))
+
+def grushin():
+    from srfolds import (GrushinBase, SingularityClass, fold_witness, grushin_adapter,
+                         scan_ray)
+    adapter = grushin_adapter(GrushinBase(2.5, 0.5, 0.0))
+    fold = next(r for r in scan_ray(adapter, (0.4, 1.0), 10.0)
+                if r.singularity_class is SingularityClass.FOLD)
+    fold_witness(adapter, fold, 1e-3)
+
+def groups():
+    from srfolds import SingularityClass, fold_witness, scan_ray, sl2_adapter, su2_adapter
+    su2 = scan_ray(su2_adapter(), (1.0, 0.0, 0.5), 20.0)
+    assert scan_ray(sl2_adapter(), (1.0, 0.0, 2.0), 30.0)
+    fold = next(r for r in su2 if r.singularity_class is SingularityClass.FOLD)
+    fold_witness(su2_adapter(), fold, 1e-3)
+
+import srfolds
+report("import")
+for step in sys.argv[1:]:
+    globals()[step]()
+    report(step)
+"""
+_GRUSHIN_MODULES = ["alphatrig", "errors", "grushin", "numeric", "oracles", "scfun",
+                    "singularity", "state"]
+_GROUP_MODULES = ["contact", "errors", "numeric", "scfun", "singularity", "sl2", "state", "su2"]
+
+
+def _loaded(names):
+    return sorted(f"srfolds.{name}" for name in set(names))
+
+
+@pytest.mark.parametrize("order", [("grushin", "groups"), ("groups", "grushin")], ids=str)
+def test_each_caller_loads_only_the_modules_it_uses(order):
+    # a bare import loads no submodule; a Grushin caller never loads the
+    # groups or the self-test, and a group caller never loads the
+    # alpha-trigonometry, the Grushin plane, the oracles or the self-test
+    env = dict(os.environ)
+    src = str(Path(srfolds.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *order], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    first = {"grushin": _GRUSHIN_MODULES, "groups": _GROUP_MODULES}[order[0]]
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [
+        ["import", []],
+        [order[0], _loaded(first)],
+        [order[1], _loaded(_GRUSHIN_MODULES + _GROUP_MODULES)],
+    ]
 
 
 @pytest.mark.parametrize("fn,params", [
@@ -68,15 +141,21 @@ _COVECTOR_FUNCTIONS += [f"grushin_{op}" for op in ("exp", "dexp", "jacobi", "con
 
 
 @pytest.mark.parametrize("name", _COVECTOR_FUNCTIONS)
-@pytest.mark.parametrize("malformed", ["short", "long", "text", "none", "scalar"])
+@pytest.mark.parametrize("malformed", ["short", "long", "text", "none", "scalar", "string",
+                                       "bytes", "mapping", "numeric-text", "array-component"])
 def test_malformed_covector_raises_invalid_input(name, malformed):
     # every public function that takes a covector parses it with
     # numeric.finite_covector, so a caller's except SrfoldsError sees a
     # covector of the wrong length or with a non-numeric component
     dim = 2 if name.startswith("grushin") else 3
+    # float() takes each character of "12", each byte of b"12", the keys of a
+    # mapping, a component "0.5" and a 0-d array, none of which is a number
     cov = {"short": [0.5] * (dim - 1), "long": (0.5,) * (dim + 1),
            "text": [0.5] * (dim - 1) + ["u"], "none": (None,) + (0.5,) * (dim - 1),
-           "scalar": 0.5}[malformed]
+           "scalar": 0.5, "string": "123"[:dim], "bytes": b"123"[:dim],
+           "mapping": dict.fromkeys(range(dim), 0.5),
+           "numeric-text": [0.5] * (dim - 1) + ["0.5"],
+           "array-component": [0.5] * (dim - 1) + [np.array(0.5)]}[malformed]
     base = (srfolds.GrushinBase(alpha=1.5, x0=0.5, y0=0.0),) if dim == 2 else ()
     start = srfolds.JacobiCoords(p=(1.0,) + (0.0,) * (dim - 1), x=(0.0,) * dim)
     rest = {"exp": (1.0,), "jacobi": (start, 1.0)}.get(name.split("_", 1)[1], ())
@@ -277,8 +356,10 @@ def test_no_module_calls_a_numpy_transcendental():
 
 # top-level names that no src/ code calls and __all__ does not list, each with
 # the reason it stays: the quadrature route to pi_alpha is the tests' oracle,
-# and its import of oracles.quad is a boundary the benchmark's tracer wraps
-_UNREFERENCED_ALLOWED = {("alphatrig.py", "_pi_alpha_quadrature")}
+# and its import of oracles.quad is a boundary the benchmark's tracer wraps;
+# the package's __getattr__ and __dir__ are called by the interpreter (PEP 562)
+_UNREFERENCED_ALLOWED = {("alphatrig.py", "_pi_alpha_quadrature"),
+                         ("__init__.py", "__getattr__"), ("__init__.py", "__dir__")}
 
 
 def _unreferenced_definitions(package: Path) -> list[tuple[str, str]]:

@@ -343,8 +343,11 @@ class TestExitCodes:
          "x0 = 1e+200 too large: |x0|^(2 alpha) overflows at alpha = 2.0"),
         (("expmap", "--alpha", "1", "--base", "1e170,0", "--covector", "1,1"),
          "x0 = 1e+170 too large: |x0|^(2 alpha) overflows at alpha = 1.0"),
+        # t is finite; the phase omega t is not
+        (("expmap", "--base", "0.5,0", "--covector", "1,3", "--t", "1e308"),
+         "covector (1.0, 3.0) too large at t = 1e+308: its phase omega t overflows"),
     ], ids=["expmap-v0", "expmap-u0", "conj-scan", "expmap-base", "conj-scan-base",
-            "expmap-base-alpha-1"])
+            "expmap-base-alpha-1", "expmap-phase"])
     def test_grushin_overflow_is_one_error_line(self, args, message):
         command, *flags = args
         proc = run_cli(command, "--structure", "grushin", "--alpha", "2", *flags)

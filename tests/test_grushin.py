@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -654,6 +655,13 @@ class TestOverflow:
         with pytest.raises(InvalidInput, match=match):
             grushin_jacobi(self.BASE, cov, JacobiCoords(p=(0.0, 1.0), x=(0.0, 0.0)), 1e308)
 
+    @pytest.mark.parametrize("cov", [(1.0, 3.0), (-1.0, -3.0)], ids=_cov_id)
+    def test_phase_that_overflows_names_the_covector_and_t(self, cov):
+        # omega t overflows at a finite t; t itself is not at fault
+        message = f"covector ({cov[0]!r}, {cov[1]!r}) too large at t = 1e+308: its phase"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            grushin_exp(self.BASE, cov, 1e308)
+
     def test_scan_whose_grid_energy_overflows_raises(self):
         with pytest.raises(InvalidInput, match="too large: its energy overflows"):
             scan_ray(grushin_adapter(self.BASE), (1.0, 1.0), 1e300)
@@ -723,6 +731,23 @@ class TestBase:
     def test_rejects_a_field_out_of_range(self, fields, message):
         with pytest.raises(InvalidInput, match=re.escape(message)):
             GrushinBase(*fields)
+
+    # float() takes "2" and b"0.5", and np.isscalar passes text; neither is a number
+    @pytest.mark.parametrize("fields,name", [
+        (("abc", 0.0, 0.0), "alpha"),
+        (("2", 0.0, 0.0), "alpha"),
+        ((2.0, b"0.5", 0.0), "x0"),
+        ((2.0, 0.5, None), "y0"),
+        ((2.0, np.array(0.5), 0.0), "x0"),
+    ], ids=str)
+    def test_rejects_a_field_that_is_not_a_number(self, fields, name):
+        with pytest.raises(InvalidInput, match=f"{name} must be a real number"):
+            GrushinBase(*fields)
+
+    def test_real_fields_are_python_floats(self):
+        base = GrushinBase(2, np.float64(0.5), Fraction(1, 4))
+        assert [type(v) for v in (base.alpha, base.x0, base.y0)] == [float] * 3
+        assert (base.alpha, base.x0, base.y0) == (2.0, 0.5, 0.25)
 
 
 class TestRayRestriction:

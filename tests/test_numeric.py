@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from srfolds import (DegenerateMatrix, GrushinBase, InvalidInput, JacobiCoords,
                      rank_nullspace, sin_cos_alpha, sl2_exp, sl2_jacobi, su2_exp,
                      su2_jacobi, vertical_to_endpoint_matrix)
 from srfolds.numeric import (_brent, _brent_lockstep, _gated_hits, find_roots_lockstep,
-                             scan_nodes, sign_brackets, vector_norm)
+                             finite_time, scan_nodes, sign_brackets, vector_norm)
 from srfolds.oracles import OdeProblem, integrate, quad
 from srfolds.singularity import LOCKSTEP_MIN_BRACKETS
 
@@ -130,25 +131,46 @@ PLANE_START = JacobiCoords(p=(1.0, 0.0), x=(0.0, 0.0))
 BASE = GrushinBase(1.5, 0.5, 0.0)
 
 
+_TIME_CALLS = [
+    lambda t: sin_cos_alpha(1.5, t),
+    lambda t: su2_exp((1.0, 0.0, 0.5), t),
+    lambda t: sl2_exp((1.0, 0.0, 0.5), t),
+    lambda t: grushin_exp(BASE, (1.0, 0.0), t),       # v0 = 0: a straight line
+    lambda t: grushin_exp(BASE, (1.0, 0.7), t),
+    lambda t: su2_jacobi((1.0, 0.0, 0.5), GROUP_START, t),
+    lambda t: sl2_jacobi((1.0, 0.0, 0.5), GROUP_START, t),
+    lambda t: grushin_jacobi(BASE, (0.0, 0.0), PLANE_START, t),
+    lambda t: grushin_jacobi(BASE, (1.0, 0.7), PLANE_START, t),
+    lambda t: propagate_linear_jacobi(1.0, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), t),
+]
+_TIME_CALL_IDS = ["sin_cos_alpha", "su2_exp", "sl2_exp", "grushin_exp-line", "grushin_exp",
+                  "su2_jacobi", "sl2_jacobi", "grushin_jacobi-rest", "grushin_jacobi",
+                  "propagate_linear_jacobi"]
+
+
 class TestFiniteTime:
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan], ids=str)
-    @pytest.mark.parametrize("call", [
-        lambda t: sin_cos_alpha(1.5, t),
-        lambda t: su2_exp((1.0, 0.0, 0.5), t),
-        lambda t: sl2_exp((1.0, 0.0, 0.5), t),
-        lambda t: grushin_exp(BASE, (1.0, 0.0), t),       # v0 = 0: a straight line
-        lambda t: grushin_exp(BASE, (1.0, 0.7), t),
-        lambda t: su2_jacobi((1.0, 0.0, 0.5), GROUP_START, t),
-        lambda t: sl2_jacobi((1.0, 0.0, 0.5), GROUP_START, t),
-        lambda t: grushin_jacobi(BASE, (0.0, 0.0), PLANE_START, t),
-        lambda t: grushin_jacobi(BASE, (1.0, 0.7), PLANE_START, t),
-        lambda t: propagate_linear_jacobi(1.0, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), t),
-    ], ids=["sin_cos_alpha", "su2_exp", "sl2_exp", "grushin_exp-line", "grushin_exp",
-            "su2_jacobi", "sl2_jacobi", "grushin_jacobi-rest", "grushin_jacobi",
-            "propagate_linear_jacobi"])
+    @pytest.mark.parametrize("call", _TIME_CALLS, ids=_TIME_CALL_IDS)
     def test_non_finite_time_rejected(self, call, t):
         with pytest.raises(InvalidInput, match="t must be finite"):
             call(t)
+
+    # float() takes text and bytes, and a 0-d array; none of them is a number
+    @pytest.mark.parametrize("t", ["abc", "1", b"1", None, np.array(1.0), [1.0]], ids=repr)
+    @pytest.mark.parametrize("call", _TIME_CALLS, ids=_TIME_CALL_IDS)
+    def test_non_numeric_time_raises_invalid_input(self, call, t):
+        with pytest.raises(InvalidInput, match="t must be a real number"):
+            call(t)
+
+    @pytest.mark.parametrize("t,expected", [(np.float64(0.5), 0.5), (2, 2.0), (True, 1.0),
+                                            (Fraction(1, 4), 0.25)], ids=repr)
+    def test_real_time_is_a_python_float(self, t, expected):
+        value = finite_time(t)
+        assert type(value) is float and value == expected
+
+    def test_int_past_the_doubles_is_not_finite(self):
+        with pytest.raises(InvalidInput, match="t must be finite, got inf"):
+            finite_time(10 ** 400)
 
 
 class TestFindRoots:
