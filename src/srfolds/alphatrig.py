@@ -58,17 +58,6 @@ alpha_table(alpha) checks alpha once and returns its table; table_sin_cos
 and table_arc evaluate from it without the argument checks of sin_cos_alpha
 and arc_alpha, which call them, bit for bit, and table_arc_cos inverts
 cos_alpha from it.
-
-table_sin_cos_array selects the branches over a 1-d array on masks and runs
-the same formula bodies as table_sin_cos, _low_quarter and _high_quarter,
-which take their pow and sqrt as arguments, so it returns bit for bit what
-table_sin_cos returns at each element: the polynomials run the same Horner
-recurrence on floats and on arrays, and arithmetic and sqrt are correctly
-rounded in numpy as in Python. numpy's own power, sin and cos can differ
-from the C library by an ulp, so those go through the scalar libm element by
-element (numeric.libm_pow, libm_sin, libm_cos). It serves the Grushin scan
-grid, hundreds of phases a ray; the inversions run a few times a ray and
-have only their scalar form.
 """
 
 from __future__ import annotations
@@ -77,10 +66,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvalidInput
-from .numeric import finite_time, libm_cos, libm_pow, libm_sin, real_number
+from .numeric import finite_time, real_number
 from .oracles import quad
 
 # below this, x = s^(2 alpha) moves s and cos by less than an ulp from the
@@ -213,12 +200,8 @@ def _chebyshev_fit(f, terms: int) -> tuple:
                  for k in reversed(range(terms)))
 
 
-def _polynomial(coeffs: tuple, z):
-    """sum_k coeffs[k] z^(n-1-k) by Horner's rule, for a float or an array z.
-
-    An array takes at each element the operations a float takes, in the same
-    order, so the two agree bit for bit.
-    """
+def _polynomial(coeffs: tuple, z: float) -> float:
+    """sum_k coeffs[k] z^(n-1-k) by Horner's rule."""
     total = 0.0
     for c in coeffs:
         total = total * z + c
@@ -273,47 +256,17 @@ def pi_alpha(alpha: float) -> float:
     return _table_cached(_validate_alpha(alpha)).pi_alpha
 
 
-def _low_quarter(table: _AlphaConstants, tq, w, pow, sqrt):
-    """(|sin_alpha|, |cos_alpha|) at tq <= t_mid from w = tq^(2 alpha) >= _NEGLIGIBLE_X.
-
-    The same on floats and on arrays: pow and sqrt are Python's, or
-    numeric.libm's pow and numpy's correctly rounded sqrt over arrays.
-    """
-    p = _polynomial(table.sin_low, w * table.w_scale - 1.0)
-    return tq * pow(1.0 + p, table.a), sqrt(1.0 - (w + w * p))
-
-
-def _high_quarter(table: _AlphaConstants, gap, pow):
-    """(|sin_alpha|, |cos_alpha|) at quarter - gap > t_mid, gap >= 0, like _low_quarter."""
-    h = table.alpha * gap
-    c = h + h * _polynomial(table.cos_high, h * h * table.u_scale - 1.0)
-    return pow(1.0 - c * c, table.a), c
-
-
 def _eval_quarter(table: _AlphaConstants, tq: float) -> tuple[float, float]:
     """(|sin_alpha|, |cos_alpha|) at tq in [0, quarter]."""
     if tq <= table.t_mid:
         w = tq ** (2.0 * table.alpha)
         if w < _NEGLIGIBLE_X:
             return tq, 1.0
-        return _low_quarter(table, tq, w, pow, math.sqrt)
-    return _high_quarter(table, max(table.quarter - tq, 0.0), pow)
-
-
-def _eval_quarter_array(table: _AlphaConstants, tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_eval_quarter at each element of tq."""
-    s_abs, c_abs = tq.copy(), np.ones_like(tq)
-    low = np.flatnonzero(tq <= table.t_mid)
-    w = libm_pow(tq[low], 2.0 * table.alpha)
-    kept = ~(w < _NEGLIGIBLE_X)
-    low, w = low[kept], w[kept]
-    if low.size:
-        s_abs[low], c_abs[low] = _low_quarter(table, tq[low], w, libm_pow, np.sqrt)
-    high = np.flatnonzero(~(tq <= table.t_mid))
-    if high.size:
-        gap = table.quarter - tq[high]
-        s_abs[high], c_abs[high] = _high_quarter(table, np.where(0.0 > gap, 0.0, gap), libm_pow)
-    return s_abs, c_abs
+        p = _polynomial(table.sin_low, w * table.w_scale - 1.0)
+        return tq * (1.0 + p) ** table.a, math.sqrt(1.0 - (w + w * p))
+    h = table.alpha * max(table.quarter - tq, 0.0)
+    c = h + h * _polynomial(table.cos_high, h * h * table.u_scale - 1.0)
+    return (1.0 - c * c) ** table.a, c
 
 
 def _arc_low(table: _AlphaConstants, s: float, x: float) -> float:
@@ -422,18 +375,3 @@ def table_arc_cos(table: _AlphaConstants, c: float) -> float:
         return math.acos(c)
     return _arc_cos_quarter(table, c)
 
-
-def table_sin_cos_array(table: _AlphaConstants, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """table_sin_cos at each element of a 1-d array of finite t, bit for bit."""
-    if table.alpha == 1.0:
-        return libm_sin(t), libm_cos(t)
-    period = 2.0 * table.pi_alpha
-    half = table.pi_alpha
-    odd_sign = np.where(t < 0.0, -1.0, 1.0)
-    tau = np.fmod(np.where(t < 0.0, -t, t), period)
-    first, second, third = tau < 0.5 * half, tau < half, tau < 1.5 * half
-    tq = np.select([first, second, third], [tau, half - tau, tau - half], period - tau)
-    s_abs, c_abs = _eval_quarter_array(table, tq)
-    s_sign = np.where(second, 1.0, -1.0)
-    c_sign = np.where(first | ~third, 1.0, -1.0)
-    return odd_sign * s_sign * s_abs, c_sign * c_abs

@@ -10,7 +10,8 @@ Structures are selected with --structure {grushin, su2, sl2}; coordinate lists
 are comma-separated (grushin uses 2 fiber coordinates, the groups use 3 and
 are always based at the identity). Output is text, CSV, or JSON; every float
 is printed with 12 significant digits so runs diff cleanly. Exit codes:
-0 success, 1 computation failure (or self-test failure), 2 usage error. A
+0 success, 1 computation failure (or self-test failure, or a reader that
+closed the output pipe early, as `| head` does), 2 usage error. A
 flag value that no input could take (a non-finite --alpha, --scan-points
 below 2, an --s-max or --root-tol that is not positive and finite) is a
 usage error, found before anything is computed.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import sys
 from dataclasses import fields
@@ -257,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--direction", action="append", required=True,
                         help="ray direction, comma-separated (repeatable)")
     p_scan.add_argument("--s-max", type=float, default=10.0)
-    p_scan.add_argument("--scan-points", type=int, default=DEFAULT_SCAN_POINTS)
+    p_scan.add_argument("--scan-points", type=int, default=DEFAULT_SCAN_POINTS,
+                        help="uniform scan nodes of a ray; a grushin ray that oscillates "
+                             "brackets between the poles of tan_alpha and ignores it")
     p_scan.add_argument("--root-tol", type=float, default=DEFAULT_ROOT_TOL)
     add_common(p_scan)
     p_scan.set_defaults(func=cmd_conj_scan)
@@ -274,7 +278,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (srfolds ... | head); what is left unwritten
+        # goes to devnull, so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -31,13 +31,12 @@ next to u0 = 0, reads C1 and Undetermined, and so does a cusp. Telling those
 apart needs a cusp certificate and a second fold route.
 
 Along a ray of covectors s d the amplitude, the phase and omega / s do not
-depend on s, so ray scans evaluate f from them (_ray_strata), and they skip
-the radii at which the geodesic stays off the axis, where the plane is
-Riemannian with negative curvature and has no conjugate point. Everything
-else evaluates the geodesic in one scalar form (_endpoint): the adapter's
-chart_array loops over it, and record_fields takes one endpoint per row,
-from which f, the kernel and the gradient follow through the formulas the
-scalar functions share.
+depend on s, so ray scans evaluate f from them (_ray_strata), and they
+bracket one conjugate radius per branch of tan_alpha that the phase crosses
+(_branch_nodes). Everything else evaluates the geodesic in one scalar form
+(_endpoint): the adapter's chart_array loops over it, and record_fields
+takes one endpoint per row, from which f, the kernel and the gradient
+follow through the formulas the scalar functions share.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import numpy as np
 # sin_cos_alpha and arc_alpha, the checked scalar forms, are not called here;
 # perfbench/tracer.py wraps these names as the alpha-trig boundary
 from .alphatrig import (alpha_table, arc_alpha, sin_cos_alpha, table_arc, table_arc_cos,
-                        table_sin_cos, table_sin_cos_array)
+                        table_sin_cos)
 from .errors import DegenerateCovector, InvalidInput, NotConjugate
 from .numeric import finite_covector, finite_time, real_number, vector_norm
 from .scfun import sc_pair
@@ -63,9 +62,11 @@ _BRANCH_TOL = 1e-12
 # the Jacobi data x = 0, p = e_j whose endpoints are grushin_dexp's columns
 _UNIT_MOMENTA = (JacobiCoords(p=(1.0, 0.0), x=(0.0, 0.0)),
                  JacobiCoords(p=(0.0, 1.0), x=(0.0, 0.0)))
-# relative margin under a ray's crossing radius within which roots are kept;
-# the radius and a polished root are both good to far better than this
-_CROSSING_MARGIN = 1e-9
+# |tan_alpha(phase)| from which a ray's roots lie within about its inverse of
+# the poles of tan_alpha, closer than rounding resolves f's sign at a pole
+_POLE_HUG = 1e8
+# the most branches of tan_alpha that one ray's scan brackets: some 1e5 records
+_MAX_BRANCHES = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,6 @@ def _curvature_resolvable(h2: float, v0: float) -> bool:
     return math.isfinite(math.sqrt(h2) / abs(v0))
 
 
-def _oscillates(h2: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Where _endpoint takes its oscillator branch: h2 != 0 and _curvature_resolvable."""
-    with np.errstate(all="ignore"):
-        return (h2 != 0.0) & (v0 * v0 != 0.0) & np.isfinite(np.sqrt(h2) / np.abs(v0))
-
-
 def _oscillator(table, x0: float, u0: float, v0: float,
                 h2: float) -> tuple[float, float, float, float]:
     """(amp, omega, phase, flip) with x(t) = amp sin_alpha(phase + flip omega t).
@@ -215,7 +210,11 @@ def _endpoint(table, x0: float, y0: float, u0: float, v0: float,
     if h2 == 0.0:
         return x0, y0, u0
     if not _curvature_resolvable(h2, v0):
-        return x0 + u0 * t, y0, u0
+        x = x0 + u0 * t
+        if not math.isfinite(x):
+            raise InvalidInput(f"covector ({u0!r}, {v0!r}) too large at t = {t!r}: "
+                               "its line x0 + u0 t overflows")
+        return x, y0, u0
     amp, omega, phase, flip = _oscillator(table, x0, u0, v0, h2)
     theta = phase + flip * omega * t
     if not math.isfinite(theta):
@@ -460,7 +459,13 @@ def _unit_kernel(a: float, x0: float, u0: float, v0: float,
         raise NotConjugate(
             f"covector is not conjugate: |f| = {abs(f):.3e} exceeds {bound:.3e}")
     kern = np.array([v0 * _even_power(x0, a), -u0])
-    return kern / vector_norm(kern)
+    norm = vector_norm(kern)
+    if norm == 0.0:
+        # its square underflows, next to x0 = 0 with u0 = 0: scale by the
+        # power of two that brings the larger component into [0.5, 1), exactly
+        kern = np.ldexp(kern, -math.frexp(max(abs(kern[0]), abs(kern[1])))[1])
+        norm = vector_norm(kern)
+    return kern / norm
 
 
 def _ray_strata(base: GrushinBase, table, d: np.ndarray) -> RayStrata:
@@ -477,62 +482,81 @@ def _ray_strata(base: GrushinBase, table, d: np.ndarray) -> RayStrata:
     evaluation. It equals grushin_conj_f(s d) up to rounding, not bit for
     bit. Where _endpoint would not take its oscillator branch at s d (H = 0,
     v0^2 underflows, an amplitude ratio that overflows, an energy that
-    overflows and raises), and on the whole ray where it would not at d, the
-    values are grushin_conj_f's at the covector s d, taken in row order (so
-    g_rows raises where the first of them raises).
+    overflows and raises), and on the whole ray where the amplitude ratio
+    at d overflows, the values are grushin_conj_f's at the covector s d, and
+    g_rows loops over g.
 
-    free_below is the crossing radius, the first s at which theta reaches a
-    multiple of pi_alpha, less a relative _CROSSING_MARGIN. Below it the
-    geodesic of s d stays off the axis x = 0 for t in [0, 1], where the
-    plane is Riemannian with Gaussian curvature -alpha (alpha + 1) / x^2 < 0,
-    so it has no conjugate point; the roots found there are rounding noise.
-    table is alpha's (alphatrig.alpha_table).
+    Each branch of tan_alpha(theta) past the phase's holds exactly one
+    conjugate radius (README, "One root per branch"), so the nodes are
+    where theta crosses its poles (_branch_nodes), and scan_points is not
+    read; a ray whose amplitude ratio at d overflows keeps the uniform
+    nodes. table is alpha's (alphatrig.alpha_table).
     """
     du, dv = d.tolist()
     alpha, x0 = table.alpha, base.x0
     x2a = _even_power(x0, alpha)
 
-    def covector_rows(s: np.ndarray) -> np.ndarray:
-        return np.array([grushin_conj_f(base, (r * du, r * dv)) for r in s.tolist()],
-                        dtype=float).reshape(-1, 1)
+    def covector_f(idx: int, s: float) -> float:
+        return grushin_conj_f(base, (s * du, s * dv))
 
     h2 = du * du + dv * dv * x2a
-    if h2 == 0.0 or not _curvature_resolvable(h2, dv):
-        return RayStrata(lambda idx, s: grushin_conj_f(base, (s * du, s * dv)), covector_rows)
+    # a finite amplitude ratio, not a representable dv^2: where dv^2 underflows
+    # the covectors s d still bend at larger s, and f there is rounding noise
+    if h2 == 0.0 or not math.isfinite(math.sqrt(h2) / abs(dv)):
+        return RayStrata(covector_f, _rows(covector_f))
     amp, omega, phase, flip = _oscillator(table, x0, du, dv, h2)
     rate, flip_amp = flip * omega, flip * amp
-
-    def restriction(s, u0, sin_cos):
-        # f(s) above, on a float s (table_sin_cos) or on an array of them
-        # (table_sin_cos_array)
-        sin_a, cos_a = sin_cos(table, phase + rate * s)
-        return flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
 
     def g(idx: int, s: float) -> float:
         u0, v0 = s * du, s * dv
         h2 = u0 * u0 + v0 * v0 * x2a
         if h2 == 0.0 or not _curvature_resolvable(h2, v0):
-            return grushin_conj_f(base, (u0, v0))
-        return restriction(s, u0, table_sin_cos)
+            return covector_f(idx, s)
+        sin_a, cos_a = table_sin_cos(table, phase + rate * s)
+        return flip_amp * (omega * s) * cos_a * (u0 + x0) - u0 * (amp * sin_a)
 
+    def nodes(lo: float, hi: float) -> np.ndarray:
+        if _energy(x0, alpha, lo * du, lo * dv) == 0.0:
+            raise DegenerateCovector("conjugacy function undefined at H = 0")
+        return _branch_nodes(table, du, x0, phase, rate, lo, hi)
+
+    return RayStrata(g, _rows(g), nodes)
+
+
+def _rows(g):
+    """g_rows of a one-stratum restriction g: g at each radius of a 1-d array, as a column."""
     def g_rows(s: np.ndarray) -> np.ndarray:
-        u0, v0 = s * du, s * dv
-        with np.errstate(all="ignore"):
-            h2 = u0 * u0 + v0 * v0 * x2a
-        osc = _oscillates(h2, v0)
-        f = np.empty((s.size, 1))
-        if not osc.all():
-            f[~osc] = covector_rows(s[~osc])
-        f[osc, 0] = restriction(s[osc], u0[osc], table_sin_cos_array)
-        return f
+        return np.array([g(0, r) for r in s.tolist()], dtype=float).reshape(-1, 1)
+    return g_rows
 
-    free_below = 0.0
-    if phase != 0.0:
-        # theta moves with the sign of rate, from phase in [-pi_alpha/2, pi_alpha/2]
-        toward_axis = (rate < 0.0) != (phase < 0.0)
-        gap = abs(phase) if toward_axis else table.pi_alpha - abs(phase)
-        free_below = gap / abs(omega) * (1.0 - _CROSSING_MARGIN)
-    return RayStrata(g, g_rows, free_below)
+
+def _branch_nodes(table, du: float, x0: float, phase: float, rate: float,
+                  lo: float, hi: float) -> np.ndarray:
+    """The radii above lo at which theta = phase + rate s crosses a pole past phase's branch, and hi.
+
+    lo leads them where a pole lies at or below it. With |tan_alpha(phase)|
+    = |rate x0 / du| of _POLE_HUG or more (du = 0 among them) the roots lie
+    within rounding of the poles, and the nodes move half a branch, to the
+    zeros of sin_alpha; tan_alpha(phase) + (theta - phase) keeps its sign
+    over _MAX_BRANCHES branches, so these separate the roots too. More
+    branches than that below hi raise InvalidInput.
+    """
+    pi_a, speed = table.pi_alpha, abs(rate)
+    # phase as seen by theta moving upward, in [-pi_alpha/2, pi_alpha/2]
+    ahead = phase if rate > 0.0 else -phase
+    if abs(du) * _POLE_HUG <= abs(rate * x0):
+        first = pi_a - ahead if ahead >= 0.0 else -ahead
+    else:
+        first = table.quarter - ahead
+    branches = (hi * speed - first) / pi_a
+    if not branches <= _MAX_BRANCHES:
+        raise InvalidInput(f"s_max = {hi!r} is too large: theta crosses {branches:.3g} "
+                           f"branches of tan_alpha, past the {_MAX_BRANCHES} a scan brackets")
+    crossings = (first + np.arange(max(math.ceil(branches), 0)) * pi_a) / speed
+    crossings = crossings[crossings < hi]
+    above = crossings[crossings > lo]
+    start = [lo] if above.size < crossings.size else []
+    return np.concatenate((start, above, [hi]))
 
 
 def grushin_adapter(base: GrushinBase) -> StructureAdapter:

@@ -50,11 +50,10 @@ def libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist(), *columns), dtype=float, count=x.size)
 
 
-# math's cos and sin and Python's pow over 1-d arrays, for the formula bodies
-# that take their elementary functions as arguments
+# math's cos and sin over 1-d arrays, for the formula bodies that take their
+# elementary functions as arguments
 libm_cos = functools.partial(libm, math.cos)
 libm_sin = functools.partial(libm, math.sin)
-libm_pow = functools.partial(libm, pow)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,19 +180,8 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
     The scan samples g at scan_nodes(lo, hi, scan_points), one call per node,
     unless grid_values already holds g at those nodes (a caller that can
     evaluate g over an array passes it); it must then equal g there bit for
-    bit. Brent takes the values at a bracket's ends from the grid and calls g
-    only inside it, and it returns g at the root, which is the residual.
-    Every accepted root satisfies |g(r)| <= tol * scale, where scale is the
-    largest |g| seen on the scan grid; a sign change across a pole fails that
-    gate and is dropped. A grid node where g is exactly zero is a root only
-    when the nearest nonzero grid values on either side differ in sign, so a
-    zero at an endpoint or a touching zero is not reported. Hits are
-    deduplicated and sorted ascending. A non-finite grid value raises
-    NonConvergence, which names the first such node, and a tol that is not
-    positive and finite raises InvalidInput. A NaN from g inside a bracket,
-    or a bracket that Brent does not close in _BRENT_MAXITER steps, raises
-    NonConvergence too. find_roots_lockstep gives the same hits for several
-    functions at once, polishing all their brackets together.
+    bit. The roots are node_roots' on those nodes, and a tol that is not
+    positive and finite raises InvalidInput.
     """
     check_root_tol(tol)
     xs = scan_nodes(lo, hi, scan_points)
@@ -204,44 +192,63 @@ def find_roots(g: Callable[[float], float], lo: float, hi: float,
         if gs.shape != xs.shape:
             raise InvalidInput(
                 f"grid_values has shape {gs.shape}, expected ({scan_points},)")
+    return node_roots(g, xs, gs, tol)
+
+
+def node_roots(g: Callable[[float], float], xs: np.ndarray, gs: np.ndarray,
+               tol: float) -> list[RootHit]:
+    """The sign-change roots of g between the ascending nodes xs, where g takes the values gs.
+
+    Brent polishes each sign_brackets bracket, taking the values at its ends
+    from gs and calling g only inside it, and returns g at the root, which
+    is the residual. Every accepted root satisfies |g(r)| <= tol * scale,
+    where scale is the largest |g| at the nodes; a sign change across a pole
+    fails that gate and is dropped. A node where g is exactly zero is a root
+    only when the nearest nonzero node values on either side differ in
+    sign, so a zero at an end or a touching zero is not reported. Hits are
+    deduplicated and sorted ascending. A non-finite node value raises
+    NonConvergence, which names the first such node; so does a NaN from g
+    inside a bracket, or a bracket that Brent does not close in
+    _BRENT_MAXITER steps. find_roots_lockstep gives the same hits for
+    several functions at once, polishing all their brackets together.
+    """
     bad = np.flatnonzero(~np.isfinite(gs))
     if bad.size:
         first = bad[0]
         raise NonConvergence(
-            f"scan produced {bad.size} non-finite values on [{lo}, {hi}]; "
+            f"scan produced {bad.size} non-finite values on "
+            f"[{float(xs[0])!r}, {float(xs[-1])!r}]; "
             f"first at s = {float(xs[first])!r}: {float(gs[first])!r}")
     polished = [_brent(g, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]),
                        xtol=tol * 1e-2, rtol=1e-15)
                 for i in sign_brackets(gs)[0]]
-    return _gated_hits(xs, gs, polished, tol, lo, hi)
+    return _gated_hits(xs, gs, polished, tol)
 
 
 def find_roots_lockstep(g: Callable[[int, float], float],
                         g_rows: Callable[[np.ndarray], np.ndarray],
-                        lo: float, hi: float, grid_values: np.ndarray,
-                        scan_points: int = DEFAULT_SCAN_POINTS,
+                        xs: np.ndarray, grid_values: np.ndarray,
                         tol: float = DEFAULT_ROOT_TOL) -> list[list[RootHit]]:
-    """find_roots of k functions on one grid, every bracket polished in one lockstep.
+    """node_roots of k functions on the nodes xs, every bracket polished in one lockstep.
 
     g(k, x) is function k at x, and g_rows(x) the values (m, k) of every
     function at the m points x, equal to g bit for bit; grid_values (k,
-    scan_points) holds them at the scan nodes. Entry k of the result is,
-    to the bit, find_roots(functools.partial(g, k), lo, hi, scan_points,
-    tol, grid_values[k]). Each Brent step of every open bracket, whatever
-    its function, comes from one g_rows call (_brent_lockstep), and g is
-    not called. A non-finite grid value, a NaN or a raise inside the
-    lockstep, or a bracket it does not close, re-runs find_roots function
-    by function, so what that raises is raised.
+    xs.size) holds them at the nodes. Entry k of the result is, to the bit,
+    node_roots(functools.partial(g, k), xs, grid_values[k], tol). Each
+    Brent step of every open bracket, whatever its function, comes from one
+    g_rows call (_brent_lockstep), and g is not called. A non-finite node
+    value, a NaN or a raise inside the lockstep, or a bracket it does not
+    close, re-runs node_roots function by function, so what that raises is
+    raised.
     """
     check_root_tol(tol)
-    xs = scan_nodes(lo, hi, scan_points)
     grids = np.asarray(grid_values, dtype=float)
     if grids.ndim != 2 or grids.shape[1] != xs.size:
         raise InvalidInput(
-            f"grid_values has shape {grids.shape}, expected (k, {scan_points})")
+            f"grid_values has shape {grids.shape}, expected (k, {xs.size})")
 
     def one_by_one() -> list[list[RootHit]]:
-        return [find_roots(functools.partial(g, k), lo, hi, scan_points, tol, gs)
+        return [node_roots(functools.partial(g, k), xs, gs, tol)
                 for k, gs in enumerate(grids)]
 
     if not np.isfinite(grids).all():
@@ -255,16 +262,16 @@ def find_roots_lockstep(g: Callable[[int, float], float],
         return one_by_one()
     polished = list(zip(roots.tolist(), values.tolist()))
     bounds = np.searchsorted(columns, np.arange(len(grids) + 1)).tolist()
-    return [_gated_hits(xs, gs, polished[bounds[k]:bounds[k + 1]], tol, lo, hi)
+    return [_gated_hits(xs, gs, polished[bounds[k]:bounds[k + 1]], tol)
             for k, gs in enumerate(grids)]
 
 
 def _gated_hits(xs: np.ndarray, gs: np.ndarray, polished: list[tuple[float, float]],
-                tol: float, lo: float, hi: float) -> list[RootHit]:
-    """find_roots' hits on [lo, hi] from its finite grid gs at the nodes xs and its polish.
+                tol: float) -> list[RootHit]:
+    """node_roots' hits from its finite values gs at the nodes xs and its polish.
 
     polished holds Brent's (root, g(root)) for each sign_brackets bracket in
-    order. Exact zeros on the grid, then the polished roots that pass the
+    order. Exact zeros at the nodes, then the polished roots that pass the
     residual gate, are merged and sorted.
     """
     scale = max(1.0, float(np.max(np.abs(gs))))
@@ -284,7 +291,7 @@ def _gated_hits(xs: np.ndarray, gs: np.ndarray, polished: list[tuple[float, floa
 
     hits.sort(key=lambda h: h.value)
     merged: list[RootHit] = []
-    min_gap = (hi - lo) * 1e-9
+    min_gap = float(xs[-1] - xs[0]) * 1e-9
     for h in hits:
         if merged and abs(h.value - merged[-1].value) < min_gap:
             if h.residual < merged[-1].residual:

@@ -26,9 +26,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateCovector, InvalidInput, WitnessNotFound
+# find_roots is not called here; perfbench/tracer.py wraps this name as the
+# root-search boundary
 from .numeric import (DEFAULT_ROOT_TOL, DEFAULT_SCAN_POINTS, check_root_tol, fd_columns,
-                      fd_stencil, find_roots, find_roots_lockstep, rank_nullspace, row_dots,
-                      scan_nodes, sign_brackets, vector_norm)
+                      fd_stencil, find_roots, find_roots_lockstep, node_roots, rank_nullspace,
+                      row_dots, scan_nodes, sign_brackets, vector_norm)
 
 # The classification policy is fixed. conj-scan prints PAIRING_TOL and
 # SECOND_ORDER_TOL, with numeric.DEFAULT_RANK_TOL_FACTOR, in its tolerances.
@@ -71,14 +73,16 @@ class RayStrata(NamedTuple):
     g(idx, s) is stratum function idx at the covector s d, and g_rows(s)
     the values (m, n_strata) of every stratum function at the m radii of a
     1-d array s, equal to g bit for bit (or it raises what g raises at the
-    first radius where g raises). No covector s d with s < free_below is
-    conjugate, and scan_ray drops the roots it finds there. A ray with no
-    conjugate covector gets None from the adapter instead.
+    first radius where g raises). nodes(lo, hi) gives the ascending radii,
+    the last of them hi, between which scan_ray brackets the roots on
+    [lo, hi], or raises DegenerateCovector where the covector at lo has no
+    stratum values; None takes the uniform scan_nodes(lo, hi, scan_points).
+    A ray with no conjugate covector gets None from the adapter instead.
     """
 
     g: Callable[[int, float], float]
     g_rows: Callable[[np.ndarray], np.ndarray]
-    free_below: float = 0.0
+    nodes: Callable[[float, float], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,8 @@ class StructureAdapter:
     ray_strata(d) gives the stratum functions, aligned with stratum_names,
     restricted to the ray of the unit direction d (RayStrata), or None on
     a ray with no conjugate covector, which then has no records. scan_ray
-    samples its grid with one g_rows call, and Brent polishes the brackets
-    of a ray with few of them on g, and those of a ray with
+    samples the ray's nodes with one g_rows call, and Brent polishes the
+    brackets of a ray with few of them on g, and those of a ray with
     LOCKSTEP_MIN_BRACKETS or more in lockstep, one g_rows call per step;
     its last values are the residuals. So g and g_rows must agree bit for
     bit for the brackets and the radii to hold. record_fields(covs, strata,
@@ -228,21 +232,24 @@ def _unit_direction(direction: Sequence[float], fiber_dim: int) -> np.ndarray:
 def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float, *,
              scan_points: int = DEFAULT_SCAN_POINTS,
              root_tol: float = DEFAULT_ROOT_TOL) -> list[ConjugateRecord]:
-    """Conjugate covectors on the ray {s * direction : 0 < s <= s_max}, classified.
+    """Conjugate covectors on the ray {s * direction : lo <= s <= s_max}, classified.
 
-    Roots of each stratum function are located by a scan-and-bracket search
-    on the adapter's restriction of the strata to the ray (ray_strata, None
-    on a ray with no records): one g_rows call samples every stratum on the
-    scan grid. With fewer than LOCKSTEP_MIN_BRACKETS sign changes over all
-    strata, Brent polishes each with the scalar g (find_roots); with more,
-    all of them are polished
+    lo is s_max * RAY_ORIGIN_OFFSET. Roots of each stratum function are
+    located by a bracket search on the adapter's restriction of the strata
+    to the ray (ray_strata, None on a ray with no records), between the
+    nodes the restriction chooses. scan_points sets the uniform nodes from
+    lo to s_max of a group ray and of a Grushin ray whose direction is off
+    the oscillator branch; a Grushin ray whose geodesics oscillate brackets
+    between the poles of tan_alpha and ignores it, though it is checked on
+    every ray. One g_rows call samples every stratum at the nodes. With
+    fewer than LOCKSTEP_MIN_BRACKETS sign changes over all strata, Brent
+    polishes each with the scalar g (node_roots); with more, all of them are polished
     together, one g_rows call per Brent step (find_roots_lockstep), to the
-    same roots bit for bit. Roots below the restriction's free_below are
-    dropped. Every root is cross-validated by the
+    same roots bit for bit. Every root is cross-validated by the
     finite-difference rank of the chart exponential before it becomes a
     record; the records of all strata are built together (_build_records).
-    Records are sorted by s. An s_max so small that the energy of the first
-    grid covectors underflows raises InvalidInput.
+    Records are sorted by s. An s_max so small that the energy of the
+    covectors at lo underflows raises InvalidInput.
     """
     d = _unit_direction(direction, adapter.fiber_dim)
     if not (s_max > 0.0 and np.isfinite(s_max)):
@@ -252,23 +259,23 @@ def scan_ray(adapter: StructureAdapter, direction: Sequence[float], s_max: float
     if strata is None:
         return []
     lo = s_max * RAY_ORIGIN_OFFSET
-    nodes = scan_nodes(lo, s_max, scan_points)
-    g, g_rows, free_below = strata
+    # checks scan_points on every ray, also where the restriction's nodes ignore it
+    uniform = scan_nodes(lo, s_max, scan_points)
+    g, g_rows, nodes = strata
     try:
-        grid = g_rows(nodes).T
+        xs = uniform if nodes is None else nodes(lo, s_max)
+        values = g_rows(xs).T
     except DegenerateCovector as exc:
         # ray_strata let the ray in, so its energy is positive: it underflows
         raise InvalidInput(f"s_max = {s_max!r} is too small: the energy of the covectors "
                            f"at the start of the scan grid underflows ({exc})") from exc
-    if sign_brackets(grid)[0].size >= LOCKSTEP_MIN_BRACKETS:
-        found = find_roots_lockstep(g, g_rows, lo, s_max, grid, scan_points, root_tol)
+    if sign_brackets(values)[0].size >= LOCKSTEP_MIN_BRACKETS:
+        found = find_roots_lockstep(g, g_rows, xs, values, root_tol)
     else:
-        found = [find_roots(functools.partial(g, idx), lo, s_max, scan_points=scan_points,
-                            tol=root_tol, grid_values=grid[idx])
+        found = [node_roots(functools.partial(g, idx), xs, values[idx], root_tol)
                  for idx in range(len(adapter.stratum_names))]
     hits = [(hit.value, stratum)
-            for stratum, roots in zip(adapter.stratum_names, found) for hit in roots
-            if hit.value >= free_below]
+            for stratum, roots in zip(adapter.stratum_names, found) for hit in roots]
     records = _build_records(adapter, d, hits) if hits else []
     records.sort(key=lambda rec: rec.s)
     return records

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from srfolds import alphatrig
 from srfolds import (InvalidInput, OdeProblem, arc_alpha, find_roots,
                      integrate, pi_alpha, sin_cos_alpha)
-from srfolds.alphatrig import (_pi_alpha_quadrature, alpha_table, table_arc_cos,
-                               table_sin_cos_array)
+from srfolds.alphatrig import _pi_alpha_quadrature, alpha_table, table_arc_cos
 
 PI_15 = 2.8043642106509084
 PI_2 = 2.6220575542921196
@@ -64,7 +63,7 @@ class TestPiAlpha:
             with pytest.raises(InvalidInput):
                 pi_alpha(alpha)
             with pytest.raises(InvalidInput):
-                table_sin_cos_array(alpha_table(alpha), np.array([0.5]))
+                alpha_table(alpha)
 
 
 class TestSinCosAlpha:
@@ -271,28 +270,6 @@ def test_factor_cache_builds_the_plain_loops_table(alpha, monkeypatch):
     cached = alphatrig._table_cached.__wrapped__(alpha)
     monkeypatch.setattr(alphatrig, "_series_tail", _plain_series_tail)
     assert _table_bits(cached) == _table_bits(alphatrig._table_cached.__wrapped__(alpha))
-
-
-class TestArrayForms:
-    """table_sin_cos_array returns sin_cos_alpha's values bit for bit.
-
-    numpy's power, sin and cos differ from the C library by an ulp on a few
-    percent of inputs, so a few thousand samples per alpha catch an array
-    form that uses them.
-    """
-
-    ALPHAS = [1.0, 1.5, 2.0, 2.5, 3.0, 7.5]
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_sin_cos(self, alpha):
-        rng = np.random.default_rng(1)
-        half = pi_alpha(alpha)
-        t = np.concatenate([rng.uniform(-4.0 * half, 4.0 * half, 4000),
-                            half * np.arange(-8, 9) / 2.0, [0.0, -0.0, 1e-300, -1e-300]])
-        s_arr, c_arr = table_sin_cos_array(alpha_table(alpha), t)
-        s_ref, c_ref = np.array([sin_cos_alpha(alpha, v) for v in t.tolist()]).T
-        assert s_arr.tobytes() == s_ref.tobytes()
-        assert c_arr.tobytes() == c_ref.tobytes()
 
 
 class TestScipyOracle:

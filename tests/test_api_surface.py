@@ -130,7 +130,7 @@ def test_structure_adapter_hooks_are_pinned():
     assert [f.name for f in dataclasses.fields(srfolds.StructureAdapter)] == [
         "name", "fiber_dim", "chart", "chart_jacobian", "chart_array", "ray_strata",
         "record_fields", "stratum_names", "undetermined"]
-    assert srfolds.RayStrata._fields == ("g", "g_rows", "free_below")
+    assert srfolds.RayStrata._fields == ("g", "g_rows", "nodes")
 
 
 _COVECTOR_FUNCTIONS = [f"{group}_{op}" for group in ("su2", "sl2")
@@ -410,9 +410,6 @@ _SHARED_BODIES = [
     ("sl2._rotated", "sl2.sl2_exp", "sl2._entries_array"),
     ("sl2._unimodular", "sl2.Sl2Matrix.__post_init__", "sl2._entries_array"),
     ("scfun.trig_sc_pair", "scfun.sc_pair", "sl2._entries_array"),
-    ("alphatrig._low_quarter", "alphatrig._eval_quarter", "alphatrig._eval_quarter_array"),
-    ("alphatrig._high_quarter", "alphatrig._eval_quarter", "alphatrig._eval_quarter_array"),
-    ("grushin._ray_strata.restriction", "grushin._ray_strata.g", "grushin._ray_strata.g_rows"),
 ]
 
 

@@ -70,16 +70,20 @@ GOLDEN_CASES = {
 }
 
 
-def run_cli(*args):
+def _cli_command(*args):
+    """The argv and the environment of a `python -m srfolds.cli` subprocess."""
     # the subprocess imports the same srfolds as this process, also from a
     # checkout that is not installed
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     # pyproject's filterwarnings does not reach a subprocess
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "srfolds.cli", *args],
-        capture_output=True, text=True, env=env, timeout=300)
+    return [sys.executable, "-W", "error::RuntimeWarning", "-m", "srfolds.cli", *args], env
+
+
+def run_cli(*args):
+    argv, env = _cli_command(*args)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
 
 
 class TestExpmap:
@@ -346,8 +350,13 @@ class TestExitCodes:
         # t is finite; the phase omega t is not
         (("expmap", "--base", "0.5,0", "--covector", "1,3", "--t", "1e308"),
          "covector (1.0, 3.0) too large at t = 1e+308: its phase omega t overflows"),
+        # the straight line of v0 = 0, and of a v0 whose square underflows
+        (("expmap", "--base", "0.5,0", "--covector", "10,0", "--t", "1e308"),
+         "covector (10.0, 0.0) too large at t = 1e+308: its line x0 + u0 t overflows"),
+        (("expmap", "--base", "0.5,0", "--covector", "10,1e-200", "--t", "1e308"),
+         "covector (10.0, 1e-200) too large at t = 1e+308: its line x0 + u0 t overflows"),
     ], ids=["expmap-v0", "expmap-u0", "conj-scan", "expmap-base", "conj-scan-base",
-            "expmap-base-alpha-1", "expmap-phase"])
+            "expmap-base-alpha-1", "expmap-phase", "expmap-line", "expmap-line-underflow"])
     def test_grushin_overflow_is_one_error_line(self, args, message):
         command, *flags = args
         proc = run_cli(command, "--structure", "grushin", "--alpha", "2", *flags)
@@ -404,6 +413,26 @@ class TestExitCodes:
                                "No such file or directory\n")
         assert proc.stdout == ""
         assert not out_file.parent.exists()
+
+
+    def test_reader_that_closes_the_pipe_gets_no_traceback(self):
+        # srfolds ... | head -n 1: some 120 kB of JSON outgrow the pipe's
+        # buffer, so the CLI is still writing when its reader goes away
+        argv, env = _cli_command("conj-scan", "--structure", "su2", "--direction", "1,0,0.5",
+                                 "--s-max", "1000", "--format", "json")
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=300)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first == b"{\n"
+        assert b"Traceback" not in stderr
+        assert stderr == b""
+        assert proc.returncode == 1
 
 
 class TestSelftest:

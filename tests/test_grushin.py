@@ -18,7 +18,7 @@ from srfolds import (DegenerateCovector, GrushinBase, InvalidInput,
                      grushin_jacobi, grushin_kernel, integrate, rank_nullspace,
                      scan_ray, sin_cos_alpha)
 from srfolds.alphatrig import alpha_table
-from srfolds.grushin import _CROSSING_MARGIN, _oscillator
+from srfolds.grushin import _oscillator
 from srfolds.oracles import quad
 from srfolds.singularity import PAIRING_TOL
 
@@ -662,6 +662,14 @@ class TestOverflow:
         with pytest.raises(InvalidInput, match=re.escape(message)):
             grushin_exp(self.BASE, cov, 1e308)
 
+    @pytest.mark.parametrize("cov", [(10.0, 0.0), (10.0, 1e-200), (-10.0, 0.0)], ids=_cov_id)
+    def test_line_that_overflows_names_the_covector_and_t(self, cov):
+        # the straight line x0 + u0 t (v0 = 0, or v0^2 underflows) at a
+        # finite t past the doubles; it used to return x = inf
+        message = f"covector ({cov[0]!r}, {cov[1]!r}) too large at t = 1e+308: its line"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            grushin_exp(self.BASE, cov, 1e308)
+
     def test_scan_whose_grid_energy_overflows_raises(self):
         with pytest.raises(InvalidInput, match="too large: its energy overflows"):
             scan_ray(grushin_adapter(self.BASE), (1.0, 1.0), 1e300)
@@ -777,35 +785,191 @@ class TestRayRestriction:
         eps = np.finfo(float).eps
         assert abs(value - reference) <= self._RESTRICTION_ULPS * eps * max(1.0, size)
 
-    @pytest.mark.parametrize("alpha,x0,direction", [
-        (1.5, 0.5, (0.4, 1.0)),       # moving off the axis
-        (1.5, 0.5, (-0.6, 1.0)),      # moving toward it
-        (2.5, -0.3, (1.0, 0.5)),
-        (2.5, -0.3, (-1.0, -0.5)),
-        (3.0, 2.0, (0.0, 1.0)),       # starting at the top of the oscillation
-        (1.0, -0.5, (1.0, 1e-8)),     # near-horizontal, reaching the axis at s ~ 0.5
+    @pytest.mark.parametrize("alpha,x0,direction,hi", [
+        (1.5, 0.5, (0.4, 1.0), 60.0),       # moving off the axis
+        (1.5, 0.5, (-0.6, 1.0), 60.0),      # moving toward it
+        (2.5, -0.3, (1.0, 0.5), 60.0),
+        (2.5, -0.3, (-1.0, -0.5), 60.0),
+        (2.0, 0.0, (0.6, 0.8), 60.0),       # from the axis, where the phase is 0
+        (1.0, -0.5, (1.0, 1e-8), 2e9),      # near-horizontal: the first pole at s ~ 1.6e8
     ])
-    def test_crossing_radius_is_where_the_endpoint_reaches_the_axis(self, alpha, x0,
-                                                                    direction):
+    def test_nodes_are_where_the_endpoint_turns(self, alpha, x0, direction, hi):
+        # every node but hi is a pole of tan_alpha, where the geodesic of s d
+        # turns (u1 = 0), and f alternates in sign from one node to the next
         base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
         d = np.asarray(direction) / np.linalg.norm(direction)
-        crossing = grushin_adapter(base).ray_strata(d).free_below / (1.0 - _CROSSING_MARGIN)
-        before = grushin_exp(base, (1.0 - 1e-6) * crossing * d, 1.0).position[0]
-        after = grushin_exp(base, (1.0 + 1e-6) * crossing * d, 1.0).position[0]
-        assert math.copysign(1.0, before) == math.copysign(1.0, x0)
-        assert math.copysign(1.0, after) == -math.copysign(1.0, x0)
+        strata = grushin_adapter(base).ray_strata(d)
+        nodes = strata.nodes(hi * 1e-4, hi)
+        assert nodes[-1] == hi and len(nodes) >= 3
+        assert np.all(np.diff(nodes) > 0.0)
+        for s in nodes[:-1].tolist():
+            u0, v0 = s * d
+            u1 = grushin_exp(base, (u0, v0), 1.0).momentum[0]
+            assert abs(u1) <= 1e-12 * math.sqrt(u0 * u0 + v0 * v0 * abs(x0) ** (2.0 * alpha))
+        signs = np.sign(strata.g_rows(nodes[:-1])[:, 0])
+        assert np.all(signs[1:] == -signs[:-1])
 
-    def test_no_crossing_radius_on_the_axis(self):
-        adapter = grushin_adapter(GrushinBase(alpha=2.0, x0=0.0, y0=0.0))
-        assert adapter.ray_strata(np.array([0.6, 0.8])).free_below == 0.0
+    @pytest.mark.parametrize("alpha,x0", [(1.0, 0.5), (2.0, -1.5), (3.0, 2.0)])
+    def test_vertical_nodes_are_where_the_endpoint_crosses_the_axis(self, alpha, x0):
+        # with du = 0 the roots are the poles themselves, so the nodes sit
+        # halfway between them, where x1 = 0, and f alternates there
+        base = GrushinBase(alpha=alpha, x0=x0, y0=0.0)
+        strata = grushin_adapter(base).ray_strata(np.array([0.0, 1.0]))
+        nodes = strata.nodes(6e-3, 60.0)
+        assert len(nodes) >= 3
+        for s in nodes[:-1].tolist():
+            assert abs(grushin_exp(base, (0.0, s), 1.0).position[0]) <= 1e-12 * abs(x0)
+        signs = np.sign(strata.g_rows(nodes[:-1])[:, 0])
+        assert np.all(signs[1:] == -signs[:-1])
+
+    def test_scan_past_the_branch_limit_raises(self):
+        # a ray whose phase crosses more branches of tan_alpha than a scan
+        # brackets says so, instead of returning some of its conjugate points
+        adapter = grushin_adapter(GrushinBase(alpha=2.0, x0=0.5, y0=0.0))
+        with pytest.raises(InvalidInput, match=r"^s_max = 1000000000000.0 is too large: theta crosses"):
+            scan_ray(adapter, (1.0, 1.0), 1e12)
 
     @pytest.mark.parametrize("alpha,x0,direction", [
         (1.0, 0.5, (1.0, 1e-155)),
         (4.0, 0.5, (1.0, 1e-160)),
+        (2.0, -0.5, (1.0, 1e-155)),
+        (2.0, -0.5, (1.0, 1e-8)),
+        (3.0, -0.5, (1.0, 1e-8)),
+        (4.0, -0.5, (1.0, 1e-8)),
     ])
-    def test_no_record_below_the_crossing_radius(self, alpha, x0, direction):
-        # these geodesics stay off the axis on [0, 1] for every s <= 30, where
-        # the plane has negative curvature; f there is rounding noise, whose
-        # sign changes used to become dozens of records, most of them Folds
+    def test_near_horizontal_ray_without_a_pole_has_no_record(self, alpha, x0, direction):
+        # theta moves by less than its distance to the first pole for every
+        # s <= 30, so the lemma leaves these rays no conjugate point; f's
+        # rounding noise used to become dozens of records, most of them Folds
         records = scan_ray(grushin_adapter(GrushinBase(alpha, x0, 0.0)), direction, 30.0)
         assert records == []
+
+
+@pytest.mark.parametrize("x0", [1.224677220641094e-131, -1e-150])
+def test_kernel_whose_square_underflows_is_a_unit_vector(x0):
+    # next to x0 = 0 on the vertical ray the kernel (v0 |x0|^(2 alpha), 0)
+    # squares to 0; it used to divide by that 0 norm
+    base = GrushinBase(alpha=1.0, x0=x0, y0=0.0)
+    records = scan_ray(grushin_adapter(base), (0.0, 1.0), 5.0)
+    assert records
+    for rec in records:
+        assert rec.kernel_basis[0].tolist() == [1.0, -0.0]
+        assert grushin_kernel(base, rec.covector)[0].tolist() == [1.0, -0.0]
+
+
+def _above_rounding(base: GrushinBase, cov) -> bool:
+    """True where |f| exceeds 1e-6 times the size of its two terms u1 (u0 + x0) and u0 x1."""
+    state = grushin_exp(base, cov, 1.0)
+    x1, u1, u0 = state.position[0], state.momentum[0], cov[0]
+    size = abs(u1) * (abs(u0) + abs(base.x0)) + abs(u0) * abs(x1)
+    return abs(u1 * (u0 + base.x0) - u0 * x1) > 1e-6 * size
+
+
+@st.composite
+def _lemma_rays(draw):
+    """(base, direction, s_max): generic, near-vertical, near-horizontal and vertical rays."""
+    base = GrushinBase(alpha=draw(st.floats(1.0, 4.0)), x0=draw(st.floats(-1.5, 1.5)), y0=0.0)
+    kind = draw(st.sampled_from(["generic", "near-vertical", "near-horizontal", "vertical"]))
+    sign, side = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([1.0, -1.0]))
+    if kind == "near-horizontal":
+        direction = (sign, side * 10.0 ** draw(st.floats(-300.0, -2.0)))
+    elif kind == "vertical":
+        direction = (0.0, sign)
+    else:
+        angle = (draw(st.floats(0.0, 2.0 * math.pi)) if kind == "generic" else
+                 sign * math.pi / 2.0 + side * 10.0 ** draw(st.floats(-16.0, -2.0)))
+        direction = (math.cos(angle), math.sin(angle))
+    return base, direction, draw(st.floats(5.0, 60.0))
+
+
+class TestBranchLemma:
+    """Each branch of tan_alpha past the phase's holds one conjugate radius.
+
+    Along the ray, theta = phase + rate s and f = s amp F(theta), where
+    F / (du cos_alpha) = tan_alpha(theta) - (theta - phase) - tan_alpha(phase)
+    never decreases on a branch and F = -du sin_alpha alternates in sign at
+    the poles. So the radii in [lo, s_max] are counted from the poles that
+    theta crosses: one per branch that ends inside, and for a branch that
+    lo or s_max cuts, one where F's sign there says the root lies inside.
+    With du = 0 the roots are the poles themselves, k pi_alpha / |rate|.
+    """
+
+    @staticmethod
+    def _f(table, phase, rate, du, x0, theta):
+        sin_a, cos_a = sin_cos_alpha(table.alpha, theta)
+        return cos_a * ((theta - phase) * du + rate * x0) - du * sin_a
+
+    @classmethod
+    def _lemma(cls, base, d, lo, hi):
+        """The lemma's count of radii in [lo, hi], and the radii themselves where du = 0."""
+        du, dv = d.tolist()
+        table = alpha_table(base.alpha)
+        h2 = du * du + dv * dv * abs(base.x0) ** (2.0 * base.alpha)
+        amp, omega, phase, flip = _oscillator(table, base.x0, du, dv, h2)
+        rate, pi_a = flip * omega, table.pi_alpha
+        if du == 0.0:
+            radii = [k * pi_a / abs(rate) for k in range(1, int(hi * abs(rate) / pi_a) + 2)]
+            for r in radii:
+                assume(abs(r - hi) > 1e-9 * hi and abs(r - lo) > 1e-9 * lo)
+            radii = [r for r in radii if lo <= r <= hi]
+            return len(radii), radii
+
+        def sign_at(s):
+            theta = phase + rate * s
+            value = cls._f(table, phase, rate, du, base.x0, theta)
+            scale = abs(rate * base.x0) + abs(du) * (1.0 + abs(theta - phase))
+            # a root within rounding of lo or s_max may be counted either way
+            assume(abs(value) > 1e-7 * scale)
+            return math.copysign(1.0, value)
+
+        # the poles theta crosses past phase's branch, at P_j, where F has the sign (-1)^j
+        first = table.quarter - (phase if rate > 0.0 else -phase)
+        poles = [(first + j * pi_a) / abs(rate)
+                 for j in range(max(0, math.floor((hi * abs(rate) - first) / pi_a) + 2))]
+        count = 0
+        for j in range(1, len(poles)):
+            start, end = poles[j - 1], poles[j]
+            if start > hi or end <= lo:
+                continue
+            past_lo = start >= lo or sign_at(lo) == (-1.0) ** j
+            before_hi = end <= hi or sign_at(hi) == (-1.0) ** (j + 1)
+            count += past_lo and before_hi
+        return count, None
+
+    @settings(max_examples=150, deadline=None)
+    @given(_lemma_rays())
+    def test_records_are_the_lemma_radii(self, ray):
+        base, direction, s_max = ray
+        adapter = grushin_adapter(base)
+        d = np.asarray(direction) / np.linalg.norm(direction)
+        du, dv = d.tolist()
+        lo = s_max * 1e-4
+        strata = adapter.ray_strata(d)
+        if strata is None or strata.nodes is None:
+            # H = 0 or v0 = 0, or a v0 so small that its amplitude ratio
+            # overflows: no geodesic bends, and f = 0 on the straight line
+            assert scan_ray(adapter, direction, s_max) == []
+            return
+        if (lo * du) ** 2 + (lo * dv) ** 2 * abs(base.x0) ** (2.0 * base.alpha) == 0.0:
+            # next to x0 = 0 the energy at the start of the scan underflows
+            with pytest.raises(InvalidInput, match=r"is too small: the energy"):
+                scan_ray(adapter, direction, s_max)
+            return
+        records = scan_ray(adapter, direction, s_max)
+        count, exact = self._lemma(base, d, lo, s_max)
+        assert len(records) == count
+        radii = [rec.s for rec in records]
+        if exact is not None:
+            assert radii == pytest.approx(exact, rel=1e-12)
+        if abs(dv) >= 0.05:
+            # the covector route, densely: a second root search on f itself,
+            # whose sign changes count where f rises above its rounding floor
+            # half a grid step to either side (next to x0 = 0 f is of order
+            # s^2 in the phase's branch, and its sign there is noise)
+            dense = find_roots(lambda s: grushin_conj_f(base, (s * du, s * dv)), lo, s_max,
+                               scan_points=4000)
+            step = (s_max - lo) / 7998.0
+            assert radii == pytest.approx(
+                [hit.value for hit in dense
+                 if all(_above_rounding(base, (s * du, s * dv))
+                        for s in (hit.value - step, hit.value + step))], rel=1e-9)

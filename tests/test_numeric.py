@@ -19,7 +19,7 @@ from srfolds import (DegenerateMatrix, GrushinBase, InvalidInput, JacobiCoords,
                      rank_nullspace, sin_cos_alpha, sl2_exp, sl2_jacobi, su2_exp,
                      su2_jacobi, vertical_to_endpoint_matrix)
 from srfolds.numeric import (_brent, _brent_lockstep, _gated_hits, find_roots_lockstep,
-                             finite_time, scan_nodes, sign_brackets, vector_norm)
+                             finite_time, node_roots, scan_nodes, sign_brackets, vector_norm)
 from srfolds.oracles import OdeProblem, integrate, quad
 from srfolds.singularity import LOCKSTEP_MIN_BRACKETS
 
@@ -447,11 +447,25 @@ class TestFindRootsBrackets:
         # the later one, with the smaller residual, replaces the earlier
         xs = scan_nodes(0.0, 1.0, 3)
         gs = np.array([-1.0, 1.0, 2.0])
-        merged = _gated_hits(xs, gs, [(0.25, 1e-12), (0.25 + 1e-12, 1e-14)], 1e-10, 0.0, 1.0)
+        merged = _gated_hits(xs, gs, [(0.25, 1e-12), (0.25 + 1e-12, 1e-14)], 1e-10)
         assert merged == [RootHit(0.25 + 1e-12, 1e-14)]
         # and the earlier one stays where its residual is the smaller
-        merged = _gated_hits(xs, gs, [(0.25, 1e-14), (0.25 + 1e-12, 1e-12)], 1e-10, 0.0, 1.0)
+        merged = _gated_hits(xs, gs, [(0.25, 1e-14), (0.25 + 1e-12, 1e-12)], 1e-10)
         assert merged == [RootHit(0.25, 1e-14)]
+
+    def test_nodes_between_the_roots_bracket_each_once(self):
+        # sin t - t cos t = cos t (tan t - t) is +-1 at the poles (k + 1/2) pi
+        # of tan and has one root between each two: on those nodes node_roots
+        # finds what a dense uniform scan finds, from one bracket per root
+        def g(t):
+            return math.sin(t) - t * math.cos(t)
+
+        xs = (np.arange(1, 40) + 0.5) * math.pi
+        gs = np.array([g(x) for x in xs.tolist()])
+        hits = node_roots(g, xs, gs, 1e-10)
+        dense = find_roots(g, float(xs[0]), float(xs[-1]), scan_points=20000)
+        assert len(hits) == len(dense) == xs.size - 1
+        assert [h.value for h in hits] == pytest.approx([h.value for h in dense], rel=1e-14)
 
 
 def _lockstep(functions, brackets, xtol):
@@ -558,10 +572,10 @@ class TestFindRootsLockstep:
     """find_roots_lockstep gives find_roots' hits, function by function, to the bit."""
 
     LO, HI, POINTS = 1.0, 200.0, 400
+    NODES = scan_nodes(LO, HI, POINTS)
 
     def _grids(self, g):
-        xs = scan_nodes(self.LO, self.HI, self.POINTS)
-        return np.array([[g(k, x) for x in xs.tolist()] for k in (0, 1)])
+        return np.array([[g(k, x) for x in self.NODES.tolist()] for k in (0, 1)])
 
     def _one_by_one(self, g, grids):
         return [find_roots(lambda t, k=k: g(k, t), self.LO, self.HI, self.POINTS,
@@ -580,7 +594,7 @@ class TestFindRootsLockstep:
             row_calls[0] += 1
             return np.array([[_sine_and_tangent(k, t) for k in (0, 1)] for t in x.tolist()])
 
-        hits = find_roots_lockstep(g, g_rows, self.LO, self.HI, grids, self.POINTS)
+        hits = find_roots_lockstep(g, g_rows, self.NODES, grids)
         assert scalar_calls[0] == 0
         assert 0 < row_calls[0] <= 100
         expected = self._one_by_one(_sine_and_tangent, grids)
@@ -601,7 +615,7 @@ class TestFindRootsLockstep:
             self._one_by_one(g, grids)
         assert re.fullmatch(r"Brent polish on \[\S+, \S+\]: g is nan at \S+", str(scalar.value))
         with pytest.raises(NonConvergence) as lockstep:
-            find_roots_lockstep(g, g_rows, self.LO, self.HI, grids, self.POINTS)
+            find_roots_lockstep(g, g_rows, self.NODES, grids)
         assert str(lockstep.value) == str(scalar.value)
 
     def test_a_raise_or_a_non_finite_grid_is_the_scalar_error(self):
@@ -610,17 +624,15 @@ class TestFindRootsLockstep:
         def g_rows(x):
             raise ZeroDivisionError("array form")
 
-        assert find_roots_lockstep(_sine_and_tangent, g_rows, self.LO, self.HI, grids,
-                                   self.POINTS) == self._one_by_one(_sine_and_tangent, grids)
+        assert find_roots_lockstep(_sine_and_tangent, g_rows, self.NODES,
+                                   grids) == self._one_by_one(_sine_and_tangent, grids)
         grids[1, 7] = math.inf
         with pytest.raises(NonConvergence, match="scan produced 1 non-finite values"):
-            find_roots_lockstep(_sine_and_tangent, g_rows, self.LO, self.HI, grids,
-                                self.POINTS)
+            find_roots_lockstep(_sine_and_tangent, g_rows, self.NODES, grids)
 
     def test_grid_of_wrong_shape_rejected(self):
         with pytest.raises(InvalidInput, match=r"grid_values has shape \(400,\)"):
-            find_roots_lockstep(_sine_and_tangent, None, self.LO, self.HI,
-                                np.zeros(self.POINTS), self.POINTS)
+            find_roots_lockstep(_sine_and_tangent, None, self.NODES, np.zeros(self.POINTS))
 
 
 # 0 or +-10^e, from squares in the subnormal range to squares near 1e300

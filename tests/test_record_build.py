@@ -311,6 +311,35 @@ def _scalar_build(adapter, scalars, rec):
     return order, f_values, kernel_basis, second, cls, info
 
 
+def _planar_full_rank():
+    """A planar structure whose stratum function vanishes where its chart has full rank.
+
+    Its one root on the ray of (0.6, 0.8), at s = 1.5, is an order-0
+    record: the branch of the build that a conjugate point never takes.
+    """
+    def conj_f(cov):
+        return (float(cov[0] + cov[1]) - 2.1,)
+
+    def chart(cov):
+        return np.array([cov[0] + cov[1] * cov[1], cov[1]])
+
+    def ray_strata(d):
+        def g(idx, s):
+            return conj_f(s * d)[0]
+        return RayStrata(g, lambda s: np.array([[g(0, r)] for r in s.tolist()]).reshape(-1, 1))
+
+    def record_fields(covs, strata, order_one):
+        n = len(covs)
+        return np.array([conj_f(cov) for cov in covs]), np.zeros((n, 2)), np.zeros((n, 2))
+
+    adapter = StructureAdapter(
+        name="planar", fiber_dim=2, chart=chart,
+        chart_jacobian=lambda cov: fd_jacobian(chart, cov),
+        chart_array=lambda points: np.array([[chart(p) for p in row] for row in points]),
+        ray_strata=ray_strata, record_fields=record_fields, stratum_names=("other",))
+    return adapter, _Scalars(conj_f, None, None)
+
+
 RAYS = [
     ("su2", SU2, SU2_SCALARS, (1.0, 0.0, 0.5), 20.0),
     ("su2-planar", SU2, SU2_SCALARS, (1.0, 0.0, 0.0), 20.0),
@@ -322,8 +351,7 @@ RAYS = [
     ("grushin-vertical", *_grushin(1.0, 0.5), (0.0, 1.0), 20.0),
     ("grushin-near-vertical", *_grushin(3.0, 2.0),
      (math.cos(math.pi / 2.0 + 1e-6), math.sin(math.pi / 2.0 + 1e-6)), 20.0),
-    # an order-0 record past the crossing radius (about 0.5) of a near-horizontal ray
-    ("grushin-order-zero", *_grushin(3.0, -0.5), (1.0, 1e-8), 30.0),
+    ("planar-order-zero", *_planar_full_rank(), (0.6, 0.8), 3.0),
 ]
 
 
@@ -344,6 +372,17 @@ def test_batched_build_equals_scalar_build(name, adapter, scalars, direction, s_
         assert u_i[:, rank:].tobytes() == info.image_complement.tobytes()
         if rec.order >= 1:
             assert second_order_transversality(adapter, rec) == second
+
+
+def test_order_zero_record_is_not_singular():
+    # a root where the chart has full FD rank becomes a record of order 0,
+    # with no kernel and no pairing, and keeps its stratum's placeholder name
+    adapter, _ = _planar_full_rank()
+    records = scan_ray(adapter, (0.6, 0.8), 3.0)
+    assert [(rec.order, rec.stratum, rec.kernel_basis, rec.singularity_class)
+            for rec in records] == [(0, "other", (), SingularityClass.NOT_SINGULAR)]
+    assert records[0].s == pytest.approx(1.5, rel=1e-12)
+    assert classify(adapter, records[0]) is SingularityClass.NOT_SINGULAR
 
 
 def _rank_one_chart(x):

@@ -1,15 +1,15 @@
-"""The scan grid in one array call agrees with the scalar stratum functions.
+"""The scan's nodes in one array call agree with the scalar stratum functions.
 
-scan_ray samples a ray's grid with one g_rows call of the adapter's
-restriction to the ray (ray_strata) and polishes each bracket with its scalar
-g (on these rays, which have too few brackets for the lockstep polish). The
-reference here is the scalar loop, one g call per grid node. On a list of
-edge rays (components that underflow, Grushin's straight-line branch, H = 0
-on the first nodes, angles next to the vertical, w0 = 0) the array values
-must equal it bit for bit, and scan_ray must return the same records, or
-raise the same exception with the same message, with either grid. A ray
-that ray_strata turns away (None: r <= 0, H = 0, v0 = 0) has no grid and
-no records.
+scan_ray samples a ray's nodes (the uniform grid, or the restriction's own
+nodes) with one g_rows call of the adapter's restriction to the ray
+(ray_strata) and polishes each bracket with its scalar g (on these rays,
+which have too few brackets for the lockstep polish). The reference here is
+the scalar loop, one g call per node. On a list of edge rays (components
+that underflow, Grushin's straight-line branch, H = 0 at the start of the
+scan, angles next to the vertical, w0 = 0) the array values must equal it
+bit for bit, and scan_ray must return the same records, or raise the same
+exception with the same message, either way. A ray that ray_strata turns
+away (None: r <= 0, H = 0, v0 = 0) has no nodes and no records.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srfolds import SingularityClass, grushin_adapter, scan_ray, sl2_adapter, su2_adapter
+from srfolds import grushin_adapter, scan_ray, sl2_adapter, su2_adapter
 from srfolds.grushin import GrushinBase
 from srfolds.numeric import DEFAULT_SCAN_POINTS, scan_nodes
 from srfolds.singularity import RAY_ORIGIN_OFFSET
@@ -39,7 +39,7 @@ GROUP_CASES = list(itertools.product(("su2", "sl2"), GROUP_DIRECTIONS))
 
 
 def _scalar_grid(adapter):
-    """The adapter with its ray grids taken one scalar g call per node and stratum."""
+    """The adapter with its ray nodes sampled one scalar g call per node and stratum."""
 
     def ray_strata(d):
         strata = adapter.ray_strata(d)
@@ -75,10 +75,18 @@ def _records(adapter, direction):
 
 def _grid(adapter, direction):
     d = np.asarray(direction, dtype=float)
-    nodes = scan_nodes(S_MAX * RAY_ORIGIN_OFFSET, S_MAX, DEFAULT_SCAN_POINTS)
     strata = adapter.ray_strata(d / np.linalg.norm(d))
-    # a ray with no conjugate covector has no restriction, and no grid
-    return None if strata is None else _outcome(lambda: strata.g_rows(nodes).T.tobytes())
+    # a ray with no conjugate covector has no restriction, and no nodes
+    if strata is None:
+        return None
+    lo = S_MAX * RAY_ORIGIN_OFFSET
+
+    def values():
+        nodes = (scan_nodes(lo, S_MAX, DEFAULT_SCAN_POINTS) if strata.nodes is None
+                 else strata.nodes(lo, S_MAX))
+        return strata.g_rows(nodes).T.tobytes()
+
+    return _outcome(values)
 
 
 def _check(adapter, direction):
@@ -98,7 +106,7 @@ def test_group_edge_rays(structure, direction):
 
 
 def test_edge_rays_cover_the_raise_and_straight_branches():
-    # H underflows to 0 on the first nodes: the scan raises, with either grid,
+    # H underflows to 0 at the start of the scan: the scan raises, either way,
     # the InvalidInput that names s_max and the scalar stratum function's reason
     for adapter, direction in [(su2_adapter(), (1e-160, 0.0, 1.0)),
                                (sl2_adapter(), (0.0, 1e-161, 1.0)),
@@ -110,14 +118,3 @@ def test_edge_rays_cover_the_raise_and_straight_branches():
     adapter = grushin_adapter(GrushinBase(2.0, 0.5, 0.0))
     assert not np.frombuffer(_grid(adapter, (1.0, 1e-300))).any()
 
-
-def test_order_zero_record_survives():
-    # a root where the chart has full FD rank becomes an order-0 record; on
-    # this near-horizontal ray f is rounding noise past the crossing radius
-    # (about 0.5), where the geodesics reach the axis
-    adapter = grushin_adapter(GrushinBase(3.0, -0.5, 0.0))
-    records = scan_ray(adapter, (1.0, 1e-8), S_MAX)
-    assert [(rec.order, rec.singularity_class) for rec in records] == [
-        (0, SingularityClass.NOT_SINGULAR)]
-    d = np.array([1.0, 1e-8]) / math.hypot(1.0, 1e-8)
-    assert records[0].s > adapter.ray_strata(d).free_below > 0.4

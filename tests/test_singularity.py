@@ -434,15 +434,23 @@ class TestScanCost:
         (sl2_adapter, SL2_RAY, 14.0),
     ], ids=["grushin", "su2", "sl2"])
     def test_scalar_conj_f_calls_per_record(self, make_adapter, ray, s_max):
-        # the grid comes from one g_rows call of the ray's restriction and the
+        # the nodes come from one g_rows call of the ray's restriction and the
         # records from record_fields; on these short rays the scalar g serves
         # only Brent, whose last value is the residual
-        calls = {"g": 0, "g_rows": 0}
-        records = scan_ray(_counted_strata(make_adapter(), calls), ray, s_max)
+        adapter = make_adapter()
+        calls = {"g": 0, "g_rows": 0, "rows": 0}
+        records = scan_ray(_counted_strata(adapter, calls), ray, s_max)
         assert len(records) >= 2
-        assert calls["g"] <= 5 * len(records)
-        assert calls["g"] < DEFAULT_SCAN_POINTS
         assert calls["g_rows"] == 1
+        if adapter.name == "grushin":
+            # the nodes are the ray's poles, one more than its records, and
+            # s_max; Brent takes about 8 g calls a bracket between them. The
+            # 400-node grid took 400 rows and 23 g calls on this ray
+            assert calls["rows"] == len(records) + 2
+            assert calls["g"] + calls["rows"] <= 10 * (len(records) + 1)
+        else:
+            assert calls["g"] <= 5 * len(records)
+            assert calls["g"] < DEFAULT_SCAN_POINTS
 
     @pytest.mark.parametrize("make_adapter,ray", [
         (su2_adapter, SU2_RAY), (sl2_adapter, SL2_RAY),
@@ -1002,6 +1010,7 @@ def _counted_strata(adapter, calls):
 
         def g_rows(s):
             calls["g_rows"] += 1
+            calls["rows"] = calls.get("rows", 0) + s.size
             return strata.g_rows(s)
 
         return strata._replace(g=g, g_rows=g_rows)
